@@ -1,9 +1,6 @@
 //! Benchmarks targeting the zero-allocation hot path specifically:
 //! event-queue cancel traffic, pooled vs. fresh segment encoding, the
 //! borrowing decoder, and a small end-to-end flow-transfer step loop.
-//!
-//! `scripts/bench.sh` runs these (plus `simulator.rs`) and collects the
-//! JSON sidecar into `BENCH_PR2.json`.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};

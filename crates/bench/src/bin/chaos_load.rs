@@ -1,5 +1,5 @@
 //! Chaos load client for `repro serve` — the proof harness behind
-//! `scripts/check.sh --serve-smoke`.
+//! `scripts/check.sh --full`.
 //!
 //! Spawns a chaos-mode server and hammers it with a deterministic mixed
 //! stream of requests: healthy experiments and campaigns, malformed

@@ -1,5 +1,5 @@
 //! Kill-chaos harness for checkpointed campaigns — the proof harness
-//! behind `scripts/check.sh --resume-smoke`.
+//! behind `scripts/check.sh --full`.
 //!
 //! Repeatedly SIGKILLs `repro campaign --checkpoint` children at
 //! seeded journal-growth offsets (and, on every other kill, truncates
@@ -23,6 +23,7 @@
 //! journal — a wide kill window); override with `MPWIFI_KILL_USERS`.
 
 use mpwifi_serve::proto::{Request, Response, RunKind, RunRequest};
+use mpwifi_simcore::splitmix64;
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -56,18 +57,15 @@ fn fail_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// splitmix64 — the only PRNG this harness needs, hand-rolled so the
-/// binary depends on nothing beyond mpwifi-serve (bench bins cannot
-/// see dev-dependencies).
+/// The splitmix64 stream — the only PRNG this harness needs: output
+/// `n` is `splitmix64(seed + n·γ)`.
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform in `[lo, hi)`.

@@ -12,10 +12,6 @@
 //! Run with `cargo bench --workspace`. The `repro` binary (not these
 //! benches) prints the actual tables/figures; benches measure cost.
 //!
-//! The crate also ships the `bench_gate` binary (see [`gate`]): it
-//! compares a fresh bench run against the committed `BENCH_PR7.json`
-//! baseline and fails on >10% median regressions. `scripts/bench_gate`
-//! is the CLI entry point; `scripts/check.sh --bench-smoke` wires it
-//! into the local CI gate.
-
-pub mod gate;
+//! Speed is tracked by `stackbench/` against `BENCHMARK.json`, not here;
+//! the crate's binaries are the chaos harnesses (`chaos_load`,
+//! `kill_chaos`) that `scripts/check.sh --full` drives.

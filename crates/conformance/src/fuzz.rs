@@ -1,27 +1,18 @@
 //! Campaign driver and shrinker.
 //!
-//! [`run_campaign`] fans N generated cases across worker threads with
-//! the same work-stealing shape as the experiment runner: results land
-//! in case-index order and the campaign fingerprint is identical for
-//! any `--jobs`, so determinism can be asserted across parallelism
-//! levels. [`shrink`] greedily reduces a violating spec to a minimal
-//! reproducer and [`repro_snippet`] renders it as a paste-ready test.
+//! [`run_campaign`] fans N generated cases across worker threads on the
+//! workspace's shared [`fan_out`] engine: results land in case-index
+//! order and the campaign fingerprint is identical for any `--jobs`, so
+//! determinism can be asserted across parallelism levels. [`shrink`]
+//! greedily reduces a violating spec to a minimal reproducer and
+//! [`repro_snippet`] renders it as a paste-ready test.
 
 use crate::scenario::{
     generate, run_scenario, CaseReport, CcSpec, ModeSpec, ScenarioSpec, SchedSpec, TransportSpec,
 };
+pub use mpwifi_simcore::splitmix64;
+use mpwifi_simcore::{fan_out, Fnv1a};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// SplitMix64 step — the standard seed-stream expander. Used to derive
-/// independent per-case seeds from one root seed.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The seed for case `index` of a campaign rooted at `root_seed`.
 /// A pure function of both, so a single case can be re-run (or pasted
@@ -60,29 +51,7 @@ fn run_case(root_seed: u64, index: usize) -> CaseResult {
 /// byte-identical for every `jobs` value: each case's outcome depends
 /// only on its seed, never on which worker ran it.
 pub fn run_campaign(cases: usize, root_seed: u64, jobs: usize) -> Vec<CaseResult> {
-    if jobs <= 1 || cases <= 1 {
-        return (0..cases).map(|i| run_case(root_seed, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CaseResult>>> = Mutex::new((0..cases).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(cases) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cases {
-                    break;
-                }
-                let result = run_case(root_seed, i);
-                slots.lock().expect("campaign slot lock")[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("campaign slot lock")
-        .into_iter()
-        .map(|slot| slot.expect("every case index was claimed by a worker"))
-        .collect()
+    fan_out(cases, jobs, || (), |(), i| run_case(root_seed, i))
 }
 
 /// Generate a scenario for one (scheduler, congestion-control) matrix
@@ -149,43 +118,24 @@ pub fn run_matrix_campaign(
         .flat_map(|&s| CcSpec::ALL.iter().map(move |&c| (s, c)))
         .collect();
     let total = cells.len() * cases_per_cell;
-    let run_one = |flat: usize| -> CaseResult {
-        let (cell, index) = (flat / cases_per_cell, flat % cases_per_cell);
-        let (sched, cc) = cells[cell];
-        let seed = case_seed(root_seed ^ splitmix64(cell as u64 ^ 0x5EED_CE11), index);
-        let spec = generate_for_cell(seed, sched, cc);
-        let report = run_scenario(&spec);
-        CaseResult {
-            index,
-            seed,
-            spec,
-            report,
-        }
-    };
-    let flat: Vec<CaseResult> = if jobs <= 1 || total <= 1 {
-        (0..total).map(run_one).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<CaseResult>>> = Mutex::new((0..total).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let result = run_one(i);
-                    slots.lock().expect("matrix slot lock")[i] = Some(result);
-                });
+    let flat = fan_out(
+        total,
+        jobs,
+        || (),
+        |(), flat| {
+            let (cell, index) = (flat / cases_per_cell, flat % cases_per_cell);
+            let (sched, cc) = cells[cell];
+            let seed = case_seed(root_seed ^ splitmix64(cell as u64 ^ 0x5EED_CE11), index);
+            let spec = generate_for_cell(seed, sched, cc);
+            let report = run_scenario(&spec);
+            CaseResult {
+                index,
+                seed,
+                spec,
+                report,
             }
-        });
-        slots
-            .into_inner()
-            .expect("matrix slot lock")
-            .into_iter()
-            .map(|slot| slot.expect("every matrix index was claimed by a worker"))
-            .collect()
-    };
+        },
+    );
     let mut out = Vec::with_capacity(cells.len());
     let mut it = flat.into_iter();
     for (sched, cc) in cells {
@@ -202,7 +152,7 @@ pub fn run_matrix_campaign(
 /// [`campaign_fingerprint`], so it carries the same determinism
 /// contract across `--jobs` values and repeats.
 pub fn matrix_fingerprint(cells: &[MatrixCellResult]) -> String {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = Fnv1a::new();
     for c in cells {
         let line = format!(
             "{:?}x{:?} {}\n",
@@ -210,19 +160,16 @@ pub fn matrix_fingerprint(cells: &[MatrixCellResult]) -> String {
             c.cc,
             campaign_fingerprint(&c.results)
         );
-        for b in line.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(line.as_bytes());
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.finish())
 }
 
 /// FNV-1a digest of a whole campaign. Identical digests across
 /// `--jobs` values and repeat runs are the determinism contract the
 /// test suite asserts.
 pub fn campaign_fingerprint(results: &[CaseResult]) -> String {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = Fnv1a::new();
     for r in results {
         let line = format!(
             "case{} seed={} {}\n",
@@ -230,12 +177,9 @@ pub fn campaign_fingerprint(results: &[CaseResult]) -> String {
             r.seed,
             r.report.fingerprint()
         );
-        for b in line.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(line.as_bytes());
     }
-    format!("{h:016x}")
+    format!("{:016x}", h.finish())
 }
 
 /// Candidate reductions of `spec`, most aggressive first. Each is a

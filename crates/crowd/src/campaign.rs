@@ -16,16 +16,16 @@
 //! figure suite. [`merge_agreement`] checks the sharded-vs-monolithic
 //! equivalence explicitly for supervision smokes.
 
-use crate::journal::{Checkpoint, ResumeError};
+use crate::journal::{Checkpoint, Recovery, ResumeError};
 use crate::measure::{measure_pair, measure_pair_arena, RunMeasurement, RunMode};
-use crate::steal::{ResidualQueue, StealQueue};
 use crate::world::{combined_target_adjustment, paper_clusters};
 use mpwifi_measure::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use mpwifi_measure::{CdfSketch, Histogram, MeanAcc, Mergeable, SampleBuilder};
 use mpwifi_radio::WirelessWorld;
 use mpwifi_sim::SimArena;
-use mpwifi_simcore::DetRng;
+use mpwifi_simcore::{fan_out, DetRng};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of Table 1 clusters the population is spread over.
@@ -77,17 +77,16 @@ impl CampaignConfig {
         (lo, (lo + su).min(self.users))
     }
 
-    /// Worker-thread count to actually spawn: the configured count (or
-    /// machine parallelism for 0), clamped to the available work.
-    fn resolved_workers(&self, work_items: u64) -> usize {
-        let w = if self.workers == 0 {
+    /// Worker-thread count to ask for: the configured count, or machine
+    /// parallelism for 0 ([`fan_out`] clamps it to the available work).
+    fn resolved_workers(&self) -> usize {
+        if self.workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
         } else {
             self.workers
-        };
-        w.min(work_items.max(1) as usize).max(1)
+        }
     }
 }
 
@@ -434,73 +433,32 @@ pub(crate) fn run_shard(
     summary
 }
 
-/// Run a campaign. Shards are dispensed by a work-stealing
-/// [`StealQueue`]: each worker starts with a contiguous chunk of the
-/// shard range and steals the upper half of the largest remaining chunk
-/// once its own runs dry, so a straggler shard (one slow FullSim user)
-/// no longer idles the rest of the pool. Each worker owns one
-/// [`SimArena`] (FullSim runs re-arm it per transfer) and streams each
-/// shard into a [`ShardSummary`] stored in its shard-indexed partition
-/// slot. Slots are folded in shard order, so the result is
-/// byte-identical for every worker count and every steal interleaving.
+/// Run a campaign. Shards are fanned out by [`fan_out`], whose work
+/// stealing keeps a straggler shard (one slow FullSim user) from idling
+/// the rest of the pool. Each worker owns one [`SimArena`] (FullSim runs
+/// re-arm it per transfer) and streams each shard into a
+/// [`ShardSummary`] keyed by its shard index. Summaries are folded in
+/// shard order, so the result is byte-identical for every worker count
+/// and every steal interleaving.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     run_campaign_with(cfg, |_, _, _| {})
 }
 
 /// [`run_campaign`] with a shard-completion observer, for hosts that
 /// stream progress (the campaign server). `on_shard(done, total, users)`
-/// is called after each shard's summary lands in its slot, with the
-/// number of shards finished so far, the total shard count, and the
-/// users measured so far. Calls come from worker threads in completion
-/// order (not shard order) — observation is inherently racy and **must
-/// not** influence results; the folded summary stays byte-identical to
-/// an unobserved run.
+/// is called after each shard completes, with the number of shards
+/// finished so far, the total shard count, and the users measured so
+/// far. Calls come from worker threads in completion order (not shard
+/// order) — observation is inherently racy and **must not** influence
+/// results; the folded summary stays byte-identical to an unobserved
+/// run.
 pub fn run_campaign_with(
     cfg: &CampaignConfig,
     on_shard: impl Fn(u64, u64, u64) + Sync,
 ) -> CampaignSummary {
-    let world = CampaignWorld::build();
-    let num_shards = cfg.num_shards();
-    let workers = cfg.resolved_workers(num_shards);
-
-    let queue = StealQueue::new(num_shards, workers);
-    let mut slots: Vec<Option<ShardSummary>> = (0..num_shards).map(|_| None).collect();
-    let slot_guard = Mutex::new(&mut slots);
-    let done_shards = std::sync::atomic::AtomicU64::new(0);
-    let users_done = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queue = &queue;
-            let world = &world;
-            let slot_guard = &slot_guard;
-            let done_shards = &done_shards;
-            let users_done = &users_done;
-            let on_shard = &on_shard;
-            scope.spawn(move || {
-                let mut arena = SimArena::new();
-                while let Some(shard) = queue.pop(w) {
-                    let (lo, hi) = cfg.shard_bounds(shard);
-                    let summary = run_shard(cfg, world, shard, &mut arena);
-                    slot_guard.lock().unwrap()[shard as usize] = Some(summary);
-                    use std::sync::atomic::Ordering;
-                    let done = done_shards.fetch_add(1, Ordering::SeqCst) + 1;
-                    let users = users_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
-                    on_shard(done, num_shards, users);
-                }
-            });
-        }
-    });
-
-    let mut stats = ShardSummary::new();
-    for slot in slots {
-        stats.merge(&slot.expect("every shard slot filled"));
-    }
-    CampaignSummary {
-        users: cfg.users,
-        seed: cfg.seed,
-        shards: num_shards,
-        stats,
-    }
+    run_engine(cfg, None, on_shard)
+        .expect("only a journal append can fail, and there is no journal")
+        .summary
 }
 
 /// A campaign completed through the journal: the summary plus resume
@@ -521,12 +479,12 @@ pub struct ResumedCampaign {
 
 /// [`run_campaign`] with crash-consistent checkpointing: completed
 /// shard summaries recovered from the journal at `path` are reused
-/// verbatim, only the residual shards are dispensed (via
-/// [`crate::steal::ResidualQueue`], so work stealing still balances
-/// the tail), and each newly completed shard is appended to the journal
-/// and fsynced before it counts as done. The in-order slot fold is
-/// unchanged, so the result is byte-identical to an uninterrupted
-/// [`run_campaign`] at any worker count and any kill point.
+/// verbatim, only the residual shards are fanned out (so work stealing
+/// still balances the tail), and each newly completed shard is appended
+/// to the journal and fsynced before it counts as done. The in-order
+/// fold is unchanged, so the result is byte-identical to an
+/// uninterrupted [`run_campaign`] at any worker count and any kill
+/// point.
 pub fn run_campaign_resumable(
     cfg: &CampaignConfig,
     path: &std::path::Path,
@@ -542,64 +500,74 @@ pub fn run_campaign_resumable_with(
     path: &std::path::Path,
     on_shard: impl Fn(u64, u64, u64) + Sync,
 ) -> Result<ResumedCampaign, ResumeError> {
-    let (checkpoint, recovery) = Checkpoint::open(path, cfg)?;
-    let world = CampaignWorld::build();
+    run_engine(cfg, Some(Checkpoint::open(path, cfg)?), on_shard)
+}
+
+/// The one campaign engine behind all four entry points. An unjournaled
+/// campaign is a resume with nothing recovered and nowhere to append:
+/// the residual list is then every shard.
+fn run_engine(
+    cfg: &CampaignConfig,
+    journal: Option<(Checkpoint, Recovery)>,
+    on_shard: impl Fn(u64, u64, u64) + Sync,
+) -> Result<ResumedCampaign, ResumeError> {
+    const POISONED: &str = "a campaign worker panicked holding this lock";
     let num_shards = cfg.num_shards();
+    let (checkpoint, recovery) = match journal {
+        Some((checkpoint, recovery)) => (Some(Mutex::new(checkpoint)), recovery),
+        None => (None, Recovery::fresh(num_shards)),
+    };
+    let world = CampaignWorld::build();
     let mut slots = recovery.slots;
     let residual: Vec<u64> = (0..num_shards)
         .filter(|&s| slots[s as usize].is_none())
         .collect();
-    let workers = cfg.resolved_workers(residual.len() as u64);
-
-    let queue = ResidualQueue::new(residual, workers);
-    let slot_guard = Mutex::new(&mut slots);
-    let checkpoint = Mutex::new(checkpoint);
-    // First journal-append failure; workers bail once one is recorded
-    // (the journal is shared, so a failed append poisons the run).
+    // First journal-append failure; workers skip their remaining shards
+    // once one is recorded (the journal is shared, so a failed append
+    // poisons the run).
     let first_err: Mutex<Option<ResumeError>> = Mutex::new(None);
-    let done_shards = std::sync::atomic::AtomicU64::new(recovery.recovered_slots);
-    let users_done = std::sync::atomic::AtomicU64::new(recovery.recovered_users);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queue = &queue;
-            let world = &world;
-            let slot_guard = &slot_guard;
-            let checkpoint = &checkpoint;
-            let first_err = &first_err;
-            let done_shards = &done_shards;
-            let users_done = &users_done;
-            let on_shard = &on_shard;
-            scope.spawn(move || {
-                let mut arena = SimArena::new();
-                while let Some(shard) = queue.pop(w) {
-                    if first_err.lock().unwrap().is_some() {
-                        return;
-                    }
-                    let (lo, hi) = cfg.shard_bounds(shard);
-                    let summary = run_shard(cfg, world, shard, &mut arena);
-                    // Durability point: the shard is on disk (fsynced)
-                    // before it is counted done — a kill after this
-                    // line never recomputes the shard.
-                    if let Err(e) = checkpoint.lock().unwrap().append_slot(shard, &summary) {
-                        first_err.lock().unwrap().get_or_insert(e);
-                        return;
-                    }
-                    slot_guard.lock().unwrap()[shard as usize] = Some(summary);
-                    use std::sync::atomic::Ordering;
-                    let done = done_shards.fetch_add(1, Ordering::SeqCst) + 1;
-                    let users = users_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
-                    on_shard(done, num_shards, users);
+    let done_shards = AtomicU64::new(recovery.recovered_slots);
+    let users_done = AtomicU64::new(recovery.recovered_users);
+    let computed = fan_out(
+        residual.len(),
+        cfg.resolved_workers(),
+        SimArena::new,
+        |arena, i| {
+            if first_err.lock().expect(POISONED).is_some() {
+                return None;
+            }
+            let shard = residual[i];
+            let (lo, hi) = cfg.shard_bounds(shard);
+            let summary = run_shard(cfg, &world, shard, arena);
+            if let Some(checkpoint) = &checkpoint {
+                // Durability point: the shard is on disk (fsynced)
+                // before it is counted done — a kill after this line
+                // never recomputes the shard.
+                if let Err(e) = checkpoint
+                    .lock()
+                    .expect(POISONED)
+                    .append_slot(shard, &summary)
+                {
+                    first_err.lock().expect(POISONED).get_or_insert(e);
+                    return None;
                 }
-            });
-        }
-    });
-    if let Some(e) = first_err.into_inner().unwrap() {
+            }
+            let done = done_shards.fetch_add(1, Ordering::SeqCst) + 1;
+            let users = users_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
+            on_shard(done, num_shards, users);
+            Some(summary)
+        },
+    );
+    if let Some(e) = first_err.into_inner().expect(POISONED) {
         return Err(e);
+    }
+    for (&shard, summary) in residual.iter().zip(computed) {
+        slots[shard as usize] = summary;
     }
 
     let mut stats = ShardSummary::new();
     for slot in slots {
-        stats.merge(&slot.expect("every shard slot filled"));
+        stats.merge(&slot.expect("every shard recovered or computed"));
     }
     Ok(ResumedCampaign {
         summary: CampaignSummary {

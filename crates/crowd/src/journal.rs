@@ -37,6 +37,7 @@ use crate::campaign::{CampaignConfig, ShardSummary, CAMPAIGN_CLUSTERS};
 use crate::measure::RunMode;
 use mpwifi_measure::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use mpwifi_measure::{CdfSketch, Histogram, MeanAcc};
+use mpwifi_simcore::Fnv1a;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -163,14 +164,11 @@ pub fn code_fingerprint() -> u64 {
         u64::from(MeanAcc::CODEC_VERSION),
         CAMPAIGN_CLUSTERS as u64,
     ];
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for ident in idents {
-        for b in ident.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.write(&ident.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// The campaign identity a journal is bound to.
@@ -391,7 +389,8 @@ pub struct Recovery {
 }
 
 impl Recovery {
-    fn fresh(num_shards: u64) -> Recovery {
+    /// What an empty (or absent) journal recovers: nothing.
+    pub(crate) fn fresh(num_shards: u64) -> Recovery {
         Recovery {
             slots: (0..num_shards).map(|_| None).collect(),
             recovered_slots: 0,

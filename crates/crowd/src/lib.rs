@@ -39,5 +39,5 @@ pub use campaign::{
 };
 pub use journal::{scan_journal, Checkpoint, JournalHeader, Recovery, ResumeError};
 pub use measure::{measure_pair, measure_pair_arena, RunMeasurement, RunMode};
-pub use steal::{ResidualQueue, StealQueue};
+pub use steal::StealQueue;
 pub use world::{dataset_to_csv, generate_dataset, paper_clusters, ClusterProfile, MeasurementRun};

@@ -1,304 +1,5 @@
-//! Lock-free work-stealing scheduler for shard indices.
-//!
-//! [`StealQueue`] hands out the indices `0..total` to a fixed set of
-//! workers. Each worker starts with a contiguous chunk (the same
-//! partition the PR 6 static schedule used); when a worker drains its
-//! chunk it steals the upper half of the largest remaining chunk. This
-//! keeps `--jobs N` busy to the tail on real multicore — a straggler
-//! shard no longer idles every other worker — while the *assignment* of
-//! results stays index-keyed, so callers that fold results in index
-//! order (the campaign driver's slot fold) remain byte-identical for
-//! every worker count and every steal interleaving.
-//!
-//! Each worker's remaining range lives in one `AtomicU64` packing
-//! `(lo, hi)` as two `u32` halves. The owner pops `lo` with a CAS;
-//! thieves split `[lo, hi)` at the midpoint with a CAS on the same word,
-//! so every index is removed from exactly one range by exactly one
-//! successful CAS — processed exactly once, by whichever worker won it.
+//! The work-stealing shard dispenser. It lives in
+//! [`mpwifi_simcore::fanout`] beside the fan-out engine that drives it;
+//! this module keeps the `mpwifi_crowd::steal::StealQueue` path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Pack a half-open index range into one atomic word.
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(lo) << 32) | u64::from(hi)
-}
-
-/// Unpack `(lo, hi)` from an atomic word.
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-/// Work-stealing dispenser of the indices `0..total` across `workers`
-/// participants. See the module docs for the protocol.
-#[derive(Debug)]
-pub struct StealQueue {
-    ranges: Vec<AtomicU64>,
-}
-
-impl StealQueue {
-    /// Split `0..total` contiguously across `workers` ranges (earlier
-    /// workers get the earlier indices, remainders spread one each from
-    /// the front — the exact PR 6 static partition as the starting
-    /// point). `total` must fit in `u32`.
-    pub fn new(total: u64, workers: usize) -> StealQueue {
-        assert!(workers >= 1, "need at least one worker");
-        assert!(
-            total <= u64::from(u32::MAX),
-            "index range too large for packed (u32, u32) ranges"
-        );
-        let total = total as u32;
-        let w = workers as u32;
-        let per = total / w;
-        let rem = total % w;
-        let mut lo = 0u32;
-        let ranges = (0..w)
-            .map(|i| {
-                let len = per + u32::from(i < rem);
-                let r = AtomicU64::new(pack(lo, lo + len));
-                lo += len;
-                r
-            })
-            .collect();
-        StealQueue { ranges }
-    }
-
-    /// Next index for `worker`: its own chunk first, then a steal.
-    /// `None` means every published range was empty at scan time — the
-    /// worker can exit. (A range a thief has won but not yet republished
-    /// is invisible here; the thief itself still processes it, so every
-    /// index is handled exactly once regardless.)
-    pub fn pop(&self, worker: usize) -> Option<u64> {
-        self.pop_own(worker).or_else(|| self.steal(worker))
-    }
-
-    /// Pop the lowest remaining index of `worker`'s own range.
-    fn pop_own(&self, worker: usize) -> Option<u64> {
-        let r = &self.ranges[worker];
-        let mut cur = r.load(Ordering::Acquire);
-        loop {
-            let (lo, hi) = unpack(cur);
-            if lo >= hi {
-                return None;
-            }
-            match r.compare_exchange_weak(
-                cur,
-                pack(lo + 1, hi),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(u64::from(lo)),
-                Err(v) => cur = v,
-            }
-        }
-    }
-
-    /// Steal the upper half of the largest other range, republish it as
-    /// `worker`'s own range, and return its first index.
-    fn steal(&self, worker: usize) -> Option<u64> {
-        loop {
-            let mut best: Option<(usize, u32, u32)> = None;
-            for (i, r) in self.ranges.iter().enumerate() {
-                if i == worker {
-                    continue;
-                }
-                let (lo, hi) = unpack(r.load(Ordering::Acquire));
-                if lo < hi && best.is_none_or(|(_, blo, bhi)| hi - lo > bhi - blo) {
-                    best = Some((i, lo, hi));
-                }
-            }
-            let (victim, lo, hi) = best?;
-            // Upper half for the thief (whole range when only one index
-            // remains); the victim keeps the prefix it is popping from.
-            let mid = lo + (hi - lo) / 2;
-            if self.ranges[victim]
-                .compare_exchange(
-                    pack(lo, hi),
-                    pack(lo, mid),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                // `[mid, hi)` is now exclusively ours: take the first
-                // index and publish the rest as our own range. Our slot
-                // is empty and nobody steals from empty slots, so a
-                // plain store is safe.
-                self.ranges[worker].store(pack(mid + 1, hi), Ordering::Release);
-                return Some(u64::from(mid));
-            }
-            // Lost the race (owner popped or another thief split);
-            // rescan for a fresh victim.
-        }
-    }
-}
-
-/// Work-stealing dispenser over an arbitrary *subset* of shard ids —
-/// the resume seam. A resumed campaign must feed the steal protocol
-/// only the residual (un-journaled) shards, but [`StealQueue`] dispenses
-/// the dense range `0..total`. `ResidualQueue` keeps the dense queue as
-/// the exactly-once engine and adds a frozen index→shard-id mapping on
-/// top, so every residual shard id is dispensed exactly once (by
-/// whichever worker wins the underlying CAS) and journaled shards are
-/// never dispensed at all.
-#[derive(Debug)]
-pub struct ResidualQueue {
-    /// Residual shard ids; the dense queue dispenses indices into this.
-    ids: Vec<u64>,
-    inner: StealQueue,
-}
-
-impl ResidualQueue {
-    /// Dispense exactly the shard ids in `ids` across `workers`.
-    pub fn new(ids: Vec<u64>, workers: usize) -> ResidualQueue {
-        let inner = StealQueue::new(ids.len() as u64, workers);
-        ResidualQueue { ids, inner }
-    }
-
-    /// Residual shards remaining to dispense at construction.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when there was nothing to dispense.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Next residual shard id for `worker`, or `None` when drained.
-    pub fn pop(&self, worker: usize) -> Option<u64> {
-        self.inner.pop(worker).map(|i| self.ids[i as usize])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-
-    #[test]
-    fn single_worker_yields_in_order() {
-        let q = StealQueue::new(10, 1);
-        let got: Vec<u64> = std::iter::from_fn(|| q.pop(0)).collect();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn uneven_split_covers_everything() {
-        // 7 indices over 3 workers: 3 + 2 + 2, no steals needed.
-        let q = StealQueue::new(7, 3);
-        let mut all = Vec::new();
-        for w in 0..3 {
-            while let Some(i) = q.pop(w) {
-                all.push(i);
-            }
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn idle_worker_steals_from_the_busy_one() {
-        // Worker 1's chunk is empty (2 indices over 2 workers → 1 each);
-        // drain worker 1, then give it worker 0's remaining work.
-        let q = StealQueue::new(8, 2);
-        assert_eq!(q.pop(1), Some(4));
-        assert_eq!(q.pop(1), Some(5));
-        assert_eq!(q.pop(1), Some(6));
-        assert_eq!(q.pop(1), Some(7));
-        // Own chunk dry: steal the upper half of worker 0's [0, 4).
-        assert_eq!(q.pop(1), Some(2));
-        assert_eq!(q.pop(1), Some(3));
-        // Worker 0 still owns its prefix.
-        assert_eq!(q.pop(0), Some(0));
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), None);
-    }
-
-    #[test]
-    fn zero_total_is_immediately_empty() {
-        let q = StealQueue::new(0, 4);
-        for w in 0..4 {
-            assert_eq!(q.pop(w), None);
-        }
-    }
-
-    #[test]
-    fn residual_queue_dispenses_exactly_the_residual_ids() {
-        // Journaled prefix {0, 3, 17} of a 40-shard partition: the
-        // residual queue must dispense each of the other 37 exactly
-        // once and never a journaled one.
-        let journaled: HashSet<u64> = [0, 3, 17].into_iter().collect();
-        let residual: Vec<u64> = (0..40).filter(|s| !journaled.contains(s)).collect();
-        let q = ResidualQueue::new(residual.clone(), 1);
-        let got: Vec<u64> = std::iter::from_fn(|| q.pop(0)).collect();
-        assert_eq!(got, residual);
-    }
-
-    #[test]
-    fn residual_queue_exactly_once_under_steal_storm() {
-        // A journaled prefix plus an 8-thread steal storm: exactly-once
-        // dispensing must survive the resume seam. Residual ids are
-        // deliberately non-contiguous (every shard not ≡ 0 mod 3).
-        const SHARDS: u64 = 50_000;
-        const WORKERS: usize = 8;
-        let residual: Vec<u64> = (0..SHARDS).filter(|s| s % 3 != 0).collect();
-        let expected: HashSet<u64> = residual.iter().copied().collect();
-        let q = ResidualQueue::new(residual, WORKERS);
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|scope| {
-            for w in 0..WORKERS {
-                let q = &q;
-                let seen = &seen;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    while let Some(s) = q.pop(w) {
-                        mine.push(s);
-                    }
-                    let mut all = seen.lock().unwrap();
-                    for s in mine {
-                        assert!(all.insert(s), "shard {s} dispensed twice");
-                        assert!(s % 3 != 0, "journaled shard {s} dispensed");
-                    }
-                });
-            }
-        });
-        assert_eq!(*seen.lock().unwrap(), expected);
-    }
-
-    #[test]
-    fn empty_residual_queue_is_immediately_dry() {
-        let q = ResidualQueue::new(Vec::new(), 4);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        for w in 0..4 {
-            assert_eq!(q.pop(w), None);
-        }
-    }
-
-    #[test]
-    fn concurrent_workers_cover_each_index_exactly_once() {
-        const TOTAL: u64 = 10_000;
-        const WORKERS: usize = 8;
-        let q = StealQueue::new(TOTAL, WORKERS);
-        let seen = Mutex::new(HashSet::new());
-        std::thread::scope(|scope| {
-            for w in 0..WORKERS {
-                let q = &q;
-                let seen = &seen;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    while let Some(i) = q.pop(w) {
-                        mine.push(i);
-                    }
-                    let mut s = seen.lock().unwrap();
-                    for i in mine {
-                        assert!(s.insert(i), "index {i} dispensed twice");
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.lock().unwrap().len(), TOTAL as usize);
-    }
-}
+pub use mpwifi_simcore::fanout::StealQueue;

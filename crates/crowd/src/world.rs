@@ -3,7 +3,7 @@
 use crate::measure::{measure_pair, RunMeasurement, RunMode};
 use mpwifi_measure::GeoPoint;
 use mpwifi_radio::{CellKind, WirelessWorld};
-use mpwifi_simcore::{norm_quantile, DetRng};
+use mpwifi_simcore::{fan_out, norm_quantile, DetRng};
 use serde::{Deserialize, Serialize};
 
 /// Map a Table 1 LTE-win target (defined over *measured combined
@@ -117,7 +117,7 @@ pub struct MeasurementRun {
 /// 22 clusters). Deterministic per seed.
 ///
 /// Generation is two-phase: conditions are drawn sequentially (one RNG
-/// stream, reproducible), then the runs are *measured* — in parallel
+/// stream, reproducible), then the runs are *measured* — fanned out
 /// across worker threads when `mode` is [`RunMode::FullSim`], since the
 /// 2104 packet-level simulations are independent. Results are returned
 /// in generation order regardless, so the dataset is byte-identical to
@@ -173,24 +173,8 @@ pub fn generate_dataset(mode: RunMode, seed: u64) -> Vec<MeasurementRun> {
         RunMode::FullSim => {
             let workers = std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(4)
-                .min(specs.len().max(1));
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let mut out: Vec<Option<MeasurementRun>> = (0..specs.len()).map(|_| None).collect();
-            let slots = std::sync::Mutex::new(&mut out);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= specs.len() {
-                            break;
-                        }
-                        let run = measure_one(&specs[i]);
-                        slots.lock().unwrap()[i] = Some(run);
-                    });
-                }
-            });
-            out.into_iter().map(|r| r.expect("slot filled")).collect()
+                .unwrap_or(4);
+            fan_out(specs.len(), workers, || (), |(), i| measure_one(&specs[i]))
         }
     }
 }

@@ -5,6 +5,7 @@
 //! offsets in DSS, FNV-1a tokens).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mpwifi_simcore::Fnv1a;
 use mpwifi_tcp::segment::{Segment, TcpOption, OPT_KIND_MPTCP};
 
 /// Subtype identifiers (upper nibble of the first option byte in RFC
@@ -242,11 +243,7 @@ pub fn mp_options(seg: &Segment) -> Vec<MpOption> {
 /// FNV-1a 64 folded to 32 bits (documented simplification — the handshake
 /// message sequence is unchanged).
 pub fn token_from_key(key: u64) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.to_be_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = Fnv1a::hash(&key.to_be_bytes());
     ((h >> 32) ^ (h & 0xFFFF_FFFF)) as u32
 }
 

@@ -55,6 +55,7 @@ use mpwifi_repro::{
     registry, runner, runner::SeedPolicy, supervise, Scale, SuperviseConfig, SupervisedRun,
     ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS, REGISTRY,
 };
+use mpwifi_serve::json_escape;
 use std::io::Write as _;
 
 fn main() {
@@ -438,23 +439,6 @@ fn quarantine_block(
     out.push_str("  or paste into a test:\n");
     for line in supervise::repro_test_snippet(run.id, run.seed, scale).lines() {
         out.push_str(&format!("    {line}\n"));
-    }
-    out
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -24,22 +24,14 @@
 //! every run in the panic-isolating supervisor (`crate::supervise`),
 //! and the plain [`run_specs`]/[`run_specs_with`] entry points are the
 //! same pool with panic isolation only — a panicking experiment
-//! degrades into a failed section instead of killing the campaign. The
-//! result mutex recovers from poisoning and a slot no worker filled is
-//! synthesized as a quarantined outcome, never unwrapped.
-
-// The old pool unwrapped its slot mutex and slot options, so one
-// panicking experiment (poisoning the lock, or dying before recording
-// its slot) took the whole campaign down with it. Keep that class of
-// bug out structurally.
-#![deny(clippy::unwrap_used)]
+//! degrades into a failed section instead of killing the campaign.
+//! The threads themselves are [`mpwifi_simcore::fan_out`]'s.
 
 use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
-use crate::supervise::{supervise_one, RunStatus, SuperviseConfig, SupervisedRun};
-use mpwifi_simcore::RunMetrics;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::supervise::{supervise_one, SuperviseConfig, SupervisedRun};
+pub use mpwifi_simcore::derive_seed;
+use mpwifi_simcore::{fan_out, RunMetrics};
 use std::time::Duration;
 
 /// How each experiment's seed is computed from the root seed. Both
@@ -84,32 +76,6 @@ pub struct RunOutcome {
     /// Wall-clock time of this run. Not deterministic; never rendered
     /// into reports.
     pub wall: Duration,
-}
-
-/// FNV-1a hash of an experiment id.
-fn fnv1a(id: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: diffuses the combined root/id value so nearby
-/// root seeds produce unrelated experiment seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The seed an experiment runs with under root seed `root`: a pure
-/// function of `(root, id)`, so it cannot depend on sharding or run
-/// order.
-pub fn derive_seed(root: u64, id: &str) -> u64 {
-    splitmix64(root ^ fnv1a(id))
 }
 
 /// Run one spec with metric bracketing on the current thread.
@@ -167,37 +133,6 @@ pub fn run_specs_with(
     .collect()
 }
 
-/// Lock a results mutex, recovering from poisoning. The data under the
-/// lock is per-slot `Option`s written exactly once each, so a poisoned
-/// lock (a worker panicked while holding it) leaves every written slot
-/// intact and every unwritten slot `None` — both states this pool
-/// already handles.
-fn lock_slots<'a, T>(
-    slots: &'a Mutex<Vec<Option<T>>>,
-) -> std::sync::MutexGuard<'a, Vec<Option<T>>> {
-    slots
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The [`SupervisedRun`] synthesized for a slot no worker filled: the
-/// worker died (outside the supervisor's `catch_unwind`, e.g. a
-/// double panic) before recording an outcome.
-fn missing_slot_run(spec: &'static ExperimentSpec, seed: u64) -> SupervisedRun {
-    SupervisedRun {
-        id: spec.id,
-        seed,
-        attempts: 1,
-        flaky: false,
-        status: RunStatus::Panicked {
-            message: "worker thread died before recording an outcome".to_string(),
-        },
-        outcome: None,
-        wall: Duration::ZERO,
-        partial_metrics: None,
-    }
-}
-
 /// Convert a supervised run into a plain [`RunOutcome`] for the
 /// unsupervised entry points: completed runs pass through; quarantined
 /// runs become a placeholder report whose single claim fails.
@@ -243,31 +178,15 @@ pub fn run_specs_supervised(
     policy: SeedPolicy,
     cfg: &SuperviseConfig,
 ) -> Vec<SupervisedRun> {
-    let jobs = jobs.clamp(1, specs.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SupervisedRun>>> =
-        Mutex::new((0..specs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let run = supervise_one(spec, scale, policy.seed_for(root_seed, spec.id), cfg);
-                lock_slots(&slots)[i] = Some(run);
-            });
-        }
-    });
-    let slots = match slots.into_inner() {
-        Ok(v) => v,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    slots
-        .into_iter()
-        .zip(specs)
-        .map(|(slot, spec)| {
-            slot.unwrap_or_else(|| missing_slot_run(spec, policy.seed_for(root_seed, spec.id)))
-        })
-        .collect()
+    fan_out(
+        specs.len(),
+        jobs,
+        || (),
+        |(), i| {
+            let spec = specs[i];
+            supervise_one(spec, scale, policy.seed_for(root_seed, spec.id), cfg)
+        },
+    )
 }
 
 /// Render run records as a JSON array (one object per experiment) for
@@ -315,11 +234,10 @@ pub fn metrics_json(outcomes: &[RunOutcome]) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::registry;
-    use crate::supervise::planted_find;
+    use crate::supervise::{planted_find, RunStatus};
 
     #[test]
     fn planted_panic_degrades_to_failed_section_not_dead_pool() {
@@ -374,18 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn derive_seed_is_order_independent() {
-        // The derived seed is a pure function of (root, id): deriving
-        // in any order, any number of times, gives the same value.
-        let ids = ["fig9", "table2", "ext-handover", "fig15"];
-        let forward: Vec<u64> = ids.iter().map(|id| derive_seed(42, id)).collect();
-        let backward: Vec<u64> = ids.iter().rev().map(|id| derive_seed(42, id)).collect();
-        let backward: Vec<u64> = backward.into_iter().rev().collect();
-        assert_eq!(forward, backward);
-        assert_eq!(derive_seed(42, "fig9"), derive_seed(42, "fig9"));
-    }
-
-    #[test]
     fn seed_policies_are_pure_functions_of_root_and_id() {
         assert_eq!(SeedPolicy::Campaign.seed_for(42, "fig9"), 42);
         assert_eq!(SeedPolicy::Campaign.seed_for(42, "fig10"), 42);
@@ -394,12 +300,6 @@ mod tests {
             derive_seed(42, "fig9")
         );
         assert_eq!(SeedPolicy::default(), SeedPolicy::Campaign);
-    }
-
-    #[test]
-    fn derive_seed_separates_ids_and_roots() {
-        assert_ne!(derive_seed(42, "fig9"), derive_seed(42, "fig10"));
-        assert_ne!(derive_seed(42, "fig9"), derive_seed(43, "fig9"));
     }
 
     #[test]

@@ -268,8 +268,7 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
     script_fired: u64,
 }
 
-/// Named-setter builder for [`Sim`], replacing the positional
-/// `Sim::new(client, server, wifi, lte, seed)` call shape.
+/// Named-setter builder for [`Sim`] — the only way to construct one.
 ///
 /// Both link specs are required; [`SimBuilder::build`] panics if either
 /// is missing so a misconfigured scenario fails loudly at setup rather
@@ -444,20 +443,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         }
     }
 
-    /// Build the testbed from link specs. Thin positional shim over
-    /// [`Sim::builder`]; prefer the builder in new code.
-    pub fn new(
-        client: C,
-        server: S,
-        wifi_spec: &LinkSpec,
-        lte_spec: &LinkSpec,
-        seed: u64,
-    ) -> Sim<C, S> {
-        Sim::with_fault_stages(client, server, wifi_spec, lte_spec, seed, None, None)
-    }
-
-    /// Full constructor: [`Sim::new`] plus the per-interface fault
-    /// stages. With both plans `None` this is exactly `Sim::new`.
+    /// The constructor behind [`SimBuilder::build`]: link specs, seed,
+    /// and the per-interface fault stages (`None` adds no stage and
+    /// draws nothing from the RNG, so an absent plan is free).
     fn with_fault_stages(
         client: C,
         server: S,
@@ -903,7 +891,11 @@ mod tests {
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
         let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-        let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .seed(42)
+            .build();
         let id = sim
             .client
             .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
@@ -942,7 +934,11 @@ mod tests {
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
         let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-        let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .seed(42)
+            .build();
         let id = sim
             .client
             .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
@@ -976,7 +972,11 @@ mod tests {
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
         let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-        let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .seed(42)
+            .build();
         // Uplink collapses to 200 kbit/s almost immediately.
         sim.schedule(
             Time::from_millis(50),
@@ -1011,7 +1011,11 @@ mod tests {
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
         let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-        let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .seed(42)
+            .build();
         // Only event: a wakeup far beyond the deadline.
         sim.schedule(Time::from_secs(100), ScriptEvent::Wakeup);
         let deadline = Time::from_millis(500);
@@ -1034,7 +1038,11 @@ mod tests {
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
         let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-        let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .seed(42)
+            .build();
         let id = sim
             .client
             .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
@@ -1092,12 +1100,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_builder_with_empty_plan_matches_sim_new() {
+    fn fault_free_builder_with_empty_plan_matches_plain_build() {
         let run_plain = || {
             let (wifi, lte) = specs();
             let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
             let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-            Sim::new(client, server, &wifi, &lte, 42)
+            Sim::builder(client, server)
+                .wifi(&wifi)
+                .lte(&lte)
+                .seed(42)
+                .build()
         };
         let run_built = || {
             let (wifi, lte) = specs();
@@ -1475,7 +1487,11 @@ mod tests {
             let (wifi, lte) = specs();
             let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
             let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
-            let mut sim = Sim::new(client, server, &wifi, &lte, 42);
+            let mut sim = Sim::builder(client, server)
+                .wifi(&wifi)
+                .lte(&lte)
+                .seed(42)
+                .build();
             let id = sim
                 .client
                 .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);

@@ -1,95 +1,58 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, tier-1 build + tests.
-# Usage: scripts/check.sh [--bench-smoke] [--faults] [--conformance] [--sched-smoke] [--supervise] [--crowd-smoke] [--serve-smoke] [--resume-smoke]
-#   --bench-smoke   also build the criterion benches and run each for a
-#                   single iteration (cargo bench -- --test), proving
-#                   the benchmarks still compile and run; then measure
-#                   the hot_path + simulator suites for real and run
-#                   scripts/bench_gate against the committed
-#                   BENCH_PR7.json baseline — any benchmark whose
-#                   median regressed more than 10% fails the check
-#                   with a per-id diff.
-#   --faults        also run the fault-injection smoke: the three
-#                   fault-* experiments at quick scale (reduced
-#                   onset/duration grids) plus the fault-sweep
-#                   determinism spec, proving blackout/burst/corruption
-#                   plans still complete, recover, and reproduce.
-#   --conformance   also run the protocol-conformance fuzz campaign at a
-#                   fixed seed (25 cases by default; override the count
-#                   with MPWIFI_CONFORMANCE_CASES). Fails on any
-#                   invariant violation and prints the shrunk
-#                   reproducer.
-#   --sched-smoke   also run the scheduler-zoo smoke: the sched-matrix
-#                   and sched-failover experiment family (every
-#                   (scheduler, CC) cell over three path pairs, claims
-#                   must hold), the conformance matrix campaign (a few
-#                   fuzz cases per cell with the wedge and
-#                   redundant-liveness oracles attached; override the
-#                   per-cell count with MPWIFI_MATRIX_CASES), the
-#                   family's jobs-determinism test, the per-scheduler
-#                   golden pins, and the bench gate against
-#                   BENCH_PR7.json.
-#   --crowd-smoke   also run the crowd-campaign smoke: a 10⁴-user
-#                   population campaign under --supervise must complete
-#                   with every claim holding and zero quarantines, and
-#                   the standalone `repro campaign` driver (which runs
-#                   the sharded-vs-monolithic merge-agreement check as
-#                   one of its claims) must exit 0.
-#   --serve-smoke   also run the campaign-server chaos smoke: start
-#                   `repro serve` in chaos mode and drive it with the
-#                   chaos_load client (100+ mixed valid / malformed /
-#                   planted-panic / planted-stall / worker-bomb
-#                   requests, a queue-saturation shed phase, and a
-#                   graceful drain). The client exits nonzero unless
-#                   the server survives everything, sheds with typed
-#                   responses, quarantines exactly the planted
-#                   failures, reconciles its final stats line, and
-#                   renders healthy sections byte-identical to the
-#                   one-shot CLI.
-#   --resume-smoke  also run the crash-consistency smoke: the
-#                   kill_chaos harness SIGKILLs checkpointed
-#                   `repro campaign --checkpoint` children at seeded
-#                   journal-growth offsets (12 kills across seeds
-#                   {42, 7} x jobs {1, 8}, half followed by truncating
-#                   the journal to a seeded mid-frame offset), resumes
-#                   each with --resume until completion, and requires
-#                   the final report byte-identical to a one-shot run;
-#                   plus typed refusals (seed mismatch and corrupt
-#                   header exit 4, non-empty checkpoint without
-#                   --resume exits 2) and a `repro serve` SIGTERM
-#                   graceful-drain probe. Population defaults to 10^6
-#                   users; override with MPWIFI_KILL_USERS. Also runs
-#                   the resume integration tests (torn-tail cuts,
-#                   checkpointed-vs-plain byte identity).
-#   --supervise     also run the supervision smoke: a campaign with a
-#                   planted panicking spec and a planted livelocked spec
-#                   must quarantine both (exit 3, sidecar naming them)
-#                   while rendering the healthy sections byte-identical
-#                   to an unsupervised run; a healthy supervised
-#                   campaign must exit 0.
+# Usage: scripts/check.sh [--full]
+#   (default)  cargo fmt --check, clippy with warnings denied, and the
+#              tier-1 build + tests.
+#   --full     everything above, then every crate's suite in release
+#              (cargo test --workspace --release) and the end-to-end
+#              smokes, in this order:
+#                bench      every criterion bench compiles and runs one
+#                           iteration (cargo bench -- --test). Speed is
+#                           tracked by stackbench/ and BENCHMARK.json,
+#                           not here.
+#                faults     the three fault-* experiments at quick scale
+#                           complete, recover and reproduce.
+#                conformance  a fixed-seed fuzz campaign (25 cases;
+#                           MPWIFI_CONFORMANCE_CASES overrides) plus the
+#                           scheduler x CC matrix campaign (8 cases per
+#                           cell; MPWIFI_MATRIX_CASES overrides) and the
+#                           sched-matrix / sched-failover family; any
+#                           invariant violation fails and prints the
+#                           shrunk reproducer.
+#                crowd      a 10^4-user campaign (MPWIFI_CROWD_USERS
+#                           overrides) through `repro campaign` (merge
+#                           agreement is one of its claims) and the
+#                           crowd-campaign experiment under --supervise
+#                           with zero quarantines.
+#                serve      the chaos_load client against `repro serve`
+#                           in chaos mode: 100+ mixed valid / malformed /
+#                           planted-panic / planted-stall / worker-bomb
+#                           requests, a queue-saturation shed phase and a
+#                           graceful drain; healthy sections must be
+#                           byte-identical to the one-shot CLI.
+#                resume     the kill_chaos harness: 12 seeded SIGKILLs of
+#                           checkpointed campaigns (half followed by a
+#                           mid-frame truncation), each resumed to a
+#                           report byte-identical to a one-shot run;
+#                           typed refusals (exit 4 / exit 2); a SIGTERM
+#                           graceful-drain probe. Population defaults to
+#                           10^6 users; MPWIFI_KILL_USERS overrides.
+#                supervise  a campaign with a planted panic and a planted
+#                           livelock quarantines both (exit 3, sidecar
+#                           naming them) while the healthy sections stay
+#                           byte-identical to an unsupervised run; a
+#                           healthy supervised campaign exits 0.
+#              The determinism, golden, resume and journal-property tests
+#              run as part of the workspace suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH_SMOKE=0
-FAULT_SMOKE=0
-CONFORMANCE=0
-SCHED_SMOKE=0
-SUPERVISE=0
-CROWD_SMOKE=0
-SERVE_SMOKE=0
-RESUME_SMOKE=0
+FULL=0
 for arg in "$@"; do
     case "$arg" in
-        --bench-smoke) BENCH_SMOKE=1 ;;
-        --faults) FAULT_SMOKE=1 ;;
-        --conformance) CONFORMANCE=1 ;;
-        --sched-smoke) SCHED_SMOKE=1 ;;
-        --supervise) SUPERVISE=1 ;;
-        --crowd-smoke) CROWD_SMOKE=1 ;;
-        --serve-smoke) SERVE_SMOKE=1 ;;
-        --resume-smoke) RESUME_SMOKE=1 ;;
+        --full) FULL=1 ;;
         *)
-            echo "usage: scripts/check.sh [--bench-smoke] [--faults] [--conformance] [--sched-smoke] [--supervise] [--crowd-smoke] [--serve-smoke] [--resume-smoke]" >&2
+            echo "usage: scripts/check.sh [--full]" >&2
             exit 2
             ;;
     esac
@@ -108,115 +71,58 @@ echo "== cargo clippy (deny warnings + fn-pointer comparison gate)"
 cargo clippy --all-targets -- -D warnings \
     -D unpredictable_function_pointer_comparisons
 
-# The worker pool's result mutex must never be unwrapped: one panicking
-# experiment would poison it and take the whole campaign down (the bug
-# the supervised pool exists to prevent). The deny is scoped inside
-# runner.rs itself (#![deny(clippy::unwrap_used)]), so the clippy run
-# above already hard-errors on any unwrap there; this guards the scoped
-# attribute against accidental removal.
-echo "== runner.rs unwrap gate present"
-grep -q '#!\[deny(clippy::unwrap_used)\]' crates/repro/src/runner.rs
-
 echo "== tier-1: cargo build --release"
 cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-if [ "$BENCH_SMOKE" -eq 1 ]; then
+if [ "$FULL" -eq 1 ]; then
+    echo "== full: cargo test --workspace --release"
+    cargo test --workspace --release -q
+
     echo "== bench smoke: one iteration per benchmark"
     cargo bench -p mpwifi-bench -- --test
-    echo "== bench gate: hot_path + simulator medians vs BENCH_PR7.json"
-    BRAW="$(mktemp)"
-    MPWIFI_BENCH_JSON="$BRAW" cargo bench -p mpwifi-bench \
-        --bench hot_path --bench simulator >/dev/null
-    if ! scripts/bench_gate BENCH_PR7.json "$BRAW"; then
-        rm -f "$BRAW"
-        echo "bench gate failed (see per-id diff above)" >&2
-        exit 1
-    fi
-    rm -f "$BRAW"
-fi
 
-if [ "$FAULT_SMOKE" -eq 1 ]; then
-    echo "== fault smoke: fault-* experiments at quick scale"
-    cargo run --release -p mpwifi-repro -- fault-sweep fault-restore fault-noise --seed 42 >/dev/null
-    echo "== fault smoke: determinism across shards"
-    cargo test --release -p mpwifi-repro --test determinism -q fault_sweeps_are_deterministic
-fi
-
-if [ "$CONFORMANCE" -eq 1 ]; then
-    CASES="${MPWIFI_CONFORMANCE_CASES:-25}"
-    echo "== conformance smoke: $CASES fuzz cases, fixed seed"
-    cargo run --release -p mpwifi-repro -- conformance --cases "$CASES" --seed 42 --jobs 4
-fi
-
-if [ "$SCHED_SMOKE" -eq 1 ]; then
-    echo "== sched smoke: scheduler x CC matrix + failover family, claims must hold"
-    cargo run --release -p mpwifi-repro -- sched-matrix sched-failover --seed 42 >/dev/null
-    MCASES="${MPWIFI_MATRIX_CASES:-8}"
-    echo "== sched smoke: conformance matrix campaign, $MCASES cases per cell"
-    cargo run --release -p mpwifi-repro -- conformance --matrix --cases "$MCASES" --seed 42 --jobs 4
-    echo "== sched smoke: family determinism across shards"
-    cargo test --release -p mpwifi-repro --test determinism -q sched_zoo_family
-    echo "== sched smoke: per-scheduler golden pins"
-    cargo test --release -p mpwifi-repro --test golden_sched -q
-    echo "== sched smoke: bench gate vs BENCH_PR7.json"
-    SRAW="$(mktemp)"
-    MPWIFI_BENCH_JSON="$SRAW" cargo bench -p mpwifi-bench \
-        --bench hot_path --bench simulator >/dev/null
-    if ! scripts/bench_gate BENCH_PR7.json "$SRAW"; then
-        rm -f "$SRAW"
-        echo "bench gate failed (see per-id diff above)" >&2
-        exit 1
-    fi
-    rm -f "$SRAW"
-fi
-
-if [ "$CROWD_SMOKE" -eq 1 ]; then
-    USERS="${MPWIFI_CROWD_USERS:-10000}"
-    echo "== crowd smoke: $USERS-user campaign via repro campaign (merge agreement is claim 5)"
-    cargo run --release -p mpwifi-repro -- campaign --users "$USERS" --seed 42 --jobs 4 >/dev/null
-    echo "== crowd smoke: crowd-campaign experiment under supervision, zero quarantines"
-    CTMP="$(mktemp)"
-    cargo run --release -p mpwifi-repro -- crowd-campaign --seed 42 --supervise \
-        --quarantine "$CTMP" >/dev/null
-    if grep -q '"id"' "$CTMP"; then
-        echo "crowd campaign was quarantined:" >&2
-        cat "$CTMP" >&2
-        rm -f "$CTMP"
-        exit 1
-    fi
-    rm -f "$CTMP"
-    echo "== crowd smoke: worker-count invariance of campaign reports"
-    cargo test --release -p mpwifi-repro --test determinism -q crowd_campaign_reports
-fi
-
-if [ "$SERVE_SMOKE" -eq 1 ]; then
-    echo "== serve smoke: chaos load client vs repro serve (chaos mode)"
     cargo build --release -q -p mpwifi-repro -p mpwifi-bench --bins
-    ./target/release/chaos_load
-fi
-
-if [ "$RESUME_SMOKE" -eq 1 ]; then
-    echo "== resume smoke: kill_chaos harness (SIGKILL + torn tails + byte-identical resume)"
-    cargo build --release -q -p mpwifi-repro -p mpwifi-bench --bins
-    ./target/release/kill_chaos
-    echo "== resume smoke: resume integration tests"
-    cargo test --release -p mpwifi-repro --test resume -q
-    echo "== resume smoke: journal decoder property tests"
-    cargo test --release -p mpwifi-crowd --test prop_journal -q
-fi
-
-if [ "$SUPERVISE" -eq 1 ]; then
+    REPRO=./target/release/repro
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
+
+    echo "== fault smoke: fault-* experiments at quick scale"
+    "$REPRO" fault-sweep fault-restore fault-noise --seed 42 >/dev/null
+
+    CASES="${MPWIFI_CONFORMANCE_CASES:-25}"
+    echo "== conformance smoke: $CASES fuzz cases, fixed seed"
+    "$REPRO" conformance --cases "$CASES" --seed 42 --jobs 4
+    MCASES="${MPWIFI_MATRIX_CASES:-8}"
+    echo "== conformance smoke: scheduler x CC matrix campaign, $MCASES cases per cell"
+    "$REPRO" conformance --matrix --cases "$MCASES" --seed 42 --jobs 4
+    echo "== conformance smoke: sched-matrix + sched-failover family, claims must hold"
+    "$REPRO" sched-matrix sched-failover --seed 42 >/dev/null
+
+    USERS="${MPWIFI_CROWD_USERS:-10000}"
+    echo "== crowd smoke: $USERS-user campaign via repro campaign (merge agreement is claim 5)"
+    "$REPRO" campaign --users "$USERS" --seed 42 --jobs 4 >/dev/null
+    echo "== crowd smoke: crowd-campaign experiment under supervision, zero quarantines"
+    "$REPRO" crowd-campaign --seed 42 --supervise --quarantine "$TMP/crowd.json" >/dev/null
+    if grep -q '"id"' "$TMP/crowd.json"; then
+        echo "crowd campaign was quarantined:" >&2
+        cat "$TMP/crowd.json" >&2
+        exit 1
+    fi
+
+    echo "== serve smoke: chaos load client vs repro serve (chaos mode)"
+    ./target/release/chaos_load
+
+    echo "== resume smoke: kill_chaos harness (SIGKILL + torn tails + byte-identical resume)"
+    ./target/release/kill_chaos
+
     echo "== supervise smoke: healthy campaign, unsupervised baseline"
-    cargo run --release -p mpwifi-repro -- fig9 table2 --seed 42 \
-        --markdown "$TMP/plain.md" >/dev/null
+    "$REPRO" fig9 table2 --seed 42 --markdown "$TMP/plain.md" >/dev/null
     echo "== supervise smoke: planted panic + planted stall are quarantined"
     rc=0
-    cargo run --release -p mpwifi-repro -- fig9 table2 planted-panic planted-stall \
+    "$REPRO" fig9 table2 planted-panic planted-stall \
         --seed 42 --supervise --quarantine "$TMP/quarantine.json" \
         --markdown "$TMP/supervised.md" >/dev/null 2>"$TMP/quarantine.err" || rc=$?
     if [ "$rc" -ne 3 ]; then
@@ -230,8 +136,7 @@ if [ "$SUPERVISE" -eq 1 ]; then
     echo "== supervise smoke: healthy sections byte-identical, campaign continued"
     cmp "$TMP/plain.md" "$TMP/supervised.md"
     echo "== supervise smoke: healthy supervised campaign exits 0"
-    cargo run --release -p mpwifi-repro -- fig9 table2 --seed 42 --supervise \
-        --quarantine "$TMP/healthy.json" >/dev/null
+    "$REPRO" fig9 table2 --seed 42 --supervise --quarantine "$TMP/healthy.json" >/dev/null
     if grep -q '"id"' "$TMP/healthy.json"; then
         echo "healthy supervised campaign wrote a non-empty quarantine sidecar:" >&2
         cat "$TMP/healthy.json" >&2

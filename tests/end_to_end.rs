@@ -279,7 +279,11 @@ fn mid_run_rate_change_shifts_mptcp_traffic() {
     let cfg = MptcpConfig::default();
     let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 3);
     let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 5);
-    let mut sim = Sim::new(client, server, &wifi, &lte_s, 9);
+    let mut sim = Sim::builder(client, server)
+        .wifi(&wifi)
+        .lte(&lte_s)
+        .seed(9)
+        .build();
     sim.schedule(
         Time::from_secs(1),
         ScriptEvent::SetDownRate(WIFI_ADDR, 300_000),

@@ -20,7 +20,11 @@ fn build(cfg: &MptcpConfig, seed: u64) -> Sim<MptcpClientHost, MptcpServerHost> 
     let (wifi, lte) = links();
     let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
     let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed ^ 0xAB);
-    Sim::new(client, server, &wifi, &lte, seed)
+    Sim::builder(client, server)
+        .wifi(&wifi)
+        .lte(&lte)
+        .seed(seed)
+        .build()
 }
 
 /// Drive a download, returning (completed, delivered bytes).
@@ -133,7 +137,11 @@ fn notification_failover_preserves_stream_integrity() {
     let (wifi, lte) = links();
     let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 23);
     let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 29);
-    let mut sim = Sim::new(client, server, &wifi, &lte, 31);
+    let mut sim = Sim::builder(client, server)
+        .wifi(&wifi)
+        .lte(&lte)
+        .seed(31)
+        .build();
     sim.schedule(Time::from_millis(900), ScriptEvent::CutIface(LTE_ADDR));
     sim.schedule(
         Time::from_millis(900),

@@ -91,7 +91,7 @@ proptest! {
         let cfg = MptcpConfig::default();
         let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
         let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed ^ 0xE);
-        let mut sim = Sim::new(client, server, &wifi, &lte, seed);
+        let mut sim = Sim::builder(client, server).wifi(&wifi).lte(&lte).seed(seed).build();
         let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
         let size = payload.len() as u64;
         let expected = payload.clone();
