@@ -13,7 +13,10 @@ use mpwifi_mptcp::{CcKind, MptcpConfig};
 use mpwifi_netem::Addr;
 use mpwifi_sim::apps::make_payload;
 use mpwifi_sim::endpoint::{MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
-use mpwifi_sim::{LinkSpec, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
+use mpwifi_sim::{
+    Accept, LinkSpec, ScriptEvent, Sim, Socket, SocketHost, LTE_ADDR, SERVER_ADDR, SERVER_PORT,
+    WIFI_ADDR,
+};
 use mpwifi_simcore::{Dur, RateSeries, Time};
 use mpwifi_tcp::conn::TcpConfig;
 use serde::{Deserialize, Serialize};
@@ -95,10 +98,11 @@ pub struct ReplayResult {
     pub flow_progress: Vec<(usize, RateSeries)>,
 }
 
-/// Per-flow runtime state shared by both engines.
+/// Per-flow runtime state.
 struct FlowRt {
     pat: FlowPattern,
-    opened: bool,
+    /// The flow's socket handle, once its start time came.
+    sock: Option<usize>,
     /// Next exchange to issue.
     next_exchange: usize,
     /// Cumulative request bytes issued.
@@ -113,14 +117,13 @@ struct FlowRt {
     /// A response scheduled to fire at this time.
     server_pending: Option<(Time, u64)>,
     done_at: Option<Time>,
-    closed: bool,
 }
 
 impl FlowRt {
     fn new(pat: FlowPattern) -> FlowRt {
         FlowRt {
             pat,
-            opened: false,
+            sock: None,
             next_exchange: 0,
             req_issued: 0,
             resp_expected: 0,
@@ -128,7 +131,6 @@ impl FlowRt {
             server_fired: 0,
             server_pending: None,
             done_at: None,
-            closed: false,
         }
     }
 
@@ -137,26 +139,63 @@ impl FlowRt {
     }
 }
 
-/// The transport-specific operations the engine needs.
-trait ReplayHost {
-    fn now(&self) -> Time;
-    fn step(&mut self) -> bool;
-    fn wakeup(&mut self, at: Time);
-    /// Open the flow's connection; returns an opaque handle.
-    fn open(&mut self, now: Time, flow_idx: usize) -> u64;
-    fn client_send(&mut self, h: u64, bytes: u64);
-    fn client_close(&mut self, h: u64);
-    fn client_delivered(&mut self, h: u64) -> u64;
-    /// `None` until the server accepted the connection.
-    fn server_delivered(&mut self, h: u64) -> Option<u64>;
-    fn server_send(&mut self, h: u64, bytes: u64);
-    fn server_close(&mut self, h: u64);
+/// The live sockets of one replay, generic over the socket seam: the
+/// world, how this transport opens a flow's connection, and which
+/// accepted server socket belongs to which flow.
+struct Host<C: SocketHost, S: Accept, O> {
+    sim: Sim<C, S>,
+    open: O,
+    /// Per opened flow: the client socket and, once its SYN arrived,
+    /// the server's.
+    socks: Vec<(C::Id, Option<S::Id>)>,
+    /// Accepted server sockets no flow has claimed yet.
+    unclaimed: Vec<S::Id>,
 }
 
-/// Generic replay loop over any [`ReplayHost`].
-fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -> ReplayResult {
+impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
+    /// Open a flow's connection; returns its handle.
+    fn open(&mut self) -> usize {
+        let id = (self.open)(&mut self.sim.client, self.sim.now);
+        self.socks.push((id, None));
+        self.socks.len() - 1
+    }
+
+    fn client(&mut self, h: usize) -> &mut C::Conn {
+        self.sim.client.socket(self.socks[h].0)
+    }
+
+    /// The server side of flow `h`: `None` until the server accepted
+    /// the connection whose peer port is the client's local port (SYN
+    /// loss can reorder accepts, so arrival order will not do).
+    fn server(&mut self, h: usize) -> Option<&mut S::Conn> {
+        if self.socks[h].1.is_none() {
+            self.unclaimed.extend(self.sim.server.take_accepted());
+            let (local, remote) = self.client(h).ports()?;
+            let server = &mut self.sim.server;
+            let at = self
+                .unclaimed
+                .iter()
+                .position(|&sid| server.socket(sid).ports() == Some((remote, local)))?;
+            self.socks[h].1 = Some(self.unclaimed.swap_remove(at));
+        }
+        self.socks[h].1.map(|sid| self.sim.server.socket(sid))
+    }
+}
+
+/// The replay loop, once for every transport.
+fn run_replay<C: SocketHost, S: Accept>(
+    sim: Sim<C, S>,
+    open: impl FnMut(&mut C, Time) -> C::Id,
+    pattern: &AppPattern,
+    deadline: Dur,
+) -> ReplayResult {
+    let mut host = Host {
+        sim,
+        open,
+        socks: Vec::new(),
+        unclaimed: Vec::new(),
+    };
     let mut flows: Vec<FlowRt> = pattern.flows.iter().cloned().map(FlowRt::new).collect();
-    let mut handles: Vec<u64> = vec![0; flows.len()];
     let mut progress: Vec<RateSeries> = pattern
         .flows
         .iter()
@@ -170,11 +209,12 @@ fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -
 
     // Schedule a wakeup at every flow start so connections open on time.
     for f in &flows {
-        host.wakeup(Time::ZERO + f.pat.start);
+        host.sim
+            .schedule(Time::ZERO + f.pat.start, ScriptEvent::Wakeup);
     }
 
     loop {
-        let now = host.now();
+        let now = host.sim.now;
         let mut all_done = true;
         for (i, f) in flows.iter_mut().enumerate() {
             if f.done_at.is_some() {
@@ -182,16 +222,12 @@ fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -
             }
             all_done = false;
             // Open on time.
-            if !f.opened {
-                if now >= Time::ZERO + f.pat.start {
-                    handles[i] = host.open(now, i);
-                    f.opened = true;
-                } else {
-                    continue;
-                }
-            }
-            let h = handles[i];
-            let delivered = host.client_delivered(h);
+            let h = match f.sock {
+                Some(h) => h,
+                None if now >= Time::ZERO + f.pat.start => *f.sock.insert(host.open()),
+                None => continue,
+            };
+            let delivered = host.client(h).read();
             progress[i].record(now, delivered + f.req_issued);
             // Issue the next exchange when its offset passed and all
             // prior responses arrived.
@@ -199,29 +235,31 @@ fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -
                 let e = f.pat.exchanges[f.next_exchange];
                 let due = Time::ZERO + f.pat.start + e.offset;
                 if delivered >= f.resp_expected && now >= due {
-                    host.client_send(h, e.request_bytes);
+                    host.client(h).send(make_payload(e.request_bytes));
                     f.req_issued += e.request_bytes;
                     f.resp_expected += e.response_bytes;
                     f.server_plan
                         .push((f.req_issued, e.response_bytes, e.server_delay));
                     f.next_exchange += 1;
                 } else if delivered >= f.resp_expected && due > now {
-                    host.wakeup(due);
+                    host.sim.schedule(due, ScriptEvent::Wakeup);
                 }
             }
             // Server side: schedule/fire responses.
-            if let Some(srv_delivered) = host.server_delivered(h) {
+            if let Some(srv_delivered) = host.server(h).map(|c| c.read()) {
                 if f.server_pending.is_none() && f.server_fired < f.server_plan.len() {
                     let (req_needed, resp_bytes, delay) = f.server_plan[f.server_fired];
                     if srv_delivered >= req_needed {
                         let at = now + delay;
                         f.server_pending = Some((at, resp_bytes));
-                        host.wakeup(at);
+                        host.sim.schedule(at, ScriptEvent::Wakeup);
                     }
                 }
                 if let Some((at, bytes)) = f.server_pending {
                     if now >= at {
-                        host.server_send(h, bytes);
+                        host.server(h)
+                            .expect("server socket was just read")
+                            .send(make_payload(bytes));
                         f.server_fired += 1;
                         f.server_pending = None;
                     }
@@ -229,23 +267,22 @@ fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -
             }
             // Completion: all exchanges issued and all responses read.
             if f.next_exchange == f.pat.exchanges.len()
-                && host.client_delivered(h) >= f.total_response_bytes()
+                && host.client(h).read() >= f.total_response_bytes()
             {
                 f.done_at = Some(now);
-                if !f.closed {
-                    host.client_close(h);
-                    host.server_close(h);
-                    f.closed = true;
+                host.client(h).close(now);
+                if let Some(conn) = host.server(h) {
+                    conn.close(now);
                 }
             }
         }
         if all_done {
             break;
         }
-        if host.now() >= deadline_t {
+        if host.sim.now >= deadline_t {
             break;
         }
-        if !host.step() {
+        if !host.sim.step() {
             break;
         }
     }
@@ -286,194 +323,6 @@ fn run_replay<H: ReplayHost>(mut host: H, pattern: &AppPattern, deadline: Dur) -
     }
 }
 
-// ----------------------------------------------------------------------
-// Single-path TCP host
-// ----------------------------------------------------------------------
-
-struct TcpReplay {
-    sim: Sim<TcpClientHost, TcpServerHost>,
-}
-
-impl ReplayHost for TcpReplay {
-    fn now(&self) -> Time {
-        self.sim.now
-    }
-
-    fn step(&mut self) -> bool {
-        self.sim.step()
-    }
-
-    fn wakeup(&mut self, at: Time) {
-        self.sim.schedule(at, ScriptEvent::Wakeup);
-    }
-
-    fn open(&mut self, now: Time, _flow_idx: usize) -> u64 {
-        let id = self
-            .sim
-            .client
-            .connect(now, TcpConfig::default(), SERVER_PORT);
-        u64::from(id.0)
-    }
-
-    fn client_send(&mut self, h: u64, bytes: u64) {
-        let conn = self
-            .sim
-            .client
-            .stack
-            .conn_mut((h as u16, SERVER_PORT))
-            .expect("client conn");
-        conn.send(make_payload(bytes));
-    }
-
-    fn client_close(&mut self, h: u64) {
-        let now = self.sim.now;
-        if let Some(conn) = self.sim.client.stack.conn_mut((h as u16, SERVER_PORT)) {
-            conn.close(now);
-        }
-    }
-
-    fn client_delivered(&mut self, h: u64) -> u64 {
-        self.sim
-            .client
-            .stack
-            .conn_mut((h as u16, SERVER_PORT))
-            .map_or(0, |c| {
-                let _ = c.take_delivered(); // the app reads its socket
-                c.delivered_bytes()
-            })
-    }
-
-    fn server_delivered(&mut self, h: u64) -> Option<u64> {
-        let _ = self.sim.server.stack.take_accepted();
-        self.sim
-            .server
-            .stack
-            .conn_mut((SERVER_PORT, h as u16))
-            .map(|c| {
-                let _ = c.take_delivered();
-                c.delivered_bytes()
-            })
-    }
-
-    fn server_send(&mut self, h: u64, bytes: u64) {
-        let conn = self
-            .sim
-            .server
-            .stack
-            .conn_mut((SERVER_PORT, h as u16))
-            .expect("server conn");
-        conn.send(make_payload(bytes));
-    }
-
-    fn server_close(&mut self, h: u64) {
-        let now = self.sim.now;
-        if let Some(conn) = self.sim.server.stack.conn_mut((SERVER_PORT, h as u16)) {
-            conn.close(now);
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// MPTCP host
-// ----------------------------------------------------------------------
-
-struct MpReplay {
-    sim: Sim<MptcpClientHost, MptcpServerHost>,
-    cfg: MptcpConfig,
-    primary: Addr,
-    /// client conn id -> server conn id, resolved lazily by port match.
-    server_of: Vec<Option<usize>>,
-}
-
-impl MpReplay {
-    fn resolve_server(&mut self, h: u64) -> Option<usize> {
-        if let Some(Some(s)) = self.server_of.get(h as usize) {
-            return Some(*s);
-        }
-        let port = self.sim.client.mp.conn(h as usize).primary_local_port()?;
-        for sid in 0..self.sim.server.mp.len() {
-            if self
-                .sim
-                .server
-                .mp
-                .conn(sid)
-                .route_ports(SERVER_PORT, port)
-                .is_some()
-            {
-                if self.server_of.len() <= h as usize {
-                    self.server_of.resize(h as usize + 1, None);
-                }
-                self.server_of[h as usize] = Some(sid);
-                return Some(sid);
-            }
-        }
-        None
-    }
-}
-
-impl ReplayHost for MpReplay {
-    fn now(&self) -> Time {
-        self.sim.now
-    }
-
-    fn step(&mut self) -> bool {
-        self.sim.step()
-    }
-
-    fn wakeup(&mut self, at: Time) {
-        self.sim.schedule(at, ScriptEvent::Wakeup);
-    }
-
-    fn open(&mut self, now: Time, _flow_idx: usize) -> u64 {
-        let id = self
-            .sim
-            .client
-            .open(now, self.cfg.clone(), self.primary, SERVER_PORT);
-        if self.server_of.len() <= id {
-            self.server_of.resize(id + 1, None);
-        }
-        id as u64
-    }
-
-    fn client_send(&mut self, h: u64, bytes: u64) {
-        self.sim
-            .client
-            .mp
-            .conn_mut(h as usize)
-            .send(make_payload(bytes));
-    }
-
-    fn client_close(&mut self, h: u64) {
-        let now = self.sim.now;
-        self.sim.client.mp.conn_mut(h as usize).close(now);
-    }
-
-    fn client_delivered(&mut self, h: u64) -> u64 {
-        let conn = self.sim.client.mp.conn_mut(h as usize);
-        let _ = conn.take_delivered(); // the app reads its socket
-        conn.delivered_bytes()
-    }
-
-    fn server_delivered(&mut self, h: u64) -> Option<u64> {
-        let sid = self.resolve_server(h)?;
-        let conn = self.sim.server.mp.conn_mut(sid);
-        let _ = conn.take_delivered();
-        Some(conn.delivered_bytes())
-    }
-
-    fn server_send(&mut self, h: u64, bytes: u64) {
-        let sid = self.resolve_server(h).expect("server conn not resolved");
-        self.sim.server.mp.conn_mut(sid).send(make_payload(bytes));
-    }
-
-    fn server_close(&mut self, h: u64) {
-        let now = self.sim.now;
-        if let Some(sid) = self.resolve_server(h) {
-            self.sim.server.mp.conn_mut(sid).close(now);
-        }
-    }
-}
-
 /// Replay `pattern` over the given links with the given transport.
 pub fn replay(
     pattern: &AppPattern,
@@ -497,7 +346,9 @@ pub fn replay(
                 .lte(lte)
                 .seed(seed)
                 .build();
-            run_replay(TcpReplay { sim }, pattern, deadline)
+            let open =
+                |c: &mut TcpClientHost, now| c.connect(now, TcpConfig::default(), SERVER_PORT);
+            run_replay(sim, open, pattern, deadline)
         }
         Transport::Mptcp { primary, coupled } => {
             let cfg = MptcpConfig {
@@ -511,16 +362,9 @@ pub fn replay(
                 .lte(lte)
                 .seed(seed)
                 .build();
-            run_replay(
-                MpReplay {
-                    sim,
-                    cfg,
-                    primary,
-                    server_of: Vec::new(),
-                },
-                pattern,
-                deadline,
-            )
+            let open =
+                |c: &mut MptcpClientHost, now| c.open(now, cfg.clone(), primary, SERVER_PORT);
+            run_replay(sim, open, pattern, deadline)
         }
     }
 }

@@ -338,6 +338,7 @@ fn main() {
         "{\"type\": \"run\", \"req\": \"bad-kind\", \"kind\": \"nonsense\"}",
         "{\"type\": \"run\", \"req\": \"bad-seed\", \"seed\": -5}",
         "{\"type\": \"run\", \"req\": \"bad-id\", \"id\": \"definitely-not-real\"}",
+        "{\"type\": \"run\", \"req\": \"bad-retries\", \"id\": \"fig9\", \"retries\": 4294967296}",
     ];
     for i in 0..100u64 {
         match i % 7 {

@@ -12,11 +12,11 @@ use crate::checkers::{
 };
 use crate::fuzz::splitmix64;
 use bytes::Bytes;
-use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig, SchedKind};
+use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig, MptcpConnection, SchedKind};
 use mpwifi_netem::{Addr, FaultPlan, GilbertElliott};
 use mpwifi_sim::{
-    LinkSpec, MptcpClientHost, MptcpServerHost, Sim, TcpClientHost, TcpServerHost, LTE_ADDR,
-    SERVER_ADDR, SERVER_PORT, WIFI_ADDR,
+    Accept, Endpoint, LinkSpec, MptcpClientHost, MptcpServerHost, Sim, Socket, SocketHost,
+    TcpClientHost, TcpServerHost, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR,
 };
 use mpwifi_simcore::{DetRng, Dur, Time};
 use mpwifi_tcp::conn::TcpConfig;
@@ -733,12 +733,83 @@ pub fn run_scenario(spec: &ScenarioSpec) -> CaseReport {
     }
 }
 
+/// Build the spec's world around the given hosts: links, seed, faults.
+fn build_world<C: Endpoint, S: Endpoint>(spec: &ScenarioSpec, client: C, server: S) -> Sim<C, S> {
+    let wifi = spec.wifi.to_link_spec();
+    let lte = spec.lte.to_link_spec();
+    let mut b = Sim::builder(client, server)
+        .wifi(&wifi)
+        .lte(&lte)
+        .seed(spec.seed);
+    for f in &spec.faults {
+        b = b.with_faults(f.iface().addr(), f.to_plan());
+    }
+    b.build()
+}
+
+/// The workload both transports run, once, over the socket seam: the
+/// client (connection `id`, already opened) uploads while the server
+/// answers every accepted connection with the download, each side
+/// half-closing only if it has nothing to receive; every delivered
+/// chunk goes through the end-to-end stream oracles. `on_accept` sees
+/// each server socket first (the MPTCP caller plants its test knobs
+/// there). Returns `(completed, down oracle, up oracle)` for
+/// [`finish`].
+fn drive<C: SocketHost, S: Accept>(
+    spec: &ScenarioSpec,
+    sim: &mut Sim<C, S>,
+    id: C::Id,
+    log: &ViolationLog,
+    (up_salt, down_salt): (u64, u64),
+    mut on_accept: impl FnMut(&mut S::Conn),
+) -> (bool, StreamOracle, StreamOracle) {
+    let dn = spec.workload.down_bytes;
+    let up = spec.workload.up_bytes;
+    if up > 0 {
+        let c = sim.client.socket(id);
+        c.send(Bytes::from(pattern_bytes(up_salt, up)));
+        if dn == 0 {
+            c.close(Time::ZERO);
+        }
+    }
+    let mut down_oracle = StreamOracle::new(down_salt, dn);
+    let mut up_oracle = StreamOracle::new(up_salt, up);
+    let mut accepted: Vec<S::Id> = Vec::new();
+    let completed = sim.run_until(
+        |sim| {
+            for sid in sim.server.take_accepted() {
+                let c = sim.server.socket(sid);
+                on_accept(c);
+                if dn > 0 {
+                    c.send(Bytes::from(pattern_bytes(down_salt, dn)));
+                    if up == 0 {
+                        c.close(Time::ZERO);
+                    }
+                }
+                accepted.push(sid);
+            }
+            let now = sim.now;
+            for chunk in sim.client.socket(id).take_delivered() {
+                down_oracle.feed(log, now, "down", &chunk);
+            }
+            for &sid in &accepted {
+                for chunk in sim.server.socket(sid).take_delivered() {
+                    up_oracle.feed(log, now, "up", &chunk);
+                }
+            }
+            down_oracle.done() && up_oracle.done()
+        },
+        Time::from_millis(spec.deadline_ms),
+    );
+    (completed.held(), down_oracle, up_oracle)
+}
+
+/// Close a case once the caller's witnesses had their last word: flag
+/// an incomplete run, then snapshot the violation log into the report.
 fn finish(
     log: &ViolationLog,
     now: Time,
-    completed: bool,
-    down: &StreamOracle,
-    up: &StreamOracle,
+    (completed, down, up): (bool, StreamOracle, StreamOracle),
 ) -> CaseReport {
     if !completed {
         log.report(
@@ -761,8 +832,6 @@ fn finish(
 }
 
 fn run_tcp(spec: &ScenarioSpec, iface: IfaceSpec, up_salt: u64, down_salt: u64) -> CaseReport {
-    let wifi = spec.wifi.to_link_spec();
-    let lte = spec.lte.to_link_spec();
     let client = TcpClientHost::new(iface.addr(), SERVER_ADDR, (spec.seed as u32) | 1);
     let server = TcpServerHost::new(
         SERVER_ADDR,
@@ -770,64 +839,18 @@ fn run_tcp(spec: &ScenarioSpec, iface: IfaceSpec, up_salt: u64, down_salt: u64) 
         TcpConfig::default(),
         (spec.seed >> 32) as u32 ^ 0x5EED,
     );
-    let mut b = Sim::builder(client, server)
-        .wifi(&wifi)
-        .lte(&lte)
-        .seed(spec.seed);
-    for f in &spec.faults {
-        b = b.with_faults(f.iface().addr(), f.to_plan());
-    }
-    let mut sim = b.build();
+    let mut sim = build_world(spec, client, server);
     let log = ViolationLog::new();
-    let dn = spec.workload.down_bytes;
-    let up = spec.workload.up_bytes;
     sim.set_observer(Box::new(TcpConformance::new(
         log.clone(),
-        (up > 0).then_some(up_salt),
-        (dn > 0).then_some(down_salt),
+        (spec.workload.up_bytes > 0).then_some(up_salt),
+        (spec.workload.down_bytes > 0).then_some(down_salt),
     )));
     let id = sim
         .client
         .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
-    if up > 0 {
-        let c = sim.client.stack.conn_mut(id).expect("fresh connection");
-        c.send(Bytes::from(pattern_bytes(up_salt, up)));
-        if dn == 0 {
-            c.close(Time::ZERO);
-        }
-    }
-    let mut down_oracle = StreamOracle::new(down_salt, dn);
-    let mut up_oracle = StreamOracle::new(up_salt, up);
-    let deadline = Time::from_millis(spec.deadline_ms);
-    let completed = sim.run_until(
-        |sim| {
-            for sid in sim.server.stack.take_accepted() {
-                if dn > 0 {
-                    let c = sim.server.stack.conn_mut(sid).expect("accepted connection");
-                    c.send(Bytes::from(pattern_bytes(down_salt, dn)));
-                    if up == 0 {
-                        c.close(Time::ZERO);
-                    }
-                }
-            }
-            let now = sim.now;
-            if let Some(c) = sim.client.stack.conn_mut(id) {
-                for chunk in c.take_delivered() {
-                    down_oracle.feed(&log, now, "down", &chunk);
-                }
-            }
-            for sid in sim.server.stack.socket_ids() {
-                if let Some(c) = sim.server.stack.conn_mut(sid) {
-                    for chunk in c.take_delivered() {
-                        up_oracle.feed(&log, now, "up", &chunk);
-                    }
-                }
-            }
-            down_oracle.done() && up_oracle.done()
-        },
-        deadline,
-    );
-    finish(&log, sim.now, completed.held(), &down_oracle, &up_oracle)
+    let end = drive(spec, &mut sim, id, &log, (up_salt, down_salt), |_| {});
+    finish(&log, sim.now, end)
 }
 
 fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
@@ -856,8 +879,6 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
         },
         ..MptcpConfig::default()
     };
-    let wifi = spec.wifi.to_link_spec();
-    let lte = spec.lte.to_link_spec();
     let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], spec.seed | 1);
     let server = MptcpServerHost::new(
         SERVER_ADDR,
@@ -865,29 +886,17 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
         cfg.clone(),
         spec.seed ^ 0x00C0_FFEE,
     );
-    let mut b = Sim::builder(client, server)
-        .wifi(&wifi)
-        .lte(&lte)
-        .seed(spec.seed);
-    for f in &spec.faults {
-        b = b.with_faults(f.iface().addr(), f.to_plan());
-    }
-    let mut sim = b.build();
+    let mut sim = build_world(spec, client, server);
     let log = ViolationLog::new();
-    let dn = spec.workload.down_bytes;
-    let up = spec.workload.up_bytes;
     let witness = SchedWitness::new(sched.to_kind());
     sim.set_observer(Box::new(MptcpConformance::new(
         log.clone(),
-        (up > 0).then_some(up_salt),
-        (dn > 0).then_some(down_salt),
+        (spec.workload.up_bytes > 0).then_some(up_salt),
+        (spec.workload.down_bytes > 0).then_some(down_salt),
         witness.clone(),
     )));
-    let c = sim
-        .client
-        .open(Time::ZERO, cfg, primary.addr(), SERVER_PORT);
-    {
-        let conn = sim.client.mp.conn_mut(c);
+    // The planted-bug knobs go on both ends of the connection.
+    let plant_knobs = |conn: &mut MptcpConnection| {
         if spec.dss_double_every > 0 {
             conn.set_test_dss_double_send(spec.dss_double_every);
         }
@@ -897,55 +906,14 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
         if spec.suppress_redundant {
             conn.set_test_redundant_suppress(true);
         }
-    }
-    if up > 0 {
-        let conn = sim.client.mp.conn_mut(c);
-        conn.send(Bytes::from(pattern_bytes(up_salt, up)));
-        if dn == 0 {
-            conn.close(Time::ZERO);
-        }
-    }
-    let mut down_oracle = StreamOracle::new(down_salt, dn);
-    let mut up_oracle = StreamOracle::new(up_salt, up);
-    let deadline = Time::from_millis(spec.deadline_ms);
-    let dss_knob = spec.dss_double_every;
-    let stall_knob = spec.sched_stall_after;
-    let suppress_knob = spec.suppress_redundant;
-    let completed = sim.run_until(
-        |sim| {
-            for sid in sim.server.mp.take_accepted() {
-                let conn = sim.server.mp.conn_mut(sid);
-                if dss_knob > 0 {
-                    conn.set_test_dss_double_send(dss_knob);
-                }
-                if stall_knob > 0 {
-                    conn.set_test_sched_stall_after(stall_knob);
-                }
-                if suppress_knob {
-                    conn.set_test_redundant_suppress(true);
-                }
-                if dn > 0 {
-                    conn.send(Bytes::from(pattern_bytes(down_salt, dn)));
-                    if up == 0 {
-                        conn.close(Time::ZERO);
-                    }
-                }
-            }
-            let now = sim.now;
-            for chunk in sim.client.mp.conn_mut(c).take_delivered() {
-                down_oracle.feed(&log, now, "down", &chunk);
-            }
-            for sid in 0..sim.server.mp.len() {
-                for chunk in sim.server.mp.conn_mut(sid).take_delivered() {
-                    up_oracle.feed(&log, now, "up", &chunk);
-                }
-            }
-            down_oracle.done() && up_oracle.done()
-        },
-        deadline,
-    );
+    };
+    let id = sim
+        .client
+        .open(Time::ZERO, cfg, primary.addr(), SERVER_PORT);
+    plant_knobs(sim.client.mp.conn_mut(id));
+    let end = drive(spec, &mut sim, id, &log, (up_salt, down_salt), plant_knobs);
     witness.finalize(&log, sim.now);
-    finish(&log, sim.now, completed.held(), &down_oracle, &up_oracle)
+    finish(&log, sim.now, end)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! big transfer, exactly how slow-start cost shows up in Figures 7/11/12.
 
 use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig};
+pub use mpwifi_sim::apps::FlowDir;
 use mpwifi_sim::apps::{
     run_mptcp_download, run_mptcp_upload, run_tcp_download, run_tcp_upload, BulkResult,
 };
@@ -17,15 +18,6 @@ use mpwifi_tcp::cc::CcKind as TcpCcKind;
 use mpwifi_tcp::conn::TcpConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Transfer direction (the paper reports downlink in Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FlowDir {
-    /// Server to client.
-    Down,
-    /// Client to server.
-    Up,
-}
 
 /// The six measured transport configurations, in a form usable as a map
 /// key (ordered).
@@ -103,32 +95,27 @@ pub fn run_transfer(
     seed: u64,
 ) -> BulkResult {
     let deadline = Dur::from_secs(300);
-    match (transport, dir) {
-        (StudyTransport::TcpWifi, FlowDir::Down) => {
-            run_tcp_download(wifi, lte, WIFI_ADDR, bytes, tcp_config(), deadline, seed)
+    // Interface (TCP) or primary subflow (MPTCP), and the MPTCP coupling.
+    let (iface, coupled) = match transport {
+        StudyTransport::TcpWifi => (WIFI_ADDR, None),
+        StudyTransport::TcpLte => (LTE_ADDR, None),
+        StudyTransport::MpWifiCoupled => (WIFI_ADDR, Some(true)),
+        StudyTransport::MpLteCoupled => (LTE_ADDR, Some(true)),
+        StudyTransport::MpWifiDecoupled => (WIFI_ADDR, Some(false)),
+        StudyTransport::MpLteDecoupled => (LTE_ADDR, Some(false)),
+    };
+    match (coupled, dir) {
+        (None, FlowDir::Down) => {
+            run_tcp_download(wifi, lte, iface, bytes, tcp_config(), deadline, seed)
         }
-        (StudyTransport::TcpWifi, FlowDir::Up) => {
-            run_tcp_upload(wifi, lte, WIFI_ADDR, bytes, tcp_config(), deadline, seed)
+        (None, FlowDir::Up) => {
+            run_tcp_upload(wifi, lte, iface, bytes, tcp_config(), deadline, seed)
         }
-        (StudyTransport::TcpLte, FlowDir::Down) => {
-            run_tcp_download(wifi, lte, LTE_ADDR, bytes, tcp_config(), deadline, seed)
+        (Some(c), FlowDir::Down) => {
+            run_mptcp_download(wifi, lte, iface, bytes, mptcp_config(c), deadline, seed)
         }
-        (StudyTransport::TcpLte, FlowDir::Up) => {
-            run_tcp_upload(wifi, lte, LTE_ADDR, bytes, tcp_config(), deadline, seed)
-        }
-        (mp, dir) => {
-            let (primary, coupled) = match mp {
-                StudyTransport::MpWifiCoupled => (WIFI_ADDR, true),
-                StudyTransport::MpLteCoupled => (LTE_ADDR, true),
-                StudyTransport::MpWifiDecoupled => (WIFI_ADDR, false),
-                StudyTransport::MpLteDecoupled => (LTE_ADDR, false),
-                _ => unreachable!(),
-            };
-            let cfg = mptcp_config(coupled);
-            match dir {
-                FlowDir::Down => run_mptcp_download(wifi, lte, primary, bytes, cfg, deadline, seed),
-                FlowDir::Up => run_mptcp_upload(wifi, lte, primary, bytes, cfg, deadline, seed),
-            }
+        (Some(c), FlowDir::Up) => {
+            run_mptcp_upload(wifi, lte, iface, bytes, mptcp_config(c), deadline, seed)
         }
     }
 }

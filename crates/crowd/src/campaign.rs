@@ -17,7 +17,7 @@
 //! equivalence explicitly for supervision smokes.
 
 use crate::journal::{Checkpoint, Recovery, ResumeError};
-use crate::measure::{measure_pair, measure_pair_arena, RunMeasurement, RunMode};
+use crate::measure::{measure_pair_in, RunMeasurement, RunMode};
 use crate::world::{combined_target_adjustment, paper_clusters};
 use mpwifi_measure::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use mpwifi_measure::{CdfSketch, Histogram, MeanAcc, Mergeable, SampleBuilder};
@@ -363,10 +363,7 @@ fn measure_user(
     let cluster_idx = cum_runs.partition_point(|&c| c <= pick);
     let draw = worlds[cluster_idx].draw(&mut rng);
     let run_seed = rng.next_u64();
-    let m = match cfg.mode {
-        RunMode::Analytic => measure_pair(&draw.wifi, &draw.lte, RunMode::Analytic, run_seed),
-        RunMode::FullSim => measure_pair_arena(&draw.wifi, &draw.lte, arena, run_seed),
-    };
+    let m = measure_pair_in(&draw.wifi, &draw.lte, cfg.mode, arena, run_seed);
     summary.record(cluster_idx, &m);
 }
 

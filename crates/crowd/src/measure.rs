@@ -12,10 +12,9 @@
 //!   of the same transfer, ~10⁴× faster, used for quick iterations and
 //!   validated against FullSim in tests.
 
-use mpwifi_sim::apps::{measure_ping, run_tcp_download, run_tcp_upload};
+use mpwifi_sim::apps::measure_ping;
 use mpwifi_sim::{LinkSpec, SimArena, WIFI_ADDR};
 use mpwifi_simcore::Dur;
-use mpwifi_tcp::conn::TcpConfig;
 use serde::{Deserialize, Serialize};
 
 /// The 1 MB transfer size used by the app.
@@ -55,73 +54,35 @@ impl RunMeasurement {
     }
 }
 
-/// Measure one `(WiFi, LTE)` link pair.
+/// Measure one `(WiFi, LTE)` link pair. FullSim has one body,
+/// [`measure_pair_arena`]; a one-off measurement runs it on a fresh
+/// arena (campaign workers keep theirs warm instead).
 pub fn measure_pair(wifi: &LinkSpec, lte: &LinkSpec, mode: RunMode, seed: u64) -> RunMeasurement {
+    measure_pair_in(wifi, lte, mode, &mut SimArena::new(), seed)
+}
+
+/// [`measure_pair`] for a worker that owns an arena: FullSim transfers
+/// go through it, Analytic leaves it alone.
+pub(crate) fn measure_pair_in(
+    wifi: &LinkSpec,
+    lte: &LinkSpec,
+    mode: RunMode,
+    arena: &mut SimArena,
+    seed: u64,
+) -> RunMeasurement {
     match mode {
-        RunMode::FullSim => measure_fullsim(wifi, lte, seed),
+        RunMode::FullSim => measure_pair_arena(wifi, lte, arena, seed),
         RunMode::Analytic => measure_analytic(wifi, lte),
     }
 }
 
-fn measure_fullsim(wifi: &LinkSpec, lte: &LinkSpec, seed: u64) -> RunMeasurement {
-    let deadline = Dur::from_secs(180);
-    let cfg = TcpConfig::default();
-    // The app measures WiFi first, then turns WiFi off and measures
-    // cellular (Figure 2); both use the client's respective interface.
-    // We point both transfers at the WiFi slot of the testbed and swap
-    // specs, so the unused network can't interfere (it wouldn't anyway).
-    let idle = LinkSpec::symmetric(1_000_000, Dur::from_millis(50));
-    let w_down = run_tcp_download(
-        wifi,
-        &idle,
-        WIFI_ADDR,
-        TRANSFER_BYTES,
-        cfg.clone(),
-        deadline,
-        seed,
-    );
-    let w_up = run_tcp_upload(
-        wifi,
-        &idle,
-        WIFI_ADDR,
-        TRANSFER_BYTES,
-        cfg.clone(),
-        deadline,
-        seed ^ 1,
-    );
-    let l_down = run_tcp_download(
-        lte,
-        &idle,
-        WIFI_ADDR,
-        TRANSFER_BYTES,
-        cfg.clone(),
-        deadline,
-        seed ^ 2,
-    );
-    let l_up = run_tcp_upload(
-        lte,
-        &idle,
-        WIFI_ADDR,
-        TRANSFER_BYTES,
-        cfg.clone(),
-        deadline,
-        seed ^ 3,
-    );
-    RunMeasurement {
-        wifi_up_bps: w_up.avg_throughput_bps().unwrap_or(0.0),
-        wifi_down_bps: w_down.avg_throughput_bps().unwrap_or(0.0),
-        lte_up_bps: l_up.avg_throughput_bps().unwrap_or(0.0),
-        lte_down_bps: l_down.avg_throughput_bps().unwrap_or(0.0),
-        wifi_ping: measure_ping(wifi, 10, seed ^ 4),
-        lte_ping: measure_ping(lte, 10, seed ^ 5),
-    }
-}
-
 /// Measure one `(WiFi, LTE)` pair at FullSim fidelity through a
-/// reusable [`SimArena`]: same transfers, same seeds, same deadline as
-/// [`measure_pair`] in [`RunMode::FullSim`] — bit-identical results
-/// (pinned by a test below) at a fraction of the allocation cost.
-/// Campaign workers hold one arena each and push every user through it.
+/// reusable [`SimArena`]: a 1 MB download and upload per network plus
+/// 10 pings each, every transfer on its own derived seed. A warm arena
+/// gives the same bits as a fresh one (pinned by a test below, and
+/// against fresh-built worlds in `mpwifi_sim::arena`) at a fraction of
+/// the allocation cost; campaign workers hold one each and push every
+/// user through it.
 pub fn measure_pair_arena(
     wifi: &LinkSpec,
     lte: &LinkSpec,
@@ -129,6 +90,10 @@ pub fn measure_pair_arena(
     seed: u64,
 ) -> RunMeasurement {
     let deadline = Dur::from_secs(180);
+    // The app measures WiFi first, then turns WiFi off and measures
+    // cellular (Figure 2); both use the client's respective interface.
+    // We point both transfers at the WiFi slot of the testbed and swap
+    // specs, so the unused network can't interfere (it wouldn't anyway).
     let idle = LinkSpec::symmetric(1_000_000, Dur::from_millis(50));
     let w_down = arena.tcp_download(wifi, &idle, WIFI_ADDR, TRANSFER_BYTES, deadline, seed);
     let w_up = arena.tcp_upload(wifi, &idle, WIFI_ADDR, TRANSFER_BYTES, deadline, seed ^ 1);
@@ -280,21 +245,28 @@ mod tests {
     }
 
     #[test]
-    fn arena_measurement_bit_identical_to_fullsim() {
+    fn warm_arena_measurement_bit_identical_to_fresh_arena() {
         let wifi = spec(12.0, 6.0, 30);
         let lte = spec(6.0, 3.0, 70);
-        let mut arena = SimArena::new();
+        // Warm the arena on a different, lossy link pair first, so the
+        // reused world carries another run's stages, queues and pool.
+        let other = LinkSpec {
+            loss: 0.01,
+            ..spec(3.0, 1.5, 90)
+        };
+        let mut warm = SimArena::new();
+        measure_pair_arena(&other, &wifi, &mut warm, 99);
         for seed in [3u64, 11, 12] {
-            let fresh = measure_pair(&wifi, &lte, RunMode::FullSim, seed);
-            let reused = measure_pair_arena(&wifi, &lte, &mut arena, seed);
+            let fresh = measure_pair_arena(&wifi, &lte, &mut SimArena::new(), seed);
+            let reused = measure_pair_arena(&wifi, &lte, &mut warm, seed);
             assert_eq!(
                 format!("{fresh:?}"),
                 format!("{reused:?}"),
-                "arena measurement diverged at seed {seed}"
+                "warm arena diverged at seed {seed}"
             );
         }
-        assert_eq!(arena.builds(), 1);
-        assert!(arena.resets() >= 11, "4 transfers per pair after the first");
+        assert_eq!(warm.builds(), 1);
+        assert_eq!(warm.resets(), 15, "4 transfers per pair after the first");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The Table 1 world: 22 location clusters and run generation.
 
-use crate::measure::{measure_pair, RunMeasurement, RunMode};
+use crate::measure::{measure_pair_in, RunMeasurement, RunMode};
 use mpwifi_measure::GeoPoint;
 use mpwifi_radio::{CellKind, WirelessWorld};
+use mpwifi_sim::SimArena;
 use mpwifi_simcore::{fan_out, norm_quantile, DetRng};
 use serde::{Deserialize, Serialize};
 
@@ -161,20 +162,28 @@ pub fn generate_dataset(mode: RunMode, seed: u64) -> Vec<MeasurementRun> {
     }
 
     // Phase 2: measurement.
-    let measure_one = |s: &RunSpec| MeasurementRun {
+    let measure_one = |arena: &mut SimArena, s: &RunSpec| MeasurementRun {
         user_id: s.user_id,
         cluster_idx: s.cluster_idx,
         geo: s.geo,
         cell: s.draw.cell,
-        m: measure_pair(&s.draw.wifi, &s.draw.lte, mode, s.seed),
+        m: measure_pair_in(&s.draw.wifi, &s.draw.lte, mode, arena, s.seed),
     };
     match mode {
-        RunMode::Analytic => specs.iter().map(measure_one).collect(),
+        // The closed-form model is not worth a thread, and never
+        // touches the (free to create) arena.
+        RunMode::Analytic => specs
+            .iter()
+            .map(|s| measure_one(&mut SimArena::new(), s))
+            .collect(),
+        // One warm arena per worker, like the campaign engine.
         RunMode::FullSim => {
             let workers = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4);
-            fan_out(specs.len(), workers, || (), |(), i| measure_one(&specs[i]))
+            fan_out(specs.len(), workers, SimArena::new, |arena, i| {
+                measure_one(arena, &specs[i])
+            })
         }
     }
 }
@@ -208,6 +217,7 @@ pub fn dataset_to_csv(runs: &[MeasurementRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::measure_pair;
 
     #[test]
     fn cluster_table_matches_paper_totals() {

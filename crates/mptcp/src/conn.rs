@@ -1430,17 +1430,9 @@ impl MptcpConnection {
         self.pump_send(now);
     }
 
-    /// Drain decorated outgoing segments: `(subflow index, local iface,
-    /// remote addr, segment)`.
-    pub fn take_tx(&mut self, now: Time) -> Vec<(usize, Addr, Addr, Segment)> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-light [`MptcpConnection::take_tx`]: drain outgoing
-    /// decorated segments into a caller-provided buffer, reusing an
-    /// internal per-subflow scratch for the raw TCP segments.
+    /// Drain decorated outgoing segments — `(subflow index, local iface,
+    /// remote addr, segment)` — into a caller-provided buffer, reusing
+    /// an internal per-subflow scratch for the raw TCP segments.
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(usize, Addr, Addr, Segment)>) {
         self.pump_send(now);
         let data_ack = self.data_ack_out();

@@ -134,16 +134,9 @@ impl ClientEndpoint {
         }
     }
 
-    /// Drain outgoing segments: `(local interface, remote address, segment)`.
-    pub fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free `take_tx`: drain outgoing segments into a
-    /// caller-provided buffer, reusing an internal per-connection
-    /// scratch (the per-step driver path).
+    /// Drain outgoing segments — `(local interface, remote address,
+    /// segment)` — into a caller-provided buffer, reusing an internal
+    /// per-connection scratch (the per-step driver path).
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         let mut raw = std::mem::take(&mut self.tx_scratch);
         for conn in &mut self.conns {
@@ -306,16 +299,9 @@ impl ServerEndpoint {
         }
     }
 
-    /// Drain outgoing segments: `(local interface, remote address, segment)`.
-    pub fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free `take_tx`: drain outgoing segments into a
-    /// caller-provided buffer, reusing an internal per-connection
-    /// scratch (the per-step driver path).
+    /// Drain outgoing segments — `(local interface, remote address,
+    /// segment)` — into a caller-provided buffer, reusing an internal
+    /// per-connection scratch (the per-step driver path).
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         let mut raw = std::mem::take(&mut self.tx_scratch);
         for conn in &mut self.conns {
@@ -388,13 +374,16 @@ mod tests {
         }
 
         fn pump(&mut self) {
-            for (iface, _remote, seg) in self.client.take_tx(self.now) {
+            let mut tx = Vec::new();
+            self.client.take_tx_into(self.now, &mut tx);
+            for (iface, _remote, seg) in tx.drain(..) {
                 if self.iface_up(iface) {
                     self.in_flight
                         .push((self.now + self.delay(iface), true, iface, seg));
                 }
             }
-            for (_local, remote, seg) in self.server.take_tx(self.now) {
+            self.server.take_tx_into(self.now, &mut tx);
+            for (_local, remote, seg) in tx {
                 // Replies route back via the client interface address.
                 if self.iface_up(remote) {
                     self.in_flight

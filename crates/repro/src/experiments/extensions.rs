@@ -11,7 +11,7 @@ use mpwifi_measure::render::fmt_bps;
 use mpwifi_measure::TextTable;
 use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig, SchedKind};
 use mpwifi_radio::{PowerModel, RadioKind};
-use mpwifi_sim::apps::{make_payload, run_mptcp_download};
+use mpwifi_sim::apps::{bulk, close_and_drain, make_payload, run_mptcp_download};
 use mpwifi_sim::endpoint::{MptcpClientHost, MptcpServerHost};
 use mpwifi_sim::{LinkSpec, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
 use mpwifi_simcore::{Dur, Time};
@@ -47,42 +47,24 @@ pub fn ext_handover(seed: u64) -> Report {
         sim.schedule(fail_at, ScriptEvent::CutIface(WIFI_ADDR));
         sim.schedule(fail_at, ScriptEvent::NotifyIfaceDown(WIFI_ADDR));
         let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
-        let mut sent = false;
         let mut first_progress_after_fail: Option<Time> = None;
         let mut before_fail = 0u64;
-        let done = sim.run_until(
-            |sim| {
-                if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        let c = sim.server.mp.conn_mut(sid);
-                        c.send(make_payload(BYTES));
-                        c.close(sim.now);
-                        sent = true;
-                    }
-                }
-                let d = sim.client.mp.conn(id).delivered_bytes();
-                if sim.now < fail_at {
-                    before_fail = d;
-                } else if d > before_fail && first_progress_after_fail.is_none() {
-                    first_progress_after_fail = Some(sim.now);
-                }
-                d >= BYTES
-            },
-            Time::from_secs(120),
-        );
-        let done = done.held();
+        let payload = make_payload(BYTES);
+        let deadline = Dur::from_secs(120);
+        let run = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, d| {
+            if sim.now < fail_at {
+                before_fail = d;
+            } else if d > before_fail && first_progress_after_fail.is_none() {
+                first_progress_after_fail = Some(sim.now);
+            }
+        });
         // Close and drain teardown so FIN tails are charged.
-        let now = sim.now;
-        sim.client.mp.conn_mut(id).close(now);
-        sim.run_until(
-            |sim| sim.client.mp.conn(0).is_closed(),
-            now + Dur::from_secs(10),
-        );
+        close_and_drain(&mut sim, id);
         let gap = first_progress_after_fail.map_or(Dur::MAX, |t| t - fail_at);
         let lte_j = model
             .energy(RadioKind::Lte, &sim.lte_log, sim.now + Dur::from_secs(16))
             .radio_j();
-        rows.push((label, gap, lte_j, done));
+        rows.push((label, gap, lte_j, run.completed.is_some()));
     }
 
     let mut r = Report::new(
@@ -278,26 +260,11 @@ pub fn ext_mobility(seed: u64) -> Report {
     let id = sim
         .client
         .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
-    let mut sent = false;
-    let tcp_done = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.stack.take_accepted() {
-                    let c = sim.server.stack.conn_mut(sid).unwrap();
-                    c.send(make_payload(BYTES));
-                    c.close(sim.now);
-                    sent = true;
-                }
-            }
-            sim.client.stack.conn_mut(id).is_some_and(|c| {
-                let _ = c.take_delivered();
-                c.delivered_bytes() >= BYTES
-            })
-        },
-        Time::from_secs(60),
-    );
-    let tcp_done = tcp_done.held();
-    let tcp_delivered = sim.client.stack.conn(id).map_or(0, |c| c.delivered_bytes());
+    let deadline = Dur::from_secs(60);
+    let payload = make_payload(BYTES);
+    let tcp = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
+    let tcp_done = tcp.completed.is_some();
+    let tcp_delivered = tcp.progress.total_bytes();
 
     // MPTCP: hands over to LTE and finishes.
     let cfg = MptcpConfig::default();
@@ -312,23 +279,9 @@ pub fn ext_mobility(seed: u64) -> Report {
         sim.schedule(Time::from_millis(ms), ev);
     }
     let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
-    let mut sent = false;
-    let mp_done = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
-                    c.send(make_payload(BYTES));
-                    c.close(sim.now);
-                    sent = true;
-                }
-            }
-            let _ = sim.client.mp.conn_mut(id).take_delivered();
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
-        },
-        Time::from_secs(60),
-    );
-    let mp_done = mp_done.held();
+    let payload = make_payload(BYTES);
+    let mp = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
+    let mp_done = mp.completed.is_some();
     let mp_time = sim.now;
 
     let mut r = Report::new(

@@ -8,31 +8,16 @@
 //! and link-noise episodes (burst loss, segment corruption) that the
 //! testbed hardware could not inject on demand.
 
+use super::mode_figs::{lte_link, wifi_link};
 use crate::report::{Report, Scale};
 use mpwifi_mptcp::{BackupActivation, Mode, MptcpConfig};
 use mpwifi_netem::{Addr, FaultPlan, GilbertElliott};
+use mpwifi_sim::apps::{bulk, make_payload, FlowDir};
 use mpwifi_sim::endpoint::{MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
-use mpwifi_sim::{LinkSpec, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
+use mpwifi_sim::{iface_name, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
 use mpwifi_simcore::{metrics, Dur, RunMetrics, Time};
 use mpwifi_tcp::conn::TcpConfig;
 use std::fmt::Write as _;
-
-/// Same testbed links as Figure 15.
-fn wifi_link() -> LinkSpec {
-    LinkSpec::symmetric(2_000_000, Dur::from_millis(30))
-}
-
-fn lte_link() -> LinkSpec {
-    LinkSpec::asymmetric(1_000_000, 1_600_000, Dur::from_millis(60))
-}
-
-fn iface_name(a: Addr) -> &'static str {
-    if a == WIFI_ADDR {
-        "wifi"
-    } else {
-        "lte"
-    }
-}
 
 /// Outcome of one faulted MPTCP download.
 struct FaultRun {
@@ -51,7 +36,7 @@ fn run_faulted(
     primary: Addr,
     plans: &[(Addr, FaultPlan)],
     seed: u64,
-    deadline: Time,
+    deadline: Dur,
 ) -> FaultRun {
     let before = metrics::snapshot();
     let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
@@ -68,24 +53,11 @@ fn run_faulted(
     let id = sim
         .client
         .open(Time::ZERO, cfg.clone(), primary, SERVER_PORT);
-    let mut sent = false;
-    let done = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
-                    c.send(mpwifi_sim::apps::make_payload(bytes));
-                    c.close(sim.now);
-                    sent = true;
-                }
-            }
-            sim.client.mp.conn(id).delivered_bytes() >= bytes
-        },
-        deadline,
-    );
+    let payload = make_payload(bytes);
+    let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
     FaultRun {
-        delivered: sim.client.mp.conn(id).delivered_bytes(),
-        done: done.held(),
+        delivered: r.progress.total_bytes(),
+        done: r.completed.is_some(),
         finish: sim.now,
         subflows: sim.client.mp.conn(id).subflow_stats().len(),
         delta: metrics::snapshot().since(&before),
@@ -111,12 +83,12 @@ fn backup_cfg(activation: BackupActivation) -> MptcpConfig {
 /// * **silent / RTO-activation** — the hardened configuration that
 ///   detects death from consecutive RTOs and fails over anyway.
 pub fn fault_sweep(scale: Scale, seed: u64) -> Report {
-    let (bytes, onsets_ms, deadline): (u64, &[u64], Time) = match scale {
-        Scale::Quick => (1_000_000, &[1_000, 3_000], Time::from_secs(30)),
+    let (bytes, onsets_ms, deadline): (u64, &[u64], Dur) = match scale {
+        Scale::Quick => (1_000_000, &[1_000, 3_000], Dur::from_secs(30)),
         Scale::Full => (
             4_000_000,
             &[1_000, 3_000, 5_000, 7_000, 9_000, 11_000],
-            Time::from_secs(90),
+            Dur::from_secs(90),
         ),
     };
     let mut r = Report::new(
@@ -221,12 +193,12 @@ pub fn fault_sweep(scale: Scale, seed: u64) -> Report {
 /// recovered interface (a third subflow, on a new port) and finishes on
 /// both paths.
 pub fn fault_restore(scale: Scale, seed: u64) -> Report {
-    let (bytes, durations_ms, deadline): (u64, &[u64], Time) = match scale {
-        Scale::Quick => (2_000_000, &[1_000, 4_000], Time::from_secs(60)),
+    let (bytes, durations_ms, deadline): (u64, &[u64], Dur) = match scale {
+        Scale::Quick => (2_000_000, &[1_000, 4_000], Dur::from_secs(60)),
         Scale::Full => (
             4_000_000,
             &[500, 1_000, 2_000, 4_000, 8_000],
-            Time::from_secs(120),
+            Dur::from_secs(120),
         ),
     };
     let onset = Time::from_millis(2_000);
@@ -305,9 +277,9 @@ pub fn fault_restore(scale: Scale, seed: u64) -> Report {
 /// checksum-rejected (counted, never delivered), and the counters must
 /// attribute per episode.
 pub fn fault_noise(scale: Scale, seed: u64) -> Report {
-    let (bytes, burst_ms, deadline): (u64, &[u64], Time) = match scale {
-        Scale::Quick => (300_000, &[500], Time::from_secs(60)),
-        Scale::Full => (1_000_000, &[250, 500, 1_000], Time::from_secs(120)),
+    let (bytes, burst_ms, deadline): (u64, &[u64], Dur) = match scale {
+        Scale::Quick => (300_000, &[500], Dur::from_secs(60)),
+        Scale::Full => (1_000_000, &[250, 500, 1_000], Dur::from_secs(120)),
     };
     let mut r = Report::new(
         "fault-noise",
@@ -337,28 +309,11 @@ pub fn fault_noise(scale: Scale, seed: u64) -> Report {
         let id = sim
             .client
             .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
-        let mut sent = false;
-        let done = sim.run_until(
-            |sim| {
-                if !sent {
-                    for sid in sim.server.stack.take_accepted() {
-                        let c = sim.server.stack.conn_mut(sid).unwrap();
-                        c.send(mpwifi_sim::apps::make_payload(bytes));
-                        c.close(Time::ZERO);
-                        sent = true;
-                    }
-                }
-                sim.client
-                    .stack
-                    .conn(id)
-                    .is_some_and(|c| c.delivered_bytes() >= bytes)
-            },
-            deadline,
-        );
-        let delivered = sim.client.stack.conn(id).map_or(0, |c| c.delivered_bytes());
+        let payload = make_payload(bytes);
+        let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
         (
-            done.held(),
-            delivered,
+            r.completed.is_some(),
+            r.progress.total_bytes(),
             sim.now,
             metrics::snapshot().since(&before),
         )

@@ -6,6 +6,7 @@ use crate::report::Report;
 use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig};
 use mpwifi_netem::Addr;
 use mpwifi_radio::{EnergyBreakdown, PowerModel, RadioKind};
+use mpwifi_sim::apps::{bulk, close_and_drain, make_payload, FlowDir};
 use mpwifi_sim::endpoint::{MptcpClientHost, MptcpServerHost};
 use mpwifi_sim::{
     LinkSpec, PacketLog, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR,
@@ -13,12 +14,13 @@ use mpwifi_sim::{
 use mpwifi_simcore::{Dur, Time};
 use std::fmt::Write as _;
 
-/// Links sized so a 4 MB transfer takes roughly the paper's ~20 s.
-fn wifi_link() -> LinkSpec {
+/// Links sized so a 4 MB transfer takes roughly the paper's ~20 s
+/// (Figure 15's testbed; the `fault-*` family reuses it).
+pub(super) fn wifi_link() -> LinkSpec {
     LinkSpec::symmetric(2_000_000, Dur::from_millis(30))
 }
 
-fn lte_link() -> LinkSpec {
+pub(super) fn lte_link() -> LinkSpec {
     LinkSpec::asymmetric(1_000_000, 1_600_000, Dur::from_millis(60))
 }
 
@@ -65,32 +67,16 @@ fn run_panel(p: &Panel, seed: u64) -> (PacketLog, PacketLog, u64, bool) {
         sim.schedule(Time::from_millis(*ms), *ev);
     }
     let id = sim.client.open(Time::ZERO, cfg, p.primary, SERVER_PORT);
-    let mut sent = false;
-    let done = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
-                    c.send(mpwifi_sim::apps::make_payload(BYTES));
-                    c.close(sim.now);
-                    sent = true;
-                }
-            }
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
-        },
-        Time::from_secs(90),
-    );
-    let done = done.held();
+    let payload = make_payload(BYTES);
+    let deadline = Dur::from_secs(90);
+    let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
     // Close our side and drain the teardown, so the FIN exchange on
     // every subflow (including the backup) appears in the logs — the
     // paper's Figure 15 timelines end with FINs, and Figure 16's tail
     // energy accounting depends on them.
-    let now = sim.now;
-    sim.client.mp.conn_mut(id).close(now);
-    let teardown_deadline = now + mpwifi_simcore::Dur::from_secs(10);
-    sim.run_until(|sim| sim.client.mp.conn(0).is_closed(), teardown_deadline);
+    close_and_drain(&mut sim, id);
     let delivered = sim.client.mp.conn(id).delivered_bytes();
-    (sim.wifi_log, sim.lte_log, delivered, done)
+    (sim.wifi_log, sim.lte_log, delivered, r.completed.is_some())
 }
 
 /// Render a packet log as the paper's vertical-line timeline (1 char =

@@ -23,7 +23,7 @@ use crate::report::Report;
 use mpwifi_measure::render::fmt_bps;
 use mpwifi_measure::TextTable;
 use mpwifi_mptcp::{BackupActivation, CcKind, Mode, MptcpConfig, SchedKind};
-use mpwifi_sim::apps::{make_payload, run_mptcp_download};
+use mpwifi_sim::apps::{bulk, make_payload, run_mptcp_download, FlowDir};
 use mpwifi_sim::endpoint::{MptcpClientHost, MptcpServerHost};
 use mpwifi_sim::{LinkSpec, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
 use mpwifi_simcore::{metrics, Dur, Time};
@@ -223,34 +223,21 @@ pub fn sched_failover(seed: u64) -> Report {
         sim.schedule(fail_at, ScriptEvent::NotifyIfaceDown(WIFI_ADDR));
         let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
         let before = metrics::snapshot();
-        let mut sent = false;
         let mut before_fail = 0u64;
         let mut first_after: Option<Time> = None;
-        let done = sim.run_until(
-            |sim| {
-                if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        let c = sim.server.mp.conn_mut(sid);
-                        c.send(make_payload(BYTES));
-                        c.close(sim.now);
-                        sent = true;
-                    }
-                }
-                let _ = sim.client.mp.conn_mut(id).take_delivered();
-                let d = sim.client.mp.conn(id).delivered_bytes();
-                if sim.now < fail_at {
-                    before_fail = d;
-                } else if d > before_fail && first_after.is_none() {
-                    first_after = Some(sim.now);
-                }
-                d >= BYTES
-            },
-            Time::from_secs(60),
-        );
+        let payload = make_payload(BYTES);
+        let deadline = Dur::from_secs(60);
+        let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, d| {
+            if sim.now < fail_at {
+                before_fail = d;
+            } else if d > before_fail && first_after.is_none() {
+                first_after = Some(sim.now);
+            }
+        });
         let delta = metrics::snapshot().since(&before);
         rows.push(Row {
             sched,
-            done: done.held(),
+            done: r.completed.is_some(),
             finish: sim.now,
             gap: first_after.map_or(Dur::MAX, |t| t - fail_at),
             reinjections: delta.reinjections,

@@ -32,6 +32,7 @@ use crate::report::{Report, Scale};
 use crate::supervise::{supervise_one, SuperviseConfig, SupervisedRun};
 pub use mpwifi_simcore::derive_seed;
 use mpwifi_simcore::{fan_out, RunMetrics};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// How each experiment's seed is computed from the root seed. Both
@@ -195,39 +196,22 @@ pub fn run_specs_supervised(
 pub fn metrics_json(outcomes: &[RunOutcome]) -> String {
     let mut out = String::from("[\n");
     for (i, o) in outcomes.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"seed\": {}, \"wall_ms\": {:.3}, \
-             \"events_popped\": {}, \"frames_forwarded\": {}, \
-             \"bytes_delivered\": {}, \"tcp_retransmits\": {}, \
-             \"segments_encoded\": {}, \"enc_buffers_reused\": {}, \
-             \"enc_buffers_allocated\": {}, \"scratch_high_water\": {}, \
-             \"faults_injected\": {}, \"segments_corrupted_dropped\": {}, \
-             \"subflows_declared_dead\": {}, \"reinjections\": {}, \
-             \"recovery_time_us\": {}, \
-             \"segments_dropped_unroutable\": {}, \
-             \"sched_picks_rejected\": {}, \
-             \"claims_hold\": {}}}{}\n",
+        let _ = write!(
+            out,
+            "  {{\"id\": \"{}\", \"seed\": {}, \"wall_ms\": {:.3}",
             o.id,
             o.seed,
             o.wall.as_secs_f64() * 1e3,
-            o.metrics.events_popped,
-            o.metrics.frames_forwarded,
-            o.metrics.bytes_delivered,
-            o.metrics.tcp_retransmits,
-            o.metrics.segments_encoded,
-            o.metrics.enc_buffers_reused,
-            o.metrics.enc_buffers_allocated,
-            o.metrics.scratch_high_water,
-            o.metrics.faults_injected,
-            o.metrics.segments_corrupted_dropped,
-            o.metrics.subflows_declared_dead,
-            o.metrics.reinjections,
-            o.metrics.recovery_time_us,
-            o.metrics.segments_dropped_unroutable,
-            o.metrics.sched_picks_rejected,
+        );
+        for (name, value) in o.metrics.fields() {
+            let _ = write!(out, ", \"{name}\": {value}");
+        }
+        let _ = writeln!(
+            out,
+            ", \"claims_hold\": {}}}{}",
             o.report.all_hold(),
             if i + 1 < outcomes.len() { "," } else { "" }
-        ));
+        );
     }
     out.push_str("]\n");
     out
@@ -340,6 +324,8 @@ mod tests {
         assert!(json.contains("\"subflows_declared_dead\""));
         assert!(json.contains("\"reinjections\""));
         assert!(json.contains("\"recovery_time_us\""));
+        assert!(json.contains("\"sched_picks_rejected\": 0, \"redundant_dups\": 0"));
+        assert!(json.contains("\"dup_bytes_dropped\": 0, \"claims_hold\": true}"));
         assert!(json.trim_end().ends_with(']'));
     }
 }

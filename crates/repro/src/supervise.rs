@@ -395,6 +395,7 @@ fn run_planted_stall(_: Scale, seed: u64) -> Report {
     use bytes::Bytes;
     use mpwifi_mptcp::{BackupActivation, Mode, MptcpConfig};
     use mpwifi_netem::FaultPlan;
+    use mpwifi_sim::apps::{bulk, FlowDir};
     use mpwifi_sim::{
         LinkSpec, MptcpClientHost, MptcpServerHost, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR,
         SERVER_PORT, WIFI_ADDR,
@@ -425,21 +426,11 @@ fn run_planted_stall(_: Scale, seed: u64) -> Report {
     }
     let mut sim = b.build();
     let id = sim.client.open(Time::ZERO, cfg, LTE_ADDR, SERVER_PORT);
-    let mut sent = false;
-    let result = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
-                    c.send(Bytes::from(vec![6u8; 2_000_000]));
-                    c.close(sim.now);
-                    sent = true;
-                }
-            }
-            sim.client.mp.conn(id).delivered_bytes() >= 2_000_000
-        },
-        Time::from_secs(3600),
-    );
+    let payload = Bytes::from(vec![6u8; 2_000_000]);
+    let deadline = Dur::from_secs(3600);
+    let completed = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {})
+        .completed
+        .is_some();
     let mut r = Report::new(
         "planted-stall",
         "PLANTED — Figure 15g livelock (silent primary blackout, OnNotify backup)",
@@ -448,8 +439,8 @@ fn run_planted_stall(_: Scale, seed: u64) -> Report {
     r.claim(
         "transfer completes",
         "completes",
-        if result.held() { "completed" } else { "froze" },
-        result.held(),
+        if completed { "completed" } else { "froze" },
+        completed,
     );
     r
 }

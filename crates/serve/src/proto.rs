@@ -20,6 +20,7 @@
 
 use mpwifi_simcore::RunMetrics;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -304,6 +305,12 @@ pub enum RunKind {
     WorkerBomb,
 }
 
+/// Most retries a request may ask for. Each retry re-runs the whole
+/// request after a backoff sleep of up to 2 × `BACKOFF_CAP_MS`, so an
+/// unbounded client value would pin a worker on a doomed request;
+/// anything above this is refused as malformed.
+pub const MAX_RETRIES: u32 = 16;
+
 /// A validated `run` request.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunRequest {
@@ -314,7 +321,8 @@ pub struct RunRequest {
     /// Root seed (default 42). Retry seeds and backoff jitter derive
     /// from it deterministically.
     pub seed: u64,
-    /// Retries after a failed attempt (default: server policy).
+    /// Retries after a failed attempt (default: server policy; at most
+    /// [`MAX_RETRIES`] from a client).
     pub retries: u32,
     /// Per-request watchdog budget overrides; `None` = server default.
     pub max_events: Option<u64>,
@@ -346,9 +354,15 @@ impl Request {
             "run" => {
                 let req = obj.str_field("req")?.to_string();
                 let seed = obj.opt_u64("seed")?.unwrap_or(42);
-                let retries = obj
-                    .opt_u64("retries")?
-                    .map_or(default_retries, |r| r as u32);
+                let retries = match obj.opt_u64("retries")? {
+                    None => default_retries,
+                    Some(r) => u32::try_from(r)
+                        .ok()
+                        .filter(|&r| r <= MAX_RETRIES)
+                        .ok_or_else(|| {
+                            format!("field \"retries\" must be at most {MAX_RETRIES}, got {r}")
+                        })?,
+                };
                 let full = match obj.opt_str("scale")? {
                     None | Some("quick") => false,
                     Some("full") => true,
@@ -710,21 +724,14 @@ impl Response {
                 json_escape(req),
                 json_escape(text)
             ),
-            Response::Metrics { req, metrics: m } => format!(
-                "{{\"type\": \"metrics\", \"req\": \"{}\", \"events_popped\": {}, \
-                 \"frames_forwarded\": {}, \"bytes_delivered\": {}, \"tcp_retransmits\": {}, \
-                 \"faults_injected\": {}, \"subflows_declared_dead\": {}, \
-                 \"reinjections\": {}, \"recovery_time_us\": {}}}",
-                json_escape(req),
-                m.events_popped,
-                m.frames_forwarded,
-                m.bytes_delivered,
-                m.tcp_retransmits,
-                m.faults_injected,
-                m.subflows_declared_dead,
-                m.reinjections,
-                m.recovery_time_us,
-            ),
+            Response::Metrics { req, metrics } => {
+                let mut out = format!("{{\"type\": \"metrics\", \"req\": \"{}\"", json_escape(req));
+                for (name, value) in metrics.fields() {
+                    let _ = write!(out, ", \"{name}\": {value}");
+                }
+                out.push('}');
+                out
+            }
             Response::Done {
                 req,
                 status,
@@ -803,20 +810,13 @@ impl Response {
                 text: obj.str_field("text")?.to_string(),
             }),
             "metrics" => {
-                let m = RunMetrics {
-                    events_popped: obj.opt_u64("events_popped")?.unwrap_or(0),
-                    frames_forwarded: obj.opt_u64("frames_forwarded")?.unwrap_or(0),
-                    bytes_delivered: obj.opt_u64("bytes_delivered")?.unwrap_or(0),
-                    tcp_retransmits: obj.opt_u64("tcp_retransmits")?.unwrap_or(0),
-                    faults_injected: obj.opt_u64("faults_injected")?.unwrap_or(0),
-                    subflows_declared_dead: obj.opt_u64("subflows_declared_dead")?.unwrap_or(0),
-                    reinjections: obj.opt_u64("reinjections")?.unwrap_or(0),
-                    recovery_time_us: obj.opt_u64("recovery_time_us")?.unwrap_or(0),
-                    ..RunMetrics::default()
-                };
+                let mut metrics = RunMetrics::default();
+                for (name, slot) in metrics.fields_mut() {
+                    *slot = obj.opt_u64(name)?.unwrap_or(0);
+                }
                 Ok(Response::Metrics {
                     req: req(&obj)?,
-                    metrics: m,
+                    metrics,
                 })
             }
             "done" => {
@@ -1016,6 +1016,20 @@ mod tests {
                 "scale",
             ),
             (r#"{"type": "run", "req": "x", "kind": "?"}"#, "kind"),
+            // 2^32 used to wrap to 0 retries and 2^32 - 1 to be taken
+            // at its word; both are out of range now.
+            (
+                r#"{"type": "run", "req": "x", "id": "a", "retries": 4294967296}"#,
+                "retries",
+            ),
+            (
+                r#"{"type": "run", "req": "x", "id": "a", "retries": 4294967295}"#,
+                "retries",
+            ),
+            (
+                r#"{"type": "run", "req": "x", "id": "a", "retries": 17}"#,
+                "retries",
+            ),
             (r#"{"type": "nope"}"#, "type"),
             (r#"{"req": "x"}"#, "type"),
         ] {
@@ -1029,6 +1043,8 @@ mod tests {
         let mut m = RunMetrics::default();
         m.events_popped = 9;
         m.bytes_delivered = 1_000_000;
+        m.redundant_dups = 4;
+        m.dup_bytes_dropped = 5_600;
         let cases = vec![
             Response::Accepted {
                 req: "a".into(),

@@ -1,14 +1,17 @@
 //! Reusable workload drivers: the measurement actions of the Cell vs
 //! WiFi app and the MPTCP study, expressed over [`crate::Sim`].
 //!
-//! Each driver builds a fresh testbed, runs one transfer, and returns a
+//! [`bulk`] is the one transfer loop, generic over the socket seam in
+//! [`crate::socket`]; the four `run_*` drivers build a fresh testbed,
+//! open one connection and call it. Every transfer returns a
 //! [`BulkResult`] with the progress curve (throughput vs time and vs
 //! flow size — Figures 7 and 9–12 derive from these), per-subflow
-//! curves for MPTCP, and the per-interface packet logs.
+//! curves for MPTCP downloads, and the per-interface packet logs.
 
-use crate::endpoint::{MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
+use crate::endpoint::{Endpoint, MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
 use crate::link::LinkSpec;
 use crate::log::PacketLog;
+use crate::socket::{Accept, Socket, SocketHost};
 use crate::world::Sim;
 use crate::{LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
 use bytes::Bytes;
@@ -16,6 +19,7 @@ use mpwifi_mptcp::MptcpConfig;
 use mpwifi_netem::{Addr, Frame};
 use mpwifi_simcore::{DetRng, Dur, RateSeries, Time};
 use mpwifi_tcp::conn::TcpConfig;
+use serde::{Deserialize, Serialize};
 
 /// Outcome of one bulk transfer.
 #[derive(Debug, Clone)]
@@ -56,6 +60,161 @@ impl BulkResult {
     pub fn is_complete(&self) -> bool {
         self.progress.total_bytes() >= self.requested_bytes
     }
+
+    /// Move the world's packet logs into the result, once the caller is
+    /// done stepping `sim`.
+    pub fn with_logs<C: Endpoint, S: Endpoint>(mut self, sim: &mut Sim<C, S>) -> BulkResult {
+        self.wifi_log = std::mem::take(&mut sim.wifi_log);
+        self.lte_log = std::mem::take(&mut sim.lte_log);
+        self
+    }
+}
+
+/// Transfer direction (the paper reports downlink in Section 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum FlowDir {
+    /// Server to client.
+    Down,
+    /// Client to server.
+    Up,
+}
+
+/// The one bulk-transfer driver: push `payload` across an already-built
+/// world, in `dir`, over the client connection `id` the caller just
+/// opened, and sample receiver progress every step until everything
+/// arrived or `deadline` (sim time since zero) passed.
+///
+/// The sender is the client (`Up`, queued before the first step) or the
+/// server's accepted socket (`Down`, queued the step the SYN arrives);
+/// either way it closes behind the payload. The receiving application
+/// always reads its socket. After each read `on_step(sim, delivered)`
+/// runs: the caller's probe may observe anything and may act on the
+/// hosts, but what it does is part of the run, so a probe that only
+/// looks leaves the transfer byte-identical to one without it.
+///
+/// Callers build the hosts and the [`Sim`] themselves, so seed salts,
+/// fault plans and scripted events stay theirs. The packet logs stay in
+/// the world (the result's are empty), so a caller may keep stepping it
+/// — [`close_and_drain`] — and take them when done:
+/// [`BulkResult::with_logs`], or read `sim.wifi_log` / `sim.lte_log`.
+pub fn bulk<C, S, P>(
+    sim: &mut Sim<C, S>,
+    id: C::Id,
+    dir: FlowDir,
+    payload: Bytes,
+    deadline: Dur,
+    mut on_step: P,
+) -> BulkResult
+where
+    C: SocketHost,
+    S: Accept,
+    P: FnMut(&mut Sim<C, S>, u64),
+{
+    let bytes = payload.len() as u64;
+    if dir == FlowDir::Up {
+        let conn = sim.client.socket(id);
+        conn.send(payload.clone());
+        conn.close(Time::ZERO);
+    }
+    let mut progress = RateSeries::new();
+    progress.mark_start(Time::ZERO);
+    let mut accepted: Option<S::Id> = None;
+    sim.run_until(
+        |sim| {
+            if accepted.is_none() {
+                accepted = sim.server.take_accepted().first().copied();
+                if let (Some(sid), FlowDir::Down) = (accepted, dir) {
+                    let conn = sim.server.socket(sid);
+                    conn.send(payload.clone());
+                    conn.close(sim.now);
+                }
+            }
+            let delivered = match dir {
+                FlowDir::Down => sim.client.socket(id).read(),
+                FlowDir::Up => accepted.map_or(0, |sid| sim.server.socket(sid).read()),
+            };
+            progress.record(sim.now, delivered);
+            on_step(sim, delivered);
+            delivered >= bytes
+        },
+        Time::ZERO + deadline,
+    );
+    let established = sim
+        .client
+        .socket(id)
+        .established_at()
+        .map(|t| t - Time::ZERO);
+    let completed = progress
+        .end()
+        .filter(|_| progress.total_bytes() >= bytes)
+        .map(|t| t - Time::ZERO);
+    BulkResult {
+        progress,
+        established,
+        completed,
+        subflow_progress: Vec::new(),
+        wifi_log: PacketLog::new(),
+        lte_log: PacketLog::new(),
+        requested_bytes: bytes,
+    }
+}
+
+/// Sim time [`close_and_drain`] gives a teardown before giving up: the
+/// bound Figures 15/16 and `ext-handover` were recorded with.
+const TEARDOWN_GRACE: Dur = Dur::from_secs(10);
+
+/// After [`bulk`]: close the client's side of `id` and keep the world
+/// running until that connection is fully closed (or `TEARDOWN_GRACE`,
+/// 10 s, passed), so the FIN exchange on every subflow (an idle backup's
+/// included) lands in the world's packet logs. Figure 15's timelines end
+/// with those FINs and Figure 16's tail energy is charged from them.
+pub fn close_and_drain<C: SocketHost, S: Endpoint>(sim: &mut Sim<C, S>, id: C::Id) {
+    let now = sim.now;
+    sim.client.socket(id).close(now);
+    sim.run_until(
+        |sim| sim.client.socket(id).is_closed(),
+        now + TEARDOWN_GRACE,
+    );
+}
+
+/// A fresh single-path TCP testbed with the client bound to `iface`,
+/// under the seed salts every campaign and golden was recorded with
+/// (and [`crate::ResetEndpoint`] replays).
+pub(crate) fn tcp_world(
+    wifi: &LinkSpec,
+    lte: &LinkSpec,
+    iface: Addr,
+    cfg: &TcpConfig,
+    seed: u64,
+) -> Sim<TcpClientHost, TcpServerHost> {
+    let client = TcpClientHost::new(iface, SERVER_ADDR, seed as u32 | 1);
+    let server = TcpServerHost::new(
+        SERVER_ADDR,
+        SERVER_PORT,
+        cfg.clone(),
+        (seed as u32) ^ 0xBEEF,
+    );
+    Sim::builder(client, server)
+        .wifi(wifi)
+        .lte(lte)
+        .seed(seed)
+        .build()
+}
+
+/// A fresh dual-homed MPTCP testbed, same salts as [`tcp_world`].
+fn mptcp_world(
+    wifi: &LinkSpec,
+    lte: &LinkSpec,
+    cfg: &MptcpConfig,
+    seed: u64,
+) -> Sim<MptcpClientHost, MptcpServerHost> {
+    let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
+    let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed ^ 0xBEEF);
+    Sim::builder(client, server)
+        .wifi(wifi)
+        .lte(lte)
+        .seed(seed)
+        .build()
 }
 
 /// Run a single-path TCP bulk download of `bytes` over `iface`
@@ -69,72 +228,10 @@ pub fn run_tcp_download(
     deadline: Dur,
     seed: u64,
 ) -> BulkResult {
-    let client = TcpClientHost::new(iface, SERVER_ADDR, seed as u32 | 1);
-    let server = TcpServerHost::new(
-        SERVER_ADDR,
-        SERVER_PORT,
-        cfg.clone(),
-        (seed as u32) ^ 0xBEEF,
-    );
-    let mut sim = Sim::builder(client, server)
-        .wifi(wifi)
-        .lte(lte)
-        .seed(seed)
-        .build();
-    drive_tcp_download(&mut sim, bytes, cfg, deadline, make_payload(bytes))
-}
-
-/// The single-path TCP download loop over an already-built world.
-/// Shared verbatim by [`run_tcp_download`] (fresh build per run) and
-/// [`crate::SimArena`] (reset-reuse), which is what makes the two paths
-/// bit-identical by construction.
-pub(crate) fn drive_tcp_download(
-    sim: &mut Sim<TcpClientHost, TcpServerHost>,
-    bytes: u64,
-    cfg: TcpConfig,
-    deadline: Dur,
-    payload: Bytes,
-) -> BulkResult {
+    let mut sim = tcp_world(wifi, lte, iface, &cfg, seed);
     let id = sim.client.connect(Time::ZERO, cfg, SERVER_PORT);
-    let mut progress = RateSeries::new();
-    progress.mark_start(Time::ZERO);
-    let mut sent = false;
-    sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.stack.take_accepted() {
-                    let conn = sim.server.stack.conn_mut(sid).unwrap();
-                    conn.send(payload.clone());
-                    conn.close(sim.now);
-                    sent = true;
-                }
-            }
-            if let Some(conn) = sim.client.stack.conn_mut(id) {
-                let _ = conn.take_delivered(); // the app reads its socket
-                progress.record(sim.now, conn.delivered_bytes());
-                conn.delivered_bytes() >= bytes
-            } else {
-                true
-            }
-        },
-        Time::ZERO + deadline,
-    );
-    let established = sim
-        .client
-        .stack
-        .conn(id)
-        .and_then(|c| c.stats().established_at)
-        .map(|t| t - Time::ZERO);
-    let completed = (progress.total_bytes() >= bytes).then(|| progress.end().unwrap() - Time::ZERO);
-    BulkResult {
-        progress,
-        established,
-        completed,
-        subflow_progress: Vec::new(),
-        wifi_log: sim.wifi_log.clone(),
-        lte_log: sim.lte_log.clone(),
-        requested_bytes: bytes,
-    }
+    let payload = make_payload(bytes);
+    bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {}).with_logs(&mut sim)
 }
 
 /// Run a single-path TCP bulk upload of `bytes` over `iface`.
@@ -147,74 +244,15 @@ pub fn run_tcp_upload(
     deadline: Dur,
     seed: u64,
 ) -> BulkResult {
-    let client = TcpClientHost::new(iface, SERVER_ADDR, seed as u32 | 1);
-    let server = TcpServerHost::new(
-        SERVER_ADDR,
-        SERVER_PORT,
-        cfg.clone(),
-        (seed as u32) ^ 0xBEEF,
-    );
-    let mut sim = Sim::builder(client, server)
-        .wifi(wifi)
-        .lte(lte)
-        .seed(seed)
-        .build();
-    drive_tcp_upload(&mut sim, bytes, cfg, deadline, make_payload(bytes))
-}
-
-/// The single-path TCP upload loop over an already-built world; see
-/// [`drive_tcp_download`] for why this is shared.
-pub(crate) fn drive_tcp_upload(
-    sim: &mut Sim<TcpClientHost, TcpServerHost>,
-    bytes: u64,
-    cfg: TcpConfig,
-    deadline: Dur,
-    payload: Bytes,
-) -> BulkResult {
+    let mut sim = tcp_world(wifi, lte, iface, &cfg, seed);
     let id = sim.client.connect(Time::ZERO, cfg, SERVER_PORT);
-    {
-        let conn = sim.client.stack.conn_mut(id).unwrap();
-        conn.send(payload);
-        conn.close(Time::ZERO);
-    }
-    let mut progress = RateSeries::new();
-    progress.mark_start(Time::ZERO);
-    sim.run_until(
-        |sim| {
-            let mut delivered = 0u64;
-            for sid in sim.server.stack.socket_ids() {
-                if let Some(c) = sim.server.stack.conn_mut(sid) {
-                    let _ = c.take_delivered(); // the app reads its socket
-                    delivered += c.delivered_bytes();
-                }
-            }
-            progress.record(sim.now, delivered);
-            delivered >= bytes
-        },
-        Time::ZERO + deadline,
-    );
-    let established = sim
-        .client
-        .stack
-        .conn(id)
-        .and_then(|c| c.stats().established_at)
-        .map(|t| t - Time::ZERO);
-    let completed = (progress.total_bytes() >= bytes).then(|| progress.end().unwrap() - Time::ZERO);
-    BulkResult {
-        progress,
-        established,
-        completed,
-        subflow_progress: Vec::new(),
-        wifi_log: sim.wifi_log.clone(),
-        lte_log: sim.lte_log.clone(),
-        requested_bytes: bytes,
-    }
+    let payload = make_payload(bytes);
+    bulk(&mut sim, id, FlowDir::Up, payload, deadline, |_, _| {}).with_logs(&mut sim)
 }
 
 /// Run an MPTCP bulk download with the given configuration and primary
-/// interface. Optional scripted events can be attached by the caller via
-/// the returned builder-style closure — for the standard studies use
-/// this directly.
+/// interface, sampling per-subflow receiver progress alongside the
+/// connection's.
 pub fn run_mptcp_download(
     wifi: &LinkSpec,
     lte: &LinkSpec,
@@ -224,60 +262,25 @@ pub fn run_mptcp_download(
     deadline: Dur,
     seed: u64,
 ) -> BulkResult {
-    let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
-    let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed ^ 0xBEEF);
-    let mut sim = Sim::builder(client, server)
-        .wifi(wifi)
-        .lte(lte)
-        .seed(seed)
-        .build();
+    let mut sim = mptcp_world(wifi, lte, &cfg, seed);
     let id = sim.client.open(Time::ZERO, cfg, primary, SERVER_PORT);
-    let mut progress = RateSeries::new();
-    progress.mark_start(Time::ZERO);
     let mut sub_wifi = RateSeries::new();
     let mut sub_lte = RateSeries::new();
     sub_wifi.mark_start(Time::ZERO);
     sub_lte.mark_start(Time::ZERO);
-    let mut sent = false;
-    sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let conn = sim.server.mp.conn_mut(sid);
-                    conn.send(make_payload(bytes));
-                    conn.close(sim.now);
-                    sent = true;
-                }
+    let payload = make_payload(bytes);
+    let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, _| {
+        for st in sim.client.mp.conn(id).subflow_stats() {
+            if st.iface == WIFI_ADDR {
+                sub_wifi.record(sim.now, st.bytes_delivered);
+            } else if st.iface == LTE_ADDR {
+                sub_lte.record(sim.now, st.bytes_delivered);
             }
-            let _ = sim.client.mp.conn_mut(id).take_delivered();
-            let conn = sim.client.mp.conn(id);
-            progress.record(sim.now, conn.delivered_bytes());
-            for st in conn.subflow_stats() {
-                if st.iface == WIFI_ADDR {
-                    sub_wifi.record(sim.now, st.bytes_delivered);
-                } else if st.iface == LTE_ADDR {
-                    sub_lte.record(sim.now, st.bytes_delivered);
-                }
-            }
-            conn.delivered_bytes() >= bytes
-        },
-        Time::ZERO + deadline,
-    );
-    let established = sim
-        .client
-        .mp
-        .conn(id)
-        .established_at()
-        .map(|t| t - Time::ZERO);
-    let completed = (progress.total_bytes() >= bytes).then(|| progress.end().unwrap() - Time::ZERO);
+        }
+    });
     BulkResult {
-        progress,
-        established,
-        completed,
         subflow_progress: vec![("wifi", sub_wifi), ("lte", sub_lte)],
-        wifi_log: sim.wifi_log,
-        lte_log: sim.lte_log,
-        requested_bytes: bytes,
+        ..r.with_logs(&mut sim)
     }
 }
 
@@ -291,47 +294,10 @@ pub fn run_mptcp_upload(
     deadline: Dur,
     seed: u64,
 ) -> BulkResult {
-    let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], seed | 1);
-    let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed ^ 0xBEEF);
-    let mut sim = Sim::builder(client, server)
-        .wifi(wifi)
-        .lte(lte)
-        .seed(seed)
-        .build();
+    let mut sim = mptcp_world(wifi, lte, &cfg, seed);
     let id = sim.client.open(Time::ZERO, cfg, primary, SERVER_PORT);
-    sim.client.mp.conn_mut(id).send(make_payload(bytes));
-    sim.client.mp.conn_mut(id).close(Time::ZERO);
-    let mut progress = RateSeries::new();
-    progress.mark_start(Time::ZERO);
-    sim.run_until(
-        |sim| {
-            let delivered = if sim.server.mp.is_empty() {
-                0
-            } else {
-                let _ = sim.server.mp.conn_mut(0).take_delivered();
-                sim.server.mp.conn(0).delivered_bytes()
-            };
-            progress.record(sim.now, delivered);
-            delivered >= bytes
-        },
-        Time::ZERO + deadline,
-    );
-    let established = sim
-        .client
-        .mp
-        .conn(id)
-        .established_at()
-        .map(|t| t - Time::ZERO);
-    let completed = (progress.total_bytes() >= bytes).then(|| progress.end().unwrap() - Time::ZERO);
-    BulkResult {
-        progress,
-        established,
-        completed,
-        subflow_progress: Vec::new(),
-        wifi_log: sim.wifi_log,
-        lte_log: sim.lte_log,
-        requested_bytes: bytes,
-    }
+    let payload = make_payload(bytes);
+    bulk(&mut sim, id, FlowDir::Up, payload, deadline, |_, _| {}).with_logs(&mut sim)
 }
 
 /// Measure the average round-trip time of `n` sequential 64-byte pings
@@ -520,6 +486,75 @@ mod tests {
             9,
         );
         assert!(r.is_complete());
+    }
+
+    #[test]
+    fn step_probe_sees_monotone_delivery_up_to_the_total() {
+        for dir in [FlowDir::Down, FlowDir::Up] {
+            let cfg = TcpConfig::default();
+            let mut sim = tcp_world(&wifi_fast(), &lte_slow(), WIFI_ADDR, &cfg, 7);
+            let id = sim.client.connect(Time::ZERO, cfg, SERVER_PORT);
+            let mut seen: Vec<u64> = Vec::new();
+            let payload = make_payload(200_000);
+            let r = bulk(&mut sim, id, dir, payload, Dur::from_secs(60), |_, d| {
+                seen.push(d)
+            });
+            assert!(r.is_complete(), "{dir:?}");
+            assert!(
+                seen.windows(2).all(|w| w[0] <= w[1]),
+                "{dir:?} went backwards"
+            );
+            assert_eq!(
+                seen.first(),
+                Some(&0),
+                "{dir:?} probe runs from the first step"
+            );
+            assert_eq!(
+                seen.last(),
+                Some(&200_000),
+                "{dir:?} probe sees the last byte"
+            );
+            // The logs stay with the world until the caller takes them.
+            let packets = sim.wifi_log.len();
+            assert!(packets > 0 && r.wifi_log.len() == 0, "{dir:?}");
+            assert_eq!(r.with_logs(&mut sim).wifi_log.len(), packets);
+            assert_eq!(sim.wifi_log.len(), 0);
+        }
+    }
+
+    #[test]
+    fn undeliverable_transfer_reports_none_and_stops_at_the_deadline() {
+        let cfg = TcpConfig::default();
+        let mut sim = tcp_world(&wifi_fast(), &lte_slow(), WIFI_ADDR, &cfg, 7);
+        // The only path dies mid-transfer and never comes back.
+        sim.schedule(
+            Time::from_millis(100),
+            crate::ScriptEvent::CutIface(WIFI_ADDR),
+        );
+        let id = sim.client.connect(Time::ZERO, cfg, SERVER_PORT);
+        let deadline = Dur::from_secs(20);
+        let mut last_step = Time::ZERO;
+        let payload = make_payload(1_000_000);
+        let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, _| {
+            last_step = sim.now
+        });
+        assert_eq!(r.completed, None);
+        assert!(!r.is_complete());
+        assert!(
+            r.progress.total_bytes() > 0,
+            "some bytes landed before the cut"
+        );
+        assert!(r.progress.total_bytes() < r.requested_bytes);
+        assert!(
+            sim.now <= Time::ZERO + deadline,
+            "clock overran: {}",
+            sim.now
+        );
+        assert_eq!(last_step, sim.now, "the probe saw the final step");
+        assert!(
+            sim.now > Time::from_secs(1),
+            "RTO backoff kept the run alive"
+        );
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! the fresh-build RNG chain — so arena results are bit-identical to
 //! fresh builds at the same parameters (pinned by tests below).
 
-use crate::apps::{drive_tcp_download, drive_tcp_upload, make_payload, BulkResult};
+use crate::apps::{bulk, make_payload, tcp_world, BulkResult, FlowDir};
 use crate::endpoint::{TcpClientHost, TcpServerHost};
 use crate::link::LinkSpec;
 use crate::world::Sim;
-use crate::{SERVER_ADDR, SERVER_PORT};
+use crate::SERVER_PORT;
 use bytes::Bytes;
 use mpwifi_netem::{Addr, FaultPlan};
-use mpwifi_simcore::Dur;
+use mpwifi_simcore::{Dur, Time};
 use mpwifi_tcp::conn::TcpConfig;
 
 /// Everything that varies between two runs of a re-used world: link
@@ -101,33 +101,37 @@ impl SimArena {
         p
     }
 
-    /// Build or re-arm the world for one run, then bind the client to
-    /// `iface`. Seed conventions match [`crate::apps::run_tcp_download`].
-    fn prepare(&mut self, wifi: &LinkSpec, lte: &LinkSpec, iface: Addr, seed: u64) {
-        match self.sim.as_mut() {
+    /// One fault-free transfer over the retained world: build it on
+    /// first use, re-arm it otherwise, bind the client to `iface`, and
+    /// hand it to the same [`bulk`] engine the fresh-build drivers call.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer(
+        &mut self,
+        wifi: &LinkSpec,
+        lte: &LinkSpec,
+        iface: Addr,
+        dir: FlowDir,
+        bytes: u64,
+        deadline: Dur,
+        seed: u64,
+    ) -> BulkResult {
+        let payload = self.payload(bytes);
+        let sim = match &mut self.sim {
             Some(sim) => {
                 sim.reset(&CampaignRun::new(wifi, lte, seed));
                 sim.client.iface = iface;
                 self.resets += 1;
+                sim
             }
-            None => {
-                let client = TcpClientHost::new(iface, SERVER_ADDR, seed as u32 | 1);
-                let server = TcpServerHost::new(
-                    SERVER_ADDR,
-                    SERVER_PORT,
-                    TcpConfig::default(),
-                    (seed as u32) ^ 0xBEEF,
-                );
-                self.sim = Some(
-                    Sim::builder(client, server)
-                        .wifi(wifi)
-                        .lte(lte)
-                        .seed(seed)
-                        .build(),
-                );
+            empty => {
                 self.builds += 1;
+                empty.insert(tcp_world(wifi, lte, iface, &TcpConfig::default(), seed))
             }
-        }
+        };
+        let id = sim
+            .client
+            .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
+        bulk(sim, id, dir, payload, deadline, |_, _| {}).with_logs(sim)
     }
 
     /// Single-path TCP bulk download over `iface`; bit-identical to
@@ -141,10 +145,7 @@ impl SimArena {
         deadline: Dur,
         seed: u64,
     ) -> BulkResult {
-        self.prepare(wifi, lte, iface, seed);
-        let payload = self.payload(bytes);
-        let sim = self.sim.as_mut().expect("prepare always installs a sim");
-        drive_tcp_download(sim, bytes, TcpConfig::default(), deadline, payload)
+        self.transfer(wifi, lte, iface, FlowDir::Down, bytes, deadline, seed)
     }
 
     /// Single-path TCP bulk upload over `iface`; bit-identical to
@@ -158,10 +159,7 @@ impl SimArena {
         deadline: Dur,
         seed: u64,
     ) -> BulkResult {
-        self.prepare(wifi, lte, iface, seed);
-        let payload = self.payload(bytes);
-        let sim = self.sim.as_mut().expect("prepare always installs a sim");
-        drive_tcp_upload(sim, bytes, TcpConfig::default(), deadline, payload)
+        self.transfer(wifi, lte, iface, FlowDir::Up, bytes, deadline, seed)
     }
 
     /// Pooled encode buffers held by the retained world (0 before the

@@ -27,16 +27,10 @@ pub trait Endpoint: 'static {
     fn on_segment(&mut self, now: Time, seg: &Segment, src: Addr, dst: Addr);
 
     /// Drain outgoing segments as `(source interface, destination,
-    /// segment)`.
-    fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)>;
-
-    /// Allocation-free [`Endpoint::take_tx`]: append outgoing segments
-    /// to a caller-provided buffer. The sim driver calls this twice per
-    /// step with a reused scratch buffer; hosts on the transfer hot
-    /// path override it to avoid the default's per-call `Vec`.
-    fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        out.extend(self.take_tx(now));
-    }
+    /// segment)`, appending to a caller-provided buffer: the sim driver
+    /// calls this twice per step with a reused scratch, so the hot loop
+    /// never allocates a segment `Vec`.
+    fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>);
 
     /// Earliest pending timer.
     fn next_timer(&self) -> Option<Time>;
@@ -159,12 +153,6 @@ impl Endpoint for TcpClientHost {
         self.stack.on_segment(now, seg);
     }
 
-    fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
-    }
-
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         let mut segs = std::mem::take(&mut self.tx_scratch);
         self.stack.take_tx_into(now, &mut segs);
@@ -239,12 +227,6 @@ impl Endpoint for TcpServerHost {
     fn on_segment(&mut self, now: Time, seg: &Segment, src: Addr, _dst: Addr) {
         self.peer_addr.insert((seg.dst_port, seg.src_port), src);
         self.stack.on_segment(now, seg);
-    }
-
-    fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
     }
 
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
@@ -323,10 +305,6 @@ impl Endpoint for MptcpClientHost {
         self.mp.on_segment(now, seg);
     }
 
-    fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        self.mp.take_tx(now)
-    }
-
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         self.mp.take_tx_into(now, out);
     }
@@ -377,10 +355,6 @@ impl Endpoint for MptcpServerHost {
         self.mp.on_segment(now, seg, src);
     }
 
-    fn take_tx(&mut self, now: Time) -> Vec<(Addr, Addr, Segment)> {
-        self.mp.take_tx(now)
-    }
-
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         self.mp.take_tx_into(now, out);
     }
@@ -407,11 +381,17 @@ mod tests {
     use super::*;
     use mpwifi_tcp::segment::Flags;
 
+    fn take_tx(host: &mut impl Endpoint) -> Vec<(Addr, Addr, Segment)> {
+        let mut out = Vec::new();
+        host.take_tx_into(Time::ZERO, &mut out);
+        out
+    }
+
     #[test]
     fn tcp_client_stamps_its_interface() {
         let mut c = TcpClientHost::new(Addr(2), Addr(10), 1);
         c.connect(Time::ZERO, TcpConfig::default(), 443);
-        let tx = c.take_tx(Time::ZERO);
+        let tx = take_tx(&mut c);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].0, Addr(2));
         assert_eq!(tx[0].1, Addr(10));
@@ -427,7 +407,7 @@ mod tests {
             seg
         };
         s.on_segment(Time::ZERO, &syn, Addr(2), Addr(10));
-        let tx = s.take_tx(Time::ZERO);
+        let tx = take_tx(&mut s);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].0, Addr(10));
         assert_eq!(tx[0].1, Addr(2), "SYN-ACK routed back to the LTE iface");
@@ -438,7 +418,7 @@ mod tests {
     fn mptcp_client_primary_iface_selected() {
         let mut c = MptcpClientHost::new(Addr(10), [Addr(1), Addr(2)], 3);
         c.open(Time::ZERO, MptcpConfig::default(), Addr(2), 443);
-        let tx = c.take_tx(Time::ZERO);
+        let tx = take_tx(&mut c);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].0, Addr(2), "primary SYN leaves on LTE");
     }

@@ -17,8 +17,10 @@
 //!   exit or retransmission timer, routes frames by interface address,
 //!   applies scripted failure events, and keeps per-interface packet
 //!   logs (the `tcpdump` substitute behind Figure 15);
-//! * [`apps`] — reusable workload drivers (bulk transfers with progress
-//!   sampling, request/response exchanges, pings);
+//! * [`socket`] — the app-facing seam: one [`Socket`] operation list
+//!   for both stacks' connections, id lookup on all four hosts;
+//! * [`apps`] — the workload drivers: [`apps::bulk`], the one bulk
+//!   transfer loop over that seam, its fresh-world wrappers, and pings;
 //! * [`SimArena`] — crowd-campaign reuse: one built world re-armed per
 //!   run via [`Sim::reset`] / [`CampaignRun`], so million-user sweeps
 //!   pay for allocation once per worker instead of once per user.
@@ -29,9 +31,10 @@ pub mod check;
 pub mod endpoint;
 pub mod link;
 pub mod log;
+pub mod socket;
 pub mod world;
 
-pub use apps::{measure_ping, BulkResult};
+pub use apps::{measure_ping, BulkResult, FlowDir};
 pub use arena::{CampaignRun, SimArena};
 pub use check::{SimObserver, TxHost};
 pub use endpoint::{
@@ -39,6 +42,7 @@ pub use endpoint::{
 };
 pub use link::{LinkSpec, PathPair, ServiceSpec};
 pub use log::{PacketDir, PacketEvent, PacketLog};
+pub use socket::{Accept, Socket, SocketHost};
 pub use world::{RunUntil, ScriptEvent, Sim, SimBuilder, StallSnapshot, STALL_CLASSIFY_WINDOW};
 
 use mpwifi_netem::Addr;

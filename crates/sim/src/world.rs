@@ -384,7 +384,9 @@ impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
     /// Re-arm this built world for a new campaign run, reusing every
     /// allocation a fresh build would have to make: the segment-buffer
     /// pool stays warm, the link stages keep their queue storage, the
-    /// scratch frame buffers and packet-log vectors keep their capacity.
+    /// scratch frame buffers and packet-log vectors keep their capacity
+    /// (unless the logs were moved out: [`crate::SimArena`] hands them to
+    /// each run's result rather than cloning them).
     ///
     /// Behavior is pinned to be *bit-identical* to a fresh
     /// [`Sim::builder`] build at the same run parameters: the RNG chain
@@ -832,11 +834,6 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     /// Cumulative payload bytes delivered to either endpoint.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
-    }
-
-    /// Run until the simulation quiesces or `deadline` passes.
-    pub fn run_to_quiescence(&mut self, deadline: Time) {
-        self.run_until(|_| false, deadline);
     }
 }
 

@@ -91,31 +91,53 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Every counter by name, in declaration order, writable: the one
+    /// list the `--metrics` sidecar and the serve protocol render and
+    /// parse from, so a counter added here reaches both.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 17] {
+        [
+            ("events_popped", &mut self.events_popped),
+            ("frames_forwarded", &mut self.frames_forwarded),
+            ("bytes_delivered", &mut self.bytes_delivered),
+            ("tcp_retransmits", &mut self.tcp_retransmits),
+            ("segments_encoded", &mut self.segments_encoded),
+            ("enc_buffers_reused", &mut self.enc_buffers_reused),
+            ("enc_buffers_allocated", &mut self.enc_buffers_allocated),
+            ("scratch_high_water", &mut self.scratch_high_water),
+            ("faults_injected", &mut self.faults_injected),
+            (
+                "segments_corrupted_dropped",
+                &mut self.segments_corrupted_dropped,
+            ),
+            ("subflows_declared_dead", &mut self.subflows_declared_dead),
+            ("reinjections", &mut self.reinjections),
+            ("recovery_time_us", &mut self.recovery_time_us),
+            (
+                "segments_dropped_unroutable",
+                &mut self.segments_dropped_unroutable,
+            ),
+            ("sched_picks_rejected", &mut self.sched_picks_rejected),
+            ("redundant_dups", &mut self.redundant_dups),
+            ("dup_bytes_dropped", &mut self.dup_bytes_dropped),
+        ]
+    }
+
+    /// Every counter as `(name, value)`, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 17] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+
     /// Counter-wise difference (`self` minus an earlier `baseline`).
     /// `scratch_high_water` is a peak, not a sum, so the later snapshot's
     /// value is reported as-is.
     pub fn since(&self, baseline: &RunMetrics) -> RunMetrics {
-        RunMetrics {
-            events_popped: self.events_popped - baseline.events_popped,
-            frames_forwarded: self.frames_forwarded - baseline.frames_forwarded,
-            bytes_delivered: self.bytes_delivered - baseline.bytes_delivered,
-            tcp_retransmits: self.tcp_retransmits - baseline.tcp_retransmits,
-            segments_encoded: self.segments_encoded - baseline.segments_encoded,
-            enc_buffers_reused: self.enc_buffers_reused - baseline.enc_buffers_reused,
-            enc_buffers_allocated: self.enc_buffers_allocated - baseline.enc_buffers_allocated,
-            scratch_high_water: self.scratch_high_water,
-            faults_injected: self.faults_injected - baseline.faults_injected,
-            segments_corrupted_dropped: self.segments_corrupted_dropped
-                - baseline.segments_corrupted_dropped,
-            subflows_declared_dead: self.subflows_declared_dead - baseline.subflows_declared_dead,
-            reinjections: self.reinjections - baseline.reinjections,
-            recovery_time_us: self.recovery_time_us - baseline.recovery_time_us,
-            segments_dropped_unroutable: self.segments_dropped_unroutable
-                - baseline.segments_dropped_unroutable,
-            sched_picks_rejected: self.sched_picks_rejected - baseline.sched_picks_rejected,
-            redundant_dups: self.redundant_dups - baseline.redundant_dups,
-            dup_bytes_dropped: self.dup_bytes_dropped - baseline.dup_bytes_dropped,
+        let mut delta = *self;
+        for ((_, v), (_, base)) in delta.fields_mut().into_iter().zip(baseline.fields()) {
+            *v -= base;
         }
+        delta.scratch_high_water = self.scratch_high_water;
+        delta
     }
 }
 
@@ -281,6 +303,62 @@ mod tests {
         assert_eq!(s.tcp_retransmits, 1);
         reset();
         assert_eq!(snapshot(), RunMetrics::default());
+    }
+
+    #[test]
+    fn fields_name_every_counter_once_and_round_trip() {
+        let mut m = RunMetrics::default();
+        for (i, (_, slot)) in m.fields_mut().into_iter().enumerate() {
+            *slot = i as u64 + 1;
+        }
+        // Exhaustive destructuring: a new counter fails to compile here
+        // until it is also added to `fields_mut`.
+        let RunMetrics {
+            events_popped,
+            frames_forwarded,
+            bytes_delivered,
+            tcp_retransmits,
+            segments_encoded,
+            enc_buffers_reused,
+            enc_buffers_allocated,
+            scratch_high_water,
+            faults_injected,
+            segments_corrupted_dropped,
+            subflows_declared_dead,
+            reinjections,
+            recovery_time_us,
+            segments_dropped_unroutable,
+            sched_picks_rejected,
+            redundant_dups,
+            dup_bytes_dropped,
+        } = m;
+        let by_decl = [
+            events_popped,
+            frames_forwarded,
+            bytes_delivered,
+            tcp_retransmits,
+            segments_encoded,
+            enc_buffers_reused,
+            enc_buffers_allocated,
+            scratch_high_water,
+            faults_injected,
+            segments_corrupted_dropped,
+            subflows_declared_dead,
+            reinjections,
+            recovery_time_us,
+            segments_dropped_unroutable,
+            sched_picks_rejected,
+            redundant_dups,
+            dup_bytes_dropped,
+        ];
+        assert_eq!(by_decl, std::array::from_fn(|i| i as u64 + 1));
+        assert_eq!(m.fields().map(|(_, v)| v), by_decl);
+        let mut names = m.fields().map(|(name, _)| name).to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 17, "every name distinct");
+        assert_eq!(m.fields()[15].0, "redundant_dups");
+        assert_eq!(m.fields()[16].0, "dup_bytes_dropped");
     }
 
     #[test]

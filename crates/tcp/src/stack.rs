@@ -66,18 +66,6 @@ impl TcpStack {
         id
     }
 
-    /// Open a client connection but do not send the SYN yet; the caller
-    /// may attach handshake options first, then call
-    /// [`TcpConnection::open`]. Used by the MPTCP layer.
-    pub fn connect_deferred(&mut self, cfg: TcpConfig, remote_port: u16) -> SocketId {
-        let local_port = self.alloc_ephemeral(remote_port);
-        let iss = self.next_iss();
-        let conn = TcpConnection::client(cfg, local_port, remote_port, iss);
-        let id = (local_port, remote_port);
-        self.conns.insert(id, conn);
-        id
-    }
-
     fn alloc_ephemeral(&mut self, remote_port: u16) -> u16 {
         for _ in 0..=u16::MAX {
             let p = self.next_ephemeral;
@@ -158,17 +146,9 @@ impl TcpStack {
         }
     }
 
-    /// Drain outgoing segments from every connection, in deterministic
-    /// (sorted socket id) order.
-    pub fn take_tx(&mut self, now: Time) -> Vec<Segment> {
-        let mut out = Vec::new();
-        self.take_tx_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free [`TcpStack::take_tx`]: drain outgoing segments
-    /// from every connection into a caller-provided buffer, in the same
-    /// deterministic sorted-socket-id order.
+    /// Drain outgoing segments from every connection into a
+    /// caller-provided buffer, in deterministic (sorted socket id)
+    /// order.
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<Segment>) {
         for c in self.conns.values_mut() {
             c.take_tx_into(now, out);
@@ -219,13 +199,16 @@ mod tests {
 
         fn pump(&mut self) {
             // Collect outgoing segments from both sides.
-            for seg in self.a.take_tx(self.now) {
+            let mut tx = Vec::new();
+            self.a.take_tx_into(self.now, &mut tx);
+            for seg in tx.drain(..) {
                 let dropped = self.drop_fn.as_mut().is_some_and(|f| f(&seg));
                 if !dropped {
                     self.in_flight.push((self.now + self.delay, true, seg));
                 }
             }
-            for seg in self.b.take_tx(self.now) {
+            self.b.take_tx_into(self.now, &mut tx);
+            for seg in tx {
                 self.in_flight.push((self.now + self.delay, false, seg));
             }
         }

@@ -9,6 +9,7 @@
 use bytes::Bytes;
 use mpwifi::mptcp::{BackupActivation, CcKind, Mode, MptcpConfig};
 use mpwifi::radio::{PowerModel, RadioKind};
+use mpwifi::sim::apps::{bulk, close_and_drain, FlowDir};
 use mpwifi::sim::endpoint::{MptcpClientHost, MptcpServerHost};
 use mpwifi::sim::{LinkSpec, ScriptEvent, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
 use mpwifi::simcore::{Dur, Time};
@@ -38,28 +39,16 @@ fn main() {
     sim.schedule(Time::from_secs(5), ScriptEvent::NotifyIfaceDown(WIFI_ADDR));
     let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
 
-    let mut sent = false;
-    let done = sim.run_until(
-        |sim| {
-            if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let conn = sim.server.mp.conn_mut(sid);
-                    conn.send(Bytes::from(vec![9u8; BYTES as usize]));
-                    conn.close(sim.now);
-                    sent = true;
-                }
-            }
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
-        },
-        Time::from_secs(120),
-    );
-    let done = done.held();
-    let now = sim.now;
-    sim.client.mp.conn_mut(id).close(now);
-    sim.run_until(
-        |sim| sim.client.mp.conn(0).is_closed(),
-        now + Dur::from_secs(10),
-    );
+    // One download through the shared transfer engine: it feeds the
+    // accepted server socket, reads the client's every step, and calls
+    // the probe (unused here) after each read.
+    let payload = Bytes::from(vec![9u8; BYTES as usize]);
+    let deadline = Dur::from_secs(120);
+    let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |_, _| {});
+    // Close our side and let the FINs play out, so the world's packet
+    // logs end the way a tcpdump would.
+    close_and_drain(&mut sim, id);
+    let done = r.completed.is_some();
 
     println!("3 MB download, WiFi primary, LTE backup, WiFi cut at t = 5 s");
     println!("  completed: {done} at t = {}", sim.now);

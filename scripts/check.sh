@@ -10,6 +10,9 @@
 #                           iteration (cargo bench -- --test). Speed is
 #                           tracked by stackbench/ and BENCHMARK.json,
 #                           not here.
+#                report     `repro all extensions --seed 42 --markdown`
+#                           regenerates EXPERIMENTS.md byte-for-byte
+#                           (cmp against the committed file).
 #                faults     the three fault-* experiments at quick scale
 #                           complete, recover and reproduce.
 #                conformance  a fixed-seed fuzz campaign (25 cases;
@@ -88,6 +91,10 @@ if [ "$FULL" -eq 1 ]; then
     REPRO=./target/release/repro
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
+
+    echo "== report: EXPERIMENTS.md regenerates byte-for-byte"
+    "$REPRO" all extensions --seed 42 --markdown "$TMP/exp.md" >/dev/null
+    cmp "$TMP/exp.md" EXPERIMENTS.md
 
     echo "== fault smoke: fault-* experiments at quick scale"
     "$REPRO" fault-sweep fault-restore fault-noise --seed 42 >/dev/null
