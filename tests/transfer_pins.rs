@@ -77,3 +77,79 @@ fn replay_is_pinned_for_both_transport_kinds() {
     });
     assert_eq!(actual, expected);
 }
+
+/// `(completed ns, events popped, TCP retransmits, reinjections)` of one
+/// 1 MB `run_mptcp_download` with a zoo cell's config.
+fn zoo_pin(
+    loc: &mpwifi::radio::LocationCondition,
+    sched: mpwifi::mptcp::SchedKind,
+    cc: mpwifi::mptcp::CcKind,
+) -> (u64, u64, u64, u64) {
+    let cfg = mpwifi::mptcp::MptcpConfig {
+        cc,
+        sched,
+        ..mpwifi::mptcp::MptcpConfig::default()
+    };
+    let before = metrics::snapshot();
+    let r = mpwifi::sim::apps::run_mptcp_download(
+        &loc.wifi,
+        &loc.lte,
+        WIFI_ADDR,
+        1_000_000,
+        cfg,
+        Dur::from_secs(300),
+        42,
+    );
+    let m = metrics::snapshot().since(&before);
+    (
+        r.completed.map_or(0, Dur::as_nanos),
+        m.events_popped,
+        m.tcp_retransmits,
+        m.reinjections,
+    )
+}
+
+/// The scheduler zoo at one WiFi-faster and one LTE-faster location,
+/// recorded at the commit *before* the MPTCP bulk-path optimisation
+/// (PR 15) and never edited by it. BLEST and ECF count `pick` calls in
+/// `defer_streak`, so a dropped or added `pump_send` poll moves their
+/// rows first.
+#[test]
+fn scheduler_zoo_is_pinned_at_contrasting_locations() {
+    use mpwifi::mptcp::CcKind::{Cubic, Lia};
+    use mpwifi::mptcp::SchedKind::*;
+    let locations = paper_locations(42);
+    let wifi_faster = locations.iter().find(|l| !l.lte_faster()).unwrap();
+    let lte_faster = locations.iter().find(|l| l.lte_faster()).unwrap();
+    let cells = [
+        (MinRtt, Lia),
+        (RoundRobin, Lia),
+        (Blest, Lia),
+        (Ecf, Lia),
+        (Redundant, Lia),
+        (Blest, Cubic),
+        (Ecf, Cubic),
+    ];
+    let expected = [
+        [
+            (2_628_678_180, 5528, 287, 0),
+            (2_628_678_180, 5528, 287, 0),
+            (2_628_678_180, 5607, 289, 0),
+            (2_628_678_180, 5667, 291, 0),
+            (2_512_809_884, 5416, 251, 94),
+            (2_578_011_513, 5659, 288, 0),
+            (2_578_011_513, 5702, 301, 0),
+        ],
+        [
+            (2_625_250_240, 1774, 4, 0),
+            (2_625_250_240, 1774, 4, 0),
+            (2_625_250_240, 1775, 4, 0),
+            (2_638_583_573, 1785, 4, 0),
+            (2_597_846_331, 1801, 4, 38),
+            (2_582_461_716, 1750, 4, 0),
+            (2_579_384_793, 1743, 4, 0),
+        ],
+    ];
+    let actual = [wifi_faster, lte_faster].map(|loc| cells.map(|(s, c)| zoo_pin(loc, s, c)));
+    assert_eq!(actual, expected);
+}
