@@ -23,9 +23,9 @@ use mpwifi_simcore::{metrics, Dur, Time};
 use mpwifi_tcp::buffer::{RecvBuffer, SendBuffer};
 use mpwifi_tcp::cc::{CcKind as TcpCcKind, CubicCc, RenoCc};
 use mpwifi_tcp::conn::{TcpConfig, TcpConnection};
-use mpwifi_tcp::segment::Segment;
+use mpwifi_tcp::segment::{Segment, TcpOption};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// The paper's two operating modes (Section 3.6), plus the
@@ -109,6 +109,27 @@ struct MapEntry {
 impl MapEntry {
     fn sf_end(&self) -> u64 {
         self.sf_off + self.len
+    }
+
+    /// Does `next` carry on where this entry stops, in both the subflow
+    /// and the data sequence space (so the two are one mapping)?
+    fn continues_into(&self, next: &MapEntry) -> bool {
+        self.sf_end() == next.sf_off && self.dsn + self.len == next.dsn
+    }
+}
+
+/// One entry of the assigned-chunk log: `len` connection-level bytes at
+/// `dsn`, last handed to subflow `sf` for (re)transmission.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    dsn: u64,
+    len: u64,
+    sf: usize,
+}
+
+impl Chunk {
+    fn end(&self) -> u64 {
+        self.dsn + self.len
     }
 }
 
@@ -228,13 +249,10 @@ impl Subflow {
     }
 
     fn push_tx_map(&mut self, entry: MapEntry) {
-        if let Some(last) = self.tx_maps.last_mut() {
-            if last.sf_end() == entry.sf_off && last.dsn + last.len == entry.dsn {
-                last.len += entry.len;
-                return;
-            }
+        match self.tx_maps.last_mut() {
+            Some(last) if last.continues_into(&entry) => last.len += entry.len,
+            _ => self.tx_maps.push(entry),
         }
-        self.tx_maps.push(entry);
     }
 
     /// Insert a received mapping, keeping `rx_maps` sorted and
@@ -242,30 +260,34 @@ impl Subflow {
     /// retransmissions (a retransmitted segment re-announces the part of
     /// the mapping it carries), but never conflict: the sender's DSN
     /// assignment for a subflow offset is immutable. Only the uncovered
-    /// pieces of the incoming entry are inserted.
+    /// pieces of the incoming entry are inserted, and a piece that carries
+    /// on from its predecessor extends it (as `push_tx_map` does), so an
+    /// in-order stream keeps one growing entry rather than one per
+    /// segment.
     fn push_rx_map(&mut self, entry: MapEntry) {
         let mut start = entry.sf_off;
         let end = entry.sf_end();
         while start < end {
-            // Existing entry covering `start`, if any.
-            let covering = self
-                .rx_maps
-                .iter()
-                .position(|e| start >= e.sf_off && start < e.sf_end());
-            if let Some(i) = covering {
-                start = self.rx_maps[i].sf_end();
-                continue;
-            }
-            // Uncovered at `start`: the piece runs to the next existing
-            // entry or to the end of the incoming mapping.
-            let pos = self.rx_maps.partition_point(|e| e.sf_off <= start);
-            let piece_end = self.rx_maps.get(pos).map_or(end, |e| e.sf_off.min(end));
+            // The first entry ending past `start` either covers it or is
+            // where the uncovered piece must stop.
+            let pos = self.rx_maps.partition_point(|e| e.sf_end() <= start);
+            let piece_end = match self.rx_maps.get(pos) {
+                Some(e) if e.sf_off <= start => {
+                    start = e.sf_end();
+                    continue;
+                }
+                Some(e) => e.sf_off.min(end),
+                None => end,
+            };
             let piece = MapEntry {
                 sf_off: start,
                 dsn: entry.dsn + (start - entry.sf_off),
                 len: piece_end - start,
             };
-            self.rx_maps.insert(pos, piece);
+            match pos.checked_sub(1).map(|prev| &mut self.rx_maps[prev]) {
+                Some(prev) if prev.continues_into(&piece) => prev.len += piece.len,
+                _ => self.rx_maps.insert(pos, piece),
+            }
             start = piece_end;
         }
     }
@@ -302,8 +324,12 @@ pub struct MptcpConnection {
     // ---- send side ----
     snd_buf: SendBuffer,
     dsn_next: u64,
-    /// Chunks assigned to subflows, keyed by DSN (for reinjection).
-    assigned: BTreeMap<u64, (u64, usize)>,
+    /// Chunks assigned to subflows and not yet fully data-acked, sorted
+    /// by DSN (for reinjection and redundant replay). Fresh chunks are
+    /// appended; a reinjected suffix shares its original's end, so chunk
+    /// ends never decrease along the log and the fully-acked chunks are
+    /// always a prefix.
+    assigned: VecDeque<Chunk>,
     /// Peer's cumulative connection-level ACK.
     data_ack_in: u64,
     fin_queued: bool,
@@ -344,8 +370,25 @@ pub struct MptcpConnection {
     test_redundant_suppress: bool,
     /// Count of data DSS mappings emitted (drives the knob above).
     dss_maps_emitted: u64,
-    /// Reused per-subflow segment buffer for [`MptcpConnection::take_tx_into`].
-    tx_raw_scratch: Vec<Segment>,
+    /// Reused scheduler snapshot for [`MptcpConnection::pump_send`].
+    views_scratch: Vec<SubflowView>,
+    /// Reused chunk list for [`MptcpConnection::pump_receive`].
+    rx_scratch: Vec<Bytes>,
+    /// The last [`MptcpConnection::pump_send`] left fresh data with the
+    /// scheduler still able to act on it: a repeat poll would reach
+    /// `Scheduler::pick` with room on offer, and BLEST/ECF count those
+    /// calls (DESIGN.md, determinism contract), so the poll is
+    /// observable and must happen.
+    pick_pending: bool,
+    /// Nothing has touched this connection since a
+    /// [`MptcpConnection::take_tx_into`] that ended with no pick pending.
+    /// Until the next touch or due timer every poll (`take_tx_into`,
+    /// `on_timers`, `next_timer`) repeats one that already ran to
+    /// completion, and returns at once — which is what lets an endpoint
+    /// poll its idle, window-limited and closed connections for free.
+    settled: bool,
+    /// [`MptcpConnection::next_timer`] as of settling.
+    settled_timer: Option<Time>,
 }
 
 impl MptcpConnection {
@@ -420,7 +463,7 @@ impl MptcpConnection {
             subflows: Vec::new(),
             snd_buf: SendBuffer::new(),
             dsn_next: 0,
-            assigned: BTreeMap::new(),
+            assigned: VecDeque::new(),
             data_ack_in: 0,
             fin_queued: false,
             rcv_buf: RecvBuffer::new(recv_buf),
@@ -438,7 +481,11 @@ impl MptcpConnection {
             test_sched_stall_after: 0,
             test_redundant_suppress: false,
             dss_maps_emitted: 0,
-            tx_raw_scratch: Vec::new(),
+            views_scratch: Vec::new(),
+            rx_scratch: Vec::new(),
+            pick_pending: false,
+            settled: false,
+            settled_timer: None,
         }
     }
 
@@ -451,6 +498,7 @@ impl MptcpConnection {
     /// self-tests.
     #[doc(hidden)]
     pub fn set_test_dss_double_send(&mut self, every: u64) {
+        self.settled = false;
         self.test_dss_double_every = every;
     }
 
@@ -462,6 +510,7 @@ impl MptcpConnection {
     /// self-tests.
     #[doc(hidden)]
     pub fn set_test_sched_stall_after(&mut self, threshold: u64) {
+        self.settled = false;
         self.test_sched_stall_after = threshold;
     }
 
@@ -470,6 +519,7 @@ impl MptcpConnection {
     /// Never set in real runs.
     #[doc(hidden)]
     pub fn set_test_redundant_suppress(&mut self, suppress: bool) {
+        self.settled = false;
         self.test_redundant_suppress = suppress;
     }
 
@@ -519,6 +569,7 @@ impl MptcpConnection {
     pub fn connect(&mut self, now: Time) {
         assert_eq!(self.role, Role::Client);
         assert!(self.subflows.is_empty(), "connect() called twice");
+        self.settled = false;
         self.opened_at = Some(now);
         let spec = self.paths[0];
         let mut conn =
@@ -558,6 +609,7 @@ impl MptcpConnection {
         key_peer: u64,
     ) -> usize {
         assert_eq!(self.role, Role::Server);
+        self.settled = false;
         self.opened_at = Some(now);
         self.key_peer = Some(key_peer);
         let mut conn = self.make_subflow_conn(seg.dst_port, seg.src_port, self.iss_base, false);
@@ -596,6 +648,7 @@ impl MptcpConnection {
         backup: bool,
     ) -> usize {
         assert_eq!(self.role, Role::Server);
+        self.settled = false;
         let iss = self.iss_base.wrapping_add(0x2000_0000);
         let mut conn = self.make_subflow_conn(seg.dst_port, seg.src_port, iss, false);
         conn.on_segment(now, seg);
@@ -626,17 +679,20 @@ impl MptcpConnection {
     /// Queue connection-level data.
     pub fn send(&mut self, data: Bytes) {
         assert!(!self.fin_queued, "send() after close()");
+        self.settled = false;
         self.snd_buf.append(data);
     }
 
     /// Close our direction (DATA_FIN after all data).
     pub fn close(&mut self, _now: Time) {
+        self.settled = false;
         self.fin_queued = true;
     }
 
     /// Abort the whole MPTCP connection: an MP_FASTCLOSE rides out on a
     /// live subflow, then every subflow is reset locally.
     pub fn abort(&mut self, now: Time) {
+        self.settled = false;
         if let Some(live) = self
             .subflows
             .iter()
@@ -655,6 +711,7 @@ impl MptcpConnection {
     }
 
     fn finish_abort(&mut self, now: Time) {
+        self.settled = false;
         for sf in &mut self.subflows {
             if !sf.conn.is_closed() {
                 sf.conn.abort(now);
@@ -667,6 +724,14 @@ impl MptcpConnection {
     /// Drain connection-level in-order data.
     pub fn take_delivered(&mut self) -> Vec<Bytes> {
         self.rcv_buf.take_delivered()
+    }
+
+    /// Read and drop everything delivered so far (an application that
+    /// only counts bytes). Like [`MptcpConnection::take_delivered`] it
+    /// reaches no subflow — the connection-level buffer advertises no
+    /// window — so a read is not a touch.
+    pub fn discard_delivered(&mut self) {
+        self.rcv_buf.discard_delivered();
     }
 
     /// Connection-level bytes delivered in order to the application.
@@ -720,7 +785,13 @@ impl MptcpConnection {
 
     /// Per-subflow observability.
     pub fn subflow_stats(&self) -> Vec<SubflowStats> {
-        self.subflows.iter().map(|s| s.stats()).collect()
+        self.subflow_stats_iter().collect()
+    }
+
+    /// [`MptcpConnection::subflow_stats`] without the `Vec`: what a
+    /// per-step probe walks.
+    pub fn subflow_stats_iter(&self) -> impl Iterator<Item = SubflowStats> + '_ {
+        self.subflows.iter().map(|s| s.stats())
     }
 
     /// Scheduler-progress snapshot for harnesses and the conformance
@@ -793,6 +864,7 @@ impl MptcpConnection {
     /// Kills subflows on that interface and tells the peer via
     /// REMOVE_ADDR on a surviving subflow.
     pub fn notify_iface_down(&mut self, now: Time, iface: Addr) {
+        self.settled = false;
         let dead_ids: Vec<(usize, u8)> = self
             .subflows
             .iter()
@@ -878,11 +950,10 @@ impl MptcpConnection {
         let pending: Vec<(u64, u64)> = self
             .assigned
             .iter()
-            .filter(|(_, (_, sf))| *sf == dead_idx)
-            .filter(|(&dsn, &(len, _))| dsn + len > self.data_ack_in)
-            .map(|(&dsn, &(len, _))| {
-                let start = dsn.max(self.data_ack_in);
-                (start, dsn + len - start)
+            .filter(|c| c.sf == dead_idx && c.end() > self.data_ack_in)
+            .map(|c| {
+                let start = c.dsn.max(self.data_ack_in);
+                (start, c.end() - start)
             })
             .collect();
         for (dsn, len) in pending {
@@ -945,6 +1016,7 @@ impl MptcpConnection {
             metrics::record_segment_dropped_unroutable();
             return;
         }
+        self.settled = false;
         // 1. MPTCP option processing.
         for opt in mp_options(seg) {
             match opt {
@@ -963,15 +1035,14 @@ impl MptcpConnection {
                         self.data_ack_in = data_ack;
                         let release = self.data_ack_in.min(self.snd_buf.end());
                         self.snd_buf.advance_to(release);
-                        // Prune fully-acked assignments.
-                        let done: Vec<u64> = self
+                        // Prune fully-acked assignments: a prefix of
+                        // the log (see `assigned`).
+                        while self
                             .assigned
-                            .range(..self.data_ack_in)
-                            .filter(|(&dsn, &(len, _))| dsn + len <= self.data_ack_in)
-                            .map(|(&dsn, _)| dsn)
-                            .collect();
-                        for d in done {
-                            self.assigned.remove(&d);
+                            .front()
+                            .is_some_and(|c| c.end() <= self.data_ack_in)
+                        {
+                            self.assigned.pop_front();
                         }
                     }
                     if let Some(m) = map {
@@ -1032,9 +1103,10 @@ impl MptcpConnection {
     }
 
     fn pump_receive(&mut self, now: Time, sf_idx: usize) {
-        let chunks = self.subflows[sf_idx].conn.take_delivered();
+        let mut chunks = std::mem::take(&mut self.rx_scratch);
+        self.subflows[sf_idx].conn.take_delivered_into(&mut chunks);
         let mut violated = false;
-        'chunks: for chunk in chunks {
+        'chunks: for chunk in chunks.drain(..) {
             let mut off = self.subflows[sf_idx].rx_cursor;
             let mut rest = chunk;
             while !rest.is_empty() {
@@ -1066,6 +1138,7 @@ impl MptcpConnection {
             }
             self.subflows[sf_idx].rx_cursor = off;
         }
+        self.rx_scratch = chunks;
         if violated {
             self.kill_subflow(now, sf_idx);
         }
@@ -1150,6 +1223,7 @@ impl MptcpConnection {
         if !self.wants_rejoin(iface) {
             return;
         }
+        self.settled = false;
         let base = self
             .paths
             .iter()
@@ -1209,19 +1283,17 @@ impl MptcpConnection {
         let BackupActivation::OnRtoCount(n) = self.cfg.backup_activation else {
             return;
         };
-        let victims: Vec<usize> = self
-            .subflows
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                !s.dead
-                    && (s.conn.consecutive_retries() >= n
-                        || (s.conn.is_closed() && s.conn.error().is_some()))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for idx in victims {
-            self.kill_subflow(now, idx);
+        // Killing one subflow moves data onto others (or opens a fresh
+        // one) but never makes another a victim, so one pass in index
+        // order is the collect-then-kill it replaces.
+        for idx in 0..self.subflows.len() {
+            let s = &self.subflows[idx];
+            if !s.dead
+                && (s.conn.consecutive_retries() >= n
+                    || (s.conn.is_closed() && s.conn.error().is_some()))
+            {
+                self.kill_subflow(now, idx);
+            }
         }
     }
 
@@ -1229,28 +1301,28 @@ impl MptcpConnection {
     // Scheduling & transmission
     // ------------------------------------------------------------------
 
-    fn subflow_views(&self) -> Vec<SubflowView> {
+    /// Snapshot every subflow's schedulability into `views` (cleared
+    /// first): the scheduler's input, rebuilt before each decision into a
+    /// buffer the connection keeps.
+    fn fill_views(&self, views: &mut Vec<SubflowView>) {
         let any_regular_alive = self
             .subflows
             .iter()
             .any(|s| !s.dead && !s.is_backup && s.conn.is_established());
-        self.subflows
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| {
-                let eligible =
-                    !s.dead && s.conn.is_established() && (!s.is_backup || !any_regular_alive);
-                let window = s.conn.cwnd().min(s.conn.send_window());
-                let used = s.conn.in_flight() + s.conn.bytes_unsent();
-                SubflowView {
-                    idx,
-                    eligible,
-                    room: window.saturating_sub(used),
-                    cwnd: s.conn.cwnd(),
-                    srtt: s.conn.srtt(),
-                }
-            })
-            .collect()
+        views.clear();
+        views.extend(self.subflows.iter().enumerate().map(|(idx, s)| {
+            let eligible =
+                !s.dead && s.conn.is_established() && (!s.is_backup || !any_regular_alive);
+            let cwnd = s.conn.cwnd();
+            let used = s.conn.in_flight() + s.conn.bytes_unsent();
+            SubflowView {
+                idx,
+                eligible,
+                room: cwnd.min(s.conn.send_window()).saturating_sub(used),
+                cwnd,
+                srtt: s.conn.srtt(),
+            }
+        }));
     }
 
     fn push_chunk_to_subflow(&mut self, sf_idx: usize, dsn: u64, len: u64) {
@@ -1263,7 +1335,22 @@ impl MptcpConnection {
             len,
         });
         sf.tx_pushed += len;
-        self.assigned.insert(dsn, (len, sf_idx));
+        // Record the chunk, or re-home it when a reinjection starts at
+        // the same DSN. Fresh data always lands at the back.
+        let chunk = Chunk {
+            dsn,
+            len,
+            sf: sf_idx,
+        };
+        if self.assigned.back().is_none_or(|last| last.dsn < dsn) {
+            self.assigned.push_back(chunk);
+            return;
+        }
+        let pos = self.assigned.partition_point(|c| c.dsn < dsn);
+        match self.assigned.get_mut(pos) {
+            Some(slot) if slot.dsn == dsn => *slot = chunk,
+            _ => self.assigned.insert(pos, chunk),
+        }
     }
 
     /// Push a redundant copy of an already-assigned chunk onto another
@@ -1289,35 +1376,33 @@ impl MptcpConnection {
     /// `assigned` is pruned as data-ACKs advance, so the per-subflow
     /// cursor walk naturally skips acknowledged data; the receiver
     /// dedups by DSN and counts the losers in `dup_bytes_dropped`.
-    fn pump_redundant_replay(&mut self) {
-        for v in self.subflow_views() {
+    fn pump_redundant_replay(&mut self, views: &[SubflowView]) {
+        for v in views {
             if !v.eligible {
                 continue;
             }
             let mut room = v.room;
-            loop {
-                let cur = self.subflows[v.idx].red_cursor;
-                let Some((dsn, len, owner)) = self
-                    .assigned
-                    .range(cur..)
-                    .next()
-                    .map(|(&dsn, &(len, owner))| (dsn, len, owner))
-                else {
-                    break;
-                };
-                if owner == v.idx {
-                    // This subflow already carries the chunk.
-                    self.subflows[v.idx].red_cursor = dsn + len;
+            // Replaying never edits the log, so one search finds the
+            // cursor and the walk is by index from there.
+            let cur = self.subflows[v.idx].red_cursor;
+            let mut next = self.assigned.partition_point(|c| c.dsn < cur);
+            while let Some(&chunk) = self.assigned.get(next) {
+                next += 1;
+                if chunk.dsn < self.subflows[v.idx].red_cursor {
+                    // A reinjected suffix of the chunk just passed.
                     continue;
                 }
-                if room < len {
-                    break;
+                if chunk.sf != v.idx {
+                    if room < chunk.len {
+                        break;
+                    }
+                    self.push_dup_to_subflow(v.idx, chunk.dsn, chunk.len);
+                    metrics::record_reinjection();
+                    metrics::record_redundant_dup();
+                    room -= chunk.len;
                 }
-                self.push_dup_to_subflow(v.idx, dsn, len);
-                metrics::record_reinjection();
-                metrics::record_redundant_dup();
-                self.subflows[v.idx].red_cursor = dsn + len;
-                room -= len;
+                // Replayed, or this subflow already carries the chunk.
+                self.subflows[v.idx].red_cursor = chunk.end();
             }
         }
     }
@@ -1325,6 +1410,8 @@ impl MptcpConnection {
     fn pump_send(&mut self, now: Time) {
         self.flush_pending_reinjects();
         let mss = self.cfg.tcp.mss as u64;
+        let mut views = std::mem::take(&mut self.views_scratch);
+        let mut blocked = false;
         // Assign fresh data.
         while self.dsn_next < self.snd_buf.end() {
             if self.test_sched_stall_after != 0 && self.dsn_next >= self.test_sched_stall_after {
@@ -1332,9 +1419,13 @@ impl MptcpConnection {
                 // `set_test_sched_stall_after`).
                 break;
             }
-            let views = self.subflow_views();
+            self.fill_views(&mut views);
             let remaining = self.snd_buf.end() - self.dsn_next;
             let Some(pick) = self.scheduler.pick(&views, remaining) else {
+                // With no room on offer every scheduler answers `None`
+                // before it touches its state; with room, `None` is a
+                // BLEST/ECF deferral, and those count calls.
+                blocked = !views.iter().any(|v| v.eligible && v.room > 0);
                 break;
             };
             // A scheduler must answer with one of the views it was
@@ -1353,9 +1444,12 @@ impl MptcpConnection {
             self.dsn_next += len;
             self.push_chunk_to_subflow(pick, dsn, len);
         }
+        self.pick_pending = self.dsn_next < self.snd_buf.end() && !blocked;
         if self.scheduler.kind() == SchedKind::Redundant && !self.test_redundant_suppress {
-            self.pump_redundant_replay();
+            self.fill_views(&mut views);
+            self.pump_redundant_replay(&views);
         }
+        self.views_scratch = views;
         // DATA_FIN announcement: once the stream end is known and all
         // data is assigned, keep nudging a live subflow to emit a DSS
         // carrying the FIN until the peer data-acks it (the DSS itself
@@ -1411,16 +1505,27 @@ impl MptcpConnection {
     /// Earliest timer across subflows (plus the DATA_FIN re-announce
     /// deadline).
     pub fn next_timer(&self) -> Option<Time> {
+        if self.settled {
+            return self.settled_timer;
+        }
+        self.scan_timers()
+    }
+
+    fn scan_timers(&self) -> Option<Time> {
         self.subflows
             .iter()
             .filter(|s| !s.dead)
-            .filter_map(|s| s.conn.next_timer())
-            .chain(self.fin_announce_deadline)
-            .min()
+            .fold(self.fin_announce_deadline, |next, s| {
+                Time::earlier(next, s.conn.next_timer())
+            })
     }
 
     /// Fire due subflow timers.
     pub fn on_timers(&mut self, now: Time) {
+        if self.settled && self.settled_timer.is_none_or(|t| t > now) {
+            return;
+        }
+        self.settled = false;
         for sf in &mut self.subflows {
             if !sf.dead && sf.conn.next_timer().is_some_and(|t| t <= now) {
                 sf.conn.on_timers(now);
@@ -1430,50 +1535,73 @@ impl MptcpConnection {
         self.pump_send(now);
     }
 
-    /// Drain decorated outgoing segments — `(subflow index, local iface,
-    /// remote addr, segment)` — into a caller-provided buffer, reusing
-    /// an internal per-subflow scratch for the raw TCP segments.
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(usize, Addr, Addr, Segment)>) {
+    /// Drain decorated outgoing segments — `(local iface, remote addr,
+    /// segment)` — into a caller-provided buffer. Each segment is popped
+    /// off its subflow's queue, decorated in place and pushed: there is
+    /// no intermediate list.
+    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
+        if self.settled {
+            if cfg!(debug_assertions) {
+                // Debug builds re-run the drain to hold the claim that
+                // it has nothing left to do.
+                let before = (out.len(), self.settled_timer);
+                self.drain_tx(now, out);
+                let after = (out.len(), self.scan_timers());
+                assert_eq!(after, before, "a settled connection had output");
+            }
+            return;
+        }
+        self.drain_tx(now, out);
+    }
+
+    fn drain_tx(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         self.pump_send(now);
         let data_ack = self.data_ack_out();
         let fin_ready = self.data_fin_ready();
         let fin_dsn = self.snd_buf.end();
-        let mut raw = std::mem::take(&mut self.tx_raw_scratch);
         for idx in 0..self.subflows.len() {
-            raw.clear();
-            self.subflows[idx].conn.take_tx_into(now, &mut raw);
-            for seg in raw.drain(..) {
-                for piece in self.decorate(idx, seg, data_ack, fin_ready, fin_dsn) {
-                    let sf = &self.subflows[idx];
-                    out.push((idx, sf.iface, sf.remote_addr, piece));
-                }
+            self.subflows[idx].conn.poll_output(now);
+            while let Some(seg) = self.subflows[idx].conn.pop_tx() {
+                self.decorate_into(idx, seg, data_ack, fin_ready, fin_dsn, out);
             }
         }
-        self.tx_raw_scratch = raw;
+        // Everything above is idempotent except the scheduler's call
+        // counting, so with no pick pending the connection is settled
+        // (the teardown below, when it fires, is a touch).
+        self.settled = !self.pick_pending;
+        if self.settled {
+            self.settled_timer = self.scan_timers();
+        }
         // Once the FASTCLOSE has left, tear the subflows down locally.
         if self.aborting && !self.aborted && self.subflows.iter().all(|s| !s.pending_fastclose) {
             self.finish_abort(now);
         }
     }
 
-    /// Attach DSS (and pending REMOVE_ADDR) to an outgoing subflow
-    /// segment, splitting it when the payload spans a mapping boundary.
-    fn decorate(
+    /// Attach DSS (and pending REMOVE_ADDR / MP_FASTCLOSE) to an outgoing
+    /// subflow segment and push it to `out`. A data segment whose payload
+    /// one mapping covers — nearly all of them — leaves as the segment it
+    /// came in as; only a payload spanning a mapping boundary is split.
+    fn decorate_into(
         &mut self,
         sf_idx: usize,
-        seg: Segment,
+        mut seg: Segment,
         data_ack: u64,
         fin_ready: bool,
         fin_dsn: u64,
-    ) -> Vec<Segment> {
+        out: &mut Vec<(Addr, Addr, Segment)>,
+    ) {
+        let (iface, remote) = {
+            let sf = &self.subflows[sf_idx];
+            (sf.iface, sf.remote_addr)
+        };
         // SYN segments carry only handshake options, never DSS.
         if seg.flags.syn {
-            return vec![seg];
+            out.push((iface, remote, seg));
+            return;
         }
-        let pending_ra: Vec<u8> = std::mem::take(&mut self.subflows[sf_idx].pending_remove_addr);
 
         if seg.payload.is_empty() {
-            let mut seg = seg;
             // Option budget: timestamp (10) + up to 2 SACK ranges (18)
             // may already be present; a DSS with DATA_FIN (20) would
             // overflow 40. Degrade gracefully: try the full DSS, then
@@ -1485,9 +1613,8 @@ impl MptcpConnection {
                 fin: fin_ready,
                 fin_dsn,
             };
-            let mut pushed = false;
-            push_if_room(&mut seg, full, || pushed = true);
-            let fin_deferred = std::mem::take(&mut pushed);
+            let mut fin_deferred = false;
+            push_if_room(&mut seg, full, || fin_deferred = true);
             if fin_deferred {
                 let no_fin = MpOption::Dss {
                     data_ack,
@@ -1503,86 +1630,102 @@ impl MptcpConnection {
                     seg.options.push(no_fin.to_tcp_option());
                 }
             }
-            for addr_id in pending_ra {
-                push_if_room(&mut seg, MpOption::RemoveAddr { addr_id }, || {
-                    self.subflows[sf_idx].pending_remove_addr.push(addr_id);
-                });
-            }
-            if self.subflows[sf_idx].pending_fastclose {
-                let mut deferred = false;
-                push_if_room(&mut seg, MpOption::MpFastclose, || deferred = true);
-                if !deferred {
-                    self.subflows[sf_idx].pending_fastclose = false;
-                }
-            }
-            return vec![seg];
+            self.attach_control(sf_idx, &mut seg);
+            out.push((iface, remote, seg));
+            return;
         }
 
-        // Data segment: split along mapping boundaries.
+        // Data segment: one DSS per mapping the payload touches.
         let base_off = self.subflows[sf_idx].conn.send_stream_off_of_seq(seg.seq);
-        let mut pieces = Vec::new();
+        let total = seg.payload.len();
+        let Some(&entry) = self.subflows[sf_idx].tx_map_at(base_off) else {
+            // A retransmission queued earlier can be overtaken by an
+            // ACK (and map pruning) arriving later in the same event
+            // batch; the bytes are already acknowledged, so the stale
+            // segment is simply dropped.
+            return;
+        };
+        let within = base_off - entry.sf_off;
+        if entry.len - within >= total as u64 {
+            let dss = self.mint_dss(data_ack, entry.dsn + within, total);
+            seg.options.push(dss);
+            self.attach_control(sf_idx, &mut seg);
+            out.push((iface, remote, seg));
+            return;
+        }
+        // The payload runs past the mapping: split along the boundaries.
         let mut consumed = 0usize;
-        while consumed < seg.payload.len() {
+        while consumed < total {
             let off = base_off + consumed as u64;
             let Some(&entry) = self.subflows[sf_idx].tx_map_at(off) else {
-                // A retransmission queued earlier can be overtaken by an
-                // ACK (and map pruning) arriving later in the same event
-                // batch; the bytes are already acknowledged, so the stale
-                // piece is simply dropped.
-                break;
+                break; // stale tail, as above
             };
             let within = off - entry.sf_off;
-            let take = ((entry.len - within) as usize).min(seg.payload.len() - consumed);
+            let take = ((entry.len - within) as usize).min(total - consumed);
+            let last = consumed + take == total;
             let mut piece = Segment {
                 payload: seg.payload.slice(consumed..consumed + take),
                 seq: seg.seq.wrapping_add(consumed as u32),
                 options: seg.options.clone(),
-                ..seg.clone()
+                // PSH and the subflow-level FIN only on the final piece.
+                flags: mpwifi_tcp::segment::Flags {
+                    psh: seg.flags.psh && last,
+                    fin: seg.flags.fin && last,
+                    ..seg.flags
+                },
+                ..seg
             };
-            // PSH only on the final piece.
-            piece.flags.psh = seg.flags.psh && consumed + take == seg.payload.len();
-            // FIN (subflow-level) only on the final piece.
-            piece.flags.fin = seg.flags.fin && consumed + take == seg.payload.len();
-            let mut dsn = entry.dsn + within;
-            self.dss_maps_emitted += 1;
-            if self.test_dss_double_every != 0
-                && self
-                    .dss_maps_emitted
-                    .is_multiple_of(self.test_dss_double_every)
-            {
-                // Deliberate fault (see `set_test_dss_double_send`):
-                // point the mapping at the range just before its true
-                // one, so the payload claims DSNs it does not carry.
-                dsn = dsn.saturating_sub(take as u64);
+            let dss = self.mint_dss(data_ack, entry.dsn + within, take);
+            piece.options.push(dss);
+            if consumed == 0 {
+                self.attach_control(sf_idx, &mut piece);
             }
-            let dss = MpOption::Dss {
-                data_ack,
-                map: Some(DssMap {
-                    dsn,
-                    len: take as u16,
-                }),
-                fin: false,
-                fin_dsn: 0,
-            };
-            piece.options.push(dss.to_tcp_option());
-            pieces.push(piece);
+            out.push((iface, remote, piece));
             consumed += take;
         }
-        if let Some(first) = pieces.first_mut() {
-            for addr_id in pending_ra {
-                push_if_room(first, MpOption::RemoveAddr { addr_id }, || {
-                    self.subflows[sf_idx].pending_remove_addr.push(addr_id);
-                });
-            }
-            if self.subflows[sf_idx].pending_fastclose {
-                let mut deferred = false;
-                push_if_room(first, MpOption::MpFastclose, || deferred = true);
-                if !deferred {
-                    self.subflows[sf_idx].pending_fastclose = false;
-                }
-            }
+    }
+
+    /// The DSS option mapping `len` payload bytes to `dsn`, counted for
+    /// (and, when armed, bent by) the double-send fault knob.
+    fn mint_dss(&mut self, data_ack: u64, mut dsn: u64, len: usize) -> TcpOption {
+        self.dss_maps_emitted += 1;
+        if self.test_dss_double_every != 0
+            && self
+                .dss_maps_emitted
+                .is_multiple_of(self.test_dss_double_every)
+        {
+            // Deliberate fault (see `set_test_dss_double_send`):
+            // point the mapping at the range just before its true
+            // one, so the payload claims DSNs it does not carry.
+            dsn = dsn.saturating_sub(len as u64);
         }
-        pieces
+        MpOption::Dss {
+            data_ack,
+            map: Some(DssMap {
+                dsn,
+                len: len as u16,
+            }),
+            fin: false,
+            fin_dsn: 0,
+        }
+        .to_tcp_option()
+    }
+
+    /// Let the subflow's pending REMOVE_ADDRs and MP_FASTCLOSE ride out
+    /// on `seg`; what does not fit the option budget stays queued, in
+    /// order, for the next segment.
+    fn attach_control(&mut self, sf_idx: usize, seg: &mut Segment) {
+        let sf = &mut self.subflows[sf_idx];
+        for addr_id in std::mem::take(&mut sf.pending_remove_addr) {
+            push_if_room(seg, MpOption::RemoveAddr { addr_id }, || {
+                sf.pending_remove_addr.push(addr_id);
+            });
+        }
+        if sf.pending_fastclose {
+            let mut deferred = false;
+            push_if_room(seg, MpOption::MpFastclose, || deferred = true);
+            sf.pending_fastclose = deferred;
+        }
     }
 }
 

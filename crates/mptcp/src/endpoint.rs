@@ -23,8 +23,6 @@ pub struct ClientEndpoint {
     conns: Vec<MptcpConnection>,
     next_port: u16,
     key_rng: DetRng,
-    /// Reused per-connection buffer for [`ClientEndpoint::take_tx_into`].
-    tx_scratch: Vec<(usize, Addr, Addr, Segment)>,
 }
 
 impl ClientEndpoint {
@@ -38,7 +36,6 @@ impl ClientEndpoint {
             conns: Vec::new(),
             next_port: 40_000,
             key_rng: DetRng::seed_from_u64(key_seed),
-            tx_scratch: Vec::new(),
         }
     }
 
@@ -124,7 +121,9 @@ impl ClientEndpoint {
 
     /// Earliest timer across connections.
     pub fn next_timer(&self) -> Option<Time> {
-        self.conns.iter().filter_map(|c| c.next_timer()).min()
+        self.conns
+            .iter()
+            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
     }
 
     /// Fire due timers.
@@ -135,19 +134,12 @@ impl ClientEndpoint {
     }
 
     /// Drain outgoing segments — `(local interface, remote address,
-    /// segment)` — into a caller-provided buffer, reusing an internal
-    /// per-connection scratch (the per-step driver path).
+    /// segment)` — into a caller-provided buffer (the per-step driver
+    /// path).
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        let mut raw = std::mem::take(&mut self.tx_scratch);
         for conn in &mut self.conns {
-            raw.clear();
-            conn.take_tx_into(now, &mut raw);
-            out.extend(
-                raw.drain(..)
-                    .map(|(_, iface, remote, seg)| (iface, remote, seg)),
-            );
+            conn.take_tx_into(now, out);
         }
-        self.tx_scratch = raw;
     }
 
     /// Local notification that an interface was disabled (`multipath
@@ -186,8 +178,6 @@ pub struct ServerEndpoint {
     conns: Vec<MptcpConnection>,
     accepted: Vec<usize>,
     key_rng: DetRng,
-    /// Reused per-connection buffer for [`ServerEndpoint::take_tx_into`].
-    tx_scratch: Vec<(usize, Addr, Addr, Segment)>,
 }
 
 impl ServerEndpoint {
@@ -207,7 +197,6 @@ impl ServerEndpoint {
             conns: Vec::new(),
             accepted: Vec::new(),
             key_rng: DetRng::seed_from_u64(key_seed ^ 0xA24B_AED4_963E_E407),
-            tx_scratch: Vec::new(),
         }
     }
 
@@ -289,7 +278,9 @@ impl ServerEndpoint {
 
     /// Earliest timer across connections.
     pub fn next_timer(&self) -> Option<Time> {
-        self.conns.iter().filter_map(|c| c.next_timer()).min()
+        self.conns
+            .iter()
+            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
     }
 
     /// Fire due timers.
@@ -300,19 +291,12 @@ impl ServerEndpoint {
     }
 
     /// Drain outgoing segments — `(local interface, remote address,
-    /// segment)` — into a caller-provided buffer, reusing an internal
-    /// per-connection scratch (the per-step driver path).
+    /// segment)` — into a caller-provided buffer (the per-step driver
+    /// path).
     pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        let mut raw = std::mem::take(&mut self.tx_scratch);
         for conn in &mut self.conns {
-            raw.clear();
-            conn.take_tx_into(now, &mut raw);
-            out.extend(
-                raw.drain(..)
-                    .map(|(_, iface, remote, seg)| (iface, remote, seg)),
-            );
+            conn.take_tx_into(now, out);
         }
-        self.tx_scratch = raw;
     }
 }
 

@@ -230,11 +230,11 @@ impl MpOption {
     }
 }
 
-/// All MPTCP options carried by a segment, in order.
-pub fn mp_options(seg: &Segment) -> Vec<MpOption> {
+/// All MPTCP options carried by a segment, in order (decoded as the
+/// caller walks them: the receive path runs once per segment).
+pub fn mp_options(seg: &Segment) -> impl Iterator<Item = MpOption> + '_ {
     seg.raw_options(OPT_KIND_MPTCP)
         .filter_map(|d| MpOption::decode(d))
-        .collect()
 }
 
 /// Derive the 32-bit connection token from a key.
@@ -352,7 +352,7 @@ mod tests {
         ];
         let wire = seg.encode();
         let back = Segment::decode(&wire).unwrap();
-        let opts = mp_options(&back);
+        let opts: Vec<MpOption> = mp_options(&back).collect();
         assert_eq!(opts, vec![dss]);
     }
 

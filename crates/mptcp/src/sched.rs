@@ -136,6 +136,13 @@ impl Scheduler {
     /// eligible subflow has room (or a latency-aware scheduler defers).
     /// `remaining` is the number of fresh bytes still waiting to be
     /// scheduled (send-buffer end minus next DSN).
+    ///
+    /// Two kinds of `None`, and the connection's polling depends on the
+    /// difference. With no room on offer every scheduler answers before
+    /// it touches its state, so such a call may be repeated or skipped
+    /// freely. A BLEST/ECF deferral *counts the call* towards
+    /// [`DEFER_CAP`]: how often the connection polls with room on offer
+    /// decides when the forced send happens.
     pub fn pick(&mut self, views: &[SubflowView], remaining: u64) -> Option<usize> {
         match self.kind {
             SchedKind::MinRtt | SchedKind::Redundant => min_rtt_pick(views).map(|v| v.idx),
@@ -408,6 +415,56 @@ mod tests {
             }
         }
         assert_eq!(sent, Some(1), "defer cap must force progress");
+    }
+
+    #[test]
+    fn defer_cap_counts_calls_not_time() {
+        // The coupling the connection's polling has to respect: with
+        // room on offer, every `pick` is one deferral, whatever the
+        // clock says and however little changed between calls. Exactly
+        // `DEFER_CAP` consecutive `None`s, then a forced send, then the
+        // count starts over — so dropping or adding one poll that
+        // reaches `pick` moves the forced send.
+        let deferring = [
+            (
+                SchedKind::Blest,
+                [
+                    view_cwnd(0, true, 0, 14_000, Some(10)),
+                    view_cwnd(1, true, 1400, 1400, Some(100)),
+                ],
+                1_400,
+            ),
+            (
+                SchedKind::Ecf,
+                [
+                    view_cwnd(0, true, 0, 140_000, Some(10)),
+                    view_cwnd(1, true, 1400, 1400, Some(300)),
+                ],
+                100_000,
+            ),
+        ];
+        for (kind, views, remaining) in deferring {
+            let mut s = Scheduler::new(kind);
+            for round in 0..3 {
+                for call in 0..DEFER_CAP {
+                    assert_eq!(s.pick(&views, remaining), None, "{kind:?} {round}/{call}");
+                }
+                assert_eq!(s.pick(&views, remaining), Some(1), "{kind:?} round {round}");
+            }
+            // With no room anywhere the answer is `None` and the count
+            // neither moves nor restarts: such polls are free to repeat
+            // or to skip, even in the middle of a streak.
+            let blocked = [views[0], view_cwnd(1, true, 0, 1400, Some(100))];
+            for call in 0..DEFER_CAP {
+                if call == 3 {
+                    for _ in 0..3 * DEFER_CAP {
+                        assert_eq!(s.pick(&blocked, remaining), None);
+                    }
+                }
+                assert_eq!(s.pick(&views, remaining), None, "{kind:?} after/{call}");
+            }
+            assert_eq!(s.pick(&views, remaining), Some(1), "{kind:?} after blocked");
+        }
     }
 
     #[test]

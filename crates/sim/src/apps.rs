@@ -270,7 +270,7 @@ pub fn run_mptcp_download(
     sub_lte.mark_start(Time::ZERO);
     let payload = make_payload(bytes);
     let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, _| {
-        for st in sim.client.mp.conn(id).subflow_stats() {
+        for st in sim.client.mp.conn(id).subflow_stats_iter() {
             if st.iface == WIFI_ADDR {
                 sub_wifi.record(sim.now, st.bytes_delivered);
             } else if st.iface == LTE_ADDR {

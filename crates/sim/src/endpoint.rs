@@ -67,6 +67,24 @@ pub trait ResetEndpoint: Endpoint {
     fn reset_run(&mut self, run_seed: u64);
 }
 
+/// The sink a TCP host hands its stack: each drained segment is stamped
+/// with `(source, destination)` by `route` on its way into the driver's
+/// buffer, or dropped when `route` has nowhere to send it.
+struct Addressed<'a, F> {
+    out: &'a mut Vec<(Addr, Addr, Segment)>,
+    route: F,
+}
+
+impl<F: FnMut(&Segment) -> Option<(Addr, Addr)>> Extend<Segment> for Addressed<'_, F> {
+    fn extend<I: IntoIterator<Item = Segment>>(&mut self, segs: I) {
+        let Addressed { out, route } = self;
+        out.extend(
+            segs.into_iter()
+                .filter_map(|seg| route(&seg).map(|(src, dst)| (src, dst, seg))),
+        );
+    }
+}
+
 /// Render one `TcpStack` as health lines (shared by both TCP hosts).
 fn tcp_stack_health(stack: &TcpStack) -> String {
     let mut out = String::new();
@@ -94,9 +112,9 @@ fn mptcp_conn_health(out: &mut String, id: usize, conn: &mpwifi_mptcp::MptcpConn
         "mptcp conn {id} — {}delivered {} B, {} subflows",
         if conn.is_closed() { "closed, " } else { "" },
         conn.delivered_bytes(),
-        conn.subflow_stats().len(),
+        conn.subflow_count(),
     );
-    for s in conn.subflow_stats() {
+    for s in conn.subflow_stats_iter() {
         let _ = writeln!(
             out,
             "  subflow {} (id {}){}{}: {}, acked {} B, delivered {} B{}",
@@ -127,8 +145,6 @@ pub struct TcpClientHost {
     server_addr: Addr,
     /// The underlying connection stack (public for workload drivers).
     pub stack: TcpStack,
-    /// Reused segment buffer for [`Endpoint::take_tx_into`].
-    tx_scratch: Vec<Segment>,
 }
 
 impl TcpClientHost {
@@ -138,7 +154,6 @@ impl TcpClientHost {
             iface,
             server_addr,
             stack: TcpStack::new(iss_seed),
-            tx_scratch: Vec::new(),
         }
     }
 
@@ -154,13 +169,14 @@ impl Endpoint for TcpClientHost {
     }
 
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        let mut segs = std::mem::take(&mut self.tx_scratch);
-        self.stack.take_tx_into(now, &mut segs);
-        out.extend(
-            segs.drain(..)
-                .map(|seg| (self.iface, self.server_addr, seg)),
+        let route = Some((self.iface, self.server_addr));
+        self.stack.take_tx_into(
+            now,
+            &mut Addressed {
+                out,
+                route: |_: &Segment| route,
+            },
         );
-        self.tx_scratch = segs;
     }
 
     fn next_timer(&self) -> Option<Time> {
@@ -198,8 +214,6 @@ pub struct TcpServerHost {
     /// [`ResetEndpoint::reset_run`] so a re-armed server accepts on the
     /// same ports a fresh one would.
     listens: Vec<(u16, TcpConfig)>,
-    /// Reused segment buffer for [`Endpoint::take_tx_into`].
-    tx_scratch: Vec<Segment>,
 }
 
 impl TcpServerHost {
@@ -212,7 +226,6 @@ impl TcpServerHost {
             stack,
             peer_addr: HashMap::new(),
             listens: vec![(listen_port, cfg)],
-            tx_scratch: Vec::new(),
         }
     }
 
@@ -231,18 +244,16 @@ impl Endpoint for TcpServerHost {
 
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
         let local = self.local_addr;
-        let mut segs = std::mem::take(&mut self.tx_scratch);
-        self.stack.take_tx_into(now, &mut segs);
         let peer_addr = &self.peer_addr;
-        out.extend(segs.drain(..).filter_map(|seg| {
-            // A reply whose peer interface was never learned (the
-            // connection's only inbound segment was corrupted away,
-            // say) has nowhere to go: drop it rather than panic.
-            // The connection's own retransmit timer recovers.
+        // A reply whose peer interface was never learned (the
+        // connection's only inbound segment was corrupted away, say)
+        // has nowhere to go: drop it rather than panic. The
+        // connection's own retransmit timer recovers.
+        let route = |seg: &Segment| {
             let dst = peer_addr.get(&(seg.src_port, seg.dst_port)).copied()?;
-            Some((local, dst, seg))
-        }));
-        self.tx_scratch = segs;
+            Some((local, dst))
+        };
+        self.stack.take_tx_into(now, &mut Addressed { out, route });
     }
 
     fn next_timer(&self) -> Option<Time> {

@@ -25,6 +25,8 @@ pub trait Socket {
     fn close(&mut self, now: Time);
     /// Drain the in-order chunks delivered since the last call.
     fn take_delivered(&mut self) -> Vec<Bytes>;
+    /// Read and drop the chunks delivered since the last call.
+    fn discard_delivered(&mut self);
     /// Cumulative in-order bytes delivered to the application.
     fn delivered_bytes(&self) -> u64;
     /// Handshake completion time (the primary subflow's, for MPTCP).
@@ -36,10 +38,10 @@ pub trait Socket {
     /// that opened it. `None` while an MPTCP connection has no subflow.
     fn ports(&self) -> Option<(u16, u16)>;
 
-    /// The app reads its socket: drain what arrived, return the
+    /// The app reads its socket: consume what arrived, return the
     /// cumulative count.
     fn read(&mut self) -> u64 {
-        let _ = self.take_delivered();
+        self.discard_delivered();
         self.delivered_bytes()
     }
 }
@@ -53,6 +55,9 @@ impl Socket for TcpConnection {
     }
     fn take_delivered(&mut self) -> Vec<Bytes> {
         TcpConnection::take_delivered(self)
+    }
+    fn discard_delivered(&mut self) {
+        TcpConnection::discard_delivered(self);
     }
     fn delivered_bytes(&self) -> u64 {
         TcpConnection::delivered_bytes(self)
@@ -77,6 +82,9 @@ impl Socket for MptcpConnection {
     }
     fn take_delivered(&mut self) -> Vec<Bytes> {
         MptcpConnection::take_delivered(self)
+    }
+    fn discard_delivered(&mut self) {
+        MptcpConnection::discard_delivered(self);
     }
     fn delivered_bytes(&self) -> u64 {
         MptcpConnection::delivered_bytes(self)

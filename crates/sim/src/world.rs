@@ -614,8 +614,14 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
 
     fn apply_script(&mut self) {
         let due = self.script.partition_point(|&(t, _)| t <= self.now);
+        if due == 0 {
+            return;
+        }
         self.script_fired += due as u64;
-        for (_, ev) in self.script.drain(..due).collect::<Vec<_>>() {
+        // The due prefix is split off so the handlers below are free to
+        // borrow the rest of the world.
+        let mut script = std::mem::take(&mut self.script);
+        for (_, ev) in script.drain(..due) {
             match ev {
                 ScriptEvent::CutIface(iface) => self.pair_mut(iface).set_up(false),
                 ScriptEvent::RestoreIface(iface) => self.pair_mut(iface).set_up(true),
@@ -650,20 +656,15 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
         }
+        self.script = script;
     }
 
     /// Earliest future event of any kind.
     fn next_event(&self) -> Option<Time> {
-        [
-            self.wifi.next_ready(),
-            self.lte.next_ready(),
-            self.client.next_timer(),
-            self.server.next_timer(),
-            self.script.first().map(|&(t, _)| t),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let links = Time::earlier(self.wifi.next_ready(), self.lte.next_ready());
+        let hosts = Time::earlier(self.client.next_timer(), self.server.next_timer());
+        let script = self.script.first().map(|&(t, _)| t);
+        Time::earlier(Time::earlier(links, hosts), script)
     }
 
     /// Advance to the next event. Returns `false` when the simulation has

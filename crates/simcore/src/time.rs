@@ -86,6 +86,19 @@ impl Time {
     pub fn checked_since(self, earlier: Time) -> Option<Dur> {
         self.0.checked_sub(earlier.0).map(Dur)
     }
+
+    /// The earlier of two optional deadlines (`None` = not armed). The
+    /// event loop folds every timer of every connection through this
+    /// several times per step, so it is a plain match rather than an
+    /// iterator chain.
+    #[inline]
+    pub fn earlier(a: Option<Time>, b: Option<Time>) -> Option<Time> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        }
+    }
 }
 
 impl Dur {

@@ -222,9 +222,23 @@ impl RecvBuffer {
         if start + data.len() as u64 > window_end {
             data = data.slice(..(window_end - start) as usize);
         }
-        self.insert_trimmed(start, data);
-        self.drain_in_order();
+        if start == self.next && self.ooo.is_empty() {
+            // In order with nothing parked (nearly every segment of a
+            // healthy flow): deliver without a trip through the map.
+            self.deliver(data);
+        } else {
+            self.insert_trimmed(start, data);
+            self.drain_in_order();
+        }
         self.next - before
+    }
+
+    /// Move in-order `data` at `next` to the delivery queue.
+    fn deliver(&mut self, data: Bytes) {
+        self.next += data.len() as u64;
+        self.delivered_bytes += data.len() as u64;
+        self.unconsumed_bytes += data.len();
+        self.delivered.push_back(data);
     }
 
     /// Insert with overlap-trimming against stored segments.
@@ -275,18 +289,32 @@ impl RecvBuffer {
             }
             let (_, data) = self.ooo.pop_first().unwrap();
             self.ooo_bytes -= data.len();
-            self.next += data.len() as u64;
-            self.delivered_bytes += data.len() as u64;
-            self.unconsumed_bytes += data.len();
-            self.delivered.push_back(data);
+            self.deliver(data);
         }
     }
 
     /// Drain the in-order data delivered since the last call (the
     /// application "read"; reopens the advertised window).
     pub fn take_delivered(&mut self) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        self.take_delivered_into(&mut out);
+        out
+    }
+
+    /// [`RecvBuffer::take_delivered`] appending to a caller-owned buffer
+    /// (the per-segment path: MPTCP drains each subflow into one reused
+    /// scratch).
+    pub fn take_delivered_into(&mut self, out: &mut Vec<Bytes>) {
         self.unconsumed_bytes = 0;
-        self.delivered.drain(..).collect()
+        out.extend(self.delivered.drain(..));
+    }
+
+    /// The application read and dropped everything delivered so far: the
+    /// window effect of [`RecvBuffer::take_delivered`] without building
+    /// the chunk list.
+    pub fn discard_delivered(&mut self) {
+        self.unconsumed_bytes = 0;
+        self.delivered.clear();
     }
 
     /// True iff out-of-order data is pending (a hole exists).

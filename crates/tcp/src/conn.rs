@@ -199,6 +199,13 @@ pub struct TcpConnection {
     stats: ConnStats,
     error: Option<&'static str>,
     syn_sent_at: Option<Time>,
+    /// Nothing has touched this connection since its output engine last
+    /// ran to completion. The engine is idempotent — a second pass over
+    /// an unchanged connection emits nothing and arms nothing — so while
+    /// this holds a poll returns at once. Every mutating entry point
+    /// clears it; idle and closed connections are polled several times
+    /// per step like any other, and this is what makes that free.
+    settled: bool,
 }
 
 impl TcpConnection {
@@ -266,6 +273,7 @@ impl TcpConnection {
             stats: ConnStats::default(),
             error: None,
             syn_sent_at: None,
+            settled: false,
             cfg,
         }
     }
@@ -277,6 +285,7 @@ impl TcpConnection {
     /// Send the SYN (client side).
     pub fn open(&mut self, now: Time) {
         assert_eq!(self.state, TcpState::Closed, "open() on a used connection");
+        self.settled = false;
         self.state = TcpState::SynSent;
         self.stats.opened_at = Some(now);
         self.syn_sent_at = Some(now);
@@ -287,16 +296,19 @@ impl TcpConnection {
     /// Queue application data for transmission.
     pub fn send(&mut self, data: Bytes) {
         assert!(!self.fin_queued, "send() after close()");
+        self.settled = false;
         self.snd_buf.append(data);
     }
 
     /// Close our direction once all queued data is sent.
     pub fn close(&mut self, _now: Time) {
+        self.settled = false;
         self.fin_queued = true;
     }
 
     /// Abort immediately with a RST.
     pub fn abort(&mut self, now: Time) {
+        self.settled = false;
         if !matches!(self.state, TcpState::Closed | TcpState::Listen) {
             let seg = Segment::control(
                 self.local_port,
@@ -416,6 +428,7 @@ impl TcpConnection {
             self.state,
             TcpState::Closed | TcpState::Listen | TcpState::SynSent
         ) {
+            self.settled = false;
             self.ack_need = AckNeed::Now;
         }
     }
@@ -429,8 +442,25 @@ impl TcpConnection {
     /// collapsed under unread data, reading schedules a window-update
     /// ACK so the peer resumes without waiting for a probe.
     pub fn take_delivered(&mut self) -> Vec<Bytes> {
+        self.read_with(RecvBuffer::take_delivered)
+    }
+
+    /// [`TcpConnection::take_delivered`] appending to a caller-owned
+    /// buffer.
+    pub fn take_delivered_into(&mut self, out: &mut Vec<Bytes>) {
+        self.read_with(|buf| buf.take_delivered_into(out));
+    }
+
+    /// Read and drop everything delivered so far (an application that
+    /// only counts bytes).
+    pub fn discard_delivered(&mut self) {
+        self.read_with(RecvBuffer::discard_delivered);
+    }
+
+    /// One application read, however it consumes the receive buffer.
+    fn read_with<R>(&mut self, read: impl FnOnce(&mut RecvBuffer) -> R) -> R {
         let was_tight = self.rcv_buf.window_available() < self.cfg.mss;
-        let out = self.rcv_buf.take_delivered();
+        let out = read(&mut self.rcv_buf);
         if was_tight
             && self.rcv_buf.window_available() >= self.cfg.mss
             && !matches!(
@@ -438,6 +468,7 @@ impl TcpConnection {
                 TcpState::Closed | TcpState::Listen | TcpState::SynSent
             )
         {
+            self.settled = false;
             self.ack_need = AckNeed::Now;
         }
         out
@@ -446,6 +477,7 @@ impl TcpConnection {
     /// Replace the congestion controller (MPTCP installs its coupled
     /// controller here before the handshake).
     pub fn set_cc(&mut self, cc: Box<dyn CongestionControl>) {
+        self.settled = false;
         self.cc = cc;
     }
 
@@ -480,19 +512,15 @@ impl TcpConnection {
 
     /// The earliest pending timer deadline, if any.
     pub fn next_timer(&self) -> Option<Time> {
-        [
-            self.rtx_deadline,
-            self.delack_deadline,
-            self.timewait_deadline,
-            self.probe_deadline,
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        Time::earlier(
+            Time::earlier(self.rtx_deadline, self.delack_deadline),
+            Time::earlier(self.timewait_deadline, self.probe_deadline),
+        )
     }
 
     /// Fire any timers due at `now`.
     pub fn on_timers(&mut self, now: Time) {
+        self.settled = false;
         if self.timewait_deadline.is_some_and(|t| t <= now) {
             self.timewait_deadline = None;
             self.enter_closed(now, None);
@@ -512,7 +540,7 @@ impl TcpConnection {
             self.probe_deadline = None;
             self.on_probe(now);
         }
-        self.output(now);
+        self.poll_output(now);
     }
 
     /// Process one received segment.
@@ -520,6 +548,7 @@ impl TcpConnection {
         if self.state == TcpState::Closed {
             return;
         }
+        self.settled = false;
         self.stats.segs_rcvd += 1;
         if seg.flags.rst {
             // RFC 5961-style validation: a RST is honored only when its
@@ -546,7 +575,7 @@ impl TcpConnection {
             TcpState::SynSent => self.handle_syn_sent(now, seg),
             _ => self.handle_synchronized(now, seg),
         }
-        self.output(now);
+        self.poll_output(now);
     }
 
     /// Drain outgoing segments, generating pending output first.
@@ -557,12 +586,21 @@ impl TcpConnection {
     }
 
     /// Allocation-free [`TcpConnection::take_tx`]: drain outgoing
-    /// segments into a caller-provided buffer (the per-step driver path;
-    /// the buffer is reused across steps).
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<Segment>) {
-        self.output(now);
+    /// segments into a caller-provided sink (the per-step driver path).
+    /// A `Vec<Segment>` is a sink; a host that addresses segments on the
+    /// way out passes its own [`Extend`] so each segment moves once from
+    /// this queue to the driver's buffer.
+    pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
+        self.poll_output(now);
         self.stats.segs_sent += self.tx.len() as u64;
         out.extend(self.tx.drain(..));
+    }
+
+    /// Hand over the oldest queued outgoing segment.
+    pub fn pop_tx(&mut self) -> Option<Segment> {
+        let seg = self.tx.pop_front()?;
+        self.stats.segs_sent += 1;
+        Some(seg)
     }
 
     // ------------------------------------------------------------------
@@ -941,7 +979,27 @@ impl TcpConnection {
     // Output engine
     // ------------------------------------------------------------------
 
-    fn output(&mut self, now: Time) {
+    /// Run the output engine: queue whatever the connection can send
+    /// now (retransmissions, new data in window, a FIN, an owed ACK).
+    /// [`TcpConnection::take_tx_into`] does this first; an owner that
+    /// rewrites each segment as it leaves calls it and then drains with
+    /// [`TcpConnection::pop_tx`].
+    pub fn poll_output(&mut self, now: Time) {
+        if self.settled {
+            if cfg!(debug_assertions) {
+                // Debug builds re-run the engine to hold the claim above.
+                let before = (self.tx.len(), self.next_timer());
+                self.run_output(now);
+                let after = (self.tx.len(), self.next_timer());
+                assert_eq!(after, before, "a settled connection had output");
+            }
+            return;
+        }
+        self.run_output(now);
+        self.settled = true;
+    }
+
+    fn run_output(&mut self, now: Time) {
         // 1. Retransmissions, if any are queued.
         let pending: Vec<u64> = std::mem::take(&mut self.rtx_queue);
         for off in pending {
@@ -1076,21 +1134,30 @@ impl TcpConnection {
     }
 
     fn build_data_segment(&mut self, now: Time, off: u64, payload: Bytes, push: bool) -> Segment {
-        let mut flags = Flags::ACK;
-        flags.psh = push;
-        let mut seg = Segment::control(
-            self.local_port,
-            self.remote_port,
-            self.seq_of_send_off(off),
-            self.rcv_ack_seq(),
-            flags,
-        );
-        seg.window = self.window_field();
-        seg.options = vec![self.ts_option(now)];
-        seg.payload = payload;
-        self.stats.bytes_sent += seg.payload.len() as u64;
+        self.stats.bytes_sent += payload.len() as u64;
         self.clear_ack_state();
-        seg
+        Segment {
+            src_port: self.local_port,
+            dst_port: self.remote_port,
+            seq: self.seq_of_send_off(off),
+            ack: self.rcv_ack_seq(),
+            flags: Flags {
+                psh: push,
+                ..Flags::ACK
+            },
+            window: self.window_field(),
+            options: self.data_path_options(now),
+            payload,
+        }
+    }
+
+    /// The option list of a data or ACK segment: the timestamp, with room
+    /// for the one option that usually follows (a SACK block, or the DSS
+    /// an MPTCP owner appends) so neither push reallocates.
+    fn data_path_options(&self, now: Time) -> Vec<TcpOption> {
+        let mut options = Vec::with_capacity(2);
+        options.push(self.ts_option(now));
+        options
     }
 
     fn build_ack_segment(&mut self, now: Time) -> Segment {
@@ -1102,7 +1169,7 @@ impl TcpConnection {
             Flags::ACK,
         );
         seg.window = self.window_field();
-        seg.options = vec![self.ts_option(now)];
+        seg.options = self.data_path_options(now);
         if self.rcv_buf.has_holes() {
             let base = self.irs.wrapping_add(1);
             let ranges: Vec<(u32, u32)> = self

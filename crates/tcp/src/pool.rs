@@ -73,13 +73,18 @@ impl SegmentBufPool {
         Bytes::from_shared(Arc::clone(&self.bufs[i]))
     }
 
-    /// First slot (scanning from the rotating cursor) with no outstanding
-    /// views.
+    /// First slot (scanning from the rotating cursor, wrapping once) with
+    /// no outstanding views. While a queue fills no slot is free and every
+    /// encode walks the whole pool, so the walk is two plain slice scans:
+    /// no per-slot index arithmetic, nothing but the count loads.
     fn find_free_slot(&self) -> Option<usize> {
-        let n = self.bufs.len();
-        (0..n)
-            .map(|k| (self.cursor + k) % n)
-            .find(|&i| Arc::strong_count(&self.bufs[i]) == 1)
+        let is_free = |buf: &Arc<Vec<u8>>| Arc::strong_count(buf) == 1;
+        let (wrapped, ahead) = self.bufs.split_at(self.cursor);
+        ahead
+            .iter()
+            .position(is_free)
+            .map(|k| self.cursor + k)
+            .or_else(|| wrapped.iter().position(is_free))
     }
 }
 

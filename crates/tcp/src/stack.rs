@@ -133,7 +133,9 @@ impl TcpStack {
 
     /// Earliest timer deadline across all connections.
     pub fn next_timer(&self) -> Option<Time> {
-        self.conns.values().filter_map(|c| c.next_timer()).min()
+        self.conns
+            .values()
+            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
     }
 
     /// Fire timers due at `now` on every connection (sorted socket-id
@@ -147,9 +149,9 @@ impl TcpStack {
     }
 
     /// Drain outgoing segments from every connection into a
-    /// caller-provided buffer, in deterministic (sorted socket id)
-    /// order.
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<Segment>) {
+    /// caller-provided sink (see [`TcpConnection::take_tx_into`]), in
+    /// deterministic (sorted socket id) order.
+    pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
         for c in self.conns.values_mut() {
             c.take_tx_into(now, out);
         }

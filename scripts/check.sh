@@ -10,6 +10,13 @@
 #                           iteration (cargo bench -- --test). Speed is
 #                           tracked by stackbench/ and BENCHMARK.json,
 #                           not here.
+#                stackbench the benchmark harness (its own workspace, so
+#                           nothing above compiles it) builds against the
+#                           crates as they are now, passes its unit tests
+#                           and its --quick mode: 2 rounds of all six
+#                           workloads, digests equal across rounds. An
+#                           API drift that would break BENCHMARK.json's
+#                           command fails here.
 #                report     `repro all extensions --seed 42 --markdown`
 #                           regenerates EXPERIMENTS.md byte-for-byte
 #                           (cmp against the committed file).
@@ -86,6 +93,10 @@ if [ "$FULL" -eq 1 ]; then
 
     echo "== bench smoke: one iteration per benchmark"
     cargo bench -p mpwifi-bench -- --test
+
+    echo "== stackbench smoke: harness builds, unit tests, --quick"
+    cargo test --release --offline -q --manifest-path stackbench/Cargo.toml
+    cargo run --release --offline -q --manifest-path stackbench/Cargo.toml -- --quick
 
     cargo build --release -q -p mpwifi-repro -p mpwifi-bench --bins
     REPRO=./target/release/repro
