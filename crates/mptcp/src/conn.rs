@@ -23,7 +23,7 @@ use mpwifi_simcore::{metrics, Dur, Time};
 use mpwifi_tcp::buffer::{RecvBuffer, SendBuffer};
 use mpwifi_tcp::cc::{CcKind as TcpCcKind, CubicCc, RenoCc};
 use mpwifi_tcp::conn::{TcpConfig, TcpConnection};
-use mpwifi_tcp::segment::{Segment, TcpOption};
+use mpwifi_tcp::segment::{Flags, Segment, TcpOption};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -374,14 +374,9 @@ pub struct MptcpConnection {
     views_scratch: Vec<SubflowView>,
     /// Reused chunk list for [`MptcpConnection::pump_receive`].
     rx_scratch: Vec<Bytes>,
-    /// The last [`MptcpConnection::pump_send`] left fresh data with the
-    /// scheduler still able to act on it: a repeat poll would reach
-    /// `Scheduler::pick` with room on offer, and BLEST/ECF count those
-    /// calls (DESIGN.md, determinism contract), so the poll is
-    /// observable and must happen.
-    pick_pending: bool,
     /// Nothing has touched this connection since a
-    /// [`MptcpConnection::take_tx_into`] that ended with no pick pending.
+    /// [`MptcpConnection::take_tx_into`] whose
+    /// [`MptcpConnection::pump_send`] left no pick pending.
     /// Until the next touch or due timer every poll (`take_tx_into`,
     /// `on_timers`, `next_timer`) repeats one that already ran to
     /// completion, and returns at once — which is what lets an endpoint
@@ -483,7 +478,6 @@ impl MptcpConnection {
             dss_maps_emitted: 0,
             views_scratch: Vec::new(),
             rx_scratch: Vec::new(),
-            pick_pending: false,
             settled: false,
             settled_timer: None,
         }
@@ -1407,7 +1401,12 @@ impl MptcpConnection {
         }
     }
 
-    fn pump_send(&mut self, now: Time) {
+    /// Assign fresh data, replay, announce DATA_FIN, tear down. Returns
+    /// whether a pick is still pending: fresh data is left and the
+    /// scheduler could still act on it, so a repeat of this call would
+    /// reach `Scheduler::pick` with room on offer — and BLEST/ECF count
+    /// those calls (DESIGN.md §13), which makes the repeat observable.
+    fn pump_send(&mut self, now: Time) -> bool {
         self.flush_pending_reinjects();
         let mss = self.cfg.tcp.mss as u64;
         let mut views = std::mem::take(&mut self.views_scratch);
@@ -1444,7 +1443,7 @@ impl MptcpConnection {
             self.dsn_next += len;
             self.push_chunk_to_subflow(pick, dsn, len);
         }
-        self.pick_pending = self.dsn_next < self.snd_buf.end() && !blocked;
+        let pick_pending = self.dsn_next < self.snd_buf.end() && !blocked;
         if self.scheduler.kind() == SchedKind::Redundant && !self.test_redundant_suppress {
             self.fill_views(&mut views);
             self.pump_redundant_replay(&views);
@@ -1473,6 +1472,7 @@ impl MptcpConnection {
                 }
             }
         }
+        pick_pending
     }
 
     fn teardown_ready(&self) -> bool {
@@ -1555,7 +1555,7 @@ impl MptcpConnection {
     }
 
     fn drain_tx(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        self.pump_send(now);
+        let pick_pending = self.pump_send(now);
         let data_ack = self.data_ack_out();
         let fin_ready = self.data_fin_ready();
         let fin_dsn = self.snd_buf.end();
@@ -1568,7 +1568,7 @@ impl MptcpConnection {
         // Everything above is idempotent except the scheduler's call
         // counting, so with no pick pending the connection is settled
         // (the teardown below, when it fires, is a touch).
-        self.settled = !self.pick_pending;
+        self.settled = !pick_pending;
         if self.settled {
             self.settled_timer = self.scan_timers();
         }
@@ -1625,8 +1625,7 @@ impl MptcpConnection {
                 let mut still_full = false;
                 push_if_room(&mut seg, no_fin.clone(), || still_full = true);
                 if still_full {
-                    seg.options
-                        .retain(|o| !matches!(o, mpwifi_tcp::segment::TcpOption::Sack(_)));
+                    seg.options.retain(|o| !matches!(o, TcpOption::Sack(_)));
                     seg.options.push(no_fin.to_tcp_option());
                 }
             }
@@ -1668,7 +1667,7 @@ impl MptcpConnection {
                 seq: seg.seq.wrapping_add(consumed as u32),
                 options: seg.options.clone(),
                 // PSH and the subflow-level FIN only on the final piece.
-                flags: mpwifi_tcp::segment::Flags {
+                flags: Flags {
                     psh: seg.flags.psh && last,
                     fin: seg.flags.fin && last,
                     ..seg.flags

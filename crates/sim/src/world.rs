@@ -618,11 +618,8 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             return;
         }
         self.script_fired += due as u64;
-        // The due prefix is split off so the handlers below are free to
-        // borrow the rest of the world.
-        let mut script = std::mem::take(&mut self.script);
-        for (_, ev) in script.drain(..due) {
-            match ev {
+        for i in 0..due {
+            match self.script[i].1 {
                 ScriptEvent::CutIface(iface) => self.pair_mut(iface).set_up(false),
                 ScriptEvent::RestoreIface(iface) => self.pair_mut(iface).set_up(true),
                 ScriptEvent::NotifyIfaceDown(iface) => {
@@ -656,7 +653,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
         }
-        self.script = script;
+        self.script.drain(..due);
     }
 
     /// Earliest future event of any kind.

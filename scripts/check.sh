@@ -95,7 +95,11 @@ if [ "$FULL" -eq 1 ]; then
     cargo bench -p mpwifi-bench -- --test
 
     echo "== stackbench smoke: harness builds, unit tests, --quick"
-    cargo test --release --offline -q --manifest-path stackbench/Cargo.toml
+    # The unit tests get a target directory of their own: the harness
+    # keeps its scratch files in `<exe dir>/../stackbench`, which for a
+    # test executable is where `cargo run` puts the binary itself.
+    CARGO_TARGET_DIR=stackbench/target/unit \
+        cargo test --release --offline -q --manifest-path stackbench/Cargo.toml
     cargo run --release --offline -q --manifest-path stackbench/Cargo.toml -- --quick
 
     cargo build --release -q -p mpwifi-repro -p mpwifi-bench --bins
