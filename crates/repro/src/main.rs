@@ -692,3 +692,58 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpwifi_repro::RunStatus;
+    use std::time::Duration;
+
+    #[test]
+    fn quarantine_json_is_one_object_per_quarantined_run() {
+        let run = |id, seed, attempts, wall_us, status| SupervisedRun {
+            id,
+            seed,
+            attempts,
+            flaky: false,
+            status,
+            outcome: None,
+            wall: Duration::from_micros(wall_us),
+            partial_metrics: None,
+        };
+        let two = [
+            run(
+                "planted-panic",
+                42,
+                1,
+                1_500,
+                RunStatus::Panicked {
+                    message: "planted \"panic\" (at src/supervise.rs:355)".into(),
+                },
+            ),
+            run(
+                "planted-stall",
+                u64::MAX,
+                2,
+                12_345_678,
+                RunStatus::Stalled {
+                    forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
+                },
+            ),
+        ];
+        assert_eq!(
+            quarantine_json(&two, 42, Scale::Full, SeedPolicy::Derived),
+            concat!(
+                "[\n",
+                r#"  {"id": "planted-panic", "seed": 42, "status": "panicked", "attempts": 1, "wall_ms": 1.500, "flaky": false, "forensics": "planted \"panic\" (at src/supervise.rs:355)", "repro": "cargo run --release -p mpwifi-repro -- planted-panic --seed 42 --full --derive-seeds --supervise"},"#,
+                "\n",
+                r#"  {"id": "planted-stall", "seed": 18446744073709551615, "status": "stalled", "attempts": 2, "wall_ms": 12345.678, "flaky": false, "forensics": "iface lte stale\n  subflow lte: frozen\n", "repro": "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --full --derive-seeds --supervise"}"#,
+                "\n]\n"
+            )
+        );
+        assert_eq!(
+            quarantine_json(&[], 42, Scale::Quick, SeedPolicy::Campaign),
+            "[\n]\n"
+        );
+    }
+}

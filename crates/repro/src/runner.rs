@@ -327,5 +327,37 @@ mod tests {
         assert!(json.contains("\"sched_picks_rejected\": 0, \"redundant_dups\": 0"));
         assert!(json.contains("\"dup_bytes_dropped\": 0, \"claims_hold\": true}"));
         assert!(json.trim_end().ends_with(']'));
+
+        // The exact bytes of a two-run sidecar (wall time fixed by hand;
+        // the second run's single claim fails).
+        let outcome = |id, seed, wall_us, holds| {
+            let mut report = Report::new(id, "t", "m");
+            report.claim("c", "p", "m", holds);
+            let mut metrics = RunMetrics::default();
+            metrics.events_popped = seed;
+            metrics.dup_bytes_dropped = 3;
+            RunOutcome {
+                id,
+                seed,
+                report,
+                metrics,
+                wall: Duration::from_micros(wall_us),
+            }
+        };
+        let two = [
+            outcome("fig9", 42, 1_500, true),
+            outcome("table2", u64::MAX, 12_345_678, false),
+        ];
+        assert_eq!(
+            metrics_json(&two),
+            concat!(
+                "[\n",
+                r#"  {"id": "fig9", "seed": 42, "wall_ms": 1.500, "events_popped": 42, "frames_forwarded": 0, "bytes_delivered": 0, "tcp_retransmits": 0, "segments_encoded": 0, "enc_buffers_reused": 0, "enc_buffers_allocated": 0, "scratch_high_water": 0, "faults_injected": 0, "segments_corrupted_dropped": 0, "subflows_declared_dead": 0, "reinjections": 0, "recovery_time_us": 0, "segments_dropped_unroutable": 0, "sched_picks_rejected": 0, "redundant_dups": 0, "dup_bytes_dropped": 3, "claims_hold": true},"#,
+                "\n",
+                r#"  {"id": "table2", "seed": 18446744073709551615, "wall_ms": 12345.678, "events_popped": 18446744073709551615, "frames_forwarded": 0, "bytes_delivered": 0, "tcp_retransmits": 0, "segments_encoded": 0, "enc_buffers_reused": 0, "enc_buffers_allocated": 0, "scratch_high_water": 0, "faults_injected": 0, "segments_corrupted_dropped": 0, "subflows_declared_dead": 0, "reinjections": 0, "recovery_time_us": 0, "segments_dropped_unroutable": 0, "sched_picks_rejected": 0, "redundant_dups": 0, "dup_bytes_dropped": 3, "claims_hold": false}"#,
+                "\n]\n"
+            )
+        );
+        assert_eq!(metrics_json(&[]), "[\n]\n");
     }
 }

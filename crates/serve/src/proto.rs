@@ -932,61 +932,78 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
+        let run = |req: &str, kind, seed, retries| RunRequest {
+            req: req.into(),
+            kind,
+            seed,
+            retries,
+            max_events: None,
+            wall_ms: None,
+            stall_ttl_s: None,
+        };
+        let campaign = |checkpoint: Option<&str>| RunKind::Campaign {
+            users: 5000,
+            jobs: 4,
+            full: false,
+            checkpoint: checkpoint.map(str::to_string),
+        };
+        // Every request shape with the exact line it renders to: the
+        // wire bytes are part of the contract, not only the round trip.
         let reqs = [
-            Request::Ping,
-            Request::Shutdown,
-            Request::Run(RunRequest {
-                req: "r-1".into(),
-                kind: RunKind::Experiment {
-                    id: "fig9".into(),
-                    full: true,
-                },
-                seed: 7,
-                retries: 2,
-                max_events: Some(1000),
-                wall_ms: None,
-                stall_ttl_s: Some(30),
-            }),
-            Request::Run(RunRequest {
-                req: "c".into(),
-                kind: RunKind::Campaign {
-                    users: 5000,
-                    jobs: 4,
-                    full: false,
-                    checkpoint: None,
-                },
-                seed: 42,
-                retries: 0,
-                max_events: None,
-                wall_ms: None,
-                stall_ttl_s: None,
-            }),
-            Request::Run(RunRequest {
-                req: "c-ckpt".into(),
-                kind: RunKind::Campaign {
-                    users: 5000,
-                    jobs: 4,
-                    full: false,
-                    checkpoint: Some("/tmp/dir with \"quotes\"/c.journal".into()),
-                },
-                seed: 42,
-                retries: 1,
-                max_events: None,
-                wall_ms: None,
-                stall_ttl_s: None,
-            }),
-            Request::Run(RunRequest {
-                req: "boom".into(),
-                kind: RunKind::WorkerBomb,
-                seed: 42,
-                retries: 0,
-                max_events: None,
-                wall_ms: None,
-                stall_ttl_s: None,
-            }),
+            (Request::Ping, r#"{"type": "ping"}"#),
+            (Request::Shutdown, r#"{"type": "shutdown"}"#),
+            (
+                Request::Run(RunRequest {
+                    max_events: Some(1000),
+                    stall_ttl_s: Some(30),
+                    ..run(
+                        "r-1",
+                        RunKind::Experiment {
+                            id: "fig9".into(),
+                            full: true,
+                        },
+                        7,
+                        2,
+                    )
+                }),
+                r#"{"type": "run", "req": "r-1", "seed": 7, "retries": 2, "kind": "experiment", "id": "fig9", "scale": "full", "max_events": 1000, "stall_ttl_s": 30}"#,
+            ),
+            (
+                Request::Run(RunRequest {
+                    wall_ms: Some(250),
+                    ..run(
+                        "q\"1",
+                        RunKind::Experiment {
+                            id: "table2".into(),
+                            full: false,
+                        },
+                        42,
+                        0,
+                    )
+                }),
+                r#"{"type": "run", "req": "q\"1", "seed": 42, "retries": 0, "kind": "experiment", "id": "table2", "scale": "quick", "wall_ms": 250}"#,
+            ),
+            (
+                Request::Run(run("c", campaign(None), 42, 0)),
+                r#"{"type": "run", "req": "c", "seed": 42, "retries": 0, "kind": "campaign", "users": 5000, "jobs": 4, "scale": "quick"}"#,
+            ),
+            (
+                Request::Run(run(
+                    "c-ckpt",
+                    campaign(Some("/tmp/dir with \"quotes\"/c.journal")),
+                    42,
+                    1,
+                )),
+                r#"{"type": "run", "req": "c-ckpt", "seed": 42, "retries": 1, "kind": "campaign", "users": 5000, "jobs": 4, "scale": "quick", "checkpoint": "/tmp/dir with \"quotes\"/c.journal"}"#,
+            ),
+            (
+                Request::Run(run("boom", RunKind::WorkerBomb, 42, 0)),
+                r#"{"type": "run", "req": "boom", "seed": 42, "retries": 0, "kind": "worker-bomb"}"#,
+            ),
         ];
-        for r in reqs {
+        for (r, want) in reqs {
             let line = r.render();
+            assert_eq!(line, want);
             assert_eq!(Request::parse(&line, 9).unwrap(), r, "line: {line}");
         }
     }
@@ -1045,83 +1062,177 @@ mod tests {
         m.bytes_delivered = 1_000_000;
         m.redundant_dups = 4;
         m.dup_bytes_dropped = 5_600;
+        let done = |req: &str, status, attempts, flaky| Response::Done {
+            req: req.into(),
+            status,
+            attempts,
+            flaky,
+        };
+        // Every response shape with the exact line it renders to.
         let cases = vec![
-            Response::Accepted {
-                req: "a".into(),
-                depth: 3,
-            },
-            Response::Shed {
-                req: "b".into(),
-                depth: 8,
-                capacity: 8,
-            },
-            Response::Rejected { req: "c".into() },
-            Response::Malformed {
-                req: None,
-                error: "bad \"json\"".into(),
-            },
-            Response::Malformed {
-                req: Some("d".into()),
-                error: "unknown experiment".into(),
-            },
-            Response::Retry {
-                req: "e".into(),
-                attempt: 1,
-                backoff_ms: 35,
-                cause: "panicked",
-            },
-            Response::Progress {
-                req: "f".into(),
-                done_shards: 2,
-                total_shards: 10,
-                users_done: 1024,
-            },
-            Response::Section {
-                req: "g".into(),
-                text: "== line one\nline two\t(tab)".into(),
-            },
-            Response::Metrics {
-                req: "h".into(),
-                metrics: m,
-            },
-            Response::Done {
-                req: "i".into(),
-                status: RequestStatus::Completed { claims_hold: true },
-                attempts: 2,
-                flaky: true,
-            },
-            Response::Done {
-                req: "j".into(),
-                status: RequestStatus::Stalled {
-                    forensics: "iface lte stale".into(),
+            (
+                Response::Accepted {
+                    req: "a".into(),
+                    depth: 3,
                 },
-                attempts: 1,
-                flaky: false,
-            },
-            Response::Done {
-                req: "k".into(),
-                status: RequestStatus::WorkerLost,
-                attempts: 1,
-                flaky: false,
-            },
-            Response::Pong,
-            Response::Draining,
-            Response::Stats {
-                stats: ServeStats {
-                    admitted: 10,
-                    completed: 8,
-                    shed: 2,
-                    rejected_draining: 1,
-                    malformed: 3,
-                    quarantined: 2,
-                    retried: 1,
-                    flaky: 1,
-                    workers_replaced: 1,
+                r#"{"type": "accepted", "req": "a", "depth": 3}"#,
+            ),
+            (
+                Response::Shed {
+                    req: "b".into(),
+                    depth: 8,
+                    capacity: 8,
                 },
-            },
+                r#"{"type": "shed", "req": "b", "status": "shed", "depth": 8, "capacity": 8}"#,
+            ),
+            (
+                Response::Rejected { req: "c".into() },
+                r#"{"type": "rejected", "req": "c", "status": "draining"}"#,
+            ),
+            (
+                Response::Malformed {
+                    req: None,
+                    error: "bad \"json\"".into(),
+                },
+                r#"{"type": "malformed", "status": "malformed", "error": "bad \"json\""}"#,
+            ),
+            (
+                Response::Malformed {
+                    req: Some("d".into()),
+                    error: "unknown experiment".into(),
+                },
+                r#"{"type": "malformed", "req": "d", "status": "malformed", "error": "unknown experiment"}"#,
+            ),
+            (
+                Response::Retry {
+                    req: "e".into(),
+                    attempt: 1,
+                    backoff_ms: 35,
+                    cause: "panicked",
+                },
+                r#"{"type": "retry", "req": "e", "attempt": 1, "backoff_ms": 35, "cause": "panicked"}"#,
+            ),
+            (
+                Response::Retry {
+                    req: "e2".into(),
+                    attempt: 2,
+                    backoff_ms: 6,
+                    cause: "worker-lost",
+                },
+                r#"{"type": "retry", "req": "e2", "attempt": 2, "backoff_ms": 6, "cause": "worker-lost"}"#,
+            ),
+            (
+                Response::Progress {
+                    req: "f".into(),
+                    done_shards: 2,
+                    total_shards: 10,
+                    users_done: 1024,
+                },
+                r#"{"type": "progress", "req": "f", "done_shards": 2, "total_shards": 10, "users_done": 1024}"#,
+            ),
+            (
+                Response::Section {
+                    req: "g".into(),
+                    text:
+                        "== line one\nline two\t(tab)\r\n \"q\" back\\slash \u{1}\u{1f} caf\u{e9}\n"
+                            .into(),
+                },
+                r#"{"type": "section", "req": "g", "text": "== line one\nline two\t(tab)\r\n \"q\" back\\slash \u0001\u001f café\n"}"#,
+            ),
+            (
+                Response::Metrics {
+                    req: "h".into(),
+                    metrics: m,
+                },
+                r#"{"type": "metrics", "req": "h", "events_popped": 9, "frames_forwarded": 0, "bytes_delivered": 1000000, "tcp_retransmits": 0, "segments_encoded": 0, "enc_buffers_reused": 0, "enc_buffers_allocated": 0, "scratch_high_water": 0, "faults_injected": 0, "segments_corrupted_dropped": 0, "subflows_declared_dead": 0, "reinjections": 0, "recovery_time_us": 0, "segments_dropped_unroutable": 0, "sched_picks_rejected": 0, "redundant_dups": 4, "dup_bytes_dropped": 5600}"#,
+            ),
+            (
+                done("i", RequestStatus::Completed { claims_hold: true }, 2, true),
+                r#"{"type": "done", "req": "i", "status": "completed", "attempts": 2, "flaky": true, "claims_hold": true}"#,
+            ),
+            (
+                done(
+                    "i2",
+                    RequestStatus::Completed { claims_hold: false },
+                    1,
+                    false,
+                ),
+                r#"{"type": "done", "req": "i2", "status": "completed", "attempts": 1, "flaky": false, "claims_hold": false}"#,
+            ),
+            (
+                done(
+                    "j",
+                    RequestStatus::Stalled {
+                        forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
+                    },
+                    1,
+                    false,
+                ),
+                r#"{"type": "done", "req": "j", "status": "stalled", "attempts": 1, "flaky": false, "forensics": "iface lte stale\n  subflow lte: frozen\n"}"#,
+            ),
+            (
+                done(
+                    "j2",
+                    RequestStatus::Panicked {
+                        message: "boom (at src/x.rs:7)".into(),
+                    },
+                    3,
+                    false,
+                ),
+                r#"{"type": "done", "req": "j2", "status": "panicked", "attempts": 3, "flaky": false, "forensics": "boom (at src/x.rs:7)"}"#,
+            ),
+            // `done` carries the forensic text, not the limits, so the
+            // limits round-trip as zero.
+            (
+                done(
+                    "j3",
+                    RequestStatus::DeadlineExceeded {
+                        limit_ms: 0,
+                        forensics: "t=1.0s".into(),
+                    },
+                    1,
+                    false,
+                ),
+                r#"{"type": "done", "req": "j3", "status": "deadline-exceeded", "attempts": 1, "flaky": false, "forensics": "t=1.0s"}"#,
+            ),
+            (
+                done(
+                    "j4",
+                    RequestStatus::BudgetExhausted {
+                        limit: 0,
+                        forensics: "".into(),
+                    },
+                    1,
+                    false,
+                ),
+                r#"{"type": "done", "req": "j4", "status": "budget-exhausted", "attempts": 1, "flaky": false, "forensics": ""}"#,
+            ),
+            (
+                done("k", RequestStatus::WorkerLost, 1, false),
+                r#"{"type": "done", "req": "k", "status": "worker-lost", "attempts": 1, "flaky": false}"#,
+            ),
+            (Response::Pong, r#"{"type": "pong"}"#),
+            (Response::Draining, r#"{"type": "draining"}"#),
+            (
+                Response::Stats {
+                    stats: ServeStats {
+                        admitted: 10,
+                        completed: 8,
+                        shed: 2,
+                        rejected_draining: 1,
+                        malformed: 3,
+                        quarantined: 2,
+                        retried: 1,
+                        flaky: 1,
+                        workers_replaced: 1,
+                    },
+                },
+                r#"{"type": "stats", "admitted": 10, "completed": 8, "shed": 2, "rejected_draining": 1, "malformed": 3, "quarantined": 2, "retried": 1, "flaky": 1, "workers_replaced": 1, "drained": true}"#,
+            ),
         ];
-        for r in cases {
+        for (r, want) in cases {
             let line = r.render();
+            assert_eq!(line, want);
             let parsed = Response::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(parsed, r, "line: {line}");
         }
