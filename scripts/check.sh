@@ -6,17 +6,16 @@
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release) and the end-to-end
 #              smokes, in this order:
-#                bench      every criterion bench compiles and runs one
-#                           iteration (cargo bench -- --test). Speed is
-#                           tracked by stackbench/ and BENCHMARK.json,
-#                           not here.
 #                stackbench the benchmark harness (its own workspace, so
 #                           nothing above compiles it) builds against the
 #                           crates as they are now, passes its unit tests
 #                           and its --quick mode: 2 rounds of all six
 #                           workloads, digests equal across rounds. An
 #                           API drift that would break BENCHMARK.json's
-#                           command fails here.
+#                           command fails here, and so does a change to
+#                           any crate's dependency list, which cargo
+#                           would otherwise write into the tracked
+#                           stackbench/Cargo.lock without a word.
 #                report     `repro all extensions --seed 42 --markdown`
 #                           regenerates EXPERIMENTS.md byte-for-byte
 #                           (cmp against the committed file).
@@ -91,9 +90,6 @@ if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"
     cargo test --workspace --release -q
 
-    echo "== bench smoke: one iteration per benchmark"
-    cargo bench -p mpwifi-bench -- --test
-
     echo "== stackbench smoke: harness builds, unit tests, --quick"
     # The unit tests get a target directory of their own: the harness
     # keeps its scratch files in `<exe dir>/../stackbench`, which for a
@@ -101,8 +97,10 @@ if [ "$FULL" -eq 1 ]; then
     CARGO_TARGET_DIR=stackbench/target/unit \
         cargo test --release --offline -q --manifest-path stackbench/Cargo.toml
     cargo run --release --offline -q --manifest-path stackbench/Cargo.toml -- --quick
+    git diff --exit-code -- stackbench/Cargo.lock
 
-    cargo build --release -q -p mpwifi-repro -p mpwifi-bench --bins
+    # repro plus the chaos_load and kill_chaos harnesses.
+    cargo build --release -q -p mpwifi-repro --bins
     REPRO=./target/release/repro
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
