@@ -55,7 +55,7 @@ use mpwifi_repro::{
     registry, runner, runner::SeedPolicy, supervise, Scale, SuperviseConfig, SupervisedRun,
     ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS, REGISTRY,
 };
-use mpwifi_serve::json_escape;
+use mpwifi_simcore::json::array_lines;
 use std::io::Write as _;
 
 fn main() {
@@ -453,30 +453,22 @@ fn quarantine_json(
     scale: Scale,
     policy: SeedPolicy,
 ) -> String {
-    let mut out = String::from("[\n");
-    for (i, run) in quarantined.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"seed\": {}, \"status\": \"{}\", \
-             \"attempts\": {}, \"wall_ms\": {:.3}, \"flaky\": {}, \
-             \"forensics\": \"{}\", \"repro\": \"{}\"}}{}\n",
-            run.id,
-            run.seed,
-            run.status.label(),
-            run.attempts,
-            run.wall.as_secs_f64() * 1e3,
-            run.flaky,
-            json_escape(run.status.forensics().unwrap_or("")),
-            json_escape(&supervise::repro_command(
-                run.id,
-                root_seed,
-                scale,
-                policy == SeedPolicy::Derived
-            )),
-            if i + 1 < quarantined.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
+    array_lines(quarantined, |o, run| {
+        o.str("id", run.id)
+            .val("seed", run.seed)
+            .str("status", run.status.label())
+            .val("attempts", run.attempts)
+            .val(
+                "wall_ms",
+                format_args!("{:.3}", run.wall.as_secs_f64() * 1e3),
+            )
+            .val("flaky", run.flaky)
+            .str("forensics", run.status.forensics().unwrap_or(""))
+            .str(
+                "repro",
+                &supervise::repro_command(run.id, root_seed, scale, policy == SeedPolicy::Derived),
+            );
+    })
 }
 
 /// Run the campaign server: jsonl requests on stdin, streamed jsonl

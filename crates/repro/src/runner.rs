@@ -31,8 +31,8 @@ use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
 use crate::supervise::{supervise_one, SuperviseConfig, SupervisedRun};
 pub use mpwifi_simcore::derive_seed;
+use mpwifi_simcore::json::array_lines;
 use mpwifi_simcore::{fan_out, RunMetrics};
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// How each experiment's seed is computed from the root seed. Both
@@ -191,30 +191,18 @@ pub fn run_specs_supervised(
 }
 
 /// Render run records as a JSON array (one object per experiment) for
-/// the `--metrics FILE` flag. Hand-rolled: ids are known-safe (no
-/// escapes needed) and the schema is flat.
+/// the `--metrics FILE` flag.
 pub fn metrics_json(outcomes: &[RunOutcome]) -> String {
-    let mut out = String::from("[\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"id\": \"{}\", \"seed\": {}, \"wall_ms\": {:.3}",
-            o.id,
-            o.seed,
-            o.wall.as_secs_f64() * 1e3,
-        );
-        for (name, value) in o.metrics.fields() {
-            let _ = write!(out, ", \"{name}\": {value}");
-        }
-        let _ = writeln!(
-            out,
-            ", \"claims_hold\": {}}}{}",
-            o.report.all_hold(),
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    out.push_str("]\n");
-    out
+    array_lines(outcomes, |o, run| {
+        o.str("id", run.id)
+            .val("seed", run.seed)
+            .val(
+                "wall_ms",
+                format_args!("{:.3}", run.wall.as_secs_f64() * 1e3),
+            )
+            .fields(run.metrics.fields())
+            .val("claims_hold", run.report.all_hold());
+    })
 }
 
 #[cfg(test)]
@@ -333,9 +321,11 @@ mod tests {
         let outcome = |id, seed, wall_us, holds| {
             let mut report = Report::new(id, "t", "m");
             report.claim("c", "p", "m", holds);
-            let mut metrics = RunMetrics::default();
-            metrics.events_popped = seed;
-            metrics.dup_bytes_dropped = 3;
+            let metrics = RunMetrics {
+                events_popped: seed,
+                dup_bytes_dropped: 3,
+                ..RunMetrics::default()
+            };
             RunOutcome {
                 id,
                 seed,

@@ -4,8 +4,8 @@
 //! jsonl requests in, streamed jsonl responses out, with the *request* as the
 //! failure domain. The crate owns everything about robustness —
 //!
-//! - [`proto`]: the wire protocol (hand-rolled flat-JSON codec, request and
-//!   response types, the [`proto::RequestStatus`] taxonomy mirroring
+//! - [`proto`]: the wire protocol (request and response types over
+//!   `simcore`'s flat-JSON line codec, the [`proto::RequestStatus`] taxonomy mirroring
 //!   `repro`'s `RunStatus`);
 //! - [`queue`]: the bounded admission queue with typed shedding and drain;
 //! - [`exec`]: the [`exec::Executor`] engine interface and the deterministic
@@ -30,10 +30,7 @@ pub mod signal;
 
 pub use exec::{backoff_ms, Executor};
 pub use pool::{Gauge, Pool, Sink};
-pub use proto::{
-    json_escape, JsonObj, JsonValue, Request, RequestStatus, Response, RunKind, RunRequest,
-    ServeStats,
-};
+pub use proto::{Request, RequestStatus, Response, RunKind, RunRequest, ServeStats};
 pub use queue::{AdmissionQueue, Admit};
 pub use server::{serve, serve_with_stop, ServeConfig};
 pub use signal::install_drain_handler;

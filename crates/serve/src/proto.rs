@@ -6,269 +6,19 @@
 //! multiplex any number of in-flight requests over one stream and match
 //! the interleaved replies (workers complete out of admission order).
 //!
-//! The vendored `serde` is a no-op shim (see `vendor/README.md`), so —
-//! like every other JSON surface in this workspace (`--metrics`
-//! sidecars, the bench gate) — the codec here is hand-rolled: a small
-//! flat-object parser ([`JsonObj`]) on the way in, `render` methods on
-//! the way out. The types still carry the marker derives for forward
-//! compatibility, and both directions are round-trip tested.
+//! The line codec is the workspace's one flat-JSON scanner and writer,
+//! [`mpwifi_simcore::json`]; this module owns the vocabulary — which
+//! keys a request or response carries, and what they mean. Both
+//! directions are round-trip tested against the exact wire bytes.
 //!
 //! Malformed input is part of the protocol, not an error path: an
 //! unparseable or invalid line produces a typed
 //! [`Response::Malformed`] and the server moves on. The request is the
 //! failure domain.
 
+use mpwifi_simcore::json::{object_line, JsonObj};
 use mpwifi_simcore::RunMetrics;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One value in a flat protocol object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A (already unescaped) string.
-    Str(String),
-    /// Any JSON number; integer fields range-check on access.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-/// A parsed flat JSON object (`{"key": scalar, ...}`). The protocol is
-/// deliberately flat — nested objects and arrays are rejected, which
-/// keeps the parser small and every malformed shape a *typed* refusal.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct JsonObj {
-    fields: Vec<(String, JsonValue)>,
-}
-
-impl JsonObj {
-    /// Parse one line. Errors name the first offending position's
-    /// context so `malformed` responses are actionable.
-    pub fn parse(line: &str) -> Result<JsonObj, String> {
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.skip_ws();
-                let key = p.string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                let value = p.value()?;
-                fields.push((key, value));
-                p.skip_ws();
-                match p.next() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => {
-                        return Err(format!(
-                            "expected ',' or '}}' at byte {}, got {:?}",
-                            p.pos,
-                            other.map(char::from)
-                        ))
-                    }
-                }
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes after object at byte {}", p.pos));
-        }
-        Ok(JsonObj { fields })
-    }
-
-    /// Look a field up.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// String field, or an error naming the key.
-    pub fn str_field(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s),
-            Some(_) => Err(format!("field {key:?} must be a string")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    /// Optional string field (error only on wrong type).
-    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(Some(s)),
-            Some(_) => Err(format!("field {key:?} must be a string")),
-            None => Ok(None),
-        }
-    }
-
-    /// Optional unsigned-integer field; rejects negatives, fractions,
-    /// and values past 2^53 (not exactly representable).
-    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) => {
-                if *n < 0.0 || n.fract() != 0.0 || *n > 9_007_199_254_740_992.0 {
-                    Err(format!("field {key:?} must be a non-negative integer"))
-                } else {
-                    Ok(Some(*n as u64))
-                }
-            }
-            Some(_) => Err(format!("field {key:?} must be a number")),
-            None => Ok(None),
-        }
-    }
-
-    /// Optional bool field.
-    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
-        match self.get(key) {
-            Some(JsonValue::Bool(b)) => Ok(Some(*b)),
-            Some(_) => Err(format!("field {key:?} must be a boolean")),
-            None => Ok(None),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                char::from(want),
-                self.pos.saturating_sub(1),
-                other.map(char::from)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .next()
-                                .and_then(|b| char::from(b).to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        // Surrogates degrade to the replacement char;
-                        // protocol strings are plain ASCII in practice.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {:?}", other.map(char::from))),
-                },
-                // Multi-byte UTF-8: copy the raw bytes of this char.
-                Some(b) if b >= 0x80 => {
-                    let start = self.pos - 1;
-                    while matches!(self.peek(), Some(c) if c & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(chunk);
-                }
-                Some(b) => out.push(char::from(b)),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'{') | Some(b'[') => {
-                Err("nested objects/arrays are not part of the protocol".to_string())
-            }
-            Some(_) => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(JsonValue::Num)
-                    .ok_or_else(|| format!("malformed number at byte {start}"))
-            }
-            None => Err("missing value".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Requests
@@ -399,23 +149,24 @@ impl Request {
     /// Render a request as one jsonl line (the load client's encoder;
     /// round-trips through [`Request::parse`]).
     pub fn render(&self) -> String {
-        match self {
-            Request::Ping => "{\"type\": \"ping\"}".to_string(),
-            Request::Shutdown => "{\"type\": \"shutdown\"}".to_string(),
+        let scale = |full: bool| if full { "full" } else { "quick" };
+        object_line(|o| match self {
+            Request::Ping => {
+                o.str("type", "ping");
+            }
+            Request::Shutdown => {
+                o.str("type", "shutdown");
+            }
             Request::Run(r) => {
-                let mut out = format!(
-                    "{{\"type\": \"run\", \"req\": \"{}\", \"seed\": {}, \"retries\": {}",
-                    json_escape(&r.req),
-                    r.seed,
-                    r.retries
-                );
+                o.str("type", "run")
+                    .str("req", &r.req)
+                    .val("seed", r.seed)
+                    .val("retries", r.retries);
                 match &r.kind {
                     RunKind::Experiment { id, full } => {
-                        out.push_str(&format!(
-                            ", \"kind\": \"experiment\", \"id\": \"{}\", \"scale\": \"{}\"",
-                            json_escape(id),
-                            if *full { "full" } else { "quick" }
-                        ));
+                        o.str("kind", "experiment")
+                            .str("id", id)
+                            .str("scale", scale(*full));
                     }
                     RunKind::Campaign {
                         users,
@@ -423,16 +174,17 @@ impl Request {
                         full,
                         checkpoint,
                     } => {
-                        out.push_str(&format!(
-                            ", \"kind\": \"campaign\", \"users\": {users}, \"jobs\": {jobs}, \
-                             \"scale\": \"{}\"",
-                            if *full { "full" } else { "quick" }
-                        ));
+                        o.str("kind", "campaign")
+                            .val("users", users)
+                            .val("jobs", jobs)
+                            .str("scale", scale(*full));
                         if let Some(path) = checkpoint {
-                            out.push_str(&format!(", \"checkpoint\": \"{}\"", json_escape(path)));
+                            o.str("checkpoint", path);
                         }
                     }
-                    RunKind::WorkerBomb => out.push_str(", \"kind\": \"worker-bomb\""),
+                    RunKind::WorkerBomb => {
+                        o.str("kind", "worker-bomb");
+                    }
                 }
                 for (key, v) in [
                     ("max_events", r.max_events),
@@ -440,13 +192,11 @@ impl Request {
                     ("stall_ttl_s", r.stall_ttl_s),
                 ] {
                     if let Some(v) = v {
-                        out.push_str(&format!(", \"{key}\": {v}"));
+                        o.val(key, v);
                     }
                 }
-                out.push('}');
-                out
             }
-        }
+        })
     }
 }
 
@@ -577,6 +327,30 @@ pub struct ServeStats {
     pub workers_replaced: u64,
 }
 
+impl ServeStats {
+    /// Every counter by name, in declaration order, writable: the one
+    /// list the `stats` line is rendered and parsed from.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("admitted", &mut self.admitted),
+            ("completed", &mut self.completed),
+            ("shed", &mut self.shed),
+            ("rejected_draining", &mut self.rejected_draining),
+            ("malformed", &mut self.malformed),
+            ("quarantined", &mut self.quarantined),
+            ("retried", &mut self.retried),
+            ("flaky", &mut self.flaky),
+            ("workers_replaced", &mut self.workers_replaced),
+        ]
+    }
+
+    /// Every counter as `(name, value)`, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, v)| (name, *v))
+    }
+}
+
 /// One server→client line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -670,67 +444,66 @@ pub enum Response {
 impl Response {
     /// Render as one jsonl line (no trailing newline).
     pub fn render(&self) -> String {
-        match self {
-            Response::Accepted { req, depth } => format!(
-                "{{\"type\": \"accepted\", \"req\": \"{}\", \"depth\": {depth}}}",
-                json_escape(req)
-            ),
+        object_line(|o| match self {
+            Response::Accepted { req, depth } => {
+                o.str("type", "accepted")
+                    .str("req", req)
+                    .val("depth", depth);
+            }
             Response::Shed {
                 req,
                 depth,
                 capacity,
-            } => format!(
-                "{{\"type\": \"shed\", \"req\": \"{}\", \"status\": \"shed\", \
-                 \"depth\": {depth}, \"capacity\": {capacity}}}",
-                json_escape(req)
-            ),
-            Response::Rejected { req } => format!(
-                "{{\"type\": \"rejected\", \"req\": \"{}\", \"status\": \"draining\"}}",
-                json_escape(req)
-            ),
+            } => {
+                o.str("type", "shed")
+                    .str("req", req)
+                    .str("status", "shed")
+                    .val("depth", depth)
+                    .val("capacity", capacity);
+            }
+            Response::Rejected { req } => {
+                o.str("type", "rejected")
+                    .str("req", req)
+                    .str("status", "draining");
+            }
             Response::Malformed { req, error } => {
-                let tag = match req {
-                    Some(r) => format!("\"req\": \"{}\", ", json_escape(r)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"type\": \"malformed\", {tag}\"status\": \"malformed\", \
-                     \"error\": \"{}\"}}",
-                    json_escape(error)
-                )
+                o.str("type", "malformed");
+                if let Some(req) = req {
+                    o.str("req", req);
+                }
+                o.str("status", "malformed").str("error", error);
             }
             Response::Retry {
                 req,
                 attempt,
                 backoff_ms,
                 cause,
-            } => format!(
-                "{{\"type\": \"retry\", \"req\": \"{}\", \"attempt\": {attempt}, \
-                 \"backoff_ms\": {backoff_ms}, \"cause\": \"{cause}\"}}",
-                json_escape(req)
-            ),
+            } => {
+                o.str("type", "retry")
+                    .str("req", req)
+                    .val("attempt", attempt)
+                    .val("backoff_ms", backoff_ms)
+                    .str("cause", cause);
+            }
             Response::Progress {
                 req,
                 done_shards,
                 total_shards,
                 users_done,
-            } => format!(
-                "{{\"type\": \"progress\", \"req\": \"{}\", \"done_shards\": {done_shards}, \
-                 \"total_shards\": {total_shards}, \"users_done\": {users_done}}}",
-                json_escape(req)
-            ),
-            Response::Section { req, text } => format!(
-                "{{\"type\": \"section\", \"req\": \"{}\", \"text\": \"{}\"}}",
-                json_escape(req),
-                json_escape(text)
-            ),
+            } => {
+                o.str("type", "progress")
+                    .str("req", req)
+                    .val("done_shards", done_shards)
+                    .val("total_shards", total_shards)
+                    .val("users_done", users_done);
+            }
+            Response::Section { req, text } => {
+                o.str("type", "section").str("req", req).str("text", text);
+            }
             Response::Metrics { req, metrics } => {
-                let mut out = format!("{{\"type\": \"metrics\", \"req\": \"{}\"", json_escape(req));
-                for (name, value) in metrics.fields() {
-                    let _ = write!(out, ", \"{name}\": {value}");
-                }
-                out.push('}');
-                out
+                o.str("type", "metrics")
+                    .str("req", req)
+                    .fields(metrics.fields());
             }
             Response::Done {
                 req,
@@ -738,38 +511,30 @@ impl Response {
                 attempts,
                 flaky,
             } => {
-                let mut out = format!(
-                    "{{\"type\": \"done\", \"req\": \"{}\", \"status\": \"{}\", \
-                     \"attempts\": {attempts}, \"flaky\": {flaky}",
-                    json_escape(req),
-                    status.label()
-                );
+                o.str("type", "done")
+                    .str("req", req)
+                    .str("status", status.label())
+                    .val("attempts", attempts)
+                    .val("flaky", flaky);
                 if let RequestStatus::Completed { claims_hold } = status {
-                    out.push_str(&format!(", \"claims_hold\": {claims_hold}"));
+                    o.val("claims_hold", claims_hold);
                 }
                 if let Some(f) = status.forensics() {
-                    out.push_str(&format!(", \"forensics\": \"{}\"", json_escape(f)));
+                    o.str("forensics", f);
                 }
-                out.push('}');
-                out
             }
-            Response::Pong => "{\"type\": \"pong\"}".to_string(),
-            Response::Draining => "{\"type\": \"draining\"}".to_string(),
-            Response::Stats { stats: s } => format!(
-                "{{\"type\": \"stats\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
-                 \"rejected_draining\": {}, \"malformed\": {}, \"quarantined\": {}, \
-                 \"retried\": {}, \"flaky\": {}, \"workers_replaced\": {}, \"drained\": true}}",
-                s.admitted,
-                s.completed,
-                s.shed,
-                s.rejected_draining,
-                s.malformed,
-                s.quarantined,
-                s.retried,
-                s.flaky,
-                s.workers_replaced,
-            ),
-        }
+            Response::Pong => {
+                o.str("type", "pong");
+            }
+            Response::Draining => {
+                o.str("type", "draining");
+            }
+            Response::Stats { stats } => {
+                o.str("type", "stats")
+                    .fields(stats.fields())
+                    .val("drained", true);
+            }
+        })
     }
 
     /// Parse one server line — the load client's decoder. Statuses
@@ -811,9 +576,7 @@ impl Response {
             }),
             "metrics" => {
                 let mut metrics = RunMetrics::default();
-                for (name, slot) in metrics.fields_mut() {
-                    *slot = obj.opt_u64(name)?.unwrap_or(0);
-                }
+                obj.read_fields(metrics.fields_mut())?;
                 Ok(Response::Metrics {
                     req: req(&obj)?,
                     metrics,
@@ -847,19 +610,11 @@ impl Response {
             }
             "pong" => Ok(Response::Pong),
             "draining" => Ok(Response::Draining),
-            "stats" => Ok(Response::Stats {
-                stats: ServeStats {
-                    admitted: obj.opt_u64("admitted")?.unwrap_or(0),
-                    completed: obj.opt_u64("completed")?.unwrap_or(0),
-                    shed: obj.opt_u64("shed")?.unwrap_or(0),
-                    rejected_draining: obj.opt_u64("rejected_draining")?.unwrap_or(0),
-                    malformed: obj.opt_u64("malformed")?.unwrap_or(0),
-                    quarantined: obj.opt_u64("quarantined")?.unwrap_or(0),
-                    retried: obj.opt_u64("retried")?.unwrap_or(0),
-                    flaky: obj.opt_u64("flaky")?.unwrap_or(0),
-                    workers_replaced: obj.opt_u64("workers_replaced")?.unwrap_or(0),
-                },
-            }),
+            "stats" => {
+                let mut stats = ServeStats::default();
+                obj.read_fields(stats.fields_mut())?;
+                Ok(Response::Stats { stats })
+            }
             other => Err(format!("unknown response type {other:?}")),
         }
     }
@@ -889,6 +644,7 @@ fn status_label(s: &str) -> Result<&'static str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpwifi_simcore::json::JsonValue;
 
     #[test]
     fn flat_object_parses_scalars_and_escapes() {
@@ -947,6 +703,10 @@ mod tests {
             full: false,
             checkpoint: checkpoint.map(str::to_string),
         };
+        let fig9 = || RunKind::Experiment {
+            id: "fig9".into(),
+            full: false,
+        };
         // Every request shape with the exact line it renders to: the
         // wire bytes are part of the contract, not only the round trip.
         let reqs = [
@@ -995,6 +755,21 @@ mod tests {
                     1,
                 )),
                 r#"{"type": "run", "req": "c-ckpt", "seed": 42, "retries": 1, "kind": "campaign", "users": 5000, "jobs": 4, "scale": "quick", "checkpoint": "/tmp/dir with \"quotes\"/c.journal"}"#,
+            ),
+            // Full-range seeds: every derived seed is a splitmix64
+            // output, and a rendered request must replay verbatim.
+            (
+                Request::Run(run("max", fig9(), u64::MAX, 0)),
+                r#"{"type": "run", "req": "max", "seed": 18446744073709551615, "retries": 0, "kind": "experiment", "id": "fig9", "scale": "quick"}"#,
+            ),
+            (
+                Request::Run(run(
+                    "derived",
+                    fig9(),
+                    mpwifi_simcore::derive_seed(42, "fig9#retry1"),
+                    0,
+                )),
+                r#"{"type": "run", "req": "derived", "seed": 16783496150503552297, "retries": 0, "kind": "experiment", "id": "fig9", "scale": "quick"}"#,
             ),
             (
                 Request::Run(run("boom", RunKind::WorkerBomb, 42, 0)),
@@ -1129,6 +904,15 @@ mod tests {
                     users_done: 1024,
                 },
                 r#"{"type": "progress", "req": "f", "done_shards": 2, "total_shards": 10, "users_done": 1024}"#,
+            ),
+            (
+                Response::Progress {
+                    req: "f2".into(),
+                    done_shards: mpwifi_simcore::derive_seed(42, "fig9#retry1"),
+                    total_shards: u64::MAX,
+                    users_done: u64::MAX,
+                },
+                r#"{"type": "progress", "req": "f2", "done_shards": 16783496150503552297, "total_shards": 18446744073709551615, "users_done": 18446744073709551615}"#,
             ),
             (
                 Response::Section {

@@ -29,8 +29,9 @@ use std::time::Duration;
 
 use crate::exec::Executor;
 use crate::pool::{Pool, Sink};
-use crate::proto::{JsonObj, Request, Response, RunKind, ServeStats};
+use crate::proto::{Request, Response, RunKind, ServeStats};
 use crate::queue::{AdmissionQueue, Admit};
+use mpwifi_simcore::json::JsonObj;
 
 /// Server tunables. Defaults favour the test/chaos rigs; the CLI maps its
 /// flags onto this.
@@ -401,6 +402,35 @@ mod tests {
             .position(|r| matches!(r, Response::Done { req, .. } if req == "r1"))
             .expect("no done");
         assert!(acc < done);
+    }
+
+    #[test]
+    fn rendered_request_with_a_derived_seed_is_admitted() {
+        // Retry and `--derive-seeds` seeds are splitmix64 outputs, nearly
+        // all above 2^53: the line the load client renders for one must
+        // be a valid request, not a `malformed` refusal.
+        let h = start(ServeConfig::default());
+        let line = Request::Run(RunRequest {
+            req: "replay".into(),
+            kind: RunKind::Experiment {
+                id: "mock".into(),
+                full: false,
+            },
+            seed: mpwifi_simcore::derive_seed(42, "fig9#retry1"),
+            retries: 0,
+            max_events: None,
+            wall_ms: None,
+            stall_ttl_s: None,
+        })
+        .render();
+        h.tx.send(line).expect("send");
+        drop(h.tx);
+        let stats = h.handle.join().expect("server panicked");
+        assert_eq!((stats.admitted, stats.malformed), (1, 0));
+        assert!(h.buf.lines().iter().any(|r| matches!(
+            r,
+            Response::Done { req, status: RequestStatus::Completed { .. }, .. } if req == "replay"
+        )));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! a seeded random-number generator with the distributions the study needs
 //! ([`DetRng`]) beside the workspace's only seed-derivation helpers
 //! ([`splitmix64`], [`Fnv1a`], [`derive_seed`]), time-series helpers
-//! ([`series`]), and the one fan-out engine every parallel batch runs on
-//! ([`fan_out`]).
+//! ([`series`]), the one fan-out engine every parallel batch runs on
+//! ([`fan_out`]), and the one flat-JSON line codec ([`json`]).
 //!
 //! Everything in the workspace runs on *simulated* time — there is no wall
 //! clock anywhere — so a given `(seed, scenario)` pair always produces
@@ -15,6 +15,7 @@
 
 pub mod events;
 pub mod fanout;
+pub mod json;
 pub mod metrics;
 pub mod rng;
 pub mod series;
