@@ -689,6 +689,7 @@ fn die(msg: &str) -> ! {
 mod tests {
     use super::*;
     use mpwifi_repro::RunStatus;
+    use mpwifi_simcore::RunFailure;
     use std::time::Duration;
 
     #[test]
@@ -709,18 +710,18 @@ mod tests {
                 42,
                 1,
                 1_500,
-                RunStatus::Panicked {
+                RunStatus::Failed(RunFailure::Panicked {
                     message: "planted \"panic\" (at src/supervise.rs:355)".into(),
-                },
+                }),
             ),
             run(
                 "planted-stall",
                 u64::MAX,
                 2,
                 12_345_678,
-                RunStatus::Stalled {
+                RunStatus::Failed(RunFailure::Stalled {
                     forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
-                },
+                }),
             ),
         ];
         assert_eq!(

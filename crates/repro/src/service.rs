@@ -65,25 +65,6 @@ pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
     }
 }
 
-/// Map a batch-supervisor failure into the request-level taxonomy.
-fn map_failure(status: RunStatus) -> RequestStatus {
-    match status {
-        RunStatus::Completed => RequestStatus::Completed { claims_hold: true },
-        RunStatus::Panicked { message } => RequestStatus::Panicked { message },
-        RunStatus::Stalled { forensics } => RequestStatus::Stalled { forensics },
-        RunStatus::DeadlineExceeded {
-            limit_ms,
-            forensics,
-        } => RequestStatus::DeadlineExceeded {
-            limit_ms,
-            forensics,
-        },
-        RunStatus::BudgetExhausted { limit, forensics } => {
-            RequestStatus::BudgetExhausted { limit, forensics }
-        }
-    }
-}
-
 impl Executor for ReproExecutor {
     fn validate(&self, req: &RunRequest) -> Result<(), String> {
         match &req.kind {
@@ -179,7 +160,7 @@ impl ReproExecutor {
                     claims_hold: outcome.report.all_hold(),
                 }
             }
-            failure => map_failure(failure),
+            RunStatus::Failed(failure) => RequestStatus::Failed(failure),
         }
     }
 
@@ -247,7 +228,7 @@ impl ReproExecutor {
             Ok(Err(resume_err)) => RequestStatus::Malformed {
                 error: format!("cannot resume campaign checkpoint: {resume_err}"),
             },
-            Err(failure) => map_failure(failure),
+            Err(failure) => RequestStatus::Failed(failure),
         }
     }
 }
@@ -358,7 +339,7 @@ mod tests {
             0,
             &|_| {},
         );
-        let RequestStatus::Panicked { message } = status else {
+        let RequestStatus::Failed(mpwifi_simcore::RunFailure::Panicked { message }) = status else {
             panic!("expected Panicked, got {}", status.label());
         };
         assert!(message.contains("planted panic"));

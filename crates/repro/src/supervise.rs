@@ -20,7 +20,7 @@ use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
 use crate::runner::{derive_seed, RunOutcome};
 use mpwifi_simcore::supervise as watchdog;
-use mpwifi_simcore::{Breach, BreachReport, RunMetrics, WatchdogConfig};
+use mpwifi_simcore::{BreachReport, RunFailure, RunMetrics, WatchdogConfig};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -98,32 +98,8 @@ pub enum RunStatus {
     /// The experiment returned a report (its claims may still fail —
     /// that is the report's business, not the supervisor's).
     Completed,
-    /// The experiment panicked; `message` carries the panic text and
-    /// location captured by the supervisor's panic hook.
-    Panicked {
-        /// Panic message plus `file:line` when available.
-        message: String,
-    },
-    /// The watchdog's wall-clock deadline fired.
-    DeadlineExceeded {
-        /// The configured limit in milliseconds.
-        limit_ms: u64,
-        /// Forensic snapshot rendered at the breach.
-        forensics: String,
-    },
-    /// The watchdog's sim-time stall TTL fired: events kept firing but
-    /// the delivery watermark was flat for the whole TTL.
-    Stalled {
-        /// Forensic snapshot rendered at the breach.
-        forensics: String,
-    },
-    /// The watchdog's event budget fired.
-    BudgetExhausted {
-        /// The configured step limit.
-        limit: u64,
-        /// Forensic snapshot rendered at the breach.
-        forensics: String,
-    },
+    /// The experiment panicked or breached a watchdog budget.
+    Failed(RunFailure),
 }
 
 impl RunStatus {
@@ -131,10 +107,7 @@ impl RunStatus {
     pub fn label(&self) -> &'static str {
         match self {
             RunStatus::Completed => "completed",
-            RunStatus::Panicked { .. } => "panicked",
-            RunStatus::DeadlineExceeded { .. } => "deadline-exceeded",
-            RunStatus::Stalled { .. } => "stalled",
-            RunStatus::BudgetExhausted { .. } => "budget-exhausted",
+            RunStatus::Failed(failure) => failure.label(),
         }
     }
 
@@ -147,10 +120,7 @@ impl RunStatus {
     pub fn forensics(&self) -> Option<&str> {
         match self {
             RunStatus::Completed => None,
-            RunStatus::Panicked { message } => Some(message),
-            RunStatus::DeadlineExceeded { forensics, .. }
-            | RunStatus::Stalled { forensics }
-            | RunStatus::BudgetExhausted { forensics, .. } => Some(forensics),
+            RunStatus::Failed(failure) => Some(failure.forensics()),
         }
     }
 }
@@ -215,22 +185,11 @@ fn install_capture_hook() {
     });
 }
 
-/// Classify a caught panic payload into a [`RunStatus`].
-fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> RunStatus {
+/// Classify a caught panic payload: a watchdog breach carries its own
+/// [`BreachReport`]; anything else is a plain panic.
+fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> RunFailure {
     match payload.downcast::<BreachReport>() {
-        Ok(report) => match report.breach {
-            Breach::Stall { .. } => RunStatus::Stalled {
-                forensics: report.forensics,
-            },
-            Breach::EventBudget { limit } => RunStatus::BudgetExhausted {
-                limit,
-                forensics: report.forensics,
-            },
-            Breach::WallClock { limit_ms } => RunStatus::DeadlineExceeded {
-                limit_ms,
-                forensics: report.forensics,
-            },
-        },
+        Ok(report) => RunFailure::from(*report),
         Err(payload) => {
             let hook_capture = CAPTURED
                 .with(|c| c.borrow_mut().take())
@@ -242,18 +201,18 @@ fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> RunStatus {
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic payload>".to_string())
             });
-            RunStatus::Panicked { message }
+            RunFailure::Panicked { message }
         }
     }
 }
 
 /// Supervise an arbitrary call: arm the watchdog for the closure's
-/// scope, isolate panics, and classify any failure into a [`RunStatus`].
+/// scope, isolate panics, and classify any failure into a [`RunFailure`].
 /// This is the core primitive behind [`supervise_one`] and the campaign
 /// server's request execution — anything that runs simulator code on a
 /// long-lived thread should go through here so a breach can never leak
 /// an armed watchdog or a capturing panic hook into the next run.
-pub fn supervise_call<T>(wd: &WatchdogConfig, f: impl FnOnce() -> T) -> Result<T, RunStatus> {
+pub fn supervise_call<T>(wd: &WatchdogConfig, f: impl FnOnce() -> T) -> Result<T, RunFailure> {
     install_capture_hook();
     CAPTURED.with(|c| *c.borrow_mut() = None);
     CAPTURING.set(true);
@@ -275,7 +234,7 @@ fn attempt(
         crate::runner::run_one(spec, scale, seed)
     }) {
         Ok(outcome) => (RunStatus::Completed, Some(outcome)),
-        Err(status) => (status, None),
+        Err(failure) => (RunStatus::Failed(failure), None),
     }
 }
 
@@ -509,7 +468,7 @@ mod tests {
     fn planted_panic_is_quarantined_with_message() {
         let spec = planted_find("planted-panic").unwrap();
         let run = supervise_one(spec, Scale::Quick, 1, &SuperviseConfig::default());
-        let RunStatus::Panicked { message } = &run.status else {
+        let RunStatus::Failed(RunFailure::Panicked { message }) = &run.status else {
             panic!("expected Panicked, got {:?}", run.status);
         };
         assert!(
@@ -524,7 +483,7 @@ mod tests {
     fn planted_stall_is_classified_stalled_with_subflow_forensics() {
         let spec = planted_find("planted-stall").unwrap();
         let run = supervise_one(spec, Scale::Quick, 7, &SuperviseConfig::default());
-        let RunStatus::Stalled { forensics } = &run.status else {
+        let RunStatus::Failed(RunFailure::Stalled { forensics }) = &run.status else {
             panic!("expected Stalled, got label {}", run.status.label());
         };
         assert!(
@@ -548,7 +507,10 @@ mod tests {
         };
         let run = supervise_one(spec, Scale::Quick, 42, &cfg);
         assert!(
-            matches!(run.status, RunStatus::BudgetExhausted { limit: 50, .. }),
+            matches!(
+                run.status,
+                RunStatus::Failed(RunFailure::BudgetExhausted { limit: 50, .. })
+            ),
             "expected BudgetExhausted, got {}",
             run.status.label()
         );
@@ -633,7 +595,7 @@ mod tests {
         };
         let run = supervise_one(spec, Scale::Quick, root, &short);
         assert!(
-            matches!(run.status, RunStatus::Panicked { .. }),
+            matches!(run.status, RunStatus::Failed(RunFailure::Panicked { .. })),
             "expected quarantine, got {}",
             run.status.label()
         );
@@ -660,11 +622,11 @@ mod tests {
             max_events: Some(1_000),
             ..WatchdogConfig::default()
         };
-        let ok: Result<u64, RunStatus> = supervise_call(&wd, || 41 + 1);
+        let ok: Result<u64, RunFailure> = supervise_call(&wd, || 41 + 1);
         assert_eq!(ok, Ok(42));
         assert!(!watchdog::armed(), "success path must disarm");
-        let err: Result<(), RunStatus> = supervise_call(&wd, || panic!("scoped boom"));
-        let Err(RunStatus::Panicked { message }) = err else {
+        let err: Result<(), RunFailure> = supervise_call(&wd, || panic!("scoped boom"));
+        let Err(RunFailure::Panicked { message }) = err else {
             panic!("expected Panicked, got {err:?}");
         };
         assert!(message.contains("scoped boom"));

@@ -14,6 +14,7 @@ use mpwifi_repro::{
     planted_find, registry, repro_command, repro_test_snippet, run_specs_supervised,
     run_specs_with, RunStatus, Scale, SeedPolicy, SuperviseConfig, REGISTRY,
 };
+use mpwifi_simcore::RunFailure;
 
 #[test]
 fn registry_soaks_clean_under_default_budgets() {
@@ -132,7 +133,7 @@ fn planted_campaign_quarantines_and_continues() {
     }
 
     // The planted panic is isolated with message + location.
-    let RunStatus::Panicked { message } = &runs[1].status else {
+    let RunStatus::Failed(RunFailure::Panicked { message }) = &runs[1].status else {
         panic!(
             "planted-panic: expected Panicked, got {}",
             runs[1].status.label()
@@ -143,7 +144,7 @@ fn planted_campaign_quarantines_and_continues() {
 
     // The planted livelock is classified Stalled, and the forensics
     // name the dead primary subflow.
-    let RunStatus::Stalled { forensics } = &runs[3].status else {
+    let RunStatus::Failed(RunFailure::Stalled { forensics }) = &runs[3].status else {
         panic!(
             "planted-stall: expected Stalled, got {}",
             runs[3].status.label()

@@ -5,8 +5,8 @@
 //! failure domain. The crate owns everything about robustness —
 //!
 //! - [`proto`]: the wire protocol (request and response types over
-//!   `simcore`'s flat-JSON line codec, the [`proto::RequestStatus`] taxonomy mirroring
-//!   `repro`'s `RunStatus`);
+//!   `simcore`'s flat-JSON line codec; [`proto::RequestStatus`] carries
+//!   `simcore`'s `RunFailure`, as `repro`'s `RunStatus` does);
 //! - [`queue`]: the bounded admission queue with typed shedding and drain;
 //! - [`exec`]: the [`exec::Executor`] engine interface and the deterministic
 //!   jittered backoff schedule;

@@ -288,6 +288,7 @@ mod tests {
     use super::*;
     use crate::proto::RunKind;
     use crate::queue::Admit;
+    use mpwifi_simcore::RunFailure;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Shared byte buffer usable as a `Sink` target while the test keeps a
@@ -343,12 +344,12 @@ mod tests {
                 "resume-bomb" if self.bombed.fetch_add(1, Ordering::SeqCst) == 0 => {
                     panic!("worker bomb mid-campaign")
                 }
-                "flaky" if attempt < FLAKY_OK_AT => RequestStatus::Panicked {
+                "flaky" if attempt < FLAKY_OK_AT => RequestStatus::Failed(RunFailure::Panicked {
                     message: format!("flaky attempt {attempt}"),
-                },
-                "doomed" => RequestStatus::Stalled {
+                }),
+                "doomed" => RequestStatus::Failed(RunFailure::Stalled {
                     forensics: "no progress".into(),
-                },
+                }),
                 _ => {
                     emit(Response::Section {
                         req: req.req.clone(),
@@ -497,7 +498,7 @@ mod tests {
         let (lines, stats) = rig.finish();
         match done_for(&lines, "doomed") {
             Response::Done {
-                status: RequestStatus::Stalled { .. },
+                status: RequestStatus::Failed(RunFailure::Stalled { .. }),
                 attempts: 3,
                 flaky: false,
                 ..

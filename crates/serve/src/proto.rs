@@ -17,7 +17,7 @@
 //! failure domain.
 
 use mpwifi_simcore::json::{object_line, JsonObj};
-use mpwifi_simcore::RunMetrics;
+use mpwifi_simcore::{RunFailure, RunMetrics};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
@@ -204,9 +204,9 @@ impl Request {
 // Statuses and responses
 // ---------------------------------------------------------------------
 
-/// How a request ended — the request-level failure taxonomy, mirroring
-/// the PR 5 `RunStatus` run taxonomy and extending it with the states
-/// only a server has (shed, draining, malformed, worker-lost).
+/// How a request ended: a completed run, a run failure in the shared
+/// [`RunFailure`] vocabulary, or one of the states only a server has
+/// (shed, draining, malformed, worker-lost).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestStatus {
     /// The run produced its report. `claims_hold` is the report's
@@ -231,30 +231,9 @@ pub enum RequestStatus {
         /// What was wrong.
         error: String,
     },
-    /// The supervised run panicked (quarantined).
-    Panicked {
-        /// Panic message and location.
-        message: String,
-    },
-    /// The watchdog's sim-time stall TTL fired (quarantined).
-    Stalled {
-        /// Forensic snapshot.
-        forensics: String,
-    },
-    /// The watchdog's wall-clock deadline fired (quarantined).
-    DeadlineExceeded {
-        /// Configured limit, ms.
-        limit_ms: u64,
-        /// Forensic snapshot.
-        forensics: String,
-    },
-    /// The watchdog's event budget fired (quarantined).
-    BudgetExhausted {
-        /// Configured step limit.
-        limit: u64,
-        /// Forensic snapshot.
-        forensics: String,
-    },
+    /// The supervised run panicked or breached a watchdog budget
+    /// (quarantined).
+    Failed(RunFailure),
     /// The worker thread itself died mid-request; the pool replaced it
     /// and the request is reported lost (quarantined).
     WorkerLost,
@@ -268,10 +247,7 @@ impl RequestStatus {
             RequestStatus::Shed { .. } => "shed",
             RequestStatus::Draining => "draining",
             RequestStatus::Malformed { .. } => "malformed",
-            RequestStatus::Panicked { .. } => "panicked",
-            RequestStatus::Stalled { .. } => "stalled",
-            RequestStatus::DeadlineExceeded { .. } => "deadline-exceeded",
-            RequestStatus::BudgetExhausted { .. } => "budget-exhausted",
+            RequestStatus::Failed(failure) => failure.label(),
             RequestStatus::WorkerLost => "worker-lost",
         }
     }
@@ -280,26 +256,26 @@ impl RequestStatus {
     /// Admission refusals (shed/draining/malformed) are not failures of
     /// a run — they never ran.
     pub fn is_run_failure(&self) -> bool {
-        matches!(
-            self,
-            RequestStatus::Panicked { .. }
-                | RequestStatus::Stalled { .. }
-                | RequestStatus::DeadlineExceeded { .. }
-                | RequestStatus::BudgetExhausted { .. }
-                | RequestStatus::WorkerLost
-        )
+        matches!(self, RequestStatus::Failed(_) | RequestStatus::WorkerLost)
     }
 
     /// The forensic text attached to a failure, if any.
     pub fn forensics(&self) -> Option<&str> {
         match self {
-            RequestStatus::Panicked { message } => Some(message),
+            RequestStatus::Failed(failure) => Some(failure.forensics()),
             RequestStatus::Malformed { error } => Some(error),
-            RequestStatus::Stalled { forensics }
-            | RequestStatus::DeadlineExceeded { forensics, .. }
-            | RequestStatus::BudgetExhausted { forensics, .. } => Some(forensics),
             _ => None,
         }
+    }
+
+    /// Decode a failed execution from its wire label and forensic text.
+    fn decode_failure(label: &str, forensics: String) -> Result<RequestStatus, String> {
+        if label == RequestStatus::WorkerLost.label() {
+            return Ok(RequestStatus::WorkerLost);
+        }
+        RunFailure::from_label(label, forensics)
+            .map(RequestStatus::Failed)
+            .ok_or_else(|| format!("unknown failure status {label:?}"))
     }
 }
 
@@ -562,7 +538,8 @@ impl Response {
                 req: req(&obj)?,
                 attempt: obj.opt_u64("attempt")?.unwrap_or(0) as u32,
                 backoff_ms: obj.opt_u64("backoff_ms")?.unwrap_or(0),
-                cause: status_label(obj.str_field("cause")?)?,
+                cause: RequestStatus::decode_failure(obj.str_field("cause")?, String::new())?
+                    .label(),
             }),
             "progress" => Ok(Response::Progress {
                 req: req(&obj)?,
@@ -588,18 +565,7 @@ impl Response {
                     "completed" => RequestStatus::Completed {
                         claims_hold: obj.opt_bool("claims_hold")?.unwrap_or(false),
                     },
-                    "panicked" => RequestStatus::Panicked { message: forensics },
-                    "stalled" => RequestStatus::Stalled { forensics },
-                    "deadline-exceeded" => RequestStatus::DeadlineExceeded {
-                        limit_ms: 0,
-                        forensics,
-                    },
-                    "budget-exhausted" => RequestStatus::BudgetExhausted {
-                        limit: 0,
-                        forensics,
-                    },
-                    "worker-lost" => RequestStatus::WorkerLost,
-                    other => return Err(format!("unknown done status {other:?}")),
+                    failed => RequestStatus::decode_failure(failed, forensics)?,
                 };
                 Ok(Response::Done {
                     req: req(&obj)?,
@@ -618,27 +584,6 @@ impl Response {
             other => Err(format!("unknown response type {other:?}")),
         }
     }
-}
-
-/// Intern a status label string back to the `&'static str` the enum
-/// uses, rejecting unknown labels.
-fn status_label(s: &str) -> Result<&'static str, String> {
-    for known in [
-        "completed",
-        "shed",
-        "draining",
-        "malformed",
-        "panicked",
-        "stalled",
-        "deadline-exceeded",
-        "budget-exhausted",
-        "worker-lost",
-    ] {
-        if s == known {
-            return Ok(known);
-        }
-    }
-    Err(format!("unknown status label {s:?}"))
 }
 
 #[cfg(test)]
@@ -946,9 +891,9 @@ mod tests {
             (
                 done(
                     "j",
-                    RequestStatus::Stalled {
+                    RequestStatus::Failed(RunFailure::Stalled {
                         forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
-                    },
+                    }),
                     1,
                     false,
                 ),
@@ -957,9 +902,9 @@ mod tests {
             (
                 done(
                     "j2",
-                    RequestStatus::Panicked {
+                    RequestStatus::Failed(RunFailure::Panicked {
                         message: "boom (at src/x.rs:7)".into(),
-                    },
+                    }),
                     3,
                     false,
                 ),
@@ -970,10 +915,10 @@ mod tests {
             (
                 done(
                     "j3",
-                    RequestStatus::DeadlineExceeded {
+                    RequestStatus::Failed(RunFailure::DeadlineExceeded {
                         limit_ms: 0,
                         forensics: "t=1.0s".into(),
-                    },
+                    }),
                     1,
                     false,
                 ),
@@ -982,10 +927,10 @@ mod tests {
             (
                 done(
                     "j4",
-                    RequestStatus::BudgetExhausted {
+                    RequestStatus::Failed(RunFailure::BudgetExhausted {
                         limit: 0,
                         forensics: "".into(),
-                    },
+                    }),
                     1,
                     false,
                 ),

@@ -27,5 +27,5 @@ pub use fanout::{fan_out, StealQueue};
 pub use metrics::RunMetrics;
 pub use rng::{derive_seed, norm_quantile, splitmix64, DetRng, Fnv1a};
 pub use series::{RateSeries, TimeSeries};
-pub use supervise::{arm_scoped, Armed, Breach, BreachReport, WatchdogConfig};
+pub use supervise::{arm_scoped, Armed, Breach, BreachReport, RunFailure, WatchdogConfig};
 pub use time::{Dur, Time};

@@ -88,6 +88,93 @@ pub struct BreachReport {
     pub forensics: String,
 }
 
+/// Why a supervised run did not complete — the one failure vocabulary
+/// the batch supervisor (`repro::RunStatus`) and the campaign server
+/// (`serve::RequestStatus`) both carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunFailure {
+    /// The run panicked.
+    Panicked {
+        /// Panic message, plus `file:line` when available.
+        message: String,
+    },
+    /// The sim-time stall TTL fired: events kept firing but the
+    /// delivery watermark was flat for the whole TTL.
+    Stalled {
+        /// Forensic snapshot rendered at the breach.
+        forensics: String,
+    },
+    /// The wall-clock deadline fired.
+    DeadlineExceeded {
+        /// The configured limit in milliseconds.
+        limit_ms: u64,
+        /// Forensic snapshot rendered at the breach.
+        forensics: String,
+    },
+    /// The event budget fired.
+    BudgetExhausted {
+        /// The configured step limit.
+        limit: u64,
+        /// Forensic snapshot rendered at the breach.
+        forensics: String,
+    },
+}
+
+impl RunFailure {
+    /// Short stable label for reports, sidecars and the wire.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RunFailure::Panicked { .. } => "panicked",
+            RunFailure::Stalled { .. } => "stalled",
+            RunFailure::DeadlineExceeded { .. } => "deadline-exceeded",
+            RunFailure::BudgetExhausted { .. } => "budget-exhausted",
+        }
+    }
+
+    /// The forensic text: the panic message or the breach snapshot.
+    pub fn forensics(&self) -> &str {
+        match self {
+            RunFailure::Panicked { message } => message,
+            RunFailure::Stalled { forensics }
+            | RunFailure::DeadlineExceeded { forensics, .. }
+            | RunFailure::BudgetExhausted { forensics, .. } => forensics,
+        }
+    }
+
+    /// The inverse of [`label`](Self::label) + [`forensics`](Self::forensics),
+    /// for decoding a wire line. The wire carries no limits, so they
+    /// come back as zero; `None` for a label that names no failure.
+    pub fn from_label(label: &str, forensics: String) -> Option<RunFailure> {
+        Some(match label {
+            "panicked" => RunFailure::Panicked { message: forensics },
+            "stalled" => RunFailure::Stalled { forensics },
+            "deadline-exceeded" => RunFailure::DeadlineExceeded {
+                limit_ms: 0,
+                forensics,
+            },
+            "budget-exhausted" => RunFailure::BudgetExhausted {
+                limit: 0,
+                forensics,
+            },
+            _ => return None,
+        })
+    }
+}
+
+impl From<BreachReport> for RunFailure {
+    fn from(report: BreachReport) -> RunFailure {
+        let forensics = report.forensics;
+        match report.breach {
+            Breach::Stall { .. } => RunFailure::Stalled { forensics },
+            Breach::EventBudget { limit } => RunFailure::BudgetExhausted { limit, forensics },
+            Breach::WallClock { limit_ms } => RunFailure::DeadlineExceeded {
+                limit_ms,
+                forensics,
+            },
+        }
+    }
+}
+
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static EVENTS_LEFT: Cell<u64> = const { Cell::new(u64::MAX) };
@@ -275,6 +362,50 @@ mod tests {
         assert_eq!(tick(900_000, 0), None, "idle windows must not accumulate");
         assert!(tick(1_200_000, 0).is_some(), "but a real stall still fires");
         disarm();
+    }
+
+    #[test]
+    fn failure_labels_round_trip_and_breaches_classify() {
+        let report = |breach| BreachReport {
+            breach,
+            forensics: "snap".into(),
+        };
+        let failures = [
+            RunFailure::Panicked {
+                message: "snap".into(),
+            },
+            RunFailure::from(report(Breach::Stall {
+                last_advance_us: 1,
+                now_us: 2,
+            })),
+            RunFailure::from(report(Breach::WallClock { limit_ms: 0 })),
+            RunFailure::from(report(Breach::EventBudget { limit: 0 })),
+        ];
+        let labels = failures.each_ref().map(RunFailure::label);
+        assert_eq!(
+            labels,
+            [
+                "panicked",
+                "stalled",
+                "deadline-exceeded",
+                "budget-exhausted"
+            ]
+        );
+        for f in failures {
+            assert_eq!(f.forensics(), "snap");
+            assert_eq!(
+                RunFailure::from_label(f.label(), "snap".into()).as_ref(),
+                Some(&f)
+            );
+        }
+        assert_eq!(RunFailure::from_label("completed", String::new()), None);
+        assert_eq!(
+            RunFailure::from(report(Breach::EventBudget { limit: 50 })),
+            RunFailure::BudgetExhausted {
+                limit: 50,
+                forensics: "snap".into()
+            }
+        );
     }
 
     #[test]
