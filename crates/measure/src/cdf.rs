@@ -1,6 +1,5 @@
 //! Empirical cumulative distribution functions.
 
-use crate::stream::SampleBuilder;
 use serde::{Deserialize, Serialize};
 
 /// An empirical CDF over `f64` samples.
@@ -16,49 +15,15 @@ pub struct Cdf {
     sorted: Vec<f64>,
 }
 
-/// Streaming constructor for [`Cdf`]: `push`/`extend` samples, then
-/// `finish` to sort once.
-///
-/// ```
-/// use mpwifi_measure::{Cdf, SampleBuilder};
-/// let mut b = Cdf::builder();
-/// b.extend([3.0, 1.0, 2.0]);
-/// assert_eq!(b.finish().median(), 2.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CdfBuilder {
-    samples: Vec<f64>,
-}
-
-impl SampleBuilder for CdfBuilder {
-    type Output = Cdf;
-
-    fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN sample in CDF input");
-        self.samples.push(x);
-    }
-
-    fn finish(self) -> Cdf {
-        let mut samples = self.samples;
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Cdf { sorted: samples }
-    }
-}
-
 impl Cdf {
-    /// Streaming constructor.
-    pub fn builder() -> CdfBuilder {
-        CdfBuilder::default()
-    }
-
-    /// Build from samples in one shot (NaNs are rejected). Thin wrapper
-    /// over [`Cdf::builder`].
-    pub fn from_samples(samples: Vec<f64>) -> Cdf {
+    /// Build from samples (NaNs are rejected); sorts once.
+    pub fn from_samples(mut samples: Vec<f64>) -> Cdf {
         assert!(
             samples.iter().all(|x| !x.is_nan()),
             "NaN sample in CDF input"
         );
-        CdfBuilder { samples }.finish()
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        Cdf { sorted: samples }
     }
 
     /// Number of samples.
@@ -213,17 +178,6 @@ mod tests {
         assert_eq!(pts.len(), 50);
         assert_eq!(pts[0].0, 0.0);
         assert_eq!(pts[49].0, 999.0);
-    }
-
-    #[test]
-    fn builder_matches_batch_constructor() {
-        use crate::stream::SampleBuilder;
-        let samples = vec![5.0, -1.0, 2.0, 2.0, 0.0];
-        let mut b = Cdf::builder();
-        b.extend(samples.iter().copied());
-        let built = b.finish();
-        let batch = Cdf::from_samples(samples);
-        assert_eq!(built.points(), batch.points());
     }
 
     #[test]

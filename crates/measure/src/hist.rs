@@ -176,41 +176,6 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-/// Percentile bootstrap confidence interval for the mean, with a
-/// deterministic resampler. Returns `(lo, hi)` at the given confidence.
-pub fn bootstrap_mean_ci(
-    samples: &[f64],
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> (f64, f64) {
-    assert!(!samples.is_empty(), "bootstrap of empty set");
-    assert!((0.0..1.0).contains(&confidence) && confidence > 0.5);
-    // Small deterministic LCG — no external RNG dependency needed here.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(0x5851_F42D_4C95_7F2D)
-            .wrapping_add(0x1405_7B7E_F767_814F);
-        (state >> 33) as usize
-    };
-    let n = samples.len();
-    let mut means: Vec<f64> = (0..resamples)
-        .map(|_| {
-            let mut s = 0.0;
-            for _ in 0..n {
-                s += samples[next() % n];
-            }
-            s / n as f64
-        })
-        .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo = means[((alpha * resamples as f64) as usize).min(resamples - 1)];
-    let hi = means[(((1.0 - alpha) * resamples as f64) as usize).min(resamples - 1)];
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,27 +261,6 @@ mod tests {
         let balanced = jain_fairness(&[4.0, 6.0]);
         let skewed = jain_fairness(&[1.0, 9.0]);
         assert!(balanced > skewed);
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_true_mean() {
-        let samples: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let (lo, hi) = bootstrap_mean_ci(&samples, 0.95, 500, 7);
-        let mean = 4.5;
-        assert!(
-            lo <= mean && mean <= hi,
-            "CI [{lo}, {hi}] should contain {mean}"
-        );
-        assert!(hi - lo < 1.0, "CI unexpectedly wide");
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic() {
-        let samples = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(
-            bootstrap_mean_ci(&samples, 0.9, 200, 42),
-            bootstrap_mean_ci(&samples, 0.9, 200, 42)
-        );
     }
 
     #[test]

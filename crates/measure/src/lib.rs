@@ -2,12 +2,12 @@
 //!
 //! Measurement statistics for the study's analysis pipeline:
 //!
-//! * [`Cdf`] — empirical CDFs with quantile and fraction-below queries
-//!   (every CDF figure in the paper);
+//! * [`Cdf`] — exact empirical CDFs with quantile and fraction-below
+//!   queries: the batch type behind every CDF figure in the paper;
 //! * [`CdfSketch`] / [`MeanAcc`] — bounded-memory streaming statistics
 //!   that merge associatively across campaign shards;
 //! * [`SampleBuilder`] / [`Mergeable`] — the uniform construction and
-//!   merge surface shared by every summary type;
+//!   merge surface shared by the streaming summary types;
 //! * [`codec`] — the hand-rolled versioned binary codec the campaign
 //!   journal uses to persist and recover streaming summaries;
 //! * [`Summary`] — mean/median/percentile summaries;
@@ -26,10 +26,10 @@ pub mod sketch;
 pub mod stream;
 pub mod summary;
 
-pub use cdf::{Cdf, CdfBuilder};
+pub use cdf::Cdf;
 pub use codec::CodecError;
 pub use geo::{haversine_km, GeoPoint};
-pub use hist::{bootstrap_mean_ci, jain_fairness, Histogram};
+pub use hist::{jain_fairness, Histogram};
 pub use kmeans::{cluster_geo, GeoCluster};
 pub use render::{series_block, series_block_iter, TextTable};
 pub use sketch::{CdfSketch, MeanAcc};

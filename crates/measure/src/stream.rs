@@ -6,18 +6,17 @@
 //! traits capture that contract:
 //!
 //! * [`SampleBuilder`] — the uniform `push`/`extend`/`finish` surface
-//!   for constructing any summary type incrementally (batch
-//!   constructors like `Cdf::from_samples` remain as thin wrappers);
+//!   for constructing a streaming summary incrementally (the exact
+//!   [`crate::Cdf`] is a batch type and is not one of them);
 //! * [`Mergeable`] — associative, commutative combination of two
 //!   summaries of the same shape.
 
 /// Incremental construction of a statistic from a stream of samples.
 ///
 /// `push` one sample at a time (or `extend` from any iterator), then
-/// `finish` to obtain the summary. Streaming types ([`crate::CdfSketch`],
+/// `finish` to obtain the summary. The implementors ([`crate::CdfSketch`],
 /// [`crate::Histogram`], [`crate::MeanAcc`]) are their own output and
-/// `finish` is the identity; [`crate::Cdf`] sorts its samples at
-/// `finish` time.
+/// `finish` is the identity.
 pub trait SampleBuilder {
     /// The summary produced by `finish`.
     type Output;

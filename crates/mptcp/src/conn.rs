@@ -685,18 +685,13 @@ impl MptcpConnection {
 
     /// Abort the whole MPTCP connection: an MP_FASTCLOSE rides out on a
     /// live subflow, then every subflow is reset locally.
-    pub fn abort(&mut self, now: Time) {
+    pub fn abort(&mut self, _now: Time) {
         self.settled = false;
-        if let Some(live) = self
-            .subflows
-            .iter()
-            .position(|s| !s.dead && !s.conn.is_closed())
-        {
+        if let Some(live) = self.usable_subflow() {
             self.subflows[live].pending_fastclose = true;
             self.subflows[live].conn.request_ack();
         }
         self.aborting = true;
-        let _ = now;
     }
 
     /// True once `abort` was called or the peer fast-closed us.
@@ -760,6 +755,17 @@ impl MptcpConnection {
             .position(|s| !s.dead && !s.conn.is_closed())
     }
 
+    /// The subflow-eligibility rule, evaluated for one pass over the
+    /// subflows: alive, established, and — for a backup — only while no
+    /// regular subflow is alive and established.
+    fn eligibility(&self) -> impl Fn(&Subflow) -> bool {
+        let any_regular_alive = self
+            .subflows
+            .iter()
+            .any(|s| !s.dead && !s.is_backup && s.conn.is_established());
+        move |s| !s.dead && s.conn.is_established() && (!s.is_backup || !any_regular_alive)
+    }
+
     /// Primary-subflow establishment time (the connection counts as
     /// established once subflow 0 completes its handshake, like the
     /// paper's throughput-vs-time measurements).
@@ -794,17 +800,11 @@ impl MptcpConnection {
     /// somewhere to put data.
     pub fn sched_progress(&self) -> SchedProgress {
         let mss = self.cfg.tcp.mss as u64;
-        let any_regular_alive = self
-            .subflows
-            .iter()
-            .any(|s| !s.dead && !s.is_backup && s.conn.is_established());
+        let is_eligible = self.eligibility();
         let mut eligible = 0;
         let mut eligible_with_room = 0;
         let mut in_flight = 0u64;
-        for s in &self.subflows {
-            if s.dead || !s.conn.is_established() || (s.is_backup && any_regular_alive) {
-                continue;
-            }
+        for s in self.subflows.iter().filter(|s| is_eligible(s)) {
             eligible += 1;
             let window = s.conn.cwnd().min(s.conn.send_window());
             let used = s.conn.in_flight() + s.conn.bytes_unsent();
@@ -922,7 +922,7 @@ impl MptcpConnection {
         if let Some(ci) = self.subflows[idx].coupled_idx {
             self.coupled.borrow_mut().mark_dead_by_index(ci);
         }
-        self.reinject_from(now, idx);
+        self.reinject_from(idx);
         // Single-Path mode: the replacement subflow is created only now,
         // after the working one died (break-before-make).
         if self.cfg.mode == Mode::SinglePath
@@ -940,7 +940,7 @@ impl MptcpConnection {
     /// cumulative data-ACK but extends past it still has a live tail, so
     /// the scan must not start at `data_ack_in` — it walks all assigned
     /// chunks and clamps each to its unacked suffix.
-    fn reinject_from(&mut self, now: Time, dead_idx: usize) {
+    fn reinject_from(&mut self, dead_idx: usize) {
         let pending: Vec<(u64, u64)> = self
             .assigned
             .iter()
@@ -960,7 +960,6 @@ impl MptcpConnection {
                 self.pending_reinject.push((dsn, len));
             }
         }
-        let _ = now;
     }
 
     /// Flush chunks parked while no live subflow existed.
@@ -988,13 +987,7 @@ impl MptcpConnection {
     }
 
     fn pick_any_live_subflow(&self) -> Option<usize> {
-        let any_regular_alive = self
-            .subflows
-            .iter()
-            .any(|s| !s.dead && !s.is_backup && s.conn.is_established());
-        self.subflows.iter().position(|s| {
-            !s.dead && s.conn.is_established() && (!s.is_backup || !any_regular_alive)
-        })
+        self.subflows.iter().position(self.eligibility())
     }
 
     // ------------------------------------------------------------------
@@ -1299,14 +1292,10 @@ impl MptcpConnection {
     /// first): the scheduler's input, rebuilt before each decision into a
     /// buffer the connection keeps.
     fn fill_views(&self, views: &mut Vec<SubflowView>) {
-        let any_regular_alive = self
-            .subflows
-            .iter()
-            .any(|s| !s.dead && !s.is_backup && s.conn.is_established());
+        let is_eligible = self.eligibility();
         views.clear();
         views.extend(self.subflows.iter().enumerate().map(|(idx, s)| {
-            let eligible =
-                !s.dead && s.conn.is_established() && (!s.is_backup || !any_regular_alive);
+            let eligible = is_eligible(s);
             let cwnd = s.conn.cwnd();
             let used = s.conn.in_flight() + s.conn.bytes_unsent();
             SubflowView {
@@ -1839,6 +1828,35 @@ mod tests {
         assert_eq!(sf.tx_maps.len(), 2);
         assert_eq!(sf.tx_map_at(2000).unwrap().dsn, 0);
         assert_eq!(sf.tx_map_at(3000).unwrap().dsn, 9000);
+    }
+
+    #[test]
+    fn dropped_stale_retransmission_leaves_remove_addr_for_the_next_segment() {
+        let path = PathSpec {
+            iface: Addr(1),
+            addr_id: 1,
+            local_port: 1,
+        };
+        let mut conn =
+            MptcpConnection::client(MptcpConfig::default(), vec![path], Addr(10), 2, 7, 0);
+        conn.subflows.push(subflow());
+        conn.subflows[0].pending_remove_addr.push(2);
+        let ack = || Segment::control(1, 2, 1, 0, Flags::ACK);
+        let mut out = Vec::new();
+        // A retransmission whose bytes no mapping covers any more (acked
+        // and pruned in the same event batch) is dropped...
+        let stale = Segment {
+            payload: Bytes::from(vec![0u8; 100]),
+            ..ack()
+        };
+        conn.decorate_into(0, stale, 0, false, 0, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(conn.subflows[0].pending_remove_addr, [2]);
+        // ...and the announcement rides the next segment that does leave.
+        conn.decorate_into(0, ack(), 0, false, 0, &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(mp_options(&out[0].2).any(|o| o == MpOption::RemoveAddr { addr_id: 2 }));
+        assert!(conn.subflows[0].pending_remove_addr.is_empty());
     }
 
     #[test]
