@@ -15,20 +15,21 @@ fn escape_into(out: &mut String, s: &str) {
     // them are whole UTF-8 sequences and copy over unchanged.
     let mut clean_from = 0;
     for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\t' => "\\t",
-            b'\r' => "\\r",
-            0..=0x1f => "",
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            0..=0x1f => None,
             _ => continue,
         };
         out.push_str(&s[clean_from..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
         clean_from = i + 1;
     }
