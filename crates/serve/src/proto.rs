@@ -965,6 +965,14 @@ mod tests {
             let parsed = Response::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(parsed, r, "line: {line}");
         }
+        // A retry cause is a failure label; the server never retries
+        // a request for any other status, and none parses as one.
+        for cause in ["completed", "shed", "draining", "malformed"] {
+            let line = format!(
+                r#"{{"type": "retry", "req": "e", "attempt": 1, "backoff_ms": 35, "cause": "{cause}"}}"#
+            );
+            assert!(Response::parse(&line).is_err(), "accepted: {line}");
+        }
     }
 
     #[test]

@@ -333,6 +333,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+                // Rust's integer and float parsers take a leading `+`;
+                // JSON does not.
+                if token.starts_with('+') {
+                    return Err(format!("malformed number at byte {start}"));
+                }
                 if let Ok(n) = token.parse() {
                     return Ok(JsonValue::Int(n));
                 }
@@ -408,5 +413,11 @@ mod tests {
         let [a, b] = &mut slots;
         o.read_fields([("max", a), ("absent", b)]).unwrap();
         assert_eq!(slots, [u64::MAX, 0]);
+        // A leading `+` is Rust's number grammar, not JSON's.
+        for bad in [r#"{"n": +5}"#, r#"{"n": +5.0}"#] {
+            assert!(JsonObj::parse(bad).is_err(), "accepted: {bad}");
+        }
+        let exp = JsonObj::parse(r#"{"n": 1e+3}"#).unwrap();
+        assert_eq!(exp.get("n"), Some(&JsonValue::Num(1000.0)));
     }
 }

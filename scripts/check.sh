@@ -101,6 +101,9 @@ if [ "$FULL" -eq 1 ]; then
 
     # repro plus the chaos_load and kill_chaos harnesses.
     cargo build --release -q -p mpwifi-repro --bins
+    # The replay command in every quarantine sidecar is `cargo run -p
+    # mpwifi-repro -- …`; with three bins it needs `default-run`.
+    cargo run --release -q -p mpwifi-repro -- --list >/dev/null
     REPRO=./target/release/repro
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
