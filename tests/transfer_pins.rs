@@ -153,3 +153,126 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
     let actual = [wifi_faster, lte_faster].map(|loc| cells.map(|(s, c)| zoo_pin(loc, s, c)));
     assert_eq!(actual, expected);
 }
+
+/// `(completed µs, WiFi packets, LTE packets, subflows opened,
+/// reinjections, subflows declared dead, recovery µs)` of one 2 MB
+/// download on `failure_injection.rs`'s links, seed 42, with `script`
+/// played against it and the teardown drained into the packet logs.
+fn control_plane_pin(
+    mode: mpwifi::mptcp::Mode,
+    activation: mpwifi::mptcp::BackupActivation,
+    primary: mpwifi::netem::Addr,
+    script: &[(u64, mpwifi::sim::ScriptEvent)],
+) -> (Option<u64>, usize, usize, usize, u64, u64, u64) {
+    use mpwifi::sim::apps::{bulk, close_and_drain, make_payload, FlowDir};
+    use mpwifi::sim::endpoint::{MptcpClientHost, MptcpServerHost};
+    use mpwifi::sim::{LinkSpec, Sim, SERVER_ADDR, SERVER_PORT};
+    use mpwifi::simcore::Time;
+    let cfg = mpwifi::mptcp::MptcpConfig {
+        mode,
+        backup_activation: activation,
+        ..mpwifi::mptcp::MptcpConfig::default()
+    };
+    let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 42 | 1);
+    let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 42 ^ 0xAB);
+    let mut sim = Sim::builder(client, server)
+        .wifi(&LinkSpec::symmetric(4_000_000, Dur::from_millis(30)))
+        .lte(&LinkSpec::symmetric(3_000_000, Dur::from_millis(60)))
+        .seed(42)
+        .build();
+    for &(ms, ev) in script {
+        sim.schedule(Time::from_millis(ms), ev);
+    }
+    let before = metrics::snapshot();
+    let id = sim.client.open(Time::ZERO, cfg, primary, SERVER_PORT);
+    let payload = make_payload(2_000_000);
+    let r = bulk(
+        &mut sim,
+        id,
+        FlowDir::Down,
+        payload,
+        Dur::from_secs(60),
+        |_, _| {},
+    );
+    close_and_drain(&mut sim, id);
+    let m = metrics::snapshot().since(&before);
+    (
+        r.completed.map(Dur::as_micros),
+        sim.wifi_log.len(),
+        sim.lte_log.len(),
+        sim.client.mp.conn(id).subflow_count(),
+        m.reinjections,
+        m.subflows_declared_dead,
+        m.recovery_time_us,
+    )
+}
+
+/// The control plane — which subflows exist, when, with which flags,
+/// and when one counts as dead — recorded at the commit *before* the
+/// path-manager seam (PR 17) and never edited by it: every mode against
+/// a notified WiFi cut (either primary), a silent one under
+/// RTO-count activation, and a notified cut followed by a restore.
+#[test]
+fn control_plane_is_pinned_across_modes_and_failures() {
+    use mpwifi::mptcp::BackupActivation::{OnNotify, OnRtoCount};
+    use mpwifi::mptcp::Mode::{Backup, Full, SinglePath};
+    use mpwifi::sim::ScriptEvent::{CutIface, NotifyIfaceDown, NotifyIfaceUp, RestoreIface};
+    let notified = [
+        (1_000, CutIface(WIFI_ADDR)),
+        (1_000, NotifyIfaceDown(WIFI_ADDR)),
+    ];
+    let silent = [(1_000, CutIface(WIFI_ADDR))];
+    let restored = [
+        (1_000, CutIface(WIFI_ADDR)),
+        (1_000, NotifyIfaceDown(WIFI_ADDR)),
+        (3_000, RestoreIface(WIFI_ADDR)),
+        (3_000, NotifyIfaceUp(WIFI_ADDR)),
+    ];
+    type Pin = (Option<u64>, usize, usize, usize, u64, u64, u64);
+    // Columns: WiFi primary under `notified`, `silent` (RTO-count 3)
+    // and `restored`; then LTE primary under `notified`.
+    let expected: [(mpwifi::mptcp::Mode, [Pin; 4]); 3] = [
+        (
+            Full,
+            [
+                (Some(4_626_982), 478, 1720, 2, 159, 2, 889_621),
+                (Some(4_556_006), 483, 1679, 2, 159, 2, 371_201),
+                (Some(4_623_035), 505, 1677, 3, 159, 2, 889_621),
+                (Some(4_710_635), 448, 1800, 2, 149, 2, 923_338),
+            ],
+        ),
+        (
+            Backup,
+            [
+                (Some(5_536_363), 478, 1720, 2, 159, 2, 132_127),
+                (Some(8_120_602), 483, 1741, 2, 165, 2, 68_021),
+                (Some(4_648_917), 800, 1370, 3, 159, 2, 132_127),
+                (Some(6_846_401), 4, 2985, 2, 0, 2, 8_735),
+            ],
+        ),
+        // A silent cut under a download starves the client of anything
+        // to retransmit, so only the server declares the subflow dead
+        // and Single-Path never opens its replacement.
+        (
+            SinglePath,
+            [
+                (Some(5_596_704), 478, 1719, 2, 159, 2, 192_469),
+                (None, 477, 0, 1, 0, 1, 0),
+                (Some(5_596_704), 481, 1719, 2, 159, 2, 192_469),
+                (Some(6_846_401), 0, 2984, 1, 0, 0, 0),
+            ],
+        ),
+    ];
+    let actual = expected.map(|(mode, _)| {
+        (
+            mode,
+            [
+                control_plane_pin(mode, OnNotify, WIFI_ADDR, &notified),
+                control_plane_pin(mode, OnRtoCount(3), WIFI_ADDR, &silent),
+                control_plane_pin(mode, OnNotify, WIFI_ADDR, &restored),
+                control_plane_pin(mode, OnNotify, LTE_ADDR, &notified),
+            ],
+        )
+    });
+    assert_eq!(actual, expected);
+}
