@@ -118,6 +118,22 @@ impl MapEntry {
     }
 }
 
+/// Find the entry of a sorted, non-overlapping map covering subflow
+/// offset `off`.
+fn map_at(maps: &[MapEntry], off: u64) -> Option<&MapEntry> {
+    maps.binary_search_by(|e| {
+        if off < e.sf_off {
+            std::cmp::Ordering::Greater
+        } else if off >= e.sf_end() {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Equal
+        }
+    })
+    .ok()
+    .map(|i| &maps[i])
+}
+
 /// One entry of the assigned-chunk log: `len` connection-level bytes at
 /// `dsn`, last handed to subflow `sf` for (re)transmission.
 #[derive(Debug, Clone, Copy)]
@@ -214,37 +230,6 @@ impl Subflow {
             srtt: self.conn.srtt(),
             is_backup: self.is_backup,
             dead: self.dead,
-        }
-    }
-
-    /// Find the mapping entry covering subflow offset `off`.
-    fn tx_map_at(&self, off: u64) -> Option<&MapEntry> {
-        match self.tx_maps.binary_search_by(|e| {
-            if off < e.sf_off {
-                std::cmp::Ordering::Greater
-            } else if off >= e.sf_end() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => Some(&self.tx_maps[i]),
-            Err(_) => None,
-        }
-    }
-
-    fn rx_map_at(&self, off: u64) -> Option<&MapEntry> {
-        match self.rx_maps.binary_search_by(|e| {
-            if off < e.sf_off {
-                std::cmp::Ordering::Greater
-            } else if off >= e.sf_end() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => Some(&self.rx_maps[i]),
-            Err(_) => None,
         }
     }
 
@@ -738,16 +723,6 @@ impl MptcpConnection {
         self.snd_buf.end()
     }
 
-    /// The peer finished its stream and we consumed everything.
-    pub fn peer_stream_finished(&self) -> bool {
-        self.peer_fin_consumed
-    }
-
-    /// Our stream was fully delivered and data-acked.
-    pub fn stream_fully_acked(&self) -> bool {
-        self.fin_queued && self.data_ack_in > self.snd_buf.end()
-    }
-
     /// A subflow that can still carry control traffic.
     fn usable_subflow(&self) -> Option<usize> {
         self.subflows
@@ -822,11 +797,6 @@ impl MptcpConnection {
         }
     }
 
-    /// The configured scheduler kind.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.scheduler.kind()
-    }
-
     /// Number of subflows created so far.
     pub fn subflow_count(&self) -> usize {
         self.subflows.len()
@@ -885,28 +855,20 @@ impl MptcpConnection {
     /// learned its addr id explicitly — match on the remote interface
     /// address too (clients use the interface address as the id).
     fn on_remove_addr(&mut self, now: Time, addr_id: u8) {
-        let by_id: Vec<usize> = self
+        let by_id = self
             .subflows
             .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.dead && s.addr_id == addr_id)
-            .map(|(i, _)| i)
-            .collect();
-        let idxs = if by_id.is_empty() {
-            // The primary subflow predates any MP_JOIN, so its addr id
-            // was never conveyed; clients use the interface address as
-            // the id, so fall back to matching the remote address.
-            self.subflows
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.dead && s.remote_addr.0 == addr_id)
-                .map(|(i, _)| i)
-                .collect()
-        } else {
-            by_id
-        };
-        for idx in idxs {
-            self.kill_subflow(now, idx);
+            .any(|s| !s.dead && s.addr_id == addr_id);
+        for idx in 0..self.subflows.len() {
+            let s = &self.subflows[idx];
+            let named = if by_id {
+                s.addr_id == addr_id
+            } else {
+                s.remote_addr.0 == addr_id
+            };
+            if named {
+                self.kill_subflow(now, idx);
+            }
         }
     }
 
@@ -936,53 +898,40 @@ impl MptcpConnection {
     }
 
     /// Re-schedule every not-yet-data-acked chunk assigned to `dead_idx`
-    /// onto surviving subflows. A chunk whose DSN starts below the
-    /// cumulative data-ACK but extends past it still has a live tail, so
-    /// the scan must not start at `data_ack_in` — it walks all assigned
-    /// chunks and clamps each to its unacked suffix.
+    /// onto surviving subflows: park them, then flush. A chunk whose DSN
+    /// starts below the cumulative data-ACK but extends past it still
+    /// has a live tail, so the scan must not start at `data_ack_in` — it
+    /// walks all assigned chunks.
     fn reinject_from(&mut self, dead_idx: usize) {
-        let pending: Vec<(u64, u64)> = self
-            .assigned
-            .iter()
-            .filter(|c| c.sf == dead_idx && c.end() > self.data_ack_in)
-            .map(|c| {
-                let start = c.dsn.max(self.data_ack_in);
-                (start, c.end() - start)
-            })
-            .collect();
-        for (dsn, len) in pending {
-            if let Some(target) = self.pick_any_live_subflow() {
-                self.push_chunk_to_subflow(target, dsn, len);
-                metrics::record_reinjection();
-            } else {
-                // No live established subflow yet (Single-Path mode's
-                // handshake window): park for later.
-                self.pending_reinject.push((dsn, len));
-            }
-        }
+        let acked = self.data_ack_in;
+        self.pending_reinject.extend(
+            self.assigned
+                .iter()
+                .filter(|c| c.sf == dead_idx && c.end() > acked)
+                .map(|c| (c.dsn, c.len)),
+        );
+        self.flush_pending_reinjects();
     }
 
-    /// Flush chunks parked while no live subflow existed.
+    /// Reinject the parked chunks onto the first eligible subflow. With
+    /// none yet (Single-Path mode's handshake window) they stay parked
+    /// for the next send round.
     fn flush_pending_reinjects(&mut self) {
         if self.pending_reinject.is_empty() {
             return;
         }
-        if self.pick_any_live_subflow().is_none() {
+        let Some(target) = self.pick_any_live_subflow() else {
             return;
-        }
-        let parked = std::mem::take(&mut self.pending_reinject);
-        for (dsn, len) in parked {
-            if dsn + len <= self.data_ack_in {
-                continue; // acked in the meantime
-            }
-            // The prefix may have been data-acked (and released from the
-            // send buffer) while parked; reinject only the live suffix.
+        };
+        for (dsn, len) in std::mem::take(&mut self.pending_reinject) {
+            // The prefix (or all of it) may have been data-acked, and
+            // released from the send buffer, while parked; reinject only
+            // the live suffix.
             let start = dsn.max(self.data_ack_in);
-            let target = self
-                .pick_any_live_subflow()
-                .expect("invariant: guarded by the pick_any_live_subflow() check above");
-            self.push_chunk_to_subflow(target, start, dsn + len - start);
-            metrics::record_reinjection();
+            if start < dsn + len {
+                self.push_chunk_to_subflow(target, start, dsn + len - start);
+                metrics::record_reinjection();
+            }
         }
     }
 
@@ -1097,7 +1046,7 @@ impl MptcpConnection {
             let mut off = self.subflows[sf_idx].rx_cursor;
             let mut rest = chunk;
             while !rest.is_empty() {
-                let Some(entry) = self.subflows[sf_idx].rx_map_at(off) else {
+                let Some(entry) = map_at(&self.subflows[sf_idx].rx_maps, off) else {
                     // In-order subflow bytes with no DSS mapping: our
                     // sender always ships the mapping with the first
                     // transmission, so this peer is violating the
@@ -1308,7 +1257,11 @@ impl MptcpConnection {
         }));
     }
 
-    fn push_chunk_to_subflow(&mut self, sf_idx: usize, dsn: u64, len: u64) {
+    /// Queue `len` bytes at `dsn` on a subflow and record the mapping.
+    /// On its own this is a redundant copy: `assigned` is untouched, so
+    /// the chunk's first carrier keeps ownership for reinjection, and
+    /// the receiver dedups by DSN.
+    fn push_to_subflow(&mut self, sf_idx: usize, dsn: u64, len: u64) {
         let data = self.snd_buf.slice(dsn, len as usize);
         let sf = &mut self.subflows[sf_idx];
         sf.conn.send(data);
@@ -1318,6 +1271,12 @@ impl MptcpConnection {
             len,
         });
         sf.tx_pushed += len;
+    }
+
+    /// [`MptcpConnection::push_to_subflow`], and the subflow becomes the
+    /// chunk's owner in the assigned log.
+    fn push_chunk_to_subflow(&mut self, sf_idx: usize, dsn: u64, len: u64) {
+        self.push_to_subflow(sf_idx, dsn, len);
         // Record the chunk, or re-home it when a reinjection starts at
         // the same DSN. Fresh data always lands at the back.
         let chunk = Chunk {
@@ -1334,22 +1293,6 @@ impl MptcpConnection {
             Some(slot) if slot.dsn == dsn => *slot = chunk,
             _ => self.assigned.insert(pos, chunk),
         }
-    }
-
-    /// Push a redundant copy of an already-assigned chunk onto another
-    /// subflow. Unlike [`MptcpConnection::push_chunk_to_subflow`] this
-    /// does not touch `assigned`: the primary carrier keeps ownership
-    /// for reinjection purposes, and the receiver dedups by DSN.
-    fn push_dup_to_subflow(&mut self, sf_idx: usize, dsn: u64, len: u64) {
-        let data = self.snd_buf.slice(dsn, len as usize);
-        let sf = &mut self.subflows[sf_idx];
-        sf.conn.send(data);
-        sf.push_tx_map(MapEntry {
-            sf_off: sf.tx_pushed,
-            dsn,
-            len,
-        });
-        sf.tx_pushed += len;
     }
 
     /// Redundant mode: every eligible subflow replays, in DSN order, the
@@ -1379,7 +1322,7 @@ impl MptcpConnection {
                     if room < chunk.len {
                         break;
                     }
-                    self.push_dup_to_subflow(v.idx, chunk.dsn, chunk.len);
+                    self.push_to_subflow(v.idx, chunk.dsn, chunk.len);
                     metrics::record_reinjection();
                     metrics::record_redundant_dup();
                     room -= chunk.len;
@@ -1626,7 +1569,7 @@ impl MptcpConnection {
         // Data segment: one DSS per mapping the payload touches.
         let base_off = self.subflows[sf_idx].conn.send_stream_off_of_seq(seg.seq);
         let total = seg.payload.len();
-        let Some(&entry) = self.subflows[sf_idx].tx_map_at(base_off) else {
+        let Some(&entry) = map_at(&self.subflows[sf_idx].tx_maps, base_off) else {
             // A retransmission queued earlier can be overtaken by an
             // ACK (and map pruning) arriving later in the same event
             // batch; the bytes are already acknowledged, so the stale
@@ -1645,7 +1588,7 @@ impl MptcpConnection {
         let mut consumed = 0usize;
         while consumed < total {
             let off = base_off + consumed as u64;
-            let Some(&entry) = self.subflows[sf_idx].tx_map_at(off) else {
+            let Some(&entry) = map_at(&self.subflows[sf_idx].tx_maps, off) else {
                 break; // stale tail, as above
             };
             let within = off - entry.sf_off;
@@ -1767,10 +1710,10 @@ mod tests {
         let mut sf = subflow();
         sf.push_rx_map(entry(0, 1000, 1400));
         sf.push_rx_map(entry(1400, 5000, 1400));
-        assert_eq!(sf.rx_map_at(0).unwrap().dsn, 1000);
-        assert_eq!(sf.rx_map_at(1399).unwrap().dsn, 1000);
-        assert_eq!(sf.rx_map_at(1400).unwrap().dsn, 5000);
-        assert!(sf.rx_map_at(2800).is_none());
+        assert_eq!(map_at(&sf.rx_maps, 0).unwrap().dsn, 1000);
+        assert_eq!(map_at(&sf.rx_maps, 1399).unwrap().dsn, 1000);
+        assert_eq!(map_at(&sf.rx_maps, 1400).unwrap().dsn, 5000);
+        assert!(map_at(&sf.rx_maps, 2800).is_none());
     }
 
     #[test]
@@ -1791,7 +1734,7 @@ mod tests {
         sf.push_rx_map(entry(700, 1700, 1400)); // 1000+700 .. consistent dsn
                                                 // Every offset must resolve, to the original (consistent) dsn.
         for off in [0u64, 699, 700, 1399, 1400, 2799] {
-            let e = sf.rx_map_at(off).unwrap();
+            let e = map_at(&sf.rx_maps, off).unwrap();
             let dsn = e.dsn + (off - e.sf_off);
             let expect = if off < 1400 {
                 1000 + off
@@ -1814,7 +1757,7 @@ mod tests {
         // Announce a mapping spanning the hole and both neighbours.
         sf.push_rx_map(entry(0, 100, 1500));
         for off in 0..1500u64 {
-            assert!(sf.rx_map_at(off).is_some(), "offset {off} uncovered");
+            assert!(map_at(&sf.rx_maps, off).is_some(), "offset {off} uncovered");
         }
     }
 
@@ -1826,8 +1769,8 @@ mod tests {
         assert_eq!(sf.tx_maps.len(), 1, "contiguous chunks merge");
         sf.push_tx_map(entry(2800, 9000, 1400)); // DSN jump: no merge
         assert_eq!(sf.tx_maps.len(), 2);
-        assert_eq!(sf.tx_map_at(2000).unwrap().dsn, 0);
-        assert_eq!(sf.tx_map_at(3000).unwrap().dsn, 9000);
+        assert_eq!(map_at(&sf.tx_maps, 2000).unwrap().dsn, 0);
+        assert_eq!(map_at(&sf.tx_maps, 3000).unwrap().dsn, 9000);
     }
 
     #[test]
@@ -1869,6 +1812,9 @@ mod tests {
         sf.prune_maps(1500, 1500);
         assert_eq!(sf.rx_maps.len(), 1);
         assert_eq!(sf.tx_maps.len(), 1);
-        assert!(sf.rx_map_at(1600).is_some(), "live range survives pruning");
+        assert!(
+            map_at(&sf.rx_maps, 1600).is_some(),
+            "live range survives pruning"
+        );
     }
 }

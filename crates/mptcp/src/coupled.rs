@@ -290,11 +290,6 @@ impl CoupledCc {
         }
     }
 
-    /// Mark this subflow dead (stops contributing to alpha).
-    pub fn mark_dead(&mut self) {
-        self.group.borrow_mut().flows[self.idx].alive = false;
-    }
-
     /// The congestion-avoidance increase in bytes for `acked` bytes.
     fn ca_increase(&self, acked: u64) -> f64 {
         let acked = acked as f64;
@@ -616,7 +611,7 @@ mod tests {
         let mut a = lia(&g);
         let mut b = lia(&g);
         b.set_cwnd(100 * MSS as u64);
-        b.mark_dead();
+        g.borrow_mut().mark_dead_by_index(b.idx);
         drain_slow_start(&mut a, 20 * MSS as u64);
         assert_eq!(g.borrow().total_cwnd(), a.cwnd());
         // Growth now behaves like a single flow.

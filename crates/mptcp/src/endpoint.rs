@@ -13,16 +13,91 @@ use mpwifi_netem::Addr;
 use mpwifi_simcore::{DetRng, Time};
 use mpwifi_tcp::segment::Segment;
 
+/// The connection table both endpoints are built on (each derefs to it):
+/// connections by id, the key source, and the per-step polls.
+#[derive(Debug)]
+pub struct ConnTable {
+    conns: Vec<MptcpConnection>,
+    key_rng: DetRng,
+}
+
+impl ConnTable {
+    fn new(key_seed: u64) -> ConnTable {
+        ConnTable {
+            conns: Vec::new(),
+            key_rng: DetRng::seed_from_u64(key_seed),
+        }
+    }
+
+    fn next_key(&mut self) -> u64 {
+        self.key_rng.next_u64()
+    }
+
+    /// Borrow a connection.
+    pub fn conn(&self, id: usize) -> &MptcpConnection {
+        &self.conns[id]
+    }
+
+    /// Mutably borrow a connection.
+    pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
+        &mut self.conns[id]
+    }
+
+    /// Number of connections opened or accepted.
+    pub fn len(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// True when no connections exist.
+    pub fn is_empty(&self) -> bool {
+        self.conns.is_empty()
+    }
+
+    /// Hand a decoded segment to the connection that owns its port
+    /// pair; false when none does.
+    fn route(&mut self, now: Time, seg: &Segment) -> bool {
+        for conn in &mut self.conns {
+            if let Some(sf) = conn.route_ports(seg.dst_port, seg.src_port) {
+                conn.on_segment(now, sf, seg);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Earliest timer across connections.
+    pub fn next_timer(&self) -> Option<Time> {
+        self.conns
+            .iter()
+            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
+    }
+
+    /// Fire due timers.
+    pub fn on_timers(&mut self, now: Time) {
+        for conn in &mut self.conns {
+            conn.on_timers(now);
+        }
+    }
+
+    /// Drain outgoing segments — `(local interface, remote address,
+    /// segment)` — into a caller-provided buffer (the per-step driver
+    /// path).
+    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
+        for conn in &mut self.conns {
+            conn.take_tx_into(now, out);
+        }
+    }
+}
+
 /// Multi-homed client endpoint: owns MPTCP connections whose primary
 /// subflow starts on a chosen interface.
 #[derive(Debug)]
 pub struct ClientEndpoint {
+    table: ConnTable,
     server_addr: Addr,
     /// `(interface address, MPTCP addr id)` for each local interface.
     ifaces: Vec<(Addr, u8)>,
-    conns: Vec<MptcpConnection>,
     next_port: u16,
-    key_rng: DetRng,
 }
 
 impl ClientEndpoint {
@@ -31,16 +106,11 @@ impl ClientEndpoint {
     pub fn new(server_addr: Addr, ifaces: Vec<(Addr, u8)>, key_seed: u64) -> ClientEndpoint {
         assert!(!ifaces.is_empty(), "client needs at least one interface");
         ClientEndpoint {
+            table: ConnTable::new(key_seed),
             server_addr,
             ifaces,
-            conns: Vec::new(),
             next_port: 40_000,
-            key_rng: DetRng::seed_from_u64(key_seed),
         }
-    }
-
-    fn next_key(&mut self) -> u64 {
-        self.key_rng.next_u64()
     }
 
     /// Open an MPTCP connection with the primary subflow on
@@ -80,72 +150,24 @@ impl ClientEndpoint {
             })
             .collect();
         self.next_port += order.len() as u16;
-        let key = self.next_key();
+        let key = self.table.next_key();
         let iss_base = (key >> 32) as u32 ^ (key as u32);
         let mut conn =
             MptcpConnection::client(cfg, paths, self.server_addr, remote_port, key, iss_base);
         conn.connect(now);
-        self.conns.push(conn);
-        self.conns.len() - 1
-    }
-
-    /// Borrow a connection.
-    pub fn conn(&self, id: usize) -> &MptcpConnection {
-        &self.conns[id]
-    }
-
-    /// Mutably borrow a connection.
-    pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
-        &mut self.conns[id]
-    }
-
-    /// Number of connections opened.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when no connections exist.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+        self.table.conns.push(conn);
+        self.table.conns.len() - 1
     }
 
     /// Route one decoded segment (arriving on any interface).
     pub fn on_segment(&mut self, now: Time, seg: &Segment) {
-        for conn in &mut self.conns {
-            if let Some(sf) = conn.route_ports(seg.dst_port, seg.src_port) {
-                conn.on_segment(now, sf, seg);
-                return;
-            }
-        }
-    }
-
-    /// Earliest timer across connections.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.conns
-            .iter()
-            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
-    }
-
-    /// Fire due timers.
-    pub fn on_timers(&mut self, now: Time) {
-        for conn in &mut self.conns {
-            conn.on_timers(now);
-        }
-    }
-
-    /// Drain outgoing segments — `(local interface, remote address,
-    /// segment)` — into a caller-provided buffer (the per-step driver
-    /// path).
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        for conn in &mut self.conns {
-            conn.take_tx_into(now, out);
-        }
+        self.table.route(now, seg);
     }
 
     /// Local notification that an interface was disabled (`multipath
     /// off`): propagate to every connection.
     pub fn notify_iface_down(&mut self, now: Time, iface: Addr) {
-        for conn in &mut self.conns {
+        for conn in &mut self.table.conns {
             conn.notify_iface_down(now, iface);
         }
     }
@@ -155,7 +177,7 @@ impl ClientEndpoint {
     /// fresh MP_JOIN on a newly allocated ephemeral port (the old port
     /// pair may still route to the dead subflow on the server).
     pub fn notify_iface_up(&mut self, now: Time, iface: Addr) {
-        for conn in &mut self.conns {
+        for conn in &mut self.table.conns {
             if conn.wants_rejoin(iface) {
                 assert!(
                     self.next_port < u16::MAX,
@@ -172,12 +194,11 @@ impl ClientEndpoint {
 /// Single-homed MPTCP server endpoint.
 #[derive(Debug)]
 pub struct ServerEndpoint {
+    table: ConnTable,
     local_addr: Addr,
     listen_port: u16,
     cfg: MptcpConfig,
-    conns: Vec<MptcpConnection>,
     accepted: Vec<usize>,
-    key_rng: DetRng,
 }
 
 impl ServerEndpoint {
@@ -191,37 +212,12 @@ impl ServerEndpoint {
         key_seed: u64,
     ) -> ServerEndpoint {
         ServerEndpoint {
+            table: ConnTable::new(key_seed ^ 0xA24B_AED4_963E_E407),
             local_addr,
             listen_port,
             cfg,
-            conns: Vec::new(),
             accepted: Vec::new(),
-            key_rng: DetRng::seed_from_u64(key_seed ^ 0xA24B_AED4_963E_E407),
         }
-    }
-
-    fn next_key(&mut self) -> u64 {
-        self.key_rng.next_u64()
-    }
-
-    /// Borrow a connection.
-    pub fn conn(&self, id: usize) -> &MptcpConnection {
-        &self.conns[id]
-    }
-
-    /// Mutably borrow a connection.
-    pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
-        &mut self.conns[id]
-    }
-
-    /// Number of connections.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when no connections exist.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
     }
 
     /// Connections accepted since the last call.
@@ -232,11 +228,8 @@ impl ServerEndpoint {
     /// Route one decoded segment that arrived from `src_addr`.
     pub fn on_segment(&mut self, now: Time, seg: &Segment, src_addr: Addr) {
         // Existing subflow?
-        for conn in &mut self.conns {
-            if let Some(sf) = conn.route_ports(seg.dst_port, seg.src_port) {
-                conn.on_segment(now, sf, seg);
-                return;
-            }
+        if self.table.route(now, seg) {
+            return;
         }
         // New subflow: must be a SYN to the listening port.
         if !(seg.flags.syn && !seg.flags.ack && seg.dst_port == self.listen_port) {
@@ -245,7 +238,7 @@ impl ServerEndpoint {
         for opt in mp_options(seg) {
             match opt {
                 MpOption::MpCapable { key } => {
-                    let local_key = self.next_key();
+                    let local_key = self.table.next_key();
                     let iss_base = (local_key >> 32) as u32 ^ (local_key as u32);
                     let mut conn = MptcpConnection::server(
                         self.cfg.clone(),
@@ -254,8 +247,8 @@ impl ServerEndpoint {
                         iss_base,
                     );
                     conn.accept_primary(now, seg, src_addr, key);
-                    self.conns.push(conn);
-                    self.accepted.push(self.conns.len() - 1);
+                    self.table.conns.push(conn);
+                    self.accepted.push(self.table.conns.len() - 1);
                     return;
                 }
                 MpOption::MpJoin {
@@ -263,7 +256,8 @@ impl ServerEndpoint {
                     addr_id,
                     backup,
                 } => {
-                    if let Some(conn) = self.conns.iter_mut().find(|c| c.local_token() == token) {
+                    let mut conns = self.table.conns.iter_mut();
+                    if let Some(conn) = conns.find(|c| c.local_token() == token) {
                         conn.accept_join(now, seg, src_addr, addr_id, backup);
                     }
                     return;
@@ -275,28 +269,31 @@ impl ServerEndpoint {
         // MPTCP-only; the sim crate uses a TcpStack endpoint for
         // single-path runs.
     }
+}
 
-    /// Earliest timer across connections.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.conns
-            .iter()
-            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
+impl std::ops::Deref for ClientEndpoint {
+    type Target = ConnTable;
+    fn deref(&self) -> &ConnTable {
+        &self.table
     }
+}
 
-    /// Fire due timers.
-    pub fn on_timers(&mut self, now: Time) {
-        for conn in &mut self.conns {
-            conn.on_timers(now);
-        }
+impl std::ops::DerefMut for ClientEndpoint {
+    fn deref_mut(&mut self) -> &mut ConnTable {
+        &mut self.table
     }
+}
 
-    /// Drain outgoing segments — `(local interface, remote address,
-    /// segment)` — into a caller-provided buffer (the per-step driver
-    /// path).
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        for conn in &mut self.conns {
-            conn.take_tx_into(now, out);
-        }
+impl std::ops::Deref for ServerEndpoint {
+    type Target = ConnTable;
+    fn deref(&self) -> &ConnTable {
+        &self.table
+    }
+}
+
+impl std::ops::DerefMut for ServerEndpoint {
+    fn deref_mut(&mut self) -> &mut ConnTable {
+        &mut self.table
     }
 }
 

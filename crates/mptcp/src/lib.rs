@@ -39,6 +39,6 @@ pub mod sched;
 
 pub use conn::{BackupActivation, Mode, MptcpConfig, MptcpConnection, SchedProgress, SubflowStats};
 pub use coupled::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
-pub use endpoint::{ClientEndpoint, ServerEndpoint};
+pub use endpoint::{ClientEndpoint, ConnTable, ServerEndpoint};
 pub use options::{token_from_key, MpOption};
 pub use sched::SchedKind;
