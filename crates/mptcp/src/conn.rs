@@ -8,6 +8,11 @@
 //! a DSS option; incoming subflow bytes are translated back through
 //! received mappings and reassembled in DSN space.
 //!
+//! This file is the data plane. Which subflows should exist, with which
+//! flags, and when one counts as dead is the [`crate::path`] module's
+//! business; the connection calls its `PathManager` at the policy
+//! events and opens what it answers.
+//!
 //! The *primary subflow* is subflow 0 — initiated on the configured
 //! default-route interface, exactly the knob the paper turns in
 //! Section 3.4. The secondary subflow joins (MP_JOIN) only after the
@@ -16,6 +21,7 @@
 
 use crate::coupled::{CcKind, CoupledCc, CoupledGroup};
 use crate::options::{mp_options, token_from_key, DssMap, MpOption};
+use crate::path::{BackupActivation, Mode, PathManager, SubflowSpec};
 use crate::sched::{SchedKind, Scheduler, SubflowView};
 use bytes::Bytes;
 use mpwifi_netem::Addr;
@@ -27,36 +33,6 @@ use mpwifi_tcp::segment::{Flags, Segment, TcpOption};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-
-/// The paper's two operating modes (Section 3.6), plus the
-/// break-before-make alternative the paper points to (Paasch et al.,
-/// "Exploring mobile/WiFi handover with multipath TCP") as the way to
-/// avoid Backup mode's tail-energy cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Transmit on all subflows at any time.
-    Full,
-    /// The secondary subflow is established but carries no data until
-    /// every regular subflow is dead.
-    Backup,
-    /// The secondary subflow is **not established at all** until every
-    /// regular subflow is dead; recovery then costs its handshake
-    /// (two extra round trips vs Backup mode) but the backup radio never
-    /// wakes up during normal operation — no SYN/FIN tail energy.
-    SinglePath,
-}
-
-/// How a sender learns that a silently black-holed subflow is dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackupActivation {
-    /// Only an explicit notification (local interface down or a peer's
-    /// REMOVE_ADDR) kills a subflow — silent loss stalls forever. This is
-    /// the Linux v0.88 behaviour that produced the paper's Figure 15g.
-    OnNotify,
-    /// Additionally declare a subflow dead after this many consecutive
-    /// RTOs (a break-before-make repair; compare Figure 15h).
-    OnRtoCount(u32),
-}
 
 /// MPTCP connection configuration.
 #[derive(Debug, Clone)]
@@ -84,18 +60,6 @@ impl Default for MptcpConfig {
             backup_activation: BackupActivation::OnNotify,
         }
     }
-}
-
-/// Where a client subflow attaches: local interface, its MPTCP address
-/// id, and the local port to use.
-#[derive(Debug, Clone, Copy)]
-pub struct PathSpec {
-    /// Local interface address.
-    pub iface: Addr,
-    /// MPTCP address identifier announced in MP_JOIN.
-    pub addr_id: u8,
-    /// Local TCP port for the subflow.
-    pub local_port: u16,
 }
 
 /// A DSN↔subflow-offset mapping record.
@@ -198,9 +162,8 @@ struct Subflow {
     addr_id: u8,
     conn: TcpConnection,
     is_backup: bool,
+    /// Declared dead (see [`MptcpConnection::kill_subflow`]).
     dead: bool,
-    /// Client side: MP_JOIN/MP_CAPABLE handled; secondary created.
-    established_seen: bool,
     /// Bytes pushed into the subflow's send stream so far.
     tx_pushed: u64,
     tx_maps: Vec<MapEntry>,
@@ -220,6 +183,35 @@ struct Subflow {
 }
 
 impl Subflow {
+    fn new(
+        spec: SubflowSpec,
+        remote_addr: Addr,
+        conn: TcpConnection,
+        coupled_idx: Option<usize>,
+    ) -> Subflow {
+        Subflow {
+            iface: spec.iface,
+            remote_addr,
+            addr_id: spec.addr_id,
+            conn,
+            is_backup: spec.backup,
+            dead: false,
+            tx_pushed: 0,
+            tx_maps: Vec::new(),
+            rx_maps: Vec::new(),
+            rx_cursor: 0,
+            coupled_idx,
+            red_cursor: 0,
+            pending_remove_addr: Vec::new(),
+            pending_fastclose: false,
+        }
+    }
+
+    /// Can still carry a segment: not declared dead, TCP not closed.
+    fn alive(&self) -> bool {
+        !self.dead && !self.conn.is_closed()
+    }
+
     fn stats(&self) -> SubflowStats {
         SubflowStats {
             iface: self.iface,
@@ -284,22 +276,19 @@ impl Subflow {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Client,
-    Server,
-}
-
 /// An endpoint's half of one MPTCP connection.
 #[derive(Debug)]
 pub struct MptcpConnection {
     cfg: MptcpConfig,
-    role: Role,
+    /// The control plane: subflow policy and the death rule.
+    paths: PathManager,
     key_local: u64,
     key_peer: Option<u64>,
-    remote_port: u16,
+    /// The server's address: every client subflow's remote, every server
+    /// subflow's local interface.
     server_addr: Addr,
-    paths: Vec<PathSpec>,
+    /// The server's port (client side; a server learns ports from SYNs).
+    remote_port: u16,
     iss_base: u32,
 
     subflows: Vec<Subflow>,
@@ -325,7 +314,6 @@ pub struct MptcpConnection {
     peer_fin_consumed: bool,
 
     stats_established_at: Option<Time>,
-    opened_at: Option<Time>,
     subflows_closed: bool,
     /// Re-announce DATA_FIN (on a forced ACK) until it is data-acked.
     fin_announce_deadline: Option<Time>,
@@ -372,52 +360,15 @@ pub struct MptcpConnection {
 }
 
 impl MptcpConnection {
-    /// Client side. `paths[0]` is the primary (default-route) interface.
-    /// `server_addr` is the remote interface address for all subflows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn client(
+    /// One end of a connection, before its first subflow: a client
+    /// ([`PathManager::client`]) then calls [`MptcpConnection::connect`],
+    /// a server ([`PathManager::server`])
+    /// [`MptcpConnection::accept_primary`] with the SYN that caused it.
+    /// `server_addr` is the server's interface address at either end;
+    /// `remote_port` its port (unused by the server end).
+    pub(crate) fn new(
         cfg: MptcpConfig,
-        paths: Vec<PathSpec>,
-        server_addr: Addr,
-        remote_port: u16,
-        key_local: u64,
-        iss_base: u32,
-    ) -> MptcpConnection {
-        assert!(!paths.is_empty(), "client needs at least one path");
-        MptcpConnection::new(
-            cfg,
-            Role::Client,
-            paths,
-            server_addr,
-            remote_port,
-            key_local,
-            iss_base,
-        )
-    }
-
-    /// Server side. Subflows are attached as SYNs arrive
-    /// ([`MptcpConnection::accept_primary`], [`MptcpConnection::accept_join`]).
-    pub fn server(
-        cfg: MptcpConfig,
-        local_addr: Addr,
-        key_local: u64,
-        iss_base: u32,
-    ) -> MptcpConnection {
-        MptcpConnection::new(
-            cfg,
-            Role::Server,
-            Vec::new(),
-            local_addr,
-            0,
-            key_local,
-            iss_base,
-        )
-    }
-
-    fn new(
-        cfg: MptcpConfig,
-        role: Role,
-        paths: Vec<PathSpec>,
+        paths: PathManager,
         server_addr: Addr,
         remote_port: u16,
         key_local: u64,
@@ -433,12 +384,11 @@ impl MptcpConnection {
             scheduler: Scheduler::new(cfg.sched),
             coupled: CoupledGroup::shared(),
             cfg,
-            role,
+            paths,
             key_local,
             key_peer: None,
-            remote_port,
             server_addr,
-            paths,
+            remote_port,
             iss_base,
             subflows: Vec::new(),
             snd_buf: SendBuffer::new(),
@@ -450,7 +400,6 @@ impl MptcpConnection {
             peer_data_fin: None,
             peer_fin_consumed: false,
             stats_established_at: None,
-            opened_at: None,
             subflows_closed: false,
             fin_announce_deadline: None,
             pending_reinject: Vec::new(),
@@ -507,148 +456,115 @@ impl MptcpConnection {
         token_from_key(self.key_local)
     }
 
-    /// Coupled-group registration index of the most recently built
-    /// subflow controller (None when decoupled).
-    fn coupled_idx_for_latest(&self) -> Option<usize> {
-        self.cfg
-            .cc
-            .coupled()
-            .map(|_| self.coupled.borrow().len().saturating_sub(1))
-    }
-
-    fn build_cc(&self, mss: usize, init_segs: u64) -> Box<dyn mpwifi_tcp::cc::CongestionControl> {
+    /// A subflow's congestion controller and, for a coupled family, its
+    /// registration index in the group.
+    fn build_cc(
+        &self,
+        mss: usize,
+        init_segs: u64,
+    ) -> (Box<dyn mpwifi_tcp::cc::CongestionControl>, Option<usize>) {
         match self.cfg.cc.coupled() {
-            Some(kind) => Box::new(CoupledCc::new(self.coupled.clone(), kind, mss, init_segs)),
+            Some(kind) => {
+                let cc = CoupledCc::new(self.coupled.clone(), kind, mss, init_segs);
+                let idx = self.coupled.borrow().len().saturating_sub(1);
+                (Box::new(cc), Some(idx))
+            }
             None => match self.cfg.cc {
-                CcKind::Cubic => Box::new(CubicCc::new(mss, init_segs)),
-                _ => Box::new(RenoCc::new(mss, init_segs)),
+                CcKind::Cubic => (Box::new(CubicCc::new(mss, init_segs)), None),
+                _ => (Box::new(RenoCc::new(mss, init_segs)), None),
             },
         }
     }
 
-    fn make_subflow_conn(
-        &self,
-        local_port: u16,
-        remote_port: u16,
-        iss: u32,
-        client_side: bool,
-    ) -> TcpConnection {
+    /// The one way a subflow comes to exist: build its TCP connection
+    /// (ISS `iss_base + iss_off`, our congestion control, `hs` on its
+    /// SYN or SYN-ACK), start it, attach it. `syn` is the SYN it answers
+    /// and the client interface that sent it; `None` opens toward the
+    /// server instead.
+    fn add_subflow(
+        &mut self,
+        now: Time,
+        spec: SubflowSpec,
+        iss_off: u32,
+        hs: Option<MpOption>,
+        syn: Option<(&Segment, Addr)>,
+    ) {
+        self.settled = false;
         let mut tcp_cfg = self.cfg.tcp.clone();
         tcp_cfg.cc = TcpCcKind::Reno; // placeholder; replaced below
-        let mut conn = if client_side {
-            TcpConnection::client(tcp_cfg.clone(), local_port, remote_port, iss)
-        } else {
-            TcpConnection::server(tcp_cfg.clone(), local_port, remote_port, iss)
+        let (cc, coupled_idx) = self.build_cc(tcp_cfg.mss, tcp_cfg.init_cwnd_segs);
+        let iss = self.iss_base.wrapping_add(iss_off);
+        let (mut conn, remote_addr) = match syn {
+            None => (
+                TcpConnection::client(tcp_cfg, spec.local_port, self.remote_port, iss),
+                self.server_addr,
+            ),
+            Some((seg, from)) => (
+                TcpConnection::server(tcp_cfg, spec.local_port, seg.src_port, iss),
+                from,
+            ),
         };
-        conn.set_cc(self.build_cc(tcp_cfg.mss, tcp_cfg.init_cwnd_segs));
-        conn
+        conn.set_cc(cc);
+        if let Some(hs) = hs {
+            conn.set_handshake_options(vec![hs.to_tcp_option()]);
+        }
+        match syn {
+            None => conn.open(now),
+            Some((seg, _)) => conn.on_segment(now, seg),
+        }
+        self.subflows
+            .push(Subflow::new(spec, remote_addr, conn, coupled_idx));
     }
 
     /// Start the connection: open the primary subflow with MP_CAPABLE.
-    pub fn connect(&mut self, now: Time) {
-        assert_eq!(self.role, Role::Client);
+    pub(crate) fn connect(&mut self, now: Time) {
         assert!(self.subflows.is_empty(), "connect() called twice");
-        self.settled = false;
-        self.opened_at = Some(now);
-        let spec = self.paths[0];
-        let mut conn =
-            self.make_subflow_conn(spec.local_port, self.remote_port, self.iss_base, true);
-        conn.set_handshake_options(vec![MpOption::MpCapable {
+        let spec = self.paths.primary();
+        let hs = MpOption::MpCapable {
             key: self.key_local,
+        };
+        self.add_subflow(now, spec, 0, Some(hs), None);
+    }
+
+    /// What the SYN `seg` dictates for the server subflow answering it.
+    fn accepted_spec(&self, seg: &Segment, addr_id: u8, backup: bool) -> SubflowSpec {
+        SubflowSpec {
+            iface: self.server_addr,
+            addr_id,
+            local_port: seg.dst_port,
+            backup,
         }
-        .to_tcp_option()]);
-        conn.open(now);
-        self.subflows.push(Subflow {
-            iface: spec.iface,
-            remote_addr: self.server_addr,
-            addr_id: spec.addr_id,
-            conn,
-            is_backup: false,
-            dead: false,
-            established_seen: false,
-            tx_pushed: 0,
-            tx_maps: Vec::new(),
-            rx_maps: Vec::new(),
-            rx_cursor: 0,
-            coupled_idx: self.coupled_idx_for_latest(),
-            red_cursor: 0,
-            pending_remove_addr: Vec::new(),
-            pending_fastclose: false,
-        });
     }
 
     /// Server side: accept the primary subflow from its SYN (which must
     /// carry MP_CAPABLE — the caller checked). `remote_addr` is the
     /// client interface it arrived from.
-    pub fn accept_primary(
+    pub(crate) fn accept_primary(
         &mut self,
         now: Time,
         seg: &Segment,
         remote_addr: Addr,
         key_peer: u64,
-    ) -> usize {
-        assert_eq!(self.role, Role::Server);
-        self.settled = false;
-        self.opened_at = Some(now);
+    ) {
         self.key_peer = Some(key_peer);
-        let mut conn = self.make_subflow_conn(seg.dst_port, seg.src_port, self.iss_base, false);
-        conn.set_handshake_options(vec![MpOption::MpCapable {
+        let hs = MpOption::MpCapable {
             key: self.key_local,
-        }
-        .to_tcp_option()]);
-        conn.on_segment(now, seg);
-        self.subflows.push(Subflow {
-            iface: self.server_addr,
-            remote_addr,
-            addr_id: 0,
-            conn,
-            is_backup: false,
-            dead: false,
-            established_seen: false,
-            tx_pushed: 0,
-            tx_maps: Vec::new(),
-            rx_maps: Vec::new(),
-            rx_cursor: 0,
-            coupled_idx: self.coupled_idx_for_latest(),
-            red_cursor: 0,
-            pending_remove_addr: Vec::new(),
-            pending_fastclose: false,
-        });
-        self.subflows.len() - 1
+        };
+        let spec = self.accepted_spec(seg, 0, false);
+        self.add_subflow(now, spec, 0, Some(hs), Some((seg, remote_addr)));
     }
 
     /// Server side: attach a joining subflow from its MP_JOIN SYN.
-    pub fn accept_join(
+    pub(crate) fn accept_join(
         &mut self,
         now: Time,
         seg: &Segment,
         remote_addr: Addr,
         addr_id: u8,
         backup: bool,
-    ) -> usize {
-        assert_eq!(self.role, Role::Server);
-        self.settled = false;
-        let iss = self.iss_base.wrapping_add(0x2000_0000);
-        let mut conn = self.make_subflow_conn(seg.dst_port, seg.src_port, iss, false);
-        conn.on_segment(now, seg);
-        self.subflows.push(Subflow {
-            iface: self.server_addr,
-            remote_addr,
-            addr_id,
-            conn,
-            is_backup: backup,
-            dead: false,
-            established_seen: false,
-            tx_pushed: 0,
-            tx_maps: Vec::new(),
-            rx_maps: Vec::new(),
-            rx_cursor: 0,
-            coupled_idx: self.coupled_idx_for_latest(),
-            red_cursor: 0,
-            pending_remove_addr: Vec::new(),
-            pending_fastclose: false,
-        });
-        self.subflows.len() - 1
+    ) {
+        let spec = self.accepted_spec(seg, addr_id, backup);
+        self.add_subflow(now, spec, 0x2000_0000, None, Some((seg, remote_addr)));
     }
 
     // ------------------------------------------------------------------
@@ -725,9 +641,7 @@ impl MptcpConnection {
 
     /// A subflow that can still carry control traffic.
     fn usable_subflow(&self) -> Option<usize> {
-        self.subflows
-            .iter()
-            .position(|s| !s.dead && !s.conn.is_closed())
+        self.subflows.iter().position(Subflow::alive)
     }
 
     /// The subflow-eligibility rule, evaluated for one pass over the
@@ -748,14 +662,9 @@ impl MptcpConnection {
         self.stats_established_at
     }
 
-    /// When `connect()` (or the first SYN) happened.
-    pub fn opened_at(&self) -> Option<Time> {
-        self.opened_at
-    }
-
     /// All subflows fully closed (or dead).
     pub fn is_closed(&self) -> bool {
-        !self.subflows.is_empty() && self.subflows.iter().all(|s| s.dead || s.conn.is_closed())
+        !self.subflows.is_empty() && !self.subflows.iter().any(Subflow::alive)
     }
 
     /// Per-subflow observability.
@@ -829,14 +738,12 @@ impl MptcpConnection {
     /// REMOVE_ADDR on a surviving subflow.
     pub fn notify_iface_down(&mut self, now: Time, iface: Addr) {
         self.settled = false;
-        let dead_ids: Vec<(usize, u8)> = self
-            .subflows
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.iface == iface && !s.dead)
-            .map(|(i, s)| (i, s.addr_id))
-            .collect();
-        for (idx, addr_id) in dead_ids {
+        for idx in 0..self.subflows.len() {
+            let s = &self.subflows[idx];
+            if s.iface != iface || s.dead {
+                continue;
+            }
+            let addr_id = s.addr_id;
             self.kill_subflow(now, idx);
             // Tell the peer on the first live subflow: the REMOVE_ADDR
             // rides the next outgoing segment there (a forced ACK if the
@@ -848,6 +755,50 @@ impl MptcpConnection {
             }
         }
         self.pump_send(now);
+    }
+
+    /// Local notification that a downed interface came back. Only an
+    /// established, not-yet-closing connection rejoins; the join takes a
+    /// fresh port from `next_port`, the client endpoint's counter.
+    pub(crate) fn notify_iface_up(&mut self, now: Time, iface: Addr, next_port: &mut u16) {
+        let open = !(self.aborting || self.aborted || self.subflows_closed);
+        if open
+            && self.stats_established_at.is_some()
+            && self.reconcile(now, Some((iface, next_port)))
+        {
+            self.pump_send(now);
+        }
+    }
+
+    /// A policy event happened — the primary came up, a subflow died, or
+    /// an interface was notified up (`fresh`): open every join the path
+    /// manager now wants. Returns whether there was one.
+    fn reconcile(&mut self, now: Time, fresh: Option<(Addr, &mut u16)>) -> bool {
+        // Peer never proved MPTCP capability (its MP_CAPABLE may have
+        // been corrupted away): stay single-path rather than panic.
+        let Some(key_peer) = self.key_peer else {
+            return false;
+        };
+        let subflows = &self.subflows;
+        let joins = self.paths.joins(
+            self.stats_established_at.is_some(),
+            !subflows.iter().any(Subflow::alive),
+            |iface| subflows.iter().any(|s| s.iface == iface && !s.dead),
+            fresh,
+        );
+        for &spec in &joins {
+            let hs = MpOption::MpJoin {
+                token: token_from_key(key_peer),
+                addr_id: spec.addr_id,
+                backup: spec.backup,
+            };
+            // Distinct ISS per join (rejoins open third, fourth, ...
+            // subflows on fresh ports); the first join keeps the
+            // historical constant.
+            let iss_off = 0x4000_0000u32.wrapping_mul(self.subflows.len() as u32);
+            self.add_subflow(now, spec, iss_off, Some(hs), None);
+        }
+        !joins.is_empty()
     }
 
     /// Peer told us an address is gone: kill subflows with that addr id.
@@ -885,16 +836,9 @@ impl MptcpConnection {
             self.coupled.borrow_mut().mark_dead_by_index(ci);
         }
         self.reinject_from(idx);
-        // Single-Path mode: the replacement subflow is created only now,
-        // after the working one died (break-before-make).
-        if self.cfg.mode == Mode::SinglePath
-            && self.role == Role::Client
-            && self.paths.len() > 1
-            && self.subflows.len() < self.paths.len()
-            && !self.subflows.iter().any(|s| !s.dead)
-        {
-            self.open_secondary(now);
-        }
+        // Break-before-make: a standby path's subflow is created only
+        // now, after the working one died.
+        self.reconcile(now, None);
     }
 
     /// Re-schedule every not-yet-data-acked chunk assigned to `dead_idx`
@@ -1096,137 +1040,32 @@ impl MptcpConnection {
         }
     }
 
+    /// Primary establishment: record it, and let the path manager
+    /// launch the joins that were waiting for it.
     fn handle_establishment(&mut self, now: Time) {
-        // Primary establishment: record, and (client) launch the join.
-        if !self.subflows.is_empty() && self.subflows[0].conn.is_established() {
-            if self.stats_established_at.is_none() {
-                self.stats_established_at = self.subflows[0].conn.stats().established_at;
-            }
-            if !self.subflows[0].established_seen {
-                self.subflows[0].established_seen = true;
-                if self.role == Role::Client
-                    && self.paths.len() > 1
-                    && self.cfg.mode != Mode::SinglePath
-                {
-                    self.open_secondary(now);
-                }
-            }
-        }
-        for sf in &mut self.subflows {
-            if sf.conn.is_established() {
-                sf.established_seen = true;
-            }
-        }
-    }
-
-    fn open_secondary(&mut self, now: Time) {
-        let spec = self.paths[self.subflows.len().min(self.paths.len() - 1)];
-        self.open_join(now, spec);
-    }
-
-    /// Would a restored `iface` be worth rejoining right now? True only
-    /// for an established, not-yet-closing client connection that has a
-    /// configured path on `iface` with no live subflow — and, in
-    /// Single-Path mode, only when no subflow at all is alive (the
-    /// backup radio stays asleep while the active path works).
-    pub fn wants_rejoin(&self, iface: Addr) -> bool {
-        if self.role != Role::Client
-            || self.aborting
-            || self.aborted
-            || self.subflows_closed
-            || self.key_peer.is_none()
-            || self.stats_established_at.is_none()
+        if self.stats_established_at.is_none()
+            && self
+                .subflows
+                .first()
+                .is_some_and(|s| s.conn.is_established())
         {
-            return false;
-        }
-        if !self.paths.iter().any(|p| p.iface == iface) {
-            return false;
-        }
-        if self.subflows.iter().any(|s| s.iface == iface && !s.dead) {
-            return false;
-        }
-        match self.cfg.mode {
-            Mode::SinglePath => !self.subflows.iter().any(|s| !s.dead && !s.conn.is_closed()),
-            Mode::Full | Mode::Backup => true,
+            self.stats_established_at = self.subflows[0].conn.stats().established_at;
+            self.reconcile(now, None);
         }
     }
 
-    /// A downed interface came back: open a fresh MP_JOIN subflow on it
-    /// (with a caller-allocated local port — the old port pair may still
-    /// be routed to the dead subflow on the peer). No-op unless
-    /// [`MptcpConnection::wants_rejoin`] holds.
-    pub fn rejoin_path(&mut self, now: Time, iface: Addr, local_port: u16) {
-        if !self.wants_rejoin(iface) {
-            return;
-        }
-        self.settled = false;
-        let base = self
-            .paths
-            .iter()
-            .find(|p| p.iface == iface)
-            .copied()
-            .expect("wants_rejoin verified the path exists");
-        let spec = PathSpec {
-            iface,
-            addr_id: base.addr_id,
-            local_port,
-        };
-        self.open_join(now, spec);
-        self.pump_send(now);
-    }
-
-    fn open_join(&mut self, now: Time, spec: PathSpec) {
-        // Peer never proved MPTCP capability (its MP_CAPABLE may have
-        // been corrupted away): stay single-path rather than panic.
-        let Some(key_peer) = self.key_peer else {
-            return;
-        };
-        let token = token_from_key(key_peer);
-        let backup = self.cfg.mode == Mode::Backup;
-        // Distinct ISS per join (rejoins open third, fourth, ... subflows
-        // on fresh ports); the first join keeps the historical constant.
-        let iss = self
-            .iss_base
-            .wrapping_add(0x4000_0000u32.wrapping_mul(self.subflows.len() as u32));
-        let mut conn = self.make_subflow_conn(spec.local_port, self.remote_port, iss, true);
-        conn.set_handshake_options(vec![MpOption::MpJoin {
-            token,
-            addr_id: spec.addr_id,
-            backup,
-        }
-        .to_tcp_option()]);
-        conn.open(now);
-        self.subflows.push(Subflow {
-            iface: spec.iface,
-            remote_addr: self.server_addr,
-            addr_id: spec.addr_id,
-            conn,
-            is_backup: backup,
-            dead: false,
-            established_seen: false,
-            tx_pushed: 0,
-            tx_maps: Vec::new(),
-            rx_maps: Vec::new(),
-            rx_cursor: 0,
-            coupled_idx: self.coupled_idx_for_latest(),
-            red_cursor: 0,
-            pending_remove_addr: Vec::new(),
-            pending_fastclose: false,
-        });
-    }
-
+    /// Apply the path manager's death rule to every subflow.
     fn detect_silent_death(&mut self, now: Time) {
-        let BackupActivation::OnRtoCount(n) = self.cfg.backup_activation else {
-            return;
-        };
         // Killing one subflow moves data onto others (or opens a fresh
         // one) but never makes another a victim, so one pass in index
         // order is the collect-then-kill it replaces.
         for idx in 0..self.subflows.len() {
             let s = &self.subflows[idx];
+            let gave_up = s.conn.is_closed() && s.conn.error().is_some();
             if !s.dead
-                && (s.conn.consecutive_retries() >= n
-                    || (s.conn.is_closed() && s.conn.error().is_some()))
+                && self
+                    .paths
+                    .declares_dead(s.conn.consecutive_retries(), gave_up)
             {
                 self.kill_subflow(now, idx);
             }
@@ -1682,23 +1521,14 @@ mod tests {
     use mpwifi_tcp::conn::TcpConfig;
 
     fn subflow() -> Subflow {
-        Subflow {
+        let spec = SubflowSpec {
             iface: Addr(1),
-            remote_addr: Addr(10),
             addr_id: 1,
-            conn: TcpConnection::client(TcpConfig::default(), 1, 2, 0),
-            is_backup: false,
-            dead: false,
-            established_seen: false,
-            tx_pushed: 0,
-            tx_maps: Vec::new(),
-            rx_maps: Vec::new(),
-            rx_cursor: 0,
-            coupled_idx: None,
-            red_cursor: 0,
-            pending_remove_addr: Vec::new(),
-            pending_fastclose: false,
-        }
+            local_port: 1,
+            backup: false,
+        };
+        let conn = TcpConnection::client(TcpConfig::default(), 1, 2, 0);
+        Subflow::new(spec, Addr(10), conn, None)
     }
 
     fn entry(sf_off: u64, dsn: u64, len: u64) -> MapEntry {
@@ -1775,13 +1605,9 @@ mod tests {
 
     #[test]
     fn dropped_stale_retransmission_leaves_remove_addr_for_the_next_segment() {
-        let path = PathSpec {
-            iface: Addr(1),
-            addr_id: 1,
-            local_port: 1,
-        };
-        let mut conn =
-            MptcpConnection::client(MptcpConfig::default(), vec![path], Addr(10), 2, 7, 0);
+        let cfg = MptcpConfig::default();
+        let paths = PathManager::client(&cfg, &[(Addr(1), 1)], Addr(1), &mut 1);
+        let mut conn = MptcpConnection::new(cfg, paths, Addr(10), 2, 7, 0);
         conn.subflows.push(subflow());
         conn.subflows[0].pending_remove_addr.push(2);
         let ack = || Segment::control(1, 2, 1, 0, Flags::ACK);

@@ -7,8 +7,9 @@
 //! MP_CAPABLE SYNs, and attaches MP_JOIN SYNs to existing connections by
 //! token — the same dispatch the Linux implementation performs.
 
-use crate::conn::{MptcpConfig, MptcpConnection, PathSpec};
+use crate::conn::{MptcpConfig, MptcpConnection};
 use crate::options::{mp_options, MpOption};
+use crate::path::PathManager;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::{DetRng, Time};
 use mpwifi_tcp::segment::Segment;
@@ -122,38 +123,11 @@ impl ClientEndpoint {
         primary_iface: Addr,
         remote_port: u16,
     ) -> usize {
-        let primary_pos = self
-            .ifaces
-            .iter()
-            .position(|&(a, _)| a == primary_iface)
-            .expect("unknown primary interface");
-        let mut order: Vec<(Addr, u8)> = Vec::with_capacity(self.ifaces.len());
-        order.push(self.ifaces[primary_pos]);
-        order.extend(
-            self.ifaces
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != primary_pos)
-                .map(|(_, &s)| s),
-        );
-        assert!(
-            usize::from(self.next_port) + order.len() < usize::from(u16::MAX),
-            "client endpoint exhausted its ephemeral port range"
-        );
-        let paths: Vec<PathSpec> = order
-            .iter()
-            .enumerate()
-            .map(|(k, &(iface, addr_id))| PathSpec {
-                iface,
-                addr_id,
-                local_port: self.next_port + k as u16,
-            })
-            .collect();
-        self.next_port += order.len() as u16;
+        let paths = PathManager::client(&cfg, &self.ifaces, primary_iface, &mut self.next_port);
         let key = self.table.next_key();
         let iss_base = (key >> 32) as u32 ^ (key as u32);
         let mut conn =
-            MptcpConnection::client(cfg, paths, self.server_addr, remote_port, key, iss_base);
+            MptcpConnection::new(cfg, paths, self.server_addr, remote_port, key, iss_base);
         conn.connect(now);
         self.table.conns.push(conn);
         self.table.conns.len() - 1
@@ -173,20 +147,12 @@ impl ClientEndpoint {
     }
 
     /// Local notification that a downed interface came back: every
-    /// connection that lost its subflow on `iface` rejoins it with a
-    /// fresh MP_JOIN on a newly allocated ephemeral port (the old port
-    /// pair may still route to the dead subflow on the server).
+    /// connection whose path manager wants a subflow on `iface` again
+    /// rejoins it with a fresh MP_JOIN on a newly allocated ephemeral
+    /// port.
     pub fn notify_iface_up(&mut self, now: Time, iface: Addr) {
         for conn in &mut self.table.conns {
-            if conn.wants_rejoin(iface) {
-                assert!(
-                    self.next_port < u16::MAX,
-                    "client endpoint exhausted its ephemeral port range"
-                );
-                let port = self.next_port;
-                self.next_port += 1;
-                conn.rejoin_path(now, iface, port);
-            }
+            conn.notify_iface_up(now, iface, &mut self.next_port);
         }
     }
 }
@@ -240,12 +206,10 @@ impl ServerEndpoint {
                 MpOption::MpCapable { key } => {
                     let local_key = self.table.next_key();
                     let iss_base = (local_key >> 32) as u32 ^ (local_key as u32);
-                    let mut conn = MptcpConnection::server(
-                        self.cfg.clone(),
-                        self.local_addr,
-                        local_key,
-                        iss_base,
-                    );
+                    let paths = PathManager::server(&self.cfg);
+                    let cfg = self.cfg.clone();
+                    let mut conn =
+                        MptcpConnection::new(cfg, paths, self.local_addr, 0, local_key, iss_base);
                     conn.accept_primary(now, seg, src_addr, key);
                     self.table.conns.push(conn);
                     self.accepted.push(self.table.conns.len() - 1);
@@ -300,8 +264,8 @@ impl std::ops::DerefMut for ServerEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{BackupActivation, Mode};
     use crate::coupled::CcKind;
+    use crate::path::{BackupActivation, Mode};
     use crate::sched::SchedKind;
     use bytes::Bytes;
     use mpwifi_simcore::Dur;

@@ -25,6 +25,11 @@
 //!   enabled, reproducing both the failover and the observed stall of
 //!   Figure 15e–h.
 //!
+//! Two halves: [`path`] is the control plane — which paths should have a
+//! subflow now, with which flags, and when one counts as dead — and
+//! [`conn`] the data plane (DSN maps, scheduling, DSS, reinjection,
+//! teardown) that consults it.
+//!
 //! Wire format: MPTCP options travel in TCP option kind 30 with the real
 //! subtype structure. Two documented simplifications (see DESIGN.md):
 //! token derivation uses FNV-1a instead of HMAC-SHA1, and DSS mappings use
@@ -35,10 +40,12 @@ pub mod conn;
 pub mod coupled;
 pub mod endpoint;
 pub mod options;
+pub mod path;
 pub mod sched;
 
-pub use conn::{BackupActivation, Mode, MptcpConfig, MptcpConnection, SchedProgress, SubflowStats};
+pub use conn::{MptcpConfig, MptcpConnection, SchedProgress, SubflowStats};
 pub use coupled::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
 pub use endpoint::{ClientEndpoint, ConnTable, ServerEndpoint};
 pub use options::{token_from_key, MpOption};
+pub use path::{BackupActivation, Mode};
 pub use sched::SchedKind;
