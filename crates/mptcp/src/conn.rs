@@ -748,7 +748,7 @@ impl MptcpConnection {
             // Tell the peer on the first live subflow: the REMOVE_ADDR
             // rides the next outgoing segment there (a forced ACK if the
             // subflow is otherwise quiet).
-            if let Some(live) = self.subflows.iter().position(|s| !s.dead) {
+            if let Some(live) = self.usable_subflow() {
                 let sf = &mut self.subflows[live];
                 sf.pending_remove_addr.push(addr_id);
                 sf.conn.request_ack();
@@ -782,8 +782,7 @@ impl MptcpConnection {
         let subflows = &self.subflows;
         let joins = self.paths.joins(
             self.stats_established_at.is_some(),
-            !subflows.iter().any(Subflow::alive),
-            |iface| subflows.iter().any(|s| s.iface == iface && !s.dead),
+            |iface| subflows.iter().any(|s| s.iface == iface && s.alive()),
             fresh,
         );
         for &spec in &joins {

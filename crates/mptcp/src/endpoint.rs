@@ -590,6 +590,48 @@ mod tests {
     }
 
     #[test]
+    fn subflow_whose_tcp_gave_up_is_dead_and_its_path_rejoinable() {
+        // Default activation (OnNotify) and a silent WiFi black hole under
+        // an upload: the client's WiFi subflow retransmits until its TCP
+        // gives up and closes. That is a local, explicit signal, so the
+        // subflow must be declared dead (its chunks reinjected onto LTE)
+        // and must no longer count as WiFi's live subflow when the
+        // interface comes back.
+        let mut c = cfg(CcKind::Lia, Mode::Full);
+        c.tcp.max_retries = 2;
+        let mut lb = MpLoopback::new(c.clone(), 10, 15);
+        let conn = lb.client.open(Time::ZERO, c, WIFI, 80);
+        let data = pattern(400_000);
+        lb.client.conn_mut(conn).send(Bytes::from(data.clone()));
+        lb.client.conn_mut(conn).close(Time::ZERO);
+        lb.run_until(
+            |lb| !lb.server.is_empty() && lb.server.conn(0).delivered_bytes() > 20_000,
+            100_000,
+        );
+        lb.wifi_up = false;
+        let deadline = lb.now + Dur::from_secs(30);
+        while lb.now < deadline && lb.step() {}
+        lb.wifi_up = true;
+        let now = lb.now;
+        lb.client.notify_iface_up(now, WIFI);
+        lb.run_until(
+            |lb| {
+                lb.server.conn(0).delivered_bytes() == 400_000
+                    && lb.client.conn(conn).subflow_stats().len() == 3
+                    && lb.client.conn(conn).subflow_stats()[2]
+                        .established_at
+                        .is_some()
+            },
+            400_000,
+        );
+        let got = lb.server.conn_mut(0).take_delivered().concat();
+        assert_eq!(got, data, "stranded chunks must be reinjected intact");
+        let stats = lb.client.conn(conn).subflow_stats();
+        assert!(stats[0].dead, "the subflow that gave up is declared dead");
+        assert_eq!(stats[2].iface, WIFI, "and its interface is rejoined");
+    }
+
+    #[test]
     fn full_teardown_closes_all_subflows() {
         let mut lb = MpLoopback::new(cfg(CcKind::Lia, Mode::Full), 10, 15);
         let c = lb

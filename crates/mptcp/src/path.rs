@@ -186,10 +186,10 @@ impl PathManager {
     pub(crate) fn joins(
         &mut self,
         primary_up: bool,
-        mut none_alive: bool,
         alive_on: impl Fn(Addr) -> bool,
         mut fresh: Option<(Addr, &mut u16)>,
     ) -> Vec<SubflowSpec> {
+        let mut none_alive = !self.paths.iter().any(|p| alive_on(p.iface));
         let mut joins = Vec::new();
         for p in &mut self.paths {
             let should = if p.flags.standby {
@@ -220,14 +220,14 @@ impl PathManager {
         joins
     }
 
-    /// The death rule: does a subflow whose TCP has fired `rtos`
-    /// consecutive retransmission timeouts, or has given up (`gave_up`:
-    /// closed on an error), count as dead?
+    /// The death rule, beyond explicit notifications. A TCP that gave up
+    /// (`gave_up`: closed on an error — retries exhausted, a join SYN
+    /// that timed out, an RST) is a local, explicit signal and kills its
+    /// subflow under either activation; `rtos` consecutive
+    /// retransmission timeouts on a TCP still trying do so only past
+    /// [`BackupActivation::OnRtoCount`]'s threshold.
     pub(crate) fn declares_dead(&self, rtos: u32, gave_up: bool) -> bool {
-        match self.death {
-            BackupActivation::OnNotify => false,
-            BackupActivation::OnRtoCount(n) => rtos >= n || gave_up,
-        }
+        gave_up || matches!(self.death, BackupActivation::OnRtoCount(n) if rtos >= n)
     }
 }
 
@@ -274,7 +274,6 @@ mod tests {
             let live = self.live.clone();
             let joins = self.pm.joins(
                 self.primary_up,
-                live.is_empty(),
                 |iface| live.contains(&iface),
                 up.map(|iface| (iface, &mut self.next_port)),
             );
@@ -405,6 +404,7 @@ mod tests {
         // (consecutive RTOs, TCP gave up) -> declared dead?
         let on_notify = rule(BackupActivation::OnNotify);
         assert!(!on_notify.declares_dead(100, false));
+        assert!(on_notify.declares_dead(0, true));
         let on_rto = rule(BackupActivation::OnRtoCount(3));
         assert!(!on_rto.declares_dead(2, false));
         assert!(on_rto.declares_dead(3, false));
