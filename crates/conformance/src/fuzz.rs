@@ -7,9 +7,8 @@
 //! greedily reduces a violating spec to a minimal reproducer and
 //! [`repro_snippet`] renders it as a paste-ready test.
 
-use crate::scenario::{
-    generate, run_scenario, CaseReport, CcSpec, ModeSpec, ScenarioSpec, SchedSpec, TransportSpec,
-};
+use crate::scenario::{generate, run_scenario, CaseReport, ScenarioSpec, TransportSpec};
+use mpwifi_mptcp::{CcKind, Mode, SchedKind};
 pub use mpwifi_simcore::splitmix64;
 use mpwifi_simcore::{fan_out, Fnv1a};
 use std::fmt::Write as _;
@@ -60,7 +59,7 @@ pub fn run_campaign(cases: usize, root_seed: u64, jobs: usize) -> Vec<CaseResult
 /// values. A TCP-flavoured seed is converted in place (primary = its
 /// interface, Full mode, RTO-count death detection so any silent
 /// blackout it fuzzed stays recoverable).
-pub fn generate_for_cell(seed: u64, sched: SchedSpec, cc: CcSpec) -> ScenarioSpec {
+pub fn generate_for_cell(seed: u64, sched: SchedKind, cc: CcKind) -> ScenarioSpec {
     let mut spec = generate(seed);
     spec.transport = match spec.transport {
         TransportSpec::Mptcp {
@@ -77,7 +76,7 @@ pub fn generate_for_cell(seed: u64, sched: SchedSpec, cc: CcSpec) -> ScenarioSpe
         },
         TransportSpec::Tcp { iface } => TransportSpec::Mptcp {
             primary: iface,
-            mode: ModeSpec::Full,
+            mode: Mode::Full,
             cc,
             sched,
             rto_activation: 2,
@@ -90,9 +89,9 @@ pub fn generate_for_cell(seed: u64, sched: SchedSpec, cc: CcSpec) -> ScenarioSpe
 #[derive(Debug, Clone)]
 pub struct MatrixCellResult {
     /// The cell's scheduler.
-    pub sched: SchedSpec,
+    pub sched: SchedKind,
     /// The cell's congestion control.
-    pub cc: CcSpec,
+    pub cc: CcKind,
     /// Per-case verdicts, in case-index order.
     pub results: Vec<CaseResult>,
 }
@@ -113,9 +112,9 @@ pub fn run_matrix_campaign(
     root_seed: u64,
     jobs: usize,
 ) -> Vec<MatrixCellResult> {
-    let cells: Vec<(SchedSpec, CcSpec)> = SchedSpec::ALL
+    let cells: Vec<(SchedKind, CcKind)> = SchedKind::ALL
         .iter()
-        .flat_map(|&s| CcSpec::ALL.iter().map(move |&c| (s, c)))
+        .flat_map(|&s| CcKind::ALL.iter().map(move |&c| (s, c)))
         .collect();
     let total = cells.len() * cases_per_cell;
     let flat = fan_out(

@@ -43,6 +43,6 @@ pub use fuzz::{
     MatrixCellResult,
 };
 pub use scenario::{
-    generate, run_scenario, CaseReport, CcSpec, FaultEp, IfaceSpec, LinkSpecLite, ModeSpec,
-    ScenarioSpec, SchedSpec, TransportSpec, WorkloadSpec,
+    generate, run_scenario, CaseReport, FaultEp, IfaceSpec, LinkSpecLite, ScenarioSpec,
+    TransportSpec, WorkloadSpec,
 };

@@ -80,91 +80,6 @@ impl LinkSpecLite {
     }
 }
 
-/// MPTCP operating mode (mirrors [`Mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModeSpec {
-    /// Transmit on all subflows.
-    Full,
-    /// Secondary established but idle until the primary dies.
-    Backup,
-    /// Secondary not established until the primary dies.
-    SinglePath,
-}
-
-/// Congestion-control choice (mirrors [`CcKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcSpec {
-    /// Coupled LIA (RFC 6356).
-    Lia,
-    /// Coupled OLIA.
-    Olia,
-    /// Coupled BALIA.
-    Balia,
-    /// Per-subflow Reno.
-    Reno,
-    /// Per-subflow Cubic.
-    Cubic,
-}
-
-impl CcSpec {
-    /// Every congestion-control choice the fuzzer samples.
-    pub const ALL: [CcSpec; 5] = [
-        CcSpec::Lia,
-        CcSpec::Olia,
-        CcSpec::Balia,
-        CcSpec::Reno,
-        CcSpec::Cubic,
-    ];
-
-    /// The stack-level kind this spec realizes.
-    pub fn to_kind(self) -> CcKind {
-        match self {
-            CcSpec::Lia => CcKind::Lia,
-            CcSpec::Olia => CcKind::Olia,
-            CcSpec::Balia => CcKind::Balia,
-            CcSpec::Reno => CcKind::Reno,
-            CcSpec::Cubic => CcKind::Cubic,
-        }
-    }
-}
-
-/// Packet scheduler (mirrors [`SchedKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedSpec {
-    /// Lowest-SRTT-first.
-    MinRtt,
-    /// Round robin.
-    RoundRobin,
-    /// BLEST-style blocking estimation.
-    Blest,
-    /// ECF-style earliest completion first.
-    Ecf,
-    /// Duplicate every chunk on all eligible subflows.
-    Redundant,
-}
-
-impl SchedSpec {
-    /// Every scheduler the fuzzer samples.
-    pub const ALL: [SchedSpec; 5] = [
-        SchedSpec::MinRtt,
-        SchedSpec::RoundRobin,
-        SchedSpec::Blest,
-        SchedSpec::Ecf,
-        SchedSpec::Redundant,
-    ];
-
-    /// The stack-level kind this spec realizes.
-    pub fn to_kind(self) -> SchedKind {
-        match self {
-            SchedSpec::MinRtt => SchedKind::MinRtt,
-            SchedSpec::RoundRobin => SchedKind::RoundRobin,
-            SchedSpec::Blest => SchedKind::Blest,
-            SchedSpec::Ecf => SchedKind::Ecf,
-            SchedSpec::Redundant => SchedKind::Redundant,
-        }
-    }
-}
-
 /// Which transport stack the scenario drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
@@ -178,11 +93,11 @@ pub enum TransportSpec {
         /// Primary-subflow interface.
         primary: IfaceSpec,
         /// Operating mode.
-        mode: ModeSpec,
+        mode: Mode,
         /// Congestion control.
-        cc: CcSpec,
+        cc: CcKind,
         /// Scheduler.
-        sched: SchedSpec,
+        sched: SchedKind,
         /// Silent-death policy: `0` = notification only,
         /// `n > 0` = declare a subflow dead after `n` consecutive RTOs.
         rto_activation: u32,
@@ -203,7 +118,7 @@ impl TransportSpec {
                 sched,
                 rto_activation,
             } => format!(
-                "mpwifi_conformance::TransportSpec::Mptcp {{ primary: {}, mode: mpwifi_conformance::ModeSpec::{mode:?}, cc: mpwifi_conformance::CcSpec::{cc:?}, sched: mpwifi_conformance::SchedSpec::{sched:?}, rto_activation: {rto_activation} }}",
+                "mpwifi_conformance::TransportSpec::Mptcp {{ primary: {}, mode: mpwifi_mptcp::Mode::{mode:?}, cc: mpwifi_mptcp::CcKind::{cc:?}, sched: mpwifi_mptcp::SchedKind::{sched:?}, rto_activation: {rto_activation} }}",
                 primary.literal()
             ),
         }
@@ -629,9 +544,9 @@ pub fn generate(seed: u64) -> ScenarioSpec {
     }
     let transport = if is_mptcp {
         let mode = match rng.index(3) {
-            0 => ModeSpec::Full,
-            1 => ModeSpec::Backup,
-            _ => ModeSpec::SinglePath,
+            0 => Mode::Full,
+            1 => Mode::Backup,
+            _ => Mode::SinglePath,
         };
         // A silent blackout is only survivable with RTO-count death
         // detection (the paper's Figure 15g stall is exactly the
@@ -644,8 +559,8 @@ pub fn generate(seed: u64) -> ScenarioSpec {
         TransportSpec::Mptcp {
             primary: pick_iface(&mut rng),
             mode,
-            cc: CcSpec::ALL[rng.index(CcSpec::ALL.len())],
-            sched: SchedSpec::ALL[rng.index(SchedSpec::ALL.len())],
+            cc: CcKind::ALL[rng.index(CcKind::ALL.len())],
+            sched: SchedKind::ALL[rng.index(SchedKind::ALL.len())],
             rto_activation,
         }
     } else {
@@ -865,13 +780,9 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
         unreachable!("run_mptcp called with a TCP spec");
     };
     let cfg = MptcpConfig {
-        cc: cc.to_kind(),
-        sched: sched.to_kind(),
-        mode: match mode {
-            ModeSpec::Full => Mode::Full,
-            ModeSpec::Backup => Mode::Backup,
-            ModeSpec::SinglePath => Mode::SinglePath,
-        },
+        cc,
+        sched,
+        mode,
         backup_activation: if rto_activation > 0 {
             BackupActivation::OnRtoCount(rto_activation)
         } else {
@@ -888,7 +799,7 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
     );
     let mut sim = build_world(spec, client, server);
     let log = ViolationLog::new();
-    let witness = SchedWitness::new(sched.to_kind());
+    let witness = SchedWitness::new(sched);
     sim.set_observer(Box::new(MptcpConformance::new(
         log.clone(),
         (spec.workload.up_bytes > 0).then_some(up_salt),

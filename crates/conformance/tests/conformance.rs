@@ -4,19 +4,19 @@
 //! campaign determinism across job counts.
 
 use mpwifi_conformance::{
-    generate, repro_snippet, run_campaign, run_matrix_campaign, run_scenario, shrink, CcSpec,
-    FaultEp, IfaceSpec, LinkSpecLite, ModeSpec, ScenarioSpec, SchedSpec, TransportSpec,
-    WorkloadSpec,
+    generate, repro_snippet, run_campaign, run_matrix_campaign, run_scenario, shrink, FaultEp,
+    IfaceSpec, LinkSpecLite, ScenarioSpec, TransportSpec, WorkloadSpec,
 };
+use mpwifi_mptcp::{CcKind, Mode, SchedKind};
 
 fn base_mptcp_spec() -> ScenarioSpec {
     ScenarioSpec {
         seed: 1_234,
         transport: TransportSpec::Mptcp {
             primary: IfaceSpec::Wifi,
-            mode: ModeSpec::Full,
-            cc: CcSpec::Lia,
-            sched: SchedSpec::MinRtt,
+            mode: Mode::Full,
+            cc: CcKind::Lia,
+            sched: SchedKind::MinRtt,
             rto_activation: 0,
         },
         wifi: LinkSpecLite {
@@ -130,9 +130,9 @@ fn planted_sched_wedge_is_caught() {
     let mut spec = base_mptcp_spec();
     spec.transport = TransportSpec::Mptcp {
         primary: IfaceSpec::Wifi,
-        mode: ModeSpec::Full,
-        cc: CcSpec::Lia,
-        sched: SchedSpec::Blest,
+        mode: Mode::Full,
+        cc: CcKind::Lia,
+        sched: SchedKind::Blest,
         rto_activation: 0,
     };
     spec.workload = WorkloadSpec {
@@ -161,9 +161,9 @@ fn planted_redundant_suppress_is_caught() {
     let mut spec = base_mptcp_spec();
     spec.transport = TransportSpec::Mptcp {
         primary: IfaceSpec::Wifi,
-        mode: ModeSpec::Full,
-        cc: CcSpec::Lia,
-        sched: SchedSpec::Redundant,
+        mode: Mode::Full,
+        cc: CcKind::Lia,
+        sched: SchedKind::Redundant,
         rto_activation: 0,
     };
     spec.workload = WorkloadSpec {
@@ -185,12 +185,12 @@ fn planted_redundant_suppress_is_caught() {
 /// counters are positive where min-RTT's are zero.
 #[test]
 fn redundant_delivers_identically_to_minrtt_with_dups_on_the_wire() {
-    let spec_for = |sched: SchedSpec| {
+    let spec_for = |sched: SchedKind| {
         let mut spec = base_mptcp_spec();
         spec.transport = TransportSpec::Mptcp {
             primary: IfaceSpec::Wifi,
-            mode: ModeSpec::Full,
-            cc: CcSpec::Lia,
+            mode: Mode::Full,
+            cc: CcKind::Lia,
             sched,
             rto_activation: 0,
         };
@@ -201,10 +201,10 @@ fn redundant_delivers_identically_to_minrtt_with_dups_on_the_wire() {
         spec
     };
     let before = mpwifi_simcore::metrics::snapshot();
-    let base = run_scenario(&spec_for(SchedSpec::MinRtt));
+    let base = run_scenario(&spec_for(SchedKind::MinRtt));
     let base_delta = mpwifi_simcore::metrics::snapshot().since(&before);
     let before = mpwifi_simcore::metrics::snapshot();
-    let red = run_scenario(&spec_for(SchedSpec::Redundant));
+    let red = run_scenario(&spec_for(SchedKind::Redundant));
     let red_delta = mpwifi_simcore::metrics::snapshot().since(&before);
 
     assert!(base.completed && base.clean(), "minrtt run: {base:#?}");
@@ -240,8 +240,8 @@ fn fuzzer_samples_the_full_sched_and_cc_axis() {
     let mut ccs = [false; 5];
     for seed in 0..200u64 {
         if let TransportSpec::Mptcp { cc, sched, .. } = generate(seed).transport {
-            scheds[SchedSpec::ALL.iter().position(|&s| s == sched).unwrap()] = true;
-            ccs[CcSpec::ALL.iter().position(|&c| c == cc).unwrap()] = true;
+            scheds[SchedKind::ALL.iter().position(|&s| s == sched).unwrap()] = true;
+            ccs[CcKind::ALL.iter().position(|&c| c == cc).unwrap()] = true;
         }
     }
     assert!(
@@ -263,8 +263,8 @@ fn matrix_campaign_is_jobs_invariant_and_covers_all_cells() {
     let f1 = mpwifi_conformance::matrix_fingerprint(&serial);
     let f2 = mpwifi_conformance::matrix_fingerprint(&sharded);
     assert_eq!(f1, f2, "matrix fingerprint differs between --jobs 1 and 4");
-    for (i, &sched) in SchedSpec::ALL.iter().enumerate() {
-        for (j, &cc) in CcSpec::ALL.iter().enumerate() {
+    for (i, &sched) in SchedKind::ALL.iter().enumerate() {
+        for (j, &cc) in CcKind::ALL.iter().enumerate() {
             let cell = &serial[i * 5 + j];
             assert_eq!((cell.sched, cell.cc), (sched, cc), "cell order");
             for r in &cell.results {
