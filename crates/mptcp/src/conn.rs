@@ -365,14 +365,14 @@ impl MptcpConnection {
     /// a server ([`PathManager::server`])
     /// [`MptcpConnection::accept_primary`] with the SYN that caused it.
     /// `server_addr` is the server's interface address at either end;
-    /// `remote_port` its port (unused by the server end).
+    /// `remote_port` its port (unused by the server end). Every
+    /// subflow's ISS derives from `key_local`.
     pub(crate) fn new(
         cfg: MptcpConfig,
         paths: PathManager,
         server_addr: Addr,
         remote_port: u16,
         key_local: u64,
-        iss_base: u32,
     ) -> MptcpConnection {
         // The connection-level reassembly buffer has no flow-control
         // advertisement of its own (we signal only DATA_ACK, not a
@@ -389,7 +389,7 @@ impl MptcpConnection {
             key_peer: None,
             server_addr,
             remote_port,
-            iss_base,
+            iss_base: (key_local >> 32) as u32 ^ (key_local as u32),
             subflows: Vec::new(),
             snd_buf: SendBuffer::new(),
             dsn_next: 0,
@@ -1059,13 +1059,9 @@ impl MptcpConnection {
         // one) but never makes another a victim, so one pass in index
         // order is the collect-then-kill it replaces.
         for idx in 0..self.subflows.len() {
-            let s = &self.subflows[idx];
-            let gave_up = s.conn.is_closed() && s.conn.error().is_some();
-            if !s.dead
-                && self
-                    .paths
-                    .declares_dead(s.conn.consecutive_retries(), gave_up)
-            {
+            let tcp = &self.subflows[idx].conn;
+            let gave_up = tcp.is_closed() && tcp.error().is_some();
+            if self.paths.declares_dead(tcp.consecutive_retries(), gave_up) {
                 self.kill_subflow(now, idx);
             }
         }
@@ -1606,7 +1602,7 @@ mod tests {
     fn dropped_stale_retransmission_leaves_remove_addr_for_the_next_segment() {
         let cfg = MptcpConfig::default();
         let paths = PathManager::client(&cfg, &[(Addr(1), 1)], Addr(1), &mut 1);
-        let mut conn = MptcpConnection::new(cfg, paths, Addr(10), 2, 7, 0);
+        let mut conn = MptcpConnection::new(cfg, paths, Addr(10), 2, 7);
         conn.subflows.push(subflow());
         conn.subflows[0].pending_remove_addr.push(2);
         let ack = || Segment::control(1, 2, 1, 0, Flags::ACK);

@@ -125,9 +125,7 @@ impl ClientEndpoint {
     ) -> usize {
         let paths = PathManager::client(&cfg, &self.ifaces, primary_iface, &mut self.next_port);
         let key = self.table.next_key();
-        let iss_base = (key >> 32) as u32 ^ (key as u32);
-        let mut conn =
-            MptcpConnection::new(cfg, paths, self.server_addr, remote_port, key, iss_base);
+        let mut conn = MptcpConnection::new(cfg, paths, self.server_addr, remote_port, key);
         conn.connect(now);
         self.table.conns.push(conn);
         self.table.conns.len() - 1
@@ -205,11 +203,9 @@ impl ServerEndpoint {
             match opt {
                 MpOption::MpCapable { key } => {
                     let local_key = self.table.next_key();
-                    let iss_base = (local_key >> 32) as u32 ^ (local_key as u32);
                     let paths = PathManager::server(&self.cfg);
                     let cfg = self.cfg.clone();
-                    let mut conn =
-                        MptcpConnection::new(cfg, paths, self.local_addr, 0, local_key, iss_base);
+                    let mut conn = MptcpConnection::new(cfg, paths, self.local_addr, 0, local_key);
                     conn.accept_primary(now, seg, src_addr, key);
                     self.table.conns.push(conn);
                     self.accepted.push(self.table.conns.len() - 1);

@@ -47,7 +47,7 @@ pub enum BackupActivation {
 
 /// Per-path endpoint flags: the kernel's `subflow` and `backup`, plus
 /// one extension of ours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PathFlags {
     /// Join as soon as the primary subflow is established.
     pub subflow: bool,
@@ -81,7 +81,7 @@ impl Mode {
 /// Where a subflow attaches locally and how it is flagged: what the
 /// manager decides for a client subflow, and what the arriving SYN
 /// dictates for a server one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SubflowSpec {
     /// Local interface address.
     pub iface: Addr,
