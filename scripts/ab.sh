@@ -18,14 +18,15 @@
 #   ok          neither.
 # Exits 1 on any `worse`, any failed op or any incorrect run. Reads
 # BENCHMARK.json and builds stackbench/ as they are; edits neither.
-# AB_SECONDS overrides run_seconds (for trying the script out, not for
-# a result anyone quotes). Every run's JSON stays in target/ab/runs.jsonl.
+# `scripts/ab.sh <rev> 1` is the try-out form (about 3 minutes of runs;
+# one pair resolves nothing). Every run's JSON stays in
+# target/ab/runs.jsonl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REV="${1:?usage: scripts/ab.sh <rev> [pairs=10]}"
 PAIRS="${2:-10}"
-SECS="${AB_SECONDS:-$(jq -r .run_seconds BENCHMARK.json)}"
+SECS="$(jq -r .run_seconds BENCHMARK.json)"
 WORKLOADS="$(jq -r '.workloads[].name' BENCHMARK.json)"
 AB=target/ab
 RUNS="$AB/runs.jsonl"
