@@ -14,10 +14,10 @@ use mpwifi_netem::Addr;
 use mpwifi_simcore::{DetRng, Time};
 use mpwifi_tcp::segment::Segment;
 
-/// The connection table both endpoints are built on (each derefs to it):
-/// connections by id, the key source, and the per-step polls.
+/// What both endpoints are built on: connections by id, the key
+/// source, and dispatch by port pair.
 #[derive(Debug)]
-pub struct ConnTable {
+struct ConnTable {
     conns: Vec<MptcpConnection>,
     key_rng: DetRng,
 }
@@ -34,26 +34,6 @@ impl ConnTable {
         self.key_rng.next_u64()
     }
 
-    /// Borrow a connection.
-    pub fn conn(&self, id: usize) -> &MptcpConnection {
-        &self.conns[id]
-    }
-
-    /// Mutably borrow a connection.
-    pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
-        &mut self.conns[id]
-    }
-
-    /// Number of connections opened or accepted.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True when no connections exist.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-    }
-
     /// Hand a decoded segment to the connection that owns its port
     /// pair; false when none does.
     fn route(&mut self, now: Time, seg: &Segment) -> bool {
@@ -65,30 +45,59 @@ impl ConnTable {
         }
         false
     }
-
-    /// Earliest timer across connections.
-    pub fn next_timer(&self) -> Option<Time> {
-        self.conns
-            .iter()
-            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
-    }
-
-    /// Fire due timers.
-    pub fn on_timers(&mut self, now: Time) {
-        for conn in &mut self.conns {
-            conn.on_timers(now);
-        }
-    }
-
-    /// Drain outgoing segments — `(local interface, remote address,
-    /// segment)` — into a caller-provided buffer (the per-step driver
-    /// path).
-    pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        for conn in &mut self.conns {
-            conn.take_tx_into(now, out);
-        }
-    }
 }
+
+/// The accessors and per-step polls both endpoints offer, written once
+/// over their `table`.
+macro_rules! conn_table_api {
+    ($endpoint:ty) => {
+        impl $endpoint {
+            /// Borrow a connection.
+            pub fn conn(&self, id: usize) -> &MptcpConnection {
+                &self.table.conns[id]
+            }
+
+            /// Mutably borrow a connection.
+            pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
+                &mut self.table.conns[id]
+            }
+
+            /// Number of connections opened or accepted.
+            pub fn len(&self) -> usize {
+                self.table.conns.len()
+            }
+
+            /// True when no connections exist.
+            pub fn is_empty(&self) -> bool {
+                self.table.conns.is_empty()
+            }
+
+            /// Earliest timer across connections.
+            pub fn next_timer(&self) -> Option<Time> {
+                let conns = self.table.conns.iter();
+                conns.fold(None, |next, c| Time::earlier(next, c.next_timer()))
+            }
+
+            /// Fire due timers.
+            pub fn on_timers(&mut self, now: Time) {
+                for conn in &mut self.table.conns {
+                    conn.on_timers(now);
+                }
+            }
+
+            /// Drain outgoing segments — `(local interface, remote
+            /// address, segment)` — into a caller-provided buffer (the
+            /// per-step driver path).
+            pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
+                for conn in &mut self.table.conns {
+                    conn.take_tx_into(now, out);
+                }
+            }
+        }
+    };
+}
+conn_table_api!(ClientEndpoint);
+conn_table_api!(ServerEndpoint);
 
 /// Multi-homed client endpoint: owns MPTCP connections whose primary
 /// subflow starts on a chosen interface.
@@ -228,32 +237,6 @@ impl ServerEndpoint {
         // Plain TCP SYN without MPTCP options: this endpoint is
         // MPTCP-only; the sim crate uses a TcpStack endpoint for
         // single-path runs.
-    }
-}
-
-impl std::ops::Deref for ClientEndpoint {
-    type Target = ConnTable;
-    fn deref(&self) -> &ConnTable {
-        &self.table
-    }
-}
-
-impl std::ops::DerefMut for ClientEndpoint {
-    fn deref_mut(&mut self) -> &mut ConnTable {
-        &mut self.table
-    }
-}
-
-impl std::ops::Deref for ServerEndpoint {
-    type Target = ConnTable;
-    fn deref(&self) -> &ConnTable {
-        &self.table
-    }
-}
-
-impl std::ops::DerefMut for ServerEndpoint {
-    fn deref_mut(&mut self) -> &mut ConnTable {
-        &mut self.table
     }
 }
 
@@ -723,6 +706,34 @@ mod tests {
             stats[1].established_at.unwrap() > t,
             "secondary joined after the failure"
         );
+    }
+
+    #[test]
+    fn single_path_primary_killed_mid_handshake_still_gets_its_standby() {
+        // WiFi is notified down 5 ms into the primary's handshake, with
+        // its SYN still in the air: the peer's key is unknown, so no
+        // MP_JOIN can be built yet. The SYN-ACK arrives all the same
+        // (20 ms) and brings the key; the join rule is level-triggered,
+        // so that event finds the standby path wanting a subflow — none
+        // is alive — and opens it. The upload completes over LTE.
+        let c = cfg(CcKind::Lia, Mode::SinglePath);
+        let mut lb = MpLoopback::new(c.clone(), 10, 15);
+        let conn = lb.client.open(Time::ZERO, c, WIFI, 80);
+        let data = pattern(100_000);
+        lb.client.conn_mut(conn).send(Bytes::from(data.clone()));
+        lb.pump();
+        lb.client.notify_iface_down(Time::from_millis(5), WIFI);
+        assert_eq!(lb.client.conn(conn).subflow_count(), 1, "no key, no join");
+        lb.run_until(
+            |lb| !lb.server.is_empty() && lb.server.conn(0).delivered_bytes() == 100_000,
+            100_000,
+        );
+        assert_eq!(lb.server.conn_mut(0).take_delivered().concat(), data);
+        let stats = lb.client.conn(conn).subflow_stats();
+        assert_eq!(stats.len(), 2);
+        assert!(stats[0].dead && stats[0].bytes_acked == 0);
+        assert_eq!(stats[1].iface, LTE);
+        assert!(stats[1].established_at.unwrap() > Time::from_millis(20));
     }
 
     #[test]

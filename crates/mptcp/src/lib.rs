@@ -45,7 +45,7 @@ pub mod sched;
 
 pub use conn::{MptcpConfig, MptcpConnection, SchedProgress, SubflowStats};
 pub use coupled::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
-pub use endpoint::{ClientEndpoint, ConnTable, ServerEndpoint};
+pub use endpoint::{ClientEndpoint, ServerEndpoint};
 pub use options::{token_from_key, MpOption};
 pub use path::{BackupActivation, Mode};
 pub use sched::SchedKind;
