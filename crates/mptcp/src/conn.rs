@@ -841,10 +841,11 @@ impl MptcpConnection {
     }
 
     /// Re-schedule every not-yet-data-acked chunk assigned to `dead_idx`
-    /// onto surviving subflows: park them, then flush. A chunk whose DSN
-    /// starts below the cumulative data-ACK but extends past it still
-    /// has a live tail, so the scan must not start at `data_ack_in` — it
-    /// walks all assigned chunks.
+    /// onto surviving subflows: park them, then flush (behind anything an
+    /// earlier death parked). A chunk whose DSN starts below the
+    /// cumulative data-ACK but extends past it still has a live tail, so
+    /// the scan must not start at `data_ack_in` — it walks all assigned
+    /// chunks.
     fn reinject_from(&mut self, dead_idx: usize) {
         let acked = self.data_ack_in;
         self.pending_reinject.extend(

@@ -5,7 +5,7 @@
 //! [`Mode`] and [`BackupActivation`] are the caller-facing presets. A
 //! `PathManager` lowers them once, when the connection is created, to
 //! the vocabulary of the Linux path manager (`ip mptcp endpoint add …
-//! subflow backup`): a row of per-path `PathFlags` and a death rule.
+//! subflow backup`): one row of path flags, `PathFlags`, and a death rule.
 //! The connection then asks it one question at each policy event — the
 //! primary came up, a subflow died, an interface was notified up —
 //! *which paths should have a live subflow and do not?* — and opens what
@@ -45,17 +45,17 @@ pub enum BackupActivation {
     OnRtoCount(u32),
 }
 
-/// Per-path endpoint flags: the kernel's `subflow` and `backup`, plus
-/// one extension of ours.
-#[derive(Debug, Clone, Copy)]
+/// What a [`Mode`] puts on the client's paths. Every configured path is
+/// a `subflow` endpoint in the kernel's sense — the client joins from it
+/// once the primary is up — and these two say how: the kernel's `backup`
+/// and one extension of ours.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PathFlags {
-    /// Join as soon as the primary subflow is established.
-    pub subflow: bool,
     /// Joins carry the B bit: the subflow stays ineligible while a
     /// regular one lives.
     pub backup: bool,
     /// Extension: join only while no subflow at all is alive
-    /// (break-before-make).
+    /// (break-before-make), not as soon as the primary is up.
     pub standby: bool,
 }
 
@@ -65,15 +65,9 @@ impl Mode {
     /// no B bit to carry — so in Backup mode it starts regular, while a
     /// later rejoin on its interface is a backup like any other join.
     pub(crate) fn path_flags(self) -> PathFlags {
-        let (subflow, backup, standby) = match self {
-            Mode::Full => (true, false, false),
-            Mode::Backup => (true, true, false),
-            Mode::SinglePath => (false, false, true),
-        };
         PathFlags {
-            subflow,
-            backup,
-            standby,
+            backup: self == Mode::Backup,
+            standby: self == Mode::SinglePath,
         }
     }
 }
@@ -101,7 +95,6 @@ struct Path {
     /// The local port reserved when the connection was opened, until the
     /// path's first subflow takes it.
     reserved_port: Option<u16>,
-    flags: PathFlags,
 }
 
 /// Take `n` consecutive ephemeral ports from the client endpoint's
@@ -121,6 +114,7 @@ fn take_ports(next_port: &mut u16, n: usize) -> u16 {
 pub(crate) struct PathManager {
     /// Primary first; empty on the server.
     paths: Vec<Path>,
+    flags: PathFlags,
     death: BackupActivation,
 }
 
@@ -129,6 +123,7 @@ impl PathManager {
     pub(crate) fn server(cfg: &MptcpConfig) -> PathManager {
         PathManager {
             paths: Vec::new(),
+            flags: cfg.mode.path_flags(),
             death: cfg.backup_activation,
         }
     }
@@ -148,7 +143,6 @@ impl PathManager {
             .expect("unknown primary interface");
         let order = std::iter::once(first).chain((0..ifaces.len()).filter(|&i| i != first));
         let ports = take_ports(next_port, ifaces.len())..;
-        let flags = cfg.mode.path_flags();
         PathManager {
             paths: order
                 .zip(ports)
@@ -156,10 +150,9 @@ impl PathManager {
                     iface: ifaces[i].0,
                     addr_id: ifaces[i].1,
                     reserved_port: Some(port),
-                    flags,
                 })
                 .collect(),
-            death: cfg.backup_activation,
+            ..PathManager::server(cfg)
         }
     }
 
@@ -175,35 +168,35 @@ impl PathManager {
     }
 
     /// The joins to open now: one on every path that should have a live
-    /// subflow and does not. A `subflow` path should once the primary is
-    /// up, a `standby` path while nothing at all is alive. A join also
+    /// subflow and does not. A path should once the primary is up; a
+    /// `standby` one instead while nothing at all is alive. A join also
     /// needs a local port: the path's reserved one the first time, and
     /// after that a fresh one — which only `fresh`, an interface-up
     /// notification with the endpoint's port counter, brings (the old
     /// port pair may still route to the dead subflow on the server). So
     /// a path whose subflow died stays down until its interface is
-    /// notified up. `alive_on(iface)`: does a live subflow use `iface`?
+    /// notified up, and a notification speaks for its own interface
+    /// only. `alive_on(iface)`: does a live subflow use `iface`?
     pub(crate) fn joins(
         &mut self,
         primary_up: bool,
         alive_on: impl Fn(Addr) -> bool,
         mut fresh: Option<(Addr, &mut u16)>,
     ) -> Vec<SubflowSpec> {
+        let flags = self.flags;
         let mut none_alive = !self.paths.iter().any(|p| alive_on(p.iface));
         let mut joins = Vec::new();
         for p in &mut self.paths {
-            let should = if p.flags.standby {
+            let should = if flags.standby {
                 none_alive
             } else {
-                p.flags.subflow && primary_up
+                primary_up
             };
-            if !should || alive_on(p.iface) {
+            let elsewhere = fresh.as_ref().is_some_and(|(iface, _)| *iface != p.iface);
+            if !should || elsewhere || alive_on(p.iface) {
                 continue;
             }
-            let fresh_port = match &mut fresh {
-                Some((iface, next_port)) if *iface == p.iface => Some(take_ports(next_port, 1)),
-                _ => None,
-            };
+            let fresh_port = fresh.as_mut().map(|(_, next)| take_ports(next, 1));
             // Either way the path is no longer untouched.
             let reserved = p.reserved_port.take();
             let Some(local_port) = fresh_port.or(reserved) else {
@@ -214,7 +207,7 @@ impl PathManager {
                 iface: p.iface,
                 addr_id: p.addr_id,
                 local_port,
-                backup: p.flags.backup,
+                backup: flags.backup,
             });
         }
         joins
@@ -304,13 +297,10 @@ mod tests {
 
     #[test]
     fn modes_lower_to_flag_rows() {
-        let row = |mode: Mode| {
-            let f = mode.path_flags();
-            (f.subflow, f.backup, f.standby)
-        };
-        assert_eq!(row(Mode::Full), (true, false, false));
-        assert_eq!(row(Mode::Backup), (true, true, false));
-        assert_eq!(row(Mode::SinglePath), (false, false, true));
+        let row = |backup, standby| PathFlags { backup, standby };
+        assert_eq!(Mode::Full.path_flags(), row(false, false));
+        assert_eq!(Mode::Backup.path_flags(), row(true, false));
+        assert_eq!(Mode::SinglePath.path_flags(), row(false, true));
     }
 
     /// Every `(Mode, primary)` row against one event sequence: primary
@@ -374,6 +364,19 @@ mod tests {
             assert_eq!(w.reconcile(Some(LTE)), []);
             assert_eq!(w.next_port, 40_002, "a refused notification takes no port");
         }
+    }
+
+    /// A notification speaks for its own interface only, as a rejoin
+    /// always did: a path the rule has not reached yet (the peer's key
+    /// was late, so the primary-up event opened nothing) keeps its
+    /// reserved port for the next event of its own.
+    #[test]
+    fn an_interface_up_joins_on_that_interface_only() {
+        let mut w = World::open(&cfg(Mode::Full), &[(WIFI, 1), (LTE, 2)], WIFI);
+        w.primary_up = true;
+        w.live.clear();
+        assert_eq!(w.reconcile(Some(WIFI)), [(WIFI, 40_002, false)]);
+        assert_eq!(w.dies(WIFI), [(LTE, 40_001, false)]);
     }
 
     /// The rule walks the configured paths, so a third needs no line of
