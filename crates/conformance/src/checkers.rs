@@ -806,9 +806,9 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         // side; conformance scenarios open exactly one connection.
         for d in 0..2usize {
             let prog = if d == 0 {
-                (sim.client.mp.len() > 0).then(|| sim.client.mp.conn(0).sched_progress())
+                (!sim.client.mp.is_empty()).then(|| sim.client.mp.conn(0).sched_progress())
             } else {
-                (sim.server.mp.len() > 0).then(|| sim.server.mp.conn(0).sched_progress())
+                (!sim.server.mp.is_empty()).then(|| sim.server.mp.conn(0).sched_progress())
             };
             let Some(prog) = prog else { continue };
             {
@@ -891,11 +891,11 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         }
         // Promote the data-ACK floors (two-step delay) and refresh the
         // dead-subflow snapshot for the next step's checks.
-        if sim.client.mp.len() > 0 {
+        if !sim.client.mp.is_empty() {
             self.dir[0].ack_floor = self.dir[0].ack_floor_next;
             self.dir[0].ack_floor_next = sim.client.mp.conn(0).data_acked();
         }
-        if sim.server.mp.len() > 0 {
+        if !sim.server.mp.is_empty() {
             self.dir[1].ack_floor = self.dir[1].ack_floor_next;
             self.dir[1].ack_floor_next = sim.server.mp.conn(0).data_acked();
         }

@@ -65,7 +65,7 @@ mod tests {
         assert_eq!(s.median, 3.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
-        assert!((s.std_dev - 1.4142).abs() < 1e-3);
+        assert!((s.std_dev - std::f64::consts::SQRT_2).abs() < 1e-3);
     }
 
     #[test]

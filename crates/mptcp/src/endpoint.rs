@@ -478,7 +478,7 @@ mod tests {
         lb.run_until(|lb| lb.client.conn(c).delivered_bytes() == 300_000, 100_000);
         let srv_stats = lb.server.conn(0).subflow_stats();
         // The backup (LTE) subflow established but carried zero payload.
-        assert_eq!(srv_stats[1].is_backup, true);
+        assert!(srv_stats[1].is_backup);
         assert_eq!(
             srv_stats[1].bytes_acked, 0,
             "backup subflow must carry no data while primary lives"

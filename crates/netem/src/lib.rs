@@ -38,7 +38,7 @@ pub use faults::{
 pub use frame::{Addr, Frame};
 pub use pipeline::{Pipeline, PipelineStats};
 pub use reorder::ReorderStage;
-pub use stage::{DelayStage, LinkQueue, LossStage, QueueLimit, Service, Stage, StageReset};
+pub use stage::{DelayStage, LinkQueue, LossStage, QueueLimit, Service, Stage};
 pub use trace::DeliveryTrace;
 
 /// Maximum transmission unit used throughout the workspace (bytes on the

@@ -38,9 +38,8 @@ pub struct Pipeline {
     /// `next_ready()` is exactly `h` (which may itself be `None` for a
     /// quiescent pipeline); the outer `None` means "dirty, recompute".
     /// Every mutation path (`push`, `poll_into` movement, `set_up`,
-    /// `stage_mut`, `push_stage`, `truncate_stages`, `begin_run`)
-    /// invalidates it, so `next_ready` is an O(1) field read on the
-    /// simulator's per-step due checks between mutations.
+    /// `stage_mut`) invalidates it, so `next_ready` is an O(1) field
+    /// read on the simulator's per-step due checks between mutations.
     horizon: Cell<Option<Option<Time>>>,
     /// Scratch for batch hand-off between stages, reused across polls.
     transfer: Vec<(Time, Frame)>,
@@ -78,11 +77,6 @@ impl Pipeline {
     /// Human-readable label ("wifi-down", "lte-up", ...).
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// Gate state.
-    pub fn is_up(&self) -> bool {
-        self.up
     }
 
     /// Raise or cut the link. Cutting models a physical unplug: silent
@@ -190,34 +184,6 @@ impl Pipeline {
     pub fn stage_mut(&mut self, index: usize) -> &mut dyn Stage {
         self.invalidate_horizon();
         self.stages[index].as_mut()
-    }
-
-    /// Number of stages in the chain.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Start a new campaign run on a reused pipeline: zero the
-    /// counters and raise the gate. Stage state is reset separately via
-    /// [`Stage::reset_run`] — the label and stage storage stay.
-    pub fn begin_run(&mut self) {
-        self.stats = PipelineStats::default();
-        self.up = true;
-        self.invalidate_horizon();
-    }
-
-    /// Drop stages beyond `len` (a reused pipeline whose new spec needs
-    /// fewer stages). At least one stage must remain.
-    pub fn truncate_stages(&mut self, len: usize) {
-        assert!(len >= 1, "pipeline needs at least one stage");
-        self.stages.truncate(len);
-        self.invalidate_horizon();
-    }
-
-    /// Append a stage at the egress end.
-    pub fn push_stage(&mut self, stage: Box<dyn Stage>) {
-        self.stages.push(stage);
-        self.invalidate_horizon();
     }
 }
 

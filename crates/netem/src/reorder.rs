@@ -7,7 +7,7 @@
 //! delay with some probability; held frames can leapfrog each other.
 
 use crate::frame::Frame;
-use crate::stage::{Stage, StageReset};
+use crate::stage::Stage;
 use mpwifi_simcore::{DetRng, Dur, Time};
 use std::collections::BTreeMap;
 
@@ -64,25 +64,6 @@ impl Stage for ReorderStage {
         }
         let frame = self.held.remove(&(t, s)).unwrap();
         Some((t, frame))
-    }
-
-    fn reset_run(&mut self, reset: StageReset) -> Result<(), StageReset> {
-        let StageReset::Reorder {
-            prob,
-            max_extra,
-            rng,
-        } = reset
-        else {
-            return Err(reset);
-        };
-        assert!((0.0..=1.0).contains(&prob), "invalid probability");
-        assert!(!max_extra.is_zero(), "max_extra must be positive");
-        self.prob = prob;
-        self.max_extra = max_extra;
-        self.rng = rng;
-        self.held.clear();
-        self.seq = 0;
-        Ok(())
     }
 
     fn drop_all(&mut self) -> u64 {

@@ -58,76 +58,6 @@ pub trait Stage: std::fmt::Debug {
 
     /// Frames currently held by this stage.
     fn backlog(&self) -> usize;
-
-    /// Restore this stage to the just-constructed state described by
-    /// `reset`, keeping allocated storage (queue capacity) so campaign
-    /// workers can reuse one built world across runs. Returns
-    /// `Err(reset)` when the parameters describe a different stage kind
-    /// (or the stage does not support in-place reset); the caller then
-    /// rebuilds from the returned parameters via
-    /// [`StageReset::into_stage`].
-    //
-    // The Err variant is the ownership-return channel for the unconsumed
-    // parameters (the kind-mismatch path rebuilds from them), not an
-    // error payload — boxing it would add an allocation to the exact
-    // path whose point is reusing storage.
-    #[allow(clippy::result_large_err)]
-    fn reset_run(&mut self, reset: StageReset) -> Result<(), StageReset> {
-        Err(reset)
-    }
-}
-
-/// Per-run parameters for resetting (or freshly building) one stage.
-/// Mirrors the constructor arguments of the four composable stage
-/// kinds; episode-gated fault stages are deliberately absent — a run
-/// with a fault plan rebuilds its pipelines.
-#[derive(Debug)]
-pub enum StageReset {
-    /// [`LinkQueue`] parameters.
-    Queue {
-        /// Drop-tail bound.
-        limit: QueueLimit,
-        /// Service process.
-        service: Service,
-    },
-    /// [`DelayStage`] parameters.
-    Delay {
-        /// One-way propagation delay.
-        delay: Dur,
-    },
-    /// [`LossStage`] parameters.
-    Loss {
-        /// Per-frame drop probability.
-        prob: f64,
-        /// Freshly derived RNG stream for this run.
-        rng: DetRng,
-    },
-    /// [`crate::ReorderStage`] parameters.
-    Reorder {
-        /// Hold-back probability.
-        prob: f64,
-        /// Maximum extra delay for a held frame.
-        max_extra: Dur,
-        /// Freshly derived RNG stream for this run.
-        rng: DetRng,
-    },
-}
-
-impl StageReset {
-    /// Build a brand-new stage from these parameters — the fallback
-    /// when an existing stage of a different kind sits at this slot.
-    pub fn into_stage(self) -> Box<dyn Stage> {
-        match self {
-            StageReset::Queue { limit, service } => Box::new(LinkQueue::new(limit, service)),
-            StageReset::Delay { delay } => Box::new(DelayStage::new(delay)),
-            StageReset::Loss { prob, rng } => Box::new(LossStage::new(prob, rng)),
-            StageReset::Reorder {
-                prob,
-                max_extra,
-                rng,
-            } => Box::new(crate::ReorderStage::new(prob, max_extra, rng)),
-        }
-    }
 }
 
 /// Capacity limit for a drop-tail queue.
@@ -298,26 +228,6 @@ impl Stage for LinkQueue {
         self.set_service(now, service);
     }
 
-    fn reset_run(&mut self, reset: StageReset) -> Result<(), StageReset> {
-        let StageReset::Queue { limit, service } = reset else {
-            return Err(reset);
-        };
-        if let Service::FixedRate { bps } = service {
-            assert!(bps > 0, "link rate must be positive");
-        }
-        self.queue.clear();
-        self.queued_bytes = 0;
-        self.limit = limit;
-        self.service = service;
-        self.server_busy_until = None;
-        self.head_exit = None;
-        self.head_started = None;
-        self.head_remaining = 1.0;
-        self.dropped = 0;
-        self.delivered = 0;
-        Ok(())
-    }
-
     fn push(&mut self, now: Time, frame: Frame) {
         if self.would_overflow(&frame) {
             self.dropped += 1;
@@ -437,15 +347,6 @@ impl Stage for DelayStage {
         DelayStage::set_delay(self, delay);
     }
 
-    fn reset_run(&mut self, reset: StageReset) -> Result<(), StageReset> {
-        let StageReset::Delay { delay } = reset else {
-            return Err(reset);
-        };
-        self.delay = delay;
-        self.in_flight.clear();
-        Ok(())
-    }
-
     fn drop_all(&mut self) -> u64 {
         let n = self.in_flight.len() as u64;
         self.in_flight.clear();
@@ -513,18 +414,6 @@ impl Stage for LossStage {
 
     fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    fn reset_run(&mut self, reset: StageReset) -> Result<(), StageReset> {
-        let StageReset::Loss { prob, rng } = reset else {
-            return Err(reset);
-        };
-        assert!((0.0..=1.0).contains(&prob), "invalid loss probability");
-        self.loss_prob = prob;
-        self.rng = rng;
-        self.passthrough.clear();
-        self.dropped = 0;
-        Ok(())
     }
 
     fn drop_all(&mut self) -> u64 {

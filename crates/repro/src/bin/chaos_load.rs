@@ -391,7 +391,6 @@ fn main() {
         expect_stalled.push(tag);
         sent += 1;
     }
-    drop(windowed);
 
     // Let the main stream finish before provoking the queue: shedding
     // needs a full queue, which needs slow work, not a busy stream.

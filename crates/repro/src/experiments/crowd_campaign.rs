@@ -14,6 +14,7 @@ use mpwifi_crowd::{
 };
 use mpwifi_measure::render::{series_block_iter, TextTable};
 use mpwifi_measure::MeanAcc;
+use std::path::Path;
 
 /// Population at `--quick` scale (analytic model per user).
 const QUICK_USERS: u64 = 20_000;
@@ -29,109 +30,55 @@ pub fn crowd_campaign(scale: Scale, seed: u64) -> Report {
         Scale::Quick => QUICK_USERS,
         Scale::Full => FULL_USERS,
     };
-    campaign_cli_report(users, 0, seed, scale)
+    let (report, _) = campaign_report(users, 0, seed, scale, None, |_, _, _| {})
+        .expect("only a checkpoint can refuse, and there is none");
+    report
 }
 
-/// CLI entry point (`repro campaign --users N --jobs N`): explicit
-/// population and worker count; `--full` adds the FullSim spot check.
-pub fn campaign_cli_report(users: u64, workers: usize, seed: u64, scale: Scale) -> Report {
-    campaign_cli_report_observed(users, workers, seed, scale, |_, _, _| {})
-}
-
-/// [`campaign_cli_report`] with a shard-completion observer on the main
-/// population run (the agreement replays and the FullSim spot check run
-/// unobserved — they are small). The campaign server streams progress
-/// through this; the rendered report stays byte-identical to the
-/// unobserved CLI path.
-pub fn campaign_cli_report_observed(
+/// Run the analytic population campaign and render it: the one entry
+/// point behind the registry, `repro campaign --users N --jobs N` and
+/// the campaign server. The report is byte-identical for every
+/// `workers` value (0 = auto, pinned at 10⁴ users by the determinism
+/// suite), with or without a checkpoint, at any kill point and under
+/// any observer; `Scale::Full` adds the FullSim spot check.
+///
+/// With `checkpoint` the main population run journals every completed
+/// shard to that path and resumes from whatever a previous (possibly
+/// killed) invocation left there; the returned [`ResumedCampaign`]
+/// carries the recovery counters for the host's (stderr-only) note, and
+/// a journal that disagrees with this config is the typed
+/// [`ResumeError`]. Without one the call cannot fail.
+///
+/// `on_shard` observes shard completions of the main population run
+/// (the agreement replays and the spot check run unobserved — they are
+/// small); the campaign server streams progress through it.
+pub fn campaign_report(
     users: u64,
     workers: usize,
     seed: u64,
     scale: Scale,
+    checkpoint: Option<&Path>,
     on_shard: impl Fn(u64, u64, u64) + Sync,
-) -> Report {
-    let mut r = campaign_report_observed(users, workers, seed, on_shard);
+) -> Result<(Report, Option<ResumedCampaign>), ResumeError> {
+    let mut cfg = CampaignConfig::new(users, seed, RunMode::Analytic);
+    cfg.workers = workers;
+    let resumed = checkpoint
+        .map(|path| run_campaign_resumable_with(&cfg, path, &on_shard))
+        .transpose()?;
+    // Both drivers hand the renderer the same `(cfg, summary)`, which is
+    // what pins the byte-identity of resumed reports.
+    let mut r = match &resumed {
+        Some(res) => render_campaign_report(&cfg, &res.summary),
+        None => render_campaign_report(&cfg, &run_campaign_with(&cfg, &on_shard)),
+    };
     if scale == Scale::Full {
         fullsim_spot_check(&mut r, seed);
     }
-    r
-}
-
-/// [`campaign_cli_report`] with crash-consistent checkpointing: the
-/// main population run journals every completed shard to `path` and
-/// resumes from whatever a previous (possibly killed) invocation left
-/// there. The rendered report is byte-identical to the plain path at
-/// any worker count and any kill point; the returned [`ResumedCampaign`]
-/// carries the recovery counters for the host's (stderr-only) note.
-pub fn campaign_cli_report_checkpointed(
-    users: u64,
-    workers: usize,
-    seed: u64,
-    scale: Scale,
-    path: &std::path::Path,
-) -> Result<(Report, ResumedCampaign), ResumeError> {
-    campaign_cli_report_checkpointed_observed(users, workers, seed, scale, path, |_, _, _| {})
-}
-
-/// [`campaign_cli_report_checkpointed`] with a shard-completion
-/// observer on the main population run (the campaign server streams
-/// resumed progress through this).
-pub fn campaign_cli_report_checkpointed_observed(
-    users: u64,
-    workers: usize,
-    seed: u64,
-    scale: Scale,
-    path: &std::path::Path,
-    on_shard: impl Fn(u64, u64, u64) + Sync,
-) -> Result<(Report, ResumedCampaign), ResumeError> {
-    let (mut r, res) = campaign_report_checkpointed_observed(users, workers, seed, path, on_shard)?;
-    if scale == Scale::Full {
-        fullsim_spot_check(&mut r, seed);
-    }
-    Ok((r, res))
-}
-
-/// Run the analytic population campaign and render it. The report is
-/// byte-identical for every `workers` value (0 = auto) — pinned at 10⁴
-/// users by the determinism suite.
-pub fn campaign_report_with(users: u64, workers: usize, seed: u64) -> Report {
-    campaign_report_observed(users, workers, seed, |_, _, _| {})
-}
-
-/// [`campaign_report_with`] with a shard-completion observer.
-pub fn campaign_report_observed(
-    users: u64,
-    workers: usize,
-    seed: u64,
-    on_shard: impl Fn(u64, u64, u64) + Sync,
-) -> Report {
-    let mut cfg = CampaignConfig::new(users, seed, RunMode::Analytic);
-    cfg.workers = workers;
-    let s = run_campaign_with(&cfg, on_shard);
-    render_campaign_report(&cfg, &s)
-}
-
-/// [`campaign_report_observed`] through the journaled resumable driver:
-/// same config, same renderer, so the report is byte-identical to the
-/// plain path — the only difference is where completed shards come from.
-pub fn campaign_report_checkpointed_observed(
-    users: u64,
-    workers: usize,
-    seed: u64,
-    path: &std::path::Path,
-    on_shard: impl Fn(u64, u64, u64) + Sync,
-) -> Result<(Report, ResumedCampaign), ResumeError> {
-    let mut cfg = CampaignConfig::new(users, seed, RunMode::Analytic);
-    cfg.workers = workers;
-    let res = run_campaign_resumable_with(&cfg, path, on_shard)?;
-    let r = render_campaign_report(&cfg, &res.summary);
-    Ok((r, res))
+    Ok((r, resumed))
 }
 
 /// Render the campaign report from an already-computed population
-/// summary. Shared by the plain and checkpointed drivers — both hand it
-/// the same `(cfg, summary)`, which is what pins the byte-identity of
-/// resumed reports.
+/// summary.
 fn render_campaign_report(cfg: &CampaignConfig, s: &CampaignSummary) -> Report {
     let users = cfg.users;
     let workers = cfg.workers;

@@ -103,8 +103,8 @@ pub fn sched_matrix(seed: u64) -> Report {
         let mut t = TextTable::new(vec!["sched \\ cc", "lia", "olia", "balia", "reno", "cubic"]);
         for (s, sched) in SchedKind::ALL.iter().enumerate() {
             let mut row = vec![format!("{pair} {}", sched.label())];
-            for c in 0..CcKind::ALL.len() {
-                row.push(tput[p][s][c].map_or("DNF".into(), fmt_bps));
+            for cell in &tput[p][s] {
+                row.push(cell.map_or("DNF".into(), fmt_bps));
             }
             t.row(row);
         }
@@ -122,8 +122,8 @@ pub fn sched_matrix(seed: u64) -> Report {
     ]);
     for (s, sched) in SchedKind::ALL.iter().enumerate() {
         let mut row = vec![sched.label().to_string()];
-        for c in 0..CcKind::ALL.len() {
-            row.push(short[0][s][c].map_or("DNF".into(), fmt_bps));
+        for cell in &short[0][s] {
+            row.push(cell.map_or("DNF".into(), fmt_bps));
         }
         t.row(row);
     }

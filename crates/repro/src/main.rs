@@ -58,6 +58,28 @@ use mpwifi_repro::{
 use mpwifi_simcore::json::array_lines;
 use std::io::Write as _;
 
+/// The value of the flag at `args[*i]`: the next argument, parsed.
+/// Missing or unparseable is `die(msg)`; paths parse as themselves.
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, msg: &str) -> T {
+    *i += 1;
+    args.get(*i)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| die(msg))
+}
+
+/// [`value`] for a count, which must be at least 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    args: &[String],
+    i: &mut usize,
+    msg: &str,
+) -> T {
+    let n: T = value(args, i, msg);
+    if n < T::from(1) {
+        die(msg);
+    }
+    n
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
@@ -86,135 +108,42 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--supervise" => supervised = true,
             "--retries" => {
-                i += 1;
                 supervised = true;
-                sup_cfg.retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retries needs an integer"));
+                sup_cfg.retries = value(&args, &mut i, "--retries needs an integer");
             }
             "--max-events" => {
-                i += 1;
                 supervised = true;
-                sup_cfg.max_events = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-events needs a positive integer")),
-                );
+                let msg = "--max-events needs a positive integer";
+                sup_cfg.max_events = Some(positive(&args, &mut i, msg));
             }
             "--max-wall-ms" => {
-                i += 1;
                 supervised = true;
-                sup_cfg.wall_limit_ms = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--max-wall-ms needs a positive integer")),
-                );
+                let msg = "--max-wall-ms needs a positive integer";
+                sup_cfg.wall_limit_ms = Some(positive(&args, &mut i, msg));
             }
             "--stall-ttl-s" => {
-                i += 1;
                 supervised = true;
-                let secs: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--stall-ttl-s needs a positive integer"));
+                let secs: u64 = positive(&args, &mut i, "--stall-ttl-s needs a positive integer");
                 sup_cfg.stall_ttl_us = Some(secs.saturating_mul(1_000_000));
             }
             "--quarantine" => {
-                i += 1;
                 supervised = true;
-                quarantine_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--quarantine needs a path")),
-                );
+                quarantine_path = Some(value(&args, &mut i, "--quarantine needs a path"));
             }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--jobs needs a positive integer"));
-            }
+            "--seed" => seed = value(&args, &mut i, "--seed needs an integer"),
+            "--jobs" | "-j" => jobs = positive(&args, &mut i, "--jobs needs a positive integer"),
             "--derive-seeds" => policy = SeedPolicy::Derived,
-            "--cases" => {
-                i += 1;
-                cases = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--cases needs a positive integer"));
-            }
-            "--queue" => {
-                i += 1;
-                queue_cap = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--queue needs a positive integer"));
-            }
+            "--cases" => cases = positive(&args, &mut i, "--cases needs a positive integer"),
+            "--queue" => queue_cap = positive(&args, &mut i, "--queue needs a positive integer"),
             "--chaos" => chaos = true,
             "--matrix" => matrix = true,
-            "--checkpoint" => {
-                i += 1;
-                checkpoint = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--checkpoint needs a path")),
-                );
-            }
+            "--checkpoint" => checkpoint = Some(value(&args, &mut i, "--checkpoint needs a path")),
             "--resume" => resume = true,
-            "--users" => {
-                i += 1;
-                users = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--users needs a positive integer"));
-            }
-            "--markdown" => {
-                i += 1;
-                markdown = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--markdown needs a path")),
-                );
-            }
-            "--metrics" => {
-                i += 1;
-                metrics_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--metrics needs a path")),
-                );
-            }
-            "--csv" => {
-                i += 1;
-                csv = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--csv needs a path")),
-                );
-            }
-            "--data" => {
-                i += 1;
-                data_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--data needs a directory")),
-                );
-            }
+            "--users" => users = positive(&args, &mut i, "--users needs a positive integer"),
+            "--markdown" => markdown = Some(value(&args, &mut i, "--markdown needs a path")),
+            "--metrics" => metrics_path = Some(value(&args, &mut i, "--metrics needs a path")),
+            "--csv" => csv = Some(value(&args, &mut i, "--csv needs a path")),
+            "--data" => data_dir = Some(value(&args, &mut i, "--data needs a directory")),
             "--list" => {
                 println!("paper experiments:");
                 for spec in REGISTRY.iter().filter(|s| !s.extension) {
@@ -517,38 +446,36 @@ fn run_crowd_campaign(
 ) -> ! {
     use mpwifi_repro::experiments::crowd_campaign as cc;
     let start = std::time::Instant::now();
-    let report = match checkpoint {
-        None => {
-            if resume {
-                die("--resume needs --checkpoint PATH");
-            }
-            cc::campaign_cli_report(users, jobs, seed, scale)
-        }
+    match checkpoint {
+        None if resume => die("--resume needs --checkpoint PATH"),
+        None => {}
         Some(path) => {
-            let p = std::path::Path::new(path);
-            let existing = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
+            let existing = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             if existing > 0 && !resume {
                 die(&format!(
                     "checkpoint {path} already holds {existing} byte(s); \
                      pass --resume to continue that campaign or remove the file"
                 ));
             }
-            match cc::campaign_cli_report_checkpointed(users, jobs, seed, scale, p) {
-                Ok((r, res)) => {
-                    if res.recovered_shards > 0 || res.dropped_bytes > 0 {
-                        eprintln!(
-                            "resume: {}/{} shards recovered from {path} \
-                             ({} torn tail byte(s) dropped)",
-                            res.recovered_shards, res.total_shards, res.dropped_bytes
-                        );
-                    }
-                    r
-                }
-                Err(e) => {
-                    eprintln!("error: cannot resume from {path}: {e}");
-                    std::process::exit(4);
-                }
+        }
+    }
+    // Only a checkpointed run reaches the two notes that name it.
+    let path = checkpoint.unwrap_or_default();
+    let journal = checkpoint.map(std::path::Path::new);
+    let report = match cc::campaign_report(users, jobs, seed, scale, journal, |_, _, _| {}) {
+        Ok((r, resumed)) => {
+            if let Some(res) = resumed.filter(|r| r.recovered_shards > 0 || r.dropped_bytes > 0) {
+                eprintln!(
+                    "resume: {}/{} shards recovered from {path} \
+                     ({} torn tail byte(s) dropped)",
+                    res.recovered_shards, res.total_shards, res.dropped_bytes
+                );
             }
+            r
+        }
+        Err(e) => {
+            eprintln!("error: cannot resume from {path}: {e}");
+            std::process::exit(4);
         }
     };
     println!("{}", report.render_text());

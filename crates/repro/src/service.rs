@@ -197,19 +197,10 @@ impl ReproExecutor {
                 users_done,
             });
         };
-        let result = supervise_call(&self.watchdog_for(req), || match checkpoint {
-            None => Ok(crowd_campaign::campaign_cli_report_observed(
-                users, jobs, seed, scale, on_shard,
-            )),
-            Some(path) => crowd_campaign::campaign_cli_report_checkpointed_observed(
-                users,
-                jobs,
-                seed,
-                scale,
-                std::path::Path::new(path),
-                on_shard,
-            )
-            .map(|(report, _resumed)| report),
+        let result = supervise_call(&self.watchdog_for(req), || {
+            let journal = checkpoint.map(std::path::Path::new);
+            crowd_campaign::campaign_report(users, jobs, seed, scale, journal, on_shard)
+                .map(|(report, _resumed)| report)
         });
         match result {
             Ok(Ok(report)) => {
@@ -387,7 +378,8 @@ mod tests {
             .collect();
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0], sections[1], "resumed section diverged");
-        let cli = crowd_campaign::campaign_cli_report(2_000, 1, 7, Scale::Quick);
+        let (cli, _) =
+            crowd_campaign::campaign_report(2_000, 1, 7, Scale::Quick, None, |_, _, _| {}).unwrap();
         assert_eq!(
             sections[0],
             &cli.render_text(),
@@ -427,7 +419,8 @@ mod tests {
             .filter(|r| matches!(r, Response::Progress { .. }))
             .collect();
         assert!(!progress.is_empty(), "campaign must stream progress");
-        let cli = crowd_campaign::campaign_cli_report(2_000, 2, 7, Scale::Quick);
+        let (cli, _) =
+            crowd_campaign::campaign_report(2_000, 2, 7, Scale::Quick, None, |_, _, _| {}).unwrap();
         let Some(Response::Section { text, .. }) = responses
             .iter()
             .find(|r| matches!(r, Response::Section { .. }))

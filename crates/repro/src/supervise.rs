@@ -321,7 +321,7 @@ fn run_planted_panic(_: Scale, _seed: u64) -> Report {
 /// attempt and assert the supervisor lands exactly there.
 fn run_planted_transient(_: Scale, seed: u64) -> Report {
     assert!(
-        seed % 4 == 0,
+        seed.is_multiple_of(4),
         "planted transient failure: seed {seed} is not a multiple of 4"
     );
     let mut r = Report::new(

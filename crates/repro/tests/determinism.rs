@@ -103,9 +103,10 @@ fn crowd_campaign_reports_are_worker_invariant() {
     // analogs, CI tables) and claim text included. This pins the whole
     // chain: order-free per-user seeds, the fixed shard partition, and
     // the in-order shard fold.
-    use mpwifi_repro::experiments::crowd_campaign::campaign_report_with;
+    use mpwifi_repro::experiments::crowd_campaign::campaign_report;
     let render = |workers: usize| {
-        let r = campaign_report_with(10_000, workers, 42);
+        let (r, _) = campaign_report(10_000, workers, 42, Scale::Quick, None, |_, _, _| {})
+            .expect("no checkpoint, nothing to refuse");
         let claims: Vec<String> = r
             .claims
             .iter()

@@ -8,12 +8,10 @@
 //! process-level kill -9 version of this lives in the bench crate's
 //! `kill_chaos` harness; these tests pin the library seam it drives.
 
-use mpwifi_crowd::ResumeError;
-use mpwifi_repro::experiments::crowd_campaign::{
-    campaign_cli_report, campaign_cli_report_checkpointed,
-};
-use mpwifi_repro::Scale;
-use std::path::PathBuf;
+use mpwifi_crowd::{ResumeError, ResumedCampaign};
+use mpwifi_repro::experiments::crowd_campaign::campaign_report;
+use mpwifi_repro::{Report, Scale};
+use std::path::{Path, PathBuf};
 
 /// 8 shards at the CLI's fixed 512-user shard size.
 const USERS: u64 = 4_096;
@@ -22,6 +20,27 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "mpwifi_resume_{}_{name}.journal",
         std::process::id()
+    ))
+}
+
+/// The uninterrupted, unjournaled report every other run must equal.
+fn plain_report(users: u64, jobs: usize, seed: u64) -> String {
+    let (report, _) = campaign_report(users, jobs, seed, Scale::Quick, None, |_, _, _| {})
+        .expect("no checkpoint, nothing to refuse");
+    report.render_text()
+}
+
+/// The same campaign journaled at (or resumed from) `path`.
+fn checkpointed(
+    users: u64,
+    jobs: usize,
+    seed: u64,
+    path: &Path,
+) -> Result<(Report, ResumedCampaign), ResumeError> {
+    let (report, res) = campaign_report(users, jobs, seed, Scale::Quick, Some(path), |_, _, _| {})?;
+    Ok((
+        report,
+        res.expect("a checkpointed run reports its recovery"),
     ))
 }
 
@@ -34,13 +53,12 @@ fn header_end(bytes: &[u8]) -> usize {
 #[test]
 fn fresh_checkpointed_report_matches_plain_at_every_jobs_and_seed() {
     for seed in [42u64, 7] {
-        let plain = campaign_cli_report(USERS, 1, seed, Scale::Quick).render_text();
+        let plain = plain_report(USERS, 1, seed);
         for jobs in [1usize, 8] {
             let path = tmp(&format!("fresh_{seed}_{jobs}"));
             let _ = std::fs::remove_file(&path);
             let (report, res) =
-                campaign_cli_report_checkpointed(USERS, jobs, seed, Scale::Quick, &path)
-                    .expect("fresh checkpointed run");
+                checkpointed(USERS, jobs, seed, &path).expect("fresh checkpointed run");
             assert_eq!(res.recovered_shards, 0, "fresh run recovered shards");
             assert_eq!(res.total_shards, 8);
             assert_eq!(
@@ -56,13 +74,12 @@ fn fresh_checkpointed_report_matches_plain_at_every_jobs_and_seed() {
 #[test]
 fn torn_tail_resume_is_byte_identical_at_any_cut() {
     let seed = 42u64;
-    let baseline = campaign_cli_report(USERS, 1, seed, Scale::Quick).render_text();
+    let baseline = plain_report(USERS, 1, seed);
 
     // A completed journal to cut prefixes from.
     let full_path = tmp("full");
     let _ = std::fs::remove_file(&full_path);
-    campaign_cli_report_checkpointed(USERS, 1, seed, Scale::Quick, &full_path)
-        .expect("build full journal");
+    checkpointed(USERS, 1, seed, &full_path).expect("build full journal");
     let full = std::fs::read(&full_path).expect("read journal");
     let _ = std::fs::remove_file(&full_path);
 
@@ -73,8 +90,8 @@ fn torn_tail_resume_is_byte_identical_at_any_cut() {
         let cut = ((full.len() as f64 * frac) as usize).max(header_end(&full));
         let path = tmp(&format!("cut{i}"));
         std::fs::write(&path, &full[..cut]).expect("write truncated journal");
-        let (report, res) = campaign_cli_report_checkpointed(USERS, 8, seed, Scale::Quick, &path)
-            .expect("resume from truncated journal");
+        let (report, res) =
+            checkpointed(USERS, 8, seed, &path).expect("resume from truncated journal");
         assert!(
             res.recovered_shards < res.total_shards,
             "cut at {frac} left nothing to recompute"
@@ -92,12 +109,11 @@ fn torn_tail_resume_is_byte_identical_at_any_cut() {
 fn wrong_campaign_and_corrupt_header_are_typed_refusals() {
     let path = tmp("refusal");
     let _ = std::fs::remove_file(&path);
-    campaign_cli_report_checkpointed(USERS, 1, 42, Scale::Quick, &path)
-        .expect("build journal at seed 42");
+    checkpointed(USERS, 1, 42, &path).expect("build journal at seed 42");
 
     // Same journal, different seed: refused, never blended.
-    let err = campaign_cli_report_checkpointed(USERS, 1, 7, Scale::Quick, &path)
-        .expect_err("seed 7 must not resume a seed-42 journal");
+    let err =
+        checkpointed(USERS, 1, 7, &path).expect_err("seed 7 must not resume a seed-42 journal");
     assert!(
         matches!(
             err,
@@ -110,8 +126,8 @@ fn wrong_campaign_and_corrupt_header_are_typed_refusals() {
     );
 
     // Different population: partition mismatch.
-    let err = campaign_cli_report_checkpointed(USERS * 2, 1, 42, Scale::Quick, &path)
-        .expect_err("different population must not resume");
+    let err =
+        checkpointed(USERS * 2, 1, 42, &path).expect_err("different population must not resume");
     assert!(
         matches!(err, ResumeError::PartitionMismatch { .. }),
         "unexpected refusal: {err}"
@@ -123,8 +139,7 @@ fn wrong_campaign_and_corrupt_header_are_typed_refusals() {
     let flip_at = header_end(&bytes) / 2;
     bytes[flip_at] ^= 0x40;
     std::fs::write(&path, &bytes).expect("write corrupted journal");
-    let err = campaign_cli_report_checkpointed(USERS, 1, 42, Scale::Quick, &path)
-        .expect_err("corrupt header must refuse");
+    let err = checkpointed(USERS, 1, 42, &path).expect_err("corrupt header must refuse");
     assert!(
         matches!(
             err,

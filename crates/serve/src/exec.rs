@@ -50,7 +50,7 @@ pub trait Executor: Sync {
 pub fn backoff_ms(seed: u64, attempt: u32) -> u64 {
     let base = BACKOFF_BASE_MS << (attempt.saturating_sub(1)).min(BACKOFF_DOUBLINGS);
     let base = base.min(BACKOFF_CAP_MS);
-    let mut rng = DetRng::seed_from_u64(seed ^ 0x6261_636b_6f66_66).derive(attempt as u64);
+    let mut rng = DetRng::seed_from_u64(seed ^ 0x62_6163_6b6f_6666).derive(attempt as u64);
     base + rng.uniform_u64(0, base)
 }
 

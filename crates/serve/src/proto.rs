@@ -777,11 +777,13 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        let mut m = RunMetrics::default();
-        m.events_popped = 9;
-        m.bytes_delivered = 1_000_000;
-        m.redundant_dups = 4;
-        m.dup_bytes_dropped = 5_600;
+        let m = RunMetrics {
+            events_popped: 9,
+            bytes_delivered: 1_000_000,
+            redundant_dups: 4,
+            dup_bytes_dropped: 5_600,
+            ..RunMetrics::default()
+        };
         let done = |req: &str, status, attempts, flaky| Response::Done {
             req: req.into(),
             status,

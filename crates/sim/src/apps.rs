@@ -426,7 +426,7 @@ mod tests {
         );
         assert!(r.is_complete());
         assert_eq!(r.wifi_log.len(), 0);
-        assert!(r.lte_log.len() > 0);
+        assert!(!r.lte_log.is_empty());
     }
 
     #[test]
@@ -471,7 +471,7 @@ mod tests {
             "MPTCP(primary=WiFi) should beat TCP over the slow LTE link"
         );
         // Both interfaces saw traffic.
-        assert!(mp.wifi_log.len() > 0 && mp.lte_log.len() > 0);
+        assert!(!mp.wifi_log.is_empty() && !mp.lte_log.is_empty());
     }
 
     #[test]
@@ -516,7 +516,7 @@ mod tests {
             );
             // The logs stay with the world until the caller takes them.
             let packets = sim.wifi_log.len();
-            assert!(packets > 0 && r.wifi_log.len() == 0, "{dir:?}");
+            assert!(packets > 0 && r.wifi_log.is_empty(), "{dir:?}");
             assert_eq!(r.with_logs(&mut sim).wifi_log.len(), packets);
             assert_eq!(sim.wifi_log.len(), 0);
         }

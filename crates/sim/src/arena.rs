@@ -1,13 +1,12 @@
 //! Campaign arenas: one built world, many runs.
 //!
-//! Population-scale campaigns (10⁵–10⁶ synthetic users, six transfers
-//! each) cannot afford to rebuild the testbed per run: pipeline stage
-//! boxes, queue `VecDeque`s, the segment-buffer pool and endpoint
-//! hash maps would be allocated and dropped millions of times. A
-//! [`SimArena`] owns one `Sim` per worker and re-arms it between runs
-//! via [`Sim::reset`], which reuses every allocation while replaying
-//! the fresh-build RNG chain — so arena results are bit-identical to
-//! fresh builds at the same parameters (pinned by tests below).
+//! A [`SimArena`] owns one `Sim` per worker and re-arms it between runs
+//! via [`Sim::reset`]. A re-armed world is brought up by the code that
+//! builds a fresh one, so arena results are bit-identical to fresh
+//! builds at the same parameters (pinned by tests below); what the
+//! arena carries from run to run is allocations only: the
+//! segment-buffer pool, the driver's scratch vectors, the hosts and a
+//! payload buffer per transfer size.
 
 use crate::apps::{bulk, make_payload, tcp_world, BulkResult, FlowDir};
 use crate::endpoint::{TcpClientHost, TcpServerHost};
@@ -15,13 +14,12 @@ use crate::link::LinkSpec;
 use crate::world::Sim;
 use crate::SERVER_PORT;
 use bytes::Bytes;
-use mpwifi_netem::{Addr, FaultPlan};
+use mpwifi_netem::Addr;
 use mpwifi_simcore::{Dur, Time};
 use mpwifi_tcp::conn::TcpConfig;
 
 /// Everything that varies between two runs of a re-used world: link
-/// specs, the run seed, and optional fault timelines. Passed to
-/// [`Sim::reset`].
+/// specs and the run seed. Passed to [`Sim::reset`].
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignRun<'a> {
     /// WiFi link spec for this run.
@@ -30,34 +28,12 @@ pub struct CampaignRun<'a> {
     pub lte: &'a LinkSpec,
     /// Root seed (drives the link RNG chain and both endpoints' ISS).
     pub seed: u64,
-    /// Optional WiFi fault timeline (rebuilds the WiFi pipelines).
-    pub wifi_faults: Option<&'a FaultPlan>,
-    /// Optional LTE fault timeline (rebuilds the LTE pipelines).
-    pub lte_faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> CampaignRun<'a> {
-    /// A fault-free run description.
+    /// A run description.
     pub fn new(wifi: &'a LinkSpec, lte: &'a LinkSpec, seed: u64) -> CampaignRun<'a> {
-        CampaignRun {
-            wifi,
-            lte,
-            seed,
-            wifi_faults: None,
-            lte_faults: None,
-        }
-    }
-
-    /// Attach a WiFi fault timeline.
-    pub fn with_wifi_faults(mut self, plan: &'a FaultPlan) -> CampaignRun<'a> {
-        self.wifi_faults = Some(plan);
-        self
-    }
-
-    /// Attach an LTE fault timeline.
-    pub fn with_lte_faults(mut self, plan: &'a FaultPlan) -> CampaignRun<'a> {
-        self.lte_faults = Some(plan);
-        self
+        CampaignRun { wifi, lte, seed }
     }
 }
 
@@ -161,19 +137,16 @@ impl SimArena {
     ) -> BulkResult {
         self.transfer(wifi, lte, iface, FlowDir::Up, bytes, deadline, seed)
     }
-
-    /// Pooled encode buffers held by the retained world (0 before the
-    /// first run). A warm arena's second run allocates none.
-    pub fn pool_capacity(&self) -> usize {
-        self.sim.as_ref().map_or(0, |s| s.pool_capacity())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps::{run_tcp_download, run_tcp_upload};
+    use crate::link::ServiceSpec;
+    use crate::world::ScriptEvent;
     use crate::{LTE_ADDR, WIFI_ADDR};
+    use mpwifi_netem::DeliveryTrace;
     use mpwifi_simcore::metrics;
 
     fn wifi_fast() -> LinkSpec {
@@ -191,6 +164,30 @@ mod tests {
         }
     }
 
+    /// Leave the retained world the way a failed run does: a transfer
+    /// in flight, the WiFi interface cut under it (frames flushed and
+    /// black-holed), the restore still pending in the script.
+    fn leave_world_cut(arena: &mut SimArena) {
+        let sim = arena.sim.as_mut().expect("a retained world");
+        let t0 = sim.now;
+        sim.client.iface = WIFI_ADDR;
+        let id = sim.client.connect(t0, TcpConfig::default(), SERVER_PORT);
+        let conn = sim.client.stack.conn_mut(id).expect("just opened");
+        conn.send(make_payload(50_000));
+        sim.schedule(t0 + Dur::from_millis(5), ScriptEvent::CutIface(WIFI_ADDR));
+        sim.schedule(
+            t0 + Dur::from_secs(3600),
+            ScriptEvent::RestoreIface(WIFI_ADDR),
+        );
+        sim.run_until(|_| false, t0 + Dur::from_secs(2));
+        assert!(
+            sim.wifi.up.stats().dropped_down > 0,
+            "the cut dropped frames"
+        );
+        let snap = sim.forensic_snapshot("cut");
+        assert_eq!((snap.script_fired, snap.script_pending), (1, 1));
+    }
+
     /// The tentpole pin: a reset-reused world must be *bit-identical*
     /// to a fresh build at the same parameters. `BulkResult`'s `Debug`
     /// output includes every progress point and every packet-log event,
@@ -200,21 +197,47 @@ mod tests {
         let wifi = wifi_fast();
         let lte = lte_slow();
         let lossy = lossy();
+        let traced = LinkSpec {
+            down: ServiceSpec::Trace(DeliveryTrace::constant_pps(1000)),
+            ..wifi_fast()
+        };
+        let reordering = LinkSpec {
+            reorder_prob: 0.05,
+            reorder_extra: Dur::from_millis(4),
+            ..wifi_fast()
+        };
+        let lossy_reordering = LinkSpec {
+            loss: lossy.loss,
+            ..reordering.clone()
+        };
         let dl = Dur::from_secs(60);
         let bytes = 200_000;
         let mut arena = SimArena::new();
-        // Vary iface, direction, seed, and loss-stage presence: run 4
-        // adds a loss stage to the reused pipelines, run 6 drops it
-        // again (exercising the truncate path).
-        let runs: &[(&LinkSpec, &LinkSpec, Addr, bool, u64)] = &[
-            (&wifi, &lte, WIFI_ADDR, true, 7),
-            (&wifi, &lte, LTE_ADDR, true, 8),
-            (&wifi, &lte, WIFI_ADDR, false, 9),
-            (&lossy, &lte, WIFI_ADDR, true, 10),
-            (&wifi, &lossy, LTE_ADDR, true, 11),
-            (&wifi, &lte, WIFI_ADDR, true, 12),
+        // Vary iface, direction, seed and every stage shape
+        // `build_direction` can produce, so consecutive runs add and
+        // remove stages: run 4 adds a loss stage, run 6 drops it again,
+        // run 7 swaps a fixed-rate queue for a trace-driven one, runs
+        // 8-10 add a reorder stage, then loss and reorder together, then
+        // neither. The last column leaves the retained world cut, with
+        // a script event pending, before the run.
+        let runs: &[(&LinkSpec, &LinkSpec, Addr, bool, u64, bool)] = &[
+            (&wifi, &lte, WIFI_ADDR, true, 7, false),
+            (&wifi, &lte, LTE_ADDR, true, 8, false),
+            (&wifi, &lte, WIFI_ADDR, false, 9, false),
+            (&lossy, &lte, WIFI_ADDR, true, 10, false),
+            (&wifi, &lossy, LTE_ADDR, true, 11, false),
+            (&wifi, &lte, WIFI_ADDR, true, 12, false),
+            (&traced, &lte, WIFI_ADDR, true, 13, false),
+            (&reordering, &traced, WIFI_ADDR, false, 14, false),
+            (&lossy_reordering, &lte, WIFI_ADDR, true, 15, false),
+            (&wifi, &lossy_reordering, LTE_ADDR, true, 16, false),
+            (&wifi, &lte, WIFI_ADDR, true, 17, true),
+            (&wifi, &lte, LTE_ADDR, false, 18, false),
         ];
-        for &(w, l, iface, download, seed) in runs {
+        for &(w, l, iface, download, seed, cut_first) in runs {
+            if cut_first {
+                leave_world_cut(&mut arena);
+            }
             let (from_arena, fresh) = if download {
                 (
                     arena.tcp_download(w, l, iface, bytes, dl, seed),
@@ -238,7 +261,7 @@ mod tests {
     }
 
     /// The reuse pin: the second identical run touches zero fresh encode
-    /// buffers — the pool, stage storage, and payload cache are warm.
+    /// buffers — the pool and the payload cache are warm.
     #[test]
     fn reset_reuse_keeps_the_pool_warm() {
         let wifi = wifi_fast();

@@ -22,8 +22,8 @@
 //! * [`apps`] — the workload drivers: [`apps::bulk`], the one bulk
 //!   transfer loop over that seam, its fresh-world wrappers, and pings;
 //! * [`SimArena`] — crowd-campaign reuse: one built world re-armed per
-//!   run via [`Sim::reset`] / [`CampaignRun`], so million-user sweeps
-//!   pay for allocation once per worker instead of once per user.
+//!   run via [`Sim::reset`] / [`CampaignRun`]; the segment-buffer pool,
+//!   scratch vectors and payloads stay warm, the links are rebuilt.
 
 pub mod apps;
 pub mod arena;

@@ -7,7 +7,7 @@
 
 use mpwifi_netem::{
     CorruptStage, DelayStage, DeliveryTrace, FaultKind, FaultPlan, Frame, GilbertElliottStage,
-    LinkQueue, LossStage, Pipeline, QueueLimit, ReorderStage, Service, Stage, StageReset,
+    LinkQueue, LossStage, Pipeline, ReorderStage, Stage,
 };
 use mpwifi_simcore::{DetRng, Dur, Time};
 use serde::{Deserialize, Serialize};
@@ -132,79 +132,6 @@ impl LinkSpec {
         }
         Pipeline::new(label, stages)
     }
-
-    /// Prepare the per-stage reset parameters for one direction, drawing
-    /// the same RNG derivations in the same order as
-    /// [`LinkSpec::build_direction`]. Eager construction is what makes
-    /// reset-reuse bit-identical to a fresh build: the `0xF00D` /
-    /// `0x0DD5` derives happen exactly when (and only when) a fresh
-    /// build would perform them.
-    fn direction_resets(&self, service: &ServiceSpec, rng: &mut DetRng) -> Vec<StageReset> {
-        let service = match service {
-            ServiceSpec::Rate(bps) => Service::FixedRate { bps: *bps },
-            ServiceSpec::Trace(t) => Service::Trace(t.clone()),
-        };
-        let mut resets = vec![
-            StageReset::Queue {
-                limit: QueueLimit::Bytes(self.queue_bytes),
-                service,
-            },
-            StageReset::Delay {
-                delay: self.rtt / 2,
-            },
-        ];
-        if self.loss > 0.0 {
-            resets.push(StageReset::Loss {
-                prob: self.loss,
-                rng: rng.derive(0xF00D),
-            });
-        }
-        if self.reorder_prob > 0.0 {
-            resets.push(StageReset::Reorder {
-                prob: self.reorder_prob,
-                max_extra: self.reorder_extra.max(Dur::from_micros(1)),
-                rng: rng.derive(0x0DD5),
-            });
-        }
-        resets
-    }
-}
-
-/// Re-arm one pipeline for a new run, morphing retained stages in place
-/// where their kinds line up and rebuilding from the prepared parameters
-/// where they do not. Stage storage (queue `VecDeque`s, delay rings,
-/// reorder maps) survives across runs on the fast path.
-fn reset_direction(pipe: &mut Pipeline, spec: &LinkSpec, service: &ServiceSpec, rng: &mut DetRng) {
-    let resets = spec.direction_resets(service, rng);
-    pipe.begin_run();
-    let mut morphed = 0usize;
-    let mut pending: Vec<StageReset> = Vec::new();
-    for (i, reset) in resets.into_iter().enumerate() {
-        if pending.is_empty() && i < pipe.stage_count() {
-            match pipe.stage_mut(i).reset_run(reset) {
-                Ok(()) => morphed += 1,
-                Err(r) => pending.push(r),
-            }
-        } else {
-            // First kind mismatch (or the retained chain ran out of
-            // stages): everything from here on is rebuilt.
-            pending.push(reset);
-        }
-    }
-    if morphed == 0 {
-        // Even the queue stage refused — a foreign pipeline layout.
-        // Rebuild the whole chain from the prepared parameters.
-        let stages: Vec<Box<dyn Stage>> = pending.into_iter().map(StageReset::into_stage).collect();
-        *pipe = Pipeline::new(pipe.label().to_string(), stages);
-        return;
-    }
-    // Drop stale tail stages (e.g. a loss stage the new spec no longer
-    // wants, or fault stages left over from a faulted previous run),
-    // then append freshly built stages for any kind mismatches.
-    pipe.truncate_stages(morphed);
-    for r in pending {
-        pipe.push_stage(r.into_stage());
-    }
 }
 
 /// A realized link: uplink and downlink pipelines.
@@ -235,30 +162,6 @@ impl PathPair {
             up: spec.build_direction(&spec.up, format!("{name}-up"), rng, faults),
             down: spec.build_direction(&spec.down, format!("{name}-down"), rng, faults),
         }
-    }
-
-    /// Re-arm an already-built pair for a new run without reallocating
-    /// stage storage. Draws the same RNG derivations in the same order
-    /// as [`PathPair::build_with_faults`], so a reset pair behaves
-    /// bit-identically to a freshly built one at the same seed.
-    ///
-    /// When `faults` carries scheduled events the episode-gated stages
-    /// hold per-event state that is cheaper to rebuild than to morph, so
-    /// the whole pair is reconstructed (still with the fresh-build RNG
-    /// chain); the fault-free fast path morphs stages in place.
-    pub fn reset(
-        &mut self,
-        spec: &LinkSpec,
-        name: &str,
-        rng: &mut DetRng,
-        faults: Option<&FaultPlan>,
-    ) {
-        if faults.is_some_and(|p| !p.events.is_empty()) {
-            *self = PathPair::build_with_faults(spec, name, rng, faults);
-            return;
-        }
-        reset_direction(&mut self.up, spec, &spec.up, rng);
-        reset_direction(&mut self.down, spec, &spec.down, rng);
     }
 
     /// Cut or restore both directions (physical unplug semantics).

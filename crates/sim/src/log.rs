@@ -44,13 +44,6 @@ impl PacketLog {
         self.events.push(PacketEvent { at, dir, bytes });
     }
 
-    /// Forget all events, keeping the allocation for the next run.
-    /// Campaign arenas call this between runs so log storage is paid
-    /// for once per worker, not once per user.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// All events in order.
     pub fn events(&self) -> &[PacketEvent] {
         &self.events
@@ -84,12 +77,6 @@ impl PacketLog {
     /// First and last activity timestamps.
     pub fn span(&self) -> Option<(Time, Time)> {
         Some((self.events.first()?.at, self.events.last()?.at))
-    }
-
-    /// Activity timestamps merged over both directions — the "vertical
-    /// lines" of the paper's Figure 15.
-    pub fn activity_times(&self) -> Vec<Time> {
-        self.events.iter().map(|e| e.at).collect()
     }
 
     /// Intervals during which the interface was "active", closing gaps

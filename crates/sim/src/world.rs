@@ -81,11 +81,6 @@ impl RunUntil {
         matches!(self, RunUntil::Done)
     }
 
-    /// Was the run classified as stalled?
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, RunUntil::Stalled { .. })
-    }
-
     /// The forensic snapshot, when stalled.
     pub fn snapshot(&self) -> Option<&StallSnapshot> {
         match self {
@@ -95,11 +90,11 @@ impl RunUntil {
     }
 }
 
-/// Default stall window: a run whose delivery watermark has not moved
-/// for this much *simulated* time at its deadline is classified
+/// The stall window: a run whose delivery watermark has not moved for
+/// this much *simulated* time at its deadline is classified
 /// [`RunUntil::Stalled`] rather than [`RunUntil::Deadline`]. Orders of
 /// magnitude above any healthy RTO backoff gap in the study's
-/// scenarios; override per-sim with [`SimBuilder::stall_after`].
+/// scenarios.
 pub const STALL_CLASSIFY_WINDOW: Dur = Dur::from_secs(5);
 
 /// Forensic state captured when a run is classified as stalled (by
@@ -118,8 +113,6 @@ pub struct StallSnapshot {
     pub last_advance: Time,
     /// Cumulative payload bytes this sim delivered to its endpoints.
     pub delivered_bytes: u64,
-    /// The stall window the classification used.
-    pub stall_window: Dur,
     /// Scripted events already fired (fault-plan position numerator).
     pub script_fired: u64,
     /// Scripted events still pending.
@@ -151,8 +144,8 @@ impl StallSnapshot {
 
     fn render_iface(&self, out: &mut String, name: &str, last: Option<Time>) {
         let stale = match last {
-            Some(t) => self.now >= t + self.stall_window,
-            None => self.now >= Time::ZERO + self.stall_window,
+            Some(t) => self.now >= t + STALL_CLASSIFY_WINDOW,
+            None => self.now >= Time::ZERO + STALL_CLASSIFY_WINDOW,
         };
         let _ = writeln!(
             out,
@@ -261,9 +254,6 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
     delivered_bytes: u64,
     /// Sim time of the last watermark advance.
     last_advance: Time,
-    /// Stall window override; `None` uses [`STALL_CLASSIFY_WINDOW`] for
-    /// classification at the deadline and never exits early.
-    stall_ttl: Option<Dur>,
     /// Scripted events fired so far (fault-plan position for forensics).
     script_fired: u64,
 }
@@ -293,7 +283,6 @@ pub struct SimBuilder<'a, C: Endpoint, S: Endpoint> {
     script: Vec<(Time, ScriptEvent)>,
     wifi_faults: FaultPlan,
     lte_faults: FaultPlan,
-    stall_ttl: Option<Dur>,
 }
 
 impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
@@ -341,31 +330,34 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
         self
     }
 
-    /// Let [`Sim::run_until`] exit early with [`RunUntil::Stalled`] once
-    /// the delivery watermark has been flat for `window` of sim time,
-    /// instead of burning events until the deadline. Also used as the
-    /// classification window at the deadline (default:
-    /// [`STALL_CLASSIFY_WINDOW`]).
-    pub fn stall_after(mut self, window: Dur) -> Self {
-        self.stall_ttl = Some(window);
-        self
-    }
-
     /// Construct the [`Sim`]. Panics if either link spec is missing.
     pub fn build(self) -> Sim<C, S> {
         let wifi_spec = self.wifi.expect("SimBuilder: wifi link spec not set");
         let lte_spec = self.lte.expect("SimBuilder: lte link spec not set");
         let wifi_faults = (!self.wifi_faults.is_empty()).then_some(&self.wifi_faults);
         let lte_faults = (!self.lte_faults.is_empty()).then_some(&self.lte_faults);
-        let mut sim = Sim::with_fault_stages(
-            self.client,
-            self.server,
-            wifi_spec,
-            lte_spec,
-            self.seed,
-            wifi_faults,
-            lte_faults,
-        );
+        let (wifi, lte) = links_up(wifi_spec, lte_spec, self.seed, wifi_faults, lte_faults);
+        let mut sim = Sim {
+            now: Time::ZERO,
+            client: self.client,
+            server: self.server,
+            wifi,
+            lte,
+            wifi_log: PacketLog::new(),
+            lte_log: PacketLog::new(),
+            frame_seq: 0,
+            script: Vec::new(),
+            pool: SegmentBufPool::new(),
+            to_server_wifi: Vec::new(),
+            to_server_lte: Vec::new(),
+            to_client_wifi: Vec::new(),
+            to_client_lte: Vec::new(),
+            tx_scratch: Vec::new(),
+            observer: None,
+            delivered_bytes: 0,
+            last_advance: Time::ZERO,
+            script_fired: 0,
+        };
         for (at, ev) in self.script {
             sim.schedule(at, ev);
         }
@@ -375,57 +367,84 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
         if let Some(plan) = lte_faults {
             sim.schedule_fault_plan(LTE_ADDR, lte_spec, plan);
         }
-        sim.stall_ttl = self.stall_ttl;
         sim
     }
 }
 
+/// Bring both access links up at t = 0: the one place the link
+/// constructor is called from, so a fresh world ([`SimBuilder::build`])
+/// and a re-armed one ([`Sim::reset`]) get their pipelines, and the RNG
+/// chain behind them (`seed`, `derive(1)` for WiFi, `derive(2)` for LTE,
+/// then `LinkSpec::build_direction`'s own per-stage derives), from the
+/// same code. A `None` plan adds no stage and draws nothing.
+fn links_up(
+    wifi: &LinkSpec,
+    lte: &LinkSpec,
+    seed: u64,
+    wifi_faults: Option<&FaultPlan>,
+    lte_faults: Option<&FaultPlan>,
+) -> (PathPair, PathPair) {
+    let mut rng = DetRng::seed_from_u64(seed);
+    (
+        PathPair::build_with_faults(wifi, "wifi", &mut rng.derive(1), wifi_faults),
+        PathPair::build_with_faults(lte, "lte", &mut rng.derive(2), lte_faults),
+    )
+}
+
 impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
-    /// Re-arm this built world for a new campaign run, reusing every
-    /// allocation a fresh build would have to make: the segment-buffer
-    /// pool stays warm, the link stages keep their queue storage, the
-    /// scratch frame buffers and packet-log vectors keep their capacity
-    /// (unless the logs were moved out: [`crate::SimArena`] hands them to
-    /// each run's result rather than cloning them).
+    /// Re-arm this built world for a new, fault-free campaign run.
     ///
-    /// Behavior is pinned to be *bit-identical* to a fresh
-    /// [`Sim::builder`] build at the same run parameters: the RNG chain
-    /// (`seed → derive(1) wifi → derive(2) lte`, plus the per-stage
-    /// derives inside each direction) is replayed in fresh-build order,
-    /// and both endpoints are re-seeded through
-    /// [`ResetEndpoint::reset_run`]. Fault plans are recompiled into
-    /// scripted events exactly as [`SimBuilder::build`] does.
+    /// The links come from [`links_up`], the constructor a fresh
+    /// [`Sim::builder`] build calls, and every other piece of run state
+    /// goes back to its t = 0 value, so a re-armed world *is* a fresh
+    /// one at the same parameters. What it keeps is allocations: the
+    /// segment-buffer pool stays warm (a pooled buffer has the contents
+    /// a new one would, it only skips the allocation), the frame and TX
+    /// scratch vectors keep their capacity, and both hosts are re-seeded
+    /// in place through [`ResetEndpoint::reset_run`].
     pub fn reset(&mut self, run: &CampaignRun<'_>) {
-        let mut rng = DetRng::seed_from_u64(run.seed);
-        self.wifi
-            .reset(run.wifi, "wifi", &mut rng.derive(1), run.wifi_faults);
-        self.lte
-            .reset(run.lte, "lte", &mut rng.derive(2), run.lte_faults);
-        self.now = Time::ZERO;
-        self.wifi_log.clear();
-        self.lte_log.clear();
-        self.frame_seq = 0;
-        self.script.clear();
-        // The pool is intentionally NOT reset: a warm pool hands out
-        // buffers with identical contents, it only skips allocations.
-        self.to_server_wifi.clear();
-        self.to_server_lte.clear();
-        self.to_client_wifi.clear();
-        self.to_client_lte.clear();
-        self.tx_scratch.clear();
-        self.observer = None;
-        self.delivered_bytes = 0;
-        self.last_advance = Time::ZERO;
-        self.stall_ttl = None;
-        self.script_fired = 0;
-        self.client.reset_run(run.seed);
-        self.server.reset_run(run.seed);
-        if let Some(plan) = run.wifi_faults {
-            self.schedule_fault_plan(WIFI_ADDR, run.wifi, plan);
+        // No `..` in this pattern: a field added to `Sim` does not
+        // compile until it is sorted here into kept or re-armed.
+        let Sim {
+            // Kept: the hosts (re-seeded), the pool (warm) and the
+            // buffers (emptied).
+            client,
+            server,
+            pool: _,
+            to_server_wifi,
+            to_server_lte,
+            to_client_wifi,
+            to_client_lte,
+            tx_scratch,
+            script,
+            // Re-armed: what `SimBuilder::build` gives a fresh world.
+            now,
+            wifi,
+            lte,
+            wifi_log,
+            lte_log,
+            frame_seq,
+            observer,
+            delivered_bytes,
+            last_advance,
+            script_fired,
+        } = self;
+        client.reset_run(run.seed);
+        server.reset_run(run.seed);
+        for frames in [to_server_wifi, to_server_lte, to_client_wifi, to_client_lte] {
+            frames.clear();
         }
-        if let Some(plan) = run.lte_faults {
-            self.schedule_fault_plan(LTE_ADDR, run.lte, plan);
-        }
+        tx_scratch.clear();
+        script.clear();
+        *now = Time::ZERO;
+        (*wifi, *lte) = links_up(run.wifi, run.lte, run.seed, None, None);
+        *wifi_log = PacketLog::new();
+        *lte_log = PacketLog::new();
+        *frame_seq = 0;
+        *observer = None;
+        *delivered_bytes = 0;
+        *last_advance = Time::ZERO;
+        *script_fired = 0;
     }
 }
 
@@ -441,44 +460,6 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             script: Vec::new(),
             wifi_faults: FaultPlan::new(),
             lte_faults: FaultPlan::new(),
-            stall_ttl: None,
-        }
-    }
-
-    /// The constructor behind [`SimBuilder::build`]: link specs, seed,
-    /// and the per-interface fault stages (`None` adds no stage and
-    /// draws nothing from the RNG, so an absent plan is free).
-    fn with_fault_stages(
-        client: C,
-        server: S,
-        wifi_spec: &LinkSpec,
-        lte_spec: &LinkSpec,
-        seed: u64,
-        wifi_faults: Option<&FaultPlan>,
-        lte_faults: Option<&FaultPlan>,
-    ) -> Sim<C, S> {
-        let mut rng = DetRng::seed_from_u64(seed);
-        Sim {
-            now: Time::ZERO,
-            client,
-            server,
-            wifi: PathPair::build_with_faults(wifi_spec, "wifi", &mut rng.derive(1), wifi_faults),
-            lte: PathPair::build_with_faults(lte_spec, "lte", &mut rng.derive(2), lte_faults),
-            wifi_log: PacketLog::new(),
-            lte_log: PacketLog::new(),
-            frame_seq: 0,
-            script: Vec::new(),
-            pool: SegmentBufPool::new(),
-            to_server_wifi: Vec::new(),
-            to_server_lte: Vec::new(),
-            to_client_wifi: Vec::new(),
-            to_client_lte: Vec::new(),
-            tx_scratch: Vec::new(),
-            observer: None,
-            delivered_bytes: 0,
-            last_advance: Time::ZERO,
-            stall_ttl: None,
-            script_fired: 0,
         }
     }
 
@@ -487,18 +468,6 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     /// through shared references only; it cannot perturb the run.
     pub fn set_observer(&mut self, obs: Box<dyn SimObserver<C, S>>) {
         self.observer = Some(obs);
-    }
-
-    /// Detach and return the current observer, if any.
-    pub fn clear_observer(&mut self) -> Option<Box<dyn SimObserver<C, S>>> {
-        self.observer.take()
-    }
-
-    /// Number of pooled encode buffers currently owned (see
-    /// [`SegmentBufPool::capacity`]). Campaign arenas use this to verify
-    /// the pool stays warm across runs.
-    pub fn pool_capacity(&self) -> usize {
-        self.pool.capacity()
     }
 
     /// Schedule a scripted event. Keeps the script sorted via binary
@@ -754,11 +723,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     /// When the predicate does not hold the result distinguishes a run
     /// that timed out *while still delivering payload* —
     /// [`RunUntil::Deadline`] — from one whose delivery watermark had
-    /// been flat for the stall window ([`SimBuilder::stall_after`], or
-    /// [`STALL_CLASSIFY_WINDOW`] by default) — [`RunUntil::Stalled`],
-    /// with a forensic [`StallSnapshot`]. With an explicit
-    /// `stall_after` window the run also *exits early* at the first
-    /// flat window instead of burning events until the deadline.
+    /// been flat for [`STALL_CLASSIFY_WINDOW`] — [`RunUntil::Stalled`],
+    /// with a forensic [`StallSnapshot`]. Neither ends a run early: the
+    /// supervision watchdog's stall TTL ([`supervise::tick`]) does that.
     pub fn run_until<F: FnMut(&mut Self) -> bool>(
         &mut self,
         mut pred: F,
@@ -770,13 +737,6 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             }
             if self.now >= deadline || self.next_event().is_none_or(|t| t > deadline) {
                 return self.classify_timeout();
-            }
-            if let Some(window) = self.stall_ttl {
-                if self.delivered_bytes > 0 && self.now >= self.last_advance + window {
-                    return RunUntil::Stalled {
-                        snapshot: Box::new(self.forensic_snapshot("no-progress")),
-                    };
-                }
             }
             if !self.step() {
                 return if pred(self) {
@@ -793,8 +753,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     /// Classification at the deadline: stalled if the watermark has
     /// been flat for the stall window, otherwise a plain deadline miss.
     fn classify_timeout(&mut self) -> RunUntil {
-        let window = self.stall_ttl.unwrap_or(STALL_CLASSIFY_WINDOW);
-        if self.delivered_bytes > 0 && self.now >= self.last_advance + window {
+        if self.delivered_bytes > 0 && self.now >= self.last_advance + STALL_CLASSIFY_WINDOW {
             RunUntil::Stalled {
                 snapshot: Box::new(self.forensic_snapshot("no-progress")),
             }
@@ -814,7 +773,6 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             now: self.now,
             last_advance: self.last_advance,
             delivered_bytes: self.delivered_bytes,
-            stall_window: self.stall_ttl.unwrap_or(STALL_CLASSIFY_WINDOW),
             script_fired: self.script_fired,
             script_pending: self.script.len(),
             next_script: self.script.first().map(|&(t, _)| t),
@@ -915,7 +873,7 @@ mod tests {
         );
         assert!(ok.held(), "download did not complete");
         // All traffic used WiFi; LTE stayed silent.
-        assert!(sim.wifi_log.len() > 0);
+        assert!(!sim.wifi_log.is_empty());
         assert_eq!(sim.lte_log.len(), 0);
         // Throughput sanity: 100 kB over a 20 Mbit/s link with 20 ms RTT
         // should finish well under a second yet take at least the
@@ -1521,9 +1479,7 @@ mod tests {
     /// Backup/OnNotify mode with a silent (unnotified) WiFi blackout
     /// mid-transfer. Nothing ever declares the primary subflow dead, so
     /// the backup never activates and the transfer freezes forever.
-    fn stalled_backup_sim(
-        stall_after: Option<Dur>,
-    ) -> (
+    fn stalled_backup_sim() -> (
         Sim<crate::endpoint::MptcpClientHost, crate::endpoint::MptcpServerHost>,
         usize,
     ) {
@@ -1538,25 +1494,22 @@ mod tests {
         };
         let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 3);
         let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 5);
-        let mut b = Sim::builder(client, server)
+        let mut sim = Sim::builder(client, server)
             .wifi(&wifi)
             .lte(&lte)
             .seed(42)
             .with_faults(
                 WIFI_ADDR,
                 FaultPlan::new().blackout_forever(Time::from_millis(200)),
-            );
-        if let Some(w) = stall_after {
-            b = b.stall_after(w);
-        }
-        let mut sim = b.build();
+            )
+            .build();
         let c = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
         (sim, c)
     }
 
     #[test]
     fn silent_blackout_livelock_classifies_as_stalled_with_forensics() {
-        let (mut sim, c) = stalled_backup_sim(None);
+        let (mut sim, c) = stalled_backup_sim();
         let mut sent = false;
         let result = sim.run_until(
             |sim| {
@@ -1589,34 +1542,5 @@ mod tests {
             "health lines must list the wifi subflow:\n{rendered}"
         );
         assert_eq!(snap.script_fired, 2, "fault mark + cut event fired");
-    }
-
-    #[test]
-    fn stall_after_exits_early_instead_of_burning_the_deadline() {
-        let (mut sim, c) = stalled_backup_sim(Some(Dur::from_secs(3)));
-        let mut sent = false;
-        let result = sim.run_until(
-            |sim| {
-                if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        sim.server
-                            .mp
-                            .conn_mut(sid)
-                            .send(Bytes::from(vec![9u8; 2_000_000]));
-                        sim.server.mp.conn_mut(sid).close(Time::ZERO);
-                        sent = true;
-                    }
-                }
-                sim.client.mp.conn(c).delivered_bytes() == 2_000_000
-            },
-            Time::from_secs(3600),
-        );
-        assert!(result.is_stalled(), "early stall exit expected");
-        assert!(
-            sim.now < Time::from_secs(60),
-            "stall_after must abandon the run at the first flat window, \
-             not at the one-hour deadline (stopped at {})",
-            sim.now
-        );
     }
 }

@@ -37,8 +37,11 @@ thread_local! {
 /// A snapshot of this thread's instrumentation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    /// Events dispatched: [`crate::EventQueue`] pops plus simulator
-    /// event-loop steps.
+    /// Events dispatched: simulator event-loop steps. The simulator
+    /// finds its next event by polling its links' `next_ready` and its
+    /// hosts' `next_timer`; [`crate::EventQueue::pop`] bumps this too,
+    /// but no product code runs an `EventQueue`, so in every report
+    /// this is a count of steps.
     pub events_popped: u64,
     /// Frames moved through simulation links.
     pub frames_forwarded: u64,

@@ -173,6 +173,9 @@ mod tests {
     use bytes::Bytes;
     use mpwifi_simcore::Dur;
 
+    /// Decides, per segment, whether the loopback loses it.
+    type DropFn = Box<dyn FnMut(&Segment) -> bool>;
+
     /// Two stacks wired back-to-back with a constant one-way delay and an
     /// optional deterministic drop predicate. This exercises the full TCP
     /// machine without the netem crate (the sim crate does the realistic
@@ -184,7 +187,7 @@ mod tests {
         /// (time, to_b, segment)
         in_flight: Vec<(Time, bool, Segment)>,
         now: Time,
-        drop_fn: Option<Box<dyn FnMut(&Segment) -> bool>>,
+        drop_fn: Option<DropFn>,
     }
 
     impl Loopback {

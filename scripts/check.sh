@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, tier-1 build + tests.
 # Usage: scripts/check.sh [--full]
-#   (default)  cargo fmt --check, clippy with warnings denied, and the
-#              tier-1 build + tests.
+#   (default)  cargo fmt --check, clippy over every workspace package
+#              (crates, vendored shims, the root) with warnings denied,
+#              and the tier-1 build + tests.
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release) and the end-to-end
 #              smokes, in this order:
@@ -76,8 +77,8 @@ cargo fmt --all -- --check
 # codebase. (The clippy `let_underscore` group would be the stronger
 # gate but conflicts with the repo's `let _ = writeln!(..)` idiom for
 # infallible String writes.)
-echo "== cargo clippy (deny warnings + fn-pointer comparison gate)"
-cargo clippy --all-targets -- -D warnings \
+echo "== cargo clippy, every package (deny warnings + fn-pointer comparison gate)"
+cargo clippy --workspace --all-targets -- -D warnings \
     -D unpredictable_function_pointer_comparisons
 
 echo "== tier-1: cargo build --release"
