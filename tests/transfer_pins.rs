@@ -276,3 +276,213 @@ fn control_plane_is_pinned_across_modes_and_failures() {
     });
     assert_eq!(actual, expected);
 }
+
+/// One link-layer pin: `(completed ns, events popped, frames forwarded,
+/// TCP retransmits, corrupted segments dropped, faults injected)` and
+/// each pipeline's `(pushed, delivered, bytes delivered, dropped in
+/// stages, dropped down)` in the order WiFi up, WiFi down, LTE up, LTE
+/// down.
+type LinkPin = (
+    (u64, u64, u64, u64, u64, u64),
+    [(u64, u64, u64, u64, u64); 4],
+);
+
+/// 1 MB down over an already-built world, then the pin read off it.
+fn link_layer_pin<C, S>(mut sim: mpwifi::sim::Sim<C, S>, id: C::Id) -> LinkPin
+where
+    C: mpwifi::sim::SocketHost,
+    S: mpwifi::sim::Accept,
+{
+    use mpwifi::sim::apps::{bulk, make_payload, FlowDir};
+    let before = metrics::snapshot();
+    let payload = make_payload(1_000_000);
+    let r = bulk(
+        &mut sim,
+        id,
+        FlowDir::Down,
+        payload,
+        Dur::from_secs(300),
+        |_, _| {},
+    );
+    let m = metrics::snapshot().since(&before);
+    let pipes = [&sim.wifi.up, &sim.wifi.down, &sim.lte.up, &sim.lte.down].map(|p| {
+        let s = p.stats();
+        (
+            s.pushed,
+            s.delivered,
+            s.bytes_delivered,
+            s.dropped_in_stages,
+            s.dropped_down,
+        )
+    });
+    (
+        (
+            r.completed.map_or(0, Dur::as_nanos),
+            m.events_popped,
+            m.frames_forwarded,
+            m.tcp_retransmits,
+            m.segments_corrupted_dropped,
+            m.faults_injected,
+        ),
+        pipes,
+    )
+}
+
+/// The link layer below the transports — what a direction's tail does
+/// to a frame and what a scripted rate or delay change does to the
+/// queue and the delay — recorded at the commit *before* the
+/// queue → delay → tail shape (PR 19) and never edited by it. Paper
+/// location 14, seed 42, over `TcpWifi`'s and `MpWifiCoupled`'s worlds:
+/// (a) a burst-loss, a corruption, a delay-spike and a rate-crush
+/// episode per interface, staggered inside the transfer; (b) links that
+/// lose *and* reorder (a loss decision ahead of a frame-holding stage);
+/// (c) both at once (episode decisions behind the frame-holding stage,
+/// taken at its exit instants).
+#[test]
+fn link_layer_is_pinned_across_filters_and_script_events() {
+    use mpwifi::mptcp::{BackupActivation, CcKind, Mode, MptcpConfig};
+    use mpwifi::netem::{FaultPlan, GilbertElliott};
+    use mpwifi::sim::endpoint::{MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
+    use mpwifi::sim::{LinkSpec, Sim, SERVER_ADDR, SERVER_PORT};
+    use mpwifi::simcore::Time;
+    use mpwifi::tcp::cc::CcKind as TcpCcKind;
+    use mpwifi::tcp::conn::TcpConfig;
+
+    let loc = &paper_locations(42)[13];
+    assert!(loc.wifi.loss > 0.0 && loc.lte.loss > 0.0);
+    let reordering = |spec: &LinkSpec| LinkSpec {
+        reorder_prob: 0.05,
+        reorder_extra: Dur::from_millis(15),
+        ..spec.clone()
+    };
+    let ms = Time::from_millis;
+    let dms = Dur::from_millis;
+    let wifi_plan = || {
+        FaultPlan::new()
+            .burst_loss(ms(400), dms(300), GilbertElliott::default())
+            .corruption(ms(900), dms(400), 0.1)
+            .delay_spike(ms(1_500), dms(300), dms(80))
+            .rate_crush(ms(2_000), dms(400), 0.25)
+    };
+    let lte_plan = || {
+        FaultPlan::new()
+            .rate_crush(ms(300), dms(350), 0.2)
+            .delay_spike(ms(800), dms(250), dms(120))
+            .corruption(ms(1_200), dms(500), 0.15)
+            .burst_loss(ms(1_900), dms(400), GilbertElliott::default())
+    };
+
+    // `core::flowstudy::run_transfer`'s worlds, salts and configs for
+    // TcpWifi and MpWifiCoupled, with fault plans attached.
+    let tcp = |wifi: &LinkSpec, lte: &LinkSpec, faults: bool| {
+        let cfg = TcpConfig {
+            cc: TcpCcKind::Cubic,
+            ..TcpConfig::default()
+        };
+        let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 42 | 1);
+        let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 42 ^ 0xBEEF);
+        let mut b = Sim::builder(client, server).wifi(wifi).lte(lte).seed(42);
+        if faults {
+            b = b
+                .with_faults(WIFI_ADDR, wifi_plan())
+                .with_faults(LTE_ADDR, lte_plan());
+        }
+        let mut sim = b.build();
+        let id = sim.client.connect(Time::ZERO, cfg, SERVER_PORT);
+        link_layer_pin(sim, id)
+    };
+    let mptcp = |wifi: &LinkSpec, lte: &LinkSpec, faults: bool| {
+        let cfg = MptcpConfig {
+            cc: CcKind::Lia,
+            mode: Mode::Full,
+            backup_activation: BackupActivation::OnNotify,
+            ..MptcpConfig::default()
+        };
+        let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 42 | 1);
+        let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 42 ^ 0xBEEF);
+        let mut b = Sim::builder(client, server).wifi(wifi).lte(lte).seed(42);
+        if faults {
+            b = b
+                .with_faults(WIFI_ADDR, wifi_plan())
+                .with_faults(LTE_ADDR, lte_plan());
+        }
+        let mut sim = b.build();
+        let id = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
+        link_layer_pin(sim, id)
+    };
+
+    let (rw, rl) = (reordering(&loc.wifi), reordering(&loc.lte));
+    // Rows: (a) faults, (b) loss + reordering, (c) both; columns: TCP
+    // over WiFi, MPTCP with WiFi primary.
+    let expected: [[LinkPin; 2]; 3] = [
+        [
+            (
+                (6_266_872_780, 4457, 2194, 123, 7, 8),
+                [
+                    (867, 840, 45_328, 19, 0),
+                    (1392, 1354, 1_613_652, 37, 0),
+                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0, 0),
+                ],
+            ),
+            (
+                (7_150_922_916, 6247, 3099, 349, 18, 8),
+                [
+                    (350, 341, 22_312, 8, 0),
+                    (599, 583, 641_464, 16, 0),
+                    (928, 916, 58_972, 3, 0),
+                    (1393, 1259, 1_642_401, 9, 0),
+                ],
+            ),
+        ],
+        [
+            (
+                (6_828_444_000, 4928, 2372, 170, 0, 0),
+                [
+                    (968, 934, 50_384, 19, 0),
+                    (1476, 1438, 1_798_906, 37, 0),
+                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0, 0),
+                ],
+            ),
+            (
+                (7_689_528_593, 5766, 3295, 369, 0, 0),
+                [
+                    (394, 383, 25_112, 10, 0),
+                    (597, 574, 611_464, 23, 0),
+                    (1072, 948, 61_188, 0, 0),
+                    (1587, 1390, 1_852_741, 3, 0),
+                ],
+            ),
+        ],
+        [
+            (
+                (6_937_303_494, 4524, 2176, 124, 6, 8),
+                [
+                    (878, 856, 46_512, 19, 0),
+                    (1366, 1320, 1_604_486, 33, 0),
+                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0, 0),
+                ],
+            ),
+            (
+                (7_145_728_081, 7098, 3415, 370, 12, 8),
+                [
+                    (360, 351, 23_280, 8, 0),
+                    (580, 565, 622_089, 15, 0),
+                    (1081, 1069, 68_956, 1, 0),
+                    (1553, 1430, 1_873_402, 9, 0),
+                ],
+            ),
+        ],
+    ];
+    let actual = [
+        [
+            tcp(&loc.wifi, &loc.lte, true),
+            mptcp(&loc.wifi, &loc.lte, true),
+        ],
+        [tcp(&rw, &rl, false), mptcp(&rw, &rl, false)],
+        [tcp(&rw, &rl, true), mptcp(&rw, &rl, true)],
+    ];
+    assert_eq!(actual, expected);
+}
