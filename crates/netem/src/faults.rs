@@ -6,19 +6,18 @@
 //! two-state process, delay spikes, rate crushes, and segment
 //! corruption. The plan itself is plain data; the simulation driver
 //! compiles it — blackouts/spikes/crushes become scripted link events,
-//! loss and corruption episodes become the stages defined here,
-//! appended to the affected pipelines with RNG streams derived from the
-//! run seed. Everything a plan does is therefore a pure function of
-//! `(scenario, seed)`, like the rest of the emulator.
+//! each loss or corruption episode becomes one of the filters defined
+//! here, appended to the affected pipelines' tails with an RNG stream
+//! derived from the run seed. Everything a plan does is therefore a
+//! pure function of `(scenario, seed)`, like the rest of the emulator.
 //!
-//! The stages are *episode-gated*: outside their scheduled windows they
-//! pass frames through untouched and draw no randomness, so a fault
-//! that never fires cannot perturb a run.
+//! The filters are *episode-gated*: outside their `[start, end)` episode
+//! they pass frames untouched and draw no randomness, so a fault that
+//! never fires cannot perturb a run.
 
 use crate::frame::Frame;
-use crate::stage::Stage;
+use crate::stage::Filter;
 use mpwifi_simcore::{DetRng, Dur, Time};
-use std::collections::VecDeque;
 
 /// Parameters of a Gilbert–Elliott two-state loss process: the channel
 /// alternates between a mostly-lossless Good state and a bursty Bad
@@ -216,135 +215,81 @@ impl FaultPlan {
     }
 }
 
-/// Gilbert–Elliott burst loss, active only inside `[start, end)`
-/// windows. Each window begins in the Bad state (the episode *is* the
-/// burst); outside every window frames pass through untouched with no
-/// RNG draws.
+/// Gilbert–Elliott burst loss, active only inside its `[start, end)`
+/// episode. The episode begins in the Bad state (the episode *is* the
+/// burst); outside it frames pass untouched with no RNG draws.
 #[derive(Debug)]
-pub struct GilbertElliottStage {
-    windows: Vec<(Time, Time)>,
+pub struct GilbertElliottFilter {
+    episode: (Time, Time),
     ge: GilbertElliott,
     rng: DetRng,
-    /// Index of the window the previous in-window frame belonged to;
-    /// state resets to Bad whenever it changes.
-    cur_window: Option<usize>,
     bad: bool,
-    passthrough: VecDeque<(Time, Frame)>,
     dropped: u64,
 }
 
-impl GilbertElliottStage {
-    /// Create the stage. Windows must be disjoint; they are sorted
-    /// internally.
-    pub fn new(mut windows: Vec<(Time, Time)>, ge: GilbertElliott, rng: DetRng) -> Self {
+impl GilbertElliottFilter {
+    /// Create the filter for the episode `[start, end)`.
+    pub fn new(episode: (Time, Time), ge: GilbertElliott, rng: DetRng) -> Self {
         ge.validate();
-        windows.sort_unstable();
-        for w in windows.windows(2) {
-            assert!(w[0].1 <= w[1].0, "burst-loss windows must be disjoint");
-        }
-        GilbertElliottStage {
-            windows,
+        GilbertElliottFilter {
+            episode,
             ge,
             rng,
-            cur_window: None,
-            bad: false,
-            passthrough: VecDeque::new(),
+            bad: true,
             dropped: 0,
-        }
-    }
-
-    fn window_at(&self, now: Time) -> Option<usize> {
-        let i = self.windows.partition_point(|&(_, end)| end <= now);
-        match self.windows.get(i) {
-            Some(&(start, _)) if start <= now => Some(i),
-            _ => None,
         }
     }
 }
 
-impl Stage for GilbertElliottStage {
-    fn push(&mut self, now: Time, frame: Frame) {
-        if let Some(w) = self.window_at(now) {
-            if self.cur_window != Some(w) {
-                self.cur_window = Some(w);
-                self.bad = true;
-            }
-            let loss = if self.bad {
-                self.ge.loss_bad
-            } else {
-                self.ge.loss_good
-            };
-            let drop = self.rng.chance(loss);
-            let flip = if self.bad {
-                self.ge.p_bad_to_good
-            } else {
-                self.ge.p_good_to_bad
-            };
-            if self.rng.chance(flip) {
-                self.bad = !self.bad;
-            }
-            if drop {
-                self.dropped += 1;
-                return;
-            }
-        }
-        self.passthrough.push_back((now, frame));
-    }
+/// Is `at` inside the half-open episode `[start, end)`?
+fn in_episode((start, end): (Time, Time), at: Time) -> bool {
+    start <= at && at < end
+}
 
-    fn next_ready(&self) -> Option<Time> {
-        self.passthrough.front().map(|&(t, _)| t)
-    }
-
-    fn pop_ready(&mut self, now: Time) -> Option<(Time, Frame)> {
-        match self.passthrough.front() {
-            Some(&(t, _)) if t <= now => self.passthrough.pop_front(),
-            _ => None,
+impl Filter for GilbertElliottFilter {
+    fn admit(&mut self, at: Time, _frame: &mut Frame) -> bool {
+        if !in_episode(self.episode, at) {
+            return true;
         }
+        let (loss, flip) = if self.bad {
+            (self.ge.loss_bad, self.ge.p_bad_to_good)
+        } else {
+            (self.ge.loss_good, self.ge.p_good_to_bad)
+        };
+        let drop = self.rng.chance(loss);
+        if self.rng.chance(flip) {
+            self.bad = !self.bad;
+        }
+        self.dropped += u64::from(drop);
+        !drop
     }
 
     fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    fn drop_all(&mut self) -> u64 {
-        let n = self.passthrough.len() as u64;
-        self.passthrough.clear();
-        n
-    }
-
-    fn backlog(&self) -> usize {
-        self.passthrough.len()
-    }
 }
 
-/// Segment corruption, active only inside `[start, end)` windows. A
+/// Segment corruption, active only inside its `[start, end)` episode. A
 /// corrupted frame is *not* dropped here — one byte of its wire image
 /// is XOR-flipped (copy-on-write; pooled buffers are never scribbled)
 /// and it travels on, to be rejected by the receiver's decode. Outside
-/// every window frames pass through untouched with no RNG draws.
+/// the episode frames pass untouched with no RNG draws.
 #[derive(Debug)]
-pub struct CorruptStage {
-    windows: Vec<(Time, Time)>,
+pub struct CorruptFilter {
+    episode: (Time, Time),
     prob: f64,
     rng: DetRng,
-    passthrough: VecDeque<(Time, Frame)>,
     corrupted: u64,
 }
 
-impl CorruptStage {
-    /// Create the stage. Windows must be disjoint; they are sorted
-    /// internally.
-    pub fn new(mut windows: Vec<(Time, Time)>, prob: f64, rng: DetRng) -> Self {
+impl CorruptFilter {
+    /// Create the filter for the episode `[start, end)`.
+    pub fn new(episode: (Time, Time), prob: f64, rng: DetRng) -> Self {
         assert!((0.0..=1.0).contains(&prob), "invalid probability {prob}");
-        windows.sort_unstable();
-        for w in windows.windows(2) {
-            assert!(w[0].1 <= w[1].0, "corruption windows must be disjoint");
-        }
-        CorruptStage {
-            windows,
+        CorruptFilter {
+            episode,
             prob,
             rng,
-            passthrough: VecDeque::new(),
             corrupted: 0,
         }
     }
@@ -353,44 +298,18 @@ impl CorruptStage {
     pub fn corrupted(&self) -> u64 {
         self.corrupted
     }
-
-    fn in_window(&self, now: Time) -> bool {
-        let i = self.windows.partition_point(|&(_, end)| end <= now);
-        matches!(self.windows.get(i), Some(&(start, _)) if start <= now)
-    }
 }
 
-impl Stage for CorruptStage {
-    fn push(&mut self, now: Time, mut frame: Frame) {
-        if self.in_window(now) && self.rng.chance(self.prob) && !frame.payload.is_empty() {
+impl Filter for CorruptFilter {
+    fn admit(&mut self, at: Time, frame: &mut Frame) -> bool {
+        if in_episode(self.episode, at) && self.rng.chance(self.prob) && !frame.payload.is_empty() {
             let mut raw = frame.payload.to_vec();
             let off = self.rng.uniform_u64(0, raw.len() as u64) as usize;
             raw[off] ^= 0x55;
             frame.payload = bytes::Bytes::from(raw);
             self.corrupted += 1;
         }
-        self.passthrough.push_back((now, frame));
-    }
-
-    fn next_ready(&self) -> Option<Time> {
-        self.passthrough.front().map(|&(t, _)| t)
-    }
-
-    fn pop_ready(&mut self, now: Time) -> Option<(Time, Frame)> {
-        match self.passthrough.front() {
-            Some(&(t, _)) if t <= now => self.passthrough.pop_front(),
-            _ => None,
-        }
-    }
-
-    fn drop_all(&mut self) -> u64 {
-        let n = self.passthrough.len() as u64;
-        self.passthrough.clear();
-        n
-    }
-
-    fn backlog(&self) -> usize {
-        self.passthrough.len()
+        true
     }
 }
 
@@ -410,13 +329,10 @@ mod tests {
         )
     }
 
-    fn drain(stage: &mut dyn Stage) -> Vec<Frame> {
-        let mut out = Vec::new();
-        while let Some(t) = stage.next_ready() {
-            let (_, f) = stage.pop_ready(t).unwrap();
-            out.push(f);
-        }
-        out
+    /// Offer `frame` to `filter` at `at`; `Some` is the frame that
+    /// travels on.
+    fn pass(filter: &mut dyn Filter, at: Time, mut frame: Frame) -> Option<Frame> {
+        filter.admit(at, &mut frame).then_some(frame)
     }
 
     #[test]
@@ -448,9 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn ge_stage_outside_windows_is_transparent_and_draws_no_rng() {
-        let mut s = GilbertElliottStage::new(
-            vec![(Time::from_secs(10), Time::from_secs(11))],
+    fn ge_filter_outside_episode_is_transparent_and_draws_no_rng() {
+        let mut s = GilbertElliottFilter::new(
+            (Time::from_secs(10), Time::from_secs(11)),
             GilbertElliott {
                 loss_bad: 1.0,
                 loss_good: 1.0,
@@ -458,75 +374,80 @@ mod tests {
             },
             DetRng::seed_from_u64(1),
         );
-        for i in 0..200 {
-            s.push(Time::from_millis(i), frame(i));
-        }
-        assert_eq!(drain(&mut s).len(), 200, "nothing lost outside the window");
+        let passed = (0..200)
+            .filter(|&i| pass(&mut s, Time::from_millis(i), frame(i)).is_some())
+            .count();
+        assert_eq!(passed, 200, "nothing lost outside the episode");
         assert_eq!(s.dropped(), 0);
     }
 
     #[test]
-    fn ge_stage_drops_in_bursts_inside_window() {
+    fn ge_filter_drops_in_bursts_inside_episode() {
         let ge = GilbertElliott {
             p_good_to_bad: 0.1,
             p_bad_to_good: 0.2,
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut s = GilbertElliottStage::new(
-            vec![(Time::from_secs(1), Time::from_secs(2))],
+        let mut s = GilbertElliottFilter::new(
+            (Time::from_secs(1), Time::from_secs(2)),
             ge,
             DetRng::seed_from_u64(7),
         );
-        // 1000 frames inside the window, 1 ms apart -> heavy loss, in
+        // 1000 frames inside the episode, 0.9 ms apart -> heavy loss, in
         // runs (the episode starts Bad).
         let mut lost_first = false;
         for i in 0..1000u64 {
-            let before = s.dropped();
-            s.push(Time::from_secs(1) + Dur::from_micros(i * 900), frame(i));
+            let at = Time::from_secs(1) + Dur::from_micros(i * 900);
+            let lost = pass(&mut s, at, frame(i)).is_none();
             if i == 0 {
-                lost_first = s.dropped() > before;
+                lost_first = lost;
             }
         }
         assert!(lost_first, "episodes begin in the Bad state");
         let frac = s.dropped() as f64 / 1000.0;
         // Stationary loss for these params is p_gb/(p_gb+p_bg) = 1/3.
         assert!((0.15..0.55).contains(&frac), "burst loss fraction {frac}");
-        // And frames after the window pass untouched.
+        // And frames after the episode pass untouched.
         let base = s.dropped();
         for i in 0..50 {
-            s.push(Time::from_secs(3) + Dur::from_millis(i), frame(i));
+            assert!(pass(&mut s, Time::from_secs(3) + Dur::from_millis(i), frame(i)).is_some());
         }
         assert_eq!(s.dropped(), base);
     }
 
     #[test]
-    fn ge_stage_deterministic_given_seed() {
+    fn ge_filter_deterministic_given_seed() {
         let run = || {
-            let mut s = GilbertElliottStage::new(
-                vec![(Time::ZERO, Time::from_secs(1))],
+            let mut s = GilbertElliottFilter::new(
+                (Time::ZERO, Time::from_secs(1)),
                 GilbertElliott::default(),
                 DetRng::seed_from_u64(9),
             );
-            for i in 0..500u64 {
-                s.push(Time::from_micros(i * 1500), frame(i));
-            }
-            (s.dropped(), drain(&mut s).iter().map(|f| f.id).sum::<u64>())
+            let passed: u64 = (0..500u64)
+                .filter_map(|i| pass(&mut s, Time::from_micros(i * 1500), frame(i)))
+                .map(|f| f.id)
+                .sum();
+            (s.dropped(), passed)
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn corrupt_stage_flips_bytes_only_inside_window() {
-        let mut s = CorruptStage::new(
-            vec![(Time::from_secs(1), Time::from_secs(2))],
+    fn corrupt_filter_flips_bytes_only_inside_episode() {
+        let mut s = CorruptFilter::new(
+            (Time::from_secs(1), Time::from_secs(2)),
             1.0,
             DetRng::seed_from_u64(3),
         );
-        s.push(Time::ZERO, frame(1));
-        s.push(Time::from_millis(1500), frame(2));
-        s.push(Time::from_secs(3), frame(3));
-        let out = drain(&mut s);
+        let out: Vec<Frame> = [
+            (Time::ZERO, 1),
+            (Time::from_millis(1500), 2),
+            (Time::from_secs(3), 3),
+        ]
+        .into_iter()
+        .filter_map(|(at, id)| pass(&mut s, at, frame(id)))
+        .collect();
         assert_eq!(out.len(), 3, "corruption never drops frames here");
         assert_eq!(s.corrupted(), 1);
         let clean = vec![0xAAu8; 100];
@@ -534,7 +455,7 @@ mod tests {
         assert_ne!(
             out[1].payload.as_ref(),
             &clean[..],
-            "in-window frame flipped"
+            "in-episode frame flipped"
         );
         assert_eq!(
             out[1]
@@ -550,19 +471,20 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_stage_copy_on_write_leaves_original_bytes_alone() {
+    fn corrupt_filter_copy_on_write_leaves_original_bytes_alone() {
         let shared = Bytes::from(vec![0xAAu8; 100]);
-        let mut s = CorruptStage::new(
-            vec![(Time::ZERO, Time::from_secs(1))],
+        let mut s = CorruptFilter::new(
+            (Time::ZERO, Time::from_secs(1)),
             1.0,
             DetRng::seed_from_u64(4),
         );
-        s.push(
+        let out = pass(
+            &mut s,
             Time::ZERO,
             Frame::new(1, Addr(1), Addr(2), shared.clone(), Time::ZERO),
-        );
-        let out = drain(&mut s);
-        assert_ne!(out[0].payload.as_ref(), shared.as_ref());
+        )
+        .expect("corruption never drops");
+        assert_ne!(out.payload.as_ref(), shared.as_ref());
         assert_eq!(shared.as_ref(), &vec![0xAAu8; 100][..], "original intact");
     }
 }

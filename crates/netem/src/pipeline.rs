@@ -1,16 +1,20 @@
-//! One-direction paths assembled from stages.
+//! One-direction paths: queue → delay → tail.
 //!
-//! A [`Pipeline`] chains stages (typically queue+service → delay → loss)
-//! and exposes a single `next_ready`/`poll_into` interface to the
-//! simulation driver. It also carries the interface up/down gate used to emulate
-//! physically unplugging a tethered phone mid-flow (paper Figure 15g/h):
-//! cutting the gate immediately discards every frame queued inside the
-//! pipeline (counted as `dropped_down`), and every frame pushed while
-//! the gate is down is silently dropped.
+//! A [`Pipeline`] is the shape of a Mahimahi shell: a drop-tail
+//! [`LinkQueue`] with its delivery process, a propagation
+//! [`DelayStage`], and a *tail* of per-frame decisions — [`Filter`]s
+//! (loss, burst loss, corruption), which hold nothing, and
+//! frame-holding [`Stage`]s (reordering). It exposes a single
+//! `next_ready`/`poll_into` interface to the simulation driver and
+//! carries the interface up/down gate used to emulate physically
+//! unplugging a tethered phone mid-flow (paper Figure 15g/h): cutting
+//! the gate immediately discards every frame held inside the pipeline
+//! (counted as `dropped_down`), and every frame pushed while the gate
+//! is down is silently dropped.
 
 use crate::frame::Frame;
-use crate::stage::Stage;
-use mpwifi_simcore::Time;
+use crate::stage::{DelayStage, Filter, LinkQueue, Service, Stage};
+use mpwifi_simcore::{Dur, Time};
 use std::cell::Cell;
 
 /// Counters describing everything a pipeline did.
@@ -22,26 +26,38 @@ pub struct PipelineStats {
     pub delivered: u64,
     /// Bytes that exited the far end.
     pub bytes_delivered: u64,
-    /// Frames dropped by stages (queue overflow, random loss).
+    /// Frames dropped by the queue (overflow) or in the tail (loss).
     pub dropped_in_stages: u64,
     /// Frames dropped because the interface was down.
     pub dropped_down: u64,
 }
 
+/// One element of a pipeline's tail, in the order frames meet them.
+enum Tail {
+    /// Decides on each frame as it passes; holds nothing.
+    Filter(Box<dyn Filter>),
+    /// Holds frames until their exit times.
+    Holder(Box<dyn Stage>),
+}
+
 /// A one-direction emulated path.
 pub struct Pipeline {
     label: String,
-    stages: Vec<Box<dyn Stage>>,
+    queue: LinkQueue,
+    delay: DelayStage,
+    tail: Vec<Tail>,
     up: bool,
     stats: PipelineStats,
-    /// Cached ready horizon: `Some(h)` means the min over all stages'
-    /// `next_ready()` is exactly `h` (which may itself be `None` for a
-    /// quiescent pipeline); the outer `None` means "dirty, recompute".
-    /// Every mutation path (`push`, `poll_into` movement, `set_up`,
-    /// `stage_mut`) invalidates it, so `next_ready` is an O(1) field
-    /// read on the simulator's per-step due checks between mutations.
+    /// Cached ready horizon: `Some(h)` means the min over every holder's
+    /// `next_ready()` — the queue, the delay, the tail's stages — is
+    /// exactly `h` (which may itself be `None` for a quiescent
+    /// pipeline); the outer `None` means "dirty, recompute". Every
+    /// mutation that can move an exit time (`push`, `poll_into`
+    /// movement, `set_up`, `set_rate`) invalidates it, so `next_ready`
+    /// is an O(1) field read on the simulator's per-step due checks
+    /// between mutations.
     horizon: Cell<Option<Option<Time>>>,
-    /// Scratch for batch hand-off between stages, reused across polls.
+    /// Scratch for the batch moving down the tail, reused across polls.
     transfer: Vec<(Time, Frame)>,
 }
 
@@ -56,12 +72,14 @@ impl std::fmt::Debug for Pipeline {
 }
 
 impl Pipeline {
-    /// Build a pipeline from ordered stages (first stage is the ingress).
-    pub fn new(label: impl Into<String>, stages: Vec<Box<dyn Stage>>) -> Pipeline {
-        assert!(!stages.is_empty(), "pipeline needs at least one stage");
+    /// Build a pipeline with an empty tail: frames exit `queue`, then
+    /// `delay`, then the far end.
+    pub fn new(label: impl Into<String>, queue: LinkQueue, delay: DelayStage) -> Pipeline {
         Pipeline {
             label: label.into(),
-            stages,
+            queue,
+            delay,
+            tail: Vec::new(),
             up: true,
             stats: PipelineStats::default(),
             horizon: Cell::new(None),
@@ -69,7 +87,27 @@ impl Pipeline {
         }
     }
 
-    /// Drop the cached ready horizon after any stage mutation.
+    /// Append a filter to the tail.
+    pub fn with_filter(mut self, filter: impl Filter + 'static) -> Pipeline {
+        self.tail.push(Tail::Filter(Box::new(filter)));
+        self
+    }
+
+    /// Append a frame-holding stage to the tail.
+    pub fn with_stage(mut self, stage: impl Stage + 'static) -> Pipeline {
+        self.tail.push(Tail::Holder(Box::new(stage)));
+        self
+    }
+
+    /// The tail's frame-holding stages.
+    fn holders(&self) -> impl Iterator<Item = &dyn Stage> {
+        self.tail.iter().filter_map(|t| match t {
+            Tail::Holder(s) => Some(s.as_ref()),
+            Tail::Filter(_) => None,
+        })
+    }
+
+    /// Drop the cached ready horizon after any holder mutation.
     fn invalidate_horizon(&mut self) {
         *self.horizon.get_mut() = None;
     }
@@ -81,17 +119,35 @@ impl Pipeline {
 
     /// Raise or cut the link. Cutting models a physical unplug: silent
     /// black-holing with no notification to either endpoint. Frames
-    /// queued inside the pipeline at cut time are discarded immediately
+    /// held inside the pipeline at cut time are discarded immediately
     /// and counted in `dropped_down` — a real NIC flushes its rings
     /// when the carrier drops; nothing is replayed on restore.
     pub fn set_up(&mut self, up: bool) {
         if !up && self.up {
-            for s in &mut self.stages {
-                self.stats.dropped_down += s.drop_all();
+            self.stats.dropped_down += self.queue.drop_all() + self.delay.drop_all();
+            for t in &mut self.tail {
+                if let Tail::Holder(s) = t {
+                    self.stats.dropped_down += s.drop_all();
+                }
             }
         }
         self.up = up;
         self.invalidate_horizon();
+    }
+
+    /// Serve the queue at a fixed `bps` from `now` on (a WiFi AP
+    /// degrading, a rate-crush fault); the frame in service keeps its
+    /// fractional progress, see [`LinkQueue::set_service`].
+    pub fn set_rate(&mut self, now: Time, bps: u64) {
+        self.queue.set_service(now, Service::FixedRate { bps });
+        self.invalidate_horizon();
+    }
+
+    /// Change the propagation delay for frames entering the delay from
+    /// now on. Frames in flight keep their exit times, so the ready
+    /// horizon stands.
+    pub fn set_delay(&mut self, delay: Dur) {
+        self.delay.set_delay(delay);
     }
 
     /// Offer a frame to the ingress.
@@ -101,18 +157,20 @@ impl Pipeline {
             self.stats.dropped_down += 1;
             return;
         }
-        self.stages[0].push(now, frame);
+        self.queue.push(now, frame);
         self.invalidate_horizon();
     }
 
-    /// Earliest time any internal stage can emit a frame. Served from the
-    /// cached horizon when clean — the stage scan runs at most once per
-    /// mutation, so the simulator's repeated due checks are field reads.
+    /// Earliest time any holder can emit a frame. Served from the cached
+    /// horizon when clean — the scan runs at most once per mutation, so
+    /// the simulator's repeated due checks are field reads.
     pub fn next_ready(&self) -> Option<Time> {
         if let Some(cached) = self.horizon.get() {
             return cached;
         }
-        let h = self.stages.iter().filter_map(|s| s.next_ready()).min();
+        let tail = self.holders().filter_map(|s| s.next_ready()).min();
+        let h = Time::earlier(self.queue.next_ready(), self.delay.next_ready());
+        let h = Time::earlier(h, tail);
         self.horizon.set(Some(h));
         h
     }
@@ -123,67 +181,74 @@ impl Pipeline {
     /// policy (the driver drains it after delivery, so one buffer serves
     /// every step); this method only appends.
     ///
-    /// Frames move in a single forward pass, a batch per stage: stage i
-    /// pushes only into stage i+1 at the frame's true exit instant, so by
-    /// the time stage i+1 drains, every frame that could reach it this
-    /// poll already has — one pass leaves nothing due (the pre-PR 7
-    /// fixpoint loop's extra passes only ever verified this).
+    /// Frames move in a single forward pass: each holder hands a frame
+    /// on at the frame's true exit instant, never the (possibly later)
+    /// poll instant, and only ever forwards, so by the time a holder
+    /// gives up what is due, every frame that could reach it this poll
+    /// already has — one pass leaves nothing due. A filter decides on
+    /// each frame of the moving batch at the instant the frame left the
+    /// holder before it.
     pub fn poll_into(&mut self, now: Time, out: &mut Vec<Frame>) {
         // Quiescent fast path: nothing is due, nothing can move.
         match self.next_ready() {
             Some(h) if h <= now => {}
             _ => return,
         }
-        let last = self.stages.len() - 1;
+        // `set_up(false)` flushed every holder and `push` refuses while
+        // down, so something due means the link is up.
+        debug_assert!(self.up, "a down pipeline holds nothing");
+        while let Some((exit, frame)) = self.queue.pop_ready(now) {
+            self.delay.push(exit, frame);
+        }
         // `transfer` is a field only to reuse its allocation; take it to
-        // split the borrow from `self.stages`.
-        let mut transfer = std::mem::take(&mut self.transfer);
-        for i in 0..=last {
-            transfer.clear();
-            self.stages[i].pop_ready_batch(now, &mut transfer);
-            if i < last {
-                // Hand frames over at their true transit instants, not
-                // the (possibly later) poll instant.
-                for (exit, frame) in transfer.drain(..) {
-                    self.stages[i + 1].push(exit, frame);
+        // split the borrow from `self.tail`.
+        let mut batch = std::mem::take(&mut self.transfer);
+        self.delay.pop_ready_batch(now, &mut batch);
+        for t in &mut self.tail {
+            match t {
+                Tail::Filter(f) => batch.retain_mut(|(at, frame)| f.admit(*at, frame)),
+                Tail::Holder(s) => {
+                    for (at, frame) in batch.drain(..) {
+                        s.push(at, frame);
+                    }
+                    s.pop_ready_batch(now, &mut batch);
                 }
-            } else if self.up {
-                for (_, frame) in transfer.drain(..) {
-                    self.stats.delivered += 1;
-                    self.stats.bytes_delivered += frame.wire_len() as u64;
-                    out.push(frame);
-                }
-            } else {
-                self.stats.dropped_down += transfer.len() as u64;
-                transfer.clear();
             }
         }
-        self.transfer = transfer;
+        for (_, frame) in batch.drain(..) {
+            self.stats.delivered += 1;
+            self.stats.bytes_delivered += frame.wire_len() as u64;
+            out.push(frame);
+        }
+        self.transfer = batch;
         self.invalidate_horizon();
     }
 
-    /// Aggregate counters. Stage drop counts are read live, so the
+    /// Aggregate counters. Drop counts are read live, so the
     /// conservation identity `pushed == delivered + dropped_in_stages +
     /// dropped_down + backlog` holds at any instant, not only after a
     /// `poll`.
     pub fn stats(&self) -> PipelineStats {
+        let in_tail: u64 = self
+            .tail
+            .iter()
+            .map(|t| match t {
+                Tail::Filter(f) => f.dropped(),
+                Tail::Holder(s) => s.dropped(),
+            })
+            .sum();
         PipelineStats {
-            dropped_in_stages: self.stages.iter().map(|s| s.dropped()).sum(),
+            dropped_in_stages: self.queue.dropped() + in_tail,
             ..self.stats
         }
     }
 
-    /// Total frames currently inside the pipeline.
+    /// Total frames currently inside the pipeline: in the queue, the
+    /// delay and the tail's stages (filters hold none).
     pub fn backlog(&self) -> usize {
-        self.stages.iter().map(|s| s.backlog()).sum()
-    }
-
-    /// Mutable access to a stage (e.g. to change a link's service rate
-    /// mid-run). Panics on out-of-range index. Conservatively drops the
-    /// cached ready horizon — the caller may reschedule anything.
-    pub fn stage_mut(&mut self, index: usize) -> &mut dyn Stage {
-        self.invalidate_horizon();
-        self.stages[index].as_mut()
+        self.queue.backlog()
+            + self.delay.backlog()
+            + self.holders().map(|s| s.backlog()).sum::<usize>()
     }
 }
 
@@ -191,9 +256,9 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::frame::Addr;
-    use crate::stage::{DelayStage, LinkQueue, LossStage};
+    use crate::stage::LossFilter;
     use bytes::Bytes;
-    use mpwifi_simcore::{DetRng, Dur};
+    use mpwifi_simcore::DetRng;
 
     fn frame(id: u64, len: usize) -> Frame {
         Frame::new(
@@ -217,10 +282,8 @@ mod tests {
     fn rate_delay_pipeline(bps: u64, delay_ms: u64) -> Pipeline {
         Pipeline::new(
             "test",
-            vec![
-                Box::new(LinkQueue::fixed_rate(bps, usize::MAX)),
-                Box::new(DelayStage::new(Dur::from_millis(delay_ms))),
-            ],
+            LinkQueue::fixed_rate(bps, usize::MAX),
+            DelayStage::new(Dur::from_millis(delay_ms)),
         )
     }
 
@@ -306,14 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_stage_counted_in_stats() {
-        let mut p = Pipeline::new(
-            "lossy",
-            vec![
-                Box::new(LinkQueue::fixed_rate(120_000_000, usize::MAX)),
-                Box::new(LossStage::new(1.0, DetRng::seed_from_u64(1))),
-            ],
-        );
+    fn loss_filter_counted_in_stats() {
+        let mut p = rate_delay_pipeline(120_000_000, 0)
+            .with_filter(LossFilter::new(1.0, DetRng::seed_from_u64(1)));
         p.push(Time::ZERO, frame(1, 100));
         let out = poll(&mut p, Time::from_secs(1));
         assert!(out.is_empty());
@@ -329,48 +387,96 @@ mod tests {
         assert_eq!(p.backlog(), 4);
     }
 
-    #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn empty_pipeline_panics() {
-        let _ = Pipeline::new("empty", vec![]);
-    }
-
     mod conservation {
         use super::*;
+        use crate::faults::{CorruptFilter, GilbertElliott, GilbertElliottFilter};
+        use crate::reorder::ReorderStage;
         use proptest::prelude::*;
 
         proptest! {
             /// Frames are conserved: every pushed frame is either
-            /// delivered, dropped by a stage, dropped by the gate, or
-            /// still inside the pipeline.
+            /// delivered, dropped by the queue or a filter, dropped by
+            /// the gate, or still held by the queue, the delay or a
+            /// tail stage — at every instant, across a cut and a
+            /// restore. And a filter only ever removes frames: it adds
+            /// no exit time and no backlog, and what it drops is
+            /// counted the moment `poll_into` returns.
             #[test]
             fn prop_frames_conserved(
                 sizes in proptest::collection::vec(40usize..1400, 1..120),
                 bps in 100_000u64..50_000_000,
                 queue_kb in 1usize..64,
                 loss in 0.0f64..0.3,
+                gap_us in 50u64..2_000,
+                reorder: bool,
+                episode_ms in (0u64..100, 1u64..100),
+                cut_at in 0usize..120,
+                down_for in 0usize..20,
                 drain_ms in 0u64..2000,
             ) {
-                let mut p = Pipeline::new(
-                    "prop",
-                    vec![
-                        Box::new(LinkQueue::fixed_rate(bps, queue_kb * 1024)),
-                        Box::new(DelayStage::new(Dur::from_millis(10))),
-                        Box::new(LossStage::new(loss, DetRng::seed_from_u64(7))),
-                    ],
+                let rng = DetRng::seed_from_u64;
+                // Everything up to the last frame-holding stage. A
+                // filter ahead of a holder decides what the holder
+                // holds, so it belongs to both twins.
+                let holders = || {
+                    let p = Pipeline::new(
+                        "prop",
+                        LinkQueue::fixed_rate(bps, queue_kb * 1024),
+                        DelayStage::new(Dur::from_millis(10)),
+                    );
+                    if reorder {
+                        p.with_filter(LossFilter::new(loss, rng(5)))
+                            .with_stage(ReorderStage::new(0.3, Dur::from_millis(5), rng(6)))
+                    } else {
+                        p
+                    }
+                };
+                let episode = (
+                    Time::from_millis(episode_ms.0),
+                    Time::from_millis(episode_ms.0 + episode_ms.1),
                 );
-                let mut delivered = 0u64;
+                let mut bare = holders();
+                let mut p = holders()
+                    .with_filter(LossFilter::new(loss, rng(7)))
+                    .with_filter(GilbertElliottFilter::new(episode, GilbertElliott::default(), rng(8)))
+                    .with_filter(CorruptFilter::new(episode, 0.5, rng(9)));
+                let (mut delivered, mut bare_delivered) = (0u64, 0u64);
+                let mut step = |p: &mut Pipeline, bare: &mut Pipeline, now: Time| {
+                    delivered += poll(p, now).len() as u64;
+                    bare_delivered += poll(bare, now).len() as u64;
+                    let (s, b) = (p.stats(), bare.stats());
+                    prop_assert_eq!(s.delivered, delivered);
+                    prop_assert_eq!(
+                        s.pushed,
+                        s.delivered + s.dropped_in_stages + s.dropped_down + p.backlog() as u64
+                    );
+                    prop_assert_eq!(p.next_ready(), bare.next_ready(), "a filter has no exit time");
+                    prop_assert_eq!(p.backlog(), bare.backlog(), "a filter holds nothing");
+                    prop_assert_eq!(s.dropped_down, b.dropped_down);
+                    prop_assert_eq!(
+                        bare_delivered,
+                        delivered + (s.dropped_in_stages - b.dropped_in_stages),
+                        "filter drops are counted when poll_into returns"
+                    );
+                    Ok(())
+                };
+                let mut now = Time::ZERO;
                 for (i, &len) in sizes.iter().enumerate() {
-                    p.push(Time::from_micros(i as u64 * 50), frame(i as u64, len));
+                    now = Time::from_micros(i as u64 * gap_us);
+                    if i == cut_at || i == cut_at + down_for {
+                        let up = i != cut_at;
+                        p.set_up(up);
+                        bare.set_up(up);
+                    }
+                    p.push(now, frame(i as u64, len));
+                    bare.push(now, frame(i as u64, len));
+                    prop_assert_eq!(p.next_ready(), bare.next_ready());
+                    step(&mut p, &mut bare, now)?;
                 }
-                delivered += poll(&mut p, Time::from_millis(drain_ms)).len() as u64;
-                delivered += poll(&mut p, Time::from_secs(600)).len() as u64;
-                let s = p.stats();
-                prop_assert_eq!(s.delivered, delivered);
-                prop_assert_eq!(
-                    s.pushed,
-                    s.delivered + s.dropped_in_stages + s.dropped_down + p.backlog() as u64
-                );
+                p.set_up(true);
+                bare.set_up(true);
+                step(&mut p, &mut bare, now.max(Time::from_millis(drain_ms)))?;
+                step(&mut p, &mut bare, Time::from_secs(600))?;
                 prop_assert_eq!(p.backlog(), 0, "fully drained after 600 s");
             }
         }

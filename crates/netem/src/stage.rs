@@ -1,17 +1,19 @@
-//! Link stages: the building blocks of an emulated path.
+//! The building blocks of an emulated path: things that hold frames
+//! and things that only decide on them.
 //!
-//! Every stage implements [`Stage`]: frames are pushed in, and the stage
-//! reports when the earliest frame may exit. The driver (or enclosing
-//! [`crate::Pipeline`]) moves frames between stages when their exit times
-//! arrive. All stages preserve FIFO order — the emulated paths never
-//! reorder, matching Mahimahi.
+//! A [`Stage`] holds frames: they are pushed in, and the stage reports
+//! when the earliest one may exit. The enclosing [`crate::Pipeline`]
+//! moves frames on when their exit times arrive. [`LinkQueue`] and
+//! [`DelayStage`] preserve FIFO order — the emulated paths never
+//! reorder, matching Mahimahi. A [`Filter`] holds nothing: it drops or
+//! alters a frame the instant the frame passes it.
 
 use crate::frame::Frame;
 use crate::trace::DeliveryTrace;
 use mpwifi_simcore::{DetRng, Dur, Time};
 use std::collections::VecDeque;
 
-/// A component of an emulated link path.
+/// A frame-holding component of an emulated link path.
 pub trait Stage: std::fmt::Debug {
     /// Offer a frame to the stage at simulated time `now`. The stage may
     /// drop it (queue overflow, loss).
@@ -43,14 +45,6 @@ pub trait Stage: std::fmt::Debug {
         0
     }
 
-    /// Replace the service process, if this stage has one (default:
-    /// no-op). Lets scenarios change a link's rate mid-run.
-    fn replace_service(&mut self, _now: Time, _service: Service) {}
-
-    /// Change the propagation delay, if this stage has one (default:
-    /// no-op). Lets fault plans inject delay spikes mid-run.
-    fn set_delay(&mut self, _delay: Dur) {}
-
     /// Discard every frame currently held, returning how many were
     /// dropped. Used when an interface goes down: a real NIC's queues
     /// are flushed, not replayed on restore.
@@ -60,15 +54,18 @@ pub trait Stage: std::fmt::Debug {
     fn backlog(&self) -> usize;
 }
 
-/// Capacity limit for a drop-tail queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueLimit {
-    /// At most this many frames.
-    Packets(usize),
-    /// At most this many queued bytes.
-    Bytes(usize),
-    /// Unbounded (infinite buffer).
-    Unlimited,
+/// A per-frame decision at the tail of a link path: loss, corruption.
+/// A filter holds nothing, so it has no exit time, no backlog and
+/// nothing to flush when the interface is cut.
+pub trait Filter {
+    /// Decide on `frame` as it passes at instant `at`: `false` drops it,
+    /// `true` lets it travel on (possibly altered).
+    fn admit(&mut self, at: Time, frame: &mut Frame) -> bool;
+
+    /// Frames dropped by this filter so far.
+    fn dropped(&self) -> u64 {
+        0
+    }
 }
 
 /// The service process draining a [`LinkQueue`].
@@ -90,7 +87,8 @@ pub enum Service {
 pub struct LinkQueue {
     queue: VecDeque<Frame>,
     queued_bytes: usize,
-    limit: QueueLimit,
+    /// Drop-tail bound on `queued_bytes`.
+    queue_bytes: usize,
     service: Service,
     /// For `FixedRate`: when the server finishes the in-service frame.
     /// For `Trace`: the last consumed opportunity (`None` until the
@@ -109,15 +107,14 @@ pub struct LinkQueue {
 }
 
 impl LinkQueue {
-    /// Create a link with the given queue limit and service process.
-    pub fn new(limit: QueueLimit, service: Service) -> LinkQueue {
+    fn new(queue_bytes: usize, service: Service) -> LinkQueue {
         if let Service::FixedRate { bps } = service {
             assert!(bps > 0, "link rate must be positive");
         }
         LinkQueue {
             queue: VecDeque::new(),
             queued_bytes: 0,
-            limit,
+            queue_bytes,
             service,
             server_busy_until: None,
             head_exit: None,
@@ -128,14 +125,14 @@ impl LinkQueue {
         }
     }
 
-    /// Convenience: fixed-rate link with a byte-limited drop-tail queue.
+    /// Fixed-rate link with a byte-limited drop-tail queue.
     pub fn fixed_rate(bps: u64, queue_bytes: usize) -> LinkQueue {
-        LinkQueue::new(QueueLimit::Bytes(queue_bytes), Service::FixedRate { bps })
+        LinkQueue::new(queue_bytes, Service::FixedRate { bps })
     }
 
-    /// Convenience: trace-driven link with a byte-limited drop-tail queue.
+    /// Trace-driven link with a byte-limited drop-tail queue.
     pub fn trace_driven(trace: DeliveryTrace, queue_bytes: usize) -> LinkQueue {
-        LinkQueue::new(QueueLimit::Bytes(queue_bytes), Service::Trace(trace))
+        LinkQueue::new(queue_bytes, Service::Trace(trace))
     }
 
     /// Frames delivered so far.
@@ -180,14 +177,6 @@ impl LinkQueue {
         }
     }
 
-    fn would_overflow(&self, incoming: &Frame) -> bool {
-        match self.limit {
-            QueueLimit::Packets(n) => self.queue.len() >= n,
-            QueueLimit::Bytes(b) => self.queued_bytes + incoming.wire_len() > b,
-            QueueLimit::Unlimited => false,
-        }
-    }
-
     /// Compute and store the exit time for the head frame if one is queued
     /// and not yet scheduled.
     fn schedule_head(&mut self, now: Time) {
@@ -224,12 +213,8 @@ impl LinkQueue {
 }
 
 impl Stage for LinkQueue {
-    fn replace_service(&mut self, now: Time, service: Service) {
-        self.set_service(now, service);
-    }
-
     fn push(&mut self, now: Time, frame: Frame) {
-        if self.would_overflow(&frame) {
+        if self.queued_bytes + frame.wire_len() > self.queue_bytes {
             self.dropped += 1;
             return;
         }
@@ -343,10 +328,6 @@ impl Stage for DelayStage {
         out.extend(self.in_flight.drain(..n));
     }
 
-    fn set_delay(&mut self, delay: Dur) {
-        DelayStage::set_delay(self, delay);
-    }
-
     fn drop_all(&mut self) -> u64 {
         let n = self.in_flight.len() as u64;
         self.in_flight.clear();
@@ -360,70 +341,34 @@ impl Stage for DelayStage {
 
 /// Independent (Bernoulli) packet loss.
 #[derive(Debug)]
-pub struct LossStage {
+pub struct LossFilter {
     loss_prob: f64,
     rng: DetRng,
-    passthrough: VecDeque<(Time, Frame)>,
     dropped: u64,
 }
 
-impl LossStage {
-    /// Create a loss stage dropping each frame independently with
+impl LossFilter {
+    /// Create a filter dropping each frame independently with
     /// probability `loss_prob`.
-    pub fn new(loss_prob: f64, rng: DetRng) -> LossStage {
+    pub fn new(loss_prob: f64, rng: DetRng) -> LossFilter {
         assert!((0.0..=1.0).contains(&loss_prob), "invalid loss probability");
-        LossStage {
+        LossFilter {
             loss_prob,
             rng,
-            passthrough: VecDeque::new(),
             dropped: 0,
         }
     }
 }
 
-impl Stage for LossStage {
-    fn push(&mut self, now: Time, frame: Frame) {
-        if self.rng.chance(self.loss_prob) {
-            self.dropped += 1;
-            return;
-        }
-        self.passthrough.push_back((now, frame));
-    }
-
-    fn next_ready(&self) -> Option<Time> {
-        self.passthrough.front().map(|&(t, _)| t)
-    }
-
-    fn pop_ready(&mut self, now: Time) -> Option<(Time, Frame)> {
-        match self.passthrough.front() {
-            Some(&(t, _)) if t <= now => self.passthrough.pop_front(),
-            _ => None,
-        }
-    }
-
-    fn pop_ready_batch(&mut self, now: Time, out: &mut Vec<(Time, Frame)>) {
-        // Pass-through times are non-decreasing (pushes arrive in time
-        // order), so the due frames are the front run.
-        let n = self
-            .passthrough
-            .iter()
-            .take_while(|&&(t, _)| t <= now)
-            .count();
-        out.extend(self.passthrough.drain(..n));
+impl Filter for LossFilter {
+    fn admit(&mut self, _at: Time, _frame: &mut Frame) -> bool {
+        let drop = self.rng.chance(self.loss_prob);
+        self.dropped += u64::from(drop);
+        !drop
     }
 
     fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    fn drop_all(&mut self) -> u64 {
-        let n = self.passthrough.len() as u64;
-        self.passthrough.clear();
-        n
-    }
-
-    fn backlog(&self) -> usize {
-        self.passthrough.len()
     }
 }
 
@@ -470,18 +415,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_tail_packets_limit() {
-        let mut link = LinkQueue::new(QueueLimit::Packets(2), Service::FixedRate { bps: 1_000 });
-        link.push(Time::ZERO, frame(1, 100));
-        link.push(Time::ZERO, frame(2, 100));
-        link.push(Time::ZERO, frame(3, 100));
-        assert_eq!(link.backlog(), 2);
-        assert_eq!(link.dropped(), 1);
-    }
-
-    #[test]
     fn drop_tail_bytes_limit() {
-        let mut link = LinkQueue::new(QueueLimit::Bytes(250), Service::FixedRate { bps: 1_000 });
+        let mut link = LinkQueue::fixed_rate(1_000, 250);
         link.push(Time::ZERO, frame(1, 100));
         link.push(Time::ZERO, frame(2, 100));
         link.push(Time::ZERO, frame(3, 100)); // would make 300 > 250
@@ -535,34 +470,29 @@ mod tests {
     }
 
     #[test]
-    fn loss_stage_zero_prob_passes_everything() {
-        let mut l = LossStage::new(0.0, DetRng::seed_from_u64(1));
-        for i in 0..100 {
-            l.push(Time::from_millis(i), frame(i, 100));
-        }
-        let mut count = 0;
-        while l.pop_ready(Time::from_secs(1)).is_some() {
-            count += 1;
-        }
+    fn loss_filter_zero_prob_passes_everything() {
+        let mut l = LossFilter::new(0.0, DetRng::seed_from_u64(1));
+        let count = (0..100)
+            .filter(|&i| l.admit(Time::from_millis(i), &mut frame(i, 100)))
+            .count();
         assert_eq!(count, 100);
         assert_eq!(l.dropped(), 0);
     }
 
     #[test]
-    fn loss_stage_one_prob_drops_everything() {
-        let mut l = LossStage::new(1.0, DetRng::seed_from_u64(1));
+    fn loss_filter_one_prob_drops_everything() {
+        let mut l = LossFilter::new(1.0, DetRng::seed_from_u64(1));
         for i in 0..100 {
-            l.push(Time::from_millis(i), frame(i, 100));
+            assert!(!l.admit(Time::from_millis(i), &mut frame(i, 100)));
         }
         assert_eq!(l.dropped(), 100);
-        assert!(l.next_ready().is_none());
     }
 
     #[test]
-    fn loss_stage_statistical_rate() {
-        let mut l = LossStage::new(0.3, DetRng::seed_from_u64(42));
+    fn loss_filter_statistical_rate() {
+        let mut l = LossFilter::new(0.3, DetRng::seed_from_u64(42));
         for i in 0..10_000 {
-            l.push(Time::ZERO, frame(i, 100));
+            l.admit(Time::ZERO, &mut frame(i, 100));
         }
         let frac = l.dropped() as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.03, "loss fraction {frac}");

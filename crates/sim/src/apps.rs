@@ -308,7 +308,7 @@ pub fn run_mptcp_upload(
 pub fn measure_ping(spec: &LinkSpec, n: usize, seed: u64) -> Dur {
     assert!(n > 0);
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut pair = crate::link::PathPair::build(spec, "ping", &mut rng);
+    let mut pair = crate::link::PathPair::build(spec, "ping", &mut rng, None);
     let mut total = Dur::ZERO;
     let mut received = 0u64;
     let mut now = Time::ZERO;

@@ -213,10 +213,10 @@ mod tests {
         let dl = Dur::from_secs(60);
         let bytes = 200_000;
         let mut arena = SimArena::new();
-        // Vary iface, direction, seed and every stage shape
+        // Vary iface, direction, seed and every tail shape
         // `build_direction` can produce, so consecutive runs add and
-        // remove stages: run 4 adds a loss stage, run 6 drops it again,
-        // run 7 swaps a fixed-rate queue for a trace-driven one, runs
+        // remove tail elements: run 4 adds a loss filter, run 6 drops it
+        // again, run 7 swaps a fixed-rate queue for a trace-driven one, runs
         // 8-10 add a reorder stage, then loss and reorder together, then
         // neither. The last column leaves the retained world cut, with
         // a script event pending, before the run.

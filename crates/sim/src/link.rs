@@ -6,8 +6,8 @@
 //! realizes a spec as two `mpwifi-netem` pipelines.
 
 use mpwifi_netem::{
-    CorruptStage, DelayStage, DeliveryTrace, FaultKind, FaultPlan, Frame, GilbertElliottStage,
-    LinkQueue, LossStage, Pipeline, ReorderStage, Stage,
+    CorruptFilter, DelayStage, DeliveryTrace, FaultKind, FaultPlan, Frame, GilbertElliottFilter,
+    LinkQueue, LossFilter, Pipeline, ReorderStage,
 };
 use mpwifi_simcore::{DetRng, Dur, Time};
 use serde::{Deserialize, Serialize};
@@ -87,50 +87,47 @@ impl LinkSpec {
         rng: &mut DetRng,
         faults: Option<&FaultPlan>,
     ) -> Pipeline {
-        let queue: Box<dyn Stage> = match service {
-            ServiceSpec::Rate(bps) => Box::new(LinkQueue::fixed_rate(*bps, self.queue_bytes)),
-            ServiceSpec::Trace(t) => Box::new(LinkQueue::trace_driven(t.clone(), self.queue_bytes)),
+        let queue = match service {
+            ServiceSpec::Rate(bps) => LinkQueue::fixed_rate(*bps, self.queue_bytes),
+            ServiceSpec::Trace(t) => LinkQueue::trace_driven(t.clone(), self.queue_bytes),
         };
-        let mut stages: Vec<Box<dyn Stage>> = vec![queue, Box::new(DelayStage::new(self.rtt / 2))];
+        let mut p = Pipeline::new(label, queue, DelayStage::new(self.rtt / 2));
         if self.loss > 0.0 {
-            stages.push(Box::new(LossStage::new(self.loss, rng.derive(0xF00D))));
+            p = p.with_filter(LossFilter::new(self.loss, rng.derive(0xF00D)));
         }
         if self.reorder_prob > 0.0 {
-            stages.push(Box::new(ReorderStage::new(
+            p = p.with_stage(ReorderStage::new(
                 self.reorder_prob,
                 self.reorder_extra.max(Dur::from_micros(1)),
                 rng.derive(0x0DD5),
-            )));
+            ));
         }
-        // Episode-gated fault stages ride at the tail of the chain: one
-        // stage per scheduled burst-loss / corruption event, each with
-        // its own derived RNG stream so adding or removing one event
-        // never perturbs another. When no plan is attached this loop
-        // runs zero times and draws nothing — a fault-free build is
+        // Episode-gated fault filters ride at the end of the tail: one
+        // per scheduled burst-loss / corruption event, each with its own
+        // derived RNG stream so adding or removing one event never
+        // perturbs another. When no plan is attached this loop runs
+        // zero times and draws nothing — a fault-free build is
         // bit-identical to the pre-fault construction.
-        if let Some(plan) = faults {
-            for (i, ev) in plan.events.iter().enumerate() {
-                let idx = i as u64;
-                match ev.kind {
-                    FaultKind::BurstLoss { duration, ge } => {
-                        stages.push(Box::new(GilbertElliottStage::new(
-                            vec![(ev.at, ev.at + duration)],
-                            ge,
-                            rng.derive(0xFA17_0000 + idx),
-                        )));
-                    }
-                    FaultKind::Corruption { duration, prob } => {
-                        stages.push(Box::new(CorruptStage::new(
-                            vec![(ev.at, ev.at + duration)],
-                            prob,
-                            rng.derive(0xC044_0000 + idx),
-                        )));
-                    }
-                    _ => {}
+        let events = faults.map_or(&[][..], |plan| &plan.events);
+        for (i, ev) in events.iter().enumerate() {
+            let idx = i as u64;
+            p = match ev.kind {
+                FaultKind::BurstLoss { duration, ge } => {
+                    let rng = rng.derive(0xFA17_0000 + idx);
+                    p.with_filter(GilbertElliottFilter::new(
+                        (ev.at, ev.at + duration),
+                        ge,
+                        rng,
+                    ))
                 }
-            }
+                FaultKind::Corruption { duration, prob } => {
+                    let rng = rng.derive(0xC044_0000 + idx);
+                    p.with_filter(CorruptFilter::new((ev.at, ev.at + duration), prob, rng))
+                }
+                _ => p,
+            };
         }
-        Pipeline::new(label, stages)
+        p
     }
 }
 
@@ -144,15 +141,10 @@ pub struct PathPair {
 }
 
 impl PathPair {
-    /// Build pipelines from a spec. `name` prefixes the pipeline labels.
-    pub fn build(spec: &LinkSpec, name: &str, rng: &mut DetRng) -> PathPair {
-        PathPair::build_with_faults(spec, name, rng, None)
-    }
-
-    /// Build pipelines from a spec, appending the episode-gated stages
-    /// (burst loss, corruption) demanded by `faults`. `None` is exactly
-    /// [`PathPair::build`]: same stages, same RNG derivations.
-    pub fn build_with_faults(
+    /// Build pipelines from a spec, appending the episode-gated filters
+    /// (burst loss, corruption) demanded by `faults`; `None` adds none
+    /// and draws nothing. `name` prefixes the pipeline labels.
+    pub fn build(
         spec: &LinkSpec,
         name: &str,
         rng: &mut DetRng,
@@ -178,10 +170,7 @@ impl PathPair {
 
     /// Earliest pending frame exit in either direction.
     pub fn next_ready(&self) -> Option<Time> {
-        match (self.up.next_ready(), self.down.next_ready()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        Time::earlier(self.up.next_ready(), self.down.next_ready())
     }
 
     /// Poll both directions, appending uplink exits to `up_out` and
@@ -213,7 +202,7 @@ mod tests {
     fn symmetric_spec_builds() {
         let mut rng = DetRng::seed_from_u64(1);
         let spec = LinkSpec::symmetric(10_000_000, Dur::from_millis(40));
-        let mut pp = PathPair::build(&spec, "wifi", &mut rng);
+        let mut pp = PathPair::build(&spec, "wifi", &mut rng, None);
         assert_eq!(pp.up.label(), "wifi-up");
         // 1500 B at 10 Mbit/s = 1.2 ms serialization + 20 ms one-way.
         let f = Frame::new(
@@ -231,13 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn loss_spec_adds_loss_stage() {
+    fn loss_spec_adds_loss_filter() {
         let mut rng = DetRng::seed_from_u64(1);
         let spec = LinkSpec {
             loss: 1.0,
             ..LinkSpec::symmetric(10_000_000, Dur::from_millis(10))
         };
-        let mut pp = PathPair::build(&spec, "lossy", &mut rng);
+        let mut pp = PathPair::build(&spec, "lossy", &mut rng, None);
         let f = Frame::new(
             1,
             Addr(1),
@@ -261,7 +250,7 @@ mod tests {
     fn cut_blackholes_both_directions() {
         let mut rng = DetRng::seed_from_u64(1);
         let spec = LinkSpec::symmetric(10_000_000, Dur::from_millis(1));
-        let mut pp = PathPair::build(&spec, "x", &mut rng);
+        let mut pp = PathPair::build(&spec, "x", &mut rng, None);
         pp.set_up(false);
         pp.up.push(
             Time::ZERO,

@@ -314,7 +314,7 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
     /// called once per interface (or repeatedly — plans merge). The plan
     /// is compiled at [`SimBuilder::build`] time: blackouts, delay
     /// spikes and rate crushes become scripted link events; burst-loss
-    /// and corruption episodes become episode-gated pipeline stages with
+    /// and corruption episodes become episode-gated pipeline filters with
     /// RNG streams derived from the run seed. An empty plan changes
     /// nothing — runs without faults are bit-identical to builds that
     /// never called this.
@@ -375,8 +375,8 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
 /// constructor is called from, so a fresh world ([`SimBuilder::build`])
 /// and a re-armed one ([`Sim::reset`]) get their pipelines, and the RNG
 /// chain behind them (`seed`, `derive(1)` for WiFi, `derive(2)` for LTE,
-/// then `LinkSpec::build_direction`'s own per-stage derives), from the
-/// same code. A `None` plan adds no stage and draws nothing.
+/// then `LinkSpec::build_direction`'s own per-element derives), from the
+/// same code. A `None` plan adds no filter and draws nothing.
 fn links_up(
     wifi: &LinkSpec,
     lte: &LinkSpec,
@@ -386,8 +386,8 @@ fn links_up(
 ) -> (PathPair, PathPair) {
     let mut rng = DetRng::seed_from_u64(seed);
     (
-        PathPair::build_with_faults(wifi, "wifi", &mut rng.derive(1), wifi_faults),
-        PathPair::build_with_faults(lte, "lte", &mut rng.derive(2), lte_faults),
+        PathPair::build(wifi, "wifi", &mut rng.derive(1), wifi_faults),
+        PathPair::build(lte, "lte", &mut rng.derive(2), lte_faults),
     )
 }
 
@@ -479,7 +479,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
 
     /// Compile a fault plan's blackout / delay-spike / rate-crush events
     /// into scripted link events (burst loss and corruption were already
-    /// realized as pipeline stages at build time), plus one
+    /// realized as pipeline filters at build time), plus one
     /// [`ScriptEvent::FaultMark`] per fault onset for the metrics.
     ///
     /// Rate crushes scale the spec's *average* rate; on a trace-driven
@@ -598,17 +598,11 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 ScriptEvent::Wakeup => {}
                 ScriptEvent::SetDownRate(iface, bps) => {
                     let now = self.now;
-                    self.pair_mut(iface)
-                        .down
-                        .stage_mut(0)
-                        .replace_service(now, mpwifi_netem::Service::FixedRate { bps });
+                    self.pair_mut(iface).down.set_rate(now, bps);
                 }
                 ScriptEvent::SetUpRate(iface, bps) => {
                     let now = self.now;
-                    self.pair_mut(iface)
-                        .up
-                        .stage_mut(0)
-                        .replace_service(now, mpwifi_netem::Service::FixedRate { bps });
+                    self.pair_mut(iface).up.set_rate(now, bps);
                 }
                 ScriptEvent::NotifyIfaceUp(iface) => {
                     let now = self.now;
@@ -616,8 +610,8 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 }
                 ScriptEvent::SetOneWayDelay(iface, delay) => {
                     let pair = self.pair_mut(iface);
-                    pair.up.stage_mut(1).set_delay(delay);
-                    pair.down.stage_mut(1).set_delay(delay);
+                    pair.up.set_delay(delay);
+                    pair.down.set_delay(delay);
                 }
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
