@@ -95,23 +95,6 @@ impl PacketLog {
         }
         out
     }
-
-    /// Packets per `bin` interval, for rate classification of app flows.
-    pub fn binned_counts(&self, bin: Dur) -> Vec<(Time, usize)> {
-        let mut out: Vec<(Time, usize)> = Vec::new();
-        let Some((start, _)) = self.span() else {
-            return out;
-        };
-        for e in &self.events {
-            let idx = (e.at - start).as_nanos() / bin.as_nanos().max(1);
-            let slot = start + Dur::from_nanos(idx * bin.as_nanos());
-            match out.last_mut() {
-                Some((t, n)) if *t == slot => *n += 1,
-                _ => out.push((slot, 1)),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -151,18 +134,5 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.span(), None);
         assert!(log.busy_intervals(Dur::from_millis(1)).is_empty());
-        assert!(log.binned_counts(Dur::from_millis(1)).is_empty());
-    }
-
-    #[test]
-    fn binned_counts_group_by_interval() {
-        let mut log = PacketLog::new();
-        for us in [0, 100, 900, 1100, 1200] {
-            log.record(Time::from_micros(us), PacketDir::Rx, 1);
-        }
-        let bins = log.binned_counts(Dur::from_millis(1));
-        assert_eq!(bins.len(), 2);
-        assert_eq!(bins[0].1, 3);
-        assert_eq!(bins[1].1, 2);
     }
 }

@@ -82,19 +82,6 @@ impl DetRng {
         mean + std_dev * self.std_normal()
     }
 
-    /// Normal truncated to `[lo, hi]` by resampling (up to a bound, then
-    /// clamping — keeps worst-case cost finite and deterministic).
-    pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "invalid clamp range");
-        for _ in 0..16 {
-            let x = self.normal(mean, std_dev);
-            if (lo..=hi).contains(&x) {
-                return x;
-            }
-        }
-        self.normal(mean, std_dev).clamp(lo, hi)
-    }
-
     /// Lognormal: `exp(N(mu, sigma))` where `mu`/`sigma` are the parameters
     /// of the underlying normal.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
@@ -357,15 +344,6 @@ mod tests {
         let mut r = DetRng::seed_from_u64(5);
         for _ in 0..10_000 {
             assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn normal_clamped_stays_in_range() {
-        let mut r = DetRng::seed_from_u64(6);
-        for _ in 0..10_000 {
-            let x = r.normal_clamped(0.0, 10.0, -1.0, 1.0);
-            assert!((-1.0..=1.0).contains(&x));
         }
     }
 

@@ -49,16 +49,6 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(Time, f64)> {
         self.points.last().copied()
     }
-
-    /// Value at or before `at` (step interpolation); `None` before the
-    /// first sample.
-    pub fn value_at(&self, at: Time) -> Option<f64> {
-        match self.points.binary_search_by(|(t, _)| t.cmp(&at)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
-    }
 }
 
 /// Accumulates byte-progress events (e.g. "k bytes cumulatively ACKed at
@@ -218,18 +208,6 @@ fn ts_cumulative_last(ts: &TimeSeries) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_series_step_lookup() {
-        let mut ts = TimeSeries::new();
-        ts.push(Time::from_secs(1), 10.0);
-        ts.push(Time::from_secs(3), 30.0);
-        assert_eq!(ts.value_at(Time::ZERO), None);
-        assert_eq!(ts.value_at(Time::from_secs(1)), Some(10.0));
-        assert_eq!(ts.value_at(Time::from_secs(2)), Some(10.0));
-        assert_eq!(ts.value_at(Time::from_secs(3)), Some(30.0));
-        assert_eq!(ts.value_at(Time::from_secs(9)), Some(30.0));
-    }
 
     #[test]
     #[should_panic(expected = "backwards")]

@@ -82,11 +82,6 @@ impl Time {
         Dur(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference: `None` when `earlier > self`.
-    pub fn checked_since(self, earlier: Time) -> Option<Dur> {
-        self.0.checked_sub(earlier.0).map(Dur)
-    }
-
     /// The earlier of two optional deadlines (`None` = not armed). The
     /// event loop folds every timer of every connection through this
     /// several times per step, so it is a plain match rather than an
@@ -305,8 +300,6 @@ mod tests {
         let b = Time::from_millis(8);
         assert_eq!(b.saturating_since(a).as_millis(), 5);
         assert_eq!(a.saturating_since(b), Dur::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(Dur::from_millis(5)));
     }
 
     #[test]

@@ -348,10 +348,6 @@ impl TcpConnection {
 
     /// Lifetime statistics.
     pub fn stats(&self) -> &ConnStats {
-        self.stats_ref()
-    }
-
-    fn stats_ref(&self) -> &ConnStats {
         &self.stats
     }
 

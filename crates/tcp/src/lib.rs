@@ -29,7 +29,6 @@ pub mod conn;
 pub mod pool;
 pub mod rtt;
 pub mod segment;
-pub mod seq;
 pub mod stack;
 
 pub use buffer::{RecvBuffer, SendBuffer};
