@@ -20,61 +20,15 @@
 //!
 //! Exit code 0 on success, 1 with a failure list otherwise.
 
+mod harness;
+
+use harness::{cli_section, fail_usage, repro_path, run_cli, Checker};
 use mpwifi_serve::proto::{Request, Response, RunKind, RunRequest};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Locate the `repro` binary: `--repro PATH` wins, else the sibling of
-/// this executable in the cargo target dir.
-fn repro_path(args: &[String]) -> String {
-    if let Some(i) = args.iter().position(|a| a == "--repro") {
-        return args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| fail_usage("--repro needs a path"));
-    }
-    let me = std::env::current_exe().expect("current_exe");
-    let dir = me.parent().expect("exe has a parent dir");
-    let repro = dir.join("repro");
-    if !repro.exists() {
-        fail_usage(&format!(
-            "{} not found — build it first (cargo build --release -p mpwifi-repro) \
-             or pass --repro PATH",
-            repro.display()
-        ));
-    }
-    repro.to_string_lossy().into_owned()
-}
-
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("chaos_load: {msg}");
-    std::process::exit(2);
-}
-
-/// One-shot CLI run; returns (stdout, exit code).
-fn run_cli(repro: &str, args: &[&str]) -> (String, i32) {
-    let out = Command::new(repro)
-        .args(args)
-        .stderr(Stdio::null())
-        .output()
-        .unwrap_or_else(|e| fail_usage(&format!("spawn {repro}: {e}")));
-    (
-        String::from_utf8(out.stdout).expect("cli stdout not utf8"),
-        out.status.code().unwrap_or(-1),
-    )
-}
-
-/// Extract the rendered report from one-shot CLI stdout: everything
-/// before the nondeterministic `(… finished in …)` timing line.
-fn cli_section(stdout: &str, marker: &str) -> String {
-    let pos = stdout
-        .find(marker)
-        .unwrap_or_else(|| fail_usage(&format!("CLI output lacks marker {marker:?}")));
-    stdout[..pos].to_string()
-}
 
 /// Everything the reader thread has seen so far, indexed for assertions.
 #[derive(Default)]
@@ -243,35 +197,18 @@ fn experiment(id: &str) -> RunKind {
     }
 }
 
-struct Checker {
-    failures: Vec<String>,
-}
-
-impl Checker {
-    fn check(&mut self, ok: bool, what: &str) {
-        if ok {
-            println!("  ok: {what}");
-        } else {
-            println!("  FAIL: {what}");
-            self.failures.push(what.to_string());
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let repro = repro_path(&args);
-    let mut c = Checker {
-        failures: Vec::new(),
-    };
+    let mut c = Checker::default();
 
     // ---- Reference captures: the same runs through the one-shot CLI.
     println!("chaos_load: capturing one-shot CLI references");
-    let (cli_t2, cli_t2_code) = run_cli(&repro, &["table2", "--seed", "5"]);
+    let (cli_t2, _, cli_t2_code) = run_cli(&repro, &["table2", "--seed", "5"]);
     let cli_t2_section = cli_section(&cli_t2, "\n(table2 finished in ");
-    let (cli_flaky, _) = run_cli(&repro, &["planted-flaky", "--seed", "7"]);
+    let (cli_flaky, _, _) = run_cli(&repro, &["planted-flaky", "--seed", "7"]);
     let cli_flaky_section = cli_section(&cli_flaky, "\n(planted-flaky finished in ");
-    let (cli_camp, cli_camp_code) = run_cli(
+    let (cli_camp, _, cli_camp_code) = run_cli(
         &repro,
         &["campaign", "--users", "5000", "--seed", "9", "--jobs", "2"],
     );

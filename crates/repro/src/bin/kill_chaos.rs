@@ -22,6 +22,9 @@
 //! size defaults to 1,000,000 users (~2 s per one-shot run, ~50 MB
 //! journal — a wide kill window); override with `MPWIFI_KILL_USERS`.
 
+mod harness;
+
+use harness::{cli_section, fail_usage, repro_path, run_cli, Checker};
 use mpwifi_serve::proto::{Request, Response, RunKind, RunRequest};
 use mpwifi_simcore::splitmix64;
 use std::fs::OpenOptions;
@@ -29,33 +32,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Locate the `repro` binary: `--repro PATH` wins, else the sibling of
-/// this executable in the cargo target dir.
-fn repro_path(args: &[String]) -> String {
-    if let Some(i) = args.iter().position(|a| a == "--repro") {
-        return args
-            .get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| fail_usage("--repro needs a path"));
-    }
-    let me = std::env::current_exe().expect("current_exe");
-    let dir = me.parent().expect("exe has a parent dir");
-    let repro = dir.join("repro");
-    if !repro.exists() {
-        fail_usage(&format!(
-            "{} not found — build it first (cargo build --release -p mpwifi-repro) \
-             or pass --repro PATH",
-            repro.display()
-        ));
-    }
-    repro.to_string_lossy().into_owned()
-}
-
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("kill_chaos: {msg}");
-    std::process::exit(2);
-}
 
 /// The splitmix64 stream — the only PRNG this harness needs: output
 /// `n` is `splitmix64(seed + n·γ)`.
@@ -74,28 +50,6 @@ impl Rng {
     }
 }
 
-/// One-shot CLI run; returns (stdout, stderr, exit code).
-fn run_cli(repro: &str, args: &[&str]) -> (String, String, i32) {
-    let out = Command::new(repro)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| fail_usage(&format!("spawn {repro}: {e}")));
-    (
-        String::from_utf8(out.stdout).expect("cli stdout not utf8"),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.code().unwrap_or(-1),
-    )
-}
-
-/// Extract the rendered report from CLI stdout: everything before the
-/// nondeterministic `(… finished in …)` timing line.
-fn cli_section(stdout: &str, marker: &str) -> String {
-    let pos = stdout
-        .find(marker)
-        .unwrap_or_else(|| fail_usage(&format!("CLI output lacks marker {marker:?}")));
-    stdout[..pos].to_string()
-}
-
 /// End of the journal's header frame: 8-byte frame header + payload
 /// length from the first 4 bytes. Truncation offsets must stay past
 /// this point — chopping the header is the *refusal* case, tested
@@ -104,21 +58,6 @@ fn header_end(journal: &Path) -> u64 {
     let bytes = std::fs::read(journal).expect("read journal for header_end");
     assert!(bytes.len() >= 8, "journal shorter than one frame header");
     8 + u64::from(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
-}
-
-struct Checker {
-    failures: Vec<String>,
-}
-
-impl Checker {
-    fn check(&mut self, ok: bool, what: &str) {
-        if ok {
-            println!("  ok: {what}");
-        } else {
-            println!("  FAIL: {what}");
-            self.failures.push(what.to_string());
-        }
-    }
 }
 
 /// Spawn one checkpointed campaign child (`--resume` after the first
@@ -365,9 +304,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
-    let mut c = Checker {
-        failures: Vec::new(),
-    };
+    let mut c = Checker::default();
     let dir = std::env::temp_dir().join(format!("mpwifi_kill_chaos_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 
