@@ -410,7 +410,7 @@ impl SchedWitness {
     /// fed.
     ///
     /// * `mptcp-redundant-no-dup` — a Redundant sender assigned more
-    ///   than [`REDUNDANT_DUP_FLOOR`] bytes while two subflows were
+    ///   than `REDUNDANT_DUP_FLOOR` bytes while two subflows were
     ///   eligible, yet no connection-level chunk ever appeared on a
     ///   second subflow.
     /// * `mptcp-sched-wedged` — the run ended with data queued, an

@@ -598,7 +598,7 @@ fn accs_agree(a: &MeanAcc, b: &MeanAcc) -> bool {
 /// sharded and one monolithic (`shard_users = users`, `workers = 1`).
 /// Count-based summaries (win tallies, sketches, histograms) must match
 /// **exactly**: their merge algebra is integer addition. The float mean
-/// accumulators must match up to regrouping noise (see [`accs_agree`]).
+/// accumulators must match up to regrouping noise (see `accs_agree`).
 /// Returns a named first-divergence for forensics.
 pub fn merge_agreement(a: &CampaignSummary, b: &CampaignSummary) -> Result<(), String> {
     if a.users != b.users {

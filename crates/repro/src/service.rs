@@ -8,7 +8,7 @@
 //! - resolving experiment ids against the registry (plus the planted
 //!   failure specs, so the chaos harness can request them by name);
 //! - arming per-request watchdog budgets around each attempt via
-//!   [`supervise_call`]/[`supervise_one`] — a breached or panicking
+//!   [`supervise_call`]/[`supervise::supervise_one`] — a breached or panicking
 //!   request is classified into the [`RequestStatus`] taxonomy instead
 //!   of poisoning the long-lived worker;
 //! - deriving per-attempt seeds with the same `derive_seed(seed,

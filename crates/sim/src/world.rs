@@ -394,7 +394,7 @@ fn links_up(
 impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
     /// Re-arm this built world for a new, fault-free campaign run.
     ///
-    /// The links come from [`links_up`], the constructor a fresh
+    /// The links come from `links_up`, the constructor a fresh
     /// [`Sim::builder`] build calls, and every other piece of run state
     /// goes back to its t = 0 value, so a re-armed world *is* a fresh
     /// one at the same parameters. What it keeps is allocations: the

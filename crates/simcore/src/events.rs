@@ -25,8 +25,8 @@
 //! milliseconds out), which a wheel turns into O(1) bucket pushes instead
 //! of O(log n) heap sifts with `(Time, seq)` comparisons.
 //!
-//! * Time is bucketed into ticks of 2^[`TICK_SHIFT`] ns (~1 µs).
-//! * [`LEVELS`] levels of [`SLOTS`] slots each hold pending entries;
+//! * Time is bucketed into ticks of 2^`TICK_SHIFT` ns (~1 µs).
+//! * `LEVELS` levels of `SLOTS` slots each hold pending entries;
 //!   level `l`'s slot index for tick `t` is `(t >> 6l) & 63`, and an
 //!   entry lives at the level of the highest 6-bit group in which its
 //!   tick differs from the cursor. A per-level occupancy bitmap makes

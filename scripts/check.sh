@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, tier-1 build + tests.
 # Usage: scripts/check.sh [--full]
-#   (default)  cargo fmt --check, clippy over every workspace package
-#              (crates, vendored shims, the root) with warnings denied,
-#              and the tier-1 build + tests.
+#   (default)  cargo fmt --check, clippy and rustdoc over every
+#              workspace package (crates, vendored shims, the root) with
+#              warnings denied, and the tier-1 build + tests.
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release) and the end-to-end
 #              smokes, in this order:
@@ -80,6 +80,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy, every package (deny warnings + fn-pointer comparison gate)"
 cargo clippy --workspace --all-targets -- -D warnings \
     -D unpredictable_function_pointer_comparisons
+
+# A renamed type, a removed method or a deleted module leaves its doc
+# links dangling, and nothing else reads them.
+echo "== cargo doc, every package (deny warnings: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --keep-going
 
 echo "== tier-1: cargo build --release"
 cargo build --release
