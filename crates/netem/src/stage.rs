@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 /// A frame-holding component of an emulated link path.
 pub trait Stage: std::fmt::Debug {
     /// Offer a frame to the stage at simulated time `now`. The stage may
-    /// drop it (queue overflow, loss).
+    /// drop it (queue overflow).
     fn push(&mut self, now: Time, frame: Frame);
 
     /// Earliest instant at which a frame can exit, if any is queued.
