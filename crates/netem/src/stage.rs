@@ -283,11 +283,6 @@ impl DelayStage {
         }
     }
 
-    /// The configured one-way delay.
-    pub fn delay(&self) -> Dur {
-        self.delay
-    }
-
     /// Change the delay for frames pushed from now on (frames already in
     /// flight keep their original exit times; order is still preserved
     /// for exits because we never reduce below an earlier exit).
