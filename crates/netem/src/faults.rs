@@ -18,6 +18,7 @@
 use crate::frame::Frame;
 use crate::stage::Filter;
 use mpwifi_simcore::{DetRng, Dur, Time};
+use std::ops::Range;
 
 /// Parameters of a Gilbert–Elliott two-state loss process: the channel
 /// alternates between a mostly-lossless Good state and a bursty Bad
@@ -220,7 +221,7 @@ impl FaultPlan {
 /// burst); outside it frames pass untouched with no RNG draws.
 #[derive(Debug)]
 pub struct GilbertElliottFilter {
-    episode: (Time, Time),
+    episode: Range<Time>,
     ge: GilbertElliott,
     rng: DetRng,
     bad: bool,
@@ -228,8 +229,8 @@ pub struct GilbertElliottFilter {
 }
 
 impl GilbertElliottFilter {
-    /// Create the filter for the episode `[start, end)`.
-    pub fn new(episode: (Time, Time), ge: GilbertElliott, rng: DetRng) -> Self {
+    /// Create the filter for the episode `start..end`.
+    pub fn new(episode: Range<Time>, ge: GilbertElliott, rng: DetRng) -> Self {
         ge.validate();
         GilbertElliottFilter {
             episode,
@@ -241,14 +242,9 @@ impl GilbertElliottFilter {
     }
 }
 
-/// Is `at` inside the half-open episode `[start, end)`?
-fn in_episode((start, end): (Time, Time), at: Time) -> bool {
-    start <= at && at < end
-}
-
 impl Filter for GilbertElliottFilter {
     fn admit(&mut self, at: Time, _frame: &mut Frame) -> bool {
-        if !in_episode(self.episode, at) {
+        if !self.episode.contains(&at) {
             return true;
         }
         let (loss, flip) = if self.bad {
@@ -276,15 +272,15 @@ impl Filter for GilbertElliottFilter {
 /// the episode frames pass untouched with no RNG draws.
 #[derive(Debug)]
 pub struct CorruptFilter {
-    episode: (Time, Time),
+    episode: Range<Time>,
     prob: f64,
     rng: DetRng,
     corrupted: u64,
 }
 
 impl CorruptFilter {
-    /// Create the filter for the episode `[start, end)`.
-    pub fn new(episode: (Time, Time), prob: f64, rng: DetRng) -> Self {
+    /// Create the filter for the episode `start..end`.
+    pub fn new(episode: Range<Time>, prob: f64, rng: DetRng) -> Self {
         assert!((0.0..=1.0).contains(&prob), "invalid probability {prob}");
         CorruptFilter {
             episode,
@@ -302,7 +298,7 @@ impl CorruptFilter {
 
 impl Filter for CorruptFilter {
     fn admit(&mut self, at: Time, frame: &mut Frame) -> bool {
-        if in_episode(self.episode, at) && self.rng.chance(self.prob) && !frame.payload.is_empty() {
+        if self.episode.contains(&at) && self.rng.chance(self.prob) && !frame.payload.is_empty() {
             let mut raw = frame.payload.to_vec();
             let off = self.rng.uniform_u64(0, raw.len() as u64) as usize;
             raw[off] ^= 0x55;
@@ -366,7 +362,7 @@ mod tests {
     #[test]
     fn ge_filter_outside_episode_is_transparent_and_draws_no_rng() {
         let mut s = GilbertElliottFilter::new(
-            (Time::from_secs(10), Time::from_secs(11)),
+            Time::from_secs(10)..Time::from_secs(11),
             GilbertElliott {
                 loss_bad: 1.0,
                 loss_good: 1.0,
@@ -390,7 +386,7 @@ mod tests {
             loss_bad: 1.0,
         };
         let mut s = GilbertElliottFilter::new(
-            (Time::from_secs(1), Time::from_secs(2)),
+            Time::from_secs(1)..Time::from_secs(2),
             ge,
             DetRng::seed_from_u64(7),
         );
@@ -420,7 +416,7 @@ mod tests {
     fn ge_filter_deterministic_given_seed() {
         let run = || {
             let mut s = GilbertElliottFilter::new(
-                (Time::ZERO, Time::from_secs(1)),
+                Time::ZERO..Time::from_secs(1),
                 GilbertElliott::default(),
                 DetRng::seed_from_u64(9),
             );
@@ -436,7 +432,7 @@ mod tests {
     #[test]
     fn corrupt_filter_flips_bytes_only_inside_episode() {
         let mut s = CorruptFilter::new(
-            (Time::from_secs(1), Time::from_secs(2)),
+            Time::from_secs(1)..Time::from_secs(2),
             1.0,
             DetRng::seed_from_u64(3),
         );
@@ -474,7 +470,7 @@ mod tests {
     fn corrupt_filter_copy_on_write_leaves_original_bytes_alone() {
         let shared = Bytes::from(vec![0xAAu8; 100]);
         let mut s = CorruptFilter::new(
-            (Time::ZERO, Time::from_secs(1)),
+            Time::ZERO..Time::from_secs(1),
             1.0,
             DetRng::seed_from_u64(4),
         );

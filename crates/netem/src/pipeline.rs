@@ -431,14 +431,12 @@ mod tests {
                         p
                     }
                 };
-                let episode = (
-                    Time::from_millis(episode_ms.0),
-                    Time::from_millis(episode_ms.0 + episode_ms.1),
-                );
+                let episode =
+                    Time::from_millis(episode_ms.0)..Time::from_millis(episode_ms.0 + episode_ms.1);
                 let mut bare = holders();
                 let mut p = holders()
                     .with_filter(LossFilter::new(loss, rng(7)))
-                    .with_filter(GilbertElliottFilter::new(episode, GilbertElliott::default(), rng(8)))
+                    .with_filter(GilbertElliottFilter::new(episode.clone(), GilbertElliott::default(), rng(8)))
                     .with_filter(CorruptFilter::new(episode, 0.5, rng(9)));
                 let (mut delivered, mut bare_delivered) = (0u64, 0u64);
                 let mut step = |p: &mut Pipeline, bare: &mut Pipeline, now: Time| {

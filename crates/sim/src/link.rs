@@ -114,15 +114,11 @@ impl LinkSpec {
             p = match ev.kind {
                 FaultKind::BurstLoss { duration, ge } => {
                     let rng = rng.derive(0xFA17_0000 + idx);
-                    p.with_filter(GilbertElliottFilter::new(
-                        (ev.at, ev.at + duration),
-                        ge,
-                        rng,
-                    ))
+                    p.with_filter(GilbertElliottFilter::new(ev.at..ev.at + duration, ge, rng))
                 }
                 FaultKind::Corruption { duration, prob } => {
                     let rng = rng.derive(0xC044_0000 + idx);
-                    p.with_filter(CorruptFilter::new((ev.at, ev.at + duration), prob, rng))
+                    p.with_filter(CorruptFilter::new(ev.at..ev.at + duration, prob, rng))
                 }
                 _ => p,
             };
