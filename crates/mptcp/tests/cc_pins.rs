@@ -1,0 +1,237 @@
+//! Window-arithmetic pins for the five congestion controllers.
+//!
+//! One fixed script drives two windows of each controller (one shared
+//! group for the coupled three; the first window samples a 20 ms RTT,
+//! the second 200 ms) through slow start, a NewReno recovery episode,
+//! congestion avoidance, a timeout and regrowth, and pins `(cwnd,
+//! ssthresh)` of both windows after every phase plus an FNV-1a over
+//! every step. The literals were recorded at the commit before the
+//! controllers were reshaped and hold the arithmetic byte for byte:
+//! Reno's integer accumulator, CUBIC's truncations, the coupled laws'
+//! float accumulator and the order in which a coupled window publishes
+//! to its group. Only [`Win`], the driver, names the controller API.
+
+use mpwifi_mptcp::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
+use mpwifi_simcore::{Dur, Fnv1a, Time};
+use mpwifi_tcp::cc::{CongestionControl, CubicCc, RenoCc};
+
+const MSS: u64 = 1400;
+const INIT_SEGS: u64 = 10;
+
+/// One congestion window under test.
+struct Win(Box<dyn CongestionControl>);
+
+impl Win {
+    /// Two windows of `kind`, coupled through one group where the kind
+    /// couples.
+    fn pair(kind: CcKind) -> [Win; 2] {
+        let group = CoupledGroup::shared();
+        [(); 2].map(|()| {
+            let coupled = |k| {
+                Box::new(CoupledCc::new(group.clone(), k, MSS as usize, INIT_SEGS))
+                    as Box<dyn CongestionControl>
+            };
+            Win(match kind {
+                CcKind::Lia => coupled(CoupledKind::Lia),
+                CcKind::Olia => coupled(CoupledKind::Olia),
+                CcKind::Balia => coupled(CoupledKind::Balia),
+                CcKind::Reno => Box::new(RenoCc::new(MSS as usize, INIT_SEGS)),
+                CcKind::Cubic => Box::new(CubicCc::new(MSS as usize, INIT_SEGS)),
+            })
+        })
+    }
+
+    fn state(&self) -> (u64, u64) {
+        (self.0.cwnd(), self.0.ssthresh())
+    }
+
+    fn ack(&mut self, now: Time, acked: u64, rtt: Dur) {
+        let in_flight = self.0.cwnd();
+        self.0.on_ack(now, acked, in_flight, Some(rtt));
+    }
+
+    fn enter_recovery(&mut self, now: Time) {
+        let in_flight = self.0.cwnd();
+        self.0.on_enter_recovery(now, in_flight);
+    }
+
+    fn dup_ack(&mut self, now: Time) {
+        self.0.on_dup_ack_in_recovery(now);
+    }
+
+    fn partial_ack(&mut self, now: Time, acked: u64) {
+        self.0.on_partial_ack(now, acked);
+    }
+
+    fn exit_recovery(&mut self, now: Time) {
+        self.0.on_exit_recovery(now);
+    }
+
+    fn timeout(&mut self, now: Time) {
+        let in_flight = self.0.cwnd() / 2;
+        self.0.on_rto(now, in_flight);
+    }
+}
+
+/// `[(cwnd, ssthresh); 2]` — both windows, first then second.
+type Pair = [(u64, u64); 2];
+
+/// The script's clock, both windows, and the digest over every step.
+struct Run {
+    wins: [Win; 2],
+    now: Time,
+    digest: Fnv1a,
+}
+
+impl Run {
+    const RTT: [Dur; 2] = [Dur::from_millis(20), Dur::from_millis(200)];
+
+    /// Apply `event` to window `i` (at the current instant), fold both
+    /// windows' state into the digest, advance the clock 2 ms.
+    fn step(&mut self, i: usize, event: impl FnOnce(&mut Win, Time, Dur)) {
+        event(&mut self.wins[i], self.now, Self::RTT[i]);
+        for (cwnd, ssthresh) in self.pair() {
+            self.digest.write(&cwnd.to_le_bytes());
+            self.digest.write(&ssthresh.to_le_bytes());
+        }
+        self.now += Dur::from_millis(2);
+    }
+
+    fn pair(&self) -> Pair {
+        [self.wins[0].state(), self.wins[1].state()]
+    }
+}
+
+/// The fixed script: the pair after each of its eight phases, and the
+/// digest over all of its steps.
+fn script(kind: CcKind) -> ([Pair; 8], u64) {
+    let mut run = Run {
+        wins: Win::pair(kind),
+        now: Time::ZERO,
+        digest: Fnv1a::new(),
+    };
+    let mut phases = Vec::new();
+    let ack = |w: &mut Win, now, rtt| w.ack(now, MSS, rtt);
+
+    // 1. Slow start: 40 one-MSS ACKs on each window from the initial one.
+    for _ in 0..40 {
+        run.step(0, ack);
+        run.step(1, ack);
+    }
+    phases.push(run.pair());
+    // 2. Third duplicate ACK with a full window in flight.
+    for i in 0..2 {
+        run.step(i, |w, now, _| w.enter_recovery(now));
+    }
+    phases.push(run.pair());
+    // 3. Three further duplicate ACKs.
+    for i in [0, 1, 0, 1, 0, 1] {
+        run.step(i, |w, now, _| w.dup_ack(now));
+    }
+    phases.push(run.pair());
+    // 4. A partial ACK of two segments.
+    for i in 0..2 {
+        run.step(i, |w, now, _| w.partial_ack(now, 2 * MSS));
+    }
+    phases.push(run.pair());
+    // 5. The recovery point is ACKed.
+    for i in 0..2 {
+        run.step(i, |w, now, _| w.exit_recovery(now));
+    }
+    phases.push(run.pair());
+    // 6. Congestion avoidance: 300 ACKs alternating between the windows.
+    for n in 0..300 {
+        run.step(n % 2, ack);
+    }
+    phases.push(run.pair());
+    // 7. The second window times out with half a window in flight (a
+    //    rule that reads `cwnd` here and one that reads `in_flight` part).
+    run.step(1, |w, now, _| w.timeout(now));
+    phases.push(run.pair());
+    // 8. 60 more ACKs: the second window slow-starts back past its
+    //    threshold beside the first's congestion avoidance.
+    for n in 0..60 {
+        run.step(n % 2, ack);
+    }
+    phases.push(run.pair());
+
+    (phases.try_into().unwrap(), run.digest.finish())
+}
+
+/// No threshold yet: a window that has seen no loss.
+const INF: u64 = u64::MAX;
+
+#[test]
+fn lia_window_arithmetic_is_pinned() {
+    let phases = [
+        [(70000, INF), (70000, INF)],
+        [(39200, 35000), (39200, 35000)],
+        [(43400, 35000), (43400, 35000)],
+        [(42000, 35000), (42000, 35000)],
+        [(35000, 35000), (35000, 35000)],
+        [(41367, 35000), (41361, 35000)],
+        [(41367, 35000), (1400, 10340)],
+        [(42701, 35000), (12211, 10340)],
+    ];
+    assert_eq!(script(CcKind::Lia), (phases, 0x28a1e5dc2e937a43));
+}
+
+#[test]
+fn olia_window_arithmetic_is_pinned() {
+    let phases = [
+        [(70000, INF), (70000, INF)],
+        [(39200, 35000), (39200, 35000)],
+        [(43400, 35000), (43400, 35000)],
+        [(42000, 35000), (42000, 35000)],
+        [(35000, 35000), (35000, 35000)],
+        [(41456, 35000), (35059, 35000)],
+        [(41456, 35000), (1400, 8764)],
+        [(42796, 35000), (9802, 8764)],
+    ];
+    assert_eq!(script(CcKind::Olia), (phases, 0xe9eed00ea94370b1));
+}
+
+#[test]
+fn balia_window_arithmetic_is_pinned() {
+    let phases = [
+        [(70000, INF), (70000, INF)],
+        [(39200, 35000), (21700, 17500)],
+        [(43400, 35000), (25900, 17500)],
+        [(42000, 35000), (24500, 17500)],
+        [(35000, 35000), (17500, 17500)],
+        [(41962, 35000), (19316, 17500)],
+        [(41962, 35000), (1400, 4829)],
+        [(43306, 35000), (6512, 4829)],
+    ];
+    assert_eq!(script(CcKind::Balia), (phases, 0xaa4c407461cb4d));
+}
+
+#[test]
+fn reno_window_arithmetic_is_pinned() {
+    let phases = [
+        [(70000, INF), (70000, INF)],
+        [(39200, 35000), (39200, 35000)],
+        [(43400, 35000), (43400, 35000)],
+        [(42000, 35000), (42000, 35000)],
+        [(35000, 35000), (35000, 35000)],
+        [(42000, 35000), (42000, 35000)],
+        [(42000, 35000), (1400, 10500)],
+        [(43400, 35000), (14000, 10500)],
+    ];
+    assert_eq!(script(CcKind::Reno), (phases, 0xb5e3a0c6660afe92));
+}
+
+#[test]
+fn cubic_window_arithmetic_is_pinned() {
+    let phases = [
+        [(70000, INF), (70000, INF)],
+        [(53200, 49000), (53200, 49000)],
+        [(57400, 49000), (57400, 49000)],
+        [(56000, 49000), (56000, 49000)],
+        [(49000, 49000), (49000, 49000)],
+        [(56499, 49000), (58718, 49000)],
+        [(56499, 49000), (1400, 41102)],
+        [(58037, 49000), (42100, 41102)],
+    ];
+    assert_eq!(script(CcKind::Cubic), (phases, 0x778f5bb0ad6896cf));
+}

@@ -113,10 +113,13 @@ fn zoo_pin(
 /// recorded at the commit *before* the MPTCP bulk-path optimisation
 /// (PR 15) and never edited by it. BLEST and ECF count `pick` calls in
 /// `defer_streak`, so a dropped or added `pump_send` poll moves their
-/// rows first.
+/// rows first. The three `MinRtt` rows for OLIA, BALIA and per-subflow
+/// Reno were recorded at the commit before the controllers became rules
+/// of one window (PR 20); `crates/mptcp/tests/cc_pins.rs` holds the
+/// same five controllers' arithmetic step by step.
 #[test]
 fn scheduler_zoo_is_pinned_at_contrasting_locations() {
-    use mpwifi::mptcp::CcKind::{Cubic, Lia};
+    use mpwifi::mptcp::CcKind::{Balia, Cubic, Lia, Olia, Reno};
     use mpwifi::mptcp::SchedKind::*;
     let locations = paper_locations(42);
     let wifi_faster = locations.iter().find(|l| !l.lte_faster()).unwrap();
@@ -129,6 +132,9 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
         (Redundant, Lia),
         (Blest, Cubic),
         (Ecf, Cubic),
+        (MinRtt, Olia),
+        (MinRtt, Balia),
+        (MinRtt, Reno),
     ];
     let expected = [
         [
@@ -139,6 +145,9 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
             (2_512_809_884, 5416, 251, 94),
             (2_578_011_513, 5659, 288, 0),
             (2_578_011_513, 5702, 301, 0),
+            (2_628_678_180, 5528, 287, 0),
+            (2_632_678_180, 5581, 289, 0),
+            (2_628_678_180, 5528, 287, 0),
         ],
         [
             (2_625_250_240, 1774, 4, 0),
@@ -148,6 +157,9 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
             (2_597_846_331, 1801, 4, 38),
             (2_582_461_716, 1750, 4, 0),
             (2_579_384_793, 1743, 4, 0),
+            (2_625_250_240, 1774, 4, 0),
+            (2_581_916_907, 1736, 4, 0),
+            (2_625_250_240, 1774, 4, 0),
         ],
     ];
     let actual = [wifi_faster, lte_faster].map(|loc| cells.map(|(s, c)| zoo_pin(loc, s, c)));
