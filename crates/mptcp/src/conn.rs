@@ -27,8 +27,8 @@ use bytes::Bytes;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::{metrics, Dur, Time};
 use mpwifi_tcp::buffer::{RecvBuffer, SendBuffer};
-use mpwifi_tcp::cc::{CcKind as TcpCcKind, CubicCc, RenoCc};
-use mpwifi_tcp::conn::{TcpConfig, TcpConnection};
+use mpwifi_tcp::cc::{Cubic, Cwnd, Growth, Reno};
+use mpwifi_tcp::conn::{TcpConfig, TcpConnection, TcpState};
 use mpwifi_tcp::segment::{Flags, Segment, TcpOption};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -456,24 +456,17 @@ impl MptcpConnection {
         token_from_key(self.key_local)
     }
 
-    /// A subflow's congestion controller and, for a coupled family, its
-    /// registration index in the group.
-    fn build_cc(
-        &self,
-        mss: usize,
-        init_segs: u64,
-    ) -> (Box<dyn mpwifi_tcp::cc::CongestionControl>, Option<usize>) {
-        match self.cfg.cc.coupled() {
-            Some(kind) => {
-                let cc = CoupledCc::new(self.coupled.clone(), kind, mss, init_segs);
-                let idx = self.coupled.borrow().len().saturating_sub(1);
-                (Box::new(cc), Some(idx))
-            }
-            None => match self.cfg.cc {
-                CcKind::Cubic => (Box::new(CubicCc::new(mss, init_segs)), None),
-                _ => (Box::new(RenoCc::new(mss, init_segs)), None),
-            },
-        }
+    /// One more subflow's congestion window and, under a coupled law,
+    /// its registration index in the group.
+    fn build_cc(&self) -> (Cwnd, Option<usize>) {
+        let (rule, idx): (Box<dyn Growth>, _) =
+            match CoupledCc::new(self.coupled.clone(), self.cfg.cc) {
+                Some(cc) => (Box::new(cc), Some(self.coupled.borrow().len() - 1)),
+                None if self.cfg.cc == CcKind::Cubic => (Box::new(Cubic::default()), None),
+                None => (Box::new(Reno::default()), None),
+            };
+        let tcp = &self.cfg.tcp;
+        (Cwnd::new(tcp.mss, tcp.init_cwnd_segs, rule), idx)
     }
 
     /// The one way a subflow comes to exist: build its TCP connection
@@ -490,21 +483,14 @@ impl MptcpConnection {
         syn: Option<(&Segment, Addr)>,
     ) {
         self.settled = false;
-        let mut tcp_cfg = self.cfg.tcp.clone();
-        tcp_cfg.cc = TcpCcKind::Reno; // placeholder; replaced below
-        let (cc, coupled_idx) = self.build_cc(tcp_cfg.mss, tcp_cfg.init_cwnd_segs);
+        let (cc, coupled_idx) = self.build_cc();
         let iss = self.iss_base.wrapping_add(iss_off);
-        let (mut conn, remote_addr) = match syn {
-            None => (
-                TcpConnection::client(tcp_cfg, spec.local_port, self.remote_port, iss),
-                self.server_addr,
-            ),
-            Some((seg, from)) => (
-                TcpConnection::server(tcp_cfg, spec.local_port, seg.src_port, iss),
-                from,
-            ),
+        let (state, remote_port, remote_addr) = match syn {
+            None => (TcpState::Closed, self.remote_port, self.server_addr),
+            Some((seg, from)) => (TcpState::Listen, seg.src_port, from),
         };
-        conn.set_cc(cc);
+        let tcp_cfg = self.cfg.tcp.clone();
+        let mut conn = TcpConnection::new(tcp_cfg, state, spec.local_port, remote_port, iss, cc);
         if let Some(hs) = hs {
             conn.set_handshake_options(vec![hs.to_tcp_option()]);
         }

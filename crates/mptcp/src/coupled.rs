@@ -1,10 +1,11 @@
 //! Coupled congestion control: LIA (RFC 6356), OLIA, and BALIA.
 //!
 //! This is the paper's "coupled" configuration, grown into a small zoo.
-//! Each subflow runs an instance of [`CoupledCc`] implementing the
-//! `mpwifi-tcp` congestion-control trait; instances share a
-//! [`CoupledGroup`] so the per-ACK increase of one subflow can see the
-//! windows and RTTs of its siblings.
+//! Each subflow's congestion window (`mpwifi_tcp::cc::Cwnd`, which owns
+//! slow start and loss recovery) runs a [`CoupledCc`] as its growth
+//! rule; the rules of one connection share a [`CoupledGroup`], to which
+//! each publishes every value its window settles on, so the per-ACK
+//! increase of one subflow can see the windows and RTTs of its siblings.
 //!
 //! * **LIA** (Linked Increases, RFC 6356) — what the paper measured:
 //!
@@ -32,12 +33,12 @@
 //! paper's Figures 13/14 for 1 MB flows).
 
 use mpwifi_simcore::{Dur, Time};
-use mpwifi_tcp::cc::CongestionControl;
+use mpwifi_tcp::cc::{Growth, Loss};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// MPTCP congestion-control selection: the coupled family plus the two
-/// per-subflow (decoupled) controllers from `mpwifi-tcp`.
+/// per-subflow (decoupled) rules from `mpwifi-tcp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcKind {
     /// Linked Increases (RFC 6356) — the paper's "coupled" mode.
@@ -72,26 +73,13 @@ impl CcKind {
             CcKind::Cubic => "cubic",
         }
     }
-
-    /// The coupled variant, when this kind shares state across subflows.
-    pub fn coupled(&self) -> Option<CoupledKind> {
-        match self {
-            CcKind::Lia => Some(CoupledKind::Lia),
-            CcKind::Olia => Some(CoupledKind::Olia),
-            CcKind::Balia => Some(CoupledKind::Balia),
-            CcKind::Reno | CcKind::Cubic => None,
-        }
-    }
 }
 
-/// Which coupled increase rule a [`CoupledCc`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoupledKind {
-    /// Linked Increases (RFC 6356).
+/// Which coupled law a [`CoupledCc`] runs.
+#[derive(Debug, Clone, Copy)]
+enum Law {
     Lia,
-    /// Opportunistic LIA.
     Olia,
-    /// Balanced LIA.
     Balia,
 }
 
@@ -115,9 +103,9 @@ impl CoupledGroup {
         Rc::new(RefCell::new(CoupledGroup::default()))
     }
 
-    fn register(&mut self, cwnd: u64) -> usize {
+    fn register(&mut self) -> usize {
         self.flows.push(FlowView {
-            cwnd,
+            cwnd: 0,
             srtt: Dur::from_millis(100),
             alive: true,
         });
@@ -246,58 +234,45 @@ impl CoupledGroup {
     }
 }
 
-/// One subflow's coupled controller (LIA, OLIA, or BALIA).
+/// One subflow's coupled growth rule (LIA, OLIA, or BALIA).
 #[derive(Debug)]
 pub struct CoupledCc {
     group: Rc<RefCell<CoupledGroup>>,
-    kind: CoupledKind,
+    law: Law,
     idx: usize,
-    mss: u64,
-    cwnd: u64,
-    ssthresh: u64,
     /// Fractional byte accumulator for sub-MSS increases.
     accum: f64,
 }
 
 impl CoupledCc {
-    /// Create a controller of the given kind registered in `group`.
-    pub fn new(
-        group: Rc<RefCell<CoupledGroup>>,
-        kind: CoupledKind,
-        mss: usize,
-        init_cwnd_segs: u64,
-    ) -> CoupledCc {
-        let mss = mss as u64;
-        let cwnd = mss * init_cwnd_segs;
-        let idx = group.borrow_mut().register(cwnd);
-        CoupledCc {
+    /// The coupled law `kind` names, registered as `group`'s next flow
+    /// (its window publishes itself from its first value on); `None` for
+    /// the decoupled kinds, which are rules of their own in
+    /// `mpwifi_tcp::cc`.
+    pub fn new(group: Rc<RefCell<CoupledGroup>>, kind: CcKind) -> Option<CoupledCc> {
+        let law = match kind {
+            CcKind::Lia => Law::Lia,
+            CcKind::Olia => Law::Olia,
+            CcKind::Balia => Law::Balia,
+            CcKind::Reno | CcKind::Cubic => return None,
+        };
+        let idx = group.borrow_mut().register();
+        Some(CoupledCc {
             group,
-            kind,
+            law,
             idx,
-            mss,
-            cwnd,
-            ssthresh: u64::MAX,
             accum: 0.0,
-        }
+        })
     }
 
-    fn publish(&self, rtt: Option<Dur>) {
-        let mut g = self.group.borrow_mut();
-        let f = &mut g.flows[self.idx];
-        f.cwnd = self.cwnd;
-        if let Some(r) = rtt {
-            f.srtt = r;
-        }
-    }
-
-    /// The congestion-avoidance increase in bytes for `acked` bytes.
-    fn ca_increase(&self, acked: u64) -> f64 {
-        let acked = acked as f64;
-        let mss = self.mss as f64;
-        let reno = acked * mss / self.cwnd as f64;
+    /// The congestion-avoidance increase in bytes for `acked` bytes on a
+    /// window of `cwnd`, the group already holding that `cwnd`.
+    fn ca_increase(&self, cwnd: u64, mss: u64, acked: u64) -> f64 {
+        let (cwnd, mss, acked) = (cwnd as f64, mss as f64, acked as f64);
+        let reno = acked * mss / cwnd;
         let g = self.group.borrow();
-        match self.kind {
-            CoupledKind::Lia => {
+        match self.law {
+            Law::Lia => {
                 let (alpha, total) = (g.lia_alpha(), g.total_cwnd() as f64);
                 // alpha is scale-invariant (packet units); the byte-space
                 // increase is acked * min(alpha * mss / total, mss / cwnd_r).
@@ -308,26 +283,26 @@ impl CoupledCc {
                 };
                 coupled.min(reno).max(0.0)
             }
-            CoupledKind::Olia => {
+            Law::Olia => {
                 let denom = g.rate_denom();
                 if denom <= 0.0 {
                     return 0.0;
                 }
                 let rtt = g.flows[self.idx].srtt.as_secs_f64().max(1e-4);
-                let term1 = (self.cwnd as f64 / (rtt * rtt)) / (denom * denom);
-                let term2 = g.olia_alpha(self.idx) / self.cwnd as f64;
+                let term1 = (cwnd / (rtt * rtt)) / (denom * denom);
+                let term2 = g.olia_alpha(self.idx) / cwnd;
                 // The rebalancing term can make the net increase negative
                 // for largest-window paths; clamp at zero (windows shrink
                 // only on loss) and never outgrow Reno.
                 (acked * mss * (term1 + term2)).clamp(0.0, reno)
             }
-            CoupledKind::Balia => {
+            Law::Balia => {
                 let denom = g.rate_denom();
                 if denom <= 0.0 {
                     return 0.0;
                 }
                 let rtt = g.flows[self.idx].srtt.as_secs_f64().max(1e-4);
-                let term = (self.cwnd as f64 / (rtt * rtt)) / (denom * denom);
+                let term = (cwnd / (rtt * rtt)) / (denom * denom);
                 let a = g.balia_alpha(self.idx);
                 let scaled = term * ((1.0 + a) / 2.0) * ((4.0 + a) / 5.0);
                 (acked * mss * scaled).clamp(0.0, reno)
@@ -339,9 +314,9 @@ impl CoupledCc {
     /// Reno; BALIA's cut is `α`-dependent (`min(α, 1.5)/2`) — the best
     /// path halves, disadvantaged paths cut deeper, up to 3/4.
     fn decrease_factor(&self) -> f64 {
-        match self.kind {
-            CoupledKind::Lia | CoupledKind::Olia => 0.5,
-            CoupledKind::Balia => {
+        match self.law {
+            Law::Lia | Law::Olia => 0.5,
+            Law::Balia => {
                 let a = self.group.borrow().balia_alpha(self.idx);
                 a.min(1.5) / 2.0
             }
@@ -349,72 +324,29 @@ impl CoupledCc {
     }
 }
 
-impl CongestionControl for CoupledCc {
-    fn cwnd(&self) -> u64 {
-        self.cwnd
+impl Growth for CoupledCc {
+    fn increase(&mut self, _: Time, cwnd: u64, mss: u64, acked: u64, _: Option<Dur>) -> u64 {
+        self.accum += self.ca_increase(cwnd, mss, acked);
+        let whole = self.accum.floor();
+        self.accum -= whole;
+        whole as u64
     }
 
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, _now: Time, acked: u64, _in_flight: u64, rtt: Option<Dur>) {
-        if self.cwnd < self.ssthresh {
-            // Slow start is uncoupled (RFC 6356 §3).
-            self.cwnd += acked.min(self.mss);
-            self.publish(rtt);
-            return;
-        }
-        self.publish(rtt);
-        self.accum += self.ca_increase(acked);
-        if self.accum >= 1.0 {
-            let whole = self.accum.floor();
-            self.cwnd += whole as u64;
-            self.accum -= whole;
-        }
-        self.publish(rtt);
-    }
-
-    fn on_enter_recovery(&mut self, _now: Time, in_flight: u64) {
-        let keep = 1.0 - self.decrease_factor();
-        self.ssthresh = ((in_flight as f64 * keep) as u64).max(2 * self.mss);
-        self.cwnd = self.ssthresh + 3 * self.mss;
+    fn ssthresh_after(&mut self, loss: Loss, _cwnd: u64, in_flight: u64) -> u64 {
         self.accum = 0.0;
-        self.publish(None);
+        match loss {
+            // The group still holds the window the loss found.
+            Loss::FastRecovery => (in_flight as f64 * (1.0 - self.decrease_factor())) as u64,
+            Loss::Timeout => in_flight / 2,
+        }
     }
 
-    fn on_dup_ack_in_recovery(&mut self, _now: Time) {
-        self.cwnd += self.mss;
-        self.publish(None);
-    }
-
-    fn on_partial_ack(&mut self, _now: Time, acked: u64) {
-        self.cwnd = self.cwnd.saturating_sub(acked).max(self.mss) + self.mss;
-        self.publish(None);
-    }
-
-    fn on_exit_recovery(&mut self, _now: Time) {
-        self.cwnd = self.ssthresh.max(2 * self.mss);
-        self.publish(None);
-    }
-
-    fn on_rto(&mut self, _now: Time, in_flight: u64) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-        self.cwnd = self.mss;
-        self.accum = 0.0;
-        self.publish(None);
-    }
-
-    fn set_cwnd(&mut self, cwnd: u64) {
-        self.cwnd = cwnd.max(self.mss);
-        self.publish(None);
-    }
-
-    fn name(&self) -> &'static str {
-        match self.kind {
-            CoupledKind::Lia => "lia",
-            CoupledKind::Olia => "olia",
-            CoupledKind::Balia => "balia",
+    fn observe(&mut self, cwnd: u64, rtt: Option<Dur>) {
+        let mut g = self.group.borrow_mut();
+        let f = &mut g.flows[self.idx];
+        f.cwnd = cwnd;
+        if let Some(r) = rtt {
+            f.srtt = r;
         }
     }
 }
@@ -422,6 +354,7 @@ impl CongestionControl for CoupledCc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpwifi_tcp::cc::Cwnd;
 
     const MSS: usize = 1400;
 
@@ -429,22 +362,28 @@ mod tests {
         Time::ZERO
     }
 
-    fn lia(g: &Rc<RefCell<CoupledGroup>>) -> CoupledCc {
-        CoupledCc::new(g.clone(), CoupledKind::Lia, MSS, 10)
+    /// A window of `segs` segments whose rule is `kind`'s, in `g`.
+    fn window(g: &Rc<RefCell<CoupledGroup>>, kind: CcKind, segs: u64) -> Cwnd {
+        let rule = CoupledCc::new(g.clone(), kind).expect("a coupled kind");
+        Cwnd::new(MSS, segs, Box::new(rule))
     }
 
-    fn drain_slow_start(cc: &mut CoupledCc, in_flight: u64) {
+    fn lia(g: &Rc<RefCell<CoupledGroup>>) -> Cwnd {
+        window(g, CcKind::Lia, 10)
+    }
+
+    fn drain_slow_start(cc: &mut Cwnd, in_flight: u64) {
         // Force out of slow start via a recovery episode.
-        cc.on_enter_recovery(t0(), in_flight);
-        cc.on_exit_recovery(t0());
+        cc.on_enter_recovery(in_flight);
+        cc.on_exit_recovery();
     }
 
     /// Feed one full window of MSS ACKs and return the growth in bytes.
-    fn window_of_acks(cc: &mut CoupledCc, rtt_ms: u64) -> u64 {
+    fn window_of_acks(cc: &mut Cwnd, rtt_ms: u64) -> u64 {
         let w0 = cc.cwnd();
         let mut acked = 0;
         while acked < w0 {
-            cc.on_ack(t0(), MSS as u64, w0, Some(Dur::from_millis(rtt_ms)));
+            cc.on_ack(t0(), MSS as u64, Some(Dur::from_millis(rtt_ms)));
             acked += MSS as u64;
         }
         cc.cwnd() - w0
@@ -455,7 +394,7 @@ mod tests {
         let g = CoupledGroup::shared();
         let mut cc = lia(&g);
         let w0 = cc.cwnd();
-        cc.on_ack(t0(), MSS as u64, w0, Some(Dur::from_millis(50)));
+        cc.on_ack(t0(), MSS as u64, Some(Dur::from_millis(50)));
         assert_eq!(cc.cwnd(), w0 + MSS as u64);
     }
 
@@ -476,9 +415,9 @@ mod tests {
 
     #[test]
     fn single_subflow_olia_and_balia_track_reno() {
-        for kind in [CoupledKind::Olia, CoupledKind::Balia] {
+        for kind in [CcKind::Olia, CcKind::Balia] {
             let g = CoupledGroup::shared();
-            let mut cc = CoupledCc::new(g, kind, MSS, 10);
+            let mut cc = window(&g, kind, 10);
             drain_slow_start(&mut cc, 20 * MSS as u64);
             let grown = window_of_acks(&mut cc, 50);
             let tol = MSS as u64 / 4;
@@ -491,10 +430,10 @@ mod tests {
 
     #[test]
     fn two_subflows_grow_slower_than_two_renos() {
-        for kind in [CoupledKind::Lia, CoupledKind::Olia, CoupledKind::Balia] {
+        for kind in [CcKind::Lia, CcKind::Olia, CcKind::Balia] {
             let g = CoupledGroup::shared();
-            let mut a = CoupledCc::new(g.clone(), kind, MSS, 10);
-            let mut b = CoupledCc::new(g.clone(), kind, MSS, 10);
+            let mut a = window(&g, kind, 10);
+            let mut b = window(&g, kind, 10);
             drain_slow_start(&mut a, 20 * MSS as u64);
             drain_slow_start(&mut b, 20 * MSS as u64);
             let w0 = a.cwnd() + b.cwnd();
@@ -503,8 +442,8 @@ mod tests {
             let per_flow = a.cwnd();
             let mut acked = 0;
             while acked < per_flow {
-                a.on_ack(t0(), MSS as u64, per_flow, rtt);
-                b.on_ack(t0(), MSS as u64, per_flow, rtt);
+                a.on_ack(t0(), MSS as u64, rtt);
+                b.on_ack(t0(), MSS as u64, rtt);
                 acked += MSS as u64;
             }
             let total_growth = (a.cwnd() + b.cwnd()) - w0;
@@ -528,11 +467,10 @@ mod tests {
         let mut slow = lia(&g);
         drain_slow_start(&mut fast, 20 * MSS as u64);
         drain_slow_start(&mut slow, 20 * MSS as u64);
-        let w = fast.cwnd();
         // Fast path 20 ms, slow path 200 ms: run equal ACK volume.
         for _ in 0..200 {
-            fast.on_ack(t0(), MSS as u64, w, Some(Dur::from_millis(20)));
-            slow.on_ack(t0(), MSS as u64, w, Some(Dur::from_millis(200)));
+            fast.on_ack(t0(), MSS as u64, Some(Dur::from_millis(20)));
+            slow.on_ack(t0(), MSS as u64, Some(Dur::from_millis(200)));
         }
         assert!(
             fast.cwnd() > slow.cwnd(),
@@ -545,16 +483,15 @@ mod tests {
     #[test]
     fn olia_rebalances_toward_best_path() {
         let g = CoupledGroup::shared();
-        let mut best = CoupledCc::new(g.clone(), CoupledKind::Olia, MSS, 10);
-        let mut big = CoupledCc::new(g.clone(), CoupledKind::Olia, MSS, 10);
+        let mut best = window(&g, CcKind::Olia, 10);
+        let mut big = window(&g, CcKind::Olia, 10);
+        // `big` holds the larger window (40 segments against 10) but on
+        // a much slower path, so `best` (fast path, smaller window) is
+        // the best-not-max path and must collect the positive alpha term.
         drain_slow_start(&mut best, 20 * MSS as u64);
-        drain_slow_start(&mut big, 20 * MSS as u64);
-        // `big` holds the larger window but on a much slower path, so
-        // `best` (fast path, smaller window) is the best-not-max path and
-        // must collect the positive alpha term.
-        big.set_cwnd(40 * MSS as u64);
-        big.on_ack(t0(), MSS as u64, 0, Some(Dur::from_millis(400)));
-        best.on_ack(t0(), MSS as u64, 0, Some(Dur::from_millis(20)));
+        drain_slow_start(&mut big, 80 * MSS as u64);
+        big.on_ack(t0(), MSS as u64, Some(Dur::from_millis(400)));
+        best.on_ack(t0(), MSS as u64, Some(Dur::from_millis(20)));
         let alpha_best = g.borrow().olia_alpha(0);
         let alpha_big = g.borrow().olia_alpha(1);
         assert!(alpha_best > 0.0, "best path gains: {alpha_best}");
@@ -565,26 +502,23 @@ mod tests {
     fn balia_decrease_halves_single_flow() {
         // α = 1 for a single flow, so the BALIA decrease is exactly 1/2.
         let g = CoupledGroup::shared();
-        let mut cc = CoupledCc::new(g, CoupledKind::Balia, MSS, 10);
-        cc.set_cwnd(40 * MSS as u64);
-        cc.on_enter_recovery(t0(), 40 * MSS as u64);
+        let mut cc = window(&g, CcKind::Balia, 40);
+        cc.on_enter_recovery(40 * MSS as u64);
         assert_eq!(cc.ssthresh(), 20 * MSS as u64);
     }
 
     #[test]
     fn balia_cuts_deeper_on_disadvantaged_path() {
         let g = CoupledGroup::shared();
-        let mut small = CoupledCc::new(g.clone(), CoupledKind::Balia, MSS, 10);
-        let mut big = CoupledCc::new(g.clone(), CoupledKind::Balia, MSS, 10);
         // Publish rates: `small` has a much lower x = w/rtt, so its α is
         // large and its cut min(α,1.5)/2 caps at 3/4 removed.
-        small.set_cwnd(4 * MSS as u64);
-        big.set_cwnd(40 * MSS as u64);
-        small.on_ack(t0(), MSS as u64, 0, Some(Dur::from_millis(100)));
-        big.on_ack(t0(), MSS as u64, 0, Some(Dur::from_millis(100)));
+        let mut small = window(&g, CcKind::Balia, 4);
+        let mut big = window(&g, CcKind::Balia, 40);
+        small.on_ack(t0(), MSS as u64, Some(Dur::from_millis(100)));
+        big.on_ack(t0(), MSS as u64, Some(Dur::from_millis(100)));
         let in_flight = 40 * MSS as u64;
-        small.on_enter_recovery(t0(), in_flight);
-        big.on_enter_recovery(t0(), in_flight);
+        small.on_enter_recovery(in_flight);
+        big.on_enter_recovery(in_flight);
         assert!(
             small.ssthresh() < big.ssthresh(),
             "α-capped decrease cuts deeper on the weak path: {} vs {}",
@@ -597,11 +531,10 @@ mod tests {
     #[test]
     fn decrease_is_per_subflow_halving() {
         let g = CoupledGroup::shared();
-        let mut cc = lia(&g);
-        cc.set_cwnd(40 * MSS as u64);
-        cc.on_enter_recovery(t0(), 40 * MSS as u64);
+        let mut cc = window(&g, CcKind::Lia, 40);
+        cc.on_enter_recovery(40 * MSS as u64);
         assert_eq!(cc.ssthresh(), 20 * MSS as u64);
-        cc.on_exit_recovery(t0());
+        cc.on_exit_recovery();
         assert_eq!(cc.cwnd(), 20 * MSS as u64);
     }
 
@@ -609,9 +542,8 @@ mod tests {
     fn dead_subflow_leaves_alpha() {
         let g = CoupledGroup::shared();
         let mut a = lia(&g);
-        let mut b = lia(&g);
-        b.set_cwnd(100 * MSS as u64);
-        g.borrow_mut().mark_dead_by_index(b.idx);
+        let _b = window(&g, CcKind::Lia, 100);
+        g.borrow_mut().mark_dead_by_index(1);
         drain_slow_start(&mut a, 20 * MSS as u64);
         assert_eq!(g.borrow().total_cwnd(), a.cwnd());
         // Growth now behaves like a single flow.
@@ -622,9 +554,8 @@ mod tests {
     #[test]
     fn rto_collapses_window() {
         let g = CoupledGroup::shared();
-        let mut cc = lia(&g);
-        cc.set_cwnd(50 * MSS as u64);
-        cc.on_rto(t0(), 50 * MSS as u64);
+        let mut cc = window(&g, CcKind::Lia, 50);
+        cc.on_rto(50 * MSS as u64);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert_eq!(
             g.borrow().flows[0].cwnd,
@@ -633,26 +564,74 @@ mod tests {
         );
     }
 
+    /// Each law evaluated once on a hand-written two-flow state, no ACK
+    /// loop, against the module doc's formula. Flow 0 is the best path
+    /// (highest `w/rtt²`), flow 1 holds the largest window, and no
+    /// increase is clamped by the Reno ceiling or the zero floor.
     #[test]
-    fn names_follow_kind() {
-        let g = CoupledGroup::shared();
-        assert_eq!(lia(&g).name(), "lia");
-        let g = CoupledGroup::shared();
-        assert_eq!(CoupledCc::new(g, CoupledKind::Olia, MSS, 10).name(), "olia");
-        let g = CoupledGroup::shared();
-        assert_eq!(
-            CoupledCc::new(g, CoupledKind::Balia, MSS, 10).name(),
-            "balia"
-        );
+    fn laws_match_their_formulas_on_a_two_flow_state() {
+        let mss = MSS as f64;
+        let w = [4.0 * mss, 60.0 * mss];
+        let rtt = [Dur::from_millis(20), Dur::from_millis(100)];
+        let r = rtt.map(|d| d.as_secs_f64());
+        let rules = |kind| {
+            let g = CoupledGroup::shared();
+            let rules = [0, 1].map(|i| {
+                let mut rule = CoupledCc::new(g.clone(), kind).expect("a coupled kind");
+                rule.observe(w[i] as u64, Some(rtt[i]));
+                rule
+            });
+            (g, rules)
+        };
+        // Bytes one ACKed MSS adds to flow `i`.
+        let grow = |rules: &[CoupledCc; 2], i: usize| {
+            rules[i].ca_increase(w[i] as u64, MSS as u64, MSS as u64)
+        };
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+        let x = [w[0] / r[0], w[1] / r[1]];
+        let rate_sq = (x[0] + x[1]).powi(2);
+        let base = [0, 1].map(|i| w[i] / (r[i] * r[i]) / rate_sq);
+
+        // LIA: alpha = total · max_r(w_r/rtt_r²) / (Σ w_r/rtt_r)².
+        let (g, lia) = rules(CcKind::Lia);
+        let alpha = (w[0] + w[1]) * (w[0] / (r[0] * r[0])) / rate_sq;
+        assert!(close(g.borrow().lia_alpha(), alpha));
+        for i in [0, 1] {
+            let want = alpha * mss * mss / (w[0] + w[1]);
+            assert!(close(grow(&lia, i), want), "lia flow {i}");
+        }
+
+        // OLIA: the best-not-largest path collects +1/(|B∖M|·n), the
+        // largest-window path cedes −1/(|M|·n); the split sums to zero.
+        let (g, olia) = rules(CcKind::Olia);
+        let alphas = [0, 1].map(|i| g.borrow().olia_alpha(i));
+        assert_eq!(alphas, [0.5, -0.5]);
+        for i in [0, 1] {
+            let want = mss * mss * (base[i] + alphas[i] / w[i]);
+            assert!(close(grow(&olia, i), want), "olia flow {i}");
+        }
+
+        // BALIA: α_r = max_k(x_k)/x_r scales the base term by
+        // ((1+α)/2)·((4+α)/5) and sets the cut to min(α, 1.5)/2.
+        let (g, balia) = rules(CcKind::Balia);
+        let alphas = [x[1] / x[0], 1.0];
+        for i in [0, 1] {
+            let a = alphas[i];
+            assert!(close(g.borrow().balia_alpha(i), a));
+            let want = mss * mss * base[i] * ((1.0 + a) / 2.0) * ((4.0 + a) / 5.0);
+            assert!(close(grow(&balia, i), want), "balia flow {i}");
+        }
+        assert_eq!(balia[0].decrease_factor(), 0.75, "α = 3 caps at 1.5");
+        assert_eq!(balia[1].decrease_factor(), 0.5, "the best path halves");
     }
 
     #[test]
     fn cc_kind_labels_and_coupling() {
         let labels: Vec<_> = CcKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels, vec!["lia", "olia", "balia", "reno", "cubic"]);
-        assert_eq!(CcKind::Lia.coupled(), Some(CoupledKind::Lia));
-        assert_eq!(CcKind::Balia.coupled(), Some(CoupledKind::Balia));
-        assert_eq!(CcKind::Reno.coupled(), None);
-        assert_eq!(CcKind::Cubic.coupled(), None);
+        let g = CoupledGroup::shared();
+        let coupled = CcKind::ALL.map(|k| CoupledCc::new(g.clone(), k).is_some());
+        assert_eq!(coupled, [true, true, true, false, false]);
+        assert_eq!(g.borrow().len(), 3, "only a coupled law registers");
     }
 }

@@ -44,7 +44,7 @@ pub mod path;
 pub mod sched;
 
 pub use conn::{MptcpConfig, MptcpConnection, SchedProgress, SubflowStats};
-pub use coupled::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
+pub use coupled::{CcKind, CoupledCc, CoupledGroup};
 pub use endpoint::{ClientEndpoint, ServerEndpoint};
 pub use options::{token_from_key, MpOption};
 pub use path::{BackupActivation, Mode};

@@ -11,15 +11,15 @@
 //! float accumulator and the order in which a coupled window publishes
 //! to its group. Only [`Win`], the driver, names the controller API.
 
-use mpwifi_mptcp::{CcKind, CoupledCc, CoupledGroup, CoupledKind};
+use mpwifi_mptcp::{CcKind, CoupledCc, CoupledGroup};
 use mpwifi_simcore::{Dur, Fnv1a, Time};
-use mpwifi_tcp::cc::{CongestionControl, CubicCc, RenoCc};
+use mpwifi_tcp::cc::{Cubic, Cwnd, Growth, Reno};
 
 const MSS: u64 = 1400;
 const INIT_SEGS: u64 = 10;
 
 /// One congestion window under test.
-struct Win(Box<dyn CongestionControl>);
+struct Win(Cwnd);
 
 impl Win {
     /// Two windows of `kind`, coupled through one group where the kind
@@ -27,17 +27,12 @@ impl Win {
     fn pair(kind: CcKind) -> [Win; 2] {
         let group = CoupledGroup::shared();
         [(); 2].map(|()| {
-            let coupled = |k| {
-                Box::new(CoupledCc::new(group.clone(), k, MSS as usize, INIT_SEGS))
-                    as Box<dyn CongestionControl>
+            let rule: Box<dyn Growth> = match CoupledCc::new(group.clone(), kind) {
+                Some(law) => Box::new(law),
+                None if kind == CcKind::Cubic => Box::new(Cubic::default()),
+                None => Box::new(Reno::default()),
             };
-            Win(match kind {
-                CcKind::Lia => coupled(CoupledKind::Lia),
-                CcKind::Olia => coupled(CoupledKind::Olia),
-                CcKind::Balia => coupled(CoupledKind::Balia),
-                CcKind::Reno => Box::new(RenoCc::new(MSS as usize, INIT_SEGS)),
-                CcKind::Cubic => Box::new(CubicCc::new(MSS as usize, INIT_SEGS)),
-            })
+            Win(Cwnd::new(MSS as usize, INIT_SEGS, rule))
         })
     }
 
@@ -46,30 +41,29 @@ impl Win {
     }
 
     fn ack(&mut self, now: Time, acked: u64, rtt: Dur) {
+        self.0.on_ack(now, acked, Some(rtt));
+    }
+
+    fn enter_recovery(&mut self) {
         let in_flight = self.0.cwnd();
-        self.0.on_ack(now, acked, in_flight, Some(rtt));
+        self.0.on_enter_recovery(in_flight);
     }
 
-    fn enter_recovery(&mut self, now: Time) {
-        let in_flight = self.0.cwnd();
-        self.0.on_enter_recovery(now, in_flight);
+    fn dup_ack(&mut self) {
+        self.0.on_dup_ack_in_recovery();
     }
 
-    fn dup_ack(&mut self, now: Time) {
-        self.0.on_dup_ack_in_recovery(now);
+    fn partial_ack(&mut self, acked: u64) {
+        self.0.on_partial_ack(acked);
     }
 
-    fn partial_ack(&mut self, now: Time, acked: u64) {
-        self.0.on_partial_ack(now, acked);
+    fn exit_recovery(&mut self) {
+        self.0.on_exit_recovery();
     }
 
-    fn exit_recovery(&mut self, now: Time) {
-        self.0.on_exit_recovery(now);
-    }
-
-    fn timeout(&mut self, now: Time) {
+    fn timeout(&mut self) {
         let in_flight = self.0.cwnd() / 2;
-        self.0.on_rto(now, in_flight);
+        self.0.on_rto(in_flight);
     }
 }
 
@@ -121,22 +115,22 @@ fn script(kind: CcKind) -> ([Pair; 8], u64) {
     phases.push(run.pair());
     // 2. Third duplicate ACK with a full window in flight.
     for i in 0..2 {
-        run.step(i, |w, now, _| w.enter_recovery(now));
+        run.step(i, |w, _, _| w.enter_recovery());
     }
     phases.push(run.pair());
     // 3. Three further duplicate ACKs.
     for i in [0, 1, 0, 1, 0, 1] {
-        run.step(i, |w, now, _| w.dup_ack(now));
+        run.step(i, |w, _, _| w.dup_ack());
     }
     phases.push(run.pair());
     // 4. A partial ACK of two segments.
     for i in 0..2 {
-        run.step(i, |w, now, _| w.partial_ack(now, 2 * MSS));
+        run.step(i, |w, _, _| w.partial_ack(2 * MSS));
     }
     phases.push(run.pair());
     // 5. The recovery point is ACKed.
     for i in 0..2 {
-        run.step(i, |w, now, _| w.exit_recovery(now));
+        run.step(i, |w, _, _| w.exit_recovery());
     }
     phases.push(run.pair());
     // 6. Congestion avoidance: 300 ACKs alternating between the windows.
@@ -146,7 +140,7 @@ fn script(kind: CcKind) -> ([Pair; 8], u64) {
     phases.push(run.pair());
     // 7. The second window times out with half a window in flight (a
     //    rule that reads `cwnd` here and one that reads `in_flight` part).
-    run.step(1, |w, now, _| w.timeout(now));
+    run.step(1, |w, _, _| w.timeout());
     phases.push(run.pair());
     // 8. 60 more ACKs: the second window slow-starts back past its
     //    threshold beside the first's congestion avoidance.

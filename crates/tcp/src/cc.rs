@@ -1,166 +1,189 @@
-//! Congestion control.
+//! Congestion control: one window, one growth rule per controller.
 //!
-//! The connection drives a [`CongestionControl`] implementation through
-//! ACK / loss / timeout events and reads back the window. Two standard
-//! controllers live here:
+//! [`Cwnd`] is the congestion window every connection holds. It owns
+//! what all controllers share — slow start, the threshold floor and the
+//! NewReno recovery choreography (inflate on entry, per duplicate ACK,
+//! deflate on a partial ACK, settle on exit, collapse on a timeout) —
+//! and asks its [`Growth`] rule the two questions on which they differ:
+//! how many bytes an ACK adds in congestion avoidance, and where the
+//! threshold lands after a [`Loss`]. Two rules live here:
 //!
-//! * [`RenoCc`] — slow start plus AIMD congestion avoidance with NewReno
-//!   recovery hooks. This is what the paper's *decoupled* MPTCP mode runs
-//!   per subflow ("the decoupled congestion control uses TCP Reno for
-//!   each subflow", footnote 5).
-//! * [`CubicCc`] — CUBIC, the Linux default the paper's single-path TCP
-//!   measurements ran on.
+//! * [`Reno`] — AIMD (RFC 5681). This is what the paper's *decoupled*
+//!   MPTCP mode runs per subflow ("the decoupled congestion control uses
+//!   TCP Reno for each subflow", footnote 5).
+//! * [`Cubic`] — CUBIC (RFC 8312), the Linux default the paper's
+//!   single-path TCP measurements ran on.
 //!
-//! The *coupled* (LIA, RFC 6356) controller lives in `mpwifi-mptcp`
-//! because it needs cross-subflow state; it implements this same trait.
+//! The *coupled* rules (LIA, OLIA, BALIA) live in `mpwifi-mptcp` because
+//! they need cross-subflow state; they are rules of this same window and
+//! learn of its every value through [`Growth::observe`].
 
 use mpwifi_simcore::{Dur, Time};
 
-/// Which built-in controller to instantiate.
+/// Which built-in rule a plain TCP connection's window runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcKind {
-    /// Slow start + AIMD (RFC 5681) with NewReno recovery.
+    /// AIMD (RFC 5681).
     Reno,
     /// CUBIC (RFC 8312).
     Cubic,
 }
 
-/// Interface between a TCP connection and its congestion controller.
-/// All byte quantities are in bytes (not segments).
-pub trait CongestionControl: std::fmt::Debug {
-    /// Current congestion window in bytes.
-    fn cwnd(&self) -> u64;
-
-    /// Current slow-start threshold in bytes.
-    fn ssthresh(&self) -> u64;
-
-    /// A cumulative ACK advanced the window by `acked` bytes.
-    /// `in_flight` is the outstanding byte count *before* this ACK.
-    fn on_ack(&mut self, now: Time, acked: u64, in_flight: u64, rtt: Option<Dur>);
-
-    /// Entering fast recovery (third duplicate ACK). `in_flight` is the
-    /// outstanding byte count at detection.
-    fn on_enter_recovery(&mut self, now: Time, in_flight: u64);
-
-    /// A further duplicate ACK while in recovery (window inflation).
-    fn on_dup_ack_in_recovery(&mut self, now: Time);
-
-    /// A partial ACK in recovery retransmitted the next hole; deflate.
-    fn on_partial_ack(&mut self, now: Time, acked: u64);
-
-    /// Recovery completed (the recovery point was cumulatively ACKed).
-    fn on_exit_recovery(&mut self, now: Time);
-
-    /// Retransmission timeout fired.
-    fn on_rto(&mut self, now: Time, in_flight: u64);
-
-    /// Directly overwrite the window (used by tests and by the MPTCP
-    /// coupled controller's bookkeeping).
-    fn set_cwnd(&mut self, cwnd: u64);
-
-    /// Controller name for logs.
-    fn name(&self) -> &'static str;
-}
-
-/// Construct a boxed controller of the given kind.
-pub fn build(kind: CcKind, mss: usize, init_cwnd_segs: u64) -> Box<dyn CongestionControl> {
-    match kind {
-        CcKind::Reno => Box::new(RenoCc::new(mss, init_cwnd_segs)),
-        CcKind::Cubic => Box::new(CubicCc::new(mss, init_cwnd_segs)),
+impl CcKind {
+    pub(crate) fn rule(self) -> Box<dyn Growth> {
+        match self {
+            CcKind::Reno => Box::new(Reno::default()),
+            CcKind::Cubic => Box::new(Cubic::default()),
+        }
     }
 }
 
-/// Slow start + AIMD with NewReno recovery (RFC 5681 / 6582).
+/// The two ways a window learns of a loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Loss {
+    /// The third duplicate ACK: fast retransmit, then fast recovery.
+    FastRecovery,
+    /// The retransmission timer fired.
+    Timeout,
+}
+
+/// What distinguishes one congestion controller from another. All
+/// quantities are bytes.
+pub trait Growth: std::fmt::Debug {
+    /// Bytes to add to `cwnd` for `acked` newly ACKed bytes in congestion
+    /// avoidance (slow start is the window's own).
+    fn increase(&mut self, now: Time, cwnd: u64, mss: u64, acked: u64, rtt: Option<Dur>) -> u64;
+
+    /// Where the slow-start threshold lands after `loss`, detected with
+    /// `in_flight` bytes outstanding (the window floors the answer at two
+    /// segments). A rule also forgets here what it accumulated toward
+    /// its next increase.
+    fn ssthresh_after(&mut self, loss: Loss, cwnd: u64, in_flight: u64) -> u64;
+
+    /// The window now stands at `cwnd`; `rtt` is the smoothed RTT an ACK
+    /// brought with it. Called with every value the window settles on,
+    /// and on an ACK also before [`Growth::increase`] is asked.
+    fn observe(&mut self, _cwnd: u64, _rtt: Option<Dur>) {}
+}
+
+/// A congestion window: slow start and NewReno recovery (RFC 5681 /
+/// 6582) around a [`Growth`] rule.
 #[derive(Debug)]
-pub struct RenoCc {
+pub struct Cwnd {
     mss: u64,
     cwnd: u64,
     ssthresh: u64,
-    /// Fractional-increase accumulator for congestion avoidance.
-    acked_accum: u64,
+    rule: Box<dyn Growth>,
 }
 
-impl RenoCc {
-    /// Standard Reno with the given MSS and initial window (in segments).
-    pub fn new(mss: usize, init_cwnd_segs: u64) -> RenoCc {
+impl Cwnd {
+    /// A window of `init_cwnd_segs` segments with no threshold yet.
+    pub fn new(mss: usize, init_cwnd_segs: u64, rule: Box<dyn Growth>) -> Cwnd {
         let mss = mss as u64;
-        RenoCc {
+        let mut w = Cwnd {
             mss,
-            cwnd: mss * init_cwnd_segs,
+            cwnd: 0,
             ssthresh: u64::MAX,
-            acked_accum: 0,
-        }
+            rule,
+        };
+        w.settle(mss * init_cwnd_segs);
+        w
     }
 
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-}
-
-impl CongestionControl for RenoCc {
-    fn cwnd(&self) -> u64 {
+    /// Current congestion window in bytes.
+    pub fn cwnd(&self) -> u64 {
         self.cwnd
     }
 
-    fn ssthresh(&self) -> u64 {
+    /// Current slow-start threshold in bytes.
+    pub fn ssthresh(&self) -> u64 {
         self.ssthresh
     }
 
-    fn on_ack(&mut self, _now: Time, acked: u64, _in_flight: u64, _rtt: Option<Dur>) {
-        if self.in_slow_start() {
-            // Grow by the ACKed bytes, at most one MSS per ACK (RFC 5681).
-            self.cwnd += acked.min(self.mss);
+    fn settle(&mut self, cwnd: u64) {
+        self.cwnd = cwnd;
+        self.rule.observe(cwnd, None);
+    }
+
+    fn lose(&mut self, loss: Loss, in_flight: u64) {
+        let landed = self.rule.ssthresh_after(loss, self.cwnd, in_flight);
+        self.ssthresh = landed.max(2 * self.mss);
+    }
+
+    /// A cumulative ACK outside recovery advanced the window by `acked`
+    /// bytes; `rtt` is the connection's smoothed RTT.
+    pub fn on_ack(&mut self, now: Time, acked: u64, rtt: Option<Dur>) {
+        self.rule.observe(self.cwnd, rtt);
+        let grown = if self.cwnd < self.ssthresh {
+            // Slow start: the ACKed bytes, at most one MSS per ACK
+            // (RFC 5681); uncoupled under every rule (RFC 6356 §3).
+            acked.min(self.mss)
         } else {
-            // cwnd += mss * mss / cwnd per ACK, accumulated exactly.
-            self.acked_accum += acked;
-            if self.acked_accum >= self.cwnd {
-                self.acked_accum -= self.cwnd;
-                self.cwnd += self.mss;
-            }
+            self.rule.increase(now, self.cwnd, self.mss, acked, rtt)
+        };
+        self.settle(self.cwnd + grown);
+    }
+
+    /// Entering fast recovery (third duplicate ACK) with `in_flight`
+    /// bytes outstanding.
+    pub fn on_enter_recovery(&mut self, in_flight: u64) {
+        self.lose(Loss::FastRecovery, in_flight);
+        // NewReno: the three duplicate ACKs each signal a departure.
+        self.settle(self.ssthresh + 3 * self.mss);
+    }
+
+    /// A further duplicate ACK while in recovery (window inflation).
+    pub fn on_dup_ack_in_recovery(&mut self) {
+        self.settle(self.cwnd + self.mss);
+    }
+
+    /// A partial ACK in recovery retransmitted the next hole: deflate by
+    /// the ACKed amount, re-inflate by one segment.
+    pub fn on_partial_ack(&mut self, acked: u64) {
+        self.settle(self.cwnd.saturating_sub(acked).max(self.mss) + self.mss);
+    }
+
+    /// Recovery completed (the recovery point was cumulatively ACKed).
+    pub fn on_exit_recovery(&mut self) {
+        self.settle(self.ssthresh.max(2 * self.mss));
+    }
+
+    /// The retransmission timer fired with `in_flight` bytes outstanding.
+    pub fn on_rto(&mut self, in_flight: u64) {
+        self.lose(Loss::Timeout, in_flight);
+        self.settle(self.mss);
+    }
+}
+
+/// AIMD congestion avoidance (RFC 5681): one MSS per window of ACKs,
+/// half the flight after a loss.
+#[derive(Debug, Default)]
+pub struct Reno {
+    /// ACKed bytes not yet turned into an increase.
+    acked_accum: u64,
+}
+
+impl Growth for Reno {
+    fn increase(&mut self, _: Time, cwnd: u64, mss: u64, acked: u64, _: Option<Dur>) -> u64 {
+        // cwnd += mss * mss / cwnd per ACK, accumulated exactly.
+        self.acked_accum += acked;
+        if self.acked_accum >= cwnd {
+            self.acked_accum -= cwnd;
+            mss
+        } else {
+            0
         }
     }
 
-    fn on_enter_recovery(&mut self, _now: Time, in_flight: u64) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-        // NewReno: cwnd = ssthresh + 3 segments (the three dup ACKs).
-        self.cwnd = self.ssthresh + 3 * self.mss;
+    fn ssthresh_after(&mut self, _: Loss, _cwnd: u64, in_flight: u64) -> u64 {
         self.acked_accum = 0;
-    }
-
-    fn on_dup_ack_in_recovery(&mut self, _now: Time) {
-        self.cwnd += self.mss;
-    }
-
-    fn on_partial_ack(&mut self, _now: Time, acked: u64) {
-        // Deflate by the ACKed amount, re-inflate by one segment.
-        self.cwnd = self.cwnd.saturating_sub(acked).max(self.mss) + self.mss;
-    }
-
-    fn on_exit_recovery(&mut self, _now: Time) {
-        self.cwnd = self.ssthresh.max(2 * self.mss);
-    }
-
-    fn on_rto(&mut self, _now: Time, in_flight: u64) {
-        self.ssthresh = (in_flight / 2).max(2 * self.mss);
-        self.cwnd = self.mss;
-        self.acked_accum = 0;
-    }
-
-    fn set_cwnd(&mut self, cwnd: u64) {
-        self.cwnd = cwnd.max(self.mss);
-    }
-
-    fn name(&self) -> &'static str {
-        "reno"
+        in_flight / 2
     }
 }
 
 /// CUBIC (RFC 8312), with the TCP-friendly region.
-#[derive(Debug)]
-pub struct CubicCc {
-    mss: u64,
-    cwnd: u64,
-    ssthresh: u64,
+#[derive(Debug, Default)]
+pub struct Cubic {
     /// Window size before the last reduction, in bytes.
     w_max: f64,
     /// Start of the current congestion-avoidance epoch.
@@ -177,116 +200,45 @@ const CUBIC_C: f64 = 0.4;
 /// Multiplicative decrease factor.
 const CUBIC_BETA: f64 = 0.7;
 
-impl CubicCc {
-    /// CUBIC with the given MSS and initial window (in segments).
-    pub fn new(mss: usize, init_cwnd_segs: u64) -> CubicCc {
-        let mss = mss as u64;
-        CubicCc {
-            mss,
-            cwnd: mss * init_cwnd_segs,
-            ssthresh: u64::MAX,
-            w_max: 0.0,
-            epoch_start: None,
-            k: 0.0,
-            w_est: 0.0,
-            acked_accum_est: 0,
-        }
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn begin_epoch(&mut self, now: Time) {
-        self.epoch_start = Some(now);
-        let cwnd_seg = self.cwnd as f64 / self.mss as f64;
-        let w_max_seg = (self.w_max / self.mss as f64).max(cwnd_seg);
-        self.k = ((w_max_seg - cwnd_seg) / CUBIC_C).cbrt();
-        self.w_est = self.cwnd as f64;
-        self.acked_accum_est = 0;
-    }
-
-    fn reduce(&mut self) {
-        self.w_max = self.cwnd as f64;
-        let reduced = (self.cwnd as f64 * CUBIC_BETA) as u64;
-        self.ssthresh = reduced.max(2 * self.mss);
-        self.cwnd = self.ssthresh;
-        self.epoch_start = None;
-    }
-}
-
-impl CongestionControl for CubicCc {
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, now: Time, acked: u64, _in_flight: u64, rtt: Option<Dur>) {
-        if self.in_slow_start() {
-            self.cwnd += acked.min(self.mss);
-            return;
-        }
-        if self.epoch_start.is_none() {
-            self.begin_epoch(now);
-        }
-        let t = (now - self.epoch_start.unwrap()).as_secs_f64();
+impl Growth for Cubic {
+    fn increase(&mut self, now: Time, cwnd: u64, mss: u64, acked: u64, rtt: Option<Dur>) -> u64 {
+        let (cwnd, mss) = (cwnd as f64, mss as f64);
+        let epoch_start = *self.epoch_start.get_or_insert_with(|| {
+            let cwnd_seg = cwnd / mss;
+            let w_max_seg = (self.w_max / mss).max(cwnd_seg);
+            self.k = ((w_max_seg - cwnd_seg) / CUBIC_C).cbrt();
+            self.w_est = cwnd;
+            self.acked_accum_est = 0;
+            now
+        });
+        let t = (now - epoch_start).as_secs_f64();
         // Cubic target at t + one RTT, in segments.
         let rtt_s = rtt.map(|d| d.as_secs_f64()).unwrap_or(0.1);
-        let w_max_seg = self.w_max / self.mss as f64;
+        let w_max_seg = self.w_max / mss;
         let target_seg = CUBIC_C * (t + rtt_s - self.k).powi(3) + w_max_seg;
-        let target = (target_seg * self.mss as f64).max(self.mss as f64);
+        let target = (target_seg * mss).max(mss);
 
         // TCP-friendly Reno estimate: grows like Reno.
         self.acked_accum_est += acked;
         if self.acked_accum_est as f64 >= self.w_est {
             self.acked_accum_est = (self.acked_accum_est as f64 - self.w_est).max(0.0) as u64;
-            self.w_est += self.mss as f64;
+            self.w_est += mss;
         }
 
         let goal = target.max(self.w_est);
-        if goal > self.cwnd as f64 {
-            // Approach the target over roughly one RTT: standard CUBIC
-            // increases by (target - cwnd) / cwnd per ACKed MSS.
-            let step = (goal - self.cwnd as f64) / (self.cwnd as f64 / self.mss as f64);
-            let inc = (step * (acked as f64 / self.mss as f64)).max(0.0);
-            self.cwnd += inc as u64;
+        if goal <= cwnd {
+            return 0;
         }
+        // Approach the target over roughly one RTT: standard CUBIC
+        // increases by (target - cwnd) / cwnd per ACKed MSS.
+        let step = (goal - cwnd) / (cwnd / mss);
+        (step * (acked as f64 / mss)).max(0.0) as u64
     }
 
-    fn on_enter_recovery(&mut self, _now: Time, _in_flight: u64) {
-        self.reduce();
-        // Keep 3 segments of inflation like NewReno for hole-filling.
-        self.cwnd = self.ssthresh + 3 * self.mss;
-    }
-
-    fn on_dup_ack_in_recovery(&mut self, _now: Time) {
-        self.cwnd += self.mss;
-    }
-
-    fn on_partial_ack(&mut self, _now: Time, acked: u64) {
-        self.cwnd = self.cwnd.saturating_sub(acked).max(self.mss) + self.mss;
-    }
-
-    fn on_exit_recovery(&mut self, _now: Time) {
-        self.cwnd = self.ssthresh.max(2 * self.mss);
-    }
-
-    fn on_rto(&mut self, _now: Time, _in_flight: u64) {
-        self.w_max = self.cwnd as f64;
-        self.ssthresh = ((self.cwnd as f64 * CUBIC_BETA) as u64).max(2 * self.mss);
-        self.cwnd = self.mss;
+    fn ssthresh_after(&mut self, _: Loss, cwnd: u64, _in_flight: u64) -> u64 {
+        self.w_max = cwnd as f64;
         self.epoch_start = None;
-    }
-
-    fn set_cwnd(&mut self, cwnd: u64) {
-        self.cwnd = cwnd.max(self.mss);
-    }
-
-    fn name(&self) -> &'static str {
-        "cubic"
+        (cwnd as f64 * CUBIC_BETA) as u64
     }
 }
 
@@ -300,21 +252,29 @@ mod tests {
         Time::from_millis(ms)
     }
 
+    fn reno(init_cwnd_segs: u64) -> Cwnd {
+        Cwnd::new(MSS, init_cwnd_segs, Box::new(Reno::default()))
+    }
+
+    fn cubic(init_cwnd_segs: u64) -> Cwnd {
+        Cwnd::new(MSS, init_cwnd_segs, Box::new(Cubic::default()))
+    }
+
     #[test]
     fn reno_starts_at_initial_window() {
-        let cc = RenoCc::new(MSS, 10);
+        let cc = reno(10);
         assert_eq!(cc.cwnd(), 14_000);
-        assert_eq!(cc.name(), "reno");
+        assert_eq!(cc.ssthresh(), u64::MAX);
     }
 
     #[test]
     fn reno_slow_start_doubles_per_rtt() {
-        let mut cc = RenoCc::new(MSS, 10);
+        let mut cc = reno(10);
         let start = cc.cwnd();
         // ACK a full window's worth of MSS-sized segments.
         let mut acked = 0;
         while acked < start {
-            cc.on_ack(t(10), MSS as u64, start, None);
+            cc.on_ack(t(10), MSS as u64, None);
             acked += MSS as u64;
         }
         assert_eq!(cc.cwnd(), 2 * start, "slow start doubles each RTT");
@@ -322,15 +282,15 @@ mod tests {
 
     #[test]
     fn reno_congestion_avoidance_linear() {
-        let mut cc = RenoCc::new(MSS, 10);
-        cc.on_enter_recovery(t(0), 20 * MSS as u64); // ssthresh = 10 MSS
-        cc.on_exit_recovery(t(1));
+        let mut cc = reno(10);
+        cc.on_enter_recovery(20 * MSS as u64); // ssthresh = 10 MSS
+        cc.on_exit_recovery();
         let w0 = cc.cwnd();
         assert_eq!(w0, 10 * MSS as u64);
         // One full window of ACKs grows cwnd by exactly one MSS.
         let mut acked = 0;
         while acked < w0 {
-            cc.on_ack(t(10), MSS as u64, w0, None);
+            cc.on_ack(t(10), MSS as u64, None);
             acked += MSS as u64;
         }
         assert_eq!(cc.cwnd(), w0 + MSS as u64);
@@ -338,48 +298,45 @@ mod tests {
 
     #[test]
     fn reno_recovery_halves_window() {
-        let mut cc = RenoCc::new(MSS, 10);
+        let mut cc = reno(40);
         let in_flight = 40 * MSS as u64;
-        cc.set_cwnd(in_flight);
-        cc.on_enter_recovery(t(0), in_flight);
+        cc.on_enter_recovery(in_flight);
         assert_eq!(cc.ssthresh(), in_flight / 2);
         assert_eq!(cc.cwnd(), in_flight / 2 + 3 * MSS as u64);
-        cc.on_dup_ack_in_recovery(t(1));
+        cc.on_dup_ack_in_recovery();
         assert_eq!(cc.cwnd(), in_flight / 2 + 4 * MSS as u64);
-        cc.on_exit_recovery(t(2));
+        cc.on_exit_recovery();
         assert_eq!(cc.cwnd(), in_flight / 2);
     }
 
     #[test]
     fn reno_rto_collapses_to_one_mss() {
-        let mut cc = RenoCc::new(MSS, 10);
-        cc.set_cwnd(100 * MSS as u64);
-        cc.on_rto(t(0), 100 * MSS as u64);
+        let mut cc = reno(100);
+        cc.on_rto(100 * MSS as u64);
         assert_eq!(cc.cwnd(), MSS as u64);
         assert_eq!(cc.ssthresh(), 50 * MSS as u64);
     }
 
     #[test]
     fn reno_ssthresh_floor_two_mss() {
-        let mut cc = RenoCc::new(MSS, 10);
-        cc.on_rto(t(0), 100); // tiny in-flight
+        let mut cc = reno(10);
+        cc.on_rto(100); // tiny in-flight
         assert_eq!(cc.ssthresh(), 2 * MSS as u64);
     }
 
     #[test]
     fn cubic_slow_start_then_concave_growth() {
-        let mut cc = CubicCc::new(MSS, 10);
         // Force out of slow start with a loss at 100 segments.
-        cc.set_cwnd(100 * MSS as u64);
-        cc.on_enter_recovery(t(0), 100 * MSS as u64);
-        cc.on_exit_recovery(t(1));
+        let mut cc = cubic(100);
+        cc.on_enter_recovery(100 * MSS as u64);
+        cc.on_exit_recovery();
         let after_loss = cc.cwnd();
         assert_eq!(after_loss, (100.0 * MSS as f64 * 0.7) as u64);
         // Feed ACKs over simulated time; the window should recover toward
         // w_max (concave region) without exceeding it wildly early.
         let mut now = 10u64;
         for _ in 0..2000 {
-            cc.on_ack(t(now), MSS as u64, cc.cwnd(), Some(Dur::from_millis(50)));
+            cc.on_ack(t(now), MSS as u64, Some(Dur::from_millis(50)));
             now += 2;
         }
         let w = cc.cwnd() as f64 / MSS as f64;
@@ -388,23 +345,25 @@ mod tests {
 
     #[test]
     fn cubic_reduction_factor_is_point_seven() {
-        let mut cc = CubicCc::new(MSS, 10);
-        cc.set_cwnd(100 * MSS as u64);
-        cc.on_enter_recovery(t(0), 100 * MSS as u64);
+        let mut cc = cubic(100);
+        cc.on_enter_recovery(100 * MSS as u64);
         let expect = (100.0 * MSS as f64 * 0.7) as u64;
         assert_eq!(cc.ssthresh(), expect);
     }
 
     #[test]
     fn build_constructs_requested_kind() {
-        assert_eq!(build(CcKind::Reno, MSS, 10).name(), "reno");
-        assert_eq!(build(CcKind::Cubic, MSS, 10).name(), "cubic");
-    }
-
-    #[test]
-    fn set_cwnd_floors_at_one_mss() {
-        let mut cc = RenoCc::new(MSS, 10);
-        cc.set_cwnd(1);
-        assert_eq!(cc.cwnd(), MSS as u64);
+        // With a quarter of the window in flight the two rules part:
+        // Reno halves the flight, CUBIC takes 0.7 of the window.
+        let after_timeout = |kind: CcKind| {
+            let mut cc = Cwnd::new(MSS, 100, kind.rule());
+            cc.on_rto(25 * MSS as u64);
+            cc.ssthresh()
+        };
+        assert_eq!(after_timeout(CcKind::Reno), 25 * MSS as u64 / 2);
+        assert_eq!(
+            after_timeout(CcKind::Cubic),
+            (100.0 * MSS as f64 * 0.7) as u64
+        );
     }
 }

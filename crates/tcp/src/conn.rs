@@ -12,7 +12,7 @@
 //! sequence numbers exist only at the segment boundary.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
-use crate::cc::{self, CongestionControl};
+use crate::cc::{self, Cwnd};
 use crate::rtt::RttEstimator;
 use crate::segment::{Flags, Segment, TcpOption};
 use bytes::Bytes;
@@ -68,8 +68,9 @@ pub struct TcpConfig {
     pub max_rto: Dur,
     /// Give up after this many consecutive retransmissions.
     pub max_retries: u32,
-    /// Congestion controller to build (replaceable via
-    /// [`TcpConnection::set_cc`]).
+    /// Growth rule of the congestion window [`TcpConnection::client`] and
+    /// [`TcpConnection::server`] build ([`TcpConnection::new`] is handed
+    /// its window and does not read this).
     pub cc: cc::CcKind,
     /// TIME_WAIT linger. Kept short by default so simulations end promptly;
     /// the value does not affect any measured quantity.
@@ -191,7 +192,7 @@ pub struct TcpConnection {
     probe_backoff: u32,
 
     // ---- machinery ----
-    cc: Box<dyn CongestionControl>,
+    cc: Cwnd,
     rtt: RttEstimator,
     tx: VecDeque<Segment>,
     /// Extra options attached to our SYN / SYN-ACK (MPTCP handshake).
@@ -212,23 +213,28 @@ impl TcpConnection {
     /// Create the active-opening end. Call [`TcpConnection::open`] to send
     /// the SYN.
     pub fn client(cfg: TcpConfig, local_port: u16, remote_port: u16, iss: u32) -> TcpConnection {
-        Self::new(cfg, TcpState::Closed, local_port, remote_port, iss)
+        let cc = Cwnd::new(cfg.mss, cfg.init_cwnd_segs, cfg.cc.rule());
+        Self::new(cfg, TcpState::Closed, local_port, remote_port, iss, cc)
     }
 
     /// Create the passive-opening end; feed it the incoming SYN via
     /// [`TcpConnection::on_segment`].
     pub fn server(cfg: TcpConfig, local_port: u16, remote_port: u16, iss: u32) -> TcpConnection {
-        Self::new(cfg, TcpState::Listen, local_port, remote_port, iss)
+        let cc = Cwnd::new(cfg.mss, cfg.init_cwnd_segs, cfg.cc.rule());
+        Self::new(cfg, TcpState::Listen, local_port, remote_port, iss, cc)
     }
 
-    fn new(
+    /// Either end — `state` is [`TcpState::Closed`] for the active opener
+    /// and [`TcpState::Listen`] for the passive one — running the
+    /// congestion window `cc` (an MPTCP subflow brings its connection's).
+    pub fn new(
         cfg: TcpConfig,
         state: TcpState,
         local_port: u16,
         remote_port: u16,
         iss: u32,
+        cc: Cwnd,
     ) -> TcpConnection {
-        let cc = cc::build(cfg.cc, cfg.mss, cfg.init_cwnd_segs);
         let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
         let rcv_buf = RecvBuffer::new(cfg.recv_buf);
         TcpConnection {
@@ -470,18 +476,6 @@ impl TcpConnection {
         out
     }
 
-    /// Replace the congestion controller (MPTCP installs its coupled
-    /// controller here before the handshake).
-    pub fn set_cc(&mut self, cc: Box<dyn CongestionControl>) {
-        self.settled = false;
-        self.cc = cc;
-    }
-
-    /// Read-only view of the congestion controller.
-    pub fn cc(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
-    }
-
     /// Attach extra options to our SYN or SYN-ACK (MPTCP handshake).
     pub fn set_handshake_options(&mut self, opts: Vec<TcpOption>) {
         self.handshake_options = opts;
@@ -712,7 +706,6 @@ impl TcpConnection {
 
         if ack_off > self.snd_una {
             let newly = ack_off - self.snd_una;
-            let in_flight_before = self.in_flight();
             // RTT via timestamp echo (Karn-safe: the echo carries the
             // original transmit time of the segment that triggered it).
             if let Some((_, ecr)) = seg.timestamp() {
@@ -738,13 +731,13 @@ impl TcpConnection {
             if self.in_recovery {
                 if ack_off >= self.recover {
                     self.in_recovery = false;
-                    self.cc.on_exit_recovery(now);
+                    self.cc.on_exit_recovery();
                 } else {
                     // Partial ACK (RFC 6582): the segment at the new
                     // snd_una was lost too — retransmit it immediately,
                     // even if an earlier pass already covered that range,
                     // then repair further holes from the scoreboard.
-                    self.cc.on_partial_ack(now, newly);
+                    self.cc.on_partial_ack(newly);
                     if !self.is_sacked(self.snd_una) {
                         self.rtx_queue.push(self.snd_una);
                     }
@@ -753,8 +746,7 @@ impl TcpConnection {
                     self.note_retransmit();
                 }
             } else {
-                self.cc
-                    .on_ack(now, newly, in_flight_before, self.rtt.srtt());
+                self.cc.on_ack(now, newly, self.rtt.srtt());
                 // Two repair triggers outside formal recovery:
                 // (a) SACKed data above the new snd_una — the segment in
                 //     between was lost (typical right after an RTO fixed
@@ -791,13 +783,13 @@ impl TcpConnection {
             if self.dupacks == 3 && !self.in_recovery {
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
-                self.cc.on_enter_recovery(now, self.in_flight());
+                self.cc.on_enter_recovery(self.in_flight());
                 self.recovery_rtx_next = self.snd_una;
                 self.queue_holes(2);
                 self.stats.fast_retransmits += 1;
                 self.note_retransmit();
             } else if self.in_recovery && self.dupacks > 3 {
-                self.cc.on_dup_ack_in_recovery(now);
+                self.cc.on_dup_ack_in_recovery();
                 // Each further dup ACK frees pipe room: repair another hole.
                 self.queue_holes(1);
             }
@@ -923,7 +915,7 @@ impl TcpConnection {
                 }
                 self.stats.rtos += 1;
                 self.note_retransmit();
-                self.cc.on_rto(now, self.in_flight());
+                self.cc.on_rto(self.in_flight());
                 self.rtt.backoff();
                 self.in_recovery = false;
                 self.dupacks = 0;

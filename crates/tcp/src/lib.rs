@@ -16,9 +16,10 @@
 //! * reliability: cumulative ACKs, out-of-order reassembly, RFC 6298
 //!   RTO with Karn's rule via timestamps, exponential backoff, fast
 //!   retransmit / NewReno fast recovery on three duplicate ACKs;
-//! * congestion control ([`cc`]): slow start + AIMD Reno (the paper's
-//!   "decoupled" per-subflow algorithm) and CUBIC, behind a trait so the
-//!   MPTCP layer can install its coupled (LIA) controller;
+//! * congestion control ([`cc`]): one window ([`Cwnd`]: slow start and
+//!   the NewReno recovery choreography) and a growth rule per controller
+//!   ([`Growth`]): AIMD [`Reno`] (the paper's "decoupled" per-subflow
+//!   algorithm) and [`Cubic`] here, the coupled laws in `mpwifi-mptcp`;
 //! * flow control: advertised windows with window scaling;
 //! * a port-demultiplexing stack ([`stack`]) so one host can carry many
 //!   concurrent connections (the app-replay workloads need dozens).
@@ -32,7 +33,7 @@ pub mod segment;
 pub mod stack;
 
 pub use buffer::{RecvBuffer, SendBuffer};
-pub use cc::{CcKind, CongestionControl, CubicCc, RenoCc};
+pub use cc::{CcKind, Cubic, Cwnd, Growth, Loss, Reno};
 pub use conn::{ConnStats, TcpConfig, TcpConnection, TcpState};
 pub use pool::SegmentBufPool;
 pub use rtt::RttEstimator;
