@@ -10,7 +10,6 @@
 //!   merge surface shared by the streaming summary types;
 //! * [`codec`] — the hand-rolled versioned binary codec the campaign
 //!   journal uses to persist and recover streaming summaries;
-//! * [`Summary`] — mean/median/percentile summaries;
 //! * [`kmeans`] — geographic clustering with a 100 km radius, the
 //!   grouping behind Table 1;
 //! * [`render`] — plain-text tables and gnuplot-style data series for
@@ -24,7 +23,6 @@ pub mod kmeans;
 pub mod render;
 pub mod sketch;
 pub mod stream;
-pub mod summary;
 
 pub use cdf::Cdf;
 pub use codec::CodecError;
@@ -34,4 +32,3 @@ pub use kmeans::{cluster_geo, GeoCluster};
 pub use render::{series_block, series_block_iter, TextTable};
 pub use sketch::{CdfSketch, MeanAcc};
 pub use stream::{Mergeable, SampleBuilder};
-pub use summary::Summary;

@@ -1,8 +1,7 @@
-//! Property tests for the statistics primitives: quantile and CDF laws
-//! that must hold for *any* sample set, and the exact agreement between
-//! `Summary` and the `Cdf` it is defined through.
+//! Property tests for the statistics primitives: quantile, CDF and
+//! histogram laws that must hold for *any* sample set.
 
-use mpwifi_measure::{Cdf, Histogram, Summary};
+use mpwifi_measure::{Cdf, Histogram};
 use proptest::prelude::*;
 
 /// Finite, NaN-free samples (Cdf::from_samples asserts on NaN).
@@ -51,31 +50,6 @@ proptest! {
         if f > 0.0 {
             prop_assert!(cdf.quantile(f - 1e-12) <= x);
         }
-    }
-
-    #[test]
-    fn prop_summary_agrees_with_cdf_exactly(xs in samples()) {
-        // Summary::of is DEFINED through Cdf, so agreement is exact —
-        // any epsilon here would hide a refactor that forks the two.
-        let s = Summary::of(&xs);
-        let cdf = Cdf::from_samples(xs);
-        prop_assert_eq!(s.median, cdf.quantile(0.5));
-        prop_assert_eq!(s.p10, cdf.quantile(0.10));
-        prop_assert_eq!(s.p90, cdf.quantile(0.90));
-        let (min, max) = cdf.range().expect("non-empty");
-        prop_assert_eq!(s.min, min);
-        prop_assert_eq!(s.max, max);
-    }
-
-    #[test]
-    fn prop_summary_is_ordered(xs in samples()) {
-        let s = Summary::of(&xs);
-        prop_assert!(s.min <= s.p10);
-        prop_assert!(s.p10 <= s.median);
-        prop_assert!(s.median <= s.p90);
-        prop_assert!(s.p90 <= s.max);
-        prop_assert!(s.min <= s.mean && s.mean <= s.max);
-        prop_assert!(s.std_dev >= 0.0);
     }
 
     #[test]

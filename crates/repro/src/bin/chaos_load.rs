@@ -276,6 +276,8 @@ fn main() {
         "{\"type\": \"run\", \"req\": \"bad-seed\", \"seed\": -5}",
         "{\"type\": \"run\", \"req\": \"bad-id\", \"id\": \"definitely-not-real\"}",
         "{\"type\": \"run\", \"req\": \"bad-retries\", \"id\": \"fig9\", \"retries\": 4294967296}",
+        "{\"type\": \"run\", \"req\": \"bad-users\", \"kind\": \"campaign\", \"users\": 0}",
+        "{\"type\": \"run\", \"req\": \"bad-jobs\", \"kind\": \"campaign\", \"jobs\": 500}",
     ];
     for i in 0..100u64 {
         match i % 7 {

@@ -61,6 +61,11 @@ pub enum RunKind {
 /// anything above this is refused as malformed.
 pub const MAX_RETRIES: u32 = 16;
 
+/// Most worker threads a campaign request may ask for (`"jobs"`); like
+/// zero users, a value outside `1..=MAX_CAMPAIGN_JOBS` is refused as
+/// malformed, not quietly replaced by one the client did not send.
+pub const MAX_CAMPAIGN_JOBS: u64 = 64;
+
 /// A validated `run` request.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunRequest {
@@ -123,12 +128,24 @@ impl Request {
                         id: obj.str_field("id")?.to_string(),
                         full,
                     },
-                    "campaign" => RunKind::Campaign {
-                        users: obj.opt_u64("users")?.unwrap_or(10_000).max(1),
-                        jobs: obj.opt_u64("jobs")?.unwrap_or(1).clamp(1, 64) as usize,
-                        full,
-                        checkpoint: obj.opt_str("checkpoint")?.map(str::to_string),
-                    },
+                    "campaign" => {
+                        let users = obj.opt_u64("users")?.unwrap_or(10_000);
+                        if users == 0 {
+                            return Err("field \"users\" must be at least 1, got 0".into());
+                        }
+                        let jobs = obj.opt_u64("jobs")?.unwrap_or(1);
+                        if !(1..=MAX_CAMPAIGN_JOBS).contains(&jobs) {
+                            return Err(format!(
+                                "field \"jobs\" must be in 1..={MAX_CAMPAIGN_JOBS}, got {jobs}"
+                            ));
+                        }
+                        RunKind::Campaign {
+                            users,
+                            jobs: jobs as usize,
+                            full,
+                            checkpoint: obj.opt_str("checkpoint")?.map(str::to_string),
+                        }
+                    }
                     "worker-bomb" => RunKind::WorkerBomb,
                     other => return Err(format!("unknown run kind {other:?}")),
                 };
@@ -766,6 +783,20 @@ mod tests {
             (
                 r#"{"type": "run", "req": "x", "id": "a", "retries": 17}"#,
                 "retries",
+            ),
+            // Zero users used to become one and 500 workers 64; a client
+            // is told, not given something it did not ask for.
+            (
+                r#"{"type": "run", "req": "x", "kind": "campaign", "users": 0}"#,
+                "\"users\" must be at least 1",
+            ),
+            (
+                r#"{"type": "run", "req": "x", "kind": "campaign", "jobs": 0}"#,
+                "\"jobs\" must be in 1..=64",
+            ),
+            (
+                r#"{"type": "run", "req": "x", "kind": "campaign", "jobs": 500}"#,
+                "\"jobs\" must be in 1..=64",
             ),
             (r#"{"type": "nope"}"#, "type"),
             (r#"{"req": "x"}"#, "type"),
