@@ -13,7 +13,9 @@
 //! * **Coupled (LIA RFC 6356, OLIA RFC 6356-bis draft, BALIA) vs
 //!   decoupled (per-subflow Reno/Cubic) congestion control** — the knob
 //!   behind Figures 13 and 14, grown into a zoo for the scheduler/CC
-//!   head-to-head experiments.
+//!   head-to-head experiments. All five are growth rules of the one
+//!   congestion window in `mpwifi_tcp::cc`; [`coupled`] holds the three
+//!   that share state across subflows.
 //! * **Full-MPTCP vs Backup mode** — backup subflows complete SYN and FIN
 //!   exchanges but carry no data until the primary path dies
 //!   (Figure 15), which is exactly what makes their LTE tail energy cost
