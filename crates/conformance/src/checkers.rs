@@ -106,13 +106,8 @@ impl ViolationLog {
 /// accounted for — delivered, dropped by a stage, dropped while the
 /// link was down (including the carrier-drop flush), or still inside.
 fn check_link_conservation<C: Endpoint, S: Endpoint>(log: &ViolationLog, sim: &Sim<C, S>) {
-    let pipes = [
-        ("wifi-up", &sim.wifi.up),
-        ("wifi-down", &sim.wifi.down),
-        ("lte-up", &sim.lte.up),
-        ("lte-down", &sim.lte.down),
-    ];
-    for (name, p) in pipes {
+    for p in (sim.ifaces.iter()).flat_map(|row| [&row.link.up, &row.link.down]) {
+        let name = p.label();
         let s = p.stats();
         let settled = s.delivered + s.dropped_in_stages + s.dropped_down + p.backlog() as u64;
         if s.pushed != settled {
@@ -579,21 +574,15 @@ impl MptcpConformance {
         seg: &Segment,
     ) -> Option<(usize, usize)> {
         let n = if is_client {
-            sim.client.mp.len()
+            sim.client.len()
         } else {
-            sim.server.mp.len()
+            sim.server.len()
         };
         for cid in 0..n {
             let sf = if is_client {
-                sim.client
-                    .mp
-                    .conn(cid)
-                    .route_ports(seg.src_port, seg.dst_port)
+                sim.client.conn(cid).route_ports(seg.src_port, seg.dst_port)
             } else {
-                sim.server
-                    .mp
-                    .conn(cid)
-                    .route_ports(seg.src_port, seg.dst_port)
+                sim.server.conn(cid).route_ports(seg.src_port, seg.dst_port)
             };
             if let Some(sf) = sf {
                 return Some((cid, sf));
@@ -750,12 +739,12 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
                 }
             }
         }
-        for (is_client, n) in [(true, sim.client.mp.len()), (false, sim.server.mp.len())] {
+        for (is_client, n) in [(true, sim.client.len()), (false, sim.server.len())] {
             for cid in 0..n {
                 let conn = if is_client {
-                    sim.client.mp.conn(cid)
+                    sim.client.conn(cid)
                 } else {
-                    sim.server.mp.conn(cid)
+                    sim.server.conn(cid)
                 };
                 let cur = (conn.delivered_bytes(), conn.data_acked());
                 let prev = self.prev_conn.entry((is_client, cid)).or_default();
@@ -774,9 +763,9 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         }
         // Cross-host delivery bounds (connections pair up in accept
         // order; conformance scenarios open exactly one).
-        for cid in 0..sim.client.mp.len().min(sim.server.mp.len()) {
-            let c = sim.client.mp.conn(cid);
-            let s = sim.server.mp.conn(cid);
+        for cid in 0..sim.client.len().min(sim.server.len()) {
+            let c = sim.client.conn(cid);
+            let s = sim.server.conn(cid);
             if c.delivered_bytes() > s.bytes_queued() {
                 self.log.report(
                     now,
@@ -806,9 +795,9 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         // side; conformance scenarios open exactly one connection.
         for d in 0..2usize {
             let prog = if d == 0 {
-                (!sim.client.mp.is_empty()).then(|| sim.client.mp.conn(0).sched_progress())
+                (!sim.client.is_empty()).then(|| sim.client.conn(0).sched_progress())
             } else {
-                (!sim.server.mp.is_empty()).then(|| sim.server.mp.conn(0).sched_progress())
+                (!sim.server.is_empty()).then(|| sim.server.conn(0).sched_progress())
             };
             let Some(prog) = prog else { continue };
             {
@@ -869,12 +858,12 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         // pre-promotion (two-steps-lagged) floor, a safe lower bound on
         // the `data_ack` the sender's reinjection filter ran against.
         let mut cur_dead = HashSet::new();
-        for (is_client, n) in [(true, sim.client.mp.len()), (false, sim.server.mp.len())] {
+        for (is_client, n) in [(true, sim.client.len()), (false, sim.server.len())] {
             for cid in 0..n {
                 let stats = if is_client {
-                    sim.client.mp.conn(cid).subflow_stats()
+                    sim.client.conn(cid).subflow_stats()
                 } else {
-                    sim.server.mp.conn(cid).subflow_stats()
+                    sim.server.conn(cid).subflow_stats()
                 };
                 for (sf, st) in stats.iter().enumerate() {
                     if st.dead {
@@ -891,13 +880,13 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         }
         // Promote the data-ACK floors (two-step delay) and refresh the
         // dead-subflow snapshot for the next step's checks.
-        if !sim.client.mp.is_empty() {
+        if !sim.client.is_empty() {
             self.dir[0].ack_floor = self.dir[0].ack_floor_next;
-            self.dir[0].ack_floor_next = sim.client.mp.conn(0).data_acked();
+            self.dir[0].ack_floor_next = sim.client.conn(0).data_acked();
         }
-        if !sim.server.mp.is_empty() {
+        if !sim.server.is_empty() {
             self.dir[1].ack_floor = self.dir[1].ack_floor_next;
-            self.dir[1].ack_floor_next = sim.server.mp.conn(0).data_acked();
+            self.dir[1].ack_floor_next = sim.server.conn(0).data_acked();
         }
         self.prev_dead = cur_dead;
     }

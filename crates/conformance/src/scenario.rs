@@ -821,7 +821,7 @@ fn run_mptcp(spec: &ScenarioSpec, up_salt: u64, down_salt: u64) -> CaseReport {
     let id = sim
         .client
         .open(Time::ZERO, cfg, primary.addr(), SERVER_PORT);
-    plant_knobs(sim.client.mp.conn_mut(id));
+    plant_knobs(sim.client.conn_mut(id));
     let end = drive(spec, &mut sim, id, &log, (up_salt, down_salt), plant_knobs);
     witness.finalize(&log, sim.now);
     finish(&log, sim.now, end)

@@ -1,8 +1,9 @@
 //! MPTCP endpoints: connection managers for a multi-homed client and a
 //! single-homed server.
 //!
-//! These speak `(interface, remote address, Segment)` triples; the
-//! `mpwifi-sim` crate adapts them to emulated-network frames. The server
+//! These speak `(interface, remote address, Segment)` triples; they are
+//! the `mpwifi-sim` crate's MPTCP hosts as they stand (it implements its
+//! `Endpoint` on them and turns the triples into frames). The server
 //! endpoint demultiplexes by port pair, spawns connections for
 //! MP_CAPABLE SYNs, and attaches MP_JOIN SYNs to existing connections by
 //! token — the same dispatch the Linux implementation performs.
@@ -112,8 +113,14 @@ pub struct ClientEndpoint {
 
 impl ClientEndpoint {
     /// Create a client with the given local interfaces (order is only a
-    /// default; each `open` chooses its primary explicitly).
-    pub fn new(server_addr: Addr, ifaces: Vec<(Addr, u8)>, key_seed: u64) -> ClientEndpoint {
+    /// default; each `open` chooses its primary explicitly). An
+    /// interface's address byte is its MPTCP address id.
+    pub fn new(
+        server_addr: Addr,
+        ifaces: impl IntoIterator<Item = Addr>,
+        key_seed: u64,
+    ) -> ClientEndpoint {
+        let ifaces: Vec<(Addr, u8)> = ifaces.into_iter().map(|a| (a, a.0)).collect();
         assert!(!ifaces.is_empty(), "client needs at least one interface");
         ClientEndpoint {
             table: ConnTable::new(key_seed),
@@ -270,7 +277,7 @@ mod tests {
     impl MpLoopback {
         fn new(cfg: MptcpConfig, wifi_delay_ms: u64, lte_delay_ms: u64) -> MpLoopback {
             MpLoopback {
-                client: ClientEndpoint::new(SRV, vec![(WIFI, 1), (LTE, 2)], 7),
+                client: ClientEndpoint::new(SRV, [WIFI, LTE], 7),
                 server: ServerEndpoint::new(SRV, 80, cfg, 13),
                 wifi_delay: Dur::from_millis(wifi_delay_ms),
                 lte_delay: Dur::from_millis(lte_delay_ms),

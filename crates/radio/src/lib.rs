@@ -18,13 +18,11 @@
 pub mod conditions;
 pub mod energy;
 pub mod locations;
-pub mod rrc;
 pub mod tracegen;
 
 pub use conditions::{CellKind, EnvKind, LinkDraw, WirelessWorld};
 pub use energy::{EnergyBreakdown, PowerModel, RadioKind};
 pub use locations::{paper_locations, LocationCondition};
-pub use rrc::{RrcConfig, RrcMachine, RrcState};
 pub use tracegen::{lte_trace, wifi_trace};
 
 /// Cap all generated rates into a sane band (bits/s).

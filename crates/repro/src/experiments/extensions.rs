@@ -61,8 +61,9 @@ pub fn ext_handover(seed: u64) -> Report {
         // Close and drain teardown so FIN tails are charged.
         close_and_drain(&mut sim, id);
         let gap = first_progress_after_fail.map_or(Dur::MAX, |t| t - fail_at);
+        let horizon = sim.now + Dur::from_secs(16);
         let lte_j = model
-            .energy(RadioKind::Lte, &sim.lte_log, sim.now + Dur::from_secs(16))
+            .energy(RadioKind::Lte, &sim.iface(LTE_ADDR).log, horizon)
             .radio_j();
         rows.push((label, gap, lte_j, run.completed.is_some()));
     }

@@ -59,7 +59,7 @@ fn run_faulted(
         delivered: r.progress.total_bytes(),
         done: r.completed.is_some(),
         finish: sim.now,
-        subflows: sim.client.mp.conn(id).subflow_stats().len(),
+        subflows: sim.client.conn(id).subflow_stats().len(),
         delta: metrics::snapshot().since(&before),
     }
 }

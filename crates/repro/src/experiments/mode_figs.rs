@@ -75,8 +75,9 @@ fn run_panel(p: &Panel, seed: u64) -> (PacketLog, PacketLog, u64, bool) {
     // paper's Figure 15 timelines end with FINs, and Figure 16's tail
     // energy accounting depends on them.
     close_and_drain(&mut sim, id);
-    let delivered = sim.client.mp.conn(id).delivered_bytes();
-    (sim.wifi_log, sim.lte_log, delivered, r.completed.is_some())
+    let delivered = sim.client.conn(id).delivered_bytes();
+    let r = r.with_logs(&mut sim);
+    (r.wifi_log, r.lte_log, delivered, r.completed.is_some())
 }
 
 /// Render a packet log as the paper's vertical-line timeline (1 char =

@@ -64,8 +64,8 @@ impl BulkResult {
     /// Move the world's packet logs into the result, once the caller is
     /// done stepping `sim`.
     pub fn with_logs<C: Endpoint, S: Endpoint>(mut self, sim: &mut Sim<C, S>) -> BulkResult {
-        self.wifi_log = std::mem::take(&mut sim.wifi_log);
-        self.lte_log = std::mem::take(&mut sim.lte_log);
+        self.wifi_log = std::mem::take(&mut sim.iface(WIFI_ADDR).log);
+        self.lte_log = std::mem::take(&mut sim.iface(LTE_ADDR).log);
         self
     }
 }
@@ -96,7 +96,7 @@ pub enum FlowDir {
 /// fault plans and scripted events stay theirs. The packet logs stay in
 /// the world (the result's are empty), so a caller may keep stepping it
 /// — [`close_and_drain`] — and take them when done:
-/// [`BulkResult::with_logs`], or read `sim.wifi_log` / `sim.lte_log`.
+/// [`BulkResult::with_logs`], or read each row's `log` in `sim.ifaces`.
 pub fn bulk<C, S, P>(
     sim: &mut Sim<C, S>,
     id: C::Id,
@@ -270,7 +270,7 @@ pub fn run_mptcp_download(
     sub_lte.mark_start(Time::ZERO);
     let payload = make_payload(bytes);
     let r = bulk(&mut sim, id, FlowDir::Down, payload, deadline, |sim, _| {
-        for st in sim.client.mp.conn(id).subflow_stats_iter() {
+        for st in sim.client.conn(id).subflow_stats_iter() {
             if st.iface == WIFI_ADDR {
                 sub_wifi.record(sim.now, st.bytes_delivered);
             } else if st.iface == LTE_ADDR {
@@ -515,10 +515,10 @@ mod tests {
                 "{dir:?} probe sees the last byte"
             );
             // The logs stay with the world until the caller takes them.
-            let packets = sim.wifi_log.len();
+            let packets = sim.ifaces[0].log.len();
             assert!(packets > 0 && r.wifi_log.is_empty(), "{dir:?}");
             assert_eq!(r.with_logs(&mut sim).wifi_log.len(), packets);
-            assert_eq!(sim.wifi_log.len(), 0);
+            assert_eq!(sim.ifaces[0].log.len(), 0);
         }
     }
 

@@ -181,7 +181,7 @@ mod tests {
         );
         sim.run_until(|_| false, t0 + Dur::from_secs(2));
         assert!(
-            sim.wifi.up.stats().dropped_down > 0,
+            sim.ifaces[0].link.up.stats().dropped_down > 0,
             "the cut dropped frames"
         );
         let snap = sim.forensic_snapshot("cut");

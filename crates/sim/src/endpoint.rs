@@ -7,7 +7,7 @@
 //! client/server hosts (the four MPTCP variants, configured via
 //! [`mpwifi_mptcp::MptcpConfig`]).
 
-use mpwifi_mptcp::{ClientEndpoint as MpClient, MptcpConfig, ServerEndpoint as MpServer};
+use mpwifi_mptcp::MptcpConnection;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::Time;
 use mpwifi_tcp::conn::TcpConfig;
@@ -101,39 +101,6 @@ fn tcp_stack_health(stack: &TcpStack) -> String {
         );
     }
     out
-}
-
-/// Render one MPTCP connection's subflows as health lines (shared by
-/// both MPTCP hosts). This is where a stalled run's forensics name the
-/// dead subflow.
-fn mptcp_conn_health(out: &mut String, id: usize, conn: &mpwifi_mptcp::MptcpConnection) {
-    let _ = writeln!(
-        out,
-        "mptcp conn {id} — {}delivered {} B, {} subflows",
-        if conn.is_closed() { "closed, " } else { "" },
-        conn.delivered_bytes(),
-        conn.subflow_count(),
-    );
-    for s in conn.subflow_stats_iter() {
-        let _ = writeln!(
-            out,
-            "  subflow {} (id {}){}{}: {}, acked {} B, delivered {} B{}",
-            crate::iface_name(s.iface),
-            s.addr_id,
-            if s.is_backup { " [backup]" } else { "" },
-            if s.dead { " [DEAD]" } else { "" },
-            match s.established_at {
-                Some(t) => format!("established at {t}"),
-                None => "never established".to_string(),
-            },
-            s.bytes_acked,
-            s.bytes_delivered,
-            match s.srtt {
-                Some(rtt) => format!(", srtt {rtt}"),
-                None => String::new(),
-            },
-        );
-    }
 }
 
 /// Single-path TCP client: a `TcpStack` bound to one interface.
@@ -279,117 +246,104 @@ impl ResetEndpoint for TcpServerHost {
     }
 }
 
-/// MPTCP client host (wraps `mpwifi-mptcp`'s client endpoint).
-#[derive(Debug)]
-pub struct MptcpClientHost {
-    /// The underlying MPTCP endpoint (public for workload drivers).
-    pub mp: MpClient,
-}
+/// The MPTCP hosts are `mpwifi-mptcp`'s two endpoints themselves, under
+/// the names the drivers know them by; [`Endpoint`] is implemented on
+/// them below and the socket seam in [`crate::socket`].
+pub use mpwifi_mptcp::{ClientEndpoint as MptcpClientHost, ServerEndpoint as MptcpServerHost};
 
-impl MptcpClientHost {
-    /// Create a dual-homed MPTCP client. Interfaces use their address
-    /// byte as the MPTCP address id.
-    pub fn new(server_addr: Addr, ifaces: [Addr; 2], key_seed: u64) -> MptcpClientHost {
-        MptcpClientHost {
-            mp: MpClient::new(
-                server_addr,
-                ifaces.iter().map(|&a| (a, a.0)).collect(),
-                key_seed,
-            ),
+/// Render an MPTCP host's connections, and each one's subflows, as
+/// health lines. This is where a stalled run's forensics name the dead
+/// subflow.
+fn mptcp_health<'a>(conns: impl Iterator<Item = &'a MptcpConnection>) -> String {
+    let mut out = String::new();
+    for (id, conn) in conns.enumerate() {
+        let _ = writeln!(
+            out,
+            "mptcp conn {id} — {}delivered {} B, {} subflows",
+            if conn.is_closed() { "closed, " } else { "" },
+            conn.delivered_bytes(),
+            conn.subflow_count(),
+        );
+        for s in conn.subflow_stats_iter() {
+            let _ = writeln!(
+                out,
+                "  subflow {} (id {}){}{}: {}, acked {} B, delivered {} B{}",
+                crate::iface_name(s.iface),
+                s.addr_id,
+                if s.is_backup { " [backup]" } else { "" },
+                if s.dead { " [DEAD]" } else { "" },
+                match s.established_at {
+                    Some(t) => format!("established at {t}"),
+                    None => "never established".to_string(),
+                },
+                s.bytes_acked,
+                s.bytes_delivered,
+                match s.srtt {
+                    Some(rtt) => format!(", srtt {rtt}"),
+                    None => String::new(),
+                },
+            );
         }
     }
-
-    /// Open an MPTCP connection with the given primary interface.
-    pub fn open(
-        &mut self,
-        now: Time,
-        cfg: MptcpConfig,
-        primary_iface: Addr,
-        remote_port: u16,
-    ) -> usize {
-        self.mp.open(now, cfg, primary_iface, remote_port)
-    }
+    out
 }
 
 impl Endpoint for MptcpClientHost {
     fn on_segment(&mut self, now: Time, seg: &Segment, _src: Addr, _dst: Addr) {
-        self.mp.on_segment(now, seg);
+        MptcpClientHost::on_segment(self, now, seg);
     }
 
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        self.mp.take_tx_into(now, out);
+        MptcpClientHost::take_tx_into(self, now, out);
     }
 
     fn next_timer(&self) -> Option<Time> {
-        self.mp.next_timer()
+        MptcpClientHost::next_timer(self)
     }
 
     fn on_timers(&mut self, now: Time) {
-        self.mp.on_timers(now);
+        MptcpClientHost::on_timers(self, now);
     }
 
     fn notify_iface_down(&mut self, now: Time, iface: Addr) {
-        self.mp.notify_iface_down(now, iface);
+        MptcpClientHost::notify_iface_down(self, now, iface);
     }
 
     fn notify_iface_up(&mut self, now: Time, iface: Addr) {
-        self.mp.notify_iface_up(now, iface);
+        MptcpClientHost::notify_iface_up(self, now, iface);
     }
 
     fn health(&self) -> String {
-        let mut out = String::new();
-        for id in 0..self.mp.len() {
-            mptcp_conn_health(&mut out, id, self.mp.conn(id));
-        }
-        out
-    }
-}
-
-/// MPTCP server host (wraps `mpwifi-mptcp`'s server endpoint).
-#[derive(Debug)]
-pub struct MptcpServerHost {
-    /// The underlying MPTCP endpoint (public for workload drivers).
-    pub mp: MpServer,
-}
-
-impl MptcpServerHost {
-    /// Create an MPTCP server at `local_addr` listening on `port`.
-    pub fn new(local_addr: Addr, port: u16, cfg: MptcpConfig, key_seed: u64) -> MptcpServerHost {
-        MptcpServerHost {
-            mp: MpServer::new(local_addr, port, cfg, key_seed),
-        }
+        mptcp_health((0..self.len()).map(|id| self.conn(id)))
     }
 }
 
 impl Endpoint for MptcpServerHost {
     fn on_segment(&mut self, now: Time, seg: &Segment, src: Addr, _dst: Addr) {
-        self.mp.on_segment(now, seg, src);
+        MptcpServerHost::on_segment(self, now, seg, src);
     }
 
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        self.mp.take_tx_into(now, out);
+        MptcpServerHost::take_tx_into(self, now, out);
     }
 
     fn next_timer(&self) -> Option<Time> {
-        self.mp.next_timer()
+        MptcpServerHost::next_timer(self)
     }
 
     fn on_timers(&mut self, now: Time) {
-        self.mp.on_timers(now);
+        MptcpServerHost::on_timers(self, now);
     }
 
     fn health(&self) -> String {
-        let mut out = String::new();
-        for id in 0..self.mp.len() {
-            mptcp_conn_health(&mut out, id, self.mp.conn(id));
-        }
-        out
+        mptcp_health((0..self.len()).map(|id| self.conn(id)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpwifi_mptcp::MptcpConfig;
     use mpwifi_tcp::segment::Flags;
 
     fn take_tx(host: &mut impl Endpoint) -> Vec<(Addr, Addr, Segment)> {

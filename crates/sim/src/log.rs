@@ -74,11 +74,6 @@ impl PacketLog {
             .sum()
     }
 
-    /// First and last activity timestamps.
-    pub fn span(&self) -> Option<(Time, Time)> {
-        Some((self.events.first()?.at, self.events.last()?.at))
-    }
-
     /// Intervals during which the interface was "active", closing gaps
     /// shorter than `gap`. Feeds the radio power model.
     pub fn busy_intervals(&self, gap: Dur) -> Vec<(Time, Time)> {
@@ -110,10 +105,6 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.bytes(PacketDir::Tx), 140);
         assert_eq!(log.bytes(PacketDir::Rx), 1500);
-        assert_eq!(
-            log.span(),
-            Some((Time::from_millis(1), Time::from_millis(3)))
-        );
     }
 
     #[test]
@@ -132,7 +123,6 @@ mod tests {
     fn empty_log_behaves() {
         let log = PacketLog::new();
         assert!(log.is_empty());
-        assert_eq!(log.span(), None);
         assert!(log.busy_intervals(Dur::from_millis(1)).is_empty());
     }
 }

@@ -108,7 +108,7 @@ pub trait SocketHost: Endpoint {
     type Conn: Socket;
 
     /// The connection `id` names. Ids come from the host's open call or
-    /// from [`Accept::take_accepted`], and no driver reaps connections,
+    /// from [`Accept::take_accepted`], and a host never drops a connection,
     /// so an unknown id is a caller bug and panics.
     fn socket(&mut self, id: Self::Id) -> &mut Self::Conn;
 }
@@ -145,7 +145,7 @@ impl SocketHost for MptcpClientHost {
     type Id = usize;
     type Conn = MptcpConnection;
     fn socket(&mut self, id: usize) -> &mut MptcpConnection {
-        self.mp.conn_mut(id)
+        self.conn_mut(id)
     }
 }
 
@@ -153,12 +153,12 @@ impl SocketHost for MptcpServerHost {
     type Id = usize;
     type Conn = MptcpConnection;
     fn socket(&mut self, id: usize) -> &mut MptcpConnection {
-        self.mp.conn_mut(id)
+        self.conn_mut(id)
     }
 }
 
 impl Accept for MptcpServerHost {
     fn take_accepted(&mut self) -> Vec<usize> {
-        self.mp.take_accepted()
+        MptcpServerHost::take_accepted(self)
     }
 }

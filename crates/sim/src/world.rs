@@ -1,5 +1,6 @@
-//! The simulation driver: one multi-homed client, one server, two
-//! emulated access links, scripted failures, deterministic time.
+//! The simulation driver: one multi-homed client, one server, a table
+//! of emulated access links between them (the paper's testbed is two
+//! rows: WiFi, then LTE), scripted failures, deterministic time.
 
 use crate::arena::CampaignRun;
 use crate::check::{SimObserver, TxHost};
@@ -119,22 +120,27 @@ pub struct StallSnapshot {
     pub script_pending: usize,
     /// Time of the next pending scripted event.
     pub next_script: Option<Time>,
-    /// WiFi link: frames queued or in flight, and next frame exit.
-    pub wifi_queue: (usize, Option<Time>),
-    /// LTE link: frames queued or in flight, and next frame exit.
-    pub lte_queue: (usize, Option<Time>),
+    /// One entry per interface, in table order.
+    pub ifaces: Vec<IfaceSnapshot>,
     /// Next pending client-side timer.
     pub client_timer: Option<Time>,
     /// Next pending server-side timer.
     pub server_timer: Option<Time>,
-    /// Last packet seen on the client's WiFi interface.
-    pub wifi_last_activity: Option<Time>,
-    /// Last packet seen on the client's LTE interface.
-    pub lte_last_activity: Option<Time>,
     /// Transport-layer health lines from the client endpoint.
     pub client_state: String,
     /// Transport-layer health lines from the server endpoint.
     pub server_state: String,
+}
+
+/// One interface's part of a [`StallSnapshot`].
+#[derive(Debug, Clone)]
+pub struct IfaceSnapshot {
+    /// The row's name.
+    pub name: &'static str,
+    /// Frames queued or in flight on the link, and next frame exit.
+    pub queue: (usize, Option<Time>),
+    /// Last packet seen on the client's side of the interface.
+    pub last_activity: Option<Time>,
 }
 
 impl StallSnapshot {
@@ -175,14 +181,15 @@ impl StallSnapshot {
             self.now.saturating_since(self.last_advance),
             self.delivered_bytes,
         );
+        out.push_str("event queue: ");
+        for iface in &self.ifaces {
+            let (frames, next) = iface.queue;
+            let next = Self::render_opt(next);
+            let _ = write!(out, "{} {frames} frames (next {next}), ", iface.name);
+        }
         let _ = writeln!(
             out,
-            "event queue: wifi {} frames (next {}), lte {} frames (next {}), \
-             client timer {}, server timer {}",
-            self.wifi_queue.0,
-            Self::render_opt(self.wifi_queue.1),
-            self.lte_queue.0,
-            Self::render_opt(self.lte_queue.1),
+            "client timer {}, server timer {}",
             Self::render_opt(self.client_timer),
             Self::render_opt(self.server_timer),
         );
@@ -193,8 +200,9 @@ impl StallSnapshot {
             self.script_pending,
             Self::render_opt(self.next_script),
         );
-        self.render_iface(&mut out, "wifi", self.wifi_last_activity);
-        self.render_iface(&mut out, "lte", self.lte_last_activity);
+        for iface in &self.ifaces {
+            self.render_iface(&mut out, iface.name, iface.last_activity);
+        }
         for (host, state) in [
             ("client", &self.client_state),
             ("server", &self.server_state),
@@ -212,7 +220,43 @@ impl StallSnapshot {
     }
 }
 
-/// The testbed: client ⇄ {WiFi link, LTE link} ⇄ server.
+/// One client interface and the access link behind it: a row of
+/// [`Sim::ifaces`].
+pub struct Iface {
+    /// The interface's address; frames are routed to a row by it.
+    pub addr: Addr,
+    /// Names the row in pipeline labels and forensics.
+    pub name: &'static str,
+    /// The access link.
+    pub link: PathPair,
+    /// Packet log of the client's side of the interface.
+    pub log: PacketLog,
+    /// Scratch buffers for link polling, one per direction, reused
+    /// across steps so the hot loop never allocates frame `Vec`s.
+    to_server: Vec<Frame>,
+    to_client: Vec<Frame>,
+}
+
+impl Iface {
+    /// Row `i`'s link at t = 0: the one place the link constructor is
+    /// called from, so a fresh world ([`SimBuilder::build`]) and a
+    /// re-armed one ([`Sim::reset`]) get their pipelines, and the RNG
+    /// chain behind them (`root` seeded with the run seed and walked in
+    /// row order, `derive(i + 1)` for row `i`, then
+    /// `LinkSpec::build_direction`'s own per-element derives), from the
+    /// same code. A `None` plan adds no filter and draws nothing.
+    fn link_up(
+        root: &mut DetRng,
+        i: usize,
+        name: &str,
+        spec: &LinkSpec,
+        faults: Option<&FaultPlan>,
+    ) -> PathPair {
+        PathPair::build(spec, name, &mut root.derive(i as u64 + 1), faults)
+    }
+}
+
+/// The testbed: client ⇄ {one access link per interface} ⇄ server.
 pub struct Sim<C: Endpoint, S: Endpoint> {
     /// Current simulated time.
     pub now: Time,
@@ -220,28 +264,16 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
     pub client: C,
     /// The server endpoint.
     pub server: S,
-    /// The WiFi access link.
-    pub wifi: PathPair,
-    /// The LTE access link.
-    pub lte: PathPair,
-    /// Packet log of the client's WiFi interface.
-    pub wifi_log: PacketLog,
-    /// Packet log of the client's LTE interface.
-    pub lte_log: PacketLog,
+    /// The interface table. Everything that touches more than one row
+    /// walks it in index order, which is therefore the delivery order
+    /// the reports were captured under: WiFi is row 0, LTE row 1.
+    pub ifaces: Vec<Iface>,
     frame_seq: u64,
     /// Pending script events, sorted ascending by time.
     script: Vec<(Time, ScriptEvent)>,
     /// Recycled encode buffers: in steady state every segment's wire
     /// image is written into a pooled buffer instead of a fresh one.
     pool: SegmentBufPool,
-    /// Scratch buffers for link polling, one per (link, direction),
-    /// reused across steps so the hot loop never allocates frame `Vec`s.
-    /// Kept separate (rather than one merged buffer) to preserve the
-    /// exact delivery order the reports were captured under.
-    to_server_wifi: Vec<Frame>,
-    to_server_lte: Vec<Frame>,
-    to_client_wifi: Vec<Frame>,
-    to_client_lte: Vec<Frame>,
     /// Scratch buffer for endpoint TX drains ([`Sim::drain_tx`] runs
     /// twice per step), reused so the hot loop never allocates segment
     /// `Vec`s either.
@@ -260,11 +292,11 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
 
 /// Named-setter builder for [`Sim`] — the only way to construct one.
 ///
-/// Both link specs are required; [`SimBuilder::build`] panics if either
-/// is missing so a misconfigured scenario fails loudly at setup rather
-/// than producing silently wrong measurements. The seed defaults to `0`
-/// and script events may be queued up front with
-/// [`SimBuilder::event`].
+/// Each [`SimBuilder::iface`] call adds one row to the table, in call
+/// order; [`SimBuilder::build`] panics on an empty table so a
+/// misconfigured scenario fails loudly at setup rather than producing
+/// silently wrong measurements. The seed defaults to `0` and script
+/// events may be queued up front with [`SimBuilder::event`].
 ///
 /// ```ignore
 /// let sim = Sim::builder(client, server)
@@ -277,25 +309,45 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
 pub struct SimBuilder<'a, C: Endpoint, S: Endpoint> {
     client: C,
     server: S,
-    wifi: Option<&'a LinkSpec>,
-    lte: Option<&'a LinkSpec>,
+    rows: Vec<Row<'a>>,
     seed: u64,
     script: Vec<(Time, ScriptEvent)>,
-    wifi_faults: FaultPlan,
-    lte_faults: FaultPlan,
+}
+
+/// One interface as the builder holds it.
+struct Row<'a> {
+    addr: Addr,
+    name: &'static str,
+    spec: &'a LinkSpec,
+    faults: FaultPlan,
 }
 
 impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
-    /// The WiFi access link (required).
-    pub fn wifi(mut self, spec: &'a LinkSpec) -> Self {
-        self.wifi = Some(spec);
+    /// Add the next interface: its address, the name its pipelines and
+    /// forensics carry, and its access link.
+    pub fn iface(mut self, addr: Addr, name: &'static str, spec: &'a LinkSpec) -> Self {
+        assert!(
+            self.rows.iter().all(|r| r.addr != addr),
+            "interface {addr} added twice"
+        );
+        let faults = FaultPlan::new();
+        self.rows.push(Row {
+            addr,
+            name,
+            spec,
+            faults,
+        });
         self
     }
 
-    /// The LTE access link (required).
-    pub fn lte(mut self, spec: &'a LinkSpec) -> Self {
-        self.lte = Some(spec);
-        self
+    /// The WiFi access link: the first row of the paper's testbed.
+    pub fn wifi(self, spec: &'a LinkSpec) -> Self {
+        self.iface(WIFI_ADDR, "wifi", spec)
+    }
+
+    /// The LTE access link: the second row of the paper's testbed.
+    pub fn lte(self, spec: &'a LinkSpec) -> Self {
+        self.iface(LTE_ADDR, "lte", spec)
     }
 
     /// Root seed for the link RNGs (defaults to 0).
@@ -310,8 +362,8 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
         self
     }
 
-    /// Attach a deterministic fault timeline to one interface. May be
-    /// called once per interface (or repeatedly — plans merge). The plan
+    /// Attach a deterministic fault timeline to an interface already
+    /// added. May be called repeatedly — plans merge. The plan
     /// is compiled at [`SimBuilder::build`] time: blackouts, delay
     /// spikes and rate crushes become scripted link events; burst-loss
     /// and corruption episodes become episode-gated pipeline filters with
@@ -319,39 +371,35 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
     /// nothing — runs without faults are bit-identical to builds that
     /// never called this.
     pub fn with_faults(mut self, iface: Addr, plan: FaultPlan) -> Self {
-        let slot = if iface == WIFI_ADDR {
-            &mut self.wifi_faults
-        } else if iface == LTE_ADDR {
-            &mut self.lte_faults
-        } else {
+        let mut rows = self.rows.iter_mut();
+        let Some(row) = rows.find(|r| r.addr == iface) else {
             panic!("with_faults: unknown interface {iface}");
         };
-        slot.events.extend(plan.events);
+        row.faults.events.extend(plan.events);
         self
     }
 
-    /// Construct the [`Sim`]. Panics if either link spec is missing.
+    /// Construct the [`Sim`]. Panics if no interface was added.
     pub fn build(self) -> Sim<C, S> {
-        let wifi_spec = self.wifi.expect("SimBuilder: wifi link spec not set");
-        let lte_spec = self.lte.expect("SimBuilder: lte link spec not set");
-        let wifi_faults = (!self.wifi_faults.is_empty()).then_some(&self.wifi_faults);
-        let lte_faults = (!self.lte_faults.is_empty()).then_some(&self.lte_faults);
-        let (wifi, lte) = links_up(wifi_spec, lte_spec, self.seed, wifi_faults, lte_faults);
+        assert!(!self.rows.is_empty(), "SimBuilder: no interface added");
+        let mut root = DetRng::seed_from_u64(self.seed);
         let mut sim = Sim {
             now: Time::ZERO,
             client: self.client,
             server: self.server,
-            wifi,
-            lte,
-            wifi_log: PacketLog::new(),
-            lte_log: PacketLog::new(),
+            ifaces: (self.rows.iter().enumerate())
+                .map(|(i, row)| Iface {
+                    addr: row.addr,
+                    name: row.name,
+                    link: Iface::link_up(&mut root, i, row.name, row.spec, Some(&row.faults)),
+                    log: PacketLog::new(),
+                    to_server: Vec::new(),
+                    to_client: Vec::new(),
+                })
+                .collect(),
             frame_seq: 0,
             script: Vec::new(),
             pool: SegmentBufPool::new(),
-            to_server_wifi: Vec::new(),
-            to_server_lte: Vec::new(),
-            to_client_wifi: Vec::new(),
-            to_client_lte: Vec::new(),
             tx_scratch: Vec::new(),
             observer: None,
             delivered_bytes: 0,
@@ -361,47 +409,26 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
         for (at, ev) in self.script {
             sim.schedule(at, ev);
         }
-        if let Some(plan) = wifi_faults {
-            sim.schedule_fault_plan(WIFI_ADDR, wifi_spec, plan);
-        }
-        if let Some(plan) = lte_faults {
-            sim.schedule_fault_plan(LTE_ADDR, lte_spec, plan);
+        for row in &self.rows {
+            sim.schedule_fault_plan(row.addr, row.spec, &row.faults);
         }
         sim
     }
 }
 
-/// Bring both access links up at t = 0: the one place the link
-/// constructor is called from, so a fresh world ([`SimBuilder::build`])
-/// and a re-armed one ([`Sim::reset`]) get their pipelines, and the RNG
-/// chain behind them (`seed`, `derive(1)` for WiFi, `derive(2)` for LTE,
-/// then `LinkSpec::build_direction`'s own per-element derives), from the
-/// same code. A `None` plan adds no filter and draws nothing.
-fn links_up(
-    wifi: &LinkSpec,
-    lte: &LinkSpec,
-    seed: u64,
-    wifi_faults: Option<&FaultPlan>,
-    lte_faults: Option<&FaultPlan>,
-) -> (PathPair, PathPair) {
-    let mut rng = DetRng::seed_from_u64(seed);
-    (
-        PathPair::build(wifi, "wifi", &mut rng.derive(1), wifi_faults),
-        PathPair::build(lte, "lte", &mut rng.derive(2), lte_faults),
-    )
-}
-
 impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
     /// Re-arm this built world for a new, fault-free campaign run.
     ///
-    /// The links come from `links_up`, the constructor a fresh
+    /// The links come from `Iface::link_up`, the constructor a fresh
     /// [`Sim::builder`] build calls, and every other piece of run state
     /// goes back to its t = 0 value, so a re-armed world *is* a fresh
     /// one at the same parameters. What it keeps is allocations: the
     /// segment-buffer pool stays warm (a pooled buffer has the contents
-    /// a new one would, it only skips the allocation), the frame and TX
-    /// scratch vectors keep their capacity, and both hosts are re-seeded
-    /// in place through [`ResetEndpoint::reset_run`].
+    /// a new one would, it only skips the allocation), the table and
+    /// each row's frame scratch and the TX scratch keep their capacity,
+    /// and both hosts are re-seeded in place through
+    /// [`ResetEndpoint::reset_run`]. Panics unless the world is the
+    /// two-row one a [`CampaignRun`] describes.
     pub fn reset(&mut self, run: &CampaignRun<'_>) {
         // No `..` in this pattern: a field added to `Sim` does not
         // compile until it is sorted here into kept or re-armed.
@@ -411,18 +438,13 @@ impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
             client,
             server,
             pool: _,
-            to_server_wifi,
-            to_server_lte,
-            to_client_wifi,
-            to_client_lte,
             tx_scratch,
             script,
             // Re-armed: what `SimBuilder::build` gives a fresh world.
+            // The table: each row keeps its address, name and scratch
+            // and gets a fresh link and log.
+            ifaces,
             now,
-            wifi,
-            lte,
-            wifi_log,
-            lte_log,
             frame_seq,
             observer,
             delivered_bytes,
@@ -431,15 +453,18 @@ impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
         } = self;
         client.reset_run(run.seed);
         server.reset_run(run.seed);
-        for frames in [to_server_wifi, to_server_lte, to_client_wifi, to_client_lte] {
-            frames.clear();
+        let specs = [run.wifi, run.lte];
+        assert_eq!(ifaces.len(), specs.len(), "a CampaignRun is two rows");
+        let mut root = DetRng::seed_from_u64(run.seed);
+        for (i, (row, spec)) in ifaces.iter_mut().zip(specs).enumerate() {
+            row.link = Iface::link_up(&mut root, i, row.name, spec, None);
+            row.log = PacketLog::new();
+            row.to_server.clear();
+            row.to_client.clear();
         }
         tx_scratch.clear();
         script.clear();
         *now = Time::ZERO;
-        (*wifi, *lte) = links_up(run.wifi, run.lte, run.seed, None, None);
-        *wifi_log = PacketLog::new();
-        *lte_log = PacketLog::new();
         *frame_seq = 0;
         *observer = None;
         *delivered_bytes = 0;
@@ -454,12 +479,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         SimBuilder {
             client,
             server,
-            wifi: None,
-            lte: None,
+            rows: Vec::new(),
             seed: 0,
             script: Vec::new(),
-            wifi_faults: FaultPlan::new(),
-            lte_faults: FaultPlan::new(),
         }
     }
 
@@ -523,22 +545,15 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         }
     }
 
-    fn pair_mut(&mut self, iface: Addr) -> &mut PathPair {
-        if iface == WIFI_ADDR {
-            &mut self.wifi
-        } else if iface == LTE_ADDR {
-            &mut self.lte
-        } else {
-            panic!("unknown interface {iface}");
-        }
-    }
-
-    fn log_mut(&mut self, iface: Addr) -> &mut PacketLog {
-        if iface == WIFI_ADDR {
-            &mut self.wifi_log
-        } else {
-            &mut self.lte_log
-        }
+    /// The row for interface `addr`. Panics on an address no row has:
+    /// a frame or a script event for an interface that does not exist is
+    /// a scenario bug.
+    pub fn iface(&mut self, addr: Addr) -> &mut Iface {
+        let mut rows = self.ifaces.iter_mut();
+        let Some(row) = rows.find(|r| r.addr == addr) else {
+            panic!("unknown interface {addr}");
+        };
+        row
     }
 
     /// Push endpoint output into the pipelines. When an observer is
@@ -562,8 +577,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             let len = bytes.len();
             self.frame_seq += 1;
             let frame = Frame::new(self.frame_seq, src_iface, dst, bytes, now);
-            self.log_mut(src_iface).record(now, PacketDir::Tx, len);
-            self.pair_mut(src_iface).up.push(now, frame);
+            let row = self.iface(src_iface);
+            row.log.record(now, PacketDir::Tx, len);
+            row.link.up.push(now, frame);
         }
         // Server: destination (a client interface) selects the downlink.
         self.server.take_tx_into(now, &mut tx);
@@ -576,7 +592,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             let bytes = self.pool.encode(&seg);
             self.frame_seq += 1;
             let frame = Frame::new(self.frame_seq, src, dst_iface, bytes, now);
-            self.pair_mut(dst_iface).down.push(now, frame);
+            self.iface(dst_iface).link.down.push(now, frame);
         }
         self.tx_scratch = tx;
     }
@@ -589,8 +605,8 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         self.script_fired += due as u64;
         for i in 0..due {
             match self.script[i].1 {
-                ScriptEvent::CutIface(iface) => self.pair_mut(iface).set_up(false),
-                ScriptEvent::RestoreIface(iface) => self.pair_mut(iface).set_up(true),
+                ScriptEvent::CutIface(iface) => self.iface(iface).link.set_up(false),
+                ScriptEvent::RestoreIface(iface) => self.iface(iface).link.set_up(true),
                 ScriptEvent::NotifyIfaceDown(iface) => {
                     let now = self.now;
                     self.client.notify_iface_down(now, iface);
@@ -598,20 +614,20 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 ScriptEvent::Wakeup => {}
                 ScriptEvent::SetDownRate(iface, bps) => {
                     let now = self.now;
-                    self.pair_mut(iface).down.set_rate(now, bps);
+                    self.iface(iface).link.down.set_rate(now, bps);
                 }
                 ScriptEvent::SetUpRate(iface, bps) => {
                     let now = self.now;
-                    self.pair_mut(iface).up.set_rate(now, bps);
+                    self.iface(iface).link.up.set_rate(now, bps);
                 }
                 ScriptEvent::NotifyIfaceUp(iface) => {
                     let now = self.now;
                     self.client.notify_iface_up(now, iface);
                 }
                 ScriptEvent::SetOneWayDelay(iface, delay) => {
-                    let pair = self.pair_mut(iface);
-                    pair.up.set_delay(delay);
-                    pair.down.set_delay(delay);
+                    let link = &mut self.iface(iface).link;
+                    link.up.set_delay(delay);
+                    link.down.set_delay(delay);
                 }
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
@@ -621,7 +637,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
 
     /// Earliest future event of any kind.
     fn next_event(&self) -> Option<Time> {
-        let links = Time::earlier(self.wifi.next_ready(), self.lte.next_ready());
+        let links = (self.ifaces.iter()).fold(None, |t, r| Time::earlier(t, r.link.next_ready()));
         let hosts = Time::earlier(self.client.next_timer(), self.server.next_timer());
         let script = self.script.first().map(|&(t, _)| t);
         Time::earlier(Time::earlier(links, hosts), script)
@@ -659,42 +675,29 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         // with a frame actually due are polled; the scratch buffers are
         // reused (drained, never dropped) across steps.
         let now = self.now;
-        if self.wifi.next_ready().is_some_and(|t| t <= now) {
-            self.wifi
-                .poll_into(now, &mut self.to_server_wifi, &mut self.to_client_wifi);
+        let (mut exits, mut high_water) = (0, 0);
+        for row in &mut self.ifaces {
+            if row.link.next_ready().is_some_and(|t| t <= now) {
+                row.link
+                    .poll_into(now, &mut row.to_server, &mut row.to_client);
+            }
+            exits += row.to_server.len() + row.to_client.len();
+            high_water = high_water.max(row.to_server.len()).max(row.to_client.len());
         }
-        if self.lte.next_ready().is_some_and(|t| t <= now) {
-            self.lte
-                .poll_into(now, &mut self.to_server_lte, &mut self.to_client_lte);
-        }
-        let fills = [
-            self.to_server_wifi.len(),
-            self.to_server_lte.len(),
-            self.to_client_wifi.len(),
-            self.to_client_lte.len(),
-        ];
-        let exits = fills.iter().sum::<usize>() as u64;
         if exits > 0 {
-            metrics::record_frames_forwarded(exits);
-            metrics::record_scratch_high_water(fills.into_iter().max().unwrap_or(0) as u64);
+            metrics::record_frames_forwarded(exits as u64);
+            metrics::record_scratch_high_water(high_water as u64);
         }
-        // Same delivery order as the pre-scratch-buffer driver: server
-        // exits (wifi, lte), then client exits (wifi, lte).
+        // Same delivery order as the pre-scratch-buffer driver: every
+        // row's server exits, then every row's client exits.
         let mut delivered = 0u64;
-        delivered += deliver_frames(now, &mut self.to_server_wifi, None, &mut self.server);
-        delivered += deliver_frames(now, &mut self.to_server_lte, None, &mut self.server);
-        delivered += deliver_frames(
-            now,
-            &mut self.to_client_wifi,
-            Some(&mut self.wifi_log),
-            &mut self.client,
-        );
-        delivered += deliver_frames(
-            now,
-            &mut self.to_client_lte,
-            Some(&mut self.lte_log),
-            &mut self.client,
-        );
+        for row in &mut self.ifaces {
+            delivered += deliver_frames(now, &mut row.to_server, None, &mut self.server);
+        }
+        for row in &mut self.ifaces {
+            let log = Some(&mut row.log);
+            delivered += deliver_frames(now, &mut row.to_client, log, &mut self.client);
+        }
         if delivered > 0 {
             self.delivered_bytes += delivered;
             self.last_advance = now;
@@ -770,12 +773,15 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             script_fired: self.script_fired,
             script_pending: self.script.len(),
             next_script: self.script.first().map(|&(t, _)| t),
-            wifi_queue: (self.wifi.backlog(), self.wifi.next_ready()),
-            lte_queue: (self.lte.backlog(), self.lte.next_ready()),
+            ifaces: (self.ifaces.iter())
+                .map(|row| IfaceSnapshot {
+                    name: row.name,
+                    queue: (row.link.backlog(), row.link.next_ready()),
+                    last_activity: row.log.last_activity(),
+                })
+                .collect(),
             client_timer: self.client.next_timer(),
             server_timer: self.server.next_timer(),
-            wifi_last_activity: self.wifi_log.last_activity(),
-            lte_last_activity: self.lte_log.last_activity(),
             client_state: self.client.health(),
             server_state: self.server.health(),
         }
@@ -790,7 +796,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
 /// Deliver drained frames to a host: record them in the interface log
 /// (client-side only — server exits are not logged), decode, count
 /// delivered payload bytes, and hand the segment to the endpoint. One
-/// code path for all four (link, direction) buffers; draining leaves the
+/// code path for every (link, direction) buffer; draining leaves the
 /// scratch buffer's capacity in place for the next step.
 fn deliver_frames<E: Endpoint>(
     now: Time,
@@ -867,8 +873,8 @@ mod tests {
         );
         assert!(ok.held(), "download did not complete");
         // All traffic used WiFi; LTE stayed silent.
-        assert!(!sim.wifi_log.is_empty());
-        assert_eq!(sim.lte_log.len(), 0);
+        assert!(!sim.ifaces[0].log.is_empty());
+        assert_eq!(sim.ifaces[1].log.len(), 0);
         // Throughput sanity: 100 kB over a 20 Mbit/s link with 20 ms RTT
         // should finish well under a second yet take at least the
         // serialization + handshake time.
@@ -1093,8 +1099,8 @@ mod tests {
             );
             (
                 sim.now,
-                sim.wifi_log.len(),
-                sim.wifi_log.bytes(PacketDir::Rx),
+                sim.ifaces[0].log.len(),
+                sim.ifaces[0].log.bytes(PacketDir::Rx),
             )
         };
         assert_eq!(
@@ -1284,18 +1290,18 @@ mod tests {
         let ok = sim.run_until(
             |sim| {
                 if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        sim.server.mp.conn_mut(sid).send(Bytes::from(data.clone()));
-                        sim.server.mp.conn_mut(sid).close(Time::ZERO);
+                    for sid in sim.server.take_accepted() {
+                        sim.server.conn_mut(sid).send(Bytes::from(data.clone()));
+                        sim.server.conn_mut(sid).close(Time::ZERO);
                         sent = true;
                     }
                 }
-                sim.client.mp.conn(c).delivered_bytes() == 1_000_000
+                sim.client.conn(c).delivered_bytes() == 1_000_000
             },
             Time::from_secs(120),
         );
         assert!(ok.held(), "download must complete over the WiFi backup");
-        let got: Vec<u8> = sim.client.mp.conn_mut(c).take_delivered().concat();
+        let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
         assert_eq!(got, data, "stream must be intact across the failover");
         let m = metrics::snapshot();
         assert_eq!(m.faults_injected, 1);
@@ -1339,20 +1345,20 @@ mod tests {
         let ok = sim.run_until(
             |sim| {
                 if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        sim.server.mp.conn_mut(sid).send(Bytes::from(data.clone()));
-                        sim.server.mp.conn_mut(sid).close(Time::ZERO);
+                    for sid in sim.server.take_accepted() {
+                        sim.server.conn_mut(sid).send(Bytes::from(data.clone()));
+                        sim.server.conn_mut(sid).close(Time::ZERO);
                         sent = true;
                     }
                 }
-                sim.client.mp.conn(c).delivered_bytes() == 3_000_000
+                sim.client.conn(c).delivered_bytes() == 3_000_000
             },
             Time::from_secs(120),
         );
         assert!(ok.held(), "transfer survives the blackout window");
-        let got: Vec<u8> = sim.client.mp.conn_mut(c).take_delivered().concat();
+        let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
         assert_eq!(got, data, "stream intact across failover and rejoin");
-        let stats = sim.client.mp.conn(c).subflow_stats();
+        let stats = sim.client.conn(c).subflow_stats();
         assert_eq!(
             stats.len(),
             3,
@@ -1367,6 +1373,70 @@ mod tests {
             stats[2].established_at.unwrap() > Time::from_millis(2300),
             "the rejoin happens only after the restore"
         );
+    }
+
+    #[test]
+    fn a_third_interface_is_one_more_row() {
+        // WiFi + 2×LTE (the dual-LTE pair of Mohan et al. beside the
+        // paper's WiFi): the table, the delivery loops and the MPTCP
+        // path manager take a third row as they take the second.
+        use crate::endpoint::{MptcpClientHost, MptcpServerHost};
+        use crate::LTE_ADDR;
+        use mpwifi_mptcp::MptcpConfig;
+        let wifi = LinkSpec::symmetric(2_000_000, Dur::from_millis(30));
+        let lte = LinkSpec::asymmetric(1_000_000, 1_600_000, Dur::from_millis(60));
+        let lte2 = LinkSpec::symmetric(1_200_000, Dur::from_millis(80));
+        let cfg = MptcpConfig::default(); // Full mode
+        let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR, Addr(3)], 3);
+        let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 5);
+        let cut_at = Time::from_millis(800);
+        let mut sim = Sim::builder(client, server)
+            .wifi(&wifi)
+            .lte(&lte)
+            .iface(Addr(3), "lte2", &lte2)
+            .seed(42)
+            .event(cut_at, ScriptEvent::CutIface(WIFI_ADDR))
+            .event(cut_at, ScriptEvent::NotifyIfaceDown(WIFI_ADDR))
+            .build();
+        let c = sim.client.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT);
+        let data: Vec<u8> = (0..1_000_000).map(|i| (i % 233) as u8).collect();
+        let mut sent = false;
+        let ok = sim.run_until(
+            |sim| {
+                if !sent {
+                    for sid in sim.server.take_accepted() {
+                        sim.server.conn_mut(sid).send(Bytes::from(data.clone()));
+                        sim.server.conn_mut(sid).close(Time::ZERO);
+                        sent = true;
+                    }
+                }
+                sim.client.conn(c).delivered_bytes() == 1_000_000
+            },
+            Time::from_secs(120),
+        );
+        assert!(
+            ok.held(),
+            "the two LTE rows carry the transfer past the cut"
+        );
+        let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
+        assert_eq!(got, data, "stream intact across three subflows");
+        assert_eq!(sim.client.conn(c).subflow_stats().len(), 3);
+        for row in &sim.ifaces {
+            let carried = row.log.bytes(PacketDir::Tx) + row.log.bytes(PacketDir::Rx);
+            assert!(carried > 10_000, "{} carried {carried} B", row.name);
+        }
+        let rendered = sim.forensic_snapshot("test").render();
+        let line = |prefix: &str| {
+            let mut lines = rendered.lines();
+            lines.find(|l| l.starts_with(prefix)).map(str::to_owned)
+        };
+        assert!(
+            line("event queue:").is_some_and(|l| l.contains(", lte2 ")),
+            "{rendered}"
+        );
+        assert!(line("iface lte2:").is_some(), "{rendered}");
+        // The hosts know addresses, not the table's names.
+        assert!(rendered.contains("subflow iface 3 (id 3)"), "{rendered}");
     }
 
     #[test]
@@ -1420,8 +1490,8 @@ mod tests {
             );
             (
                 sim.now,
-                sim.wifi_log.len(),
-                sim.wifi_log.bytes(PacketDir::Rx),
+                sim.ifaces[0].log.len(),
+                sim.ifaces[0].log.bytes(PacketDir::Rx),
                 format!("{:?}", metrics::snapshot()),
             )
         };
@@ -1462,8 +1532,8 @@ mod tests {
             );
             (
                 sim.now,
-                sim.wifi_log.len(),
-                sim.wifi_log.bytes(PacketDir::Rx),
+                sim.ifaces[0].log.len(),
+                sim.ifaces[0].log.bytes(PacketDir::Rx),
             )
         };
         assert_eq!(run(), run(), "same seed, same scenario, same outcome");
@@ -1508,16 +1578,15 @@ mod tests {
         let result = sim.run_until(
             |sim| {
                 if !sent {
-                    for sid in sim.server.mp.take_accepted() {
+                    for sid in sim.server.take_accepted() {
                         sim.server
-                            .mp
                             .conn_mut(sid)
                             .send(Bytes::from(vec![9u8; 2_000_000]));
-                        sim.server.mp.conn_mut(sid).close(Time::ZERO);
+                        sim.server.conn_mut(sid).close(Time::ZERO);
                         sent = true;
                     }
                 }
-                sim.client.mp.conn(c).delivered_bytes() == 2_000_000
+                sim.client.conn(c).delivered_bytes() == 2_000_000
             },
             Time::from_secs(30),
         );

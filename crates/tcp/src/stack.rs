@@ -156,13 +156,6 @@ impl TcpStack {
             c.take_tx_into(now, out);
         }
     }
-
-    /// Drop fully closed connections; returns how many were reaped.
-    pub fn reap_closed(&mut self) -> usize {
-        let before = self.conns.len();
-        self.conns.retain(|_, c| !c.is_closed());
-        before - self.conns.len()
-    }
 }
 
 #[cfg(test)]
@@ -344,8 +337,6 @@ mod tests {
         );
         assert!(lb.a.conn(ca).unwrap().error().is_none());
         assert!(lb.b.conn(cb).unwrap().error().is_none());
-        assert_eq!(lb.a.reap_closed(), 1);
-        assert_eq!(lb.b.reap_closed(), 1);
     }
 
     #[test]

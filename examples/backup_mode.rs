@@ -52,23 +52,24 @@ fn main() {
 
     println!("3 MB download, WiFi primary, LTE backup, WiFi cut at t = 5 s");
     println!("  completed: {done} at t = {}", sim.now);
-    for st in sim.client.mp.conn(id).subflow_stats() {
+    for st in sim.client.conn(id).subflow_stats() {
         println!(
             "  subflow on {}: backup={}, dead={}, delivered {} bytes",
             st.iface, st.is_backup, st.dead, st.bytes_delivered
         );
     }
+    let r = r.with_logs(&mut sim);
     println!(
         "  WiFi iface saw {} packets; LTE iface saw {} packets",
-        sim.wifi_log.len(),
-        sim.lte_log.len()
+        r.wifi_log.len(),
+        r.lte_log.len()
     );
 
     // Energy: what did keeping LTE as a "mostly idle" backup cost?
     let model = PowerModel::default();
     let horizon = sim.now + Dur::from_secs(16); // include the final tail
-    let lte_energy = model.energy(RadioKind::Lte, &sim.lte_log, horizon);
-    let wifi_energy = model.energy(RadioKind::Wifi, &sim.wifi_log, horizon);
+    let lte_energy = model.energy(RadioKind::Lte, &r.lte_log, horizon);
+    let wifi_energy = model.energy(RadioKind::Wifi, &r.wifi_log, horizon);
     println!("\nenergy over {} (1 W base device power):", horizon);
     println!(
         "  LTE : {:>6.1} J radio ({:.1} J in RRC tails)",

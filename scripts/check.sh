@@ -11,7 +11,8 @@
 #                           nothing above compiles it) builds against the
 #                           crates as they are now, passes its unit tests
 #                           and its --quick mode: 2 rounds of all six
-#                           workloads, digests equal across rounds. An
+#                           workloads, digests equal across rounds and
+#                           equal to scripts/pins.txt. An
 #                           API drift that would break BENCHMARK.json's
 #                           command fails here, and so does a change to
 #                           any crate's dependency list, which cargo
@@ -28,7 +29,9 @@
 #                           cell; MPWIFI_MATRIX_CASES overrides) and the
 #                           sched-matrix / sched-failover family; any
 #                           invariant violation fails and prints the
-#                           shrunk reproducer.
+#                           shrunk reproducer, and at the default case
+#                           counts both campaign fingerprints must equal
+#                           scripts/pins.txt.
 #                crowd      a 10^4-user campaign (MPWIFI_CROWD_USERS
 #                           overrides) through `repro campaign` (merge
 #                           agreement is one of its claims) and the
@@ -68,6 +71,25 @@ for arg in "$@"; do
     esac
 done
 
+# scripts/pins.txt holds the digests and fingerprints that say "no
+# behaviour moved"; a behaviour PR edits that file on purpose.
+# `check_pins <group> <file>` compares every pin of <group> with the
+# `name value` lines of <file> and fails on a difference, old -> new.
+check_pins() {
+    local moved=0 name want got
+    while read -r name want; do
+        got="$(awk -v n="$name" '$1 == n { print $2 }' "$2")"
+        if [ "$got" != "$want" ]; then
+            echo "pin $name: $want -> ${got:-(not printed)}" >&2
+            moved=1
+        fi
+    done < <(grep "^$1/" scripts/pins.txt)
+    if [ "$moved" -eq 1 ]; then
+        echo "scripts/pins.txt does not match this tree" >&2
+        exit 1
+    fi
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -96,14 +118,21 @@ if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"
     cargo test --workspace --release -q
 
-    echo "== stackbench smoke: harness builds, unit tests, --quick"
+    TMP="$(mktemp -d)"
+    trap 'rm -rf "$TMP"' EXIT
+
+    echo "== stackbench smoke: harness builds, unit tests, --quick, pinned digests"
     # The unit tests get a target directory of their own: the harness
     # keeps its scratch files in `<exe dir>/../stackbench`, which for a
     # test executable is where `cargo run` puts the binary itself.
     CARGO_TARGET_DIR=stackbench/target/unit \
         cargo test --release --offline -q --manifest-path stackbench/Cargo.toml
-    cargo run --release --offline -q --manifest-path stackbench/Cargo.toml -- --quick
+    cargo run --release --offline -q --manifest-path stackbench/Cargo.toml -- --quick --seed 42 |
+        tee "$TMP/quick.out"
     git diff --exit-code -- stackbench/Cargo.lock
+    sed -n 's|^\([a-z_]*\): seed 42, .* digest \([0-9a-f]*\)$|stackbench/\1 \2|p' \
+        "$TMP/quick.out" >"$TMP/quick.pins"
+    check_pins stackbench "$TMP/quick.pins"
 
     # repro plus the chaos_load and kill_chaos harnesses.
     cargo build --release -q -p mpwifi-repro --bins
@@ -111,8 +140,6 @@ if [ "$FULL" -eq 1 ]; then
     # mpwifi-repro -- …`; with three bins it needs `default-run`.
     cargo run --release -q -p mpwifi-repro -- --list >/dev/null
     REPRO=./target/release/repro
-    TMP="$(mktemp -d)"
-    trap 'rm -rf "$TMP"' EXIT
 
     echo "== report: EXPERIMENTS.md regenerates byte-for-byte"
     "$REPRO" all extensions --seed 42 --markdown "$TMP/exp.md" >/dev/null
@@ -123,10 +150,15 @@ if [ "$FULL" -eq 1 ]; then
 
     CASES="${MPWIFI_CONFORMANCE_CASES:-25}"
     echo "== conformance smoke: $CASES fuzz cases, fixed seed"
-    "$REPRO" conformance --cases "$CASES" --seed 42 --jobs 4
+    "$REPRO" conformance --cases "$CASES" --seed 42 --jobs 4 | tee "$TMP/campaign.out"
     MCASES="${MPWIFI_MATRIX_CASES:-8}"
     echo "== conformance smoke: scheduler x CC matrix campaign, $MCASES cases per cell"
-    "$REPRO" conformance --matrix --cases "$MCASES" --seed 42 --jobs 4
+    "$REPRO" conformance --matrix --cases "$MCASES" --seed 42 --jobs 4 | tee "$TMP/matrix.out"
+    if [ "$CASES" -eq 25 ] && [ "$MCASES" -eq 8 ]; then
+        sed -n 's|^\([a-z]*\) fingerprint: |conformance/\1 |p' \
+            "$TMP/campaign.out" "$TMP/matrix.out" >"$TMP/conformance.pins"
+        check_pins conformance "$TMP/conformance.pins"
+    fi
     echo "== conformance smoke: sched-matrix + sched-failover family, claims must hold"
     "$REPRO" sched-matrix sched-failover --seed 42 >/dev/null
 

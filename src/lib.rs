@@ -12,7 +12,7 @@
 //! | [`netem`] | `mpwifi-netem` | Mahimahi-style link emulation (queues, traces, delay, loss) |
 //! | [`tcp`] | `mpwifi-tcp` | a from-scratch TCP (handshake, SACK recovery, Reno/CUBIC) |
 //! | [`mptcp`] | `mpwifi-mptcp` | MPTCP: subflows, DSS, LIA coupled CC, backup mode |
-//! | [`sim`] | `mpwifi-sim` | the two-link testbed, driver loop, workload runners |
+//! | [`sim`] | `mpwifi-sim` | the testbed (a table of access links, WiFi and LTE its two rows), driver loop, workload runners |
 //! | [`radio`] | `mpwifi-radio` | WiFi/LTE condition synthesis, traces, LTE tail-energy model |
 //! | [`measure`] | `mpwifi-measure` | CDFs, quantiles, geographic k-means, renderers |
 //! | [`crowd`] | `mpwifi-crowd` | the Cell vs WiFi crowd study (Table 1, Figures 3/4/6) |

@@ -294,20 +294,20 @@ fn mid_run_rate_change_shifts_mptcp_traffic() {
     let done = sim.run_until(
         |sim| {
             if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
+                for sid in sim.server.take_accepted() {
+                    let c = sim.server.conn_mut(sid);
                     c.send(Bytes::from(vec![4u8; BYTES as usize]));
                     c.close(sim.now);
                     sent = true;
                 }
             }
-            let _ = sim.client.mp.conn_mut(id).take_delivered();
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
+            let _ = sim.client.conn_mut(id).take_delivered();
+            sim.client.conn(id).delivered_bytes() >= BYTES
         },
         Time::from_secs(120),
     );
     assert!(done.held(), "transfer survives the degradation");
-    let stats = sim.client.mp.conn(id).subflow_stats();
+    let stats = sim.client.conn(id).subflow_stats();
     let wifi_bytes = stats
         .iter()
         .find(|s| s.iface == WIFI_ADDR)

@@ -37,18 +37,18 @@ fn drive(
     let done = sim.run_until(
         |sim| {
             if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
+                for sid in sim.server.take_accepted() {
+                    let c = sim.server.conn_mut(sid);
                     c.send(Bytes::from(vec![3u8; BYTES as usize]));
                     c.close(sim.now);
                     sent = true;
                 }
             }
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
+            sim.client.conn(id).delivered_bytes() >= BYTES
         },
         deadline,
     );
-    (done.held(), sim.client.mp.conn(id).delivered_bytes())
+    (done.held(), sim.client.conn(id).delivered_bytes())
 }
 
 #[test]
@@ -154,18 +154,18 @@ fn notification_failover_preserves_stream_integrity() {
     let done = sim.run_until(
         |sim| {
             if !sent {
-                for sid in sim.server.mp.take_accepted() {
-                    let c = sim.server.mp.conn_mut(sid);
+                for sid in sim.server.take_accepted() {
+                    let c = sim.server.conn_mut(sid);
                     c.send(Bytes::from(payload.clone()));
                     c.close(sim.now);
                     sent = true;
                 }
             }
-            sim.client.mp.conn(id).delivered_bytes() >= BYTES
+            sim.client.conn(id).delivered_bytes() >= BYTES
         },
         Time::from_secs(120),
     );
     assert!(done.held());
-    let got: Vec<u8> = sim.client.mp.conn_mut(id).take_delivered().concat();
+    let got: Vec<u8> = sim.client.conn_mut(id).take_delivered().concat();
     assert_eq!(got, expected, "stream corrupted across failover");
 }

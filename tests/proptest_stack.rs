@@ -99,19 +99,19 @@ proptest! {
         let done = sim.run_until(
             |sim| {
                 if !sent {
-                    for sid in sim.server.mp.take_accepted() {
-                        let c = sim.server.mp.conn_mut(sid);
+                    for sid in sim.server.take_accepted() {
+                        let c = sim.server.conn_mut(sid);
                         c.send(Bytes::from(payload.clone()));
                         c.close(sim.now);
                         sent = true;
                     }
                 }
-                sim.client.mp.conn(id).delivered_bytes() >= size
+                sim.client.conn(id).delivered_bytes() >= size
             },
             Time::from_secs(120),
         );
         prop_assert!(done.held());
-        let got: Vec<u8> = sim.client.mp.conn_mut(id).take_delivered().concat();
+        let got: Vec<u8> = sim.client.conn_mut(id).take_delivered().concat();
         prop_assert_eq!(got, expected);
     }
 }

@@ -210,9 +210,9 @@ fn control_plane_pin(
     let m = metrics::snapshot().since(&before);
     (
         r.completed.map(Dur::as_micros),
-        sim.wifi_log.len(),
-        sim.lte_log.len(),
-        sim.client.mp.conn(id).subflow_count(),
+        sim.ifaces[0].log.len(),
+        sim.ifaces[1].log.len(),
+        sim.client.conn(id).subflow_count(),
         m.reinjections,
         m.subflows_declared_dead,
         m.recovery_time_us,
@@ -317,7 +317,10 @@ where
         |_, _| {},
     );
     let m = metrics::snapshot().since(&before);
-    let pipes = [&sim.wifi.up, &sim.wifi.down, &sim.lte.up, &sim.lte.down].map(|p| {
+    let [wifi, lte] = &sim.ifaces[..] else {
+        panic!("the pinned worlds have two interfaces");
+    };
+    let pipes = [&wifi.link.up, &wifi.link.down, &lte.link.up, &lte.link.down].map(|p| {
         let s = p.stats();
         (
             s.pushed,
