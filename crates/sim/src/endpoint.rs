@@ -288,6 +288,9 @@ fn mptcp_health<'a>(conns: impl Iterator<Item = &'a MptcpConnection>) -> String 
     out
 }
 
+// In both impls a body's `Host::method(self, ..)` is the endpoint's
+// inherent method of that name, which path resolution prefers to the
+// trait's: a plain call, not recursion.
 impl Endpoint for MptcpClientHost {
     fn on_segment(&mut self, now: Time, seg: &Segment, _src: Addr, _dst: Addr) {
         MptcpClientHost::on_segment(self, now, seg);

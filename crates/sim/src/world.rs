@@ -330,12 +330,11 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
             self.rows.iter().all(|r| r.addr != addr),
             "interface {addr} added twice"
         );
-        let faults = FaultPlan::new();
         self.rows.push(Row {
             addr,
             name,
             spec,
-            faults,
+            faults: FaultPlan::new(),
         });
         self
     }
@@ -1426,10 +1425,7 @@ mod tests {
             assert!(carried > 10_000, "{} carried {carried} B", row.name);
         }
         let rendered = sim.forensic_snapshot("test").render();
-        let line = |prefix: &str| {
-            let mut lines = rendered.lines();
-            lines.find(|l| l.starts_with(prefix)).map(str::to_owned)
-        };
+        let line = |prefix: &str| rendered.lines().find(|l| l.starts_with(prefix));
         assert!(
             line("event queue:").is_some_and(|l| l.contains(", lte2 ")),
             "{rendered}"
