@@ -677,9 +677,10 @@ impl MptcpConnection {
         for s in self.subflows.iter().filter(|s| is_eligible(s)) {
             eligible += 1;
             let window = s.conn.cwnd().min(s.conn.send_window());
-            let used = s.conn.in_flight() + s.conn.bytes_unsent();
-            in_flight += used;
-            if window.saturating_sub(used) >= mss {
+            let unsent = s.conn.bytes_unsent();
+            in_flight += s.conn.in_flight() + unsent;
+            // Room as the scheduler sees it (`fill_views`).
+            if window.saturating_sub(s.conn.pipe() + unsent) >= mss {
                 eligible_with_room += 1;
             }
         }
@@ -1067,7 +1068,8 @@ impl MptcpConnection {
         views.extend(self.subflows.iter().enumerate().map(|(idx, s)| {
             let eligible = is_eligible(s);
             let cwnd = s.conn.cwnd();
-            let used = s.conn.in_flight() + s.conn.bytes_unsent();
+            // What the subflow's own send loop counts against `cwnd`.
+            let used = s.conn.pipe() + s.conn.bytes_unsent();
             SubflowView {
                 idx,
                 eligible,
@@ -1608,6 +1610,44 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(mp_options(&out[0].2).any(|o| o == MpOption::RemoveAddr { addr_id: 2 }));
         assert!(conn.subflows[0].pending_remove_addr.is_empty());
+    }
+
+    #[test]
+    fn a_full_sack_option_and_the_data_ack_share_the_forty_option_bytes() {
+        let cfg = MptcpConfig::default();
+        let paths = PathManager::client(&cfg, &[(Addr(1), 1)], Addr(1), &mut 1);
+        let mut conn = MptcpConnection::new(cfg, paths, Addr(10), 2, 7);
+        conn.subflows.push(subflow());
+        // The duplicate ACK of a subflow with two holes: the timestamp
+        // and as many SACK blocks as its receive buffer reports.
+        let blocks: Vec<(u32, u32)> = (1..=mpwifi_tcp::buffer::MAX_SACK_BLOCKS as u32)
+            .map(|i| (i * 2800, i * 2800 + 1400))
+            .collect();
+        let ack = Segment {
+            options: vec![
+                TcpOption::Timestamp { val: 1, ecr: 2 },
+                TcpOption::Sack(blocks.clone()),
+            ],
+            ..Segment::control(1, 2, 1, 0, Flags::ACK)
+        };
+        let mut out = Vec::new();
+        conn.decorate_into(0, ack, 5_000, false, 0, &mut out);
+        let seg = &out[0].2;
+        let option_bytes =
+            seg.wire_len() - mpwifi_tcp::segment::IP_OVERHEAD - mpwifi_tcp::segment::HEADER_LEN;
+        assert!(option_bytes <= 40, "{option_bytes} option bytes");
+        assert!(
+            seg.options.contains(&TcpOption::Sack(blocks)),
+            "the SACK blocks were shed: {:?}",
+            seg.options
+        );
+        assert!(mp_options(seg).any(|o| matches!(
+            o,
+            MpOption::Dss {
+                data_ack: 5_000,
+                ..
+            }
+        )));
     }
 
     #[test]

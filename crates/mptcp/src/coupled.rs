@@ -375,7 +375,6 @@ mod tests {
     fn drain_slow_start(cc: &mut Cwnd, in_flight: u64) {
         // Force out of slow start via a recovery episode.
         cc.on_enter_recovery(in_flight);
-        cc.on_exit_recovery();
     }
 
     /// Feed one full window of MSS ACKs and return the growth in bytes.
@@ -534,7 +533,6 @@ mod tests {
         let mut cc = window(&g, CcKind::Lia, 40);
         cc.on_enter_recovery(40 * MSS as u64);
         assert_eq!(cc.ssthresh(), 20 * MSS as u64);
-        cc.on_exit_recovery();
         assert_eq!(cc.cwnd(), 20 * MSS as u64);
     }
 

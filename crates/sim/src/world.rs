@@ -1032,18 +1032,15 @@ mod tests {
             "every encode is either a reuse or a pool growth"
         );
         // Every allocation grew the pool to cover the peak number of
-        // simultaneously in-flight wire images (bounded by the bottleneck
-        // queue); none were churn. Once warm, every encode is a reuse.
+        // simultaneously live wire images (the bottleneck queue plus what
+        // the receiver parks behind a hole); none were churn. Once warm,
+        // every encode is a reuse. The bound is that high-water mark and
+        // not a share of the encodes: a sender that wastes fewer
+        // segments encodes fewer over the same peak.
         assert_eq!(
             m.enc_buffers_allocated,
             sim.pool.capacity() as u64,
             "allocations beyond the pool's high-water mark are churn"
-        );
-        assert!(
-            m.enc_buffers_allocated <= m.segments_encoded / 10,
-            "steady state must reuse, not allocate: {} allocations over {} encodes",
-            m.enc_buffers_allocated,
-            m.segments_encoded,
         );
         assert!(
             m.scratch_high_water >= 1,

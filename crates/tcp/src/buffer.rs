@@ -148,7 +148,17 @@ pub struct RecvBuffer {
     /// — they occupy buffer space and shrink the advertised window.
     unconsumed_bytes: usize,
     capacity: usize,
+    /// The SACK blocks an ACK carries (RFC 2018 §4): the range the newest
+    /// out-of-order arrival landed in first, then the ranges reported
+    /// before it, newest first, [`MAX_SACK_BLOCKS`] at most. Each is a
+    /// held `[start, end)` run above `next`; one whose neighbour has been
+    /// forgotten may stop short of the whole run.
+    sack: Vec<(u64, u64)>,
 }
+
+/// SACK blocks per ACK: two, with the timestamp, leave an MPTCP subflow
+/// room for its DSS data ACK inside the 40 option bytes.
+pub const MAX_SACK_BLOCKS: usize = 2;
 
 impl RecvBuffer {
     /// Buffer with the given capacity, which bounds out-of-order holding
@@ -163,6 +173,7 @@ impl RecvBuffer {
             delivered_bytes: 0,
             unconsumed_bytes: 0,
             capacity,
+            sack: Vec::with_capacity(MAX_SACK_BLOCKS + 1),
         }
     }
 
@@ -227,10 +238,27 @@ impl RecvBuffer {
             // healthy flow): deliver without a trip through the map.
             self.deliver(data);
         } else {
+            if start > self.next {
+                self.note_arrival(start, start + data.len() as u64);
+            }
             self.insert_trimmed(start, data);
             self.drain_in_order();
         }
         self.next - before
+    }
+
+    /// `[start, end)` is held as of now: it becomes the first SACK
+    /// block, grown by every remembered block it touches.
+    fn note_arrival(&mut self, mut start: u64, mut end: u64) {
+        self.sack.retain(|&(a, b)| {
+            let touches = a <= end && start <= b;
+            if touches {
+                (start, end) = (start.min(a), end.max(b));
+            }
+            !touches
+        });
+        self.sack.insert(0, (start, end));
+        self.sack.truncate(MAX_SACK_BLOCKS);
     }
 
     /// Move in-order `data` at `next` to the delivery queue.
@@ -291,6 +319,7 @@ impl RecvBuffer {
             self.ooo_bytes -= data.len();
             self.deliver(data);
         }
+        self.sack.retain(|&(_, end)| end > self.next);
     }
 
     /// Drain the in-order data delivered since the last call (the
@@ -322,23 +351,10 @@ impl RecvBuffer {
         !self.ooo.is_empty()
     }
 
-    /// Up to `max` coalesced out-of-order ranges as `[start, end)`
-    /// stream offsets — the receiver's SACK blocks.
-    pub fn ooo_ranges(&self, max: usize) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for (&start, data) in &self.ooo {
-            let end = start + data.len() as u64;
-            match out.last_mut() {
-                Some((_, e)) if *e == start => *e = end,
-                _ => {
-                    if out.len() == max {
-                        break;
-                    }
-                    out.push((start, end));
-                }
-            }
-        }
-        out
+    /// The receiver's SACK blocks as `[start, end)` stream offsets, in
+    /// the order an ACK lists them; empty when nothing is out of order.
+    pub fn sack_blocks(&self) -> &[(u64, u64)] {
+        &self.sack
     }
 }
 
@@ -528,13 +544,21 @@ mod tests {
         }
 
         #[test]
-        fn ooo_ranges_coalesce() {
+        fn sack_blocks_list_the_newest_arrival_first() {
+            // Segments 3, 5 and 7 of a ten-byte-segment stream.
             let mut rb = RecvBuffer::new(1 << 20);
-            rb.insert(10, b("ab"));
-            rb.insert(12, b("cd"));
-            rb.insert(20, b("xy"));
-            assert_eq!(rb.ooo_ranges(4), vec![(10, 14), (20, 22)]);
-            assert_eq!(rb.ooo_ranges(1), vec![(10, 14)]);
+            for seg in [3, 5, 7] {
+                rb.insert(seg * 10, Bytes::from(vec![seg as u8; 10]));
+            }
+            assert_eq!(rb.sack_blocks(), [(70, 80), (50, 60)]);
+            // Segment 4 grows the remembered block of 5 (that of 3 was
+            // pushed out by 7's) and moves it to the front.
+            rb.insert(40, Bytes::from(vec![4; 10]));
+            assert_eq!(rb.sack_blocks(), [(40, 60), (70, 80)]);
+            // The hole in front fills: what was delivered is no block.
+            rb.insert(0, Bytes::from(vec![0; 30]));
+            assert_eq!(rb.next_expected(), 60);
+            assert_eq!(rb.sack_blocks(), [(70, 80)]);
         }
 
         #[test]

@@ -1,10 +1,11 @@
 //! Congestion control: one window, one growth rule per controller.
 //!
 //! [`Cwnd`] is the congestion window every connection holds. It owns
-//! what all controllers share — slow start, the threshold floor and the
-//! NewReno recovery choreography (inflate on entry, per duplicate ACK,
-//! deflate on a partial ACK, settle on exit, collapse on a timeout) —
-//! and asks its [`Growth`] rule the two questions on which they differ:
+//! what all controllers share — slow start, the threshold floor, and
+//! where the window lands after a loss (on the threshold when fast
+//! recovery opens, on one segment after a timeout; it never inflates:
+//! the sender counts its `pipe` against it, RFC 6675) — and asks its
+//! [`Growth`] rule the two questions on which they differ:
 //! how many bytes an ACK adds in congestion avoidance, and where the
 //! threshold lands after a [`Loss`]. Two rules live here:
 //!
@@ -66,8 +67,8 @@ pub trait Growth: std::fmt::Debug {
     fn observe(&mut self, _cwnd: u64, _rtt: Option<Dur>) {}
 }
 
-/// A congestion window: slow start and NewReno recovery (RFC 5681 /
-/// 6582) around a [`Growth`] rule.
+/// A congestion window: slow start and the two loss responses
+/// (RFC 5681) around a [`Growth`] rule.
 #[derive(Debug)]
 pub struct Cwnd {
     mss: u64,
@@ -110,8 +111,8 @@ impl Cwnd {
         self.ssthresh = landed.max(2 * self.mss);
     }
 
-    /// A cumulative ACK outside recovery advanced the window by `acked`
-    /// bytes; `rtt` is the connection's smoothed RTT.
+    /// A cumulative ACK outside fast recovery advanced the window by
+    /// `acked` bytes; `rtt` is the connection's smoothed RTT.
     pub fn on_ack(&mut self, now: Time, acked: u64, rtt: Option<Dur>) {
         self.rule.observe(self.cwnd, rtt);
         let grown = if self.cwnd < self.ssthresh {
@@ -125,27 +126,11 @@ impl Cwnd {
     }
 
     /// Entering fast recovery (third duplicate ACK) with `in_flight`
-    /// bytes outstanding.
+    /// bytes outstanding: the window sits on the new threshold until
+    /// the connection resumes [`Cwnd::on_ack`].
     pub fn on_enter_recovery(&mut self, in_flight: u64) {
         self.lose(Loss::FastRecovery, in_flight);
-        // NewReno: the three duplicate ACKs each signal a departure.
-        self.settle(self.ssthresh + 3 * self.mss);
-    }
-
-    /// A further duplicate ACK while in recovery (window inflation).
-    pub fn on_dup_ack_in_recovery(&mut self) {
-        self.settle(self.cwnd + self.mss);
-    }
-
-    /// A partial ACK in recovery retransmitted the next hole: deflate by
-    /// the ACKed amount, re-inflate by one segment.
-    pub fn on_partial_ack(&mut self, acked: u64) {
-        self.settle(self.cwnd.saturating_sub(acked).max(self.mss) + self.mss);
-    }
-
-    /// Recovery completed (the recovery point was cumulatively ACKed).
-    pub fn on_exit_recovery(&mut self) {
-        self.settle(self.ssthresh.max(2 * self.mss));
+        self.settle(self.ssthresh);
     }
 
     /// The retransmission timer fired with `in_flight` bytes outstanding.
@@ -284,7 +269,6 @@ mod tests {
     fn reno_congestion_avoidance_linear() {
         let mut cc = reno(10);
         cc.on_enter_recovery(20 * MSS as u64); // ssthresh = 10 MSS
-        cc.on_exit_recovery();
         let w0 = cc.cwnd();
         assert_eq!(w0, 10 * MSS as u64);
         // One full window of ACKs grows cwnd by exactly one MSS.
@@ -302,11 +286,7 @@ mod tests {
         let in_flight = 40 * MSS as u64;
         cc.on_enter_recovery(in_flight);
         assert_eq!(cc.ssthresh(), in_flight / 2);
-        assert_eq!(cc.cwnd(), in_flight / 2 + 3 * MSS as u64);
-        cc.on_dup_ack_in_recovery();
-        assert_eq!(cc.cwnd(), in_flight / 2 + 4 * MSS as u64);
-        cc.on_exit_recovery();
-        assert_eq!(cc.cwnd(), in_flight / 2);
+        assert_eq!(cc.cwnd(), in_flight / 2, "no inflation on entry");
     }
 
     #[test]
@@ -329,7 +309,6 @@ mod tests {
         // Force out of slow start with a loss at 100 segments.
         let mut cc = cubic(100);
         cc.on_enter_recovery(100 * MSS as u64);
-        cc.on_exit_recovery();
         let after_loss = cc.cwnd();
         assert_eq!(after_loss, (100.0 * MSS as f64 * 0.7) as u64);
         // Feed ACKs over simulated time; the window should recover toward

@@ -12,7 +12,7 @@
 //! sequence numbers exist only at the segment boundary.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
-use crate::cc::{self, Cwnd};
+use crate::cc::{self, Cwnd, Loss};
 use crate::rtt::RttEstimator;
 use crate::segment::{Flags, Segment, TcpOption};
 use bytes::Bytes;
@@ -157,18 +157,17 @@ pub struct TcpConnection {
     rtx_deadline: Option<Time>,
     retries: u32,
     dupacks: u32,
-    in_recovery: bool,
-    /// Recovery ends when this offset is cumulatively ACKed.
+    /// The loss under repair, if any: entered on the third duplicate ACK
+    /// or a timeout, over when `recover` is cumulatively ACKed.
+    recovery: Option<Loss>,
+    /// `snd_nxt` as it stood when `recovery` was entered.
     recover: u64,
-    /// Offsets to retransmit at the next output pass.
-    rtx_queue: Vec<u64>,
-    /// An RTO fired and outstanding data may contain further holes that
-    /// no SACK will reveal (pure tail loss generates no dup ACKs): keep
-    /// repairing ack-clocked until snd_una catches up with snd_nxt.
-    rto_repair: bool,
-    /// SACKed `[start, end)` stream ranges above `snd_una`.
+    /// The scoreboard: SACKed `[start, end)` stream ranges above
+    /// `snd_una`, ascending, no two touching. Kept across a timeout
+    /// (RFC 6675 §5.1): the receive buffer never drops what it reported.
     sacked: Vec<(u64, u64)>,
-    /// Next candidate offset for hole retransmission in this recovery.
+    /// Every presumed-lost byte below this has been retransmitted in the
+    /// current recovery; repair only moves forward from here.
     recovery_rtx_next: u64,
 
     // ---- receive side ----
@@ -255,10 +254,8 @@ impl TcpConnection {
             rtx_deadline: None,
             retries: 0,
             dupacks: 0,
-            in_recovery: false,
+            recovery: None,
             recover: 0,
-            rtx_queue: Vec::new(),
-            rto_repair: false,
             sacked: Vec::new(),
             recovery_rtx_next: 0,
             irs: 0,
@@ -696,10 +693,7 @@ impl TcpConnection {
             if let TcpOption::Sack(ranges) = opt {
                 for &(a, b) in ranges {
                     let start = self.send_stream_off_of_seq(a);
-                    let end = self.send_stream_off_of_seq(b);
-                    if end > start {
-                        self.record_sack(start, end);
-                    }
+                    self.record_sack(start, self.send_stream_off_of_seq(b));
                 }
             }
         }
@@ -728,43 +722,13 @@ impl TcpConnection {
             self.dupacks = 0;
             self.sacked.retain(|&(_, b)| b > self.snd_una);
 
-            if self.in_recovery {
-                if ack_off >= self.recover {
-                    self.in_recovery = false;
-                    self.cc.on_exit_recovery();
-                } else {
-                    // Partial ACK (RFC 6582): the segment at the new
-                    // snd_una was lost too — retransmit it immediately,
-                    // even if an earlier pass already covered that range,
-                    // then repair further holes from the scoreboard.
-                    self.cc.on_partial_ack(newly);
-                    if !self.is_sacked(self.snd_una) {
-                        self.rtx_queue.push(self.snd_una);
-                    }
-                    self.recovery_rtx_next = self.recovery_rtx_next.max(self.snd_una);
-                    self.queue_holes(2);
-                    self.note_retransmit();
-                }
-            } else {
+            // The window stands still through fast recovery, the ACK
+            // that ends it included; a timeout's repair is slow start.
+            if self.recovery != Some(Loss::FastRecovery) {
                 self.cc.on_ack(now, newly, self.rtt.srtt());
-                // Two repair triggers outside formal recovery:
-                // (a) SACKed data above the new snd_una — the segment in
-                //     between was lost (typical right after an RTO fixed
-                //     only the first hole of a burst);
-                // (b) RTO repair in progress with outstanding data and no
-                //     SACK information at all (pure tail loss produces no
-                //     dup ACKs) — retransmit ack-clocked instead of
-                //     burning one full RTO per hole.
-                let sack_hole = self.sacked.iter().any(|&(a, _)| a > self.snd_una)
-                    && !self.is_sacked(self.snd_una);
-                if self.snd_una < self.snd_nxt && (sack_hole || self.rto_repair) {
-                    self.recovery_rtx_next = self.snd_una;
-                    self.queue_holes(2);
-                    self.note_retransmit();
-                }
-                if self.snd_una >= self.snd_nxt {
-                    self.rto_repair = false;
-                }
+            }
+            if ack_off >= self.recover {
+                self.recovery = None;
             }
 
             if self.in_flight() > 0 || (self.fin_sent && !self.fin_acked) {
@@ -778,20 +742,15 @@ impl TcpConnection {
             && !seg.flags.fin
             && self.in_flight() > 0
         {
-            // Duplicate ACK.
+            // Duplicate ACK. The third opens fast recovery; inside an
+            // episode of either kind the scoreboard alone steers repair.
             self.dupacks += 1;
-            if self.dupacks == 3 && !self.in_recovery {
-                self.in_recovery = true;
+            if self.dupacks == 3 && self.recovery.is_none() {
+                self.recovery = Some(Loss::FastRecovery);
                 self.recover = self.snd_nxt;
-                self.cc.on_enter_recovery(self.in_flight());
                 self.recovery_rtx_next = self.snd_una;
-                self.queue_holes(2);
+                self.cc.on_enter_recovery(self.in_flight());
                 self.stats.fast_retransmits += 1;
-                self.note_retransmit();
-            } else if self.in_recovery && self.dupacks > 3 {
-                self.cc.on_dup_ack_in_recovery();
-                // Each further dup ACK frees pipe room: repair another hole.
-                self.queue_holes(1);
             }
         }
 
@@ -914,19 +873,19 @@ impl TcpConnection {
                     return;
                 }
                 self.stats.rtos += 1;
-                self.note_retransmit();
                 self.cc.on_rto(self.in_flight());
                 self.rtt.backoff();
-                self.in_recovery = false;
                 self.dupacks = 0;
-                self.sacked.clear();
-                self.rtx_queue.clear();
-                self.rto_repair = true;
+                // Everything un-SACKed below snd_nxt is presumed lost
+                // and repaired from the front, ack-clocked, under the
+                // collapsed window.
+                self.recovery = Some(Loss::Timeout);
+                self.recover = self.snd_nxt;
+                self.recovery_rtx_next = self.snd_una;
                 if self.fin_sent && !self.fin_acked && self.snd_una >= self.snd_buf.end() {
                     // Only the FIN is outstanding: resend it.
+                    self.note_retransmit();
                     self.emit_fin(now);
-                } else {
-                    self.rtx_queue.push(self.snd_una);
                 }
                 self.arm_rtx(now);
             }
@@ -988,40 +947,19 @@ impl TcpConnection {
     }
 
     fn run_output(&mut self, now: Time) {
-        // 1. Retransmissions, if any are queued.
-        let pending: Vec<u64> = std::mem::take(&mut self.rtx_queue);
-        for off in pending {
-            if off < self.snd_nxt && off >= self.snd_buf.base() && off >= self.snd_una {
-                let mss = self.cfg.effective_mss(self.peer_mss) as u64;
-                // Bound at the next SACKed range: those bytes arrived.
-                let next_sacked = self
-                    .sacked
-                    .iter()
-                    .map(|&(a, _)| a)
-                    .filter(|&a| a > off)
-                    .min()
-                    .unwrap_or(self.snd_nxt);
-                let len = (self.snd_nxt - off).min(mss).min(next_sacked - off);
-                if len > 0 {
-                    let payload = self.snd_buf.slice(off, len as usize);
-                    let seg = self.build_data_segment(now, off, payload, false);
-                    self.push_tx(seg);
-                }
-            } else if off >= self.snd_nxt && self.fin_sent && !self.fin_acked {
-                self.emit_fin(now);
-            }
-        }
-
-        // 2. New data within the congestion and flow-control windows.
+        // 1. Data, repairs before new, while the pipe has room.
         if matches!(
             self.state,
-            TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::Closing
-        ) || (self.state == TcpState::SynRcvd)
-        {
+            TcpState::Established
+                | TcpState::CloseWait
+                | TcpState::FinWait1
+                | TcpState::Closing
+                | TcpState::LastAck
+        ) {
             self.output_data(now);
         }
 
-        // 3. FIN once everything has been transmitted.
+        // 2. FIN once everything has been transmitted.
         if self.fin_queued
             && !self.fin_sent
             && self.snd_nxt == self.snd_buf.end()
@@ -1039,52 +977,57 @@ impl TcpConnection {
             self.arm_rtx(now);
         }
 
-        // 4. A pure ACK if still owed.
+        // 3. A pure ACK if still owed.
         if self.ack_need == AckNeed::Now {
             let seg = self.build_ack_segment(now);
             self.push_tx(seg);
         }
     }
 
+    /// The one send loop: while the pipe holds less than the congestion
+    /// window, the next presumed-lost hole goes out, and when there is
+    /// none, new data within the peer's receive window.
     fn output_data(&mut self, now: Time) {
-        if self.state == TcpState::SynRcvd {
-            return; // no data until established (no TFO)
-        }
         // A zero window learned at the handshake (before any ACK carried
         // data) must still arm the persist timer, or queued data waits
         // forever for a peer that has nothing to say.
-        if self.effective_snd_wnd() == 0
-            && self.snd_buf.end() > self.snd_nxt
-            && self.probe_deadline.is_none()
-        {
+        if self.snd_wnd == 0 && self.snd_buf.end() > self.snd_nxt && self.probe_deadline.is_none() {
             self.probe_deadline = Some(now + self.rtt.rto());
         }
         let mss = self.cfg.effective_mss(self.peer_mss) as u64;
+        let cwnd = self.cc.cwnd();
+        let mut pipe = self.pipe();
         loop {
-            let available = self.snd_buf.end() - self.snd_nxt;
-            if available == 0 {
-                break;
-            }
-            let window = self.cc.cwnd().min(self.effective_snd_wnd());
-            let in_flight = self.in_flight();
-            if in_flight >= window {
-                break;
-            }
-            let room = window - in_flight;
-            let len = available.min(mss).min(room);
-            if len == 0 {
-                break;
-            }
-            if self.cfg.nagle && len < mss && in_flight > 0 {
-                break; // Nagle: hold small segment while data is in flight
-            }
-            let payload = self.snd_buf.slice(self.snd_nxt, len as usize);
-            let off = self.snd_nxt;
-            self.snd_nxt += len;
-            let push = self.snd_nxt == self.snd_buf.end();
+            // The segment at snd_una, once presumed lost, goes out
+            // whatever the pipe holds: the fast retransmit, and the
+            // retransmission a timeout owes (RFC 6675 §5, step 4.3).
+            let hole = self
+                .next_hole()
+                .filter(|&(off, _)| pipe < cwnd || off == self.snd_una);
+            let (off, len) = if let Some((off, len)) = hole {
+                self.recovery_rtx_next = off + len;
+                self.note_retransmit();
+                (off, len)
+            } else {
+                let in_flight = self.in_flight();
+                let len = (self.snd_buf.end() - self.snd_nxt)
+                    .min(mss)
+                    .min(cwnd.saturating_sub(pipe))
+                    .min(self.snd_wnd.saturating_sub(in_flight));
+                // No room, nothing queued, or Nagle holding a small
+                // segment while data is in flight.
+                if len == 0 || (self.cfg.nagle && len < mss && in_flight > 0) {
+                    break;
+                }
+                self.snd_nxt += len;
+                (self.snd_nxt - len, len)
+            };
+            let payload = self.snd_buf.slice(off, len as usize);
+            let push = off + len == self.snd_buf.end();
             let seg = self.build_data_segment(now, off, payload, push);
             self.push_tx(seg);
             self.arm_rtx_if_unarmed(now);
+            pipe += len;
         }
     }
 
@@ -1158,17 +1101,12 @@ impl TcpConnection {
         );
         seg.window = self.window_field();
         seg.options = self.data_path_options(now);
-        if self.rcv_buf.has_holes() {
+        let blocks = self.rcv_buf.sack_blocks();
+        if !blocks.is_empty() {
             let base = self.irs.wrapping_add(1);
-            let ranges: Vec<(u32, u32)> = self
-                .rcv_buf
-                .ooo_ranges(2)
-                .into_iter()
-                .map(|(a, b)| (base.wrapping_add(a as u32), base.wrapping_add(b as u32)))
-                .collect();
-            if !ranges.is_empty() {
-                seg.options.push(TcpOption::Sack(ranges));
-            }
+            let wire = |off: u64| base.wrapping_add(off as u32);
+            let ranges = blocks.iter().map(|&(a, b)| (wire(a), wire(b))).collect();
+            seg.options.push(TcpOption::Sack(ranges));
         }
         self.clear_ack_state();
         seg
@@ -1230,68 +1168,81 @@ impl TcpConnection {
         }
     }
 
-    /// Record a SACKed stream range, merging overlaps.
+    /// Record a SACKed stream range, merging it into the scoreboard in
+    /// place with every range it overlaps or abuts.
     fn record_sack(&mut self, start: u64, end: u64) {
-        if end <= start || end <= self.snd_una {
+        let (start, end) = (start.max(self.snd_una), end.min(self.snd_nxt));
+        if end <= start {
             return;
         }
-        let start = start.max(self.snd_una);
-        self.sacked.push((start, end));
-        self.sacked.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.sacked.len());
-        for &(a, b) in &self.sacked {
-            match merged.last_mut() {
-                Some((_, e)) if a <= *e => *e = (*e).max(b),
-                _ => merged.push((a, b)),
+        let first = self.sacked.partition_point(|&(_, b)| b < start);
+        let past = self.sacked.partition_point(|&(a, _)| a <= end);
+        if first == past {
+            self.sacked.insert(first, (start, end));
+        } else {
+            let merged = (
+                start.min(self.sacked[first].0),
+                end.max(self.sacked[past - 1].1),
+            );
+            self.sacked[first] = merged;
+            self.sacked.drain(first + 1..past);
+        }
+    }
+
+    /// Un-SACKed bytes of `[from, to)`.
+    fn unsacked(&self, from: u64, to: u64) -> u64 {
+        let sacked: u64 = self
+            .sacked
+            .iter()
+            .map(|&(a, b)| b.min(to).saturating_sub(a.max(from)))
+            .sum();
+        to.saturating_sub(from) - sacked
+    }
+
+    /// Un-SACKed data below this offset is presumed lost: in fast
+    /// recovery everything under the highest SACKed byte (with nothing
+    /// SACKed, the one segment at `snd_una`); after a timeout everything
+    /// sent before the timer fired; otherwise nothing.
+    fn lost_below(&self) -> u64 {
+        match self.recovery {
+            None => self.snd_una,
+            Some(Loss::Timeout) => self.recover,
+            Some(Loss::FastRecovery) => {
+                let mss = self.cfg.effective_mss(self.peer_mss) as u64;
+                // `recover` is a segment boundary above `snd_una`: past
+                // it lies data sent since, which nothing has reported on.
+                let head = (self.snd_una + mss).min(self.recover);
+                self.sacked.last().map_or(head, |&(_, b)| b)
             }
         }
-        self.sacked = merged;
     }
 
-    /// Is `[off, off+len)` fully covered by SACKed ranges?
-    fn is_sacked(&self, off: u64) -> bool {
-        self.sacked.iter().any(|&(a, b)| off >= a && off < b)
+    /// Bytes the sender believes are in the network (RFC 6675's `pipe`):
+    /// what is neither SACKed nor presumed lost, plus what was presumed
+    /// lost and has been retransmitted.
+    pub fn pipe(&self) -> u64 {
+        let unrepaired = self.unsacked(self.recovery_rtx_next.max(self.snd_una), self.lost_below());
+        self.unsacked(self.snd_una, self.snd_nxt) - unrepaired
     }
 
-    /// Queue up to `n` un-SACKed holes (of up to one MSS each) starting
-    /// from `recovery_rtx_next`, for retransmission.
-    fn queue_holes(&mut self, n: usize) {
+    /// The next presumed-lost range to retransmit, `(offset, length)` of
+    /// at most one segment: forward only from `recovery_rtx_next`, so no
+    /// byte is repaired twice in one recovery.
+    fn next_hole(&self) -> Option<(u64, u64)> {
         let mss = self.cfg.effective_mss(self.peer_mss) as u64;
         let mut off = self.recovery_rtx_next.max(self.snd_una);
-        let mut queued = 0;
-        while queued < n && off < self.snd_nxt {
-            if self.is_sacked(off) {
-                // Jump past the covering range.
-                let (_, end) = *self
-                    .sacked
-                    .iter()
-                    .find(|&&(a, b)| off >= a && off < b)
-                    .expect("invariant: is_sacked(off) guarantees a covering SACK range");
-                off = end;
-                continue;
-            }
-            // Hole at `off`; bound the retransmit at the next SACKed range.
-            let next_sacked = self
-                .sacked
-                .iter()
-                .map(|&(a, _)| a)
-                .filter(|&a| a > off)
-                .min()
-                .unwrap_or(self.snd_nxt);
-            let len = mss.min(next_sacked - off).min(self.snd_nxt - off);
-            self.rtx_queue.push(off);
-            off += len;
-            queued += 1;
+        let first_above = self.sacked.partition_point(|&(_, b)| b <= off);
+        let mut above = self.sacked[first_above..].iter().peekable();
+        if let Some(&(_, b)) = above.next_if(|&&(a, _)| a <= off) {
+            off = b;
         }
-        self.recovery_rtx_next = off;
+        let lost = self.lost_below();
+        let bound = above.next().map_or(lost, |&(a, _)| a.min(lost));
+        (off < bound).then(|| (off, mss.min(bound - off)))
     }
 
     fn has_data_to_send(&self) -> bool {
         self.snd_buf.end() > self.snd_una
-    }
-
-    fn effective_snd_wnd(&self) -> u64 {
-        self.snd_wnd
     }
 
     fn update_snd_wnd(&mut self, seg: &Segment, is_syn: bool) {
@@ -1649,6 +1600,50 @@ mod tests {
         assert_eq!(sack.len(), 1);
         let (a, b) = sack[0];
         assert_eq!(b.wrapping_sub(a), 1400, "SACK covers the parked range");
+    }
+
+    #[test]
+    fn duplicate_acks_repair_only_what_the_scoreboard_presumes_lost() {
+        let mut c = established_client(TcpConfig::default());
+        c.send(Bytes::from(vec![9u8; 14_000]));
+        let sent = c.take_tx(Time::from_millis(21));
+        assert_eq!(sent.len(), 10, "the initial window: segments 0 to 9");
+        // Eight duplicate ACKs, each SACKing segment 3 alone.
+        let seq_of = |segment: u32| 5_001 + segment * 1400;
+        let mut dup = Segment::control(80, 1000, 77_001, 5_001, Flags::ACK);
+        dup.window = u16::MAX;
+        dup.options = vec![
+            TcpOption::Timestamp { val: 2, ecr: 0 },
+            TcpOption::Sack(vec![(seq_of(3), seq_of(4))]),
+        ];
+        let mut repaired = Vec::new();
+        for n in 0..8 {
+            let now = Time::from_millis(45 + n);
+            c.on_segment(now, &dup);
+            repaired.extend(c.take_tx(now).iter().map(|s| s.seq));
+            if n < 2 {
+                assert!(repaired.is_empty(), "nothing before the third");
+            }
+        }
+        // Segments 0 to 2 sit under the highest SACKed byte; 4 to 9 are
+        // merely in flight, however many duplicates arrive. The third
+        // duplicate sends the head at once; the rest waits for the pipe
+        // (nine un-SACKed segments) to drain under the reduced window.
+        assert_eq!(repaired, [seq_of(0)]);
+        assert_eq!(c.stats().retransmits, 1);
+        assert_eq!(c.stats().fast_retransmits, 1);
+        // A partial ACK through segment 3 with nothing SACKed above it:
+        // the segment at the new snd_una is the one presumed lost
+        // (RFC 6582), and it too goes out once.
+        let mut ack = Segment::control(80, 1000, 77_001, seq_of(4), Flags::ACK);
+        ack.window = u16::MAX;
+        ack.options = vec![TcpOption::Timestamp { val: 3, ecr: 0 }];
+        for n in 0..2 {
+            let now = Time::from_millis(60 + n);
+            c.on_segment(now, &ack);
+            repaired.extend(c.take_tx(now).iter().map(|s| s.seq));
+        }
+        assert_eq!(repaired, [seq_of(0), seq_of(4)]);
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //!   and pass-through "raw" options (kind 30 carries MPTCP);
 //! * the full connection state machine ([`conn`]): three-way handshake,
 //!   simultaneous data/ACK processing, FIN teardown with TIME_WAIT;
-//! * reliability: cumulative ACKs, out-of-order reassembly, RFC 6298
-//!   RTO with Karn's rule via timestamps, exponential backoff, fast
-//!   retransmit / NewReno fast recovery on three duplicate ACKs;
+//! * reliability: cumulative ACKs, out-of-order reassembly with RFC 2018
+//!   SACK blocks (newest arrival first), RFC 6298 RTO with Karn's rule
+//!   via timestamps, exponential backoff, and RFC 6675 loss recovery: a
+//!   SACK scoreboard says what is presumed lost, and one send loop puts
+//!   repairs, then new data, into whatever room `pipe` leaves under the
+//!   congestion window — after three duplicate ACKs or a timeout alike;
 //! * congestion control ([`cc`]): one window ([`Cwnd`]: slow start and
-//!   the NewReno recovery choreography) and a growth rule per controller
-//!   ([`Growth`]): AIMD [`Reno`] (the paper's "decoupled" per-subflow
-//!   algorithm) and [`Cubic`] here, the coupled laws in `mpwifi-mptcp`;
+//!   the two loss responses; it never inflates) and a growth rule per
+//!   controller ([`Growth`]): AIMD [`Reno`] (the paper's "decoupled"
+//!   per-subflow algorithm) and [`Cubic`] here, the coupled laws in
+//!   `mpwifi-mptcp`;
 //! * flow control: advertised windows with window scaling;
 //! * a port-demultiplexing stack ([`stack`]) so one host can carry many
 //!   concurrent connections (the app-replay workloads need dozens).

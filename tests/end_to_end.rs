@@ -3,9 +3,11 @@
 
 use mpwifi::core::flowstudy::{run_location_study, run_transfer, FlowDir, StudyTransport};
 use mpwifi::mptcp::MptcpConfig;
-use mpwifi::sim::apps::{run_mptcp_download, run_tcp_download, run_tcp_upload};
-use mpwifi::sim::{LinkSpec, ServiceSpec, LTE_ADDR, WIFI_ADDR};
-use mpwifi::simcore::{DetRng, Dur};
+use mpwifi::sim::apps::{make_payload, run_mptcp_download, run_tcp_download, run_tcp_upload};
+use mpwifi::sim::endpoint::{TcpClientHost, TcpServerHost};
+use mpwifi::sim::{LinkSpec, ServiceSpec, Sim, Socket, SocketHost};
+use mpwifi::sim::{LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
+use mpwifi::simcore::{DetRng, Dur, Time};
 use mpwifi::tcp::conn::TcpConfig;
 
 fn wifi() -> LinkSpec {
@@ -34,6 +36,49 @@ fn tcp_download_is_deterministic_end_to_end() {
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.progress.progress(), b.progress.progress());
     assert_eq!(a.wifi_log.len(), b.wifi_log.len());
+}
+
+#[test]
+fn a_queue_overrun_is_repaired_without_resending_what_arrived() {
+    // 1 MB through a 64 KB drop-tail queue with no random loss: slow
+    // start overruns the queue, and what the burst cost is all that
+    // should be sent twice.
+    let link = LinkSpec {
+        queue_bytes: 64 << 10,
+        ..LinkSpec::symmetric(20_000_000, Dur::from_millis(20))
+    };
+    let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
+    let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
+    let mut sim = Sim::builder(client, server)
+        .wifi(&link)
+        .lte(&lte())
+        .seed(42)
+        .build();
+    let id = sim
+        .client
+        .connect(Time::ZERO, TcpConfig::default(), SERVER_PORT);
+    let mut accepted = None;
+    let done = sim.run_until(
+        |sim| {
+            if accepted.is_none() {
+                accepted = sim.server.stack.take_accepted().first().copied();
+                if let Some(sid) = accepted {
+                    sim.server.socket(sid).send(make_payload(1_000_000));
+                }
+            }
+            sim.client.socket(id).read() >= 1_000_000
+        },
+        Time::from_secs(60),
+    );
+    assert!(done.held(), "download did not complete");
+    let stats = *sim.server.socket(accepted.unwrap()).stats();
+    assert!(
+        stats.bytes_sent <= 1_150_000,
+        "{} payload bytes sent for 1 MB ({} retransmitted segments)",
+        stats.bytes_sent,
+        stats.retransmits
+    );
+    assert_eq!(stats.rtos, 0, "the burst was repaired without a timeout");
 }
 
 #[test]

@@ -3,11 +3,10 @@
 //! `MSS·8 / (RTT·√(2p/3))` bit/s (Mathis et al., 1997; the constant is
 //! the b = 1 form, so delayed ACKs are off).
 //!
-//! It does not hold at this commit, and the test is ignored until the
-//! fix: `tcp::conn::queue_holes` retransmits un-SACKed data that is
-//! merely in flight, so the window never sees the sawtooth and the flow
-//! runs several times too fast. Run it with
-//! `cargo test --release --test mathis_oracle -- --ignored`.
+//! A release build runs the whole grid (`scripts/check.sh --full`; about
+//! five seconds); a debug build, which is some fifteen times slower, runs
+//! [`Grid::REDUCED`] so that tier-1 holds the law too. Either prints
+//! its ratio table: `cargo test --release --test mathis_oracle -- --nocapture`.
 
 use mpwifi::sim::apps::make_payload;
 use mpwifi::sim::endpoint::{TcpClientHost, TcpServerHost};
@@ -17,9 +16,30 @@ use mpwifi::tcp::cc::CcKind;
 use mpwifi::tcp::conn::TcpConfig;
 use std::fmt::Write as _;
 
-/// Predicted transfer time the flow's size is cut to: hundreds of loss
-/// cycles in every cell, so slow start and the handshake are noise.
-const PREDICTED_SECS: f64 = 120.0;
+/// What one run of the oracle covers.
+struct Grid {
+    loss: &'static [f64],
+    seeds: &'static [u64],
+    /// Predicted transfer time the flow's size is cut to: enough loss
+    /// cycles in every cell that slow start and the handshake are noise.
+    predicted_secs: f64,
+}
+
+impl Grid {
+    const FULL: Grid = Grid {
+        loss: &[0.001, 0.003, 0.01],
+        seeds: &[1, 2, 3],
+        predicted_secs: 120.0,
+    };
+    /// The cells with the shortest loss cycle, where 30 s is still
+    /// hundreds of them.
+    const REDUCED: Grid = Grid {
+        loss: &[0.01],
+        seeds: &[1],
+        predicted_secs: 30.0,
+    };
+}
+
 /// What the sending application keeps queued ahead of the window, fed
 /// from one shared buffer so the largest cell (325 MB) costs 8 MB.
 const CHUNK: u64 = 8 << 20;
@@ -28,8 +48,8 @@ fn mathis_bps(mss: usize, p: f64, rtt: Dur) -> f64 {
     mss as f64 * 8.0 / (rtt.as_secs_f64() * (2.0 * p / 3.0).sqrt())
 }
 
-/// Goodput of one Reno download sized for [`PREDICTED_SECS`].
-fn reno_goodput_bps(p: f64, rtt: Dur, seed: u64) -> f64 {
+/// Goodput of one Reno download sized to take `predicted_secs`.
+fn reno_goodput_bps(p: f64, rtt: Dur, seed: u64, predicted_secs: f64) -> f64 {
     let cfg = TcpConfig {
         cc: CcKind::Reno,
         delayed_ack: false,
@@ -43,7 +63,7 @@ fn reno_goodput_bps(p: f64, rtt: Dur, seed: u64) -> f64 {
         queue_bytes: 64 << 20,
         ..LinkSpec::symmetric(200_000_000, rtt)
     };
-    let total = (mathis_bps(cfg.mss, p, rtt) * PREDICTED_SECS / 8.0) as u64;
+    let total = (mathis_bps(cfg.mss, p, rtt) * predicted_secs / 8.0) as u64;
     let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, seed as u32 | 1);
     let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), seed as u32 ^ 0xBEEF);
     let mut sim = Sim::builder(client, server)
@@ -75,19 +95,28 @@ fn reno_goodput_bps(p: f64, rtt: Dur, seed: u64) -> f64 {
 }
 
 #[test]
-#[ignore = "known failure, ROADMAP 2(d): tcp::conn::queue_holes retransmits in-flight data; un-ignore with the fix"]
 fn one_reno_flow_follows_the_mathis_law() {
+    let grid = if cfg!(debug_assertions) {
+        Grid::REDUCED
+    } else {
+        Grid::FULL
+    };
     let mss = TcpConfig::default().mss;
     let mut table = String::from("    p    rtt   mathis Mbit/s   median Mbit/s   ratio\n");
-    let mut outside = 0;
-    for p in [0.001, 0.003, 0.01] {
+    let (mut cells, mut outside) = (0, 0);
+    for &p in grid.loss {
         for rtt_ms in [20, 50, 100] {
             let rtt = Dur::from_millis(rtt_ms);
-            let mut runs = [1, 2, 3].map(|seed| reno_goodput_bps(p, rtt, seed));
+            let mut runs: Vec<f64> = grid
+                .seeds
+                .iter()
+                .map(|&seed| reno_goodput_bps(p, rtt, seed, grid.predicted_secs))
+                .collect();
             runs.sort_by(f64::total_cmp);
-            let (law, median) = (mathis_bps(mss, p, rtt), runs[1]);
+            let (law, median) = (mathis_bps(mss, p, rtt), runs[runs.len() / 2]);
             let ratio = median / law;
             let ok = (0.6..=1.4).contains(&ratio);
+            cells += 1;
             outside += usize::from(!ok);
             let _ = writeln!(
                 table,
@@ -98,5 +127,9 @@ fn one_reno_flow_follows_the_mathis_law() {
             );
         }
     }
-    assert!(outside == 0, "{outside} of 9 cells off the law:\n{table}");
+    assert!(
+        outside == 0,
+        "{outside} of {cells} cells off the law:\n{table}"
+    );
+    print!("{table}");
 }
