@@ -2,11 +2,13 @@
 //!
 //! One fixed script drives two windows of each controller (one shared
 //! group for the coupled three; the first window samples a 20 ms RTT,
-//! the second 200 ms) through slow start, a NewReno recovery episode,
+//! the second 200 ms) through slow start, the entry to fast recovery,
 //! congestion avoidance, a timeout and regrowth, and pins `(cwnd,
 //! ssthresh)` of both windows after every phase plus an FNV-1a over
 //! every step. The literals were recorded at the commit before the
-//! controllers were reshaped and hold the arithmetic byte for byte:
+//! controllers were reshaped, and again (phases 1 and 2 unmoved but for
+//! the 3·MSS entry inflation) when the window stopped inflating in
+//! recovery and lost those events; they hold the arithmetic byte for byte:
 //! Reno's integer accumulator, CUBIC's truncations, the coupled laws'
 //! float accumulator and the order in which a coupled window publishes
 //! to its group. Only [`Win`], the driver, names the controller API.
@@ -49,18 +51,6 @@ impl Win {
         self.0.on_enter_recovery(in_flight);
     }
 
-    fn dup_ack(&mut self) {
-        self.0.on_dup_ack_in_recovery();
-    }
-
-    fn partial_ack(&mut self, acked: u64) {
-        self.0.on_partial_ack(acked);
-    }
-
-    fn exit_recovery(&mut self) {
-        self.0.on_exit_recovery();
-    }
-
     fn timeout(&mut self) {
         let in_flight = self.0.cwnd() / 2;
         self.0.on_rto(in_flight);
@@ -96,9 +86,9 @@ impl Run {
     }
 }
 
-/// The fixed script: the pair after each of its eight phases, and the
+/// The fixed script: the pair after each of its five phases, and the
 /// digest over all of its steps.
-fn script(kind: CcKind) -> ([Pair; 8], u64) {
+fn script(kind: CcKind) -> ([Pair; 5], u64) {
     let mut run = Run {
         wins: Win::pair(kind),
         now: Time::ZERO,
@@ -113,36 +103,22 @@ fn script(kind: CcKind) -> ([Pair; 8], u64) {
         run.step(1, ack);
     }
     phases.push(run.pair());
-    // 2. Third duplicate ACK with a full window in flight.
+    // 2. Third duplicate ACK with a full window in flight: the window
+    //    lands on its threshold and waits there for recovery to end.
     for i in 0..2 {
         run.step(i, |w, _, _| w.enter_recovery());
     }
     phases.push(run.pair());
-    // 3. Three further duplicate ACKs.
-    for i in [0, 1, 0, 1, 0, 1] {
-        run.step(i, |w, _, _| w.dup_ack());
-    }
-    phases.push(run.pair());
-    // 4. A partial ACK of two segments.
-    for i in 0..2 {
-        run.step(i, |w, _, _| w.partial_ack(2 * MSS));
-    }
-    phases.push(run.pair());
-    // 5. The recovery point is ACKed.
-    for i in 0..2 {
-        run.step(i, |w, _, _| w.exit_recovery());
-    }
-    phases.push(run.pair());
-    // 6. Congestion avoidance: 300 ACKs alternating between the windows.
+    // 3. Congestion avoidance: 300 ACKs alternating between the windows.
     for n in 0..300 {
         run.step(n % 2, ack);
     }
     phases.push(run.pair());
-    // 7. The second window times out with half a window in flight (a
+    // 4. The second window times out with half a window in flight (a
     //    rule that reads `cwnd` here and one that reads `in_flight` part).
     run.step(1, |w, _, _| w.timeout());
     phases.push(run.pair());
-    // 8. 60 more ACKs: the second window slow-starts back past its
+    // 5. 60 more ACKs: the second window slow-starts back past its
     //    threshold beside the first's congestion avoidance.
     for n in 0..60 {
         run.step(n % 2, ack);
@@ -159,73 +135,58 @@ const INF: u64 = u64::MAX;
 fn lia_window_arithmetic_is_pinned() {
     let phases = [
         [(70000, INF), (70000, INF)],
-        [(39200, 35000), (39200, 35000)],
-        [(43400, 35000), (43400, 35000)],
-        [(42000, 35000), (42000, 35000)],
         [(35000, 35000), (35000, 35000)],
         [(41367, 35000), (41361, 35000)],
         [(41367, 35000), (1400, 10340)],
         [(42701, 35000), (12211, 10340)],
     ];
-    assert_eq!(script(CcKind::Lia), (phases, 0x28a1e5dc2e937a43));
+    assert_eq!(script(CcKind::Lia), (phases, 0x75fce7e398adf2a7));
 }
 
 #[test]
 fn olia_window_arithmetic_is_pinned() {
     let phases = [
         [(70000, INF), (70000, INF)],
-        [(39200, 35000), (39200, 35000)],
-        [(43400, 35000), (43400, 35000)],
-        [(42000, 35000), (42000, 35000)],
         [(35000, 35000), (35000, 35000)],
         [(41456, 35000), (35059, 35000)],
         [(41456, 35000), (1400, 8764)],
         [(42796, 35000), (9802, 8764)],
     ];
-    assert_eq!(script(CcKind::Olia), (phases, 0xe9eed00ea94370b1));
+    assert_eq!(script(CcKind::Olia), (phases, 0x8c5694de6aaa4b2d));
 }
 
 #[test]
 fn balia_window_arithmetic_is_pinned() {
     let phases = [
         [(70000, INF), (70000, INF)],
-        [(39200, 35000), (21700, 17500)],
-        [(43400, 35000), (25900, 17500)],
-        [(42000, 35000), (24500, 17500)],
         [(35000, 35000), (17500, 17500)],
         [(41962, 35000), (19316, 17500)],
         [(41962, 35000), (1400, 4829)],
         [(43306, 35000), (6512, 4829)],
     ];
-    assert_eq!(script(CcKind::Balia), (phases, 0xaa4c407461cb4d));
+    assert_eq!(script(CcKind::Balia), (phases, 0xe20f97ed591fed51));
 }
 
 #[test]
 fn reno_window_arithmetic_is_pinned() {
     let phases = [
         [(70000, INF), (70000, INF)],
-        [(39200, 35000), (39200, 35000)],
-        [(43400, 35000), (43400, 35000)],
-        [(42000, 35000), (42000, 35000)],
         [(35000, 35000), (35000, 35000)],
         [(42000, 35000), (42000, 35000)],
         [(42000, 35000), (1400, 10500)],
         [(43400, 35000), (14000, 10500)],
     ];
-    assert_eq!(script(CcKind::Reno), (phases, 0xb5e3a0c6660afe92));
+    assert_eq!(script(CcKind::Reno), (phases, 0x82dcca38481773fe));
 }
 
 #[test]
 fn cubic_window_arithmetic_is_pinned() {
     let phases = [
         [(70000, INF), (70000, INF)],
-        [(53200, 49000), (53200, 49000)],
-        [(57400, 49000), (57400, 49000)],
-        [(56000, 49000), (56000, 49000)],
         [(49000, 49000), (49000, 49000)],
         [(56499, 49000), (58718, 49000)],
         [(56499, 49000), (1400, 41102)],
         [(58037, 49000), (42100, 41102)],
     ];
-    assert_eq!(script(CcKind::Cubic), (phases, 0x778f5bb0ad6896cf));
+    assert_eq!(script(CcKind::Cubic), (phases, 0xef756dc958accfbf));
 }

@@ -3,6 +3,14 @@
 //! it: if the one bulk engine or the generic replay host moved a single
 //! event, a completion time, an event count or a retransmit count here
 //! changes.
+//!
+//! Every row that loses a packet was recorded again, on purpose, when
+//! TCP loss recovery became RFC 6675's one send loop (PR 22; before and
+//! after rows in CHANGES.md) — the "recorded at the commit before" notes
+//! below name what each table guards, and hold from that re-recording
+//! on. The retransmit column counts retransmitted segments since then;
+//! it used to count repair triggers. The rows that lose nothing (both
+//! `TcpLte` rows, the silent Single-Path cut) did not move.
 
 use mpwifi::apps::patterns::cnn_launch;
 use mpwifi::apps::replay::{replay, Transport};
@@ -30,18 +38,18 @@ fn all_six_transports_both_directions_are_pinned() {
     use FlowDir::{Down, Up};
     use StudyTransport::*;
     let expected = [
-        (TcpWifi, Down, (3_831_406_963, 7253, 434)),
-        (TcpWifi, Up, (5_125_413_697, 4030, 60)),
+        (TcpWifi, Down, (4_936_063_048, 3282, 23)),
+        (TcpWifi, Up, (6_687_231_879, 3343, 21)),
         (TcpLte, Down, (3_069_528_593, 1765, 0)),
         (TcpLte, Up, (4_154_528_593, 1756, 0)),
-        (MpWifiCoupled, Down, (3_459_528_593, 5448, 270)),
-        (MpWifiCoupled, Up, (4_139_528_593, 2227, 5)),
-        (MpLteCoupled, Down, (2_041_036_593, 3063, 121)),
-        (MpLteCoupled, Up, (3_335_528_593, 2072, 4)),
-        (MpWifiDecoupled, Down, (3_459_528_593, 5448, 270)),
-        (MpWifiDecoupled, Up, (3_213_814_307, 3823, 170)),
-        (MpLteDecoupled, Down, (2_041_036_593, 3063, 121)),
-        (MpLteDecoupled, Up, (3_062_028_593, 2250, 32)),
+        (MpWifiCoupled, Down, (4_074_528_593, 2266, 8)),
+        (MpWifiCoupled, Up, (4_147_028_593, 2271, 6)),
+        (MpLteCoupled, Down, (1_852_861_926, 1990, 4)),
+        (MpLteCoupled, Up, (3_426_195_259, 2201, 6)),
+        (MpWifiDecoupled, Down, (3_644_528_593, 2024, 8)),
+        (MpWifiDecoupled, Up, (3_210_957_164, 2005, 9)),
+        (MpLteDecoupled, Down, (1_814_528_593, 1807, 3)),
+        (MpLteDecoupled, Up, (3_074_528_593, 1884, 6)),
     ];
     let actual = expected.map(|(t, d, _)| (t, d, transfer_pin(t, d)));
     assert_eq!(actual, expected);
@@ -52,13 +60,13 @@ fn replay_is_pinned_for_both_transport_kinds() {
     let loc = &paper_locations(42)[13];
     let pattern = cnn_launch(42);
     let expected = [
-        (Transport::Tcp(WIFI_ADDR), (2_443_999_556, 4054, 81)),
+        (Transport::Tcp(WIFI_ADDR), (2_443_999_556, 2927, 24)),
         (
             Transport::Mptcp {
                 primary: LTE_ADDR,
                 coupled: true,
             },
-            (2_779_528_593, 3179, 32),
+            (3_112_861_926, 2837, 26),
         ),
     ];
     let actual = expected.map(|(t, _)| {
@@ -138,28 +146,28 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
     ];
     let expected = [
         [
-            (2_628_678_180, 5528, 287, 0),
-            (2_628_678_180, 5528, 287, 0),
-            (2_628_678_180, 5607, 289, 0),
-            (2_628_678_180, 5667, 291, 0),
-            (2_512_809_884, 5416, 251, 94),
-            (2_578_011_513, 5659, 288, 0),
-            (2_578_011_513, 5702, 301, 0),
-            (2_628_678_180, 5528, 287, 0),
-            (2_632_678_180, 5581, 289, 0),
-            (2_628_678_180, 5528, 287, 0),
+            (2_823_249_608, 2564, 4, 0),
+            (2_823_249_608, 2564, 4, 0),
+            (2_823_249_608, 2564, 4, 0),
+            (2_823_249_608, 2570, 4, 0),
+            (2_823_249_608, 2583, 4, 28),
+            (2_734_678_180, 2680, 4, 0),
+            (2_734_678_180, 2682, 4, 0),
+            (2_814_678_180, 2539, 4, 0),
+            (2_823_249_608, 2564, 4, 0),
+            (2_887_809_884, 2129, 3, 0),
         ],
         [
-            (2_625_250_240, 1774, 4, 0),
-            (2_625_250_240, 1774, 4, 0),
-            (2_625_250_240, 1775, 4, 0),
-            (2_638_583_573, 1785, 4, 0),
-            (2_597_846_331, 1801, 4, 38),
-            (2_582_461_716, 1750, 4, 0),
-            (2_579_384_793, 1743, 4, 0),
-            (2_625_250_240, 1774, 4, 0),
-            (2_581_916_907, 1736, 4, 0),
-            (2_625_250_240, 1774, 4, 0),
+            (2_590_154_023, 1659, 2, 0),
+            (2_590_154_023, 1659, 2, 0),
+            (2_590_154_023, 1660, 2, 0),
+            (2_590_154_023, 1660, 2, 0),
+            (2_590_154_023, 1661, 2, 5),
+            (2_580_923_254, 1658, 10, 0),
+            (2_579_384_793, 1662, 11, 0),
+            (2_590_154_023, 1659, 2, 0),
+            (2_590_154_023, 1659, 2, 0),
+            (2_590_154_023, 1659, 2, 0),
         ],
     ];
     let actual = [wifi_faster, lte_faster].map(|loc| cells.map(|(s, c)| zoo_pin(loc, s, c)));
@@ -247,19 +255,19 @@ fn control_plane_is_pinned_across_modes_and_failures() {
         (
             Full,
             [
-                (Some(4_626_982), 478, 1720, 2, 159, 2, 889_621),
+                (Some(4_594_267), 478, 1690, 2, 159, 2, 889_621),
                 (Some(4_556_006), 483, 1679, 2, 159, 2, 371_201),
-                (Some(4_623_035), 505, 1677, 3, 159, 2, 889_621),
-                (Some(4_710_635), 448, 1800, 2, 149, 2, 923_338),
+                (Some(4_674_811), 505, 1669, 3, 159, 2, 889_621),
+                (Some(4_617_376), 448, 1730, 2, 149, 2, 923_338),
             ],
         ),
         (
             Backup,
             [
-                (Some(5_536_363), 478, 1720, 2, 159, 2, 132_127),
-                (Some(8_120_602), 483, 1741, 2, 165, 2, 68_021),
+                (Some(5_503_648), 478, 1690, 2, 159, 2, 132_127),
+                (Some(8_087_866), 483, 1700, 2, 165, 2, 68_021),
                 (Some(4_648_917), 800, 1370, 3, 159, 2, 132_127),
-                (Some(6_846_401), 4, 2985, 2, 0, 2, 8_735),
+                (Some(5_866_720), 4, 2322, 2, 0, 2, 8_735),
             ],
         ),
         // A silent cut under a download starves the client of anything
@@ -268,10 +276,10 @@ fn control_plane_is_pinned_across_modes_and_failures() {
         (
             SinglePath,
             [
-                (Some(5_596_704), 478, 1719, 2, 159, 2, 192_469),
+                (Some(5_563_990), 478, 1689, 2, 159, 2, 192_469),
                 (None, 477, 0, 1, 0, 1, 0),
-                (Some(5_596_704), 481, 1719, 2, 159, 2, 192_469),
-                (Some(6_846_401), 0, 2984, 1, 0, 0, 0),
+                (Some(5_563_990), 481, 1689, 2, 159, 2, 192_469),
+                (Some(5_866_720), 0, 2321, 1, 0, 0, 0),
             ],
         ),
     ];
@@ -432,61 +440,61 @@ fn link_layer_is_pinned_across_filters_and_script_events() {
     let expected: [[LinkPin; 2]; 3] = [
         [
             (
-                (6_266_872_780, 4457, 2194, 123, 7, 8),
+                (6_503_059_991, 3299, 1619, 34, 6, 8),
                 [
-                    (867, 840, 45_328, 19, 0),
-                    (1392, 1354, 1_613_652, 37, 0),
+                    (646, 627, 35_308, 18, 0),
+                    (1018, 992, 1_062_792, 26, 0),
                     (0, 0, 0, 0, 0),
                     (0, 0, 0, 0, 0),
                 ],
             ),
             (
-                (7_150_922_916, 6247, 3099, 349, 18, 8),
+                (5_257_346_572, 3289, 1605, 39, 19, 8),
                 [
-                    (350, 341, 22_312, 8, 0),
-                    (599, 583, 641_464, 16, 0),
-                    (928, 916, 58_972, 3, 0),
-                    (1393, 1259, 1_642_401, 9, 0),
-                ],
-            ),
-        ],
-        [
-            (
-                (6_828_444_000, 4928, 2372, 170, 0, 0),
-                [
-                    (968, 934, 50_384, 19, 0),
-                    (1476, 1438, 1_798_906, 37, 0),
-                    (0, 0, 0, 0, 0),
-                    (0, 0, 0, 0, 0),
-                ],
-            ),
-            (
-                (7_689_528_593, 5766, 3295, 369, 0, 0),
-                [
-                    (394, 383, 25_112, 10, 0),
-                    (597, 574, 611_464, 23, 0),
-                    (1072, 948, 61_188, 0, 0),
-                    (1587, 1390, 1_852_741, 3, 0),
+                    (363, 354, 24_152, 8, 0),
+                    (579, 563, 612_087, 16, 0),
+                    (263, 251, 16_748, 9, 0),
+                    (444, 437, 480_625, 7, 0),
                 ],
             ),
         ],
         [
             (
-                (6_937_303_494, 4524, 2176, 124, 6, 8),
+                (8_052_147_704, 3398, 1612, 70, 0, 0),
                 [
-                    (878, 856, 46_512, 19, 0),
-                    (1366, 1320, 1_604_486, 33, 0),
+                    (648, 628, 35_328, 18, 0),
+                    (1016, 984, 1_100_949, 31, 0),
                     (0, 0, 0, 0, 0),
                     (0, 0, 0, 0, 0),
                 ],
             ),
             (
-                (7_145_728_081, 7098, 3415, 370, 12, 8),
+                (5_523_528_593, 2985, 1585, 71, 0, 0),
                 [
-                    (360, 351, 23_280, 8, 0),
-                    (580, 565, 622_089, 15, 0),
-                    (1081, 1069, 68_956, 1, 0),
-                    (1553, 1430, 1_873_402, 9, 0),
+                    (317, 308, 21_040, 8, 0),
+                    (488, 472, 510_192, 16, 0),
+                    (292, 284, 18_308, 0, 0),
+                    (521, 521, 635_537, 0, 0),
+                ],
+            ),
+        ],
+        [
+            (
+                (7_951_691_042, 3500, 1658, 70, 6, 8),
+                [
+                    (655, 636, 35_520, 18, 0),
+                    (1051, 1022, 1_108_127, 29, 0),
+                    (0, 0, 0, 0, 0),
+                    (0, 0, 0, 0, 0),
+                ],
+            ),
+            (
+                (6_255_058_780, 3348, 1598, 64, 12, 8),
+                [
+                    (400, 387, 26_288, 10, 0),
+                    (636, 620, 702_758, 16, 0),
+                    (218, 217, 14_356, 1, 0),
+                    (376, 374, 428_188, 2, 0),
                 ],
             ),
         ],
