@@ -1035,8 +1035,8 @@ mod tests {
         // simultaneously live wire images (the bottleneck queue plus what
         // the receiver parks behind a hole); none were churn. Once warm,
         // every encode is a reuse. The bound is that high-water mark and
-        // not a share of the encodes: a sender that wastes fewer
-        // segments encodes fewer over the same peak.
+        // not a share of the encodes: how many segments a transfer takes
+        // says nothing about how many are live at once.
         assert_eq!(
             m.enc_buffers_allocated,
             sim.pool.capacity() as u64,

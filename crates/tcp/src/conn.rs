@@ -1019,8 +1019,9 @@ impl TcpConnection {
                 if len == 0 || (self.cfg.nagle && len < mss && in_flight > 0) {
                     break;
                 }
+                let off = self.snd_nxt;
                 self.snd_nxt += len;
-                (self.snd_nxt - len, len)
+                (off, len)
             };
             let payload = self.snd_buf.slice(off, len as usize);
             let push = off + len == self.snd_buf.end();

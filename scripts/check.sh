@@ -7,6 +7,11 @@
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release) and the end-to-end
 #              smokes, in this order:
+#                mathis     the Mathis oracle's whole grid (nine cells,
+#                           three seeds; tier-1's debug build runs a
+#                           reduced one) with its ratio table printed:
+#                           one Reno flow within [0.6, 1.4] of
+#                           MSS / (RTT sqrt(2p/3)) in every cell.
 #                stackbench the benchmark harness (its own workspace, so
 #                           nothing above compiles it) builds against the
 #                           crates as they are now, passes its unit tests
@@ -117,6 +122,9 @@ cargo test -q
 if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"
     cargo test --workspace --release -q
+
+    echo "== mathis oracle: full grid in release, ratio table"
+    cargo test --release -q --test mathis_oracle -- --nocapture
 
     TMP="$(mktemp -d)"
     trap 'rm -rf "$TMP"' EXIT
