@@ -340,9 +340,10 @@ impl SimObserver<TcpClientHost, TcpServerHost> for TcpConformance {
 
 /// Simulated time a scheduler may sit blocked (data queued, an eligible
 /// subflow with window room, zero assignment progress) before the
-/// `mptcp-sched-wedged` oracle fires. Far above any legitimate pause:
-/// bounded deferral ([`mpwifi_mptcp::sched::DEFER_CAP`]) resolves within
-/// a few RTTs, and generated fault episodes last under three seconds.
+/// `mptcp-sched-wedged` oracle fires. Far above any legitimate pause: a
+/// BLEST/ECF deferral ends within one smoothed RTT of the subflow the
+/// scheduler declined (`MptcpConnection::pump_send` holds that bound),
+/// and generated fault episodes last under three seconds.
 const WEDGE_WINDOW_US: u64 = 10_000_000;
 
 /// Bytes a Redundant-scheduler sender must assign while two subflows

@@ -231,6 +231,59 @@ fn redundant_delivers_identically_to_minrtt_with_dups_on_the_wire() {
     );
 }
 
+/// Matrix case 156 of `repro conformance --matrix --cases 200 --seed 42`
+/// (cell `redundant × balia`), shrunk to no faults — a known, open
+/// finding (ROADMAP item 3(a)): on a strongly asymmetric pair with the
+/// slow path primary, fresh data takes every byte of window room before
+/// the replay looks, and at the tail the only unacked chunks are the
+/// fast path's own, so a Redundant sender finishes without one copy and
+/// `mptcp-redundant-no-dup` says so. Everything else about the run must
+/// be clean; whoever gives the sender (or the oracle's idea of an
+/// opportunity) its fix tightens the last assertion to `report.clean()`.
+#[test]
+fn redundant_on_a_strongly_asymmetric_pair_only_lacks_its_copy() {
+    let spec = ScenarioSpec {
+        seed: 15097119218720801506,
+        transport: TransportSpec::Mptcp {
+            primary: IfaceSpec::Lte,
+            mode: Mode::Full,
+            cc: CcKind::Balia,
+            sched: SchedKind::Redundant,
+            rto_activation: 2,
+        },
+        wifi: LinkSpecLite {
+            up_kbps: 11_736,
+            down_kbps: 15_485,
+            rtt_ms: 30,
+            loss_ppm: 0,
+        },
+        lte: LinkSpecLite {
+            up_kbps: 1_201,
+            down_kbps: 4_932,
+            rtt_ms: 92,
+            loss_ppm: 0,
+        },
+        workload: WorkloadSpec {
+            down_bytes: 300_000,
+            up_bytes: 260_058,
+        },
+        deadline_ms: 120_000,
+        ..base_mptcp_spec()
+    };
+    let report = run_scenario(&spec);
+    assert!(report.completed, "{report:#?}");
+    assert_eq!(
+        (report.delivered_down, report.delivered_up),
+        (300_000, 260_058)
+    );
+    let others: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.category != "mptcp-redundant-no-dup")
+        .collect();
+    assert!(others.is_empty(), "{others:#?}");
+}
+
 /// The fuzzer must actually sample the new axes: across a modest seed
 /// range, every scheduler and every congestion control shows up in
 /// generated MPTCP scenarios.

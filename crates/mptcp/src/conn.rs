@@ -22,7 +22,7 @@
 use crate::coupled::{CcKind, CoupledCc, CoupledGroup};
 use crate::options::{mp_options, token_from_key, DssMap, MpOption};
 use crate::path::{BackupActivation, Mode, PathManager, SubflowSpec};
-use crate::sched::{SchedKind, Scheduler, SubflowView};
+use crate::sched::{min_rtt_pick, SchedKind, Scheduler, SubflowView};
 use bytes::Bytes;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::{metrics, Dur, Time};
@@ -317,6 +317,12 @@ pub struct MptcpConnection {
     subflows_closed: bool,
     /// Re-announce DATA_FIN (on a forced ACK) until it is data-acked.
     fin_announce_deadline: Option<Time>,
+    /// A BLEST/ECF deferral is pending: the scheduler declined a subflow
+    /// with room, and at this instant that subflow is picked regardless —
+    /// one smoothed RTT of it (the horizon BLEST's estimate assumes) after
+    /// the first [`MptcpConnection::pump_send`] to end that way. A pass
+    /// that ends any other way leaves `None`.
+    defer_deadline: Option<Time>,
     /// Chunks awaiting reinjection because no live subflow existed when
     /// their carrier died (Single-Path mode's break-before-make window).
     pending_reinject: Vec<(u64, u64)>,
@@ -348,12 +354,11 @@ pub struct MptcpConnection {
     /// Reused chunk list for [`MptcpConnection::pump_receive`].
     rx_scratch: Vec<Bytes>,
     /// Nothing has touched this connection since a
-    /// [`MptcpConnection::take_tx_into`] whose
-    /// [`MptcpConnection::pump_send`] left no pick pending.
-    /// Until the next touch or due timer every poll (`take_tx_into`,
-    /// `on_timers`, `next_timer`) repeats one that already ran to
-    /// completion, and returns at once — which is what lets an endpoint
-    /// poll its idle, window-limited and closed connections for free.
+    /// [`MptcpConnection::take_tx_into`]. Until the next touch or due
+    /// timer every poll (`take_tx_into`, `on_timers`, `next_timer`)
+    /// repeats one that already ran to completion, and returns at once —
+    /// which is what lets an endpoint poll its idle, window-limited and
+    /// closed connections for free.
     settled: bool,
     /// [`MptcpConnection::next_timer`] as of settling.
     settled_timer: Option<Time>,
@@ -402,6 +407,7 @@ impl MptcpConnection {
             stats_established_at: None,
             subflows_closed: false,
             fin_announce_deadline: None,
+            defer_deadline: None,
             pending_reinject: Vec::new(),
             recovery_started: None,
             aborting: false,
@@ -1156,16 +1162,15 @@ impl MptcpConnection {
         }
     }
 
-    /// Assign fresh data, replay, announce DATA_FIN, tear down. Returns
-    /// whether a pick is still pending: fresh data is left and the
-    /// scheduler could still act on it, so a repeat of this call would
-    /// reach `Scheduler::pick` with room on offer — and BLEST/ECF count
-    /// those calls (DESIGN.md §13), which makes the repeat observable.
-    fn pump_send(&mut self, now: Time) -> bool {
+    /// Assign fresh data, replay, announce DATA_FIN, tear down.
+    /// Idempotent at a fixed `now`: a deferral may cost one slow-path RTT
+    /// of simulated time, however often the connection is polled.
+    fn pump_send(&mut self, now: Time) {
         self.flush_pending_reinjects();
         let mss = self.cfg.tcp.mss as u64;
         let mut views = std::mem::take(&mut self.views_scratch);
-        let mut blocked = false;
+        // The deferral the last pass ended in; an assignment closes it.
+        let mut deferred = self.defer_deadline.take();
         // Assign fresh data.
         while self.dsn_next < self.snd_buf.end() {
             if self.test_sched_stall_after != 0 && self.dsn_next >= self.test_sched_stall_after {
@@ -1175,12 +1180,21 @@ impl MptcpConnection {
             }
             self.fill_views(&mut views);
             let remaining = self.snd_buf.end() - self.dsn_next;
-            let Some(pick) = self.scheduler.pick(&views, remaining) else {
-                // With no room on offer every scheduler answers `None`
-                // before it touches its state; with room, `None` is a
-                // BLEST/ECF deferral, and those count calls.
-                blocked = !views.iter().any(|v| v.eligible && v.room > 0);
-                break;
+            let pick = match self.scheduler.pick(&views, remaining) {
+                Some(pick) => pick,
+                None => {
+                    // With room on offer this is a deferral, and the
+                    // subflow declined is min-RTT's pick.
+                    let Some(declined) = min_rtt_pick(&views) else {
+                        break;
+                    };
+                    let due = deferred.unwrap_or(now + declined.srtt.unwrap_or(Dur::ZERO));
+                    if due > now {
+                        self.defer_deadline = Some(due);
+                        break;
+                    }
+                    declined.idx
+                }
             };
             // A scheduler must answer with one of the views it was
             // offered; the built-ins always do, but `Scheduler` is
@@ -1197,8 +1211,8 @@ impl MptcpConnection {
             let dsn = self.dsn_next;
             self.dsn_next += len;
             self.push_chunk_to_subflow(pick, dsn, len);
+            deferred = None;
         }
-        let pick_pending = self.dsn_next < self.snd_buf.end() && !blocked;
         if self.scheduler.kind() == SchedKind::Redundant && !self.test_redundant_suppress {
             self.fill_views(&mut views);
             self.pump_redundant_replay(&views);
@@ -1227,7 +1241,6 @@ impl MptcpConnection {
                 }
             }
         }
-        pick_pending
     }
 
     fn teardown_ready(&self) -> bool {
@@ -1258,7 +1271,7 @@ impl MptcpConnection {
     }
 
     /// Earliest timer across subflows (plus the DATA_FIN re-announce
-    /// deadline).
+    /// and deferral deadlines).
     pub fn next_timer(&self) -> Option<Time> {
         if self.settled {
             return self.settled_timer;
@@ -1267,12 +1280,10 @@ impl MptcpConnection {
     }
 
     fn scan_timers(&self) -> Option<Time> {
-        self.subflows
-            .iter()
-            .filter(|s| !s.dead)
-            .fold(self.fin_announce_deadline, |next, s| {
-                Time::earlier(next, s.conn.next_timer())
-            })
+        self.subflows.iter().filter(|s| !s.dead).fold(
+            Time::earlier(self.fin_announce_deadline, self.defer_deadline),
+            |next, s| Time::earlier(next, s.conn.next_timer()),
+        )
     }
 
     /// Fire due subflow timers.
@@ -1310,7 +1321,7 @@ impl MptcpConnection {
     }
 
     fn drain_tx(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        let pick_pending = self.pump_send(now);
+        self.pump_send(now);
         let data_ack = self.data_ack_out();
         let fin_ready = self.data_fin_ready();
         let fin_dsn = self.snd_buf.end();
@@ -1320,13 +1331,11 @@ impl MptcpConnection {
                 self.decorate_into(idx, seg, data_ack, fin_ready, fin_dsn, out);
             }
         }
-        // Everything above is idempotent except the scheduler's call
-        // counting, so with no pick pending the connection is settled
-        // (the teardown below, when it fires, is a touch).
-        self.settled = !pick_pending;
-        if self.settled {
-            self.settled_timer = self.scan_timers();
-        }
+        // Everything above is idempotent at a fixed `now`, so the
+        // connection is settled (the teardown below, when it fires, is a
+        // touch).
+        self.settled = true;
+        self.settled_timer = self.scan_timers();
         // Once the FASTCLOSE has left, tear the subflows down locally.
         if self.aborting && !self.aborted && self.subflows.iter().all(|s| !s.pending_fastclose) {
             self.finish_abort(now);
@@ -1648,6 +1657,97 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// One BLEST deferral episode, run to its deadline, with the client
+    /// polled `polls` times per simulated instant: the fast path (10 ms
+    /// one way) goes silent as 40 kB are queued, so its window fills,
+    /// the scheduler declines the slow path (50 ms one way) and only the
+    /// deadline sends there. Returns every `(instant, interface, DSN)`
+    /// the client mapped, and the deadline `next_timer` named meanwhile.
+    fn deferral_episode(polls: usize) -> (Vec<(Time, Addr, u64)>, Time) {
+        use crate::endpoint::{ClientEndpoint, ServerEndpoint};
+        const FAST: Addr = Addr(1);
+        const SLOW: Addr = Addr(2);
+        const SRV: Addr = Addr(10);
+        let one_way = |iface| Dur::from_millis(if iface == FAST { 10 } else { 50 });
+        let cfg = MptcpConfig {
+            sched: SchedKind::Blest,
+            ..MptcpConfig::default()
+        };
+        let mut client = ClientEndpoint::new(SRV, [FAST, SLOW], 7);
+        let mut server = ServerEndpoint::new(SRV, 80, cfg.clone(), 13);
+        let id = client.open(Time::ZERO, cfg, FAST, 80);
+        let (mut now, mut fast_up) = (Time::ZERO, true);
+        let mut wire: Vec<(Time, bool, Addr, Segment)> = Vec::new();
+        let mut mapped = Vec::new();
+        let mut deadline = None;
+        let mut tx = Vec::new();
+        for _ in 0..200 {
+            for _ in 0..polls {
+                client.take_tx_into(now, &mut tx);
+            }
+            for (iface, _, seg) in tx.drain(..) {
+                for opt in mp_options(&seg) {
+                    if let MpOption::Dss { map: Some(m), .. } = opt {
+                        mapped.push((now, iface, m.dsn));
+                    }
+                }
+                wire.push((now + one_way(iface), true, iface, seg));
+            }
+            server.take_tx_into(now, &mut tx);
+            for (_, iface, seg) in tx.drain(..) {
+                wire.push((now + one_way(iface), false, iface, seg));
+            }
+            let conn = client.conn_mut(id);
+            if let Some(t) = conn.defer_deadline {
+                assert_eq!(conn.next_timer(), Some(t), "the deadline is a timer");
+                deadline.get_or_insert(t);
+            }
+            let measured = conn.subflows.len() == 2 && conn.subflows[1].conn.srtt().is_some();
+            if fast_up && measured {
+                fast_up = false;
+                conn.send(Bytes::from(vec![7u8; 40_000]));
+            }
+            if mapped.iter().any(|&(_, iface, _)| iface == SLOW) {
+                break;
+            }
+            let arrivals = wire.iter().map(|&(t, ..)| t).min();
+            let timers = Time::earlier(client.next_timer(), server.next_timer());
+            now = Time::earlier(arrivals, timers).expect("something is pending");
+            let (due, rest) = wire.drain(..).partition(|&(t, ..)| t <= now);
+            wire = rest;
+            for (_, to_server, iface, seg) in due {
+                if iface == FAST && !fast_up {
+                    continue;
+                }
+                if to_server {
+                    server.on_segment(now, &seg, iface);
+                } else {
+                    client.on_segment(now, &seg);
+                }
+            }
+            client.on_timers(now);
+            server.on_timers(now);
+        }
+        (mapped, deadline.expect("the scheduler deferred"))
+    }
+
+    #[test]
+    fn a_deferral_ends_at_its_deadline_however_often_the_connection_is_polled() {
+        let (mapped, deadline) = deferral_episode(1);
+        // The fast window's worth at one instant, then nothing until the
+        // deadline hands the next DSN to the slow path.
+        let &(sent_at, iface, dsn) = mapped.last().unwrap();
+        assert_eq!((sent_at, iface, dsn), (deadline, Addr(2), 14_000));
+        assert!(mapped[..mapped.len() - 1].iter().all(|m| m.1 == Addr(1)));
+        for polls in [10, 100] {
+            assert_eq!(
+                deferral_episode(polls),
+                (mapped.clone(), deadline),
+                "{polls} polls"
+            );
+        }
     }
 
     #[test]

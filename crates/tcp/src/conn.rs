@@ -56,12 +56,9 @@ pub struct TcpConfig {
     pub recv_buf: usize,
     /// Initial congestion window, in segments.
     pub init_cwnd_segs: u64,
-    /// Our offered window-scale shift.
-    pub wscale: u8,
-    /// Delayed-ACK enabled (ack every second segment or after a timeout).
+    /// Delayed-ACK enabled (ack every second segment, or after
+    /// [`crate::DELACK_TIMEOUT`]).
     pub delayed_ack: bool,
-    /// Delayed-ACK timeout.
-    pub delack_timeout: Dur,
     /// Minimum retransmission timeout.
     pub min_rto: Dur,
     /// Maximum retransmission timeout.
@@ -85,9 +82,7 @@ impl Default for TcpConfig {
             mss: crate::DEFAULT_MSS,
             recv_buf: 4 << 20,
             init_cwnd_segs: 10,
-            wscale: 8,
             delayed_ack: true,
-            delack_timeout: Dur::from_millis(40),
             min_rto: Dur::from_millis(200),
             max_rto: Dur::from_secs(60),
             max_retries: 12,
@@ -793,7 +788,7 @@ impl TcpConnection {
                 self.ack_need = AckNeed::Now;
             } else if self.ack_need == AckNeed::None {
                 self.ack_need = AckNeed::Delayed;
-                self.delack_deadline = Some(now + self.cfg.delack_timeout);
+                self.delack_deadline = Some(now + crate::DELACK_TIMEOUT);
             }
         } else {
             self.ack_need = AckNeed::Now;
@@ -1043,7 +1038,7 @@ impl TcpConnection {
         seg.window = self.rcv_buf.window_available().min(65_535) as u16;
         seg.options = vec![
             TcpOption::Mss(self.cfg.mss as u16),
-            TcpOption::WindowScale(self.cfg.wscale),
+            TcpOption::WindowScale(crate::WSCALE),
             TcpOption::SackPermitted,
             self.ts_option(now),
         ];
@@ -1291,7 +1286,7 @@ impl TcpConnection {
 
     fn window_field(&self) -> u16 {
         let avail = self.rcv_buf.window_available() as u64;
-        let shifted = avail >> self.cfg.wscale;
+        let shifted = avail >> crate::WSCALE;
         shifted.min(u64::from(u16::MAX)) as u16
     }
 

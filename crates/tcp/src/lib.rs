@@ -48,3 +48,9 @@ pub use stack::{SocketId, TcpStack};
 /// MTU minus 40 bytes of IP+TCP header minus 12 bytes of timestamp option
 /// rounds to 1448 on Linux; we use 1400 to leave room for MPTCP options.
 pub const DEFAULT_MSS: usize = 1400;
+
+/// The window-scale shift every connection offers in its SYN.
+pub const WSCALE: u8 = 8;
+
+/// How long a delayed ACK waits for a second segment.
+pub const DELACK_TIMEOUT: mpwifi_simcore::Dur = mpwifi_simcore::Dur::from_millis(40);
