@@ -119,9 +119,11 @@ fn zoo_pin(
 
 /// The scheduler zoo at one WiFi-faster and one LTE-faster location,
 /// recorded at the commit *before* the MPTCP bulk-path optimisation
-/// (PR 15) and never edited by it. BLEST and ECF count `pick` calls in
-/// `defer_streak`, so a dropped or added `pump_send` poll moves their
-/// rows first. The three `MinRtt` rows for OLIA, BALIA and per-subflow
+/// (PR 15) and never edited by it. The BLEST and ECF rows were
+/// re-recorded when their deferral became a bound in simulated time
+/// (PR 23) — a deferral may cost one slow-path RTT of simulated time,
+/// however often the connection is polled — and part from the MinRtt
+/// rows since. The three `MinRtt` rows for OLIA, BALIA and per-subflow
 /// Reno were recorded at the commit before the controllers became rules
 /// of one window (PR 20); `crates/mptcp/tests/cc_pins.rs` holds the
 /// same five controllers' arithmetic step by step.
@@ -148,11 +150,11 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
         [
             (2_823_249_608, 2564, 4, 0),
             (2_823_249_608, 2564, 4, 0),
-            (2_823_249_608, 2564, 4, 0),
-            (2_823_249_608, 2570, 4, 0),
+            (3_229_198_773, 2787, 4, 0),
+            (3_006_698_773, 2673, 4, 0),
             (2_823_249_608, 2583, 4, 28),
-            (2_734_678_180, 2680, 4, 0),
-            (2_734_678_180, 2682, 4, 0),
+            (2_832_254_328, 2866, 4, 0),
+            (2_982_254_328, 2957, 4, 0),
             (2_814_678_180, 2539, 4, 0),
             (2_823_249_608, 2564, 4, 0),
             (2_887_809_884, 2129, 3, 0),
@@ -160,11 +162,11 @@ fn scheduler_zoo_is_pinned_at_contrasting_locations() {
         [
             (2_590_154_023, 1659, 2, 0),
             (2_590_154_023, 1659, 2, 0),
-            (2_590_154_023, 1660, 2, 0),
-            (2_590_154_023, 1660, 2, 0),
+            (2_590_154_023, 1659, 2, 0),
+            (2_610_293_883, 1645, 2, 0),
             (2_590_154_023, 1661, 2, 5),
             (2_580_923_254, 1658, 10, 0),
-            (2_579_384_793, 1662, 11, 0),
+            (2_651_692_485, 1677, 2, 0),
             (2_590_154_023, 1659, 2, 0),
             (2_590_154_023, 1659, 2, 0),
             (2_590_154_023, 1659, 2, 0),
