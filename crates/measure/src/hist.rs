@@ -236,6 +236,26 @@ mod tests {
     }
 
     #[test]
+    fn widest_and_narrowest_finite_ranges_round_trip_through_the_codec() {
+        for (lo, hi) in [
+            (f64::MIN, f64::MAX),
+            (0.0, f64::MIN_POSITIVE),
+            (-f64::MIN_POSITIVE, 0.0),
+            (f64::MAX / 2.0, f64::MAX),
+        ] {
+            let mut h = Histogram::new(lo, hi, 3);
+            for x in [lo, (lo + hi) / 2.0, hi, f64::NEG_INFINITY, f64::INFINITY] {
+                h.add(x);
+            }
+            assert_eq!(h.total(), 5);
+            let mut bytes = Vec::new();
+            h.encode_into(&mut bytes);
+            let back = Histogram::decode(&mut Reader::new(&bytes)).expect("decodes");
+            assert_eq!(back, h, "[{lo:e}, {hi:e})");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "NaN")]
     fn nan_sample_panics() {
         Histogram::new(0.0, 1.0, 2).add(f64::NAN);

@@ -336,4 +336,70 @@ mod tests {
         let lo = WirelessWorld::with_target(10_000_000.0, 0.1).lte_median_bps();
         assert!(hi > 10_000_000.0 && lo < 10_000_000.0);
     }
+
+    /// `(up bps, down bps, rtt ns, queue bytes, loss bits)`.
+    fn bits(spec: &LinkSpec) -> (u64, u64, u64, usize, u64) {
+        let rate = |s: &ServiceSpec| match s {
+            ServiceSpec::Rate(bps) => *bps,
+            other => panic!("a drawn link has a fixed rate, got {other:?}"),
+        };
+        (
+            rate(&spec.up),
+            rate(&spec.down),
+            spec.rtt.as_nanos(),
+            spec.queue_bytes,
+            spec.loss.to_bits(),
+        )
+    }
+
+    #[test]
+    fn first_draw_at_seed_42_is_pinned_to_the_bit() {
+        // `from_env` rewrites the WiFi RTT median and sigma after
+        // `with_target` has filled them in: a constant derived from those
+        // fields too early shows in the Hotel row's WiFi RTT.
+        let d = WirelessWorld::with_target(8e6, 0.4).draw(&mut DetRng::seed_from_u64(42));
+        assert_eq!(d.cell, CellKind::Lte);
+        assert_eq!(
+            bits(&d.wifi),
+            (
+                1_962_265,
+                2_936_501,
+                55_497_790,
+                512 * 1024,
+                0x3f70_95e3_7ab3_5e09
+            )
+        );
+        assert_eq!(
+            bits(&d.lte),
+            (
+                6_237_642,
+                10_466_763,
+                61_563_288,
+                1536 * 1024,
+                0x3f49_9a01_dc20_3600
+            )
+        );
+        let d = WirelessWorld::from_env(EnvKind::Hotel).draw(&mut DetRng::seed_from_u64(42));
+        assert_eq!(d.cell, CellKind::Lte);
+        assert_eq!(
+            bits(&d.wifi),
+            (
+                1_103_774,
+                1_651_781,
+                598_744_529,
+                512 * 1024,
+                0x3f92_23f0_ce34_2edb
+            )
+        );
+        assert_eq!(
+            bits(&d.lte),
+            (
+                6_698_206,
+                11_239_589,
+                61_563_288,
+                1536 * 1024,
+                0x3f49_9a01_dc20_3600
+            )
+        );
+    }
 }

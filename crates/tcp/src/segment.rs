@@ -632,6 +632,37 @@ mod tests {
         assert_eq!(internet_checksum(&wire[IP_OVERHEAD..]), 0);
     }
 
+    /// RFC 1071's loop as the textbook has it: big-endian 16-bit words,
+    /// an odd last byte padded with zero, the carry folded back in after
+    /// every addition.
+    fn textbook_checksum(data: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        for pair in data.chunks(2) {
+            let word = u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]);
+            sum += u32::from(word);
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn checksum_keeps_the_representative_of_zero_at_every_length() {
+        // A sum of zero has two ones'-complement spellings; strict decode
+        // accepts only the one the encoder writes, so neither may flip.
+        for len in 0..=1600 {
+            for fill in [0x00u8, 0xff] {
+                let data = vec![fill; len];
+                assert_eq!(
+                    internet_checksum(&data),
+                    textbook_checksum(&data),
+                    "{len} bytes of {fill:#04x}"
+                );
+            }
+        }
+        assert_eq!(internet_checksum(&[]), 0xffff);
+        assert_eq!(internet_checksum(&[0xff; 1440]), 0x0000);
+    }
+
     #[test]
     fn timestamp_accessor() {
         let seg = sample_segment();
@@ -761,6 +792,20 @@ mod tests {
             wire[IP_OVERHEAD + 16..IP_OVERHEAD + 18].copy_from_slice(&c.to_be_bytes());
             if let Some(back) = Segment::decode(&Bytes::from(wire.clone())) {
                 prop_assert_eq!(back.encode().to_vec(), wire);
+            }
+        }
+
+        #[test]
+        fn prop_checksum_matches_the_textbook_loop(
+            data in proptest::collection::vec(any::<u8>(), 0..1601),
+        ) {
+            prop_assert_eq!(internet_checksum(&data), textbook_checksum(&data));
+            // And with a checksum field in place (any TCP portion is at
+            // least a header long): the field reads as zero.
+            if data.len() >= HEADER_LEN {
+                let mut zeroed = data.clone();
+                zeroed[16..18].fill(0);
+                prop_assert_eq!(expected_checksum(&data), textbook_checksum(&zeroed));
             }
         }
 
