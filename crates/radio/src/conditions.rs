@@ -117,26 +117,29 @@ pub struct LinkDraw {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WirelessWorld {
     /// Median WiFi downlink rate (bits/s).
-    pub wifi_median_bps: f64,
+    wifi_median_bps: f64,
     /// Lognormal sigma of WiFi rates.
-    pub wifi_sigma: f64,
+    wifi_sigma: f64,
     /// Target probability that LTE out-rates WiFi on the downlink.
-    pub lte_win_prob: f64,
+    lte_win_prob: f64,
     /// Lognormal sigma of LTE rates.
-    pub lte_sigma: f64,
+    lte_sigma: f64,
     /// Median WiFi RTT.
-    pub wifi_rtt_median: Dur,
+    wifi_rtt_median: Dur,
     /// Lognormal sigma of WiFi RTT.
-    pub wifi_rtt_sigma: f64,
+    wifi_rtt_sigma: f64,
     /// Median LTE RTT.
-    pub lte_rtt_median: Dur,
+    lte_rtt_median: Dur,
     /// Lognormal sigma of LTE RTT.
-    pub lte_rtt_sigma: f64,
+    lte_rtt_sigma: f64,
     /// Fraction of cellular runs that are HSPA+ rather than LTE (HSPA+
     /// draws get their rate scaled down).
-    pub hspa_fraction: f64,
+    hspa_fraction: f64,
     /// Upper bound of the WiFi random-loss draw.
-    pub wifi_loss_max: f64,
+    wifi_loss_max: f64,
+    /// `ln` of the four medians `draw` samples around (WiFi rate, WiFi
+    /// RTT, LTE rate, LTE RTT): constants of the world, set by `hoisted`.
+    mu: [f64; 4],
 }
 
 impl WirelessWorld {
@@ -154,7 +157,9 @@ impl WirelessWorld {
             lte_rtt_sigma: 0.35,
             hspa_fraction: 0.2,
             wifi_loss_max: 0.008,
+            mu: [0.0; 4],
         }
+        .hoisted()
     }
 
     /// A world built from an environment archetype.
@@ -167,7 +172,21 @@ impl WirelessWorld {
             // shows a one-second WiFi SYN-ACK at one location).
             w.wifi_rtt_sigma = 1.1;
         }
-        w
+        w.hoisted()
+    }
+
+    /// Recompute `mu`: every constructor's last step, once the fields it
+    /// reads are final.
+    fn hoisted(mut self) -> WirelessWorld {
+        let medians = [
+            self.wifi_median_bps,
+            self.wifi_rtt_median.as_secs_f64(),
+            self.lte_median_bps(),
+            self.lte_rtt_median.as_secs_f64(),
+        ];
+        assert!(medians.iter().all(|&m| m > 0.0), "median must be positive");
+        self.mu = medians.map(f64::ln);
+        self
     }
 
     /// The LTE median rate implied by the calibration (see module docs).
@@ -179,13 +198,14 @@ impl WirelessWorld {
 
     /// Draw one `(WiFi, LTE)` condition pair.
     pub fn draw(&self, rng: &mut DetRng) -> LinkDraw {
+        let [wifi_mu, wifi_rtt_mu, lte_mu, lte_rtt_mu] = self.mu;
         let wifi_down = rng
-            .lognormal_median(self.wifi_median_bps, self.wifi_sigma)
+            .lognormal(wifi_mu, self.wifi_sigma)
             .clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         // Contended APs upload poorly (CSMA + asymmetric provisioning).
         let wifi_up = wifi_down * rng.uniform_range(0.35, 0.85);
         let wifi_rtt = Dur::from_secs_f64(
-            (rng.lognormal_median(self.wifi_rtt_median.as_secs_f64(), self.wifi_rtt_sigma))
+            rng.lognormal(wifi_rtt_mu, self.wifi_rtt_sigma)
                 .clamp(0.004, 0.8),
         );
 
@@ -195,7 +215,7 @@ impl WirelessWorld {
             CellKind::Lte
         };
         let mut lte_down = rng
-            .lognormal_median(self.lte_median_bps(), self.lte_sigma)
+            .lognormal(lte_mu, self.lte_sigma)
             .clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         if cell == CellKind::HspaPlus {
             lte_down *= 0.55; // HSPA+ is slower than LTE on average
@@ -205,7 +225,7 @@ impl WirelessWorld {
         // than the downlink (35%).
         let lte_up = lte_down * rng.uniform_range(0.55, 0.9);
         let lte_rtt = Dur::from_secs_f64(
-            (rng.lognormal_median(self.lte_rtt_median.as_secs_f64(), self.lte_rtt_sigma))
+            rng.lognormal(lte_rtt_mu, self.lte_rtt_sigma)
                 .clamp(0.020, 0.8),
         );
 
