@@ -482,38 +482,38 @@ fn parse_option(kind: u8, wire: &Bytes, start: usize, len: usize) -> Option<TcpO
     })
 }
 
-/// Ones'-complement accumulation over `data`, four bytes at a time.
-/// Summing 32-bit big-endian chunks is congruent to summing the classic
-/// 16-bit words because 2^16 ≡ 1 (mod 2^16 − 1); a trailing partial
-/// chunk is zero-padded, which reproduces the odd-byte rule exactly.
-/// The u64 accumulator cannot overflow below ~2^32 bytes of input, and
-/// the wider, branch-free loop vectorizes where the 16-bit one did not.
+/// Ones'-complement accumulation over `data`, four little-endian bytes
+/// at a time: congruent to the classic big-endian 16-bit words, byte-
+/// swapped, because 2^16 ≡ 1 (mod 2^16 − 1) and the sum is byte-order
+/// independent (RFC 1071 §2(B)); a trailing partial chunk is zero-padded,
+/// which is the odd-byte rule. The u64 cannot overflow below ~2^32 bytes,
+/// and with no per-word swap the loop vectorizes on baseline x86-64.
 #[inline]
 fn wide_ones_complement_sum(data: &[u8]) -> u64 {
     let mut sum: u64 = 0;
     let mut chunks = data.chunks_exact(4);
     for c in &mut chunks {
-        sum += u64::from(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
+        sum += u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 4];
         tail[..rem.len()].copy_from_slice(rem);
-        sum += u64::from(u32::from_be_bytes(tail));
+        sum += u64::from(u32::from_le_bytes(tail));
     }
     sum
 }
 
-/// Fold a wide accumulator to 16 bits and complement. The fold result
-/// depends only on the accumulator's residue mod 2^16 − 1 (and whether
-/// it is exactly zero), so any congruent summation order yields the
-/// same checksum as the reference word-at-a-time loop.
+/// Fold a wide little-endian accumulator to 16 bits, swap it to network
+/// order and complement. The result depends only on the accumulator's
+/// residue mod 2^16 − 1 and whether it is exactly zero (`0x0000` and
+/// `0xffff` are their own swaps), as the word-at-a-time loop's does.
 #[inline]
 fn fold_complement(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    !(sum as u16).swap_bytes()
 }
 
 /// Checksum of a TCP portion with its checksum field (word 8, bytes
@@ -521,12 +521,12 @@ fn fold_complement(mut sum: u64) -> u16 {
 /// have written there. `tcp` must be at least [`HEADER_LEN`] bytes.
 fn expected_checksum(tcp: &[u8]) -> u16 {
     // Sum everything branch-free, then remove the stored checksum's
-    // contribution. Bytes 16–17 are the high half of the [16, 20) chunk
-    // (HEADER_LEN ≥ 20 guarantees that chunk is complete), so the field
-    // contributed exactly `stored << 16` to the accumulator and the
+    // contribution. Bytes 16–17 are the low half of the little-endian
+    // [16, 20) chunk (HEADER_LEN ≥ 20 guarantees that chunk is complete),
+    // so the field contributed exactly its little-endian value and the
     // subtraction is exact in u64 — no modular correction needed.
-    let stored = u64::from(u16::from_be_bytes([tcp[16], tcp[17]]));
-    fold_complement(wide_ones_complement_sum(tcp) - (stored << 16))
+    let stored = u64::from(u16::from_le_bytes([tcp[16], tcp[17]]));
+    fold_complement(wide_ones_complement_sum(tcp) - stored)
 }
 
 /// Standard internet ones'-complement checksum. Returns the value that
