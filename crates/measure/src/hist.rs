@@ -19,7 +19,10 @@ pub struct Histogram {
 impl Histogram {
     /// Create with `bins` equal-width bins over `[lo, hi)`.
     pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(lo < hi && bins > 0, "invalid histogram range");
+        assert!(
+            lo < hi && lo.is_finite() && hi.is_finite() && bins > 0,
+            "invalid histogram range"
+        );
         Histogram {
             lo,
             hi,
@@ -253,6 +256,13 @@ mod tests {
             let back = Histogram::decode(&mut Reader::new(&bytes)).expect("decodes");
             assert_eq!(back, h, "[{lo:e}, {hi:e})");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid histogram range")]
+    fn infinite_bound_panics() {
+        // `decode` refuses such a range, and `add` would bin with a NaN.
+        Histogram::new(0.0, f64::INFINITY, 4);
     }
 
     #[test]
