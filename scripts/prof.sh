@@ -126,15 +126,16 @@ awk -v bin="$BIN_PATH" '
         }
         return name[o, lo]
     }
-    function label(o, a,    s) {
+    function label(o, a,    s, n, part) {
         s = lookup(o, a)
         if (o == bin) return s == "" ? "[stackbench, no symbol]" : s
         if (o ~ /\/libm[.-]/) return "[libm]"
         if (o ~ /\/libc[.-]/) {
-            # malloc.c's static functions follow __default_morecore, and
-            # the multiarch memcpy / memset bodies follow
-            # __nss_database_lookup (the mis-attribution `perf` is known
-            # for on a stripped glibc).
+            # The static functions of malloc.c follow __default_morecore
+            # and the multiarch memcpy / memset bodies follow
+            # __nss_database_lookup (the mis-attribution perf is known
+            # for on a stripped glibc). No apostrophe may appear in this
+            # program: it is one single-quoted shell word.
             if (s ~ /alloc|free|memalign|morecore/) return "[libc allocator]"
             if (s ~ /^(__)?(mem|str|bcopy|bzero)|^__nss_database_lookup/) return "[libc mem*]"
             return "[libc other]"
