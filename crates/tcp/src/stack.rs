@@ -629,6 +629,129 @@ mod tests {
         assert!(got.iter().all(|&b| b == 9));
     }
 
+    /// A client and a server, both ends established and every segment
+    /// drained: nothing is left to do until a timer or the app.
+    fn quiet_pair(server_cfg: TcpConfig) -> (Loopback, SocketId, SocketId) {
+        let mut lb = Loopback::new(5);
+        lb.b.listen(80, server_cfg);
+        let ca = lb.a.connect(Time::ZERO, TcpConfig::default(), 80);
+        lb.run_until(
+            |lb| {
+                let sb = lb.b.socket_ids();
+                lb.a.conn(ca).unwrap().is_established()
+                    && sb.len() == 1
+                    && lb.b.conn(sb[0]).unwrap().is_established()
+            },
+            100,
+        );
+        let cb = lb.b.socket_ids()[0];
+        (lb, ca, cb)
+    }
+
+    fn drain(stack: &mut TcpStack, now: Time) -> Vec<Segment> {
+        let mut tx = Vec::new();
+        stack.take_tx_into(now, &mut tx);
+        tx
+    }
+
+    #[test]
+    fn a_send_after_the_walk_leaves_at_the_next_walk() {
+        // Two settled client connections; the app reaches one of them
+        // only through `conn_mut`. The next walk must carry its data and
+        // nothing from the other.
+        let (mut lb, ca, _) = quiet_pair(TcpConfig::default());
+        let other = lb.a.connect(lb.now, TcpConfig::default(), 80);
+        lb.run_until(|lb| lb.a.conn(other).unwrap().is_established(), 100);
+        let now = lb.now;
+        assert!(drain(&mut lb.a, now).is_empty(), "the pair is not quiet");
+        lb.a.conn_mut(ca)
+            .unwrap()
+            .send(Bytes::from_static(b"late"));
+        let tx = drain(&mut lb.a, now);
+        assert_eq!(tx.len(), 1);
+        assert_eq!((tx[0].src_port, tx[0].dst_port), ca);
+        assert_eq!(&tx[0].payload[..], b"late");
+        assert!(drain(&mut lb.a, now).is_empty());
+    }
+
+    #[test]
+    fn an_untouched_connections_delayed_ack_fires_at_its_instant() {
+        let (mut lb, ca, cb) = quiet_pair(TcpConfig::default());
+        lb.a.conn_mut(ca)
+            .unwrap()
+            .send(Bytes::from_static(&[3u8; 100]));
+        lb.run_until(|lb| lb.b.conn(cb).unwrap().delivered_bytes() == 100, 100);
+        // The server saw one small segment and owes a delayed ACK;
+        // nothing reaches it again but the stack's own walks.
+        let due = lb.now + crate::DELACK_TIMEOUT;
+        assert_eq!(lb.b.next_timer(), Some(due));
+        let early = due - Dur::from_nanos(1);
+        lb.b.on_timers(early);
+        assert!(drain(&mut lb.b, early).is_empty(), "ACK before its instant");
+        assert_eq!(lb.b.next_timer(), Some(due));
+        lb.b.on_timers(due);
+        let tx = drain(&mut lb.b, due);
+        assert_eq!(tx.len(), 1, "one delayed ACK at its instant");
+        assert!(tx[0].flags.ack && tx[0].payload.is_empty());
+        assert_eq!(lb.b.next_timer(), None);
+    }
+
+    #[test]
+    fn an_untouched_connections_rto_fires_at_its_instant() {
+        let (mut lb, ca, _) = quiet_pair(TcpConfig::default());
+        let sent_at = lb.now;
+        lb.a.conn_mut(ca)
+            .unwrap()
+            .send(Bytes::from_static(&[5u8; 100]));
+        let first = drain(&mut lb.a, sent_at);
+        assert_eq!(first.len(), 1);
+        // The segment is lost: nothing reaches the client again but the
+        // stack's own walks. A 10 ms RTT leaves the RTO at its floor.
+        let due = sent_at + TcpConfig::default().min_rto;
+        assert_eq!(lb.a.next_timer(), Some(due));
+        let early = due - Dur::from_nanos(1);
+        lb.a.on_timers(early);
+        assert!(drain(&mut lb.a, early).is_empty(), "RTO before its instant");
+        assert_eq!(lb.a.conn(ca).unwrap().stats().rtos, 0);
+        lb.a.on_timers(due);
+        let tx = drain(&mut lb.a, due);
+        assert_eq!(lb.a.conn(ca).unwrap().stats().rtos, 1);
+        assert_eq!(tx.len(), 1, "one retransmission at its instant");
+        assert_eq!((tx[0].seq, &tx[0].payload), (first[0].seq, &first[0].payload));
+        assert!(lb.a.next_timer().is_some_and(|t| t > due), "backed off");
+    }
+
+    #[test]
+    fn accepts_out_of_port_order_drain_in_socket_id_order() {
+        // SYN loss reorders accepts: the stack's walks still go in
+        // sorted socket-id order, whatever order connections arrived in.
+        let mut stack = TcpStack::new(5);
+        stack.listen(80, TcpConfig::default());
+        for port in [50_002, 50_000, 50_001] {
+            let syn = Segment::control(port, 80, u32::from(port), 0, Flags::SYN);
+            stack.on_segment(Time::ZERO, &syn);
+        }
+        let accepted = stack.take_accepted();
+        assert_eq!(accepted, vec![(80, 50_002), (80, 50_000), (80, 50_001)]);
+        let sorted = vec![(80, 50_000), (80, 50_001), (80, 50_002)];
+        assert_eq!(stack.socket_ids(), sorted);
+        let order = |tx: &[Segment]| -> Vec<SocketId> {
+            tx.iter().map(|s| (s.src_port, s.dst_port)).collect()
+        };
+        let syn_acks = drain(&mut stack, Time::ZERO);
+        assert!(syn_acks.iter().all(|s| s.flags.syn && s.flags.ack));
+        assert_eq!(order(&syn_acks), sorted);
+        // Touched in reverse order, then all three SYN-ACKs time out at
+        // once: still sorted.
+        for &id in accepted.iter().rev() {
+            stack.conn_mut(id).unwrap().discard_delivered();
+        }
+        let rto = stack.next_timer().expect("SYN-ACK retransmit timer");
+        stack.on_timers(rto);
+        let again = drain(&mut stack, rto);
+        assert_eq!(order(&again), sorted);
+    }
+
     #[test]
     fn handshake_state_progression() {
         let mut lb = Loopback::new(10);
