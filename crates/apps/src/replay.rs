@@ -116,12 +116,16 @@ struct FlowRt {
     server_fired: usize,
     /// A response scheduled to fire at this time.
     server_pending: Option<(Time, u64)>,
+    /// Response bytes of every exchange: read them all and the flow is
+    /// done.
+    resp_total: u64,
     done_at: Option<Time>,
 }
 
 impl FlowRt {
     fn new(pat: FlowPattern) -> FlowRt {
         FlowRt {
+            resp_total: pat.exchanges.iter().map(|e| e.response_bytes).sum(),
             pat,
             sock: None,
             next_exchange: 0,
@@ -132,10 +136,6 @@ impl FlowRt {
             server_pending: None,
             done_at: None,
         }
-    }
-
-    fn total_response_bytes(&self) -> u64 {
-        self.pat.exchanges.iter().map(|e| e.response_bytes).sum()
     }
 }
 
@@ -265,10 +265,10 @@ fn run_replay<C: SocketHost, S: Accept>(
                     }
                 }
             }
-            // Completion: all exchanges issued and all responses read.
-            if f.next_exchange == f.pat.exchanges.len()
-                && host.client(h).read() >= f.total_response_bytes()
-            {
+            // Completion: all exchanges issued and all responses read
+            // (`delivered` is this step's one read: a send since cannot
+            // deliver anything).
+            if f.next_exchange == f.pat.exchanges.len() && delivered >= f.resp_total {
                 f.done_at = Some(now);
                 host.client(h).close(now);
                 if let Some(conn) = host.server(h) {

@@ -492,9 +492,16 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     }
 
     /// Schedule a scripted event. Keeps the script sorted via binary
-    /// insertion (replay workloads schedule thousands of wakeups).
+    /// insertion. A [`ScriptEvent::Wakeup`] at an instant the script
+    /// already wakes at is not inserted again: every event at one
+    /// instant is applied in one step, so the steps are the same either
+    /// way (a replay re-asks for its next exchange's instant on every
+    /// step it waits).
     pub fn schedule(&mut self, at: Time, ev: ScriptEvent) {
         let pos = self.script.partition_point(|&(t, _)| t <= at);
+        if ev == ScriptEvent::Wakeup && pos > 0 && self.script[pos - 1].0 == at {
+            return;
+        }
         self.script.insert(pos, (at, ev));
     }
 
@@ -977,6 +984,27 @@ mod tests {
             "clock overshot the deadline: {}",
             sim.now
         );
+    }
+
+    #[test]
+    fn two_identical_wakeups_are_one_entry_and_one_step() {
+        let (wifi, lte) = specs();
+        let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
+        let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 2);
+        let mut sim = Sim::builder(client, server).wifi(&wifi).lte(&lte).build();
+        let at = Time::from_millis(30);
+        sim.schedule(at, ScriptEvent::Wakeup);
+        sim.schedule(at, ScriptEvent::Wakeup);
+        assert_eq!(sim.forensic_snapshot("test").script_pending, 1);
+        // Any other event at that instant is still its own entry.
+        sim.schedule(at, ScriptEvent::FaultMark);
+        sim.schedule(at, ScriptEvent::Wakeup);
+        assert_eq!(sim.forensic_snapshot("test").script_pending, 2);
+        assert!(sim.step());
+        assert_eq!(sim.now, at);
+        let snap = sim.forensic_snapshot("test");
+        assert_eq!((snap.script_fired, snap.script_pending), (2, 0));
+        assert!(!sim.step(), "nothing left after the one step");
     }
 
     #[test]

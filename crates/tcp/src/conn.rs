@@ -571,9 +571,12 @@ impl TcpConnection {
     /// segments into a caller-provided sink (the per-step driver path).
     /// A `Vec<Segment>` is a sink; a host that addresses segments on the
     /// way out passes its own [`Extend`] so each segment moves once from
-    /// this queue to the driver's buffer.
+    /// this queue to the driver's buffer. An empty queue builds no drain.
     pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
         self.poll_output(now);
+        if self.tx.is_empty() {
+            return;
+        }
         self.stats.segs_sent += self.tx.len() as u64;
         out.extend(self.tx.drain(..));
     }

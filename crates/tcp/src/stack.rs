@@ -4,26 +4,45 @@
 //! decoded segments by `(local_port, remote_port)`, spawns server
 //! connections for SYNs arriving on listening ports, and aggregates
 //! timer deadlines and outgoing segments. The app-replay workloads open
-//! dozens of concurrent connections through this.
+//! dozens of concurrent connections through this and a host never drops
+//! one, so the per-step walks skip every connection nothing has reached
+//! since it was last drained.
 
 use crate::conn::{TcpConfig, TcpConnection};
 use crate::segment::Segment;
 use mpwifi_simcore::Time;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Connection key: `(local_port, remote_port)`.
 pub type SocketId = (u16, u16);
 
 /// A set of TCP connections sharing one interface/endpoint.
 ///
-/// Connections live in a `BTreeMap` so every aggregate walk (timers,
-/// outgoing segments) iterates in sorted socket-id order without
-/// building a sorted key list first — the per-step driver calls
-/// [`TcpStack::take_tx_into`] and [`TcpStack::on_timers`] several times
-/// per event, and those walks must be allocation-free.
+/// The connections are one sorted table: `ids` ascending, searched by
+/// binary search, and `conns[i]` the connection `ids[i]` names. Every
+/// aggregate walk (timers, outgoing segments) goes in index order, which
+/// is sorted socket-id order, and allocates nothing.
+///
+/// Beside each connection the table keeps whether it is *clean* —
+/// drained by [`TcpStack::take_tx_into`] and reached by nothing since —
+/// and, while it is, the [`TcpConnection::next_timer`] it had at that
+/// drain. A drained connection is settled: until something reaches it,
+/// another pass emits nothing and arms nothing. Whatever can reach one
+/// mutably marks it dirty: [`TcpStack::on_segment`],
+/// [`TcpStack::conn_mut`], the two inserts ([`TcpStack::connect`], an
+/// accepted SYN) and [`TcpStack::on_timers`] when it fires. So
+/// `take_tx_into` visits dirty connections only, `next_timer` folds the
+/// clean ones' stored horizons, and `on_timers` fires a clean one only
+/// when its horizon has come: an idle or closed connection costs a load
+/// and a branch per walk. Debug builds re-run every skipped visit and
+/// assert that it would have emitted nothing and moved no timer.
 #[derive(Debug)]
 pub struct TcpStack {
-    conns: BTreeMap<SocketId, TcpConnection>,
+    ids: Vec<SocketId>,
+    conns: Vec<TcpConnection>,
+    /// Per connection: `Some(its timer horizon)` while clean, `None`
+    /// once something may have reached it.
+    clean: Vec<Option<Option<Time>>>,
     listeners: HashMap<u16, TcpConfig>,
     next_ephemeral: u16,
     iss_counter: u32,
@@ -35,7 +54,9 @@ impl TcpStack {
     /// deterministic yet distinct across hosts.
     pub fn new(iss_seed: u32) -> TcpStack {
         TcpStack {
-            conns: BTreeMap::new(),
+            ids: Vec::new(),
+            conns: Vec::new(),
+            clean: Vec::new(),
             listeners: HashMap::new(),
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
@@ -62,7 +83,7 @@ impl TcpStack {
         let mut conn = TcpConnection::client(cfg, local_port, remote_port, iss);
         conn.open(now);
         let id = (local_port, remote_port);
-        self.conns.insert(id, conn);
+        self.insert(id, conn);
         id
     }
 
@@ -74,36 +95,57 @@ impl TcpStack {
             } else {
                 self.next_ephemeral + 1
             };
-            if !self.conns.contains_key(&(p, remote_port)) && !self.listeners.contains_key(&p) {
+            if self.ids.binary_search(&(p, remote_port)).is_err()
+                && !self.listeners.contains_key(&p)
+            {
                 return p;
             }
         }
         panic!("ephemeral ports exhausted");
     }
 
-    /// Borrow a connection.
-    pub fn conn(&self, id: SocketId) -> Option<&TcpConnection> {
-        self.conns.get(&id)
+    /// Add a connection at its sorted row, dirty.
+    fn insert(&mut self, id: SocketId, conn: TcpConnection) {
+        let at = self
+            .ids
+            .binary_search(&id)
+            .expect_err("socket id already in use");
+        self.ids.insert(at, id);
+        self.conns.insert(at, conn);
+        self.clean.insert(at, None);
     }
 
-    /// Mutably borrow a connection.
+    /// Mutably borrow row `i`'s connection, marking it dirty.
+    fn touch(&mut self, i: usize) -> &mut TcpConnection {
+        self.clean[i] = None;
+        &mut self.conns[i]
+    }
+
+    /// Borrow a connection.
+    pub fn conn(&self, id: SocketId) -> Option<&TcpConnection> {
+        self.ids.binary_search(&id).ok().map(|i| &self.conns[i])
+    }
+
+    /// Mutably borrow a connection. The next [`TcpStack::take_tx_into`]
+    /// visits it, whatever the caller did with it.
     pub fn conn_mut(&mut self, id: SocketId) -> Option<&mut TcpConnection> {
-        self.conns.get_mut(&id)
+        let i = self.ids.binary_search(&id).ok()?;
+        Some(self.touch(i))
     }
 
     /// All connection ids (stable order: sorted, for determinism).
     pub fn socket_ids(&self) -> Vec<SocketId> {
-        self.conns.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Number of live connections.
     pub fn len(&self) -> usize {
-        self.conns.len()
+        self.ids.len()
     }
 
     /// True when no connections exist.
     pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+        self.ids.is_empty()
     }
 
     /// Route one decoded segment. SYNs to listening ports spawn server
@@ -111,8 +153,8 @@ impl TcpStack {
     /// for unknown sockets are dropped.
     pub fn on_segment(&mut self, now: Time, seg: &Segment) {
         let id = (seg.dst_port, seg.src_port);
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.on_segment(now, seg);
+        if let Ok(i) = self.ids.binary_search(&id) {
+            self.touch(i).on_segment(now, seg);
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
@@ -120,7 +162,7 @@ impl TcpStack {
                 let iss = self.next_iss();
                 let mut conn = TcpConnection::server(cfg, seg.dst_port, seg.src_port, iss);
                 conn.on_segment(now, seg);
-                self.conns.insert(id, conn);
+                self.insert(id, conn);
                 self.accepted.push(id);
             }
         }
@@ -133,29 +175,59 @@ impl TcpStack {
 
     /// Earliest timer deadline across all connections.
     pub fn next_timer(&self) -> Option<Time> {
-        self.conns
-            .values()
-            .fold(None, |next, c| Time::earlier(next, c.next_timer()))
+        let rows = self.conns.iter().zip(&self.clean);
+        rows.fold(None, |next, (c, &clean)| {
+            Time::earlier(next, horizon(c, clean))
+        })
     }
 
     /// Fire timers due at `now` on every connection (sorted socket-id
     /// order, allocation-free).
     pub fn on_timers(&mut self, now: Time) {
-        for c in self.conns.values_mut() {
-            if c.next_timer().is_some_and(|t| t <= now) {
+        for (c, clean) in self.conns.iter_mut().zip(&mut self.clean) {
+            if horizon(c, *clean).is_some_and(|t| t <= now) {
+                *clean = None;
                 c.on_timers(now);
             }
         }
     }
 
-    /// Drain outgoing segments from every connection into a
+    /// Drain outgoing segments from every dirty connection into a
     /// caller-provided sink (see [`TcpConnection::take_tx_into`]), in
-    /// deterministic (sorted socket id) order.
+    /// deterministic (sorted socket id) order. Each one drained is clean
+    /// until something reaches it again.
     pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
-        for c in self.conns.values_mut() {
+        for (c, clean) in self.conns.iter_mut().zip(&mut self.clean) {
+            if let Some(horizon) = *clean {
+                if cfg!(debug_assertions) {
+                    // Debug builds re-run the skipped drain to hold the
+                    // claim that it has nothing to do.
+                    let tx = c.take_tx(now);
+                    let after = (tx.len(), c.next_timer());
+                    assert_eq!(after, (0, horizon), "a clean connection had output");
+                }
+                continue;
+            }
             c.take_tx_into(now, out);
+            *clean = Some(c.next_timer());
         }
     }
+}
+
+/// A connection's next timer: the stored horizon while it is clean
+/// (debug builds check it against the connection).
+fn horizon(c: &TcpConnection, clean: Option<Option<Time>>) -> Option<Time> {
+    let Some(horizon) = clean else {
+        return c.next_timer();
+    };
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            c.next_timer(),
+            horizon,
+            "a clean connection moved its timer"
+        );
+    }
+    horizon
 }
 
 #[cfg(test)]
@@ -664,9 +736,7 @@ mod tests {
         lb.run_until(|lb| lb.a.conn(other).unwrap().is_established(), 100);
         let now = lb.now;
         assert!(drain(&mut lb.a, now).is_empty(), "the pair is not quiet");
-        lb.a.conn_mut(ca)
-            .unwrap()
-            .send(Bytes::from_static(b"late"));
+        lb.a.conn_mut(ca).unwrap().send(Bytes::from_static(b"late"));
         let tx = drain(&mut lb.a, now);
         assert_eq!(tx.len(), 1);
         assert_eq!((tx[0].src_port, tx[0].dst_port), ca);
@@ -717,7 +787,10 @@ mod tests {
         let tx = drain(&mut lb.a, due);
         assert_eq!(lb.a.conn(ca).unwrap().stats().rtos, 1);
         assert_eq!(tx.len(), 1, "one retransmission at its instant");
-        assert_eq!((tx[0].seq, &tx[0].payload), (first[0].seq, &first[0].payload));
+        assert_eq!(
+            (tx[0].seq, &tx[0].payload),
+            (first[0].seq, &first[0].payload)
+        );
         assert!(lb.a.next_timer().is_some_and(|t| t > due), "backed off");
     }
 
