@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Self time by symbol for one stackbench workload: the sample behind
-# DESIGN.md section 3's tables, as one command.
+# Self time by symbol, then by family (crate or libc / libm group), for
+# one stackbench workload: the sample behind DESIGN.md section 3's
+# tables, as one command. The full symbol table stays in
+# target/prof/<workload>.self.
 # Usage: scripts/prof.sh <workload> [seconds=20]
 #
 # The box has no `perf`; it has `cc`, `nm` and /proc/self/maps. This
@@ -185,4 +187,25 @@ awk -v bin="$BIN_PATH" '
         for (s in self) printf "%6.2f%% %7d  %s\n", 100 * self[s] / total, self[s], s
         printf "%7s %7d  samples\n", "", total > "/dev/stderr"
     }
-' "$OUT/symbols" "$OUT/$WORKLOAD.samples" | sort -k2,2nr | head -n 30
+' "$OUT/symbols" "$OUT/$WORKLOAD.samples" | sort -k2,2nr >"$OUT/$WORKLOAD.self"
+head -n 30 "$OUT/$WORKLOAD.self"
+
+# The same samples summed by family: a workspace crate (the first
+# `mpwifi_<crate>::` in the symbol, so a generic instantiated on one of
+# its types counts for it), a bracketed libc / libm group as it stands,
+# or the first path segment of anything else (`alloc`, `core`, `std`).
+# Many symbols under 8 % each can still be a third of a run.
+echo
+echo "== by family"
+awk '
+    {
+        s = $0
+        sub(/^ *[0-9.]+% +[0-9]+  /, "", s)
+        if (match(s, /mpwifi_[a-z]+::/)) f = substr(s, RSTART, RLENGTH - 2)
+        else if (s ~ /^\[/) f = s
+        else { f = s; sub(/^</, "", f); sub(/::.*/, "", f); sub(/.* /, "", f) }
+        fam[f] += $2
+        total += $2
+    }
+    END { for (f in fam) printf "%6.2f%% %7d  %s\n", 100 * fam[f] / total, fam[f], f }
+' "$OUT/$WORKLOAD.self" | sort -k2,2nr
