@@ -104,12 +104,10 @@ impl TcpStack {
         panic!("ephemeral ports exhausted");
     }
 
-    /// Add a connection at its sorted row, dirty.
+    /// Add a connection, dirty, at its sorted row (both callers have
+    /// found `id` absent).
     fn insert(&mut self, id: SocketId, conn: TcpConnection) {
-        let at = self
-            .ids
-            .binary_search(&id)
-            .expect_err("socket id already in use");
+        let at = self.ids.partition_point(|&row| row < id);
         self.ids.insert(at, id);
         self.conns.insert(at, conn);
         self.clean.insert(at, None);
@@ -214,19 +212,11 @@ impl TcpStack {
     }
 }
 
-/// A connection's next timer: the stored horizon while it is clean
-/// (debug builds check it against the connection).
+/// A connection's next timer: the stored horizon while it is clean,
+/// which debug builds check against the connection.
 fn horizon(c: &TcpConnection, clean: Option<Option<Time>>) -> Option<Time> {
-    let Some(horizon) = clean else {
-        return c.next_timer();
-    };
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            c.next_timer(),
-            horizon,
-            "a clean connection moved its timer"
-        );
-    }
+    let horizon = clean.unwrap_or_else(|| c.next_timer());
+    debug_assert_eq!(horizon, c.next_timer(), "stale horizon");
     horizon
 }
 
