@@ -693,9 +693,9 @@ mod tests {
 
     /// A client and a server, both ends established and every segment
     /// drained: nothing is left to do until a timer or the app.
-    fn quiet_pair(server_cfg: TcpConfig) -> (Loopback, SocketId, SocketId) {
+    fn quiet_pair() -> (Loopback, SocketId, SocketId) {
         let mut lb = Loopback::new(5);
-        lb.b.listen(80, server_cfg);
+        lb.b.listen(80, TcpConfig::default());
         let ca = lb.a.connect(Time::ZERO, TcpConfig::default(), 80);
         lb.run_until(
             |lb| {
@@ -721,7 +721,7 @@ mod tests {
         // Two settled client connections; the app reaches one of them
         // only through `conn_mut`. The next walk must carry its data and
         // nothing from the other.
-        let (mut lb, ca, _) = quiet_pair(TcpConfig::default());
+        let (mut lb, ca, _) = quiet_pair();
         let other = lb.a.connect(lb.now, TcpConfig::default(), 80);
         lb.run_until(|lb| lb.a.conn(other).unwrap().is_established(), 100);
         let now = lb.now;
@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn an_untouched_connections_delayed_ack_fires_at_its_instant() {
-        let (mut lb, ca, cb) = quiet_pair(TcpConfig::default());
+        let (mut lb, ca, cb) = quiet_pair();
         lb.a.conn_mut(ca)
             .unwrap()
             .send(Bytes::from_static(&[3u8; 100]));
@@ -758,7 +758,7 @@ mod tests {
 
     #[test]
     fn an_untouched_connections_rto_fires_at_its_instant() {
-        let (mut lb, ca, _) = quiet_pair(TcpConfig::default());
+        let (mut lb, ca, _) = quiet_pair();
         let sent_at = lb.now;
         lb.a.conn_mut(ca)
             .unwrap()
