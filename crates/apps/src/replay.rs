@@ -182,8 +182,12 @@ impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
     }
 }
 
-/// The replay loop, once for every transport.
-fn run_replay<C: SocketHost, S: Accept>(
+/// The replay loop, once for every transport: replay `pattern` over an
+/// already-built world, opening each flow's connection with `open`.
+/// [`replay`] builds the world for one of the six transports and calls
+/// this; a caller that builds its own (its own seed salts, fault plans
+/// or scripted events) calls it directly.
+pub fn run_replay<C: SocketHost, S: Accept>(
     sim: Sim<C, S>,
     open: impl FnMut(&mut C, Time) -> C::Id,
     pattern: &AppPattern,
@@ -215,12 +219,10 @@ fn run_replay<C: SocketHost, S: Accept>(
 
     loop {
         let now = host.sim.now;
-        let mut all_done = true;
         for (i, f) in flows.iter_mut().enumerate() {
             if f.done_at.is_some() {
                 continue;
             }
-            all_done = false;
             // Open on time.
             let h = match f.sock {
                 Some(h) => h,
@@ -228,7 +230,6 @@ fn run_replay<C: SocketHost, S: Accept>(
                 None => continue,
             };
             let delivered = host.client(h).read();
-            progress[i].record(now, delivered + f.req_issued);
             // Issue the next exchange when its offset passed and all
             // prior responses arrived.
             if f.next_exchange < f.pat.exchanges.len() {
@@ -245,6 +246,9 @@ fn run_replay<C: SocketHost, S: Accept>(
                     host.sim.schedule(due, ScriptEvent::Wakeup);
                 }
             }
+            // Progress counts a request from the step that issues it,
+            // not from whichever step happens to come next.
+            progress[i].record(now, delivered + f.req_issued);
             // Server side: schedule/fire responses.
             if let Some(srv_delivered) = host.server(h).map(|c| c.read()) {
                 if f.server_pending.is_none() && f.server_fired < f.server_plan.len() {
@@ -276,7 +280,10 @@ fn run_replay<C: SocketHost, S: Accept>(
                 }
             }
         }
-        if all_done {
+        // Stop at the step the last flow finished: one more step would
+        // carry whatever the closes queued as far as the next event,
+        // which is how densely the world steps, not what the app did.
+        if flows.iter().all(|f| f.done_at.is_some()) {
             break;
         }
         if host.sim.now >= deadline_t {

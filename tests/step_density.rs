@@ -6,7 +6,9 @@
 //! `BulkResult` field and every `RunMetrics` counter but the step count
 //! itself. This is what licenses the simulator to skip such steps.
 
-use mpwifi::mptcp::MptcpConfig;
+use mpwifi::apps::patterns::cnn_launch;
+use mpwifi::apps::replay::{run_replay, ReplayResult};
+use mpwifi::mptcp::{CcKind, MptcpConfig};
 use mpwifi::radio::{paper_locations, LocationCondition};
 use mpwifi::sim::apps::{bulk, make_payload, BulkResult, FlowDir};
 use mpwifi::sim::endpoint::{MptcpClientHost, MptcpServerHost, TcpClientHost, TcpServerHost};
@@ -143,4 +145,69 @@ fn a_tcp_download_does_not_depend_on_step_density() {
 #[test]
 fn an_mptcp_download_does_not_depend_on_step_density() {
     assert_step_density_invariant("MPTCP download", mptcp_download);
+}
+
+/// The CNN launch replayed at `loc` with `replay::replay`'s hosts and
+/// salts at seed 42: WiFi-TCP, or MPTCP-Coupled with LTE primary.
+fn cnn_replay(loc: &LocationCondition, mptcp: bool, wakeups_until: Option<Time>) -> ReplayResult {
+    let (pattern, deadline) = (cnn_launch(42), Dur::from_secs(120));
+    if mptcp {
+        let cfg = MptcpConfig {
+            cc: CcKind::Lia,
+            ..MptcpConfig::default()
+        };
+        let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 42 | 1);
+        let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 42 ^ 0xF7);
+        let sim = world(client, server, loc, wakeups_until).build();
+        let open = |c: &mut MptcpClientHost, now| c.open(now, cfg.clone(), LTE_ADDR, SERVER_PORT);
+        run_replay(sim, open, &pattern, deadline)
+    } else {
+        let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 42 | 1);
+        let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 42 ^ 7);
+        let sim = world(client, server, loc, wakeups_until).build();
+        let open = |c: &mut TcpClientHost, now| c.connect(now, TcpConfig::default(), SERVER_PORT);
+        run_replay(sim, open, &pattern, deadline)
+    }
+}
+
+/// The same oracle over an app replay: every `ReplayResult` field and
+/// every counter but the step count, with the extra steps up to the
+/// plain run's last flow end.
+#[test]
+fn a_replay_does_not_depend_on_step_density() {
+    let locations = paper_locations(42);
+    for (id, mptcp) in LOCATIONS
+        .into_iter()
+        .flat_map(|id| [(id, false), (id, true)])
+    {
+        let loc = &locations[id - 1];
+        let run = |wakeups_until| {
+            metrics::reset();
+            let r = cnn_replay(loc, mptcp, wakeups_until);
+            (r, metrics::snapshot())
+        };
+        let (plain, plain_m) = run(None);
+        assert!(plain.completed, "the plain replay completes");
+        let end = plain.flow_spans.iter().map(|&(_, _, end)| end).max();
+        let (dense, dense_m) = run(end.map(|end| Time::ZERO + end));
+        let what = format!("replay (MPTCP {mptcp}) at location {id}");
+        assert!(
+            dense_m.events_popped > plain_m.events_popped,
+            "{what}: no extra steps"
+        );
+        assert_eq!(
+            format!("{dense:?}"),
+            format!("{plain:?}"),
+            "{what}: a result moved"
+        );
+        let steps_aside = |m: RunMetrics| RunMetrics {
+            events_popped: 0,
+            ..m
+        };
+        assert_eq!(
+            steps_aside(dense_m),
+            steps_aside(plain_m),
+            "{what}: a counter moved"
+        );
+    }
 }
