@@ -11,6 +11,15 @@
 //! the gate immediately discards every frame held inside the pipeline
 //! (counted as `dropped_down`), and every frame pushed while the gate
 //! is down is silently dropped.
+//!
+//! `next_ready` is the earliest instant a frame can leave the far end,
+//! not the next instant one moves inside: a frame that leaves the queue
+//! is handed to the delay lazily — at the next poll, or first thing in
+//! a `push`, `set_rate` or `set_delay`, the three mutations that depend
+//! on what has already left — and always at its departure instant, so
+//! every exit is what it would be had each frame moved the moment it
+//! left. A driver that steps at `next_ready` steps once per delivery,
+//! not once at the departure and again at the exit.
 
 use crate::frame::Frame;
 use crate::stage::{DelayStage, Filter, LinkQueue, Service, Stage};
@@ -48,14 +57,13 @@ pub struct Pipeline {
     tail: Vec<Tail>,
     up: bool,
     stats: PipelineStats,
-    /// Cached ready horizon: `Some(h)` means the min over every holder's
-    /// `next_ready()` — the queue, the delay, the tail's stages — is
-    /// exactly `h` (which may itself be `None` for a quiescent
+    /// Cached ready horizon: `Some(h)` means [`Pipeline::next_ready`]
+    /// computes exactly `h` (which may itself be `None` for a quiescent
     /// pipeline); the outer `None` means "dirty, recompute". Every
     /// mutation that can move an exit time (`push`, `poll_into`
-    /// movement, `set_up`, `set_rate`) invalidates it, so `next_ready`
-    /// is an O(1) field read on the simulator's per-step due checks
-    /// between mutations.
+    /// movement, `set_up`, `set_rate`, `set_delay`) invalidates it, so
+    /// `next_ready` is an O(1) field read on the simulator's per-step
+    /// due checks between mutations.
     horizon: Cell<Option<Option<Time>>>,
     /// Scratch for the batch moving down the tail, reused across polls.
     transfer: Vec<(Time, Frame)>,
@@ -112,6 +120,23 @@ impl Pipeline {
         *self.horizon.get_mut() = None;
     }
 
+    /// Hand every frame that left the queue at or before `upto` to the
+    /// delay, at its departure instant.
+    fn depart(&mut self, upto: Time) {
+        while let Some((exit, frame)) = self.queue.pop_ready(upto) {
+            self.delay.push(exit, frame);
+        }
+    }
+
+    /// [`Self::depart`] for the frames that left strictly before `now`:
+    /// a script change at `now` comes before that instant's poll in the
+    /// simulator's step, so a frame leaving at `now` meets the change.
+    fn depart_before(&mut self, now: Time) {
+        if now > Time::ZERO {
+            self.depart(now - Dur::from_nanos(1));
+        }
+    }
+
     /// Human-readable label ("wifi-down", "lte-up", ...).
     pub fn label(&self) -> &str {
         &self.label
@@ -136,41 +161,54 @@ impl Pipeline {
     }
 
     /// Serve the queue at a fixed `bps` from `now` on (a WiFi AP
-    /// degrading, a rate-crush fault); the frame in service keeps its
-    /// fractional progress, see [`LinkQueue::set_service`].
+    /// degrading, a rate-crush fault): frames that left before `now`
+    /// have left, and the frame in service keeps its fractional
+    /// progress, see [`LinkQueue::set_service`].
     pub fn set_rate(&mut self, now: Time, bps: u64) {
+        self.depart_before(now);
         self.queue.set_service(now, Service::FixedRate { bps });
         self.invalidate_horizon();
     }
 
-    /// Change the propagation delay for frames entering the delay from
-    /// now on. Frames in flight keep their exit times, so the ready
-    /// horizon stands.
-    pub fn set_delay(&mut self, delay: Dur) {
+    /// Change the propagation delay from `now` on: a frame that left the
+    /// queue before `now` keeps the delay it left under, one that leaves
+    /// at `now` or later gets `delay`. Frames in the delay keep their
+    /// exit times.
+    pub fn set_delay(&mut self, now: Time, delay: Dur) {
+        self.depart_before(now);
         self.delay.set_delay(delay);
+        self.invalidate_horizon();
     }
 
-    /// Offer a frame to the ingress.
+    /// Offer a frame to the ingress. What has left the queue by `now`
+    /// makes room first, and a frame that finds the server idle starts
+    /// its service at `now`.
     pub fn push(&mut self, now: Time, frame: Frame) {
         self.stats.pushed += 1;
         if !self.up {
             self.stats.dropped_down += 1;
             return;
         }
+        self.depart(now);
         self.queue.push(now, frame);
         self.invalidate_horizon();
     }
 
-    /// Earliest time any holder can emit a frame. Served from the cached
-    /// horizon when clean — the scan runs at most once per mutation, so
-    /// the simulator's repeated due checks are field reads.
+    /// Earliest instant a frame can leave the far end: the minimum of
+    /// the delay's front exit, the queue head's departure plus the
+    /// delay's current one-way delay, and the tail stages' exits. It is
+    /// a lower bound — a frame may leave later (the delay's FIFO clamp,
+    /// a tail filter dropping it), never earlier — so a poll at it may
+    /// find nothing, and then `next_ready` moves on. Served from the
+    /// cached horizon when clean — the scan runs at most once per
+    /// mutation, so the simulator's repeated due checks are field reads.
     pub fn next_ready(&self) -> Option<Time> {
         if let Some(cached) = self.horizon.get() {
             return cached;
         }
         let tail = self.holders().filter_map(|s| s.next_ready()).min();
-        let h = Time::earlier(self.queue.next_ready(), self.delay.next_ready());
-        let h = Time::earlier(h, tail);
+        let head = self.queue.next_ready().map(|t| t + self.delay.delay());
+        let h = Time::earlier(Time::earlier(head, self.delay.next_ready()), tail);
         self.horizon.set(Some(h));
         h
     }
@@ -185,11 +223,14 @@ impl Pipeline {
     /// on at the frame's true exit instant, never the (possibly later)
     /// poll instant, and only ever forwards, so by the time a holder
     /// gives up what is due, every frame that could reach it this poll
-    /// already has — one pass leaves nothing due. A filter decides on
-    /// each frame of the moving batch at the instant the frame left the
-    /// holder before it.
+    /// already has — one pass leaves nothing due. That is what makes the
+    /// queue-to-delay move lazy for free: a frame that left the queue
+    /// long before this poll enters the delay at its departure instant
+    /// all the same. A filter decides on each frame of the moving batch
+    /// at the instant the frame left the holder before it.
     pub fn poll_into(&mut self, now: Time, out: &mut Vec<Frame>) {
-        // Quiescent fast path: nothing is due, nothing can move.
+        // Quiescent fast path: nothing can leave the far end by `now`,
+        // and what has left the queue can wait in it.
         match self.next_ready() {
             Some(h) if h <= now => {}
             _ => return,
@@ -197,9 +238,7 @@ impl Pipeline {
         // `set_up(false)` flushed every holder and `push` refuses while
         // down, so something due means the link is up.
         debug_assert!(self.up, "a down pipeline holds nothing");
-        while let Some((exit, frame)) = self.queue.pop_ready(now) {
-            self.delay.push(exit, frame);
-        }
+        self.depart(now);
         // `transfer` is a field only to reuse its allocation; take it to
         // split the borrow from `self.tail`.
         let mut batch = std::mem::take(&mut self.transfer);
@@ -289,10 +328,12 @@ mod tests {
 
     #[test]
     fn end_to_end_latency_is_serialization_plus_delay() {
-        // 12 Mbit/s + 10 ms: a 1500-byte frame exits at 1 + 10 = 11 ms.
+        // 12 Mbit/s + 10 ms: a 1500-byte frame exits at 1 + 10 = 11 ms,
+        // and that, not its 1 ms departure, is when the pipeline is next
+        // ready.
         let mut p = rate_delay_pipeline(12_000_000, 10);
         p.push(Time::ZERO, frame(1, 1500));
-        assert_eq!(p.next_ready(), Some(Time::from_millis(1)));
+        assert_eq!(p.next_ready(), Some(Time::from_millis(11)));
         // Polling at 10 ms moves the frame out of the queue (at its true
         // 1 ms exit) into the delay stage; it exits end-to-end at 11 ms
         // even though this poll happened "late".

@@ -289,6 +289,11 @@ impl DelayStage {
     pub fn set_delay(&mut self, delay: Dur) {
         self.delay = delay;
     }
+
+    /// The delay a frame pushed now is given (before the FIFO clamp).
+    pub fn delay(&self) -> Dur {
+        self.delay
+    }
 }
 
 impl Stage for DelayStage {

@@ -58,7 +58,7 @@ fn timeline(mut p: Pipeline, ops: &[(u64, Op)], end_ns: u64) -> (Vec<(u64, u64)>
                 p.push(at, frame);
             }
             Op::Rate(bps) => p.set_rate(at, bps),
-            Op::Delay(d) => p.set_delay(d),
+            Op::Delay(d) => p.set_delay(at, d),
             Op::Cut => p.set_up(false),
             Op::Restore => p.set_up(true),
         }

@@ -164,7 +164,8 @@ impl PathPair {
         self.up.backlog() + self.down.backlog()
     }
 
-    /// Earliest pending frame exit in either direction.
+    /// Earliest instant a frame can leave either direction (a lower
+    /// bound, see [`Pipeline::next_ready`]).
     pub fn next_ready(&self) -> Option<Time> {
         Time::earlier(self.up.next_ready(), self.down.next_ready())
     }
@@ -200,7 +201,8 @@ mod tests {
         let spec = LinkSpec::symmetric(10_000_000, Dur::from_millis(40));
         let mut pp = PathPair::build(&spec, "wifi", &mut rng, None);
         assert_eq!(pp.up.label(), "wifi-up");
-        // 1500 B at 10 Mbit/s = 1.2 ms serialization + 20 ms one-way.
+        // 1500 B at 10 Mbit/s = 1.2 ms serialization + 20 ms one-way:
+        // the frame next leaves the link at 21.2 ms.
         let f = Frame::new(
             1,
             Addr(1),
@@ -210,7 +212,7 @@ mod tests {
         );
         pp.up.push(Time::ZERO, f);
         let ready = pp.next_ready().unwrap();
-        assert_eq!(ready, Time::from_micros(1200));
+        assert_eq!(ready, Time::from_micros(21_200));
         let (ups, _) = poll(&mut pp, Time::from_micros(21_200));
         assert_eq!(ups.len(), 1);
     }

@@ -137,7 +137,9 @@ pub struct StallSnapshot {
 pub struct IfaceSnapshot {
     /// The row's name.
     pub name: &'static str,
-    /// Frames queued or in flight on the link, and next frame exit.
+    /// Frames inside the link, both directions (queued, in the delay or
+    /// in a tail stage), and the earliest instant one can leave it — a
+    /// lower bound, see [`mpwifi_netem::Pipeline::next_ready`].
     pub queue: (usize, Option<Time>),
     /// Last packet seen on the client's side of the interface.
     pub last_activity: Option<Time>,
@@ -631,9 +633,10 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                     self.client.notify_iface_up(now, iface);
                 }
                 ScriptEvent::SetOneWayDelay(iface, delay) => {
+                    let now = self.now;
                     let link = &mut self.iface(iface).link;
-                    link.up.set_delay(delay);
-                    link.down.set_delay(delay);
+                    link.up.set_delay(now, delay);
+                    link.down.set_delay(now, delay);
                 }
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
@@ -641,7 +644,10 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         self.script.drain(..due);
     }
 
-    /// Earliest future event of any kind.
+    /// The next step's instant: the earliest of a frame leaving a link
+    /// (a lower bound, [`mpwifi_netem::Pipeline::next_ready`] — a frame
+    /// moving from a link's queue into its delay is not an event), a
+    /// host timer and the script.
     fn next_event(&self) -> Option<Time> {
         let links = (self.ifaces.iter()).fold(None, |t, r| Time::earlier(t, r.link.next_ready()));
         let hosts = Time::earlier(self.client.next_timer(), self.server.next_timer());

@@ -37,11 +37,13 @@ thread_local! {
 /// A snapshot of this thread's instrumentation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    /// Events dispatched: simulator event-loop steps. The simulator
-    /// finds its next event by polling its links' `next_ready` and its
-    /// hosts' `next_timer`; [`crate::EventQueue::pop`] bumps this too,
-    /// but no product code runs an `EventQueue`, so in every report
-    /// this is a count of steps.
+    /// Events dispatched: simulator event-loop steps. A step is an
+    /// instant at which a frame leaves a link, a host timer is due, or
+    /// the script acts; the simulator finds the next one by polling its
+    /// links' `next_ready` and its hosts' `next_timer`.
+    /// [`crate::EventQueue::pop`] bumps this too, but no product code
+    /// runs an `EventQueue`, so in every report this is a count of
+    /// steps.
     pub events_popped: u64,
     /// Frames moved through simulation links.
     pub frames_forwarded: u64,
