@@ -1416,6 +1416,31 @@ mod tests {
     }
 
     #[test]
+    fn a_settled_connections_delayed_ack_fires_at_its_instant() {
+        // One small in-order segment from the peer arms the delayed ACK;
+        // the drain after it settles the connection with nothing to send.
+        let mut c = established_client(TcpConfig::default());
+        let mut seg = Segment::control(80, 1000, 77_001, 5_001, Flags::ACK);
+        seg.window = u16::MAX;
+        seg.payload = Bytes::from_static(&[4u8; 100]);
+        seg.options = vec![TcpOption::Timestamp { val: 3, ecr: 0 }];
+        let at = Time::from_millis(30);
+        c.on_segment(at, &seg);
+        assert!(c.take_tx(at).is_empty(), "the ACK waits for its timer");
+        let due = at + crate::DELACK_TIMEOUT;
+        assert_eq!(c.next_timer(), Some(due));
+        let early = due - Dur::from_nanos(1);
+        c.on_timers(early);
+        assert!(c.take_tx(early).is_empty(), "ACK before its instant");
+        assert_eq!(c.next_timer(), Some(due));
+        c.on_timers(due);
+        let tx = c.take_tx(due);
+        assert_eq!(tx.len(), 1, "one delayed ACK at its instant");
+        assert!(tx[0].flags.ack && tx[0].payload.is_empty());
+        assert_eq!(c.next_timer(), None);
+    }
+
+    #[test]
     fn nagle_holds_sub_mss_segment_while_data_unacked() {
         for (nagle, expect_second_segment) in [(true, false), (false, true)] {
             let mut c = established_client(TcpConfig {
