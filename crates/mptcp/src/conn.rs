@@ -358,7 +358,9 @@ pub struct MptcpConnection {
     /// timer every poll (`take_tx_into`, `on_timers`, `next_timer`)
     /// repeats one that already ran to completion, and returns at once —
     /// which is what lets an endpoint poll its idle, window-limited and
-    /// closed connections for free.
+    /// closed connections for free. The rule is each subflow's
+    /// `TcpConnection`'s one level up: see its `settled` field for which
+    /// entry points clear it and why a new one must.
     settled: bool,
     /// [`MptcpConnection::next_timer`] as of settling.
     settled_timer: Option<Time>,
@@ -1293,7 +1295,7 @@ impl MptcpConnection {
         }
         self.settled = false;
         for sf in &mut self.subflows {
-            if !sf.dead && sf.conn.next_timer().is_some_and(|t| t <= now) {
+            if !sf.dead {
                 sf.conn.on_timers(now);
             }
         }

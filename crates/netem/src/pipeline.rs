@@ -24,7 +24,6 @@
 use crate::frame::Frame;
 use crate::stage::{DelayStage, Filter, LinkQueue, Service, Stage};
 use mpwifi_simcore::{Dur, Time};
-use std::cell::Cell;
 
 /// Counters describing everything a pipeline did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,14 +56,6 @@ pub struct Pipeline {
     tail: Vec<Tail>,
     up: bool,
     stats: PipelineStats,
-    /// Cached ready horizon: `Some(h)` means [`Pipeline::next_ready`]
-    /// computes exactly `h` (which may itself be `None` for a quiescent
-    /// pipeline); the outer `None` means "dirty, recompute". Every
-    /// mutation that can move an exit time (`push`, `poll_into`
-    /// movement, `set_up`, `set_rate`, `set_delay`) invalidates it, so
-    /// `next_ready` is an O(1) field read on the simulator's per-step
-    /// due checks between mutations.
-    horizon: Cell<Option<Option<Time>>>,
     /// Scratch for the batch moving down the tail, reused across polls.
     transfer: Vec<(Time, Frame)>,
 }
@@ -90,7 +81,6 @@ impl Pipeline {
             tail: Vec::new(),
             up: true,
             stats: PipelineStats::default(),
-            horizon: Cell::new(None),
             transfer: Vec::new(),
         }
     }
@@ -113,11 +103,6 @@ impl Pipeline {
             Tail::Holder(s) => Some(s.as_ref()),
             Tail::Filter(_) => None,
         })
-    }
-
-    /// Drop the cached ready horizon after any holder mutation.
-    fn invalidate_horizon(&mut self) {
-        *self.horizon.get_mut() = None;
     }
 
     /// Hand every frame that left the queue at or before `upto` to the
@@ -157,7 +142,6 @@ impl Pipeline {
             }
         }
         self.up = up;
-        self.invalidate_horizon();
     }
 
     /// Serve the queue at a fixed `bps` from `now` on (a WiFi AP
@@ -167,7 +151,6 @@ impl Pipeline {
     pub fn set_rate(&mut self, now: Time, bps: u64) {
         self.depart_before(now);
         self.queue.set_service(now, Service::FixedRate { bps });
-        self.invalidate_horizon();
     }
 
     /// Change the propagation delay from `now` on: a frame that left the
@@ -177,7 +160,6 @@ impl Pipeline {
     pub fn set_delay(&mut self, now: Time, delay: Dur) {
         self.depart_before(now);
         self.delay.set_delay(delay);
-        self.invalidate_horizon();
     }
 
     /// Offer a frame to the ingress. What has left the queue by `now`
@@ -191,7 +173,6 @@ impl Pipeline {
         }
         self.depart(now);
         self.queue.push(now, frame);
-        self.invalidate_horizon();
     }
 
     /// Earliest instant a frame can leave the far end: the minimum of
@@ -199,18 +180,12 @@ impl Pipeline {
     /// delay's current one-way delay, and the tail stages' exits. It is
     /// a lower bound — a frame may leave later (the delay's FIFO clamp,
     /// a tail filter dropping it), never earlier — so a poll at it may
-    /// find nothing, and then `next_ready` moves on. Served from the
-    /// cached horizon when clean — the scan runs at most once per
-    /// mutation, so the simulator's repeated due checks are field reads.
+    /// find nothing, and then `next_ready` moves on. Computed from the
+    /// three parts on every call; nothing is cached.
     pub fn next_ready(&self) -> Option<Time> {
-        if let Some(cached) = self.horizon.get() {
-            return cached;
-        }
         let tail = self.holders().filter_map(|s| s.next_ready()).min();
         let head = self.queue.next_ready().map(|t| t + self.delay.delay());
-        let h = Time::earlier(Time::earlier(head, self.delay.next_ready()), tail);
-        self.horizon.set(Some(h));
-        h
+        Time::earlier(Time::earlier(head, self.delay.next_ready()), tail)
     }
 
     /// Advance internal frame movement up to `now` and append frames
@@ -260,7 +235,6 @@ impl Pipeline {
             out.push(frame);
         }
         self.transfer = batch;
-        self.invalidate_horizon();
     }
 
     /// Aggregate counters. Drop counts are read live, so the

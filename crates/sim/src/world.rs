@@ -683,16 +683,14 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         }
         self.apply_script();
 
-        // Move frames through the links and deliver exits. Only links
-        // with a frame actually due are polled; the scratch buffers are
-        // reused (drained, never dropped) across steps.
+        // Move frames through the links and deliver exits. Every link is
+        // polled, and one with nothing due returns at once; the scratch
+        // buffers are reused (drained, never dropped) across steps.
         let now = self.now;
         let (mut exits, mut high_water) = (0, 0);
         for row in &mut self.ifaces {
-            if row.link.next_ready().is_some_and(|t| t <= now) {
-                row.link
-                    .poll_into(now, &mut row.to_server, &mut row.to_client);
-            }
+            row.link
+                .poll_into(now, &mut row.to_server, &mut row.to_client);
             exits += row.to_server.len() + row.to_client.len();
             high_water = high_water.max(row.to_server.len()).max(row.to_client.len());
         }

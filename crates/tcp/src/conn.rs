@@ -197,10 +197,17 @@ pub struct TcpConnection {
     /// Nothing has touched this connection since its output engine last
     /// ran to completion. The engine is idempotent — a second pass over
     /// an unchanged connection emits nothing and arms nothing — so while
-    /// this holds a poll returns at once. Every mutating entry point
-    /// clears it; idle and closed connections are polled several times
-    /// per step like any other, and this is what makes that free.
+    /// this holds `poll_output` returns at once and `next_timer` answers
+    /// from `settled_timer`. It is cleared by every entry point that can
+    /// change what the engine would do: `open`, `send`, `close`, `abort`,
+    /// `request_ack`, a read that reopens the window, `on_segment`, and
+    /// an `on_timers` that fires. A new `&mut self` entry point must
+    /// clear it too, or a host's next poll skips what it changed. Idle
+    /// and closed connections are polled several times per step like
+    /// any other, and this is what makes that free.
     settled: bool,
+    /// [`TcpConnection::next_timer`] as of settling.
+    settled_timer: Option<Time>,
 }
 
 impl TcpConnection {
@@ -272,6 +279,7 @@ impl TcpConnection {
             error: None,
             syn_sent_at: None,
             settled: false,
+            settled_timer: None,
             cfg,
         }
     }
@@ -494,14 +502,25 @@ impl TcpConnection {
 
     /// The earliest pending timer deadline, if any.
     pub fn next_timer(&self) -> Option<Time> {
+        if self.settled {
+            debug_assert_eq!(self.settled_timer, self.scan_timers(), "stale horizon");
+            return self.settled_timer;
+        }
+        self.scan_timers()
+    }
+
+    fn scan_timers(&self) -> Option<Time> {
         Time::earlier(
             Time::earlier(self.rtx_deadline, self.delack_deadline),
             Time::earlier(self.timewait_deadline, self.probe_deadline),
         )
     }
 
-    /// Fire any timers due at `now`.
+    /// Fire any timers due at `now`; with none due, return at once.
     pub fn on_timers(&mut self, now: Time) {
+        if self.next_timer().is_none_or(|t| t > now) {
+            return;
+        }
         self.settled = false;
         if self.timewait_deadline.is_some_and(|t| t <= now) {
             self.timewait_deadline = None;
@@ -933,15 +952,16 @@ impl TcpConnection {
         if self.settled {
             if cfg!(debug_assertions) {
                 // Debug builds re-run the engine to hold the claim above.
-                let before = (self.tx.len(), self.next_timer());
+                let before = (self.tx.len(), self.settled_timer);
                 self.run_output(now);
-                let after = (self.tx.len(), self.next_timer());
+                let after = (self.tx.len(), self.scan_timers());
                 assert_eq!(after, before, "a settled connection had output");
             }
             return;
         }
         self.run_output(now);
         self.settled = true;
+        self.settled_timer = self.scan_timers();
     }
 
     fn run_output(&mut self, now: Time) {

@@ -5,8 +5,8 @@
 //! connections for SYNs arriving on listening ports, and aggregates
 //! timer deadlines and outgoing segments. The app-replay workloads open
 //! dozens of concurrent connections through this and a host never drops
-//! one, so the per-step walks skip every connection nothing has reached
-//! since it was last drained.
+//! one, so every walk asks every connection, and a settled one answers
+//! each poll with a load and a branch (see [`TcpConnection::poll_output`]).
 
 use crate::conn::{TcpConfig, TcpConnection};
 use crate::segment::Segment;
@@ -21,28 +21,13 @@ pub type SocketId = (u16, u16);
 /// The connections are one sorted table: `ids` ascending, searched by
 /// binary search, and `conns[i]` the connection `ids[i]` names. Every
 /// aggregate walk (timers, outgoing segments) goes in index order, which
-/// is sorted socket-id order, and allocates nothing.
-///
-/// Beside each connection the table keeps whether it is *clean* —
-/// drained by [`TcpStack::take_tx_into`] and reached by nothing since —
-/// and, while it is, the [`TcpConnection::next_timer`] it had at that
-/// drain. A drained connection is settled: until something reaches it,
-/// another pass emits nothing and arms nothing. Whatever can reach one
-/// mutably marks it dirty: [`TcpStack::on_segment`],
-/// [`TcpStack::conn_mut`], the two inserts ([`TcpStack::connect`], an
-/// accepted SYN) and [`TcpStack::on_timers`] when it fires. So
-/// `take_tx_into` visits dirty connections only, `next_timer` folds the
-/// clean ones' stored horizons, and `on_timers` fires a clean one only
-/// when its horizon has come: an idle or closed connection costs a load
-/// and a branch per walk. Debug builds re-run every skipped visit and
-/// assert that it would have emitted nothing and moved no timer.
+/// is sorted socket-id order, and allocates nothing. The table keeps
+/// nothing else per connection: whether one has anything to do is the
+/// connection's own answer.
 #[derive(Debug)]
 pub struct TcpStack {
     ids: Vec<SocketId>,
     conns: Vec<TcpConnection>,
-    /// Per connection: `Some(its timer horizon)` while clean, `None`
-    /// once something may have reached it.
-    clean: Vec<Option<Option<Time>>>,
     listeners: HashMap<u16, TcpConfig>,
     next_ephemeral: u16,
     iss_counter: u32,
@@ -56,7 +41,6 @@ impl TcpStack {
         TcpStack {
             ids: Vec::new(),
             conns: Vec::new(),
-            clean: Vec::new(),
             listeners: HashMap::new(),
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
@@ -104,19 +88,12 @@ impl TcpStack {
         panic!("ephemeral ports exhausted");
     }
 
-    /// Add a connection, dirty, at its sorted row (both callers have
-    /// found `id` absent).
+    /// Add a connection at its sorted row (both callers have found `id`
+    /// absent).
     fn insert(&mut self, id: SocketId, conn: TcpConnection) {
         let at = self.ids.partition_point(|&row| row < id);
         self.ids.insert(at, id);
         self.conns.insert(at, conn);
-        self.clean.insert(at, None);
-    }
-
-    /// Mutably borrow row `i`'s connection, marking it dirty.
-    fn touch(&mut self, i: usize) -> &mut TcpConnection {
-        self.clean[i] = None;
-        &mut self.conns[i]
     }
 
     /// Borrow a connection.
@@ -124,11 +101,9 @@ impl TcpStack {
         self.ids.binary_search(&id).ok().map(|i| &self.conns[i])
     }
 
-    /// Mutably borrow a connection. The next [`TcpStack::take_tx_into`]
-    /// visits it, whatever the caller did with it.
+    /// Mutably borrow a connection.
     pub fn conn_mut(&mut self, id: SocketId) -> Option<&mut TcpConnection> {
-        let i = self.ids.binary_search(&id).ok()?;
-        Some(self.touch(i))
+        self.ids.binary_search(&id).ok().map(|i| &mut self.conns[i])
     }
 
     /// All connection ids (stable order: sorted, for determinism).
@@ -152,7 +127,7 @@ impl TcpStack {
     pub fn on_segment(&mut self, now: Time, seg: &Segment) {
         let id = (seg.dst_port, seg.src_port);
         if let Ok(i) = self.ids.binary_search(&id) {
-            self.touch(i).on_segment(now, seg);
+            self.conns[i].on_segment(now, seg);
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
@@ -173,51 +148,26 @@ impl TcpStack {
 
     /// Earliest timer deadline across all connections.
     pub fn next_timer(&self) -> Option<Time> {
-        let rows = self.conns.iter().zip(&self.clean);
-        rows.fold(None, |next, (c, &clean)| {
-            Time::earlier(next, horizon(c, clean))
-        })
+        let conns = self.conns.iter();
+        conns.fold(None, |next, c| Time::earlier(next, c.next_timer()))
     }
 
     /// Fire timers due at `now` on every connection (sorted socket-id
     /// order, allocation-free).
     pub fn on_timers(&mut self, now: Time) {
-        for (c, clean) in self.conns.iter_mut().zip(&mut self.clean) {
-            if horizon(c, *clean).is_some_and(|t| t <= now) {
-                *clean = None;
-                c.on_timers(now);
-            }
+        for c in &mut self.conns {
+            c.on_timers(now);
         }
     }
 
-    /// Drain outgoing segments from every dirty connection into a
+    /// Drain outgoing segments from every connection into a
     /// caller-provided sink (see [`TcpConnection::take_tx_into`]), in
-    /// deterministic (sorted socket id) order. Each one drained is clean
-    /// until something reaches it again.
+    /// deterministic (sorted socket id) order.
     pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
-        for (c, clean) in self.conns.iter_mut().zip(&mut self.clean) {
-            if let Some(horizon) = *clean {
-                if cfg!(debug_assertions) {
-                    // Debug builds re-run the skipped drain to hold the
-                    // claim that it has nothing to do.
-                    let tx = c.take_tx(now);
-                    let after = (tx.len(), c.next_timer());
-                    assert_eq!(after, (0, horizon), "a clean connection had output");
-                }
-                continue;
-            }
+        for c in &mut self.conns {
             c.take_tx_into(now, out);
-            *clean = Some(c.next_timer());
         }
     }
-}
-
-/// A connection's next timer: the stored horizon while it is clean,
-/// which debug builds check against the connection.
-fn horizon(c: &TcpConnection, clean: Option<Option<Time>>) -> Option<Time> {
-    let horizon = clean.unwrap_or_else(|| c.next_timer());
-    debug_assert_eq!(horizon, c.next_timer(), "stale horizon");
-    horizon
 }
 
 #[cfg(test)]
