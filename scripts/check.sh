@@ -5,15 +5,18 @@
 #              workspace package (crates, vendored shims, the root) with
 #              warnings denied, and the tier-1 build + tests.
 #   --full     everything above, then every crate's suite in release
-#              (cargo test --workspace --release), the four crates
-#              that hold or drive an MPTCP connection once more in a
-#              debug build, and the end-to-end smokes, in this order:
+#              (cargo test --workspace --release), the six crates that
+#              hold or drive a TCP or MPTCP connection or a link once
+#              more in a debug build, and the end-to-end smokes, in this
+#              order:
 #                settled    debug builds re-run every settled
-#                           connection's drain and assert it has no
-#                           output and moves no timer (`cfg!` in
-#                           `take_tx_into` / `poll_output`); release
-#                           compiles the check out, and tier-1 reaches
-#                           it through the root package's tests alone.
+#                           connection's output pass and assert it has
+#                           no output and moves no timer, and check its
+#                           stored timer horizon against a fresh scan
+#                           (`TcpConnection::{poll_output, next_timer}`,
+#                           `MptcpConnection::take_tx_into`); release
+#                           compiles the checks out, and tier-1 reaches
+#                           them through the root package's tests alone.
 #                mathis     the Mathis oracle's whole grid (nine cells,
 #                           three seeds; tier-1's debug build runs a
 #                           reduced one) with its ratio table printed:
@@ -130,8 +133,9 @@ if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"
     cargo test --workspace --release -q
 
-    echo "== settled: mptcp, sim, apps and conformance suites in a debug build"
-    cargo test -q -p mpwifi-mptcp -p mpwifi-sim -p mpwifi-apps -p mpwifi-conformance
+    echo "== settled: tcp, netem, mptcp, sim, apps and conformance suites in a debug build"
+    cargo test -q -p mpwifi-tcp -p mpwifi-netem -p mpwifi-mptcp -p mpwifi-sim \
+        -p mpwifi-apps -p mpwifi-conformance
 
     echo "== mathis oracle: full grid in release, ratio table"
     cargo test --release -q --test mathis_oracle -- --nocapture
