@@ -358,9 +358,9 @@ pub struct MptcpConnection {
     /// timer every poll (`take_tx_into`, `on_timers`, `next_timer`)
     /// repeats one that already ran to completion, and returns at once —
     /// which is what lets an endpoint poll its idle, window-limited and
-    /// closed connections for free. The rule is each subflow's
-    /// `TcpConnection`'s one level up: see its `settled` field for which
-    /// entry points clear it and why a new one must.
+    /// closed connections for free. It is `TcpConnection`'s `settled`
+    /// rule one level up; that field's doc lists what clears it and why
+    /// a new entry point must.
     settled: bool,
     /// [`MptcpConnection::next_timer`] as of settling.
     settled_timer: Option<Time>,

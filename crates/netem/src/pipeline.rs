@@ -181,7 +181,7 @@ impl Pipeline {
     /// a lower bound — a frame may leave later (the delay's FIFO clamp,
     /// a tail filter dropping it), never earlier — so a poll at it may
     /// find nothing, and then `next_ready` moves on. Computed from the
-    /// three parts on every call; nothing is cached.
+    /// three parts on every call.
     pub fn next_ready(&self) -> Option<Time> {
         let tail = self.holders().filter_map(|s| s.next_ready()).min();
         let head = self.queue.next_ready().map(|t| t + self.delay.delay());

@@ -947,7 +947,9 @@ impl TcpConnection {
     /// now (retransmissions, new data in window, a FIN, an owed ACK).
     /// [`TcpConnection::take_tx_into`] does this first; an owner that
     /// rewrites each segment as it leaves calls it and then drains with
-    /// [`TcpConnection::pop_tx`].
+    /// [`TcpConnection::pop_tx`]. A connection nothing has touched since
+    /// the last pass is settled: the pass would emit nothing and arm
+    /// nothing, so it returns at once.
     pub fn poll_output(&mut self, now: Time) {
         if self.settled {
             if cfg!(debug_assertions) {
