@@ -2,8 +2,14 @@
 # A/B the benchmark: <rev> (the parent) against the working tree.
 # Usage: scripts/ab.sh <rev> [pairs=10]
 #
-# Unpacks <rev> under target/ab/parent (git archive: nothing is
-# registered in .git), builds both stackbench binaries offline, and runs
+# Unpacks <rev> into a temporary directory outside the checkout (git
+# archive: nothing is registered in .git), builds both stackbench
+# binaries offline, each from its own root, and prints each side's
+# commit and binary size. Cargo merges `.cargo/config.toml` from the
+# working directory and all its ancestors, so a parent built from inside
+# the checkout would be built under the change's release profile, and an
+# A/B of a profile change would read parity; equal sizes on such a
+# change say that happened. Then it runs
 # every BENCHMARK.json workload `pairs` times on each side for
 # `run_seconds` each, parent first on odd pairs and change first on even
 # ones (choosing-metrics section 8). Then, per workload/metric: the two
@@ -30,15 +36,26 @@ SECS="$(jq -r .run_seconds BENCHMARK.json)"
 WORKLOADS="$(jq -r '.workloads[].name' BENCHMARK.json)"
 AB=target/ab
 RUNS="$AB/runs.jsonl"
+PARENT="$(mktemp -d)"
+trap 'rm -rf "$PARENT"' EXIT
+# One target directory for both sides would hold one binary.
+unset CARGO_TARGET_DIR
 
-rm -rf "$AB/parent"
-mkdir -p "$AB/parent"
-git archive "$(git rev-parse --verify "$REV^{commit}")" | tar -x -C "$AB/parent"
+mkdir -p "$AB"
+parent_rev="$(git rev-parse --verify "$REV^{commit}")"
+git archive "$parent_rev" | tar -x -C "$PARENT"
 echo "== building stackbench at $REV and in the working tree" >&2
-cargo build --release --offline -q --manifest-path "$AB/parent/stackbench/Cargo.toml"
+(cd "$PARENT" && cargo build --release --offline -q --manifest-path stackbench/Cargo.toml)
 cargo build --release --offline -q --manifest-path stackbench/Cargo.toml
-parent_bin="$AB/parent/stackbench/target/release/stackbench"
+parent_bin="$PARENT/stackbench/target/release/stackbench"
 change_bin=stackbench/target/release/stackbench
+
+change_rev="$(git rev-parse --short HEAD)"
+if [ -n "$(git status --porcelain)" ]; then change_rev="$change_rev + working tree"; fi
+sides="$(printf '%-7s %-24s stackbench %s bytes\n' \
+    parent "$(git rev-parse --short "$parent_rev")" "$(stat -c %s "$parent_bin")" \
+    change "$change_rev" "$(stat -c %s "$change_bin")")"
+echo "$sides" >&2
 
 : >"$RUNS"
 for pair in $(seq 1 "$PAIRS"); do
@@ -58,6 +75,7 @@ for pair in $(seq 1 "$PAIRS"); do
     done
 done
 
+echo "$sides"
 jq -rs --slurpfile bench BENCHMARK.json '
   def quantile(q): sort | . as $s | ((length - 1) * q) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);

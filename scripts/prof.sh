@@ -26,6 +26,16 @@
 #     memset, ...), `[libm]`, `[libc other]` (mostly system-call
 #     wrappers) - which is a guess about the internal function, and the
 #     brackets say so;
+#   * the binary is built from the checkout root, so under the release
+#     profile of `.cargo/config.toml` (fat LTO, one codegen unit): generic
+#     std code and one-line cross-crate shims are inlined into their callers:
+#     a `VecDeque` drain or a `put_slice` counts for the workspace
+#     function that calls it, not for `alloc` or `bytes`. A family can
+#     move between builds without the work moving (app_replay, before
+#     the profile and under it: `alloc` 9.2 -> 1.7 %, `bytes`
+#     3.2 -> 1.3 %, `mpwifi_apps` 3.1 -> 15.9 %, the borrows and drains
+#     folded into `replay`), so compare tables only across builds with
+#     the same profile;
 #   * end-to-end metrics are never read from a sampled run: the handler
 #     costs time, and a number is `scripts/ab.sh`'s table or nothing.
 # Changes no program code and nothing under stackbench/;
