@@ -18,7 +18,7 @@ use mpwifi_sim::{
     TxHost,
 };
 use mpwifi_simcore::Time;
-use mpwifi_tcp::segment::Segment;
+use mpwifi_tcp::segment::{Segment, HEADER_LEN, IP_OVERHEAD, MAX_OPTIONS_LEN};
 use mpwifi_tcp::stack::SocketId;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -127,6 +127,30 @@ fn check_link_conservation<C: Endpoint, S: Endpoint>(log: &ViolationLog, sim: &S
     }
 }
 
+/// Wire round trip: a frame carries its segment typed and the receiver
+/// takes it as sent, so every transmitted segment must be one its own
+/// wire image strictly decodes back to — what the receiver would have
+/// seen had the bytes been on the path. Also catches an option list too
+/// long for the header, which the encoder refuses.
+fn check_wire_round_trip(log: &ViolationLog, now: Time, host: TxHost, seg: &Segment) {
+    let options = seg.wire_len() - IP_OVERHEAD - HEADER_LEN - seg.payload.len();
+    let detail = if options > MAX_OPTIONS_LEN {
+        format!("{options} bytes of options do not fit the header")
+    } else if Segment::decode(&seg.encode()).as_ref() != Some(seg) {
+        "the wire image does not decode to the segment sent".to_string()
+    } else {
+        return;
+    };
+    log.report(
+        now,
+        "wire-round-trip",
+        format!(
+            "{host:?} {}->{} seq {}: {detail}",
+            seg.src_port, seg.dst_port, seg.seq
+        ),
+    );
+}
+
 /// Verify a payload slice against a pattern starting at `off`; report at
 /// most one violation per call.
 fn check_payload_pattern(
@@ -207,6 +231,7 @@ impl SimObserver<TcpClientHost, TcpServerHost> for TcpConformance {
         seg: &Segment,
         sim: &Sim<TcpClientHost, TcpServerHost>,
     ) {
+        check_wire_round_trip(&self.log, now, host, seg);
         if seg.payload.is_empty() || seg.flags.syn {
             return;
         }
@@ -602,6 +627,7 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
         seg: &Segment,
         sim: &Sim<MptcpClientHost, MptcpServerHost>,
     ) {
+        check_wire_round_trip(&self.log, now, host, seg);
         let is_client = host == TxHost::Client;
         let d = if is_client { 0 } else { 1 };
         let Some((cid, sf)) = Self::route(sim, is_client, seg) else {
@@ -896,6 +922,35 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use mpwifi_tcp::segment::{Flags, TcpOption};
+
+    #[test]
+    fn wire_round_trip_flags_what_the_wire_would_change() {
+        let log = ViolationLog::new();
+        let with = |options| Segment {
+            options,
+            payload: Bytes::from_static(b"data"),
+            ..Segment::control(443, 50000, 7, 9, Flags::ACK)
+        };
+        let sent = with(vec![
+            TcpOption::Timestamp { val: 1, ecr: 2 },
+            TcpOption::Sack(vec![(10, 20), (30, 40)]),
+        ]);
+        check_wire_round_trip(&log, Time::ZERO, TxHost::Server, &sent);
+        assert!(log.is_clean(), "{:?}", log.snapshot());
+        // A raw option spelled with a known kind decodes as that option.
+        let respelled = with(vec![TcpOption::Raw {
+            kind: 2,
+            data: Bytes::from_static(&[5, 220]),
+        }]);
+        check_wire_round_trip(&log, Time::ZERO, TxHost::Client, &respelled);
+        // Five SACK blocks are 42 bytes: no header has room for them.
+        let overlong = with(vec![TcpOption::Sack(vec![(1, 2); 5])]);
+        check_wire_round_trip(&log, Time::ZERO, TxHost::Client, &overlong);
+        let cats: Vec<_> = log.snapshot().iter().map(|v| v.category).collect();
+        assert_eq!(cats, ["wire-round-trip"; 2]);
+    }
 
     #[test]
     fn pattern_detects_offset_shifts() {

@@ -80,7 +80,7 @@ pub(crate) fn measure_pair_in(
 /// reusable [`SimArena`]: a 1 MB download and upload per network plus
 /// 10 pings each, every transfer on its own derived seed. A warm arena
 /// gives the same bits as a fresh one (pinned by a test below, and
-/// against fresh-built worlds in `mpwifi_sim::arena`) with its encode
+/// against fresh-built worlds in `mpwifi_sim::arena`) with its scratch
 /// buffers and the 1 MB payload already allocated; campaign workers
 /// hold one each and push every user through it.
 pub fn measure_pair_arena(

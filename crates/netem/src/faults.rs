@@ -15,7 +15,7 @@
 //! they pass frames untouched and draw no randomness, so a fault that
 //! never fires cannot perturb a run.
 
-use crate::frame::Frame;
+use crate::frame::{Frame, Payload};
 use crate::stage::Filter;
 use mpwifi_simcore::{DetRng, Dur, Time};
 use std::ops::Range;
@@ -266,10 +266,11 @@ impl Filter for GilbertElliottFilter {
 }
 
 /// Segment corruption, active only inside its `[start, end)` episode. A
-/// corrupted frame is *not* dropped here — one byte of its wire image
-/// is XOR-flipped (copy-on-write; pooled buffers are never scribbled)
-/// and it travels on, to be rejected by the receiver's decode. Outside
-/// the episode frames pass untouched with no RNG draws.
+/// corrupted frame is *not* dropped here — its wire image is made (the
+/// one place a typed segment becomes bytes; shared buffers are never
+/// scribbled), one byte of it is XOR-flipped, and it travels on as
+/// [`crate::Payload::Wire`], to be rejected by the receiver's strict
+/// decode. Outside the episode frames pass untouched with no RNG draws.
 #[derive(Debug)]
 pub struct CorruptFilter {
     episode: Range<Time>,
@@ -298,11 +299,11 @@ impl CorruptFilter {
 
 impl Filter for CorruptFilter {
     fn admit(&mut self, at: Time, frame: &mut Frame) -> bool {
-        if self.episode.contains(&at) && self.rng.chance(self.prob) && !frame.payload.is_empty() {
+        if self.episode.contains(&at) && self.rng.chance(self.prob) && frame.wire_len() != 0 {
             let mut raw = frame.payload.to_vec();
             let off = self.rng.uniform_u64(0, raw.len() as u64) as usize;
             raw[off] ^= 0x55;
-            frame.payload = bytes::Bytes::from(raw);
+            frame.payload = Payload::Wire(bytes::Bytes::from(raw));
             self.corrupted += 1;
         }
         true
@@ -447,15 +448,12 @@ mod tests {
         assert_eq!(out.len(), 3, "corruption never drops frames here");
         assert_eq!(s.corrupted(), 1);
         let clean = vec![0xAAu8; 100];
-        assert_eq!(out[0].payload.as_ref(), &clean[..]);
-        assert_ne!(
-            out[1].payload.as_ref(),
-            &clean[..],
-            "in-episode frame flipped"
-        );
+        assert_eq!(out[0].payload.to_vec(), clean);
+        assert_ne!(out[1].payload.to_vec(), clean, "in-episode frame flipped");
         assert_eq!(
             out[1]
                 .payload
+                .to_vec()
                 .iter()
                 .zip(&clean)
                 .filter(|(a, b)| a != b)
@@ -463,7 +461,7 @@ mod tests {
             1,
             "exactly one byte differs"
         );
-        assert_eq!(out[2].payload.as_ref(), &clean[..]);
+        assert_eq!(out[2].payload.to_vec(), clean);
     }
 
     #[test]
@@ -480,7 +478,40 @@ mod tests {
             Frame::new(1, Addr(1), Addr(2), shared.clone(), Time::ZERO),
         )
         .expect("corruption never drops");
-        assert_ne!(out.payload.as_ref(), shared.as_ref());
+        assert_ne!(out.payload.to_vec(), shared.to_vec());
         assert_eq!(shared.as_ref(), &vec![0xAAu8; 100][..], "original intact");
+    }
+
+    #[test]
+    fn a_typed_segment_is_corrupted_where_its_wire_image_would_be() {
+        use crate::segment::{Flags, Segment};
+        let seg = Segment {
+            payload: Bytes::from(vec![0x5Au8; 300]),
+            ..Segment::control(443, 50000, 7, 9, Flags::ACK)
+        };
+        let episode = Time::from_secs(1)..Time::from_secs(2);
+        let mut typed = CorruptFilter::new(episode.clone(), 0.5, DetRng::seed_from_u64(5));
+        let mut wire = CorruptFilter::new(episode, 0.5, DetRng::seed_from_u64(5));
+        for i in 0..200u64 {
+            let at = Time::from_millis(900 + i);
+            let a = pass(
+                &mut typed,
+                at,
+                Frame::new(i, Addr(1), Addr(2), seg.clone(), at),
+            );
+            let b = pass(
+                &mut wire,
+                at,
+                Frame::new(i, Addr(1), Addr(2), seg.encode(), at),
+            );
+            let (a, b) = (a.expect("never dropped"), b.expect("never dropped"));
+            assert_eq!(a.payload.to_vec(), b.payload.to_vec(), "frame {i}");
+            // Bytes are made only for a frame the filter altered.
+            let altered = a.payload.to_vec() != seg.encode().to_vec();
+            assert_eq!(matches!(a.payload, Payload::Wire(_)), altered, "frame {i}");
+            assert_eq!(a.payload.into_segment().is_none(), altered, "frame {i}");
+        }
+        assert!(typed.corrupted() > 0);
+        assert_eq!(typed.corrupted(), wire.corrupted());
     }
 }

@@ -8,6 +8,8 @@
 //! propagation delay, optionally a loss decision per packet. This crate
 //! reproduces those semantics, and keeps the three kinds of thing apart:
 //!
+//! * [`Frame`] — what a link carries: a [`Payload`], which is a typed
+//!   TCP [`segment::Segment`] until a filter alters its bytes;
 //! * [`LinkQueue`] — drop-tail queue + service process
 //!   ([`Service::FixedRate`] or [`Service::Trace`]);
 //! * [`DelayStage`] — constant propagation delay;
@@ -34,13 +36,14 @@ pub mod faults;
 pub mod frame;
 pub mod pipeline;
 pub mod reorder;
+pub mod segment;
 pub mod stage;
 pub mod trace;
 
 pub use faults::{
     CorruptFilter, FaultEvent, FaultKind, FaultPlan, GilbertElliott, GilbertElliottFilter,
 };
-pub use frame::{Addr, Frame};
+pub use frame::{Addr, Frame, Payload};
 pub use pipeline::{Pipeline, PipelineStats};
 pub use reorder::ReorderStage;
 pub use stage::{DelayStage, Filter, LinkQueue, LossFilter, Service, Stage};

@@ -1,8 +1,12 @@
 //! TCP segments and their wire encoding.
 //!
-//! Segments are encoded to real bytes before entering the emulated
-//! network and decoded on receipt — link rates therefore charge the true
-//! header overhead, and tests can corrupt bytes to exercise the checksum.
+//! A [`crate::Frame`] carries its segment typed ([`crate::Payload`]):
+//! link timing needs only the length, and [`Segment::wire_len`] computes
+//! it arithmetically, so link rates charge the true header overhead
+//! without a byte being written. Bytes are made where something alters
+//! them — [`crate::CorruptFilter`] encodes the segment and flips one —
+//! and strict [`Segment::decode`] is the receiving side of exactly that
+//! path: a wire image that does not decode is a lost segment.
 //!
 //! The codec implements the standard 20-byte header plus the options this
 //! study needs: MSS, window scale, timestamps, and a pass-through *raw*
@@ -18,6 +22,9 @@ pub const HEADER_LEN: usize = 20;
 pub const IP_OVERHEAD: usize = 20;
 /// Option kind carrying MPTCP (RFC 6824).
 pub const OPT_KIND_MPTCP: u8 = 30;
+/// Room for options in a TCP header (a 4-bit data offset in words),
+/// bytes, after padding to a 4-byte boundary.
+pub const MAX_OPTIONS_LEN: usize = 40;
 
 /// TCP flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,7 +172,8 @@ impl TcpOption {
     }
 }
 
-/// A decoded TCP segment.
+/// A TCP segment: what a frame carries typed, and what a wire image
+/// strictly decodes to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Source port.
@@ -233,9 +241,8 @@ impl Segment {
     /// Encode to wire bytes (simulated IP overhead is prepended as zero
     /// padding so frame sizes charge realistic per-packet overhead).
     ///
-    /// Allocates a fresh buffer per call; hot paths should prefer
-    /// [`crate::SegmentBufPool::encode`], which recycles buffers through
-    /// [`Self::encode_into`].
+    /// Allocates a fresh buffer per call; `mpwifi_tcp::SegmentBufPool`
+    /// recycles buffers through [`Self::encode_into`] instead.
     pub fn encode(&self) -> Bytes {
         let mut buf = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut buf);
@@ -250,8 +257,8 @@ impl Segment {
         let opt_len: usize = self.options.iter().map(|o| o.encoded_len()).sum();
         let padded_opt_len = opt_len.div_ceil(4) * 4;
         assert!(
-            padded_opt_len <= 40,
-            "TCP options exceed 40 bytes ({padded_opt_len})"
+            padded_opt_len <= MAX_OPTIONS_LEN,
+            "TCP options exceed {MAX_OPTIONS_LEN} bytes ({padded_opt_len})"
         );
         let data_offset_words = (HEADER_LEN + padded_opt_len) / 4;
         let wire_len = IP_OVERHEAD + HEADER_LEN + padded_opt_len + self.payload.len();

@@ -1,6 +1,6 @@
 //! Transport endpoints as seen by the simulation loop.
 //!
-//! An [`Endpoint`] consumes decoded segments and produces addressed
+//! An [`Endpoint`] consumes arriving segments and produces addressed
 //! segments. Four implementations cover the paper's six transport
 //! configurations: single-path TCP client/server hosts (WiFi-TCP and
 //! LTE-TCP, differing only in the interface the client binds) and MPTCP
@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 /// whose well-formedness requires the endpoint types to own their data
 /// (every host here does).
 pub trait Endpoint: 'static {
-    /// A decoded segment arrived (`src`/`dst` are interface addresses).
+    /// A segment arrived (`src`/`dst` are interface addresses).
     fn on_segment(&mut self, now: Time, seg: &Segment, src: Addr, dst: Addr);
 
     /// Drain outgoing segments as `(source interface, destination,

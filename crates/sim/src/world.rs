@@ -11,7 +11,6 @@ use crate::{LTE_ADDR, WIFI_ADDR};
 use mpwifi_netem::{Addr, FaultKind, FaultPlan, Frame};
 use mpwifi_simcore::{metrics, supervise, DetRng, Dur, Time};
 use mpwifi_tcp::segment::Segment;
-use mpwifi_tcp::SegmentBufPool;
 use std::fmt::Write as _;
 
 /// A scripted mid-run event (the paper's Figure 15 failure injections).
@@ -273,9 +272,6 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
     frame_seq: u64,
     /// Pending script events, sorted ascending by time.
     script: Vec<(Time, ScriptEvent)>,
-    /// Recycled encode buffers: in steady state every segment's wire
-    /// image is written into a pooled buffer instead of a fresh one.
-    pool: SegmentBufPool,
     /// Scratch buffer for endpoint TX drains ([`Sim::drain_tx`] runs
     /// twice per step), reused so the hot loop never allocates segment
     /// `Vec`s either.
@@ -400,7 +396,6 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
                 .collect(),
             frame_seq: 0,
             script: Vec::new(),
-            pool: SegmentBufPool::new(),
             tx_scratch: Vec::new(),
             observer: None,
             delivered_bytes: 0,
@@ -424,21 +419,17 @@ impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
     /// [`Sim::builder`] build calls, and every other piece of run state
     /// goes back to its t = 0 value, so a re-armed world *is* a fresh
     /// one at the same parameters. What it keeps is allocations: the
-    /// segment-buffer pool stays warm (a pooled buffer has the contents
-    /// a new one would, it only skips the allocation), the table and
-    /// each row's frame scratch and the TX scratch keep their capacity,
-    /// and both hosts are re-seeded in place through
+    /// table and each row's frame scratch and the TX scratch keep their
+    /// capacity, and both hosts are re-seeded in place through
     /// [`ResetEndpoint::reset_run`]. Panics unless the world is the
     /// two-row one a [`CampaignRun`] describes.
     pub fn reset(&mut self, run: &CampaignRun<'_>) {
         // No `..` in this pattern: a field added to `Sim` does not
         // compile until it is sorted here into kept or re-armed.
         let Sim {
-            // Kept: the hosts (re-seeded), the pool (warm) and the
-            // buffers (emptied).
+            // Kept: the hosts (re-seeded) and the buffers (emptied).
             client,
             server,
-            pool: _,
             tx_scratch,
             script,
             // Re-armed: what `SimBuilder::build` gives a fresh world.
@@ -564,8 +555,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         row
     }
 
-    /// Push endpoint output into the pipelines. When an observer is
-    /// attached it witnesses each segment before encoding; with
+    /// Push endpoint output into the pipelines, each segment typed in its
+    /// frame (nothing is encoded here; see [`mpwifi_netem::Payload`]).
+    /// When an observer is attached it witnesses each segment first; with
     /// `obs == None` this is the exact pre-observer code path.
     fn drain_tx(&mut self, mut obs: Option<&mut (dyn SimObserver<C, S> + 'static)>) {
         let now = self.now;
@@ -581,12 +573,11 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             }
         }
         for (src_iface, dst, seg) in tx.drain(..) {
-            let bytes = self.pool.encode(&seg);
-            let len = bytes.len();
+            metrics::record_segment_sent();
             self.frame_seq += 1;
-            let frame = Frame::new(self.frame_seq, src_iface, dst, bytes, now);
+            let frame = Frame::new(self.frame_seq, src_iface, dst, seg, now);
             let row = self.iface(src_iface);
-            row.log.record(now, PacketDir::Tx, len);
+            row.log.record(now, PacketDir::Tx, frame.wire_len());
             row.link.up.push(now, frame);
         }
         // Server: destination (a client interface) selects the downlink.
@@ -597,9 +588,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             }
         }
         for (src, dst_iface, seg) in tx.drain(..) {
-            let bytes = self.pool.encode(&seg);
+            metrics::record_segment_sent();
             self.frame_seq += 1;
-            let frame = Frame::new(self.frame_seq, src, dst_iface, bytes, now);
+            let frame = Frame::new(self.frame_seq, src, dst_iface, seg, now);
             self.iface(dst_iface).link.down.push(now, frame);
         }
         self.tx_scratch = tx;
@@ -804,8 +795,10 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
 }
 
 /// Deliver drained frames to a host: record them in the interface log
-/// (client-side only — server exits are not logged), decode, count
-/// delivered payload bytes, and hand the segment to the endpoint. One
+/// (client-side only — server exits are not logged), take the segment
+/// out of the frame (typed as it was sent, or strictly decoded if a
+/// filter made bytes of it), count delivered payload bytes, and hand
+/// the segment to the endpoint. One
 /// code path for every (link, direction) buffer; draining leaves the
 /// scratch buffer's capacity in place for the next step.
 fn deliver_frames<E: Endpoint>(
@@ -817,16 +810,16 @@ fn deliver_frames<E: Endpoint>(
     let mut delivered = 0u64;
     for frame in frames.drain(..) {
         if let Some(log) = log.as_deref_mut() {
-            log.record(now, PacketDir::Rx, frame.payload.len());
+            log.record(now, PacketDir::Rx, frame.wire_len());
         }
-        if let Some(seg) = Segment::decode(&frame.payload) {
+        if let Some(seg) = frame.payload.into_segment() {
             metrics::record_bytes_delivered(seg.payload.len() as u64);
             delivered += seg.payload.len() as u64;
             host.on_segment(now, &seg, frame.src, frame.dst);
         } else {
-            // Undecodable wire image (corruption fault, or garbage from
-            // a future peer implementation): a counted drop, never a
-            // panic. The sender's retransmit machinery recovers.
+            // Undecodable wire image (a corruption fault): a counted
+            // drop, never a panic. The sender's retransmit machinery
+            // recovers.
             metrics::record_segment_corrupted_dropped();
         }
     }
@@ -1012,12 +1005,10 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_transfer_is_zero_allocation_on_the_hot_path() {
-        // Acceptance: in steady state, frame transport and segment encode
-        // perform no heap allocations. Frame transport reuses the four
-        // scratch buffers (drained, never dropped), and segment encode
-        // recycles pooled buffers — so outside a small warm-up, every
-        // encode must report `reused` rather than `allocated`.
+    fn a_clean_link_carries_every_segment_typed() {
+        // Frame transport reuses the scratch buffers (drained, never
+        // dropped), and no segment is encoded on its way: with no filter
+        // that alters bytes, not one wire image is made.
         mpwifi_simcore::metrics::reset();
         let (wifi, lte) = specs();
         let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
@@ -1041,9 +1032,7 @@ mod tests {
                         sent = true;
                     }
                 }
-                // Consume delivered data like a real application; holding
-                // it would pin the pooled wire buffers the payload slices
-                // point into.
+                // Consume delivered data like a real application.
                 sim.client.stack.conn_mut(id).is_some_and(|c| {
                     let _ = c.take_delivered();
                     c.delivered_bytes() == 4_000_000
@@ -1055,25 +1044,15 @@ mod tests {
         let m = mpwifi_simcore::metrics::snapshot();
         assert!(
             m.segments_encoded > 2_800,
-            "a 4 MB transfer encodes many segments (got {})",
+            "a 4 MB transfer sends many segments (got {})",
             m.segments_encoded
         );
         assert_eq!(
-            m.enc_buffers_reused + m.enc_buffers_allocated,
-            m.segments_encoded,
-            "every encode is either a reuse or a pool growth"
+            (m.enc_buffers_reused, m.enc_buffers_allocated),
+            (0, 0),
+            "nothing went through an encoder"
         );
-        // Every allocation grew the pool to cover the peak number of
-        // simultaneously live wire images (the bottleneck queue plus what
-        // the receiver parks behind a hole); none were churn. Once warm,
-        // every encode is a reuse. The bound is that high-water mark and
-        // not a share of the encodes: how many segments a transfer takes
-        // says nothing about how many are live at once.
-        assert_eq!(
-            m.enc_buffers_allocated,
-            sim.pool.capacity() as u64,
-            "allocations beyond the pool's high-water mark are churn"
-        );
+        assert_eq!(m.segments_corrupted_dropped, 0);
         assert!(
             m.scratch_high_water >= 1,
             "scratch buffers saw at least one frame"

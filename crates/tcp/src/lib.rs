@@ -8,9 +8,10 @@
 //! What is implemented, mirroring the Linux 3.11-era stack the paper used
 //! where it matters to the results:
 //!
-//! * real wire encoding of segments ([`segment`]): 20-byte header,
-//!   MSS / window-scale / timestamp options, ones'-complement checksum,
-//!   and pass-through "raw" options (kind 30 carries MPTCP);
+//! * segments and their real wire encoding ([`segment`], defined in
+//!   `mpwifi-netem` because a frame carries its segment typed): 20-byte
+//!   header, MSS / window-scale / timestamp options, ones'-complement
+//!   checksum, and pass-through "raw" options (kind 30 carries MPTCP);
 //! * the full connection state machine ([`conn`]): three-way handshake,
 //!   simultaneous data/ACK processing, FIN teardown with TIME_WAIT;
 //! * reliability: cumulative ACKs, out-of-order reassembly with RFC 2018
@@ -33,12 +34,12 @@ pub mod cc;
 pub mod conn;
 pub mod pool;
 pub mod rtt;
-pub mod segment;
 pub mod stack;
 
 pub use buffer::{RecvBuffer, SendBuffer};
 pub use cc::{CcKind, Cubic, Cwnd, Growth, Loss, Reno};
 pub use conn::{ConnStats, TcpConfig, TcpConnection, TcpState};
+pub use mpwifi_netem::segment;
 pub use pool::SegmentBufPool;
 pub use rtt::RttEstimator;
 pub use segment::{Flags, Segment, TcpOption};

@@ -1,5 +1,10 @@
 //! Pooled segment encoding.
 //!
+//! The simulator does not encode segments on their way across a link
+//! (a frame carries its segment typed; see `mpwifi_netem::Payload`), so
+//! nothing in a simulated transfer uses this pool; it is what the
+//! benchmark's `tcp.encode_ns` probe prices.
+//!
 //! [`SegmentBufPool`] recycles encode buffers so that steady-state
 //! segment encoding performs zero heap allocations: each encode writes
 //! into a pooled `Vec<u8>` and hands the wire image out as a zero-copy
@@ -55,8 +60,7 @@ impl SegmentBufPool {
 
     /// Encode `seg`, reusing a free pooled buffer if any view of it has
     /// been dropped, otherwise growing the pool by one buffer. Records
-    /// `segments_encoded` and the reused/allocated split into
-    /// [`mpwifi_simcore::metrics`].
+    /// the reused/allocated split into [`mpwifi_simcore::metrics`].
     pub fn encode(&mut self, seg: &Segment) -> Bytes {
         let slot = self.find_free_slot();
         let reused = slot.is_some();
@@ -69,7 +73,7 @@ impl SegmentBufPool {
             .expect("slot was just verified free (strong_count == 1)");
         buf.clear();
         seg.encode_into(buf);
-        mpwifi_simcore::metrics::record_segment_encoded(reused);
+        mpwifi_simcore::metrics::record_pooled_encode(reused);
         Bytes::from_shared(Arc::clone(&self.bufs[i]))
     }
 
@@ -126,7 +130,6 @@ mod tests {
         }
         assert_eq!(pool.capacity(), 1, "one slot serves the whole loop");
         let m = mpwifi_simcore::metrics::snapshot();
-        assert_eq!(m.segments_encoded, 100);
         assert_eq!(m.enc_buffers_allocated, 1);
         assert_eq!(m.enc_buffers_reused, 99);
     }
