@@ -9,7 +9,7 @@
 //! alters a frame the instant the frame passes it.
 
 use crate::frame::Frame;
-use crate::trace::DeliveryTrace;
+use crate::trace::{DeliveryTrace, Opportunity};
 use mpwifi_simcore::{DetRng, Dur, Time};
 use std::collections::VecDeque;
 
@@ -94,6 +94,13 @@ pub struct LinkQueue {
     /// For `Trace`: the last consumed opportunity (`None` until the
     /// first delivery, so an opportunity at exactly t = 0 is usable).
     server_busy_until: Option<Time>,
+    /// For `Trace`: the last consumed opportunity located in the trace
+    /// (its instant is `server_busy_until`), so the next head's is its
+    /// successor with no search; `None` until one is consumed and after
+    /// [`LinkQueue::set_service`].
+    consumed: Option<Opportunity>,
+    /// For `Trace`: the opportunity `head_exit` is, once scheduled.
+    head_opportunity: Option<Opportunity>,
     /// Exit time of the current head frame, if scheduled.
     head_exit: Option<Time>,
     /// When the head frame's current service interval began (fixed-rate
@@ -117,6 +124,8 @@ impl LinkQueue {
             queue_bytes,
             service,
             server_busy_until: None,
+            consumed: None,
+            head_opportunity: None,
             head_exit: None,
             head_started: None,
             head_remaining: 1.0,
@@ -163,6 +172,8 @@ impl LinkQueue {
         self.head_exit = None;
         self.head_started = None;
         self.server_busy_until = Some(now);
+        self.consumed = None;
+        self.head_opportunity = None;
         self.schedule_head(now);
         // Scale the freshly scheduled full serialization down to the
         // remaining fraction.
@@ -193,19 +204,25 @@ impl LinkQueue {
                 start + Dur::for_bytes_at_rate(head.wire_len() as u64, *bps)
             }
             Service::Trace(trace) => {
-                // Strictly after the last consumed opportunity; before
-                // anything was consumed the very first opportunity
-                // (possibly at t = 0) is usable.
-                let mut opp = match self.server_busy_until {
-                    Some(busy) => trace.next_opportunity_after(busy),
-                    None => trace.next_opportunity_at_or_after(now),
+                // Strictly after the last consumed opportunity — on a
+                // backlogged link its successor, found without a search;
+                // before anything was consumed the very first
+                // opportunity (possibly at t = 0) is usable.
+                let mut opp = match (self.server_busy_until, self.consumed) {
+                    (Some(busy), Some(last)) => {
+                        debug_assert_eq!(trace.instant(last), busy, "stale trace cursor");
+                        trace.successor(last)
+                    }
+                    (Some(busy), None) => trace.first_after(busy),
+                    (None, _) => trace.first_at_or_after(now),
                 };
                 // An opportunity in the past is useless; find the first one
                 // not before the frame became head.
-                if opp < now {
-                    opp = trace.next_opportunity_after(now - Dur::from_nanos(1));
+                if trace.instant(opp) < now {
+                    opp = trace.first_after(now - Dur::from_nanos(1));
                 }
-                opp
+                self.head_opportunity = Some(opp);
+                trace.instant(opp)
             }
         };
         self.head_exit = Some(exit);
@@ -238,6 +255,7 @@ impl Stage for LinkQueue {
             .expect("head scheduled but queue empty");
         self.queued_bytes -= frame.wire_len();
         self.server_busy_until = Some(exit);
+        self.consumed = self.head_opportunity.take();
         self.head_exit = None;
         self.head_started = None;
         self.head_remaining = 1.0;
@@ -257,6 +275,7 @@ impl Stage for LinkQueue {
         self.queue.clear();
         self.queued_bytes = 0;
         self.head_exit = None;
+        self.head_opportunity = None;
         self.head_started = None;
         self.head_remaining = 1.0;
         n
@@ -588,6 +607,81 @@ mod tests {
         for (i, &(id, t)) in exits.iter().enumerate() {
             assert_eq!(id, i as u64);
             assert_eq!(t, Time::from_millis(10 * (i as u64 + 1)));
+        }
+    }
+
+    /// A trace-driven queue as it was served before the trace cursor:
+    /// every head's opportunity found by search from the last consumed
+    /// instant. The reference the cursor is held to.
+    struct SearchedTraceQueue {
+        trace: DeliveryTrace,
+        frames: VecDeque<u64>,
+        busy: Option<Time>,
+        head_exit: Option<Time>,
+    }
+
+    impl SearchedTraceQueue {
+        fn schedule(&mut self, now: Time) {
+            if self.head_exit.is_some() || self.frames.is_empty() {
+                return;
+            }
+            let mut opp = match self.busy {
+                Some(busy) => self.trace.next_opportunity_after(busy),
+                None => self.trace.next_opportunity_at_or_after(now),
+            };
+            if opp < now {
+                opp = self.trace.next_opportunity_after(now - Dur::from_nanos(1));
+            }
+            self.head_exit = Some(opp);
+        }
+
+        fn pop_ready(&mut self, now: Time) -> Option<(Time, u64)> {
+            let exit = self.head_exit.filter(|&t| t <= now)?;
+            let id = self.frames.pop_front().expect("a scheduled head");
+            self.busy = Some(exit);
+            self.head_exit = None;
+            self.schedule(exit);
+            Some((exit, id))
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_trace_cursor_serves_as_the_search_did(
+            offsets in proptest::collection::btree_set(0u64..1_000_000, 1..20),
+            // (gap before the op in ns, 0..8 pushes a frame, 8 cuts the link)
+            ops in proptest::collection::vec((0u64..3_000_000, 0u8..9), 1..120),
+        ) {
+            let trace = DeliveryTrace::new(offsets.into_iter().collect(), Dur::from_millis(1));
+            let mut link = LinkQueue::trace_driven(trace.clone(), usize::MAX);
+            let mut reference = SearchedTraceQueue {
+                trace,
+                frames: VecDeque::new(),
+                busy: None,
+                head_exit: None,
+            };
+            let mut now = Time::ZERO;
+            for (id, (gap, op)) in ops.into_iter().enumerate() {
+                now += Dur::from_nanos(gap);
+                // What has left by `now` leaves first, as a pipeline does.
+                loop {
+                    let got = link.pop_ready(now).map(|(t, f)| (t, f.id));
+                    proptest::prop_assert_eq!(got, reference.pop_ready(now));
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                if op < 8 {
+                    link.push(now, frame(id as u64, 1500));
+                    reference.frames.push_back(id as u64);
+                    reference.schedule(now);
+                } else {
+                    link.drop_all();
+                    reference.frames.clear();
+                    reference.head_exit = None;
+                }
+                proptest::prop_assert_eq!(link.next_ready(), reference.head_exit);
+            }
         }
     }
 }

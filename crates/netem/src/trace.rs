@@ -115,10 +115,7 @@ impl DeliveryTrace {
     /// for the very first service of a queue, where no opportunity has
     /// been consumed yet — offset 0 at t = 0 is usable.
     pub fn next_opportunity_at_or_after(&self, at: Time) -> Time {
-        if at == Time::ZERO {
-            return Time::from_nanos(self.offsets[0] % self.period);
-        }
-        self.next_opportunity_after(at - Dur::from_nanos(1))
+        self.instant(self.first_at_or_after(at))
     }
 
     /// The first delivery opportunity at a time strictly greater than
@@ -126,18 +123,70 @@ impl DeliveryTrace {
     /// returned value consume one opportunity each, never the same one
     /// twice.
     pub fn next_opportunity_after(&self, after: Time) -> Time {
+        self.instant(self.first_after(after))
+    }
+
+    /// [`Self::next_opportunity_at_or_after`], located.
+    pub(crate) fn first_at_or_after(&self, at: Time) -> Opportunity {
+        if at == Time::ZERO {
+            return Opportunity {
+                cycle_start: 0,
+                index: 0,
+            };
+        }
+        self.first_after(at - Dur::from_nanos(1))
+    }
+
+    /// [`Self::next_opportunity_after`], located: a division and a
+    /// binary search.
+    pub(crate) fn first_after(&self, after: Time) -> Opportunity {
         let t = after.as_nanos();
-        let cycle = t / self.period;
-        let offset = t % self.period;
-        // First offset strictly greater than `offset` in this cycle
-        // (binary search: this runs once per delivered packet).
-        let i = self.offsets.partition_point(|&o| o <= offset);
-        if i < self.offsets.len() {
-            Time::from_nanos(cycle * self.period + self.offsets[i])
+        let cycle_start = t / self.period * self.period;
+        let offset = t - cycle_start;
+        // First offset strictly greater than `offset` in this cycle.
+        let index = self.offsets.partition_point(|&o| o <= offset);
+        if index < self.offsets.len() {
+            Opportunity { cycle_start, index }
         } else {
-            Time::from_nanos((cycle + 1) * self.period + self.offsets[0])
+            Opportunity {
+                cycle_start: cycle_start + self.period,
+                index: 0,
+            }
         }
     }
+
+    /// The opportunity after `o`, in O(1): offsets are strictly
+    /// increasing, so it is the next index, or the next cycle's first.
+    /// `self.instant(self.successor(o)) ==
+    /// self.next_opportunity_after(self.instant(o))`.
+    pub(crate) fn successor(&self, o: Opportunity) -> Opportunity {
+        if o.index + 1 < self.offsets.len() {
+            Opportunity {
+                index: o.index + 1,
+                ..o
+            }
+        } else {
+            Opportunity {
+                cycle_start: o.cycle_start + self.period,
+                index: 0,
+            }
+        }
+    }
+
+    /// When opportunity `o` comes.
+    pub(crate) fn instant(&self, o: Opportunity) -> Time {
+        Time::from_nanos(o.cycle_start + self.offsets[o.index])
+    }
+}
+
+/// One delivery opportunity of a [`DeliveryTrace`] by position: the
+/// start of its cycle and its index among the cycle's offsets. A
+/// trace-driven queue keeps the last one it consumed, so a backlogged
+/// link finds the next in O(1) ([`DeliveryTrace::successor`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Opportunity {
+    cycle_start: u64,
+    index: usize,
 }
 
 #[cfg(test)]
@@ -231,7 +280,40 @@ mod tests {
         DeliveryTrace::new(vec![2_000_000_000], Dur::from_secs(1));
     }
 
+    /// `next_opportunity_after` as it was computed before opportunities
+    /// were located: the reference the located forms are held to.
+    fn reference_after(t: &DeliveryTrace, after: Time) -> Time {
+        let (ns, period) = (after.as_nanos(), t.period().as_nanos());
+        let (cycle, offset) = (ns / period, ns % period);
+        let i = t.offsets.partition_point(|&o| o <= offset);
+        match t.offsets.get(i) {
+            Some(&o) => Time::from_nanos(cycle * period + o),
+            None => Time::from_nanos((cycle + 1) * period + t.offsets[0]),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_successor_walk_equals_repeated_search(
+            offsets in proptest::collection::btree_set(0u64..1_000_000, 1..50),
+            period_extra in 0u64..1_000_000,
+            start in 0u64..5_000_000,
+        ) {
+            let offsets: Vec<u64> = offsets.into_iter().collect();
+            let period = Dur::from_nanos(offsets[offsets.len() - 1] + 1 + period_extra);
+            let t = DeliveryTrace::new(offsets, period);
+            let start = Time::from_nanos(start);
+            let mut o = t.first_after(start);
+            let mut last = reference_after(&t, start);
+            prop_assert_eq!(t.instant(o), last);
+            prop_assert_eq!(t.next_opportunity_after(start), last);
+            for _ in 0..200 {
+                o = t.successor(o);
+                last = reference_after(&t, last);
+                prop_assert_eq!(t.instant(o), last);
+            }
+        }
+
         #[test]
         fn prop_consuming_opportunities_never_repeats(
             offsets in proptest::collection::btree_set(0u64..1_000_000, 1..50),

@@ -6,7 +6,7 @@
 //! realizes a spec as two `mpwifi-netem` pipelines.
 
 use mpwifi_netem::{
-    CorruptFilter, DelayStage, DeliveryTrace, FaultKind, FaultPlan, Frame, GilbertElliottFilter,
+    CorruptFilter, DelayStage, DeliveryTrace, FaultKind, FaultPlan, GilbertElliottFilter,
     LinkQueue, LossFilter, Pipeline, ReorderStage,
 };
 use mpwifi_simcore::{DetRng, Dur, Time};
@@ -169,21 +169,13 @@ impl PathPair {
     pub fn next_ready(&self) -> Option<Time> {
         Time::earlier(self.up.next_ready(), self.down.next_ready())
     }
-
-    /// Poll both directions, appending uplink exits to `up_out` and
-    /// downlink exits to `down_out`. The caller owns the buffers and
-    /// their clearing policy.
-    pub fn poll_into(&mut self, now: Time, up_out: &mut Vec<Frame>, down_out: &mut Vec<Frame>) {
-        self.up.poll_into(now, up_out);
-        self.down.poll_into(now, down_out);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mpwifi_netem::Addr;
+    use mpwifi_netem::{Addr, Frame};
 
     /// Test-local allocating wrapper: keeps assertions terse without
     /// reviving the production `poll` (drivers reuse scratch buffers
@@ -191,7 +183,8 @@ mod tests {
     fn poll(pp: &mut PathPair, now: Time) -> (Vec<Frame>, Vec<Frame>) {
         let mut up_out = Vec::new();
         let mut down_out = Vec::new();
-        pp.poll_into(now, &mut up_out, &mut down_out);
+        pp.up.poll_into(now, &mut up_out);
+        pp.down.poll_into(now, &mut down_out);
         (up_out, down_out)
     }
 

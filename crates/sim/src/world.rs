@@ -228,7 +228,11 @@ pub struct Iface {
     pub addr: Addr,
     /// Names the row in pipeline labels and forensics.
     pub name: &'static str,
-    /// The access link.
+    /// The access link. [`Sim`] keeps each direction's exit horizon
+    /// beside it and refreshes it wherever the simulator changes the
+    /// link (a push, a poll, a script event, a build or reset), so a
+    /// caller reads the link here and changes it only through the
+    /// script; debug builds check the stored horizons at every step.
     pub link: PathPair,
     /// Packet log of the client's side of the interface.
     pub log: PacketLog,
@@ -236,9 +240,20 @@ pub struct Iface {
     /// across steps so the hot loop never allocates frame `Vec`s.
     to_server: Vec<Frame>,
     to_client: Vec<Frame>,
+    /// `link.up.next_ready()` and `link.down.next_ready()` as of the
+    /// last change to each direction: what [`Sim::next_event`] reads,
+    /// and the test for whether a step polls the direction at all.
+    up_ready: Option<Time>,
+    down_ready: Option<Time>,
 }
 
 impl Iface {
+    /// Store both directions' exit horizons afresh.
+    fn refresh(&mut self) {
+        self.up_ready = self.link.up.next_ready();
+        self.down_ready = self.link.down.next_ready();
+    }
+
     /// Row `i`'s link at t = 0: the one place the link constructor is
     /// called from, so a fresh world ([`SimBuilder::build`]) and a
     /// re-armed one ([`Sim::reset`]) get their pipelines, and the RNG
@@ -385,13 +400,19 @@ impl<'a, C: Endpoint, S: Endpoint> SimBuilder<'a, C, S> {
             client: self.client,
             server: self.server,
             ifaces: (self.rows.iter().enumerate())
-                .map(|(i, row)| Iface {
-                    addr: row.addr,
-                    name: row.name,
-                    link: Iface::link_up(&mut root, i, row.name, row.spec, Some(&row.faults)),
-                    log: PacketLog::new(),
-                    to_server: Vec::new(),
-                    to_client: Vec::new(),
+                .map(|(i, row)| {
+                    let mut iface = Iface {
+                        addr: row.addr,
+                        name: row.name,
+                        link: Iface::link_up(&mut root, i, row.name, row.spec, Some(&row.faults)),
+                        log: PacketLog::new(),
+                        to_server: Vec::new(),
+                        to_client: Vec::new(),
+                        up_ready: None,
+                        down_ready: None,
+                    };
+                    iface.refresh();
+                    iface
                 })
                 .collect(),
             frame_seq: 0,
@@ -453,6 +474,7 @@ impl<C: ResetEndpoint, S: ResetEndpoint> Sim<C, S> {
             row.log = PacketLog::new();
             row.to_server.clear();
             row.to_client.clear();
+            row.refresh();
         }
         tx_scratch.clear();
         script.clear();
@@ -579,6 +601,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             let row = self.iface(src_iface);
             row.log.record(now, PacketDir::Tx, frame.wire_len());
             row.link.up.push(now, frame);
+            row.up_ready = row.link.up.next_ready();
         }
         // Server: destination (a client interface) selects the downlink.
         self.server.take_tx_into(now, &mut tx);
@@ -591,7 +614,9 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             metrics::record_segment_sent();
             self.frame_seq += 1;
             let frame = Frame::new(self.frame_seq, src, dst_iface, seg, now);
-            self.iface(dst_iface).link.down.push(now, frame);
+            let row = self.iface(dst_iface);
+            row.link.down.push(now, frame);
+            row.down_ready = row.link.down.next_ready();
         }
         self.tx_scratch = tx;
     }
@@ -603,9 +628,18 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         }
         self.script_fired += due as u64;
         for i in 0..due {
+            // A link event ends by storing the row's horizons afresh.
             match self.script[i].1 {
-                ScriptEvent::CutIface(iface) => self.iface(iface).link.set_up(false),
-                ScriptEvent::RestoreIface(iface) => self.iface(iface).link.set_up(true),
+                ScriptEvent::CutIface(iface) => {
+                    let row = self.iface(iface);
+                    row.link.set_up(false);
+                    row.refresh();
+                }
+                ScriptEvent::RestoreIface(iface) => {
+                    let row = self.iface(iface);
+                    row.link.set_up(true);
+                    row.refresh();
+                }
                 ScriptEvent::NotifyIfaceDown(iface) => {
                     let now = self.now;
                     self.client.notify_iface_down(now, iface);
@@ -613,11 +647,15 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 ScriptEvent::Wakeup => {}
                 ScriptEvent::SetDownRate(iface, bps) => {
                     let now = self.now;
-                    self.iface(iface).link.down.set_rate(now, bps);
+                    let row = self.iface(iface);
+                    row.link.down.set_rate(now, bps);
+                    row.refresh();
                 }
                 ScriptEvent::SetUpRate(iface, bps) => {
                     let now = self.now;
-                    self.iface(iface).link.up.set_rate(now, bps);
+                    let row = self.iface(iface);
+                    row.link.up.set_rate(now, bps);
+                    row.refresh();
                 }
                 ScriptEvent::NotifyIfaceUp(iface) => {
                     let now = self.now;
@@ -625,9 +663,10 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                 }
                 ScriptEvent::SetOneWayDelay(iface, delay) => {
                     let now = self.now;
-                    let link = &mut self.iface(iface).link;
-                    link.up.set_delay(now, delay);
-                    link.down.set_delay(now, delay);
+                    let row = self.iface(iface);
+                    row.link.up.set_delay(now, delay);
+                    row.link.down.set_delay(now, delay);
+                    row.refresh();
                 }
                 ScriptEvent::FaultMark => metrics::record_fault_injected(),
             }
@@ -638,9 +677,24 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     /// The next step's instant: the earliest of a frame leaving a link
     /// (a lower bound, [`mpwifi_netem::Pipeline::next_ready`] — a frame
     /// moving from a link's queue into its delay is not an event), a
-    /// host timer and the script.
+    /// host timer and the script. The links' part is read from the
+    /// horizons stored as each direction last changed; debug builds
+    /// check every one against its pipeline.
     fn next_event(&self) -> Option<Time> {
-        let links = (self.ifaces.iter()).fold(None, |t, r| Time::earlier(t, r.link.next_ready()));
+        if cfg!(debug_assertions) {
+            for row in &self.ifaces {
+                let live = (row.link.up.next_ready(), row.link.down.next_ready());
+                assert_eq!(
+                    (row.up_ready, row.down_ready),
+                    live,
+                    "{}: stale link horizon",
+                    row.name
+                );
+            }
+        }
+        let links = (self.ifaces.iter()).fold(None, |t, r| {
+            Time::earlier(t, Time::earlier(r.up_ready, r.down_ready))
+        });
         let hosts = Time::earlier(self.client.next_timer(), self.server.next_timer());
         let script = self.script.first().map(|&(t, _)| t);
         Time::earlier(Time::earlier(links, hosts), script)
@@ -674,14 +728,22 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         }
         self.apply_script();
 
-        // Move frames through the links and deliver exits. Every link is
-        // polled, and one with nothing due returns at once; the scratch
-        // buffers are reused (drained, never dropped) across steps.
+        // Move frames through the links and deliver exits. Only a
+        // direction whose stored horizon has come is polled (one that
+        // has not would return at once), and its horizon is stored
+        // afresh; the scratch buffers are reused (drained, never
+        // dropped) across steps.
         let now = self.now;
         let (mut exits, mut high_water) = (0, 0);
         for row in &mut self.ifaces {
-            row.link
-                .poll_into(now, &mut row.to_server, &mut row.to_client);
+            if row.up_ready.is_some_and(|t| t <= now) {
+                row.link.up.poll_into(now, &mut row.to_server);
+                row.up_ready = row.link.up.next_ready();
+            }
+            if row.down_ready.is_some_and(|t| t <= now) {
+                row.link.down.poll_into(now, &mut row.to_client);
+                row.down_ready = row.link.down.next_ready();
+            }
             exits += row.to_server.len() + row.to_client.len();
             high_water = high_water.max(row.to_server.len()).max(row.to_client.len());
         }

@@ -178,12 +178,19 @@ impl Dur {
 
     /// The duration needed to serialize `bytes` at `bits_per_sec`.
     /// Rounds up to the next nanosecond so back-to-back transmissions
-    /// never exceed the configured rate.
+    /// never exceed the configured rate. Computed in `u64` whenever
+    /// `bytes * 8e9` fits (any frame, every call a link makes) and in
+    /// `u128` otherwise, saturating at [`Dur::MAX`].
     pub fn for_bytes_at_rate(bytes: u64, bits_per_sec: u64) -> Dur {
         assert!(bits_per_sec > 0, "rate must be positive");
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        Dur(ns.min(u64::MAX as u128) as u64)
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bit_ns) => Dur(bit_ns.div_ceil(bits_per_sec)),
+            None => {
+                let bit_ns = bytes as u128 * 8_000_000_000;
+                let ns = bit_ns.div_ceil(bits_per_sec as u128);
+                Dur(ns.min(u64::MAX as u128) as u64)
+            }
+        }
     }
 }
 
@@ -346,6 +353,19 @@ mod tests {
                                             rate in 1_000u64..10_000_000_000) {
             let (lo, hi) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
             prop_assert!(Dur::for_bytes_at_rate(lo, rate) <= Dur::for_bytes_at_rate(hi, rate));
+        }
+
+        #[test]
+        fn prop_rate_time_equals_the_wide_computation(
+            // Half frame-sized counts, half anywhere in `u64` (where the
+            // narrow product overflows).
+            bytes in (any::<bool>(), any::<u64>()).prop_map(|(frame, b)| if frame { b % 100_000 } else { b }),
+            rate in (any::<bool>(), 1u64..u64::MAX).prop_map(|(link, r)| if link { r % 10_000_000_000 + 1 } else { r }),
+        ) {
+            // The `u128` form every byte count used to take.
+            let wide = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate as u128);
+            let wide = Dur(wide.min(u64::MAX as u128) as u64);
+            prop_assert_eq!(Dur::for_bytes_at_rate(bytes, rate), wide);
         }
 
         #[test]

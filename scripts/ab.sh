@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # A/B the benchmark: <rev> (the parent) against the working tree.
-# Usage: scripts/ab.sh <rev> [pairs=10]
+# Usage: scripts/ab.sh <rev> [pairs=10] [workload...]
 #
 # Unpacks <rev> into a temporary directory outside the checkout (git
 # archive: nothing is registered in .git), builds both stackbench
@@ -10,7 +10,9 @@
 # the checkout would be built under the change's release profile, and an
 # A/B of a profile change would read parity; equal sizes on such a
 # change say that happened. Then it runs
-# every BENCHMARK.json workload `pairs` times on each side for
+# every BENCHMARK.json workload (or only the named ones: an ablation
+# need not pay for all six; a claim's table comes from a run of all of
+# them) `pairs` times on each side for
 # `run_seconds` each, parent first on odd pairs and change first on even
 # ones (choosing-metrics section 8). Then, per workload/metric: the two
 # medians, the parent's inter-quartile distance, how many pairs the
@@ -30,10 +32,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REV="${1:?usage: scripts/ab.sh <rev> [pairs=10]}"
+REV="${1:?usage: scripts/ab.sh <rev> [pairs=10] [workload...]}"
 PAIRS="${2:-10}"
 SECS="$(jq -r .run_seconds BENCHMARK.json)"
 WORKLOADS="$(jq -r '.workloads[].name' BENCHMARK.json)"
+if (($# > 2)); then
+    for w in "${@:3}"; do
+        grep -qx "$w" <<<"$WORKLOADS" || { echo "ab: no workload $w in BENCHMARK.json" >&2; exit 2; }
+    done
+    WORKLOADS="$(printf '%s\n' "${@:3}")"
+fi
 AB=target/ab
 RUNS="$AB/runs.jsonl"
 PARENT="$(mktemp -d)"
@@ -76,7 +84,7 @@ for pair in $(seq 1 "$PAIRS"); do
 done
 
 echo "$sides"
-jq -rs --slurpfile bench BENCHMARK.json '
+jq -rs --slurpfile bench BENCHMARK.json --arg workloads "$WORKLOADS" '
   def quantile(q): sort | . as $s | ((length - 1) * q) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);
   def spread: (max - min) / quantile(0.5);
@@ -84,7 +92,7 @@ jq -rs --slurpfile bench BENCHMARK.json '
     | pow(10; 3 - ($x | fabs | log10 | floor)) as $k | ($x * $k | round) / $k end;
   . as $runs
   | ["workload/metric", "parent", "change", "delta%", "parent_iqr", "wins", "ties", "verdict"],
-    ( $bench[0].workloads[].name as $w
+    ( ($bench[0].workloads[].name | select(IN($workloads | split("\n")[]))) as $w
     | $bench[0].end_to_end[] as $m
     | [$runs[] | select(.workload == $w)] as $rs
     | [$rs[] | select(.side == "parent")] | sort_by(.pair) | map(.metrics[$m.name].value // null) as $p
