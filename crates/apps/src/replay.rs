@@ -105,6 +105,9 @@ struct FlowRt {
     sock: Option<usize>,
     /// Next exchange to issue.
     next_exchange: usize,
+    /// The next exchange's instant, once its responses are all in and
+    /// only the clock holds it back (a `Wakeup` is scheduled there).
+    exchange_wait: Option<Time>,
     /// Cumulative request bytes issued.
     req_issued: u64,
     /// Cumulative response bytes expected for issued exchanges.
@@ -119,6 +122,9 @@ struct FlowRt {
     /// Response bytes of every exchange: read them all and the flow is
     /// done.
     resp_total: u64,
+    /// Visit the flow at the next step: one of its sockets is ready, or
+    /// its last visit left it something to do that needs no input.
+    visit: bool,
     done_at: Option<Time>,
 }
 
@@ -129,14 +135,41 @@ impl FlowRt {
             pat,
             sock: None,
             next_exchange: 0,
+            exchange_wait: None,
             req_issued: 0,
             resp_expected: 0,
             server_plan: Vec::new(),
             server_fired: 0,
             server_pending: None,
+            visit: false,
             done_at: None,
         }
     }
+
+    /// Has a time this flow waits for come: its start, its next
+    /// exchange's instant, its server's think time? Each is a scheduled
+    /// `Wakeup`, so the world steps at it.
+    fn due(&self, now: Time) -> bool {
+        match self.sock {
+            None => now >= Time::ZERO + self.pat.start,
+            Some(_) => {
+                self.exchange_wait.is_some_and(|t| now >= t)
+                    || self.server_pending.is_some_and(|(at, _)| now >= at)
+            }
+        }
+    }
+}
+
+/// One opened flow's sockets.
+struct Sock<C, S> {
+    /// The flow it belongs to (an index into the pattern's flows).
+    flow: usize,
+    client: C,
+    /// The client socket's `(local, remote)` ports, read at open: how
+    /// an accepted server socket finds its flow.
+    ports: Option<(u16, u16)>,
+    /// The server's socket, once its SYN arrived.
+    server: Option<S>,
 }
 
 /// The live sockets of one replay, generic over the socket seam: the
@@ -145,40 +178,66 @@ impl FlowRt {
 struct Host<C: SocketHost, S: Accept, O> {
     sim: Sim<C, S>,
     open: O,
-    /// Per opened flow: the client socket and, once its SYN arrived,
-    /// the server's.
-    socks: Vec<(C::Id, Option<S::Id>)>,
-    /// Accepted server sockets no flow has claimed yet.
-    unclaimed: Vec<S::Id>,
+    /// Per opened flow, in open order.
+    socks: Vec<Sock<C::Id, S::Id>>,
+    /// Scratch for the ids the hosts report ready.
+    ready_client: Vec<C::Id>,
+    ready_server: Vec<S::Id>,
 }
 
 impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
-    /// Open a flow's connection; returns its handle.
-    fn open(&mut self) -> usize {
-        let id = (self.open)(&mut self.sim.client, self.sim.now);
-        self.socks.push((id, None));
+    /// Open flow `flow`'s connection; returns its handle.
+    fn open(&mut self, flow: usize) -> usize {
+        let client = (self.open)(&mut self.sim.client, self.sim.now);
+        let ports = self.sim.client.socket(client).ports();
+        self.socks.push(Sock {
+            flow,
+            client,
+            ports,
+            server: None,
+        });
         self.socks.len() - 1
     }
 
     fn client(&mut self, h: usize) -> &mut C::Conn {
-        self.sim.client.socket(self.socks[h].0)
+        self.sim.client.socket(self.socks[h].client)
     }
 
     /// The server side of flow `h`: `None` until the server accepted
-    /// the connection whose peer port is the client's local port (SYN
-    /// loss can reorder accepts, so arrival order will not do).
+    /// the connection whose peer port is the client's local port.
     fn server(&mut self, h: usize) -> Option<&mut S::Conn> {
-        if self.socks[h].1.is_none() {
-            self.unclaimed.extend(self.sim.server.take_accepted());
-            let (local, remote) = self.client(h).ports()?;
-            let server = &mut self.sim.server;
-            let at = self
-                .unclaimed
-                .iter()
-                .position(|&sid| server.socket(sid).ports() == Some((remote, local)))?;
-            self.socks[h].1 = Some(self.unclaimed.swap_remove(at));
+        let sid = self.socks[h].server?;
+        Some(self.sim.server.socket(sid))
+    }
+
+    /// Mark every flow a segment reached since the last call. A
+    /// connection the server accepted is paired with its flow here, by
+    /// ports (SYN loss can reorder accepts, so arrival order will not
+    /// do); one no flow opened is never read.
+    fn mark_ready(&mut self, flows: &mut [FlowRt]) {
+        for sid in self.sim.server.take_accepted() {
+            let ports = self.sim.server.socket(sid).ports();
+            let peer = ports.map(|(local, remote)| (remote, local));
+            if let Some(sock) = self
+                .socks
+                .iter_mut()
+                .find(|s| peer.is_some() && s.ports == peer)
+            {
+                sock.server = Some(sid);
+            }
         }
-        self.socks[h].1.map(|sid| self.sim.server.socket(sid))
+        self.sim.client.take_ready(&mut self.ready_client);
+        for id in self.ready_client.drain(..) {
+            if let Some(sock) = self.socks.iter().find(|s| s.client == id) {
+                flows[sock.flow].visit = true;
+            }
+        }
+        self.sim.server.take_ready(&mut self.ready_server);
+        for id in self.ready_server.drain(..) {
+            if let Some(sock) = self.socks.iter().find(|s| s.server == Some(id)) {
+                flows[sock.flow].visit = true;
+            }
+        }
     }
 }
 
@@ -187,6 +246,16 @@ impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
 /// [`replay`] builds the world for one of the six transports and calls
 /// this; a caller that builds its own (its own seed salts, fault plans
 /// or scripted events) calls it directly.
+///
+/// A step visits, in flow order, only the flows with something to do:
+/// one whose socket a segment reached ([`SocketHost::take_ready`]), one
+/// whose start, next exchange or server think time has come, and one
+/// whose last visit left it work that needs no input (a response of
+/// zero bytes lets the next exchange go at once). Any other flow's
+/// visit would read the counts it read last time and change nothing
+/// ([`RateSeries::record`] ignores a repeat), so every read, send,
+/// close and `schedule` happens at the step, and in the order, it would
+/// if every flow were visited at every step.
 pub fn run_replay<C: SocketHost, S: Accept>(
     sim: Sim<C, S>,
     open: impl FnMut(&mut C, Time) -> C::Id,
@@ -197,7 +266,8 @@ pub fn run_replay<C: SocketHost, S: Accept>(
         sim,
         open,
         socks: Vec::new(),
-        unclaimed: Vec::new(),
+        ready_client: Vec::new(),
+        ready_server: Vec::new(),
     };
     let mut flows: Vec<FlowRt> = pattern.flows.iter().cloned().map(FlowRt::new).collect();
     let mut progress: Vec<RateSeries> = pattern
@@ -210,6 +280,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
         })
         .collect();
     let deadline_t = Time::ZERO + deadline;
+    let mut running = flows.len();
 
     // Schedule a wakeup at every flow start so connections open on time.
     for f in &flows {
@@ -219,14 +290,15 @@ pub fn run_replay<C: SocketHost, S: Accept>(
 
     loop {
         let now = host.sim.now;
+        host.mark_ready(&mut flows);
         for (i, f) in flows.iter_mut().enumerate() {
-            if f.done_at.is_some() {
+            if f.done_at.is_some() || !(std::mem::take(&mut f.visit) || f.due(now)) {
                 continue;
             }
             // Open on time.
             let h = match f.sock {
                 Some(h) => h,
-                None if now >= Time::ZERO + f.pat.start => *f.sock.insert(host.open()),
+                None if now >= Time::ZERO + f.pat.start => *f.sock.insert(host.open(i)),
                 None => continue,
             };
             let delivered = host.client(h).read();
@@ -242,8 +314,14 @@ pub fn run_replay<C: SocketHost, S: Accept>(
                     f.server_plan
                         .push((f.req_issued, e.response_bytes, e.server_delay));
                     f.next_exchange += 1;
+                    f.exchange_wait = None;
+                    // With every response in, the next exchange needs
+                    // no input: the next step issues or schedules it.
+                    f.visit |=
+                        f.next_exchange < f.pat.exchanges.len() && delivered >= f.resp_expected;
                 } else if delivered >= f.resp_expected && due > now {
                     host.sim.schedule(due, ScriptEvent::Wakeup);
+                    f.exchange_wait = Some(due);
                 }
             }
             // Progress counts a request from the step that issues it,
@@ -266,6 +344,12 @@ pub fn run_replay<C: SocketHost, S: Accept>(
                             .send(make_payload(bytes));
                         f.server_fired += 1;
                         f.server_pending = None;
+                        // A request already in for the next response
+                        // needs no input: the next step schedules it.
+                        f.visit |= f
+                            .server_plan
+                            .get(f.server_fired)
+                            .is_some_and(|&(req_needed, ..)| srv_delivered >= req_needed);
                     }
                 }
             }
@@ -274,6 +358,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
             // deliver anything).
             if f.next_exchange == f.pat.exchanges.len() && delivered >= f.resp_total {
                 f.done_at = Some(now);
+                running -= 1;
                 host.client(h).close(now);
                 if let Some(conn) = host.server(h) {
                     conn.close(now);
@@ -283,7 +368,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
         // Stop at the step the last flow finished: one more step would
         // carry whatever the closes queued as far as the next event,
         // which is how densely the world steps, not what the app did.
-        if flows.iter().all(|f| f.done_at.is_some()) {
+        if running == 0 {
             break;
         }
         if host.sim.now >= deadline_t {

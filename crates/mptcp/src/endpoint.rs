@@ -21,6 +21,9 @@ use mpwifi_tcp::segment::Segment;
 struct ConnTable {
     conns: Vec<MptcpConnection>,
     key_rng: DetRng,
+    /// Connections a segment reached since the last `take_ready`,
+    /// oldest first, possibly repeated.
+    ready: Vec<usize>,
 }
 
 impl ConnTable {
@@ -28,6 +31,14 @@ impl ConnTable {
         ConnTable {
             conns: Vec::new(),
             key_rng: DetRng::seed_from_u64(key_seed),
+            ready: Vec::new(),
+        }
+    }
+
+    /// A burst of segments to one connection is one entry.
+    fn mark_ready(&mut self, id: usize) {
+        if self.ready.last() != Some(&id) {
+            self.ready.push(id);
         }
     }
 
@@ -38,9 +49,10 @@ impl ConnTable {
     /// Hand a decoded segment to the connection that owns its port
     /// pair; false when none does.
     fn route(&mut self, now: Time, seg: &Segment) -> bool {
-        for conn in &mut self.conns {
+        for (id, conn) in self.conns.iter_mut().enumerate() {
             if let Some(sf) = conn.route_ports(seg.dst_port, seg.src_port) {
                 conn.on_segment(now, sf, seg);
+                self.mark_ready(id);
                 return true;
             }
         }
@@ -61,6 +73,18 @@ macro_rules! conn_table_api {
             /// Mutably borrow a connection.
             pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
                 &mut self.table.conns[id]
+            }
+
+            /// Append to `out` the connections a segment reached (an
+            /// accept or a join included) since the last call: each
+            /// once, in id order. An application that reads only these
+            /// after a step reads everything a segment could have
+            /// changed.
+            pub fn take_ready(&mut self, out: &mut Vec<usize>) {
+                let ready = &mut self.table.ready;
+                ready.sort_unstable();
+                ready.dedup();
+                out.append(ready);
             }
 
             /// Number of connections opened or accepted.
@@ -224,7 +248,9 @@ impl ServerEndpoint {
                     let mut conn = MptcpConnection::new(cfg, paths, self.local_addr, 0, local_key);
                     conn.accept_primary(now, seg, src_addr, key);
                     self.table.conns.push(conn);
-                    self.accepted.push(self.table.conns.len() - 1);
+                    let id = self.table.conns.len() - 1;
+                    self.accepted.push(id);
+                    self.table.mark_ready(id);
                     return;
                 }
                 MpOption::MpJoin {
@@ -232,9 +258,10 @@ impl ServerEndpoint {
                     addr_id,
                     backup,
                 } => {
-                    let mut conns = self.table.conns.iter_mut();
-                    if let Some(conn) = conns.find(|c| c.local_token() == token) {
+                    let mut conns = self.table.conns.iter_mut().enumerate();
+                    if let Some((id, conn)) = conns.find(|(_, c)| c.local_token() == token) {
                         conn.accept_join(now, seg, src_addr, addr_id, backup);
+                        self.table.mark_ready(id);
                     }
                     return;
                 }

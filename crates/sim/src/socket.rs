@@ -103,14 +103,24 @@ impl Socket for MptcpConnection {
 /// A host whose connections an application can reach by id.
 pub trait SocketHost: Endpoint {
     /// Connection id, as the host's own `connect`/`open` returns it.
-    type Id: Copy;
+    type Id: Copy + PartialEq;
     /// The connection type behind an id.
     type Conn: Socket;
 
     /// The connection `id` names. Ids come from the host's open call or
     /// from [`Accept::take_accepted`], and a host never drops a connection,
-    /// so an unknown id is a caller bug and panics.
+    /// so an unknown id is a caller bug and panics. A borrow is a touch:
+    /// the host's next drain visits the connection, whatever the caller
+    /// did with it.
     fn socket(&mut self, id: Self::Id) -> &mut Self::Conn;
+
+    /// Append to `out` the connections a segment reached since the last
+    /// call (a server's new connections included), each once. Nothing a
+    /// [`Socket`] reads — delivered bytes, establishment, closure — moves
+    /// but by a segment, so an application that visits only these
+    /// connections, and any whose time it waits for has come, reads all
+    /// there is to read.
+    fn take_ready(&mut self, out: &mut Vec<Self::Id>);
 }
 
 /// A server host: connections appear as clients' SYNs arrive.
@@ -125,6 +135,9 @@ impl SocketHost for TcpClientHost {
     fn socket(&mut self, id: SocketId) -> &mut TcpConnection {
         self.stack.conn_mut(id).expect("unknown TCP socket id")
     }
+    fn take_ready(&mut self, out: &mut Vec<SocketId>) {
+        self.stack.take_ready(out);
+    }
 }
 
 impl SocketHost for TcpServerHost {
@@ -132,6 +145,9 @@ impl SocketHost for TcpServerHost {
     type Conn = TcpConnection;
     fn socket(&mut self, id: SocketId) -> &mut TcpConnection {
         self.stack.conn_mut(id).expect("unknown TCP socket id")
+    }
+    fn take_ready(&mut self, out: &mut Vec<SocketId>) {
+        self.stack.take_ready(out);
     }
 }
 
@@ -147,6 +163,9 @@ impl SocketHost for MptcpClientHost {
     fn socket(&mut self, id: usize) -> &mut MptcpConnection {
         self.conn_mut(id)
     }
+    fn take_ready(&mut self, out: &mut Vec<usize>) {
+        MptcpClientHost::take_ready(self, out);
+    }
 }
 
 impl SocketHost for MptcpServerHost {
@@ -154,6 +173,9 @@ impl SocketHost for MptcpServerHost {
     type Conn = MptcpConnection;
     fn socket(&mut self, id: usize) -> &mut MptcpConnection {
         self.conn_mut(id)
+    }
+    fn take_ready(&mut self, out: &mut Vec<usize>) {
+        MptcpServerHost::take_ready(self, out);
     }
 }
 

@@ -32,6 +32,9 @@ pub struct TcpStack {
     next_ephemeral: u16,
     iss_counter: u32,
     accepted: Vec<SocketId>,
+    /// Connections a segment reached or an accept created since the
+    /// last [`TcpStack::take_ready`], oldest first, possibly repeated.
+    ready: Vec<SocketId>,
 }
 
 impl TcpStack {
@@ -45,6 +48,7 @@ impl TcpStack {
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
             accepted: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -128,6 +132,7 @@ impl TcpStack {
         let id = (seg.dst_port, seg.src_port);
         if let Ok(i) = self.ids.binary_search(&id) {
             self.conns[i].on_segment(now, seg);
+            self.mark_ready(id);
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
@@ -137,13 +142,31 @@ impl TcpStack {
                 conn.on_segment(now, seg);
                 self.insert(id, conn);
                 self.accepted.push(id);
+                self.mark_ready(id);
             }
+        }
+    }
+
+    /// A burst of segments to one connection is one entry.
+    fn mark_ready(&mut self, id: SocketId) {
+        if self.ready.last() != Some(&id) {
+            self.ready.push(id);
         }
     }
 
     /// Server connections created since the last call.
     pub fn take_accepted(&mut self) -> Vec<SocketId> {
         std::mem::take(&mut self.accepted)
+    }
+
+    /// Append to `out` the connections a segment reached, or an accept
+    /// created, since the last call: each once, in socket-id order. An
+    /// application that reads only these after a step reads everything
+    /// a segment could have changed.
+    pub fn take_ready(&mut self, out: &mut Vec<SocketId>) {
+        self.ready.sort_unstable();
+        self.ready.dedup();
+        out.append(&mut self.ready);
     }
 
     /// Earliest timer deadline across all connections.
