@@ -594,6 +594,14 @@ impl MptcpConnection {
         self.aborted
     }
 
+    /// Nothing has touched the connection since its last drain, so
+    /// another would hand over nothing and arm nothing. A drain that
+    /// ends in the abort teardown leaves it unsettled: the next one has
+    /// work.
+    pub fn is_settled(&self) -> bool {
+        self.settled
+    }
+
     fn finish_abort(&mut self, now: Time) {
         self.settled = false;
         for sf in &mut self.subflows {

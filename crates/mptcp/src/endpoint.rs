@@ -17,9 +17,21 @@ use mpwifi_tcp::segment::Segment;
 
 /// What both endpoints are built on: connections by id, the key
 /// source, and dispatch by port pair.
+///
+/// Beside the connections is the list of those something touched since
+/// the last drain: a routed segment, an open, an accept or a join, a
+/// timer that came due, an interface notification, a `conn_mut`
+/// borrow. The drain walks that list in id order, the order the whole
+/// table would go in; every connection off it was drained and is
+/// settled since, so visiting it would hand over nothing (debug builds
+/// check each one).
 #[derive(Debug)]
 struct ConnTable {
     conns: Vec<MptcpConnection>,
+    /// Per connection: whether it is on `touched`.
+    is_touched: Vec<bool>,
+    /// Connections touched since the last drain, in touch order.
+    touched: Vec<usize>,
     key_rng: DetRng,
     /// Connections a segment reached since the last `take_ready`,
     /// oldest first, possibly repeated.
@@ -30,6 +42,8 @@ impl ConnTable {
     fn new(key_seed: u64) -> ConnTable {
         ConnTable {
             conns: Vec::new(),
+            is_touched: Vec::new(),
+            touched: Vec::new(),
             key_rng: DetRng::seed_from_u64(key_seed),
             ready: Vec::new(),
         }
@@ -46,17 +60,73 @@ impl ConnTable {
         self.key_rng.next_u64()
     }
 
+    /// Add a connection, touched; returns its id.
+    fn push(&mut self, conn: MptcpConnection) -> usize {
+        self.conns.push(conn);
+        self.is_touched.push(false);
+        let id = self.conns.len() - 1;
+        self.touch(id);
+        id
+    }
+
+    /// Put connection `id` on the touched list and lend it.
+    fn touch(&mut self, id: usize) -> &mut MptcpConnection {
+        if !self.is_touched[id] {
+            self.is_touched[id] = true;
+            self.touched.push(id);
+        }
+        &mut self.conns[id]
+    }
+
+    /// Fire due timers. A touched connection is asked whatever its
+    /// horizon: an unsettled one runs its timer pass regardless.
+    fn on_timers(&mut self, now: Time) {
+        for id in 0..self.conns.len() {
+            if self.is_touched[id] || self.conns[id].next_timer().is_some_and(|t| t <= now) {
+                self.touch(id).on_timers(now);
+            }
+        }
+    }
+
+    /// Drain the touched connections in id order. One the drain left
+    /// unsettled (the abort teardown) stays touched.
+    fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
+        if cfg!(debug_assertions) {
+            for (c, &touched) in self.conns.iter().zip(&self.is_touched) {
+                assert!(
+                    touched || c.is_settled(),
+                    "an untouched connection has output"
+                );
+            }
+        }
+        self.touched.sort_unstable();
+        let mut kept = 0;
+        for k in 0..self.touched.len() {
+            let id = self.touched[k];
+            let conn = &mut self.conns[id];
+            conn.take_tx_into(now, out);
+            if conn.is_settled() {
+                self.is_touched[id] = false;
+            } else {
+                self.touched[kept] = id;
+                kept += 1;
+            }
+        }
+        self.touched.truncate(kept);
+    }
+
     /// Hand a decoded segment to the connection that owns its port
     /// pair; false when none does.
     fn route(&mut self, now: Time, seg: &Segment) -> bool {
-        for (id, conn) in self.conns.iter_mut().enumerate() {
-            if let Some(sf) = conn.route_ports(seg.dst_port, seg.src_port) {
-                conn.on_segment(now, sf, seg);
-                self.mark_ready(id);
-                return true;
-            }
-        }
-        false
+        let mut conns = self.conns.iter().enumerate();
+        let found =
+            conns.find_map(|(id, c)| Some((id, c.route_ports(seg.dst_port, seg.src_port)?)));
+        let Some((id, sf)) = found else {
+            return false;
+        };
+        self.touch(id).on_segment(now, sf, seg);
+        self.mark_ready(id);
+        true
     }
 }
 
@@ -70,9 +140,10 @@ macro_rules! conn_table_api {
                 &self.table.conns[id]
             }
 
-            /// Mutably borrow a connection.
+            /// Mutably borrow a connection. The borrow is a touch: the
+            /// next drain visits it, whatever the caller did.
             pub fn conn_mut(&mut self, id: usize) -> &mut MptcpConnection {
-                &mut self.table.conns[id]
+                self.table.touch(id)
             }
 
             /// Append to `out` the connections a segment reached (an
@@ -105,18 +176,15 @@ macro_rules! conn_table_api {
 
             /// Fire due timers.
             pub fn on_timers(&mut self, now: Time) {
-                for conn in &mut self.table.conns {
-                    conn.on_timers(now);
-                }
+                self.table.on_timers(now);
             }
 
             /// Drain outgoing segments — `(local interface, remote
             /// address, segment)` — into a caller-provided buffer (the
-            /// per-step driver path).
+            /// per-step driver path), from the connections something
+            /// touched since the last drain.
             pub fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-                for conn in &mut self.table.conns {
-                    conn.take_tx_into(now, out);
-                }
+                self.table.take_tx_into(now, out);
             }
         }
     };
@@ -167,8 +235,7 @@ impl ClientEndpoint {
         let key = self.table.next_key();
         let mut conn = MptcpConnection::new(cfg, paths, self.server_addr, remote_port, key);
         conn.connect(now);
-        self.table.conns.push(conn);
-        self.table.conns.len() - 1
+        self.table.push(conn)
     }
 
     /// Route one decoded segment (arriving on any interface).
@@ -179,8 +246,8 @@ impl ClientEndpoint {
     /// Local notification that an interface was disabled (`multipath
     /// off`): propagate to every connection.
     pub fn notify_iface_down(&mut self, now: Time, iface: Addr) {
-        for conn in &mut self.table.conns {
-            conn.notify_iface_down(now, iface);
+        for id in 0..self.table.conns.len() {
+            self.table.touch(id).notify_iface_down(now, iface);
         }
     }
 
@@ -189,8 +256,8 @@ impl ClientEndpoint {
     /// rejoins it with a fresh MP_JOIN on a newly allocated ephemeral
     /// port.
     pub fn notify_iface_up(&mut self, now: Time, iface: Addr) {
-        for conn in &mut self.table.conns {
-            conn.notify_iface_up(now, iface, &mut self.next_port);
+        for id in 0..self.table.conns.len() {
+            (self.table.touch(id)).notify_iface_up(now, iface, &mut self.next_port);
         }
     }
 }
@@ -247,8 +314,7 @@ impl ServerEndpoint {
                     let cfg = self.cfg.clone();
                     let mut conn = MptcpConnection::new(cfg, paths, self.local_addr, 0, local_key);
                     conn.accept_primary(now, seg, src_addr, key);
-                    self.table.conns.push(conn);
-                    let id = self.table.conns.len() - 1;
+                    let id = self.table.push(conn);
                     self.accepted.push(id);
                     self.table.mark_ready(id);
                     return;
@@ -258,8 +324,9 @@ impl ServerEndpoint {
                     addr_id,
                     backup,
                 } => {
-                    let mut conns = self.table.conns.iter_mut().enumerate();
-                    if let Some((id, conn)) = conns.find(|(_, c)| c.local_token() == token) {
+                    let mut conns = self.table.conns.iter();
+                    if let Some(id) = conns.position(|c| c.local_token() == token) {
+                        let conn = self.table.touch(id);
                         conn.accept_join(now, seg, src_addr, addr_id, backup);
                         self.table.mark_ready(id);
                     }

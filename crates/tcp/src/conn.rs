@@ -347,6 +347,13 @@ impl TcpConnection {
         self.state == TcpState::Closed
     }
 
+    /// Settled with an empty queue: nothing has touched the connection
+    /// since its output engine last ran and its segments were drained,
+    /// so another drain would hand over nothing and arm nothing.
+    pub fn is_settled(&self) -> bool {
+        self.settled && self.tx.is_empty()
+    }
+
     /// Terminal error, if the connection died abnormally.
     pub fn error(&self) -> Option<&'static str> {
         self.error

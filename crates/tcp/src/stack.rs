@@ -5,8 +5,9 @@
 //! connections for SYNs arriving on listening ports, and aggregates
 //! timer deadlines and outgoing segments. The app-replay workloads open
 //! dozens of concurrent connections through this and a host never drops
-//! one, so every walk asks every connection, and a settled one answers
-//! each poll with a load and a branch (see [`TcpConnection::poll_output`]).
+//! one, so the drain visits only the connections something touched
+//! since the last one: the rest are settled (see
+//! [`TcpConnection::poll_output`]) and would hand over nothing.
 
 use crate::conn::{TcpConfig, TcpConnection};
 use crate::segment::Segment;
@@ -21,13 +22,23 @@ pub type SocketId = (u16, u16);
 /// The connections are one sorted table: `ids` ascending, searched by
 /// binary search, and `conns[i]` the connection `ids[i]` names. Every
 /// aggregate walk (timers, outgoing segments) goes in index order, which
-/// is sorted socket-id order, and allocates nothing. The table keeps
-/// nothing else per connection: whether one has anything to do is the
-/// connection's own answer.
+/// is sorted socket-id order, and allocates nothing.
+///
+/// Beside the table is the list of rows something touched since the
+/// last [`TcpStack::take_tx_into`]: a routed segment, an open or an
+/// accept, a timer that fired, a [`TcpStack::conn_mut`] borrow. The
+/// drain walks that list, sorted, so it visits connections in the same
+/// order the whole table would be; every row off it was drained and is
+/// settled since, so visiting it would hand over nothing (debug builds
+/// check each one).
 #[derive(Debug)]
 pub struct TcpStack {
     ids: Vec<SocketId>,
     conns: Vec<TcpConnection>,
+    /// Per row: whether it is on `touched`.
+    is_touched: Vec<bool>,
+    /// Rows touched since the last drain, in touch order.
+    touched: Vec<usize>,
     listeners: HashMap<u16, TcpConfig>,
     next_ephemeral: u16,
     iss_counter: u32,
@@ -44,6 +55,8 @@ impl TcpStack {
         TcpStack {
             ids: Vec::new(),
             conns: Vec::new(),
+            is_touched: Vec::new(),
+            touched: Vec::new(),
             listeners: HashMap::new(),
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
@@ -92,12 +105,26 @@ impl TcpStack {
         panic!("ephemeral ports exhausted");
     }
 
-    /// Add a connection at its sorted row (both callers have found `id`
-    /// absent).
+    /// Add a connection, touched, at its sorted row (both callers have
+    /// found `id` absent). The rows after it move down one.
     fn insert(&mut self, id: SocketId, conn: TcpConnection) {
         let at = self.ids.partition_point(|&row| row < id);
         self.ids.insert(at, id);
         self.conns.insert(at, conn);
+        self.is_touched.insert(at, false);
+        for row in &mut self.touched {
+            *row += usize::from(*row >= at);
+        }
+        self.touch(at);
+    }
+
+    /// Put row `i` on the touched list and lend its connection.
+    fn touch(&mut self, i: usize) -> &mut TcpConnection {
+        if !self.is_touched[i] {
+            self.is_touched[i] = true;
+            self.touched.push(i);
+        }
+        &mut self.conns[i]
     }
 
     /// Borrow a connection.
@@ -105,9 +132,11 @@ impl TcpStack {
         self.ids.binary_search(&id).ok().map(|i| &self.conns[i])
     }
 
-    /// Mutably borrow a connection.
+    /// Mutably borrow a connection. The borrow is a touch: the next
+    /// [`TcpStack::take_tx_into`] visits it, whatever the caller did.
     pub fn conn_mut(&mut self, id: SocketId) -> Option<&mut TcpConnection> {
-        self.ids.binary_search(&id).ok().map(|i| &mut self.conns[i])
+        let i = self.ids.binary_search(&id).ok()?;
+        Some(self.touch(i))
     }
 
     /// All connection ids (stable order: sorted, for determinism).
@@ -131,7 +160,7 @@ impl TcpStack {
     pub fn on_segment(&mut self, now: Time, seg: &Segment) {
         let id = (seg.dst_port, seg.src_port);
         if let Ok(i) = self.ids.binary_search(&id) {
-            self.conns[i].on_segment(now, seg);
+            self.touch(i).on_segment(now, seg);
             self.mark_ready(id);
             return;
         }
@@ -175,21 +204,35 @@ impl TcpStack {
         conns.fold(None, |next, c| Time::earlier(next, c.next_timer()))
     }
 
-    /// Fire timers due at `now` on every connection (sorted socket-id
-    /// order, allocation-free).
+    /// Fire timers due at `now` (sorted socket-id order,
+    /// allocation-free); a connection whose timer fires is touched.
     pub fn on_timers(&mut self, now: Time) {
-        for c in &mut self.conns {
-            c.on_timers(now);
+        for i in 0..self.conns.len() {
+            if self.conns[i].next_timer().is_some_and(|t| t <= now) {
+                self.touch(i).on_timers(now);
+            }
         }
     }
 
-    /// Drain outgoing segments from every connection into a
+    /// Drain outgoing segments from every touched connection into a
     /// caller-provided sink (see [`TcpConnection::take_tx_into`]), in
-    /// deterministic (sorted socket id) order.
+    /// deterministic (sorted socket id) order, and empty the touched
+    /// list.
     pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
-        for c in &mut self.conns {
-            c.take_tx_into(now, out);
+        if cfg!(debug_assertions) {
+            for (c, &touched) in self.conns.iter().zip(&self.is_touched) {
+                assert!(
+                    touched || c.is_settled(),
+                    "an untouched connection has output"
+                );
+            }
         }
+        self.touched.sort_unstable();
+        for &i in &self.touched {
+            self.conns[i].take_tx_into(now, out);
+            self.is_touched[i] = false;
+        }
+        self.touched.clear();
     }
 }
 
