@@ -14,24 +14,28 @@ use crate::path::PathManager;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::{DetRng, Time};
 use mpwifi_tcp::segment::Segment;
+use mpwifi_tcp::touched::Touched;
 
 /// What both endpoints are built on: connections by id, the key
 /// source, and dispatch by port pair.
 ///
-/// Beside the connections is the list of those something touched since
-/// the last drain: a routed segment, an open, an accept or a join, a
-/// timer that came due, an interface notification, a `conn_mut`
-/// borrow. The drain walks that list in id order, the order the whole
-/// table would go in; every connection off it was drained and is
-/// settled since, so visiting it would hand over nothing (debug builds
-/// check each one).
+/// Beside the connections is [`Touched`]: those something touched since
+/// the last drain — a routed segment, an open, an accept or a join, a
+/// timer that came due, an interface notification, a `conn_mut` borrow
+/// — and every other one's timer horizon as of its last drain. The
+/// drain walks the touched ones in id order, the order the whole table
+/// would go in; `next_timer` and `on_timers` read the others' stored
+/// horizons. Every connection off the list was drained and is settled
+/// since, so visiting it would hand over nothing and its timers have
+/// not moved (debug builds check each one).
 #[derive(Debug)]
 struct ConnTable {
     conns: Vec<MptcpConnection>,
-    /// Per connection: whether it is on `touched`.
-    is_touched: Vec<bool>,
-    /// Connections touched since the last drain, in touch order.
-    touched: Vec<usize>,
+    touched: Touched,
+    /// `(local port, remote port)` → `(connection, subflow)` for every
+    /// subflow a segment has been routed to, sorted by port pair: what
+    /// [`ConnTable::route`] searches before it scans.
+    routes: Vec<((u16, u16), (usize, usize))>,
     key_rng: DetRng,
     /// Connections a segment reached since the last `take_ready`,
     /// oldest first, possibly repeated.
@@ -42,8 +46,8 @@ impl ConnTable {
     fn new(key_seed: u64) -> ConnTable {
         ConnTable {
             conns: Vec::new(),
-            is_touched: Vec::new(),
-            touched: Vec::new(),
+            touched: Touched::new(),
+            routes: Vec::new(),
             key_rng: DetRng::seed_from_u64(key_seed),
             ready: Vec::new(),
         }
@@ -63,65 +67,65 @@ impl ConnTable {
     /// Add a connection, touched; returns its id.
     fn push(&mut self, conn: MptcpConnection) -> usize {
         self.conns.push(conn);
-        self.is_touched.push(false);
-        let id = self.conns.len() - 1;
-        self.touch(id);
-        id
+        self.touched.push();
+        self.conns.len() - 1
     }
 
     /// Put connection `id` on the touched list and lend it.
     fn touch(&mut self, id: usize) -> &mut MptcpConnection {
-        if !self.is_touched[id] {
-            self.is_touched[id] = true;
-            self.touched.push(id);
-        }
+        self.touched.touch(id);
         &mut self.conns[id]
+    }
+
+    fn next_timer(&self) -> Option<Time> {
+        self.touched.next_timer(|id| self.conns[id].next_timer())
     }
 
     /// Fire due timers. A touched connection is asked whatever its
     /// horizon: an unsettled one runs its timer pass regardless.
     fn on_timers(&mut self, now: Time) {
-        for id in 0..self.conns.len() {
-            if self.is_touched[id] || self.conns[id].next_timer().is_some_and(|t| t <= now) {
-                self.touch(id).on_timers(now);
-            }
-        }
+        let conns = &mut self.conns;
+        self.touched.on_timers(now, |id| conns[id].on_timers(now));
     }
 
     /// Drain the touched connections in id order. One the drain left
     /// unsettled (the abort teardown) stays touched.
     fn take_tx_into(&mut self, now: Time, out: &mut Vec<(Addr, Addr, Segment)>) {
-        if cfg!(debug_assertions) {
-            for (c, &touched) in self.conns.iter().zip(&self.is_touched) {
-                assert!(
-                    touched || c.is_settled(),
-                    "an untouched connection has output"
-                );
+        let conns = &mut self.conns;
+        let settled = |c: &MptcpConnection| c.is_settled().then(|| c.next_timer());
+        self.touched.check(|id| settled(&conns[id]));
+        self.touched.drain(|id| {
+            conns[id].take_tx_into(now, out);
+            settled(&conns[id])
+        });
+    }
+
+    /// The `(connection, subflow)` a port pair names: found in `routes`,
+    /// or else by asking every connection, which happens once per
+    /// subflow (its first segment) and for a segment no subflow owns.
+    fn find_route(&mut self, ports: (u16, u16)) -> Option<(usize, usize)> {
+        let scan = |conns: &[MptcpConnection]| {
+            let mut conns = conns.iter().enumerate();
+            conns.find_map(|(id, c)| Some((id, c.route_ports(ports.0, ports.1)?)))
+        };
+        match self.routes.binary_search_by_key(&ports, |&(p, _)| p) {
+            Ok(at) => {
+                let found = self.routes[at].1;
+                debug_assert_eq!(Some(found), scan(&self.conns), "stale route {ports:?}");
+                Some(found)
+            }
+            Err(at) => {
+                let found = scan(&self.conns)?;
+                self.routes.insert(at, (ports, found));
+                Some(found)
             }
         }
-        self.touched.sort_unstable();
-        let mut kept = 0;
-        for k in 0..self.touched.len() {
-            let id = self.touched[k];
-            let conn = &mut self.conns[id];
-            conn.take_tx_into(now, out);
-            if conn.is_settled() {
-                self.is_touched[id] = false;
-            } else {
-                self.touched[kept] = id;
-                kept += 1;
-            }
-        }
-        self.touched.truncate(kept);
     }
 
     /// Hand a decoded segment to the connection that owns its port
     /// pair; false when none does.
     fn route(&mut self, now: Time, seg: &Segment) -> bool {
-        let mut conns = self.conns.iter().enumerate();
-        let found =
-            conns.find_map(|(id, c)| Some((id, c.route_ports(seg.dst_port, seg.src_port)?)));
-        let Some((id, sf)) = found else {
+        let Some((id, sf)) = self.find_route((seg.dst_port, seg.src_port)) else {
             return false;
         };
         self.touch(id).on_segment(now, sf, seg);
@@ -170,8 +174,7 @@ macro_rules! conn_table_api {
 
             /// Earliest timer across connections.
             pub fn next_timer(&self) -> Option<Time> {
-                let conns = self.table.conns.iter();
-                conns.fold(None, |next, c| Time::earlier(next, c.next_timer()))
+                self.table.next_timer()
             }
 
             /// Fire due timers.

@@ -27,7 +27,9 @@
 //!   `mpwifi-mptcp`;
 //! * flow control: advertised windows with window scaling;
 //! * a port-demultiplexing stack ([`stack`]) so one host can carry many
-//!   concurrent connections (the app-replay workloads need dozens).
+//!   concurrent connections (the app-replay workloads need dozens), and
+//!   beside it the bookkeeping ([`touched`]) that lets a host's per-step
+//!   walks visit only the connections something touched.
 
 pub mod buffer;
 pub mod cc;
@@ -35,6 +37,7 @@ pub mod conn;
 pub mod pool;
 pub mod rtt;
 pub mod stack;
+pub mod touched;
 
 pub use buffer::{RecvBuffer, SendBuffer};
 pub use cc::{CcKind, Cubic, Cwnd, Growth, Loss, Reno};

@@ -11,6 +11,7 @@
 
 use crate::conn::{TcpConfig, TcpConnection};
 use crate::segment::Segment;
+use crate::touched::Touched;
 use mpwifi_simcore::Time;
 use std::collections::HashMap;
 
@@ -24,21 +25,20 @@ pub type SocketId = (u16, u16);
 /// aggregate walk (timers, outgoing segments) goes in index order, which
 /// is sorted socket-id order, and allocates nothing.
 ///
-/// Beside the table is the list of rows something touched since the
-/// last [`TcpStack::take_tx_into`]: a routed segment, an open or an
-/// accept, a timer that fired, a [`TcpStack::conn_mut`] borrow. The
-/// drain walks that list, sorted, so it visits connections in the same
-/// order the whole table would be; every row off it was drained and is
-/// settled since, so visiting it would hand over nothing (debug builds
-/// check each one).
+/// Beside the table is [`Touched`]: the rows something touched since
+/// the last [`TcpStack::take_tx_into`] — a routed segment, an open or
+/// an accept, a timer that fired, a [`TcpStack::conn_mut`] borrow — and
+/// every other row's timer horizon as of its last drain. The drain
+/// walks the touched rows, sorted, so it visits connections in the
+/// order the whole table would go in; `next_timer` and `on_timers` read
+/// the others' stored horizons. Every row off the list was drained and
+/// is settled since, so visiting it would hand over nothing and its
+/// timers have not moved (debug builds check each one).
 #[derive(Debug)]
 pub struct TcpStack {
     ids: Vec<SocketId>,
     conns: Vec<TcpConnection>,
-    /// Per row: whether it is on `touched`.
-    is_touched: Vec<bool>,
-    /// Rows touched since the last drain, in touch order.
-    touched: Vec<usize>,
+    touched: Touched,
     listeners: HashMap<u16, TcpConfig>,
     next_ephemeral: u16,
     iss_counter: u32,
@@ -55,8 +55,7 @@ impl TcpStack {
         TcpStack {
             ids: Vec::new(),
             conns: Vec::new(),
-            is_touched: Vec::new(),
-            touched: Vec::new(),
+            touched: Touched::new(),
             listeners: HashMap::new(),
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
@@ -111,19 +110,12 @@ impl TcpStack {
         let at = self.ids.partition_point(|&row| row < id);
         self.ids.insert(at, id);
         self.conns.insert(at, conn);
-        self.is_touched.insert(at, false);
-        for row in &mut self.touched {
-            *row += usize::from(*row >= at);
-        }
-        self.touch(at);
+        self.touched.insert(at);
     }
 
     /// Put row `i` on the touched list and lend its connection.
     fn touch(&mut self, i: usize) -> &mut TcpConnection {
-        if !self.is_touched[i] {
-            self.is_touched[i] = true;
-            self.touched.push(i);
-        }
+        self.touched.touch(i);
         &mut self.conns[i]
     }
 
@@ -200,39 +192,28 @@ impl TcpStack {
 
     /// Earliest timer deadline across all connections.
     pub fn next_timer(&self) -> Option<Time> {
-        let conns = self.conns.iter();
-        conns.fold(None, |next, c| Time::earlier(next, c.next_timer()))
+        self.touched.next_timer(|i| self.conns[i].next_timer())
     }
 
     /// Fire timers due at `now` (sorted socket-id order,
-    /// allocation-free); a connection whose timer fires is touched.
+    /// allocation-free); a connection whose timer comes due is touched.
     pub fn on_timers(&mut self, now: Time) {
-        for i in 0..self.conns.len() {
-            if self.conns[i].next_timer().is_some_and(|t| t <= now) {
-                self.touch(i).on_timers(now);
-            }
-        }
+        let conns = &mut self.conns;
+        self.touched.on_timers(now, |i| conns[i].on_timers(now));
     }
 
     /// Drain outgoing segments from every touched connection into a
     /// caller-provided sink (see [`TcpConnection::take_tx_into`]), in
-    /// deterministic (sorted socket id) order, and empty the touched
-    /// list.
+    /// deterministic (sorted socket id) order, and store each one's
+    /// timer horizon.
     pub fn take_tx_into<E: Extend<Segment>>(&mut self, now: Time, out: &mut E) {
-        if cfg!(debug_assertions) {
-            for (c, &touched) in self.conns.iter().zip(&self.is_touched) {
-                assert!(
-                    touched || c.is_settled(),
-                    "an untouched connection has output"
-                );
-            }
-        }
-        self.touched.sort_unstable();
-        for &i in &self.touched {
-            self.conns[i].take_tx_into(now, out);
-            self.is_touched[i] = false;
-        }
-        self.touched.clear();
+        let conns = &mut self.conns;
+        self.touched
+            .check(|i| conns[i].is_settled().then(|| conns[i].next_timer()));
+        self.touched.drain(|i| {
+            conns[i].take_tx_into(now, out);
+            Some(conns[i].next_timer())
+        });
     }
 }
 
