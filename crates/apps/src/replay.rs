@@ -572,6 +572,58 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_response_lets_the_next_exchange_go_without_input() {
+        // Nothing arrives for the client between its first exchange and
+        // its second, whose offset has already passed: the flow must be
+        // visited again at the next step anyway (the flow start's own
+        // wakeup, still at t = 0, long before anything reaches the
+        // client), and the server must answer the second request though
+        // its first response carried no bytes.
+        let exchange = |offset_ms, response_bytes| Exchange {
+            offset: Dur::from_millis(offset_ms),
+            request_bytes: 300,
+            response_bytes,
+            server_delay: Dur::ZERO,
+        };
+        let pattern = AppPattern {
+            app: "Empty",
+            kind: crate::patterns::PatternKind::Click,
+            flows: vec![FlowPattern {
+                id: 1,
+                start: Dur::ZERO,
+                exchanges: vec![exchange(0, 0), exchange(0, 0), exchange(50, 4_000)],
+            }],
+        };
+        for transport in ALL_TRANSPORTS {
+            let r = replay(
+                &pattern,
+                &fast_wifi(),
+                &slow_lte(),
+                transport,
+                Dur::from_secs(30),
+                1,
+            );
+            assert!(r.completed, "{} did not finish", transport.label());
+            assert!(
+                r.response_time < Dur::from_secs(2),
+                "{}: {}",
+                transport.label(),
+                r.response_time
+            );
+        }
+        let r = replay(
+            &pattern,
+            &fast_wifi(),
+            &slow_lte(),
+            Transport::Tcp(WIFI_ADDR),
+            Dur::from_secs(30),
+            1,
+        );
+        let progress = r.flow_progress[0].1.progress();
+        assert_eq!(progress[..2], [(Time::ZERO, 300), (Time::ZERO, 600)]);
+    }
+
+    #[test]
     fn request_causality_respected() {
         // Flow 2's second exchange can't start before its first response
         // arrived, so its completion is strictly after one full

@@ -184,3 +184,101 @@ impl Accept for MptcpServerHost {
         MptcpServerHost::take_accepted(self)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LinkSpec, Sim, LTE_ADDR, SERVER_ADDR, SERVER_PORT, WIFI_ADDR};
+    use mpwifi_mptcp::MptcpConfig;
+    use mpwifi_simcore::Dur;
+    use mpwifi_tcp::conn::TcpConfig;
+    use std::fmt::Debug;
+
+    /// Step until `host` reports something ready, and return it.
+    fn next_ready<C: SocketHost, S: Accept, H>(
+        sim: &mut Sim<C, S>,
+        host: impl Fn(&mut Sim<C, S>) -> &mut H,
+    ) -> Vec<H::Id>
+    where
+        H: SocketHost,
+    {
+        let mut ready = Vec::new();
+        while ready.is_empty() {
+            assert!(sim.step(), "the world quiesced first");
+            host(sim).take_ready(&mut ready);
+        }
+        ready
+    }
+
+    /// Open one connection and walk both hosts' ready lists through the
+    /// handshake and one request: the SYN readies the connection it
+    /// creates on the server, the SYN-ACK the client's, the request the
+    /// server's again, and each list comes back empty once drained.
+    fn ready_lists_follow_the_segments<C, S>(
+        client: C,
+        server: S,
+        open: impl FnOnce(&mut C) -> C::Id,
+    ) where
+        C: SocketHost,
+        S: Accept,
+        C::Id: Debug,
+        S::Id: Debug,
+    {
+        let (wifi, lte) = (
+            LinkSpec::symmetric(20_000_000, Dur::from_millis(20)),
+            LinkSpec::symmetric(10_000_000, Dur::from_millis(40)),
+        );
+        let mut sim = Sim::builder(client, server).wifi(&wifi).lte(&lte).build();
+        let id = open(&mut sim.client);
+        let (mut c, mut s) = (Vec::new(), Vec::new());
+        sim.client.take_ready(&mut c);
+        sim.server.take_ready(&mut s);
+        assert!(c.is_empty() && s.is_empty(), "nothing has arrived yet");
+
+        let accepted = next_ready(&mut sim, |sim| &mut sim.server);
+        assert_eq!(
+            accepted,
+            sim.server.take_accepted(),
+            "the accept readies its connection"
+        );
+        sim.server.take_ready(&mut s);
+        assert!(s.is_empty(), "a drained list comes back empty");
+
+        assert_eq!(
+            next_ready(&mut sim, |sim| &mut sim.client),
+            [id],
+            "the SYN-ACK"
+        );
+        sim.client.take_ready(&mut c);
+        assert!(c.is_empty(), "a drained list comes back empty");
+
+        sim.client.socket(id).send(Bytes::from_static(b"GET /"));
+        while sim.server.socket(accepted[0]).delivered_bytes() < 5 {
+            assert!(sim.step());
+        }
+        sim.server.take_ready(&mut s);
+        assert_eq!(s, accepted, "the request readies the server's connection");
+        s.clear();
+        sim.server.take_ready(&mut s);
+        assert!(s.is_empty(), "a drained list comes back empty");
+    }
+
+    #[test]
+    fn tcp_hosts_report_what_a_segment_reached() {
+        let client = TcpClientHost::new(WIFI_ADDR, SERVER_ADDR, 1);
+        let server = TcpServerHost::new(SERVER_ADDR, SERVER_PORT, TcpConfig::default(), 7);
+        ready_lists_follow_the_segments(client, server, |c| {
+            c.connect(Time::ZERO, TcpConfig::default(), SERVER_PORT)
+        });
+    }
+
+    #[test]
+    fn mptcp_hosts_report_what_a_segment_reached() {
+        let cfg = MptcpConfig::default();
+        let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 1);
+        let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 7);
+        ready_lists_follow_the_segments(client, server, |c| {
+            c.open(Time::ZERO, cfg, WIFI_ADDR, SERVER_PORT)
+        });
+    }
+}

@@ -732,6 +732,46 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_hands_over_only_the_one_touched_connection_among_many() {
+        let mut lb = Loopback::new(5);
+        lb.b.listen(80, TcpConfig::default());
+        let ids: Vec<SocketId> = (0..12)
+            .map(|_| lb.a.connect(Time::ZERO, TcpConfig::default(), 80))
+            .collect();
+        lb.run_until(
+            |lb| {
+                let server = lb.b.socket_ids();
+                let established = |s: &TcpStack, id| s.conn(id).unwrap().is_established();
+                ids.iter().all(|&id| established(&lb.a, id))
+                    && server.len() == ids.len()
+                    && server.iter().all(|&id| established(&lb.b, id))
+            },
+            1000,
+        );
+        let now = lb.now;
+        assert!(
+            drain(&mut lb.a, now).is_empty(),
+            "the clients are not quiet"
+        );
+        let horizon = lb.a.next_timer();
+        // A borrow that changes nothing hands over nothing.
+        lb.a.conn_mut(ids[3]).unwrap().discard_delivered();
+        assert!(drain(&mut lb.a, now).is_empty());
+        lb.a.conn_mut(ids[7])
+            .unwrap()
+            .send(Bytes::from_static(b"seven"));
+        let tx = drain(&mut lb.a, now);
+        assert_eq!(tx.len(), 1, "one segment, from the one touched connection");
+        assert_eq!((tx[0].src_port, tx[0].dst_port), ids[7]);
+        assert_eq!(&tx[0].payload[..], b"seven");
+        assert!(drain(&mut lb.a, now).is_empty());
+        // The eleven untouched connections kept their horizons, and the
+        // one that sent adds its RTO.
+        let rto = now + TcpConfig::default().min_rto;
+        assert_eq!(lb.a.next_timer(), Time::earlier(horizon, Some(rto)));
+    }
+
+    #[test]
     fn an_untouched_connections_delayed_ack_fires_at_its_instant() {
         let (mut lb, ca, cb) = quiet_pair();
         lb.a.conn_mut(ca)

@@ -6,7 +6,7 @@
 //! `BulkResult` field and every `RunMetrics` counter but the step count
 //! itself. This is what licenses the simulator to skip such steps.
 
-use mpwifi::apps::patterns::cnn_launch;
+use mpwifi::apps::patterns::{cnn_launch, imdb_click, AppPattern};
 use mpwifi::apps::replay::{run_replay, ReplayResult};
 use mpwifi::mptcp::{CcKind, MptcpConfig};
 use mpwifi::radio::{paper_locations, LocationCondition};
@@ -210,4 +210,69 @@ fn a_replay_does_not_depend_on_step_density() {
             "{what}: a counter moved"
         );
     }
+}
+
+/// The busiest replay's extra-step spacing: it runs for tens of
+/// simulated seconds, so a sparser grid than [`EXTRA_STEP`] still more
+/// than doubles its steps.
+const BUSY_EXTRA_STEP: Dur = Dur::from_micros(1_009);
+
+/// `pattern` replayed at `loc` over MPTCP-Coupled with WiFi primary,
+/// with `replay::replay`'s hosts and salts at seed 42, and a `Wakeup`
+/// every [`BUSY_EXTRA_STEP`] up to `until` (none for `None`).
+fn mptcp_replay(
+    pattern: &AppPattern,
+    loc: &LocationCondition,
+    until: Option<Time>,
+) -> ReplayResult {
+    let cfg = MptcpConfig {
+        cc: CcKind::Lia,
+        ..MptcpConfig::default()
+    };
+    let client = MptcpClientHost::new(SERVER_ADDR, [WIFI_ADDR, LTE_ADDR], 42 | 1);
+    let server = MptcpServerHost::new(SERVER_ADDR, SERVER_PORT, cfg.clone(), 42 ^ 0xF7);
+    let mut builder = world(client, server, loc, None);
+    let mut at = Time::ZERO + BUSY_EXTRA_STEP;
+    while until.is_some_and(|end| at <= end) {
+        builder = builder.event(at, ScriptEvent::Wakeup);
+        at += BUSY_EXTRA_STEP;
+    }
+    let open = |c: &mut MptcpClientHost, now| c.open(now, cfg.clone(), WIFI_ADDR, SERVER_PORT);
+    run_replay(builder.build(), open, pattern, Dur::from_secs(120))
+}
+
+/// The oracle over the pattern with the most flows (IMDB click, 35),
+/// over MPTCP at location 4: a replay that visits only the flows a
+/// segment reached or whose time came must not depend on how often the
+/// world steps.
+#[test]
+fn the_busiest_replay_over_mptcp_does_not_depend_on_step_density() {
+    let (locations, pattern) = (paper_locations(42), imdb_click(42));
+    assert!(pattern.flows.len() >= 35, "the busiest pattern");
+    let loc = &locations[LOCATIONS[0] - 1];
+    let run = |wakeups_until| {
+        metrics::reset();
+        let r = mptcp_replay(&pattern, loc, wakeups_until);
+        (r, metrics::snapshot())
+    };
+    let (plain, plain_m) = run(None);
+    assert!(plain.completed, "the plain replay completes");
+    let end = plain.flow_spans.iter().map(|&(_, _, end)| end).max();
+    let (dense, dense_m) = run(end.map(|end| Time::ZERO + end));
+    assert!(
+        dense_m.events_popped > 2 * plain_m.events_popped,
+        "the wakeups did not double the steps ({} vs {})",
+        dense_m.events_popped,
+        plain_m.events_popped
+    );
+    assert_eq!(format!("{dense:?}"), format!("{plain:?}"), "a result moved");
+    let steps_aside = |m: RunMetrics| RunMetrics {
+        events_popped: 0,
+        ..m
+    };
+    assert_eq!(
+        steps_aside(dense_m),
+        steps_aside(plain_m),
+        "a counter moved"
+    );
 }
