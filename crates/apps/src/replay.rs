@@ -101,8 +101,8 @@ pub struct ReplayResult {
 /// Per-flow runtime state.
 struct FlowRt {
     pat: FlowPattern,
-    /// The flow's socket handle, once its start time came.
-    sock: Option<usize>,
+    /// Its connection is open: its start time came.
+    opened: bool,
     /// Next exchange to issue.
     next_exchange: usize,
     /// The next exchange's instant, once its responses are all in and
@@ -133,7 +133,7 @@ impl FlowRt {
         FlowRt {
             resp_total: pat.exchanges.iter().map(|e| e.response_bytes).sum(),
             pat,
-            sock: None,
+            opened: false,
             next_exchange: 0,
             exchange_wait: None,
             req_issued: 0,
@@ -150,20 +150,21 @@ impl FlowRt {
     /// exchange's instant, its server's think time? Each is a scheduled
     /// `Wakeup`, so the world steps at it.
     fn due(&self, now: Time) -> bool {
-        match self.sock {
-            None => now >= Time::ZERO + self.pat.start,
-            Some(_) => {
-                self.exchange_wait.is_some_and(|t| now >= t)
-                    || self.server_pending.is_some_and(|(at, _)| now >= at)
-            }
+        if !self.opened {
+            return now >= Time::ZERO + self.pat.start;
         }
+        self.exchange_wait.is_some_and(|t| now >= t)
+            || self.server_pending.is_some_and(|(at, _)| now >= at)
     }
+}
+
+/// The flow whose sockets `is` names.
+fn flow_of<C, S>(socks: &[Option<Sock<C, S>>], is: impl Fn(&Sock<C, S>) -> bool) -> Option<usize> {
+    socks.iter().position(|s| s.as_ref().is_some_and(&is))
 }
 
 /// One opened flow's sockets.
 struct Sock<C, S> {
-    /// The flow it belongs to (an index into the pattern's flows).
-    flow: usize,
     client: C,
     /// The client socket's `(local, remote)` ports, read at open: how
     /// an accepted server socket finds its flow.
@@ -178,35 +179,37 @@ struct Sock<C, S> {
 struct Host<C: SocketHost, S: Accept, O> {
     sim: Sim<C, S>,
     open: O,
-    /// Per opened flow, in open order.
-    socks: Vec<Sock<C::Id, S::Id>>,
+    /// Per flow, once it opened.
+    socks: Vec<Option<Sock<C::Id, S::Id>>>,
     /// Scratch for the ids the hosts report ready.
     ready_client: Vec<C::Id>,
     ready_server: Vec<S::Id>,
 }
 
 impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
-    /// Open flow `flow`'s connection; returns its handle.
-    fn open(&mut self, flow: usize) -> usize {
+    /// Open flow `i`'s connection.
+    fn open(&mut self, i: usize) {
         let client = (self.open)(&mut self.sim.client, self.sim.now);
         let ports = self.sim.client.socket(client).ports();
-        self.socks.push(Sock {
-            flow,
+        self.socks[i] = Some(Sock {
             client,
             ports,
             server: None,
         });
-        self.socks.len() - 1
     }
 
-    fn client(&mut self, h: usize) -> &mut C::Conn {
-        self.sim.client.socket(self.socks[h].client)
+    fn sock(&self, i: usize) -> &Sock<C::Id, S::Id> {
+        self.socks[i].as_ref().expect("the flow is open")
     }
 
-    /// The server side of flow `h`: `None` until the server accepted
+    fn client(&mut self, i: usize) -> &mut C::Conn {
+        self.sim.client.socket(self.sock(i).client)
+    }
+
+    /// The server side of flow `i`: `None` until the server accepted
     /// the connection whose peer port is the client's local port.
-    fn server(&mut self, h: usize) -> Option<&mut S::Conn> {
-        let sid = self.socks[h].server?;
+    fn server(&mut self, i: usize) -> Option<&mut S::Conn> {
+        let sid = self.sock(i).server?;
         Some(self.sim.server.socket(sid))
     }
 
@@ -218,24 +221,20 @@ impl<C: SocketHost, S: Accept, O: FnMut(&mut C, Time) -> C::Id> Host<C, S, O> {
         for sid in self.sim.server.take_accepted() {
             let ports = self.sim.server.socket(sid).ports();
             let peer = ports.map(|(local, remote)| (remote, local));
-            if let Some(sock) = self
-                .socks
-                .iter_mut()
-                .find(|s| peer.is_some() && s.ports == peer)
-            {
-                sock.server = Some(sid);
+            if let Some(i) = flow_of(&self.socks, |s| peer.is_some() && s.ports == peer) {
+                self.socks[i].as_mut().expect("the flow is open").server = Some(sid);
             }
         }
         self.sim.client.take_ready(&mut self.ready_client);
         for id in self.ready_client.drain(..) {
-            if let Some(sock) = self.socks.iter().find(|s| s.client == id) {
-                flows[sock.flow].visit = true;
+            if let Some(i) = flow_of(&self.socks, |s| s.client == id) {
+                flows[i].visit = true;
             }
         }
         self.sim.server.take_ready(&mut self.ready_server);
         for id in self.ready_server.drain(..) {
-            if let Some(sock) = self.socks.iter().find(|s| s.server == Some(id)) {
-                flows[sock.flow].visit = true;
+            if let Some(i) = flow_of(&self.socks, |s| s.server == Some(id)) {
+                flows[i].visit = true;
             }
         }
     }
@@ -265,7 +264,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
     let mut host = Host {
         sim,
         open,
-        socks: Vec::new(),
+        socks: (0..pattern.flows.len()).map(|_| None).collect(),
         ready_client: Vec::new(),
         ready_server: Vec::new(),
     };
@@ -296,19 +295,21 @@ pub fn run_replay<C: SocketHost, S: Accept>(
                 continue;
             }
             // Open on time.
-            let h = match f.sock {
-                Some(h) => h,
-                None if now >= Time::ZERO + f.pat.start => *f.sock.insert(host.open(i)),
-                None => continue,
-            };
-            let delivered = host.client(h).read();
+            if !f.opened {
+                if now < Time::ZERO + f.pat.start {
+                    continue;
+                }
+                host.open(i);
+                f.opened = true;
+            }
+            let delivered = host.client(i).read();
             // Issue the next exchange when its offset passed and all
             // prior responses arrived.
             if f.next_exchange < f.pat.exchanges.len() {
                 let e = f.pat.exchanges[f.next_exchange];
                 let due = Time::ZERO + f.pat.start + e.offset;
                 if delivered >= f.resp_expected && now >= due {
-                    host.client(h).send(make_payload(e.request_bytes));
+                    host.client(i).send(make_payload(e.request_bytes));
                     f.req_issued += e.request_bytes;
                     f.resp_expected += e.response_bytes;
                     f.server_plan
@@ -328,7 +329,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
             // not from whichever step happens to come next.
             progress[i].record(now, delivered + f.req_issued);
             // Server side: schedule/fire responses.
-            if let Some(srv_delivered) = host.server(h).map(|c| c.read()) {
+            if let Some(srv_delivered) = host.server(i).map(|c| c.read()) {
                 if f.server_pending.is_none() && f.server_fired < f.server_plan.len() {
                     let (req_needed, resp_bytes, delay) = f.server_plan[f.server_fired];
                     if srv_delivered >= req_needed {
@@ -339,7 +340,7 @@ pub fn run_replay<C: SocketHost, S: Accept>(
                 }
                 if let Some((at, bytes)) = f.server_pending {
                     if now >= at {
-                        host.server(h)
+                        host.server(i)
                             .expect("server socket was just read")
                             .send(make_payload(bytes));
                         f.server_fired += 1;
@@ -359,8 +360,8 @@ pub fn run_replay<C: SocketHost, S: Accept>(
             if f.next_exchange == f.pat.exchanges.len() && delivered >= f.resp_total {
                 f.done_at = Some(now);
                 running -= 1;
-                host.client(h).close(now);
-                if let Some(conn) = host.server(h) {
+                host.client(i).close(now);
+                if let Some(conn) = host.server(i) {
                     conn.close(now);
                 }
             }

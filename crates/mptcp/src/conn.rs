@@ -357,10 +357,10 @@ pub struct MptcpConnection {
     /// [`MptcpConnection::take_tx_into`]. Until the next touch or due
     /// timer every poll (`take_tx_into`, `on_timers`, `next_timer`)
     /// repeats one that already ran to completion, and returns at once —
-    /// which is what lets an endpoint poll its idle, window-limited and
-    /// closed connections for free. It is `TcpConnection`'s `settled`
-    /// rule one level up; that field's doc lists what clears it and why
-    /// a new entry point must.
+    /// which is what lets an endpoint skip its idle, window-limited and
+    /// closed connections (`mpwifi_tcp::touched`). It is
+    /// `TcpConnection`'s `settled` rule one level up; that field's doc
+    /// lists what clears it and why a new entry point must.
     settled: bool,
     /// [`MptcpConnection::next_timer`] as of settling.
     settled_timer: Option<Time>,
@@ -726,6 +726,8 @@ impl MptcpConnection {
     }
 
     /// Does one of our subflows use this (local_port, remote_port) pair?
+    /// The endpoints ask once per pair, at its first segment, and keep
+    /// the answer in a sorted table (`ConnTable::route`).
     pub fn route_ports(&self, local_port: u16, remote_port: u16) -> Option<usize> {
         self.subflows
             .iter()

@@ -14,7 +14,7 @@ use crate::path::PathManager;
 use mpwifi_netem::Addr;
 use mpwifi_simcore::{DetRng, Time};
 use mpwifi_tcp::segment::Segment;
-use mpwifi_tcp::touched::Touched;
+use mpwifi_tcp::touched::{Ready, Touched};
 
 /// What both endpoints are built on: connections by id, the key
 /// source, and dispatch by port pair.
@@ -37,9 +37,8 @@ struct ConnTable {
     /// [`ConnTable::route`] searches before it scans.
     routes: Vec<((u16, u16), (usize, usize))>,
     key_rng: DetRng,
-    /// Connections a segment reached since the last `take_ready`,
-    /// oldest first, possibly repeated.
-    ready: Vec<usize>,
+    /// Connections a segment reached since the last `take_ready`.
+    ready: Ready<usize>,
 }
 
 impl ConnTable {
@@ -49,15 +48,12 @@ impl ConnTable {
             touched: Touched::new(),
             routes: Vec::new(),
             key_rng: DetRng::seed_from_u64(key_seed),
-            ready: Vec::new(),
+            ready: Ready::default(),
         }
     }
 
-    /// A burst of segments to one connection is one entry.
     fn mark_ready(&mut self, id: usize) {
-        if self.ready.last() != Some(&id) {
-            self.ready.push(id);
-        }
+        self.ready.mark(id, self.conns.len());
     }
 
     fn next_key(&mut self) -> u64 {
@@ -156,10 +152,7 @@ macro_rules! conn_table_api {
             /// after a step reads everything a segment could have
             /// changed.
             pub fn take_ready(&mut self, out: &mut Vec<usize>) {
-                let ready = &mut self.table.ready;
-                ready.sort_unstable();
-                ready.dedup();
-                out.append(ready);
+                self.table.ready.take(out);
             }
 
             /// Number of connections opened or accepted.

@@ -5,7 +5,9 @@
 //! this is the side an application holds. [`Socket`] is the per-
 //! connection operation list `TcpConnection` and `MptcpConnection`
 //! already share by name; [`SocketHost`] resolves a connection id on any
-//! of the four hosts and [`Accept`] adds the server's accept queue.
+//! of the four hosts and names the connections a segment reached since
+//! it was last asked ([`SocketHost::take_ready`], what lets a replay
+//! visit only those), and [`Accept`] adds the server's accept queue.
 //! Opening is *not* here: a TCP client binds its interface at
 //! construction and an MPTCP client picks a primary per connection, so
 //! callers open with the host's own method and hand the id on.

@@ -202,9 +202,10 @@ pub struct TcpConnection {
     /// change what the engine would do: `open`, `send`, `close`, `abort`,
     /// `request_ack`, a read that reopens the window, `on_segment`, and
     /// an `on_timers` that fires. A new `&mut self` entry point must
-    /// clear it too, or a host's next poll skips what it changed. Idle
-    /// and closed connections are polled several times per step like
-    /// any other, and this is what makes that free.
+    /// clear it too, or a host's next poll skips what it changed. A host
+    /// skips a connection nothing touched on the strength of this flag
+    /// (`crate::touched`), and an MPTCP connection polls every subflow
+    /// each drain: this is what makes both exact and free.
     settled: bool,
     /// [`TcpConnection::next_timer`] as of settling.
     settled_timer: Option<Time>,

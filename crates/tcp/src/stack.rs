@@ -11,7 +11,7 @@
 
 use crate::conn::{TcpConfig, TcpConnection};
 use crate::segment::Segment;
-use crate::touched::Touched;
+use crate::touched::{Ready, Touched};
 use mpwifi_simcore::Time;
 use std::collections::HashMap;
 
@@ -44,8 +44,8 @@ pub struct TcpStack {
     iss_counter: u32,
     accepted: Vec<SocketId>,
     /// Connections a segment reached or an accept created since the
-    /// last [`TcpStack::take_ready`], oldest first, possibly repeated.
-    ready: Vec<SocketId>,
+    /// last [`TcpStack::take_ready`].
+    ready: Ready<SocketId>,
 }
 
 impl TcpStack {
@@ -60,7 +60,7 @@ impl TcpStack {
             next_ephemeral: 49_152,
             iss_counter: iss_seed,
             accepted: Vec::new(),
-            ready: Vec::new(),
+            ready: Ready::default(),
         }
     }
 
@@ -153,7 +153,7 @@ impl TcpStack {
         let id = (seg.dst_port, seg.src_port);
         if let Ok(i) = self.ids.binary_search(&id) {
             self.touch(i).on_segment(now, seg);
-            self.mark_ready(id);
+            self.ready.mark(id, self.ids.len());
             return;
         }
         if seg.flags.syn && !seg.flags.ack {
@@ -163,15 +163,8 @@ impl TcpStack {
                 conn.on_segment(now, seg);
                 self.insert(id, conn);
                 self.accepted.push(id);
-                self.mark_ready(id);
+                self.ready.mark(id, self.ids.len());
             }
-        }
-    }
-
-    /// A burst of segments to one connection is one entry.
-    fn mark_ready(&mut self, id: SocketId) {
-        if self.ready.last() != Some(&id) {
-            self.ready.push(id);
         }
     }
 
@@ -185,9 +178,7 @@ impl TcpStack {
     /// application that reads only these after a step reads everything
     /// a segment could have changed.
     pub fn take_ready(&mut self, out: &mut Vec<SocketId>) {
-        self.ready.sort_unstable();
-        self.ready.dedup();
-        out.append(&mut self.ready);
+        self.ready.take(out);
     }
 
     /// Earliest timer deadline across all connections.

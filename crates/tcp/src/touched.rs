@@ -10,6 +10,8 @@
 //! drain visits the list alone, and the timer walks read the stored
 //! horizons of the rest. Everything is a dense array: no hashing and no
 //! tree, so a host with one connection pays a push and a store per step.
+//! [`Ready`] is the application's side of the same idea: the
+//! connections a segment reached since the application last asked.
 
 use mpwifi_simcore::Time;
 
@@ -150,6 +152,47 @@ impl Touched {
     }
 }
 
+/// The connections a segment reached since an application last asked:
+/// what a host hands `SocketHost::take_ready`. Ids, not rows, so a row
+/// inserted before one moves nothing here.
+#[derive(Debug)]
+pub struct Ready<Id> {
+    ids: Vec<Id>,
+}
+
+impl<Id> Default for Ready<Id> {
+    fn default() -> Ready<Id> {
+        Ready { ids: Vec::new() }
+    }
+}
+
+impl<Id: Copy + Ord> Ready<Id> {
+    /// A segment reached `id`, one of `conns` connections. A burst to
+    /// one connection is one entry, and a host nobody asks keeps at most
+    /// about twice its connections.
+    #[inline]
+    pub fn mark(&mut self, id: Id, conns: usize) {
+        if self.ids.last() != Some(&id) {
+            self.ids.push(id);
+            if self.ids.len() > 2 * conns {
+                self.compact();
+            }
+        }
+    }
+
+    fn compact(&mut self) {
+        self.ids.sort_unstable();
+        self.ids.dedup();
+    }
+
+    /// Append the marked ids to `out`, each once and in id order, and
+    /// forget them.
+    pub fn take(&mut self, out: &mut Vec<Id>) {
+        self.compact();
+        out.append(&mut self.ids);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +240,22 @@ mod tests {
         assert_eq!(fired, [0, 1], "row 0's horizon came; row 1 is touched");
         assert_eq!(t.list(), [1, 0]);
         assert_eq!(t.next_timer(|_| None), Some(Time::from_millis(9)));
+    }
+
+    #[test]
+    fn ready_ids_come_once_in_order_and_stay_bounded_unasked() {
+        let mut r = Ready::default();
+        for _ in 0..100 {
+            r.mark(5, 3);
+            r.mark(2, 3);
+        }
+        r.mark(9, 3);
+        assert!(r.ids.len() <= 7, "{} ids kept for 3 connections", r.ids.len());
+        let mut out = vec![1];
+        r.take(&mut out);
+        assert_eq!(out, [1, 2, 5, 9]);
+        out.clear();
+        r.take(&mut out);
+        assert!(out.is_empty(), "a drained list comes back empty");
     }
 }

@@ -19,7 +19,12 @@
 #                           no output and moves no timer, and check its
 #                           stored timer horizon against a fresh scan
 #                           (`TcpConnection::{poll_output, next_timer}`,
-#                           `MptcpConnection::take_tx_into`); release
+#                           `MptcpConnection::take_tx_into`); check that
+#                           every row a host's drain skips is settled
+#                           with its stored horizon (`tcp::touched`),
+#                           every stored link horizon against its
+#                           pipeline (`Sim::next_event`) and every MPTCP
+#                           route-table hit against a scan; release
 #                           compiles the checks out, and tier-1 reaches
 #                           them through the root package's tests alone.
 #                mathis     the Mathis oracle's whole grid (nine cells,
