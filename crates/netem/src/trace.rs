@@ -8,6 +8,7 @@
 
 use mpwifi_simcore::{Dur, Time};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A cyclic schedule of packet delivery opportunities.
 ///
@@ -18,8 +19,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DeliveryTrace {
-    /// Sorted offsets (ns) within one period at which a packet may exit.
-    offsets: Vec<u64>,
+    /// Sorted offsets (ns) within one period at which a packet may exit,
+    /// shared: every link built from one trace reads the same list, so
+    /// building a world copies none.
+    offsets: Arc<[u64]>,
     /// Period length in ns; all offsets are `< period`.
     period: u64,
 }
@@ -40,7 +43,10 @@ impl DeliveryTrace {
             *offsets.last().unwrap() < period,
             "trace offsets must be < period"
         );
-        DeliveryTrace { offsets, period }
+        DeliveryTrace {
+            offsets: offsets.into(),
+            period,
+        }
     }
 
     /// A constant-rate trace delivering `pps` packets per second, evenly

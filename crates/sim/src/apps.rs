@@ -376,8 +376,21 @@ pub fn measure_ping(spec: &LinkSpec, n: usize, seed: u64) -> Dur {
 
 /// Deterministic payload bytes (cheap to create; integrity checked via
 /// byte counts in the harnesses and via content in the protocol tests).
+/// Every payload is a view of one per-thread buffer of `0xA5` bytes,
+/// grown to the largest length asked for: a run writes no payload
+/// bytes, and frees no large buffer per transfer for the allocator to
+/// trip over.
 pub fn make_payload(bytes: u64) -> Bytes {
-    Bytes::from(vec![0xA5u8; bytes as usize])
+    thread_local! {
+        static FILL: std::cell::RefCell<Bytes> = const { std::cell::RefCell::new(Bytes::new()) };
+    }
+    let len = bytes as usize;
+    FILL.with_borrow_mut(|fill| {
+        if fill.len() < len {
+            *fill = Bytes::from(vec![0xA5u8; len]);
+        }
+        fill.slice(..len)
+    })
 }
 
 #[cfg(test)]

@@ -250,7 +250,11 @@ mod tests {
             r.mark(2, 3);
         }
         r.mark(9, 3);
-        assert!(r.ids.len() <= 7, "{} ids kept for 3 connections", r.ids.len());
+        assert!(
+            r.ids.len() <= 7,
+            "{} ids kept for 3 connections",
+            r.ids.len()
+        );
         let mut out = vec![1];
         r.take(&mut out);
         assert_eq!(out, [1, 2, 5, 9]);
