@@ -377,9 +377,9 @@ pub fn measure_ping(spec: &LinkSpec, n: usize, seed: u64) -> Dur {
 /// Deterministic payload bytes (cheap to create; integrity checked via
 /// byte counts in the harnesses and via content in the protocol tests).
 /// Every payload is a view of one per-thread buffer of `0xA5` bytes,
-/// grown to the largest length asked for: a run writes no payload
-/// bytes, and frees no large buffer per transfer for the allocator to
-/// trip over.
+/// grown to the largest length asked for: a transfer writes no payload
+/// bytes and frees no large buffer (which would raise the allocator's
+/// mmap threshold and grow the heap for every later one).
 pub fn make_payload(bytes: u64) -> Bytes {
     thread_local! {
         static FILL: std::cell::RefCell<Bytes> = const { std::cell::RefCell::new(Bytes::new()) };
