@@ -923,7 +923,7 @@ impl SimObserver<MptcpClientHost, MptcpServerHost> for MptcpConformance {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use mpwifi_tcp::segment::{Flags, TcpOption};
+    use mpwifi_tcp::segment::{Flags, OptionBody, SackBlocks, TcpOption};
 
     #[test]
     fn wire_round_trip_flags_what_the_wire_would_change() {
@@ -935,18 +935,22 @@ mod tests {
         };
         let sent = with(vec![
             TcpOption::Timestamp { val: 1, ecr: 2 },
-            TcpOption::Sack(vec![(10, 20), (30, 40)]),
+            TcpOption::Sack(SackBlocks::from_slice(&[(10, 20), (30, 40)]).unwrap()),
         ]);
         check_wire_round_trip(&log, Time::ZERO, TxHost::Server, &sent);
         assert!(log.is_clean(), "{:?}", log.snapshot());
         // A raw option spelled with a known kind decodes as that option.
         let respelled = with(vec![TcpOption::Raw {
             kind: 2,
-            data: Bytes::from_static(&[5, 220]),
+            data: OptionBody::from_slice(&[5, 220]).unwrap(),
         }]);
         check_wire_round_trip(&log, Time::ZERO, TxHost::Client, &respelled);
-        // Five SACK blocks are 42 bytes: no header has room for them.
-        let overlong = with(vec![TcpOption::Sack(vec![(1, 2); 5])]);
+        // Four SACK blocks and a timestamp are 44 bytes: no header has
+        // room for them.
+        let overlong = with(vec![
+            TcpOption::Sack(SackBlocks::from_slice(&[(1, 2); 4]).unwrap()),
+            TcpOption::Timestamp { val: 1, ecr: 2 },
+        ]);
         check_wire_round_trip(&log, Time::ZERO, TxHost::Client, &overlong);
         let cats: Vec<_> = log.snapshot().iter().map(|v| v.category).collect();
         assert_eq!(cats, ["wire-round-trip"; 2]);

@@ -1524,6 +1524,7 @@ fn push_if_room(seg: &mut Segment, opt: MpOption, defer: impl FnOnce()) {
 mod tests {
     use super::*;
     use mpwifi_tcp::conn::TcpConfig;
+    use mpwifi_tcp::segment::SackBlocks;
 
     fn subflow() -> Subflow {
         let spec = SubflowSpec {
@@ -1644,10 +1645,11 @@ mod tests {
         let blocks: Vec<(u32, u32)> = (1..=mpwifi_tcp::buffer::MAX_SACK_BLOCKS as u32)
             .map(|i| (i * 2800, i * 2800 + 1400))
             .collect();
+        let blocks = SackBlocks::from_slice(&blocks).unwrap();
         let ack = Segment {
             options: vec![
                 TcpOption::Timestamp { val: 1, ecr: 2 },
-                TcpOption::Sack(blocks.clone()),
+                TcpOption::Sack(blocks),
             ],
             ..Segment::control(1, 2, 1, 0, Flags::ACK)
         };

@@ -4,9 +4,9 @@
 //! simplified where DESIGN.md documents it (64-bit absolute subflow
 //! offsets in DSS, FNV-1a tokens).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use mpwifi_simcore::Fnv1a;
-use mpwifi_tcp::segment::{Segment, TcpOption, OPT_KIND_MPTCP};
+use mpwifi_tcp::segment::{OptionBody, Segment, TcpOption, OPT_KIND_MPTCP};
 
 /// Subtype identifiers (upper nibble of the first option byte in RFC
 /// 6824; a full byte here).
@@ -80,9 +80,11 @@ pub enum MpOption {
 }
 
 impl MpOption {
-    /// Encode into the data portion of a kind-30 TCP option.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
+    /// Encode into the data portion of a kind-30 TCP option, held
+    /// inline (the longest, a DSS with a mapping and a DATA_FIN, is 28
+    /// bytes).
+    pub fn encode(&self) -> OptionBody {
+        let mut b = OptionBody::new();
         match self {
             MpOption::MpCapable { key } => {
                 b.put_u8(subtype::MP_CAPABLE);
@@ -134,12 +136,10 @@ impl MpOption {
                 b.put_u8(subtype::MP_FASTCLOSE);
             }
         }
-        b.freeze()
+        b
     }
 
-    /// Decode from the data portion of a kind-30 TCP option. Borrows the
-    /// bytes — a `&Bytes` coerces directly, so callers holding a raw
-    /// option no longer clone or re-slice it.
+    /// Decode from the data portion of a kind-30 TCP option.
     pub fn decode(mut data: &[u8]) -> Option<MpOption> {
         if data.is_empty() {
             return None;
@@ -233,8 +233,7 @@ impl MpOption {
 /// All MPTCP options carried by a segment, in order (decoded as the
 /// caller walks them: the receive path runs once per segment).
 pub fn mp_options(seg: &Segment) -> impl Iterator<Item = MpOption> + '_ {
-    seg.raw_options(OPT_KIND_MPTCP)
-        .filter_map(|d| MpOption::decode(d))
+    seg.raw_options(OPT_KIND_MPTCP).filter_map(MpOption::decode)
 }
 
 /// Derive the 32-bit connection token from a key.
@@ -250,6 +249,7 @@ pub fn token_from_key(key: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use mpwifi_tcp::segment::Flags;
     use proptest::prelude::*;
 

@@ -9,11 +9,18 @@
 //! path: a wire image that does not decode is a lost segment.
 //!
 //! The codec implements the standard 20-byte header plus the options this
-//! study needs: MSS, window scale, timestamps, and a pass-through *raw*
-//! option used by `mpwifi-mptcp` for kind-30 (MPTCP) options.
+//! study needs: MSS, window scale, timestamps, SACK, and a pass-through
+//! *raw* option used by `mpwifi-mptcp` for kind-30 (MPTCP) options.
+//!
+//! An option holds its body inline: a SACK option at most
+//! [`MAX_SACK_RANGES`] ranges ([`SackBlocks`]) and a raw option at most
+//! [`MAX_OPTION_BODY`] bytes ([`OptionBody`]) — everything the 40-byte
+//! option area can carry. So a segment's one heap allocation beside
+//! its payload is the `Vec` of options itself.
 
 use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
+use std::ops::Deref;
 
 /// Fixed TCP header length (no options), bytes.
 pub const HEADER_LEN: usize = 20;
@@ -25,6 +32,10 @@ pub const OPT_KIND_MPTCP: u8 = 30;
 /// Room for options in a TCP header (a 4-bit data offset in words),
 /// bytes, after padding to a 4-byte boundary.
 pub const MAX_OPTIONS_LEN: usize = 40;
+/// Longest option body: the option area less the kind and length bytes.
+pub const MAX_OPTION_BODY: usize = MAX_OPTIONS_LEN - 2;
+/// Most ranges one SACK option can carry (eight body bytes each).
+pub const MAX_SACK_RANGES: usize = MAX_OPTION_BODY / 8;
 
 /// TCP flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,14 +160,150 @@ pub enum TcpOption {
     /// SACK permitted (SYN only). Parsed but advisory in this stack.
     SackPermitted,
     /// Selective acknowledgment ranges: `[start, end)` sequence pairs.
-    Sack(Vec<(u32, u32)>),
+    Sack(SackBlocks),
     /// Unknown / pass-through option (MPTCP uses kind 30).
     Raw {
         /// Option kind byte.
         kind: u8,
         /// Option data (excluding kind and length bytes).
-        data: Bytes,
+        data: OptionBody,
     },
+}
+
+/// The ranges of a SACK option, held inline: at most
+/// [`MAX_SACK_RANGES`]. Reads as a slice of `[start, end)` pairs;
+/// equality and `Debug` see only the ranges held.
+#[derive(Clone, Copy, Default)]
+pub struct SackBlocks {
+    len: u8,
+    ranges: [(u32, u32); MAX_SACK_RANGES],
+}
+
+impl SackBlocks {
+    /// The ranges of `ranges`, or `None` if there are more than
+    /// [`MAX_SACK_RANGES`].
+    pub fn from_slice(ranges: &[(u32, u32)]) -> Option<SackBlocks> {
+        let mut out = SackBlocks::default();
+        out.ranges.get_mut(..ranges.len())?.copy_from_slice(ranges);
+        out.len = ranges.len() as u8;
+        Some(out)
+    }
+
+    /// Append one range.
+    ///
+    /// # Panics
+    ///
+    /// If [`MAX_SACK_RANGES`] are already held.
+    pub fn push(&mut self, range: (u32, u32)) {
+        assert!(
+            usize::from(self.len) < MAX_SACK_RANGES,
+            "a SACK option holds at most {MAX_SACK_RANGES} ranges"
+        );
+        self.ranges[usize::from(self.len)] = range;
+        self.len += 1;
+    }
+}
+
+impl Deref for SackBlocks {
+    type Target = [(u32, u32)];
+
+    fn deref(&self) -> &[(u32, u32)] {
+        &self.ranges[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for SackBlocks {
+    fn eq(&self, other: &SackBlocks) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SackBlocks {}
+
+impl fmt::Debug for SackBlocks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The body of a pass-through option, held inline: at most
+/// [`MAX_OPTION_BODY`] bytes, written through [`BufMut`]. Reads as a
+/// byte slice; equality and `Debug` see only the bytes written.
+#[derive(Clone, Copy)]
+pub struct OptionBody {
+    len: u8,
+    bytes: [u8; MAX_OPTION_BODY],
+}
+
+impl OptionBody {
+    /// An empty body.
+    pub const fn new() -> OptionBody {
+        OptionBody {
+            len: 0,
+            bytes: [0; MAX_OPTION_BODY],
+        }
+    }
+
+    /// A copy of `data`, or `None` if it is longer than
+    /// [`MAX_OPTION_BODY`].
+    pub fn from_slice(data: &[u8]) -> Option<OptionBody> {
+        let mut out = OptionBody::new();
+        out.bytes.get_mut(..data.len())?.copy_from_slice(data);
+        out.len = data.len() as u8;
+        Some(out)
+    }
+
+    /// The next `n` bytes of the body, now live.
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let at = usize::from(self.len);
+        let end = at + n;
+        assert!(
+            end <= MAX_OPTION_BODY,
+            "an option body holds at most {MAX_OPTION_BODY} bytes"
+        );
+        self.len = end as u8;
+        &mut self.bytes[at..end]
+    }
+}
+
+impl Default for OptionBody {
+    fn default() -> OptionBody {
+        OptionBody::new()
+    }
+}
+
+impl Deref for OptionBody {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for OptionBody {
+    fn eq(&self, other: &OptionBody) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for OptionBody {}
+
+impl fmt::Debug for OptionBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Appends past [`MAX_OPTION_BODY`] bytes panic: no option that long
+/// fits a header.
+impl BufMut for OptionBody {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.grow(src.len()).copy_from_slice(src);
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.grow(cnt).fill(val);
+    }
 }
 
 impl TcpOption {
@@ -166,8 +313,10 @@ impl TcpOption {
             TcpOption::WindowScale(_) => 3,
             TcpOption::Timestamp { .. } => 10,
             TcpOption::SackPermitted => 2,
-            TcpOption::Sack(ranges) => 2 + 8 * ranges.len(),
-            TcpOption::Raw { data, .. } => 2 + data.len(),
+            // The stored counts, not the slices: no bounds check on the
+            // per-frame path (`Segment::wire_len`).
+            TcpOption::Sack(ranges) => 2 + 8 * usize::from(ranges.len),
+            TcpOption::Raw { data, .. } => 2 + usize::from(data.len),
         }
     }
 }
@@ -223,10 +372,10 @@ impl Segment {
         })
     }
 
-    /// All raw (pass-through) options of the given kind.
-    pub fn raw_options(&self, kind: u8) -> impl Iterator<Item = &Bytes> {
+    /// The bodies of all raw (pass-through) options of the given kind.
+    pub fn raw_options(&self, kind: u8) -> impl Iterator<Item = &[u8]> {
         self.options.iter().filter_map(move |o| match o {
-            TcpOption::Raw { kind: k, data } if *k == kind => Some(data),
+            TcpOption::Raw { kind: k, data } if *k == kind => Some(&**data),
             _ => None,
         })
     }
@@ -300,7 +449,7 @@ impl Segment {
                 TcpOption::Sack(ranges) => {
                     buf.put_u8(5);
                     buf.put_u8((2 + 8 * ranges.len()) as u8);
-                    for &(a, b) in ranges {
+                    for &(a, b) in ranges.iter() {
                         buf.put_u32(a);
                         buf.put_u32(b);
                     }
@@ -341,9 +490,11 @@ impl Segment {
     /// rejected rather than normalized, so a forwarded or logged segment
     /// can never silently differ from its wire image.
     ///
-    /// Borrows the wire image: header fields and fixed-layout options are
-    /// parsed in place, and the payload (and any raw-option data) comes
-    /// back as zero-copy slices sharing `wire`'s allocation.
+    /// Borrows the wire image: header fields and options are parsed in
+    /// place, option bodies are copied into their inline holders (no
+    /// option is longer than [`MAX_OPTION_BODY`]), and the payload comes
+    /// back as a zero-copy slice sharing `wire`'s allocation. The one
+    /// allocation is the option list, when there are options.
     pub fn decode(wire: &Bytes) -> Option<Segment> {
         if wire.len() < IP_OVERHEAD + HEADER_LEN {
             return None;
@@ -391,8 +542,7 @@ impl Segment {
             return None;
         }
         let mut options = Vec::new();
-        // Absolute offsets into `wire`, so raw-option data can be sliced
-        // zero-copy off the original buffer.
+        // Absolute offsets into `wire`.
         let mut off = IP_OVERHEAD + HEADER_LEN;
         let opt_end = IP_OVERHEAD + header_total;
         while off < opt_end {
@@ -439,10 +589,9 @@ impl Segment {
     }
 }
 
-/// Parse one option whose data occupies `wire[start..start + len]`.
-/// Fixed-layout options are read in place; raw (pass-through) options get
-/// a zero-copy slice of `wire`.
-fn parse_option(kind: u8, wire: &Bytes, start: usize, len: usize) -> Option<TcpOption> {
+/// Parse one option whose data occupies `wire[start..start + len]`, which
+/// lies inside the option area, so `len` is at most [`MAX_OPTION_BODY`].
+fn parse_option(kind: u8, wire: &[u8], start: usize, len: usize) -> Option<TcpOption> {
     let mut data = &wire[start..start + len];
     Some(match kind {
         2 => {
@@ -467,7 +616,7 @@ fn parse_option(kind: u8, wire: &Bytes, start: usize, len: usize) -> Option<TcpO
             if !len.is_multiple_of(8) {
                 return None;
             }
-            let mut ranges = Vec::with_capacity(len / 8);
+            let mut ranges = SackBlocks::default();
             while data.has_remaining() {
                 ranges.push((data.get_u32(), data.get_u32()));
             }
@@ -484,7 +633,7 @@ fn parse_option(kind: u8, wire: &Bytes, start: usize, len: usize) -> Option<TcpO
         }
         k => TcpOption::Raw {
             kind: k,
-            data: wire.slice(start..start + len),
+            data: OptionBody::from_slice(data)?,
         },
     })
 }
@@ -563,7 +712,7 @@ mod tests {
                 },
                 TcpOption::Raw {
                     kind: OPT_KIND_MPTCP,
-                    data: Bytes::from_static(&[0x20, 1, 2, 3, 4, 5]),
+                    data: OptionBody::from_slice(&[0x20, 1, 2, 3, 4, 5]).unwrap(),
                 },
             ],
             payload: Bytes::from_static(b"some application data"),
@@ -692,10 +841,43 @@ mod tests {
         let mut seg = Segment::control(1, 2, 0, 100, Flags::ACK);
         seg.options = vec![
             TcpOption::Timestamp { val: 5, ecr: 6 },
-            TcpOption::Sack(vec![(200, 300), (500, 700)]),
+            TcpOption::Sack(SackBlocks::from_slice(&[(200, 300), (500, 700)]).unwrap()),
         ];
         let back = Segment::decode(&seg.encode()).unwrap();
         assert_eq!(back.options, seg.options);
+    }
+
+    #[test]
+    fn inline_bodies_hold_what_the_option_area_can() {
+        assert!(SackBlocks::from_slice(&[(1, 2); MAX_SACK_RANGES]).is_some());
+        assert!(SackBlocks::from_slice(&[(1, 2); MAX_SACK_RANGES + 1]).is_none());
+        assert!(OptionBody::from_slice(&[7; MAX_OPTION_BODY]).is_some());
+        assert!(OptionBody::from_slice(&[7; MAX_OPTION_BODY + 1]).is_none());
+        // Equality and `Debug` see the live part only: a body built in
+        // steps equals one copied whole.
+        let mut body = OptionBody::new();
+        body.put_u8(1);
+        body.put_u16(0x0203);
+        assert_eq!(body, OptionBody::from_slice(&[1, 2, 3]).unwrap());
+        assert_eq!(format!("{body:?}"), "[1, 2, 3]");
+        let mut sack = SackBlocks::default();
+        sack.push((5, 6));
+        assert_eq!(format!("{sack:?}"), "[(5, 6)]");
+        assert_ne!(sack, SackBlocks::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 38 bytes")]
+    fn an_option_body_refuses_a_39th_byte() {
+        let mut body = OptionBody::from_slice(&[0; MAX_OPTION_BODY]).unwrap();
+        body.put_u8(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 ranges")]
+    fn a_sack_option_refuses_a_fifth_range() {
+        let mut sack = SackBlocks::from_slice(&[(1, 2); MAX_SACK_RANGES]).unwrap();
+        sack.push((3, 4));
     }
 
     #[test]
@@ -720,7 +902,7 @@ mod tests {
                 options.push(TcpOption::Timestamp { val, ecr });
             }
             if let Some(data) = raw {
-                options.push(TcpOption::Raw { kind: 30, data: Bytes::from(data) });
+                options.push(TcpOption::Raw { kind: 30, data: OptionBody::from_slice(&data).unwrap() });
             }
             let seg = Segment {
                 src_port: src, dst_port: dst, seq, ack,
@@ -729,6 +911,29 @@ mod tests {
             };
             let back = Segment::decode(&seg.encode());
             prop_assert_eq!(back, Some(seg));
+        }
+
+        #[test]
+        fn prop_full_inline_bodies_round_trip(
+            ranges in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..MAX_SACK_RANGES + 1),
+            body in proptest::collection::vec(any::<u8>(), 0..MAX_OPTION_BODY + 1),
+            kind in 9u8..=255,
+        ) {
+            // Every SACK of one to four ranges and every raw body of up
+            // to 38 bytes fills at most the whole option area alone.
+            for options in [
+                vec![TcpOption::Sack(SackBlocks::from_slice(&ranges).unwrap())],
+                vec![TcpOption::Raw { kind, data: OptionBody::from_slice(&body).unwrap() }],
+            ] {
+                let seg = Segment {
+                    options,
+                    payload: Bytes::from_static(b"xy"),
+                    ..Segment::control(1, 2, 3, 4, Flags::ACK)
+                };
+                let wire = seg.encode();
+                prop_assert_eq!(wire.len(), seg.wire_len());
+                prop_assert_eq!(Segment::decode(&wire), Some(seg));
+            }
         }
 
         #[test]
@@ -787,7 +992,7 @@ mod tests {
                 TcpOption::WindowScale(8),
                 TcpOption::SackPermitted,
                 TcpOption::Timestamp { val: 7, ecr: 8 },
-                TcpOption::Raw { kind: 30, data: Bytes::from_static(&[0xAA; 11]) },
+                TcpOption::Raw { kind: 30, data: OptionBody::from_slice(&[0xAA; 11]).unwrap() },
             ];
             let full = seg.encode().to_vec();
             let keep = IP_OVERHEAD + HEADER_LEN + cut % (full.len() - IP_OVERHEAD - HEADER_LEN + 1);

@@ -6,7 +6,7 @@
 //! space sidesteps wraparound in all buffer logic.
 
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Retransmittable outgoing byte stream.
 ///
@@ -24,7 +24,10 @@ pub struct SendBuffer {
     /// Cursor cache for `slice`: `(chunk index, stream offset of that
     /// chunk's first byte)`. Transmission slices advance monotonically,
     /// so resuming the walk from here makes sequential sends O(1)
-    /// amortized instead of O(chunks) each.
+    /// amortized instead of O(chunks) each. A cumulative ACK shifts it
+    /// down by the chunks it releases: an MPTCP subflow holds one chunk
+    /// per mapping, so restarting at the front after every ACK would
+    /// cost O(in-flight) per segment.
     cursor: std::cell::Cell<(usize, u64)>,
 }
 
@@ -65,9 +68,7 @@ impl SendBuffer {
     /// sent means a connection bug).
     pub fn advance_to(&mut self, offset: u64) {
         assert!(offset <= self.end, "ACK beyond written data");
-        if offset > self.base {
-            self.cursor.set((0, 0)); // chunk indices shift; invalidate
-        }
+        let mut popped = 0;
         while self.base < offset {
             let head = self.chunks.front_mut().expect("buffer accounting broken");
             let head_len = head.len() as u64;
@@ -75,11 +76,20 @@ impl SendBuffer {
             if head_len <= to_drop {
                 self.chunks.pop_front();
                 self.base += head_len;
+                popped += 1;
             } else {
                 let _ = head.split_to(to_drop as usize);
                 self.base += to_drop;
             }
         }
+        // Chunk indices shift down by the chunks released, and a head
+        // trimmed in place now starts at `base`; a cursor whose chunk
+        // was released restarts at the head.
+        let (idx, start) = self.cursor.get();
+        self.cursor.set(match idx.checked_sub(popped) {
+            Some(idx) => (idx, start.max(self.base)),
+            None => (0, self.base),
+        });
     }
 
     /// Copy-free when possible: the bytes at `[offset, offset + len)`.
@@ -131,16 +141,18 @@ impl SendBuffer {
 
 /// Reassembling incoming byte stream.
 ///
-/// Out-of-order segments are held in a map keyed by stream offset;
-/// whenever the in-order frontier advances, the contiguous prefix is moved
-/// to a delivery queue the application drains with
-/// [`RecvBuffer::take_delivered`].
+/// Out-of-order segments are held in one deque sorted by stream offset
+/// (found by binary search, so a steady state allocates nothing and
+/// chases no pointers); whenever the in-order frontier advances, the
+/// contiguous prefix is moved to a delivery queue the application drains
+/// with [`RecvBuffer::take_delivered`].
 #[derive(Debug)]
 pub struct RecvBuffer {
     /// Next in-order stream offset expected.
     next: u64,
-    /// Out-of-order segments: offset -> data (non-overlapping, all > next).
-    ooo: BTreeMap<u64, Bytes>,
+    /// Out-of-order segments as `(offset, data)`, sorted by offset,
+    /// non-empty, non-overlapping and all above `next`.
+    ooo: VecDeque<(u64, Bytes)>,
     ooo_bytes: usize,
     delivered: VecDeque<Bytes>,
     delivered_bytes: u64,
@@ -167,7 +179,7 @@ impl RecvBuffer {
         assert!(capacity > 0, "receive buffer must have capacity");
         RecvBuffer {
             next: 0,
-            ooo: BTreeMap::new(),
+            ooo: VecDeque::new(),
             ooo_bytes: 0,
             delivered: VecDeque::new(),
             delivered_bytes: 0,
@@ -235,7 +247,7 @@ impl RecvBuffer {
         }
         if start == self.next && self.ooo.is_empty() {
             // In order with nothing parked (nearly every segment of a
-            // healthy flow): deliver without a trip through the map.
+            // healthy flow): deliver without a trip through the store.
             self.deliver(data);
         } else {
             if start > self.next {
@@ -271,8 +283,10 @@ impl RecvBuffer {
 
     /// Insert with overlap-trimming against stored segments.
     fn insert_trimmed(&mut self, mut start: u64, mut data: Bytes) {
-        // Trim against the predecessor.
-        if let Some((&pstart, pdata)) = self.ooo.range(..=start).next_back() {
+        // The first stored segment past `start`; the one before it, if
+        // any, is the predecessor.
+        let mut at = self.ooo.partition_point(|&(s, _)| s <= start);
+        if let Some((pstart, pdata)) = at.checked_sub(1).map(|p| &self.ooo[p]) {
             let pend = pstart + pdata.len() as u64;
             if pend >= start + data.len() as u64 {
                 return; // fully covered
@@ -284,7 +298,7 @@ impl RecvBuffer {
             }
         }
         // Trim against successors, possibly splitting around them.
-        while let Some((&sstart, sdata)) = self.ooo.range(start..).next() {
+        while let Some(&(sstart, ref sdata)) = self.ooo.get(at) {
             let end = start + data.len() as u64;
             if sstart >= end {
                 break;
@@ -295,7 +309,8 @@ impl RecvBuffer {
             if head_len > 0 {
                 let head = data.slice(..head_len);
                 self.ooo_bytes += head.len();
-                self.ooo.insert(start, head);
+                self.ooo.insert(at, (start, head));
+                at += 1;
             }
             if send >= end {
                 return; // rest covered by successor
@@ -303,19 +318,20 @@ impl RecvBuffer {
             let skip = (send - start) as usize;
             data = data.slice(skip..);
             start = send;
+            at += 1;
         }
         if !data.is_empty() {
             self.ooo_bytes += data.len();
-            self.ooo.insert(start, data);
+            self.ooo.insert(at, (start, data));
         }
     }
 
     fn drain_in_order(&mut self) {
-        while let Some((&start, _)) = self.ooo.first_key_value() {
+        while let Some(&(start, _)) = self.ooo.front() {
             if start != self.next {
                 break;
             }
-            let (_, data) = self.ooo.pop_first().unwrap();
+            let (_, data) = self.ooo.pop_front().unwrap();
             self.ooo_bytes -= data.len();
             self.deliver(data);
         }

@@ -14,7 +14,7 @@
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::cc::{self, Cwnd, Loss};
 use crate::rtt::RttEstimator;
-use crate::segment::{Flags, Segment, TcpOption};
+use crate::segment::{Flags, SackBlocks, Segment, TcpOption};
 use bytes::Bytes;
 use mpwifi_simcore::{Dur, Time};
 use std::collections::VecDeque;
@@ -716,7 +716,7 @@ impl TcpConnection {
         // see them.
         for opt in &seg.options {
             if let TcpOption::Sack(ranges) = opt {
-                for &(a, b) in ranges {
+                for &(a, b) in ranges.iter() {
                     let start = self.send_stream_off_of_seq(a);
                     self.record_sack(start, self.send_stream_off_of_seq(b));
                 }
@@ -1111,9 +1111,8 @@ impl TcpConnection {
         }
     }
 
-    /// The option list of a data or ACK segment: the timestamp, with room
-    /// for the one option that usually follows (a SACK block, or the DSS
-    /// an MPTCP owner appends) so neither push reallocates.
+    /// The option list of a data segment: the timestamp, with room for
+    /// the DSS an MPTCP owner appends so its push does not reallocate.
     fn data_path_options(&self, now: Time) -> Vec<TcpOption> {
         let mut options = Vec::with_capacity(2);
         options.push(self.ts_option(now));
@@ -1129,12 +1128,18 @@ impl TcpConnection {
             Flags::ACK,
         );
         seg.window = self.window_field();
-        seg.options = self.data_path_options(now);
+        // Room for the timestamp, a SACK option and the DSS an MPTCP
+        // owner appends, so neither push reallocates.
+        seg.options = Vec::with_capacity(3);
+        seg.options.push(self.ts_option(now));
         let blocks = self.rcv_buf.sack_blocks();
         if !blocks.is_empty() {
             let base = self.irs.wrapping_add(1);
             let wire = |off: u64| base.wrapping_add(off as u32);
-            let ranges = blocks.iter().map(|&(a, b)| (wire(a), wire(b))).collect();
+            let mut ranges = SackBlocks::default();
+            for &(a, b) in blocks {
+                ranges.push((wire(a), wire(b)));
+            }
             seg.options.push(TcpOption::Sack(ranges));
         }
         self.clear_ack_state();
@@ -1647,7 +1652,7 @@ mod tests {
             .options
             .iter()
             .find_map(|o| match o {
-                TcpOption::Sack(r) => Some(r.clone()),
+                TcpOption::Sack(r) => Some(*r),
                 _ => None,
             })
             .expect("SACK block for the hole");
@@ -1668,7 +1673,7 @@ mod tests {
         dup.window = u16::MAX;
         dup.options = vec![
             TcpOption::Timestamp { val: 2, ecr: 0 },
-            TcpOption::Sack(vec![(seq_of(3), seq_of(4))]),
+            TcpOption::Sack(SackBlocks::from_slice(&[(seq_of(3), seq_of(4))]).unwrap()),
         ];
         let mut repaired = Vec::new();
         for n in 0..8 {
@@ -1767,7 +1772,7 @@ mod tests {
         let mut c = TcpConnection::client(TcpConfig::default(), 1, 2, 0);
         c.set_handshake_options(vec![TcpOption::Raw {
             kind: 30,
-            data: Bytes::from_static(&[0xAB]),
+            data: crate::segment::OptionBody::from_slice(&[0xAB]).unwrap(),
         }]);
         c.open(Time::ZERO);
         let tx = c.take_tx(Time::ZERO);

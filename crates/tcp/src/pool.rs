@@ -95,7 +95,7 @@ impl SegmentBufPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{Flags, TcpOption, OPT_KIND_MPTCP};
+    use crate::segment::{Flags, OptionBody, TcpOption, OPT_KIND_MPTCP};
     use proptest::prelude::*;
 
     fn sample(payload: &'static [u8]) -> Segment {
@@ -187,7 +187,7 @@ mod tests {
                 options.push(TcpOption::Timestamp { val, ecr });
             }
             if let Some(data) = raw {
-                options.push(TcpOption::Raw { kind: OPT_KIND_MPTCP, data: Bytes::from(data) });
+                options.push(TcpOption::Raw { kind: OPT_KIND_MPTCP, data: OptionBody::from_slice(&data).unwrap() });
             }
             let seg = Segment {
                 src_port: src, dst_port: dst, seq, ack,
