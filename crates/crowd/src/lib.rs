@@ -28,7 +28,6 @@ pub mod analysis;
 pub mod campaign;
 pub mod journal;
 pub mod measure;
-pub mod steal;
 pub mod world;
 
 pub use analysis::{CrowdAnalysis, Table1Row};
@@ -39,5 +38,5 @@ pub use campaign::{
 };
 pub use journal::{scan_journal, Checkpoint, JournalHeader, Recovery, ResumeError};
 pub use measure::{measure_pair, measure_pair_arena, RunMeasurement, RunMode};
-pub use steal::StealQueue;
+pub use mpwifi_simcore::fanout::StealQueue;
 pub use world::{dataset_to_csv, generate_dataset, paper_clusters, ClusterProfile, MeasurementRun};

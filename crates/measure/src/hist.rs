@@ -7,13 +7,13 @@ use serde::{Deserialize, Serialize};
 /// A fixed-bin histogram over `[lo, hi)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) counts: Vec<u64>,
     /// Samples below `lo` / at or above `hi`.
-    underflow: u64,
-    overflow: u64,
-    total: u64,
+    pub(crate) underflow: u64,
+    pub(crate) overflow: u64,
+    pub(crate) total: u64,
 }
 
 impl Histogram {
@@ -43,10 +43,14 @@ impl Histogram {
         } else if x >= self.hi {
             self.overflow += 1;
         } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
+            let idx = (((x - self.lo) / self.bin_width()) as usize).min(self.counts.len() - 1);
             self.counts[idx] += 1;
         }
+    }
+
+    /// Width of one counting bin.
+    pub(crate) fn bin_width(&self) -> f64 {
+        (self.hi - self.lo) / self.counts.len() as f64
     }
 
     /// Count in bin `i`.
@@ -56,7 +60,7 @@ impl Histogram {
 
     /// Borrowing iterator of `(bin_center, fraction)` pairs.
     pub fn iter_normalized(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
+        let width = self.bin_width();
         self.counts.iter().enumerate().map(move |(i, &c)| {
             (
                 self.lo + (i as f64 + 0.5) * width,

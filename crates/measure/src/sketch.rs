@@ -8,8 +8,9 @@
 //! counts — exactly associative and commutative. [`MeanAcc`] streams
 //! mean and confidence intervals from `(n, Σx, Σx²)`.
 
-use crate::codec::{checked_total, put_f64, put_u32, put_u64, put_u8, CodecError, Reader};
+use crate::codec::{put_f64, put_u64, put_u8, CodecError, Reader};
 use crate::stream::{Mergeable, SampleBuilder};
+use crate::Histogram;
 use serde::{Deserialize, Serialize};
 
 /// A fixed-rank quantile sketch over `[lo, hi)` with exact extremes.
@@ -35,13 +36,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CdfSketch {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    /// Samples below `lo` / at or above `hi` (±inf lands here).
-    underflow: u64,
-    overflow: u64,
-    count: u64,
+    /// The counting bins, the out-of-range blocks and the sample count.
+    hist: Histogram,
     /// Exact smallest / largest samples seen (`+inf`/`-inf` when empty).
     min: f64,
     max: f64,
@@ -50,17 +46,8 @@ pub struct CdfSketch {
 impl CdfSketch {
     /// Create with `bins` equal-width bins over `[lo, hi)`.
     pub fn new(lo: f64, hi: f64, bins: usize) -> CdfSketch {
-        assert!(
-            lo < hi && lo.is_finite() && hi.is_finite() && bins > 0,
-            "invalid sketch range"
-        );
         CdfSketch {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
+            hist: Histogram::new(lo, hi, bins),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -68,34 +55,34 @@ impl CdfSketch {
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.hist.total
     }
 
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.hist.total == 0
     }
 
     /// Exact smallest sample. Panics when empty.
     pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "min of empty sketch");
+        assert!(!self.is_empty(), "min of empty sketch");
         self.min
     }
 
     /// Exact largest sample. Panics when empty.
     pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "max of empty sketch");
+        assert!(!self.is_empty(), "max of empty sketch");
         self.max
     }
 
     /// Width of one counting bin — the in-range quantile error bound.
     pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
+        self.hist.bin_width()
     }
 
     /// Samples outside `[lo, hi)`.
     pub fn out_of_range(&self) -> u64 {
-        self.underflow + self.overflow
+        self.hist.out_of_range()
     }
 
     /// Estimated fraction of samples `<= x` (linear within a bin; the
@@ -103,46 +90,47 @@ impl CdfSketch {
     /// the range edge).
     pub fn fraction_below(&self, x: f64) -> f64 {
         assert!(!x.is_nan(), "NaN query");
-        if self.count == 0 || x < self.min {
+        let h = &self.hist;
+        if h.total == 0 || x < self.min {
             return 0.0;
         }
         if x >= self.max {
             return 1.0;
         }
-        let n = self.count as f64;
-        if x < self.lo {
-            let span = self.lo - self.min;
+        let n = h.total as f64;
+        if x < h.lo {
+            let span = h.lo - self.min;
             let frac = if span.is_finite() && span > 0.0 {
                 (x - self.min) / span
             } else {
                 1.0
             };
-            return self.underflow as f64 * frac / n;
+            return h.underflow as f64 * frac / n;
         }
-        let mut rank = self.underflow as f64;
-        if x < self.hi {
-            let pos = (x - self.lo) / self.bin_width();
-            let idx = (pos as usize).min(self.counts.len() - 1);
-            for &c in &self.counts[..idx] {
+        let mut rank = h.underflow as f64;
+        if x < h.hi {
+            let pos = (x - h.lo) / h.bin_width();
+            let idx = (pos as usize).min(h.counts.len() - 1);
+            for &c in &h.counts[..idx] {
                 rank += c as f64;
             }
-            rank += self.counts[idx] as f64 * (pos - idx as f64).clamp(0.0, 1.0);
+            rank += h.counts[idx] as f64 * (pos - idx as f64).clamp(0.0, 1.0);
             return (rank / n).clamp(0.0, 1.0);
         }
-        rank += self.counts.iter().sum::<u64>() as f64;
-        let span = self.max - self.hi;
+        rank += h.counts.iter().sum::<u64>() as f64;
+        let span = self.max - h.hi;
         let frac = if span.is_finite() && span > 0.0 {
-            (x - self.hi) / span
+            (x - h.hi) / span
         } else {
             1.0
         };
-        ((rank + self.overflow as f64 * frac.clamp(0.0, 1.0)) / n).clamp(0.0, 1.0)
+        ((rank + h.overflow as f64 * frac.clamp(0.0, 1.0)) / n).clamp(0.0, 1.0)
     }
 
     /// Estimated fraction of samples below zero — the paper's "LTE
     /// wins" region of a `WiFi − LTE` difference distribution.
     pub fn fraction_negative(&self) -> f64 {
-        if self.count == 0 {
+        if self.is_empty() {
             return 0.0;
         }
         self.fraction_below(0.0)
@@ -153,40 +141,41 @@ impl CdfSketch {
     /// result is always clamped to `[min, max]`. Panics when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        assert!(self.count > 0, "quantile of empty sketch");
+        assert!(!self.is_empty(), "quantile of empty sketch");
         if q == 0.0 {
             return self.min;
         }
         if q == 1.0 {
             return self.max;
         }
-        let n = self.count;
+        let h = &self.hist;
+        let n = h.total;
         let r = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = self.underflow;
+        let mut seen = h.underflow;
         if r <= seen {
-            let frac = r as f64 / self.underflow as f64;
+            let frac = r as f64 / h.underflow as f64;
             let x = if self.min.is_finite() {
-                self.min + frac * (self.lo - self.min)
+                self.min + frac * (h.lo - self.min)
             } else {
                 self.min
             };
             return x.clamp(self.min, self.max);
         }
-        let w = self.bin_width();
-        for (i, &c) in self.counts.iter().enumerate() {
+        let w = h.bin_width();
+        for (i, &c) in h.counts.iter().enumerate() {
             if c == 0 {
                 continue;
             }
             if r <= seen + c {
                 let frac = (r - seen) as f64 / c as f64;
-                let x = self.lo + (i as f64 + frac) * w;
+                let x = h.lo + (i as f64 + frac) * w;
                 return x.clamp(self.min, self.max);
             }
             seen += c;
         }
-        let frac = (r - seen) as f64 / self.overflow.max(1) as f64;
+        let frac = (r - seen) as f64 / h.overflow.max(1) as f64;
         let x = if self.max.is_finite() {
-            self.hi + frac * (self.max - self.hi).max(0.0)
+            h.hi + frac * (self.max - h.hi).max(0.0)
         } else {
             self.max
         };
@@ -206,7 +195,7 @@ impl CdfSketch {
         max_points: usize,
     ) -> impl Iterator<Item = (f64, f64)> + '_ {
         let k = max_points.max(2);
-        let n = if self.count == 0 { 0 } else { k };
+        let n = if self.is_empty() { 0 } else { k };
         (0..n).map(move |i| {
             let q = i as f64 / (k - 1) as f64;
             (self.quantile(q), q)
@@ -218,60 +207,36 @@ impl CdfSketch {
         self.iter_points_downsampled(max_points).collect()
     }
 
-    /// Version byte written by [`Self::encode_into`]; bump on any layout
-    /// change so old journals decode to a typed error, not garbage.
-    pub const CODEC_VERSION: u8 = 1;
+    /// Version byte written by [`Self::encode_into`]: the histogram's,
+    /// since a sketch's encoding is its histogram's followed by the two
+    /// extremes. Bump on any layout change so old journals decode to a
+    /// typed error, not garbage.
+    pub const CODEC_VERSION: u8 = Histogram::CODEC_VERSION;
 
     /// Append the versioned binary encoding (see `measure::codec`).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u8(out, Self::CODEC_VERSION);
-        put_f64(out, self.lo);
-        put_f64(out, self.hi);
-        put_u32(out, self.counts.len() as u32);
-        for &c in &self.counts {
-            put_u64(out, c);
-        }
-        put_u64(out, self.underflow);
-        put_u64(out, self.overflow);
-        put_u64(out, self.count);
+        self.hist.encode_into(out);
         put_f64(out, self.min);
         put_f64(out, self.max);
     }
 
     /// Decode one sketch. The result is indistinguishable from a sketch
-    /// built by pushing samples: range and bin shape are re-validated,
-    /// the bin totals must equal the sample count, and the extremes must
-    /// be ordered (or the empty-sketch `+inf`/`-inf` sentinels).
+    /// built by pushing samples: the histogram is re-validated as
+    /// [`Histogram::decode`] does (so an error inside it is labelled
+    /// `Histogram`), and the extremes must be ordered (or the
+    /// empty-sketch `+inf`/`-inf` sentinels).
     pub fn decode(r: &mut Reader<'_>) -> Result<CdfSketch, CodecError> {
         const WHAT: &str = "CdfSketch";
-        r.version(WHAT, Self::CODEC_VERSION)?;
-        let lo = r.f64(WHAT)?;
-        let hi = r.f64(WHAT)?;
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-            return Err(CodecError::Invalid {
-                what: WHAT,
-                detail: "bad bin range",
-            });
-        }
-        let counts = r.counters(WHAT)?;
-        let underflow = r.u64(WHAT)?;
-        let overflow = r.u64(WHAT)?;
-        let count = r.u64(WHAT)?;
+        let hist = Histogram::decode(r)?;
         let min = r.f64(WHAT)?;
         let max = r.f64(WHAT)?;
-        if checked_total(&counts, &[underflow, overflow], WHAT)? != count {
-            return Err(CodecError::Invalid {
-                what: WHAT,
-                detail: "bin totals disagree with sample count",
-            });
-        }
         if min.is_nan() || max.is_nan() {
             return Err(CodecError::Invalid {
                 what: WHAT,
                 detail: "NaN extreme",
             });
         }
-        let extremes_ok = if count == 0 {
+        let extremes_ok = if hist.total == 0 {
             min == f64::INFINITY && max == f64::NEG_INFINITY
         } else {
             min <= max
@@ -282,16 +247,7 @@ impl CdfSketch {
                 detail: "unordered extremes",
             });
         }
-        Ok(CdfSketch {
-            lo,
-            hi,
-            counts,
-            underflow,
-            overflow,
-            count,
-            min,
-            max,
-        })
+        Ok(CdfSketch { hist, min, max })
     }
 }
 
@@ -299,18 +255,9 @@ impl SampleBuilder for CdfSketch {
     type Output = CdfSketch;
 
     fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN sample");
-        self.count += 1;
+        self.hist.add(x);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = (((x - self.lo) / self.bin_width()) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
     }
 
     fn finish(self) -> CdfSketch {
@@ -320,16 +267,7 @@ impl SampleBuilder for CdfSketch {
 
 impl Mergeable for CdfSketch {
     fn merge(&mut self, other: &Self) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len(),
-            "merging sketches with different shapes"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
+        self.hist.merge(&other.hist);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }

@@ -832,7 +832,7 @@ impl MptcpConnection {
             return;
         }
         self.subflows[idx].dead = true;
-        metrics::record_subflow_declared_dead();
+        metrics::count(|m| m.subflows_declared_dead += 1);
         if self.recovery_started.is_none() && !self.subflows_closed && !self.aborting {
             self.recovery_started = Some((now, self.rcv_buf.next_expected(), self.data_ack_in));
         }
@@ -879,7 +879,7 @@ impl MptcpConnection {
             let start = dsn.max(self.data_ack_in);
             if start < dsn + len {
                 self.push_chunk_to_subflow(target, start, dsn + len - start);
-                metrics::record_reinjection();
+                metrics::count(|m| m.reinjections += 1);
             }
         }
     }
@@ -898,7 +898,7 @@ impl MptcpConnection {
             // Callers route by port pair, so this cannot happen from the
             // endpoint demux; a hand-driven harness passing a stale index
             // gets a counted drop, not a panic.
-            metrics::record_segment_dropped_unroutable();
+            metrics::count(|m| m.segments_dropped_unroutable += 1);
             return;
         }
         self.settled = false;
@@ -981,7 +981,7 @@ impl MptcpConnection {
     fn check_recovery_progress(&mut self, now: Time) {
         if let Some((t0, rcv0, ack0)) = self.recovery_started {
             if self.rcv_buf.next_expected() > rcv0 || self.data_ack_in > ack0 {
-                metrics::record_recovery_time_us((now - t0).as_micros());
+                metrics::count(|m| m.recovery_time_us += (now - t0).as_micros());
                 self.recovery_started = None;
             }
         }
@@ -1016,7 +1016,9 @@ impl MptcpConnection {
                 // DSNs already delivered; count the dropped overlap.
                 let already = self.rcv_buf.next_expected();
                 if dsn_start < already {
-                    metrics::record_dup_bytes_dropped((already - dsn_start).min(take as u64));
+                    metrics::count(|m| {
+                        m.dup_bytes_dropped += (already - dsn_start).min(take as u64)
+                    });
                 }
                 self.rcv_buf.insert(dsn_start, piece);
                 off += take as u64;
@@ -1164,8 +1166,10 @@ impl MptcpConnection {
                         break;
                     }
                     self.push_to_subflow(v.idx, chunk.dsn, chunk.len);
-                    metrics::record_reinjection();
-                    metrics::record_redundant_dup();
+                    metrics::count(|m| {
+                        m.reinjections += 1;
+                        m.redundant_dups += 1;
+                    });
                     room -= chunk.len;
                 }
                 // Replayed, or this subflow already carries the chunk.
@@ -1213,7 +1217,7 @@ impl MptcpConnection {
             // replaceable, so an out-of-range pick is a counted rejection
             // (the send round is skipped) rather than a panic.
             let Some(room) = views.iter().find(|v| v.idx == pick).map(|v| v.room) else {
-                metrics::record_sched_pick_rejected();
+                metrics::count(|m| m.sched_picks_rejected += 1);
                 break;
             };
             let len = (self.snd_buf.end() - self.dsn_next).min(mss).min(room);

@@ -26,70 +26,10 @@ pub struct ExperimentSpec {
     pub section: &'static str,
     /// True for studies beyond the paper's own tables/figures.
     pub extension: bool,
-    /// Entry point. Experiments that ignore `Scale` take it anyway so
-    /// every row has the same shape.
+    /// Entry point. A row whose experiment takes other arguments (no
+    /// `Scale`, a variant flag) adapts it with a non-capturing closure,
+    /// so every row has the same shape.
     pub run: fn(Scale, u64) -> Report,
-}
-
-// Signature adapters: the underlying experiment functions predate the
-// registry and take whatever arguments they need; these close over the
-// extra flags so every registry row is a uniform `fn(Scale, u64)`.
-fn run_table2(_: Scale, seed: u64) -> Report {
-    ex::table2::table2(seed)
-}
-fn run_fig7(_: Scale, seed: u64) -> Report {
-    ex::flow_figs::fig7(seed)
-}
-fn run_fig9(_: Scale, seed: u64) -> Report {
-    ex::flow_figs::fig9_10(seed, true)
-}
-fn run_fig10(_: Scale, seed: u64) -> Report {
-    ex::flow_figs::fig9_10(seed, false)
-}
-fn run_fig11(_: Scale, seed: u64) -> Report {
-    ex::flow_figs::fig11_12(seed, true)
-}
-fn run_fig12(_: Scale, seed: u64) -> Report {
-    ex::flow_figs::fig11_12(seed, false)
-}
-fn run_fig15(_: Scale, seed: u64) -> Report {
-    ex::mode_figs::fig15(seed)
-}
-fn run_fig16(_: Scale, seed: u64) -> Report {
-    ex::mode_figs::fig16(seed)
-}
-fn run_fig17(_: Scale, seed: u64) -> Report {
-    ex::app_figs::fig17(seed)
-}
-fn run_fig18(scale: Scale, seed: u64) -> Report {
-    ex::app_figs::fig18_20(scale, seed, false)
-}
-fn run_fig19(scale: Scale, seed: u64) -> Report {
-    ex::app_figs::fig19_21(scale, seed, false)
-}
-fn run_fig20(scale: Scale, seed: u64) -> Report {
-    ex::app_figs::fig18_20(scale, seed, true)
-}
-fn run_fig21(scale: Scale, seed: u64) -> Report {
-    ex::app_figs::fig19_21(scale, seed, true)
-}
-fn run_ext_handover(_: Scale, seed: u64) -> Report {
-    ex::extensions::ext_handover(seed)
-}
-fn run_ext_sched(_: Scale, seed: u64) -> Report {
-    ex::extensions::ext_sched(seed)
-}
-fn run_ext_mobility(_: Scale, seed: u64) -> Report {
-    ex::extensions::ext_mobility(seed)
-}
-fn run_sched_matrix(_: Scale, seed: u64) -> Report {
-    ex::sched_zoo::sched_matrix(seed)
-}
-fn run_sched_failover(_: Scale, seed: u64) -> Report {
-    ex::sched_zoo::sched_failover(seed)
-}
-fn run_ext_stability(_: Scale, seed: u64) -> Report {
-    ex::extensions::ext_stability(seed)
 }
 
 /// Every experiment, in paper order, extensions last.
@@ -106,7 +46,7 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
         title: "Locations where MPTCP measurements were conducted",
         section: "§3",
         extension: false,
-        run: run_table2,
+        run: |_, seed| ex::table2::table2(seed),
     },
     ExperimentSpec {
         id: "fig3",
@@ -134,7 +74,7 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
         title: "MPTCP vs single-path TCP throughput vs flow size",
         section: "§5",
         extension: false,
-        run: run_fig7,
+        run: |_, seed| ex::flow_figs::fig7(seed),
     },
     ExperimentSpec {
         id: "fig8",
@@ -148,28 +88,28 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
         title: "MPTCP throughput vs flow size (LTE faster)",
         section: "§5",
         extension: false,
-        run: run_fig9,
+        run: |_, seed| ex::flow_figs::fig9_10(seed, true),
     },
     ExperimentSpec {
         id: "fig10",
         title: "MPTCP throughput vs flow size (WiFi faster)",
         section: "§5",
         extension: false,
-        run: run_fig10,
+        run: |_, seed| ex::flow_figs::fig9_10(seed, false),
     },
     ExperimentSpec {
         id: "fig11",
         title: "Subflow contribution timeline (LTE faster)",
         section: "§5",
         extension: false,
-        run: run_fig11,
+        run: |_, seed| ex::flow_figs::fig11_12(seed, true),
     },
     ExperimentSpec {
         id: "fig12",
         title: "Subflow contribution timeline (WiFi faster)",
         section: "§5",
         extension: false,
-        run: run_fig12,
+        run: |_, seed| ex::flow_figs::fig11_12(seed, false),
     },
     ExperimentSpec {
         id: "fig13",
@@ -190,56 +130,56 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
         title: "Full-MPTCP and Backup-mode packet timelines (8 panels)",
         section: "§6",
         extension: false,
-        run: run_fig15,
+        run: |_, seed| ex::mode_figs::fig15(seed),
     },
     ExperimentSpec {
         id: "fig16",
         title: "Power level for LTE and WiFi as non-backup/backup subflow",
         section: "§6",
         extension: false,
-        run: run_fig16,
+        run: |_, seed| ex::mode_figs::fig16(seed),
     },
     ExperimentSpec {
         id: "fig17",
         title: "Traffic patterns for app launches and interactions (6 panels)",
         section: "§7",
         extension: false,
-        run: run_fig17,
+        run: |_, seed| ex::app_figs::fig17(seed),
     },
     ExperimentSpec {
         id: "fig18",
         title: "App response time under different network conditions (launch)",
         section: "§7",
         extension: false,
-        run: run_fig18,
+        run: |scale, seed| ex::app_figs::fig18_20(scale, seed, false),
     },
     ExperimentSpec {
         id: "fig19",
         title: "App energy under different network conditions (launch)",
         section: "§7",
         extension: false,
-        run: run_fig19,
+        run: |scale, seed| ex::app_figs::fig19_21(scale, seed, false),
     },
     ExperimentSpec {
         id: "fig20",
         title: "App response time under different network conditions (long flow)",
         section: "§7",
         extension: false,
-        run: run_fig20,
+        run: |scale, seed| ex::app_figs::fig18_20(scale, seed, true),
     },
     ExperimentSpec {
         id: "fig21",
         title: "App energy under different network conditions (long flow)",
         section: "§7",
         extension: false,
-        run: run_fig21,
+        run: |scale, seed| ex::app_figs::fig19_21(scale, seed, true),
     },
     ExperimentSpec {
         id: "ext-handover",
         title: "Backup vs single-path (break-before-make) handover",
         section: "ext",
         extension: true,
-        run: run_ext_handover,
+        run: |_, seed| ex::extensions::ext_handover(seed),
     },
     ExperimentSpec {
         id: "ext-policy",
@@ -253,35 +193,35 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
         title: "MPTCP packet-scheduler ablation: min-RTT vs round-robin",
         section: "ext",
         extension: true,
-        run: run_ext_sched,
+        run: |_, seed| ex::extensions::ext_sched(seed),
     },
     ExperimentSpec {
         id: "sched-matrix",
         title: "Scheduler × congestion-control matrix over three path pairs",
         section: "ext",
         extension: true,
-        run: run_sched_matrix,
+        run: |_, seed| ex::sched_zoo::sched_matrix(seed),
     },
     ExperimentSpec {
         id: "sched-failover",
         title: "Fig 15-style failover across the scheduler zoo",
         section: "ext",
         extension: true,
-        run: run_sched_failover,
+        run: |_, seed| ex::sched_zoo::sched_failover(seed),
     },
     ExperimentSpec {
         id: "ext-mobility",
         title: "Walking out of WiFi range: TCP vs MPTCP handover",
         section: "ext",
         extension: true,
-        run: run_ext_mobility,
+        run: |_, seed| ex::extensions::ext_mobility(seed),
     },
     ExperimentSpec {
         id: "ext-stability",
         title: "How long a 'use LTE here' recommendation stays valid",
         section: "ext",
         extension: true,
-        run: run_ext_stability,
+        run: |_, seed| ex::extensions::ext_stability(seed),
     },
     ExperimentSpec {
         id: "fault-sweep",

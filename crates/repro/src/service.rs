@@ -11,9 +11,9 @@
 //!   [`supervise_call`]/[`supervise::supervise_one`] — a breached or panicking
 //!   request is classified into the [`RequestStatus`] taxonomy instead
 //!   of poisoning the long-lived worker;
-//! - deriving per-attempt seeds with the same `derive_seed(seed,
-//!   "{id}#retryN")` chain the batch supervisor documents, so a served
-//!   retry replays bit-for-bit as `repro <id> --seed <derived>`;
+//! - deriving per-attempt seeds with the batch supervisor's own
+//!   [`supervise::attempt_seed`] chain, so a served retry replays
+//!   bit-for-bit as `repro <id> --seed <derived>`;
 //! - streaming results: one `section` response carrying the report's
 //!   `render_text()` verbatim (byte-identical to the one-shot CLI), a
 //!   `metrics` sidecar for experiments, and `progress` lines as campaign
@@ -22,8 +22,7 @@
 use crate::experiments::crowd_campaign;
 use crate::registry;
 use crate::report::Scale;
-use crate::runner::derive_seed;
-use crate::supervise::{self, supervise_call, RunStatus, SuperviseConfig};
+use crate::supervise::{self, attempt_seed, supervise_call, RunStatus, SuperviseConfig};
 use mpwifi_serve::proto::{RequestStatus, Response, RunKind, RunRequest};
 use mpwifi_serve::Executor;
 use mpwifi_simcore::WatchdogConfig;
@@ -52,16 +51,6 @@ impl ReproExecutor {
                 .map(|s| s.saturating_mul(1_000_000))
                 .or(self.defaults.stall_ttl_us),
         }
-    }
-}
-
-/// The seed for attempt `attempt` (0-based) of a request rooted at
-/// `seed`: the root itself first, then the documented retry chain.
-pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
-    if attempt == 0 {
-        seed
-    } else {
-        derive_seed(seed, &format!("{id}#retry{attempt}"))
     }
 }
 
@@ -227,6 +216,7 @@ impl ReproExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::derive_seed;
     use std::sync::Mutex;
 
     fn request(kind: RunKind, seed: u64) -> RunRequest {

@@ -249,15 +249,15 @@ pub fn supervise_one(
 ) -> SupervisedRun {
     let start = std::time::Instant::now();
     let mut attempts = 0u32;
-    let mut attempt_seed = seed;
     loop {
+        let run_seed = attempt_seed(seed, spec.id, attempts);
         attempts += 1;
-        let (status, outcome) = attempt(spec, scale, attempt_seed, cfg);
+        let (status, outcome) = attempt(spec, scale, run_seed, cfg);
         let failed = status.is_failure();
         if !failed || attempts > cfg.retries {
             return SupervisedRun {
                 id: spec.id,
-                seed: attempt_seed,
+                seed: run_seed,
                 attempts,
                 flaky: !failed && attempts > 1,
                 status,
@@ -266,7 +266,17 @@ pub fn supervise_one(
                 partial_metrics: failed.then(mpwifi_simcore::metrics::snapshot),
             };
         }
-        attempt_seed = derive_seed(seed, &format!("{}#retry{}", spec.id, attempts));
+    }
+}
+
+/// The seed for attempt `attempt` (0-based) of a run rooted at `seed`:
+/// the root itself first, then `derive_seed(seed, "{id}#retryN")`. The
+/// batch supervisor and `repro serve` both retry along this chain.
+pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
+    if attempt == 0 {
+        seed
+    } else {
+        derive_seed(seed, &format!("{id}#retry{attempt}"))
     }
 }
 

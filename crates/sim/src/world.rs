@@ -595,7 +595,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             }
         }
         for (src_iface, dst, seg) in tx.drain(..) {
-            metrics::record_segment_sent();
+            metrics::count(|m| m.segments_encoded += 1);
             self.frame_seq += 1;
             let frame = Frame::new(self.frame_seq, src_iface, dst, seg, now);
             let row = self.iface(src_iface);
@@ -611,7 +611,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             }
         }
         for (src, dst_iface, seg) in tx.drain(..) {
-            metrics::record_segment_sent();
+            metrics::count(|m| m.segments_encoded += 1);
             self.frame_seq += 1;
             let frame = Frame::new(self.frame_seq, src, dst_iface, seg, now);
             let row = self.iface(dst_iface);
@@ -668,7 +668,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
                     row.link.down.set_delay(now, delay);
                     row.refresh();
                 }
-                ScriptEvent::FaultMark => metrics::record_fault_injected(),
+                ScriptEvent::FaultMark => metrics::count(|m| m.faults_injected += 1),
             }
         }
         self.script.drain(..due);
@@ -716,7 +716,7 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
         let Some(next) = self.next_event() else {
             return false;
         };
-        metrics::record_event_pop();
+        metrics::count(|m| m.events_popped += 1);
         debug_assert!(next >= self.now, "time went backwards");
         self.now = self.now.max(next);
         if let Some(breach) = supervise::tick(self.now.as_micros(), self.delivered_bytes) {
@@ -748,8 +748,10 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
             high_water = high_water.max(row.to_server.len()).max(row.to_client.len());
         }
         if exits > 0 {
-            metrics::record_frames_forwarded(exits as u64);
-            metrics::record_scratch_high_water(high_water as u64);
+            metrics::count(|m| {
+                m.frames_forwarded += exits as u64;
+                m.scratch_high_water = m.scratch_high_water.max(high_water as u64);
+            });
         }
         // Same delivery order as the pre-scratch-buffer driver: every
         // row's server exits, then every row's client exits.
@@ -875,14 +877,14 @@ fn deliver_frames<E: Endpoint>(
             log.record(now, PacketDir::Rx, frame.wire_len());
         }
         if let Some(seg) = frame.payload.into_segment() {
-            metrics::record_bytes_delivered(seg.payload.len() as u64);
+            metrics::count(|m| m.bytes_delivered += seg.payload.len() as u64);
             delivered += seg.payload.len() as u64;
             host.on_segment(now, &seg, frame.src, frame.dst);
         } else {
             // Undecodable wire image (a corruption fault): a counted
             // drop, never a panic. The sender's retransmit machinery
             // recovers.
-            metrics::record_segment_corrupted_dropped();
+            metrics::count(|m| m.segments_corrupted_dropped += 1);
         }
     }
     delivered

@@ -233,7 +233,7 @@ impl<T> EventQueue<T> {
             self.drop_dead_head();
             if let Some(e) = self.head.pop_front() {
                 self.kill(e.seq);
-                crate::metrics::record_event_pop();
+                crate::metrics::count(|m| m.events_popped += 1);
                 return Some((e.at, e.payload));
             }
             if !self.refill_head() {

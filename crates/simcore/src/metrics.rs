@@ -1,37 +1,21 @@
 //! Lightweight per-run instrumentation.
 //!
-//! The simulator's hot paths (event queue pops, frame forwarding, byte
-//! delivery, TCP retransmissions) bump thread-local counters through the
-//! free functions here; a harness brackets a run with [`reset`] and
-//! [`snapshot`] to attribute counts to that run. Counters are
-//! thread-local so a parallel experiment runner gets clean per-worker
-//! attribution without any synchronization on the hot path — each
-//! experiment runs entirely on one worker thread.
+//! The simulator's hot paths (simulator steps, frame forwarding, byte
+//! delivery, TCP retransmissions) bump this thread's one [`RunMetrics`]
+//! through [`count`], naming the field in place; a harness brackets a
+//! run with [`reset`] and [`snapshot`] to attribute counts to that run.
+//! Counters are thread-local so a parallel experiment runner gets clean
+//! per-worker attribution without any synchronization on the hot path —
+//! each experiment runs entirely on one worker thread.
 //!
 //! Everything counted is a deterministic function of `(scenario, seed)`,
 //! so snapshots are reproducible run-to-run and identical between serial
 //! and parallel executions of the same experiment.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 
 thread_local! {
-    static EVENTS_POPPED: Cell<u64> = const { Cell::new(0) };
-    static FRAMES_FORWARDED: Cell<u64> = const { Cell::new(0) };
-    static BYTES_DELIVERED: Cell<u64> = const { Cell::new(0) };
-    static TCP_RETRANSMITS: Cell<u64> = const { Cell::new(0) };
-    static SEGMENTS_ENCODED: Cell<u64> = const { Cell::new(0) };
-    static ENC_BUFFERS_REUSED: Cell<u64> = const { Cell::new(0) };
-    static ENC_BUFFERS_ALLOCATED: Cell<u64> = const { Cell::new(0) };
-    static SCRATCH_HIGH_WATER: Cell<u64> = const { Cell::new(0) };
-    static FAULTS_INJECTED: Cell<u64> = const { Cell::new(0) };
-    static SEGMENTS_CORRUPTED_DROPPED: Cell<u64> = const { Cell::new(0) };
-    static SUBFLOWS_DECLARED_DEAD: Cell<u64> = const { Cell::new(0) };
-    static REINJECTIONS: Cell<u64> = const { Cell::new(0) };
-    static RECOVERY_TIME_US: Cell<u64> = const { Cell::new(0) };
-    static SEGMENTS_DROPPED_UNROUTABLE: Cell<u64> = const { Cell::new(0) };
-    static SCHED_PICKS_REJECTED: Cell<u64> = const { Cell::new(0) };
-    static REDUNDANT_DUPS: Cell<u64> = const { Cell::new(0) };
-    static DUP_BYTES_DROPPED: Cell<u64> = const { Cell::new(0) };
+    static RUN: RefCell<RunMetrics> = const { RefCell::new(RunMetrics::ZERO) };
 }
 
 /// A snapshot of this thread's instrumentation counters.
@@ -101,6 +85,27 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Every counter at zero: what [`reset`] stores.
+    pub const ZERO: RunMetrics = RunMetrics {
+        events_popped: 0,
+        frames_forwarded: 0,
+        bytes_delivered: 0,
+        tcp_retransmits: 0,
+        segments_encoded: 0,
+        enc_buffers_reused: 0,
+        enc_buffers_allocated: 0,
+        scratch_high_water: 0,
+        faults_injected: 0,
+        segments_corrupted_dropped: 0,
+        subflows_declared_dead: 0,
+        reinjections: 0,
+        recovery_time_us: 0,
+        segments_dropped_unroutable: 0,
+        sched_picks_rejected: 0,
+        redundant_dups: 0,
+        dup_bytes_dropped: 0,
+    };
+
     /// Every counter by name, in declaration order, writable: the one
     /// list the `--metrics` sidecar and the serve protocol render and
     /// parse from, so a counter added here reaches both.
@@ -151,152 +156,21 @@ impl RunMetrics {
     }
 }
 
-/// Record one event-queue pop.
+/// Bump this thread's counters: `f` names the fields it moves, as in
+/// `count(|m| m.tcp_retransmits += 1)`.
 #[inline]
-pub fn record_event_pop() {
-    EVENTS_POPPED.with(|c| c.set(c.get() + 1));
-}
-
-/// Record `n` frames forwarded through a link.
-#[inline]
-pub fn record_frames_forwarded(n: u64) {
-    FRAMES_FORWARDED.with(|c| c.set(c.get() + n));
-}
-
-/// Record `n` payload bytes delivered to an endpoint.
-#[inline]
-pub fn record_bytes_delivered(n: u64) {
-    BYTES_DELIVERED.with(|c| c.set(c.get() + n));
-}
-
-/// Record one TCP retransmission.
-#[inline]
-pub fn record_tcp_retransmit() {
-    TCP_RETRANSMITS.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one segment handed to a link.
-#[inline]
-pub fn record_segment_sent() {
-    SEGMENTS_ENCODED.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one encode through a pooled encoder; `reused` says whether it
-/// recycled an existing buffer or grew the pool.
-#[inline]
-pub fn record_pooled_encode(reused: bool) {
-    if reused {
-        ENC_BUFFERS_REUSED.with(|c| c.set(c.get() + 1));
-    } else {
-        ENC_BUFFERS_ALLOCATED.with(|c| c.set(c.get() + 1));
-    }
-}
-
-/// Record the fill level of a polling scratch buffer; keeps the maximum.
-#[inline]
-pub fn record_scratch_high_water(n: u64) {
-    SCRATCH_HIGH_WATER.with(|c| c.set(c.get().max(n)));
-}
-
-/// Record one fault event fired from a fault plan.
-#[inline]
-pub fn record_fault_injected() {
-    FAULTS_INJECTED.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one undecodable wire image dropped before reaching a stack.
-#[inline]
-pub fn record_segment_corrupted_dropped() {
-    SEGMENTS_CORRUPTED_DROPPED.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one MPTCP subflow declared dead.
-#[inline]
-pub fn record_subflow_declared_dead() {
-    SUBFLOWS_DECLARED_DEAD.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one connection-level chunk reinjected onto a surviving
-/// subflow.
-#[inline]
-pub fn record_reinjection() {
-    REINJECTIONS.with(|c| c.set(c.get() + 1));
-}
-
-/// Record `us` microseconds of subflow-death recovery time.
-#[inline]
-pub fn record_recovery_time_us(us: u64) {
-    RECOVERY_TIME_US.with(|c| c.set(c.get() + us));
-}
-
-/// Record one decoded segment dropped for want of a routable owner.
-#[inline]
-pub fn record_segment_dropped_unroutable() {
-    SEGMENTS_DROPPED_UNROUTABLE.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one scheduler pick rejected as out of range.
-#[inline]
-pub fn record_sched_pick_rejected() {
-    SCHED_PICKS_REJECTED.with(|c| c.set(c.get() + 1));
-}
-
-/// Record one Redundant-scheduler chunk copy pushed onto an extra
-/// subflow.
-#[inline]
-pub fn record_redundant_dup() {
-    REDUNDANT_DUPS.with(|c| c.set(c.get() + 1));
-}
-
-/// Record `n` bytes discarded at a receiver as already-delivered
-/// duplicates.
-#[inline]
-pub fn record_dup_bytes_dropped(n: u64) {
-    DUP_BYTES_DROPPED.with(|c| c.set(c.get() + n));
+pub fn count(f: impl FnOnce(&mut RunMetrics)) {
+    RUN.with_borrow_mut(f);
 }
 
 /// Read this thread's counters.
 pub fn snapshot() -> RunMetrics {
-    RunMetrics {
-        events_popped: EVENTS_POPPED.with(Cell::get),
-        frames_forwarded: FRAMES_FORWARDED.with(Cell::get),
-        bytes_delivered: BYTES_DELIVERED.with(Cell::get),
-        tcp_retransmits: TCP_RETRANSMITS.with(Cell::get),
-        segments_encoded: SEGMENTS_ENCODED.with(Cell::get),
-        enc_buffers_reused: ENC_BUFFERS_REUSED.with(Cell::get),
-        enc_buffers_allocated: ENC_BUFFERS_ALLOCATED.with(Cell::get),
-        scratch_high_water: SCRATCH_HIGH_WATER.with(Cell::get),
-        faults_injected: FAULTS_INJECTED.with(Cell::get),
-        segments_corrupted_dropped: SEGMENTS_CORRUPTED_DROPPED.with(Cell::get),
-        subflows_declared_dead: SUBFLOWS_DECLARED_DEAD.with(Cell::get),
-        reinjections: REINJECTIONS.with(Cell::get),
-        recovery_time_us: RECOVERY_TIME_US.with(Cell::get),
-        segments_dropped_unroutable: SEGMENTS_DROPPED_UNROUTABLE.with(Cell::get),
-        sched_picks_rejected: SCHED_PICKS_REJECTED.with(Cell::get),
-        redundant_dups: REDUNDANT_DUPS.with(Cell::get),
-        dup_bytes_dropped: DUP_BYTES_DROPPED.with(Cell::get),
-    }
+    RUN.with_borrow(|m| *m)
 }
 
 /// Zero this thread's counters.
 pub fn reset() {
-    EVENTS_POPPED.with(|c| c.set(0));
-    FRAMES_FORWARDED.with(|c| c.set(0));
-    BYTES_DELIVERED.with(|c| c.set(0));
-    TCP_RETRANSMITS.with(|c| c.set(0));
-    SEGMENTS_ENCODED.with(|c| c.set(0));
-    ENC_BUFFERS_REUSED.with(|c| c.set(0));
-    ENC_BUFFERS_ALLOCATED.with(|c| c.set(0));
-    SCRATCH_HIGH_WATER.with(|c| c.set(0));
-    FAULTS_INJECTED.with(|c| c.set(0));
-    SEGMENTS_CORRUPTED_DROPPED.with(|c| c.set(0));
-    SUBFLOWS_DECLARED_DEAD.with(|c| c.set(0));
-    REINJECTIONS.with(|c| c.set(0));
-    RECOVERY_TIME_US.with(|c| c.set(0));
-    SEGMENTS_DROPPED_UNROUTABLE.with(|c| c.set(0));
-    SCHED_PICKS_REJECTED.with(|c| c.set(0));
-    REDUNDANT_DUPS.with(|c| c.set(0));
-    DUP_BYTES_DROPPED.with(|c| c.set(0));
+    RUN.set(RunMetrics::ZERO);
 }
 
 #[cfg(test)]
@@ -306,11 +180,13 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         reset();
-        record_event_pop();
-        record_event_pop();
-        record_frames_forwarded(3);
-        record_bytes_delivered(1500);
-        record_tcp_retransmit();
+        count(|m| m.events_popped += 1);
+        count(|m| m.events_popped += 1);
+        count(|m| {
+            m.frames_forwarded += 3;
+            m.bytes_delivered += 1500;
+        });
+        count(|m| m.tcp_retransmits += 1);
         let s = snapshot();
         assert_eq!(s.events_popped, 2);
         assert_eq!(s.frames_forwarded, 3);
@@ -318,6 +194,7 @@ mod tests {
         assert_eq!(s.tcp_retransmits, 1);
         reset();
         assert_eq!(snapshot(), RunMetrics::default());
+        assert_eq!(RunMetrics::ZERO, RunMetrics::default());
     }
 
     #[test]
@@ -379,31 +256,18 @@ mod tests {
     #[test]
     fn since_subtracts_baseline() {
         reset();
-        record_frames_forwarded(5);
+        count(|m| m.frames_forwarded += 5);
         let base = snapshot();
-        record_frames_forwarded(7);
+        count(|m| m.frames_forwarded += 7);
         assert_eq!(snapshot().since(&base).frames_forwarded, 7);
-    }
-
-    #[test]
-    fn sends_and_pooled_encodes_are_counted_apart() {
-        reset();
-        record_segment_sent();
-        record_pooled_encode(false);
-        record_pooled_encode(true);
-        record_pooled_encode(true);
-        let s = snapshot();
-        assert_eq!(s.segments_encoded, 1);
-        assert_eq!(s.enc_buffers_allocated, 1);
-        assert_eq!(s.enc_buffers_reused, 2);
     }
 
     #[test]
     fn scratch_high_water_keeps_peak() {
         reset();
-        record_scratch_high_water(3);
-        record_scratch_high_water(11);
-        record_scratch_high_water(7);
+        for n in [3, 11, 7] {
+            count(|m| m.scratch_high_water = m.scratch_high_water.max(n));
+        }
         assert_eq!(snapshot().scratch_high_water, 11);
         let base = RunMetrics::default();
         assert_eq!(snapshot().since(&base).scratch_high_water, 11);
@@ -412,21 +276,22 @@ mod tests {
     #[test]
     fn fault_counters_accumulate_and_diff() {
         reset();
-        record_fault_injected();
-        record_fault_injected();
-        record_segment_corrupted_dropped();
-        record_subflow_declared_dead();
-        record_reinjection();
-        record_recovery_time_us(1_500);
-        record_recovery_time_us(500);
+        count(|m| m.faults_injected += 2);
+        count(|m| m.segments_corrupted_dropped += 1);
+        count(|m| m.subflows_declared_dead += 1);
+        count(|m| m.reinjections += 1);
+        count(|m| m.recovery_time_us += 1_500);
+        count(|m| m.recovery_time_us += 500);
         let base = snapshot();
         assert_eq!(base.faults_injected, 2);
         assert_eq!(base.segments_corrupted_dropped, 1);
         assert_eq!(base.subflows_declared_dead, 1);
         assert_eq!(base.reinjections, 1);
         assert_eq!(base.recovery_time_us, 2_000);
-        record_fault_injected();
-        record_recovery_time_us(100);
+        count(|m| {
+            m.faults_injected += 1;
+            m.recovery_time_us += 100;
+        });
         let d = snapshot().since(&base);
         assert_eq!(d.faults_injected, 1);
         assert_eq!(d.recovery_time_us, 100);
@@ -438,9 +303,9 @@ mod tests {
     #[test]
     fn threads_do_not_share_counters() {
         reset();
-        record_event_pop();
+        count(|m| m.events_popped += 1);
         let other = std::thread::spawn(|| {
-            record_event_pop();
+            count(|m| m.events_popped += 1);
             snapshot().events_popped
         })
         .join()

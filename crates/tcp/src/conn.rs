@@ -1189,7 +1189,7 @@ impl TcpConnection {
     /// per-thread run instrumentation.
     fn note_retransmit(&mut self) {
         self.stats.retransmits += 1;
-        mpwifi_simcore::metrics::record_tcp_retransmit();
+        mpwifi_simcore::metrics::count(|m| m.tcp_retransmits += 1);
     }
 
     fn arm_rtx(&mut self, now: Time) {

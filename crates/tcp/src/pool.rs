@@ -63,7 +63,6 @@ impl SegmentBufPool {
     /// the reused/allocated split into [`mpwifi_simcore::metrics`].
     pub fn encode(&mut self, seg: &Segment) -> Bytes {
         let slot = self.find_free_slot();
-        let reused = slot.is_some();
         let i = slot.unwrap_or_else(|| {
             self.bufs.push(Arc::new(Vec::with_capacity(SLOT_CAPACITY)));
             self.bufs.len() - 1
@@ -73,7 +72,10 @@ impl SegmentBufPool {
             .expect("slot was just verified free (strong_count == 1)");
         buf.clear();
         seg.encode_into(buf);
-        mpwifi_simcore::metrics::record_pooled_encode(reused);
+        mpwifi_simcore::metrics::count(|m| match slot {
+            Some(_) => m.enc_buffers_reused += 1,
+            None => m.enc_buffers_allocated += 1,
+        });
         Bytes::from_shared(Arc::clone(&self.bufs[i]))
     }
 

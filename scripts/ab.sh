@@ -26,6 +26,10 @@
 #   ok          neither.
 # Exits 1 on any `worse`, any failed op or any incorrect run. Reads
 # BENCHMARK.json and builds stackbench/ as they are; edits neither.
+# Under the table, every row called `worse` or `unresolved` is listed
+# again as the runs behind it: each side's values in pair order (odd
+# pairs ran the parent first), since a median over few runs can turn on
+# one slow start or one noisy pair.
 # `scripts/ab.sh <rev> 1` is the try-out form (about 3 minutes of runs;
 # one pair resolves nothing). Every run's JSON stays in
 # target/ab/runs.jsonl.
@@ -84,12 +88,12 @@ for pair in $(seq 1 "$PAIRS"); do
 done
 
 echo "$sides"
-jq -rs --slurpfile bench BENCHMARK.json --arg workloads "$WORKLOADS" '
+SIG='def sig: if . == 0 then 0 else . as $x
+    | pow(10; 3 - ($x | fabs | log10 | floor)) as $k | ($x * $k | round) / $k end;'
+jq -rs --slurpfile bench BENCHMARK.json --arg workloads "$WORKLOADS" "$SIG"'
   def quantile(q): sort | . as $s | ((length - 1) * q) as $h | ($h | floor) as $lo
     | $s[$lo] + ($h - $lo) * (($s[$lo + 1] // $s[$lo]) - $s[$lo]);
   def spread: (max - min) / quantile(0.5);
-  def sig: if . == 0 then 0 else . as $x
-    | pow(10; 3 - ($x | fabs | log10 | floor)) as $k | ($x * $k | round) / $k end;
   . as $runs
   | ["workload/metric", "parent", "change", "delta%", "parent_iqr", "wins", "ties", "verdict"],
     ( ($bench[0].workloads[].name | select(IN($workloads | split("\n")[]))) as $w
@@ -117,6 +121,21 @@ jq -rs --slurpfile bench BENCHMARK.json --arg workloads "$WORKLOADS" '
   | @tsv' "$RUNS" | tee "$AB/table.tsv" | awk -F'\t' '
     NF == 8 { printf "%-32s %11s %11s %7s %11s %5s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8; next }
     { print }'
+
+flagged="$(awk -F'\t' 'NF == 8 && ($8 == "worse" || $8 == "unresolved") { print $1 }' "$AB/table.tsv")"
+if [ -n "$flagged" ]; then
+    echo
+    echo "runs behind the worse / unresolved rows, pair 1 first:"
+    jq -rs --arg rows "$flagged" "$SIG"'
+      . as $runs
+      | ($rows | split("\n")[]) as $row
+      | ($row | split("/")) as [$w, $m]
+      | $row,
+        ( ("parent", "change") as $side
+        | [$runs[] | select(.workload == $w and .side == $side)] | sort_by(.pair)
+        | map(.metrics[$m].value // null | if . == null then "-" else sig | tostring end)
+        | "  \($side)  \(join(" "))" )' "$RUNS"
+fi
 
 if grep -qE "$(printf '\t')(worse|missing)$|^FAILED RUNS:" "$AB/table.tsv"; then
     echo "ab: a metric is worse than its bound, or a run failed" >&2
