@@ -18,13 +18,10 @@ pub mod supervise;
 
 pub use registry::{ExperimentSpec, REGISTRY};
 pub use report::{Claim, Report, Scale};
-pub use runner::{
-    derive_seed, run_specs, run_specs_supervised, run_specs_with, RunOutcome, SeedPolicy,
-};
+pub use runner::{derive_seed, run_specs, RunRecord, SeedPolicy};
 pub use service::ReproExecutor;
 pub use supervise::{
-    planted_find, repro_command, repro_test_snippet, supervise_call, supervise_one, RunStatus,
-    SuperviseConfig, SupervisedRun, PLANTED,
+    repro_command, repro_test_snippet, supervise_call, supervise_one, SuperviseConfig, PLANTED,
 };
 
 /// All paper experiment ids in paper order, derived from [`REGISTRY`].
@@ -37,16 +34,14 @@ pub const EXTENSION_EXPERIMENTS: [&str; 11] = registry::collect_ids::<11>(true);
 
 /// Run one experiment by id, with `seed` passed to it verbatim.
 ///
-/// This is the single-run entry point; the parallel runner
-/// ([`run_specs`]) layers per-experiment seed derivation and metric
-/// bracketing on top of the same registry. The planted failure specs
-/// ([`supervise::PLANTED`]) resolve here too, so quarantine repro
-/// commands and snippets replay through the same door — but they are
-/// not in [`REGISTRY`] and never run as part of a campaign.
+/// This is the single-run entry point, unsupervised; the parallel
+/// runner ([`run_specs`]) layers per-experiment seed derivation, metric
+/// bracketing and supervision on top of the same registry. The planted
+/// failure specs ([`supervise::PLANTED`]) resolve here too
+/// ([`registry::find`]), so quarantine repro snippets replay through
+/// the same door.
 pub fn run_experiment(id: &str, scale: Scale, seed: u64) -> Option<Report> {
-    registry::find(id)
-        .or_else(|| supervise::planted_find(id))
-        .map(|spec| (spec.run)(scale, seed))
+    registry::find(id).map(|spec| (spec.run)(scale, seed))
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--seed N] [--jobs N] [--markdown FILE] [--metrics FILE] <experiment>... | all | --list
-//! repro --supervise [--retries N] [--quarantine FILE] [--max-events N] [--max-wall-ms N] [--stall-ttl-s N] <experiment>... | all
+//! repro [--full] [--seed N] [--jobs N] [--markdown FILE] [--metrics FILE] [--retries N] [--quarantine FILE] <experiment>... | all | --list
 //! repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]
 //! repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]
-//! repro serve [--jobs N] [--queue N] [--retries N] [--max-events N] [--max-wall-ms N] [--stall-ttl-s N] [--chaos]
+//! repro serve [--jobs N] [--queue N] [--retries N] [--chaos]
 //! ```
 //!
 //! Experiments shard across `--jobs N` worker threads. Every
@@ -13,12 +12,15 @@
 //! (verbatim by default; mixed per-id under `--derive-seeds`), so
 //! reports are byte-identical for every `--jobs` value.
 //!
-//! `--supervise` wraps every run in the panic-isolating, watchdog-armed
-//! supervisor: a panicking, livelocked, or runaway experiment is
+//! Every run is supervised: panic-isolated and armed with the
+//! deterministic watchdog budgets (an event budget and a stall TTL in
+//! simulated time). A panicking, livelocked, or runaway experiment is
 //! quarantined (forensics and a paste-ready repro on stderr, JSON
 //! sidecar via `--quarantine FILE`, exit code 3) while the rest of the
 //! campaign completes and the surviving sections render byte-identical
-//! to an unsupervised run.
+//! to a campaign without it. `--retries N` re-runs a failed experiment
+//! up to N times on derived seeds; one that then completes is flagged
+//! flaky on stderr.
 //!
 //! `repro campaign` runs a population-scale crowd campaign: `--users`
 //! synthetic users fanned over the Table 1 geography through the
@@ -37,7 +39,9 @@
 //! `repro serve` turns the harness into a long-running campaign server:
 //! jsonl requests on stdin (experiments, crowd campaigns, pings),
 //! streamed jsonl responses on stdout, with bounded admission, typed
-//! shedding, per-request watchdog budgets, retry-with-jittered-backoff,
+//! shedding, per-request watchdog budgets (the default budgets plus a
+//! wall-clock deadline unless a request overrides them),
+//! retry-with-jittered-backoff,
 //! a poison-recovering worker pool, and graceful drain on EOF or a
 //! `shutdown` request.
 //!
@@ -52,10 +56,11 @@
 //! attached alongside the DSS invariants.
 
 use mpwifi_repro::{
-    registry, runner, runner::SeedPolicy, supervise, Scale, SuperviseConfig, SupervisedRun,
-    ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS, REGISTRY,
+    registry, runner, supervise, RunRecord, Scale, SeedPolicy, SuperviseConfig, ALL_EXPERIMENTS,
+    EXTENSION_EXPERIMENTS, REGISTRY,
 };
 use mpwifi_simcore::json::array_lines;
+use mpwifi_simcore::{RunFailure, RunMetrics};
 use std::io::Write as _;
 
 /// The value of the flag at `args[*i]`: the next argument, parsed.
@@ -93,8 +98,7 @@ fn main() {
     let mut targets: Vec<String> = Vec::new();
     let mut cases = 200usize;
     let mut users = 100_000u64;
-    let mut supervised = false;
-    let mut sup_cfg = SuperviseConfig::default();
+    let mut retries = 0u32;
     let mut quarantine_path: Option<String> = None;
     let mut queue_cap = 16usize;
     let mut chaos = false;
@@ -106,28 +110,8 @@ fn main() {
         match args[i].as_str() {
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
-            "--supervise" => supervised = true,
-            "--retries" => {
-                supervised = true;
-                sup_cfg.retries = value(&args, &mut i, "--retries needs an integer");
-            }
-            "--max-events" => {
-                supervised = true;
-                let msg = "--max-events needs a positive integer";
-                sup_cfg.max_events = Some(positive(&args, &mut i, msg));
-            }
-            "--max-wall-ms" => {
-                supervised = true;
-                let msg = "--max-wall-ms needs a positive integer";
-                sup_cfg.wall_limit_ms = Some(positive(&args, &mut i, msg));
-            }
-            "--stall-ttl-s" => {
-                supervised = true;
-                let secs: u64 = positive(&args, &mut i, "--stall-ttl-s needs a positive integer");
-                sup_cfg.stall_ttl_us = Some(secs.saturating_mul(1_000_000));
-            }
+            "--retries" => retries = value(&args, &mut i, "--retries needs an integer"),
             "--quarantine" => {
-                supervised = true;
                 quarantine_path = Some(value(&args, &mut i, "--quarantine needs a path"));
             }
             "--seed" => seed = value(&args, &mut i, "--seed needs an integer"),
@@ -157,10 +141,11 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] <experiment>... | all | extensions | --list\n       repro --supervise [--retries N] [--quarantine FILE] [--max-events N] [--max-wall-ms N] [--stall-ttl-s N] <experiment>... | all\n       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]\n       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]\n       repro serve [--jobs N] [--queue N] [--retries N] [--max-events N] [--max-wall-ms N] [--stall-ttl-s N] [--chaos]"
+                    "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--retries N] [--quarantine FILE] <experiment>... | all | extensions | --list\n       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]\n       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]\n       repro serve [--jobs N] [--queue N] [--retries N] [--chaos]"
                 );
                 return;
             }
+            flag if flag.starts_with('-') => die(&format!("unknown flag: {flag}")),
             other => targets.push(other.to_string()),
         }
         i += 1;
@@ -169,7 +154,7 @@ fn main() {
         if targets.len() > 1 {
             die("'serve' runs alone; drop the other targets");
         }
-        run_serve(jobs, queue_cap, sup_cfg, chaos);
+        run_serve(jobs, queue_cap, retries, chaos);
     }
     if targets.iter().any(|t| t == "conformance") {
         if targets.len() > 1 {
@@ -213,14 +198,15 @@ fn main() {
         println!("wrote {} runs to {path}", ds.len());
     }
 
-    // Resolve targets against the registry up front so a typo fails
-    // before any experiment burns time. The planted failure specs
-    // resolve too (for supervision smoke tests and quarantine repro
-    // commands) but never ride along with `all`/`extensions`.
+    // Resolve targets up front: an unknown id is reported and counted
+    // as a failure (exit 1), and the known ones still run. The planted
+    // failure specs resolve too (for supervision smoke tests and
+    // quarantine repro commands) but never ride along with
+    // `all`/`extensions`.
     let mut failures = 0usize;
     let mut specs: Vec<&'static registry::ExperimentSpec> = Vec::new();
     for id in &targets {
-        match registry::find(id).or_else(|| supervise::planted_find(id)) {
+        match registry::find(id) {
             Some(spec) => specs.push(spec),
             None => {
                 eprintln!("unknown experiment: {id}");
@@ -229,51 +215,42 @@ fn main() {
         }
     }
 
-    let (outcomes, quarantined) = if supervised {
-        let runs = runner::run_specs_supervised(&specs, scale, seed, jobs, policy, &sup_cfg);
-        let mut outcomes = Vec::new();
-        let mut quarantined = Vec::new();
-        for run in runs {
-            if run.flaky {
-                eprintln!(
-                    "note: {} completed only on retry {} (derived seed {}); flagged flaky",
-                    run.id,
-                    run.attempts - 1,
-                    run.seed
-                );
-            }
-            match run.outcome {
-                Some(_) => outcomes.push(run),
-                None => quarantined.push(run),
-            }
-        }
-        (
-            outcomes.into_iter().filter_map(|run| run.outcome).collect(),
-            quarantined,
-        )
-    } else {
-        (
-            runner::run_specs_with(&specs, scale, seed, jobs, policy),
-            Vec::new(),
-        )
+    let cfg = SuperviseConfig {
+        retries,
+        ..SuperviseConfig::batch()
     };
-    for o in &outcomes {
-        println!("{}", o.report.render_text());
-        println!("({} finished in {:.1?}, seed {})\n", o.id, o.wall, o.seed);
+    let runs = runner::run_specs(&specs, scale, seed, jobs, policy, &cfg);
+    let mut reports = Vec::new();
+    for run in &runs {
+        let Ok(report) = &run.result else { continue };
+        reports.push(report);
+        if run.flaky() {
+            eprintln!(
+                "note: {} completed only on retry {} (derived seed {}); flagged flaky",
+                run.id,
+                run.attempts - 1,
+                run.seed
+            );
+        }
+        println!("{}", report.render_text());
+        println!(
+            "({} finished in {:.1?}, seed {})\n",
+            run.id, run.wall, run.seed
+        );
         if let Some(dir) = &data_dir {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("{dir}: {e}")));
             // One gnuplot-ready file per experiment with all its blocks.
-            let path = format!("{dir}/{}.dat", o.id);
-            let body = o.report.blocks.join("\n\n");
+            let path = format!("{dir}/{}.dat", run.id);
+            let body = report.blocks.join("\n\n");
             std::fs::write(&path, body).unwrap_or_else(|e| die(&format!("{path}: {e}")));
         }
-        if !o.report.all_hold() {
+        if !report.all_hold() {
             failures += 1;
         }
     }
 
     if let Some(path) = &metrics_path {
-        std::fs::write(path, runner::metrics_json(&outcomes))
+        std::fs::write(path, runner::metrics_json(&runs))
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         println!("wrote per-run metrics to {path}");
     }
@@ -295,38 +272,42 @@ fn main() {
                 ""
             }
         ));
-        for o in &outcomes {
-            out.push_str(&o.report.render_markdown());
+        for report in &reports {
+            out.push_str(&report.render_markdown());
         }
         let mut f = std::fs::File::create(&path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
         f.write_all(out.as_bytes()).expect("write markdown");
         println!("wrote {path}");
     }
 
-    let ok = outcomes.iter().filter(|o| o.report.all_hold()).count();
+    let ok = reports.iter().filter(|r| r.all_hold()).count();
     println!(
         "{}/{} experiments fully reproduce the paper's findings",
         ok,
-        outcomes.len()
+        reports.len()
     );
 
-    if !quarantined.is_empty() {
-        for run in &quarantined {
-            eprintln!("{}", quarantine_block(run, seed, scale, policy));
+    let failed = quarantined(&runs);
+    if !failed.is_empty() {
+        for &(run, failure, partial) in &failed {
+            eprintln!(
+                "{}",
+                quarantine_block(run, failure, partial, seed, scale, policy)
+            );
         }
         eprintln!(
             "{} run(s) quarantined ({} healthy section(s) rendered above)",
-            quarantined.len(),
-            outcomes.len()
+            failed.len(),
+            reports.len()
         );
     }
     if let Some(path) = &quarantine_path {
-        std::fs::write(path, quarantine_json(&quarantined, seed, scale, policy))
+        std::fs::write(path, quarantine_json(&failed, seed, scale, policy))
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         println!("wrote quarantine report to {path}");
     }
 
-    if !quarantined.is_empty() {
+    if !failed.is_empty() {
         std::process::exit(3);
     }
     if failures > 0 {
@@ -334,10 +315,26 @@ fn main() {
     }
 }
 
-/// The stderr block for one quarantined run: status, forensics, and a
+/// A quarantined run: its record, its failure and the counters of the
+/// work it did before it died.
+type Quarantined<'a> = (&'a RunRecord, &'a RunFailure, &'a RunMetrics);
+
+/// The quarantined runs of a campaign, in campaign order.
+fn quarantined(runs: &[RunRecord]) -> Vec<Quarantined<'_>> {
+    runs.iter()
+        .filter_map(|run| match &run.result {
+            Ok(_) => None,
+            Err((failure, partial)) => Some((run, failure, partial)),
+        })
+        .collect()
+}
+
+/// The stderr block for one quarantined run: failure, forensics, and a
 /// paste-ready repro command plus test snippet.
 fn quarantine_block(
-    run: &SupervisedRun,
+    run: &RunRecord,
+    failure: &RunFailure,
+    partial: &RunMetrics,
     root_seed: u64,
     scale: Scale,
     policy: SeedPolicy,
@@ -346,21 +343,17 @@ fn quarantine_block(
     out.push_str(&format!(
         "!!!! {} — QUARANTINED ({}) after {} attempt(s), {:.1?}\n",
         run.id,
-        run.status.label(),
+        failure.label(),
         run.attempts,
         run.wall
     ));
-    if let Some(forensics) = run.status.forensics() {
-        for line in forensics.trim_end().lines() {
-            out.push_str(&format!("  {line}\n"));
-        }
+    for line in failure.forensics().trim_end().lines() {
+        out.push_str(&format!("  {line}\n"));
     }
-    if let Some(m) = &run.partial_metrics {
-        out.push_str(&format!(
-            "  partial work before failure: {} events, {} frames, {} payload bytes\n",
-            m.events_popped, m.frames_forwarded, m.bytes_delivered
-        ));
-    }
+    out.push_str(&format!(
+        "  partial work before failure: {} events, {} frames, {} payload bytes\n",
+        partial.events_popped, partial.frames_forwarded, partial.bytes_delivered
+    ));
     out.push_str(&format!(
         "  repro: {}\n",
         supervise::repro_command(run.id, root_seed, scale, policy == SeedPolicy::Derived)
@@ -373,26 +366,25 @@ fn quarantine_block(
 }
 
 /// Render the quarantine sidecar: one JSON object per quarantined run
-/// with its status, forensics, and repro command. `[]` when the
+/// with its failure, forensics, and repro command. `[]` when the
 /// campaign was healthy, so the file's presence alone never signals
 /// failure — its contents (and exit code 3) do.
 fn quarantine_json(
-    quarantined: &[SupervisedRun],
+    quarantined: &[Quarantined<'_>],
     root_seed: u64,
     scale: Scale,
     policy: SeedPolicy,
 ) -> String {
-    array_lines(quarantined, |o, run| {
+    array_lines(quarantined, |o, &(run, failure, _)| {
         o.str("id", run.id)
             .val("seed", run.seed)
-            .str("status", run.status.label())
+            .str("status", failure.label())
             .val("attempts", run.attempts)
             .val(
                 "wall_ms",
                 format_args!("{:.3}", run.wall.as_secs_f64() * 1e3),
             )
-            .val("flaky", run.flaky)
-            .str("forensics", run.status.forensics().unwrap_or(""))
+            .str("forensics", failure.forensics())
             .str(
                 "repro",
                 &supervise::repro_command(run.id, root_seed, scale, policy == SeedPolicy::Derived),
@@ -403,23 +395,23 @@ fn quarantine_json(
 /// Run the campaign server: jsonl requests on stdin, streamed jsonl
 /// responses on stdout, until EOF or a `shutdown` request drains it.
 /// `--jobs` sizes the worker pool, `--queue` bounds admission,
-/// `--retries`/`--max-events`/`--max-wall-ms`/`--stall-ttl-s` set the
-/// default supervision policy (per-request overrides win), and
+/// `--retries` sets the default retry count, every request runs under
+/// [`SuperviseConfig::default`]'s budgets unless it overrides them, and
 /// `--chaos` unlocks the worker-bomb request kind for the chaos
 /// harness. Exits 0 after a clean drain — whether the drain came from
 /// EOF, a `shutdown` request, or SIGINT/SIGTERM (the installed handler
 /// flips the drain flag; admitted requests finish, the `stats` line is
 /// emitted, and the exit is clean).
-fn run_serve(workers: usize, queue: usize, sup_cfg: SuperviseConfig, chaos: bool) -> ! {
+fn run_serve(workers: usize, queue: usize, retries: u32, chaos: bool) -> ! {
     use mpwifi_serve::{install_drain_handler, serve_with_stop, Executor, ServeConfig};
     let cfg = ServeConfig {
         workers: workers.max(1),
         queue_capacity: queue.max(1),
-        default_retries: sup_cfg.retries,
+        default_retries: retries,
         chaos,
     };
     let exec: std::sync::Arc<dyn Executor + Send + Sync> =
-        std::sync::Arc::new(mpwifi_repro::ReproExecutor::new(sup_cfg));
+        std::sync::Arc::new(mpwifi_repro::ReproExecutor::new(SuperviseConfig::default()));
     let stop = install_drain_handler();
     // `BufReader<Stdin>` rather than `StdinLock`: the reader lives on
     // its own thread now, and the lock guard is not `Send`.
@@ -521,35 +513,7 @@ fn run_conformance(cases: usize, seed: u64, jobs: usize) -> ! {
         "campaign fingerprint: {}",
         conf::campaign_fingerprint(&results)
     );
-    if let Some(worst) = violating.first() {
-        println!(
-            "\nshrinking case {} (seed {}, first violation {:?})...",
-            worst.index,
-            worst.seed,
-            worst.report.first_category()
-        );
-        let (small, small_report) = conf::shrink(&worst.spec);
-        println!(
-            "shrunk to: faults={} down={} up={} ({} violations, first {:?})",
-            small.faults.len(),
-            small.workload.down_bytes,
-            small.workload.up_bytes,
-            small_report.violations_total,
-            small_report.first_category()
-        );
-        for v in small_report.violations.iter().take(5) {
-            println!(
-                "  [{:>12}us] {}: {}",
-                v.at.as_micros(),
-                v.category,
-                v.detail
-            );
-        }
-        println!("\nminimal reproducer (paste into crates/conformance/tests/):\n");
-        println!("{}", conf::repro_snippet(&small));
-        std::process::exit(1);
-    }
-    std::process::exit(0);
+    shrink_and_exit(violating.first().copied())
 }
 
 /// Run the scheduler × congestion-control matrix campaign: `cases`
@@ -584,27 +548,44 @@ fn run_matrix_conformance(cases_per_cell: usize, seed: u64, jobs: usize) -> ! {
         start.elapsed()
     );
     println!("matrix fingerprint: {}", conf::matrix_fingerprint(&cells));
-    if let Some(worst) = worst {
+    shrink_and_exit(worst)
+}
+
+/// The tail both conformance runners share, printed after their
+/// fingerprint line: shrink the first violating case, list the shrunk
+/// case's first five violations and a paste-ready reproducer, and exit
+/// 1; exit 0 when no case violated.
+fn shrink_and_exit(worst: Option<&mpwifi_conformance::CaseResult>) -> ! {
+    use mpwifi_conformance as conf;
+    let Some(worst) = worst else {
+        std::process::exit(0);
+    };
+    println!(
+        "\nshrinking case {} (seed {}, first violation {:?})...",
+        worst.index,
+        worst.seed,
+        worst.report.first_category()
+    );
+    let (small, small_report) = conf::shrink(&worst.spec);
+    println!(
+        "shrunk to: faults={} down={} up={} ({} violations, first {:?})",
+        small.faults.len(),
+        small.workload.down_bytes,
+        small.workload.up_bytes,
+        small_report.violations_total,
+        small_report.first_category()
+    );
+    for v in small_report.violations.iter().take(5) {
         println!(
-            "\nshrinking case {} (seed {}, first violation {:?})...",
-            worst.index,
-            worst.seed,
-            worst.report.first_category()
+            "  [{:>12}us] {}: {}",
+            v.at.as_micros(),
+            v.category,
+            v.detail
         );
-        let (small, small_report) = conf::shrink(&worst.spec);
-        println!(
-            "shrunk to: faults={} down={} up={} ({} violations, first {:?})",
-            small.faults.len(),
-            small.workload.down_bytes,
-            small.workload.up_bytes,
-            small_report.violations_total,
-            small_report.first_category()
-        );
-        println!("\nminimal reproducer (paste into crates/conformance/tests/):\n");
-        println!("{}", conf::repro_snippet(&small));
-        std::process::exit(1);
     }
-    std::process::exit(0);
+    println!("\nminimal reproducer (paste into crates/conformance/tests/):\n");
+    println!("{}", conf::repro_snippet(&small));
+    std::process::exit(1);
 }
 
 fn die(msg: &str) -> ! {
@@ -615,54 +596,67 @@ fn die(msg: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpwifi_repro::RunStatus;
-    use mpwifi_simcore::RunFailure;
     use std::time::Duration;
 
     #[test]
     fn quarantine_json_is_one_object_per_quarantined_run() {
-        let run = |id, seed, attempts, wall_us, status| SupervisedRun {
+        let run = |id, seed, attempts, wall_us, result| RunRecord {
             id,
             seed,
             attempts,
-            flaky: false,
-            status,
-            outcome: None,
             wall: Duration::from_micros(wall_us),
-            partial_metrics: None,
+            result,
         };
-        let two = [
+        let runs = [
             run(
                 "planted-panic",
                 42,
                 1,
                 1_500,
-                RunStatus::Failed(RunFailure::Panicked {
-                    message: "planted \"panic\" (at src/supervise.rs:355)".into(),
-                }),
+                Err((
+                    RunFailure::Panicked {
+                        message: "planted \"panic\" (at src/supervise.rs:355)".into(),
+                    },
+                    RunMetrics::default(),
+                )),
+            ),
+            run(
+                "table2",
+                42,
+                1,
+                900,
+                Ok(mpwifi_repro::Report::new("table2", "t", "m")),
             ),
             run(
                 "planted-stall",
                 u64::MAX,
                 2,
                 12_345_678,
-                RunStatus::Failed(RunFailure::Stalled {
-                    forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
-                }),
+                Err((
+                    RunFailure::Stalled {
+                        forensics: "iface lte stale\n  subflow lte: frozen\n".into(),
+                    },
+                    RunMetrics::default(),
+                )),
             ),
         ];
         assert_eq!(
-            quarantine_json(&two, 42, Scale::Full, SeedPolicy::Derived),
+            quarantine_json(&quarantined(&runs), 42, Scale::Full, SeedPolicy::Derived),
             concat!(
                 "[\n",
-                r#"  {"id": "planted-panic", "seed": 42, "status": "panicked", "attempts": 1, "wall_ms": 1.500, "flaky": false, "forensics": "planted \"panic\" (at src/supervise.rs:355)", "repro": "cargo run --release -p mpwifi-repro -- planted-panic --seed 42 --full --derive-seeds --supervise"},"#,
+                r#"  {"id": "planted-panic", "seed": 42, "status": "panicked", "attempts": 1, "wall_ms": 1.500, "forensics": "planted \"panic\" (at src/supervise.rs:355)", "repro": "cargo run --release -p mpwifi-repro -- planted-panic --seed 42 --full --derive-seeds"},"#,
                 "\n",
-                r#"  {"id": "planted-stall", "seed": 18446744073709551615, "status": "stalled", "attempts": 2, "wall_ms": 12345.678, "flaky": false, "forensics": "iface lte stale\n  subflow lte: frozen\n", "repro": "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --full --derive-seeds --supervise"}"#,
+                r#"  {"id": "planted-stall", "seed": 18446744073709551615, "status": "stalled", "attempts": 2, "wall_ms": 12345.678, "forensics": "iface lte stale\n  subflow lte: frozen\n", "repro": "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --full --derive-seeds"}"#,
                 "\n]\n"
             )
         );
         assert_eq!(
-            quarantine_json(&[], 42, Scale::Quick, SeedPolicy::Campaign),
+            quarantine_json(
+                &quarantined(&runs[1..2]),
+                42,
+                Scale::Quick,
+                SeedPolicy::Campaign
+            ),
             "[\n]\n"
         );
     }

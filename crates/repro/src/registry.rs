@@ -253,9 +253,15 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
     },
 ];
 
-/// Look an experiment up by id.
+/// Look an experiment up by id: a [`REGISTRY`] row, or one of the
+/// planted failure specs ([`crate::supervise::PLANTED`]), which resolve
+/// by name so supervision tests and quarantine repro commands can run
+/// them, but are in no id list and never ride along with `all`.
 pub fn find(id: &str) -> Option<&'static ExperimentSpec> {
-    REGISTRY.iter().find(|s| s.id == id)
+    REGISTRY
+        .iter()
+        .chain(&crate::supervise::PLANTED)
+        .find(|s| s.id == id)
 }
 
 /// Compile-time id extraction so the public id arrays stay derived from
@@ -287,6 +293,21 @@ mod tests {
             assert_eq!(found.id, spec.id);
         }
         assert!(find("fig99").is_none());
+    }
+
+    #[test]
+    fn planted_specs_resolve_but_stay_out_of_every_id_list() {
+        use crate::{ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
+        for planted in &crate::supervise::PLANTED {
+            let id = planted.id;
+            assert_eq!(find(id).map(|s| s.id), Some(id), "{id} must resolve");
+            assert!(!REGISTRY.iter().any(|s| s.id == id), "{id} in REGISTRY");
+            assert!(!ALL_EXPERIMENTS.contains(&id), "{id} in ALL_EXPERIMENTS");
+            assert!(
+                !EXTENSION_EXPERIMENTS.contains(&id),
+                "{id} in EXTENSION_EXPERIMENTS"
+            );
+        }
     }
 
     #[test]

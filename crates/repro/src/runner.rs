@@ -1,4 +1,4 @@
-//! Parallel, instrumented experiment runner.
+//! Parallel, instrumented, supervised experiment runner.
 //!
 //! [`run_specs`] shards a list of [`ExperimentSpec`]s across a pool of
 //! worker threads (`--jobs N` on the CLI). Two properties make the
@@ -15,24 +15,22 @@
 //!    attribute cleanly no matter how experiments shard. Every counter
 //!    is a deterministic function of `(id, scale, seed)`.
 //!
-//! Results are returned in the order of the input spec list regardless
-//! of completion order. Only wall time varies run-to-run, and it is
-//! deliberately kept out of [`Report`] rendering — it lives here, in
-//! [`RunOutcome`], for the `--metrics` JSON sidecar.
-//!
-//! The pool is **supervision-aware**: [`run_specs_supervised`] wraps
-//! every run in the panic-isolating supervisor (`crate::supervise`),
-//! and the plain [`run_specs`]/[`run_specs_with`] entry points are the
-//! same pool with panic isolation only — a panicking experiment
-//! degrades into a failed section instead of killing the campaign.
-//! The threads themselves are [`mpwifi_simcore::fan_out`]'s.
+//! Every run goes through the panic-isolating, watchdog-armed
+//! supervisor (`crate::supervise`): a panicking or livelocked
+//! experiment comes back as a failed [`RunRecord`] and its healthy
+//! neighbours are untouched. Results are returned in the order of the
+//! input spec list regardless of completion order. Only wall time
+//! varies run-to-run, and it is deliberately kept out of [`Report`]
+//! rendering — it lives in [`RunRecord`], for the `--metrics` and
+//! quarantine sidecars. The threads themselves are
+//! [`mpwifi_simcore::fan_out`]'s.
 
 use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
-use crate::supervise::{supervise_one, SuperviseConfig, SupervisedRun};
+use crate::supervise::{supervise_one, SuperviseConfig};
 pub use mpwifi_simcore::derive_seed;
 use mpwifi_simcore::json::array_lines;
-use mpwifi_simcore::{fan_out, RunMetrics};
+use mpwifi_simcore::{fan_out, RunFailure, RunMetrics};
 use std::time::Duration;
 
 /// How each experiment's seed is computed from the root seed. Both
@@ -64,121 +62,61 @@ impl SeedPolicy {
     }
 }
 
-/// One experiment's run: its report plus run-level instrumentation.
-pub struct RunOutcome {
+/// One experiment's supervised run.
+#[derive(Debug)]
+pub struct RunRecord {
     /// Experiment id (from the spec).
     pub id: &'static str,
-    /// The seed the experiment actually ran with (see [`SeedPolicy`]).
+    /// The seed the *final* attempt ran with: the one [`SeedPolicy`]
+    /// assigned, unless a retry derived another.
     pub seed: u64,
-    /// The experiment's report.
-    pub report: Report,
-    /// Simulator counters for this run (also attached to the report).
-    pub metrics: RunMetrics,
-    /// Wall-clock time of this run. Not deterministic; never rendered
-    /// into reports.
+    /// Attempts made (1 unless retries were configured and needed).
+    pub attempts: u32,
+    /// Wall-clock time across all attempts. Not deterministic; never
+    /// rendered into reports.
     pub wall: Duration,
+    /// The report, its simulator counters in [`Report::metrics`]; or
+    /// how the final attempt failed and the counters of the work it did
+    /// before it died.
+    pub result: Result<Report, (RunFailure, RunMetrics)>,
 }
 
-/// Run one spec with metric bracketing on the current thread.
-pub(crate) fn run_one(spec: &ExperimentSpec, scale: Scale, seed: u64) -> RunOutcome {
-    mpwifi_simcore::metrics::reset();
-    let start = std::time::Instant::now();
-    let mut report = (spec.run)(scale, seed);
-    let wall = start.elapsed();
-    let metrics = mpwifi_simcore::metrics::snapshot();
-    report.metrics = Some(metrics);
-    RunOutcome {
-        id: spec.id,
-        seed,
-        report,
-        metrics,
-        wall,
+impl RunRecord {
+    /// Completed, but only on a derived-seed retry: the result is real
+    /// but did not come from the seed the campaign policy assigned.
+    pub fn flaky(&self) -> bool {
+        self.result.is_ok() && self.attempts > 1
     }
-}
 
-/// Run `specs` on `jobs` worker threads (1 = serial) under the default
-/// [`SeedPolicy::Campaign`]. Results come back in input order; reports
-/// are byte-identical for any `jobs` value.
-pub fn run_specs(
-    specs: &[&'static ExperimentSpec],
-    scale: Scale,
-    root_seed: u64,
-    jobs: usize,
-) -> Vec<RunOutcome> {
-    run_specs_with(specs, scale, root_seed, jobs, SeedPolicy::default())
-}
-
-/// [`run_specs`] with an explicit [`SeedPolicy`]: the supervised pool
-/// with panic isolation only (no budgets, no retries). A panicking
-/// experiment comes back as a section whose single claim fails and
-/// whose method line carries the panic message — the campaign and its
-/// healthy sections are untouched.
-pub fn run_specs_with(
-    specs: &[&'static ExperimentSpec],
-    scale: Scale,
-    root_seed: u64,
-    jobs: usize,
-    policy: SeedPolicy,
-) -> Vec<RunOutcome> {
-    run_specs_supervised(
-        specs,
-        scale,
-        root_seed,
-        jobs,
-        policy,
-        &SuperviseConfig::unlimited(),
-    )
-    .into_iter()
-    .zip(specs)
-    .map(|(run, spec)| outcome_or_placeholder(run, spec))
-    .collect()
-}
-
-/// Convert a supervised run into a plain [`RunOutcome`] for the
-/// unsupervised entry points: completed runs pass through; quarantined
-/// runs become a placeholder report whose single claim fails.
-fn outcome_or_placeholder(run: SupervisedRun, spec: &'static ExperimentSpec) -> RunOutcome {
-    match run.outcome {
-        Some(outcome) => outcome,
-        None => {
-            let mut report = Report::new(
-                spec.id,
-                spec.title,
-                format!("run quarantined ({})", run.status.label()),
-            );
-            report.claim(
-                "experiment ran to completion",
-                "produces a report",
-                run.status.label(),
-                false,
-            );
-            if let Some(forensics) = run.status.forensics() {
-                report.block(format!("quarantine forensics:\n{}", forensics.trim_end()));
-            }
-            report.metrics = Some(run.partial_metrics.unwrap_or_default());
-            RunOutcome {
-                id: run.id,
-                seed: run.seed,
-                metrics: run.partial_metrics.unwrap_or_default(),
-                wall: run.wall,
-                report,
-            }
+    /// The run's simulator counters, complete or partial.
+    pub fn metrics(&self) -> RunMetrics {
+        match &self.result {
+            Ok(report) => report.metrics.unwrap_or_default(),
+            Err((_, partial)) => *partial,
         }
     }
 }
 
-/// The supervised pool: shard `specs` across `jobs` workers, each run
-/// wrapped in the panic-isolating, watchdog-armed supervisor. Results
-/// come back in input order; for all-Completed campaigns the reports
-/// are byte-identical to the unsupervised pool's for any `jobs` value.
-pub fn run_specs_supervised(
+/// Run one spec with metric bracketing on the current thread.
+pub(crate) fn run_one(spec: &ExperimentSpec, scale: Scale, seed: u64) -> Report {
+    mpwifi_simcore::metrics::reset();
+    let mut report = (spec.run)(scale, seed);
+    report.metrics = Some(mpwifi_simcore::metrics::snapshot());
+    report
+}
+
+/// Shard `specs` across `jobs` workers (1 = serial), each run under
+/// the supervisor with `cfg`'s budgets and retries. Results come back
+/// in input order; every completed report is byte-identical for any
+/// `jobs` value.
+pub fn run_specs(
     specs: &[&'static ExperimentSpec],
     scale: Scale,
     root_seed: u64,
     jobs: usize,
     policy: SeedPolicy,
     cfg: &SuperviseConfig,
-) -> Vec<SupervisedRun> {
+) -> Vec<RunRecord> {
     fan_out(
         specs.len(),
         jobs,
@@ -191,17 +129,21 @@ pub fn run_specs_supervised(
 }
 
 /// Render run records as a JSON array (one object per experiment) for
-/// the `--metrics FILE` flag.
-pub fn metrics_json(outcomes: &[RunOutcome]) -> String {
-    array_lines(outcomes, |o, run| {
+/// the `--metrics FILE` flag. A quarantined run carries its partial
+/// counters and `"claims_hold": false`.
+pub fn metrics_json(runs: &[RunRecord]) -> String {
+    array_lines(runs, |o, run| {
         o.str("id", run.id)
             .val("seed", run.seed)
             .val(
                 "wall_ms",
                 format_args!("{:.3}", run.wall.as_secs_f64() * 1e3),
             )
-            .fields(run.metrics.fields())
-            .val("claims_hold", run.report.all_hold());
+            .fields(run.metrics().fields())
+            .val(
+                "claims_hold",
+                run.result.as_ref().is_ok_and(Report::all_hold),
+            );
     })
 }
 
@@ -209,57 +151,28 @@ pub fn metrics_json(outcomes: &[RunOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::registry;
-    use crate::supervise::{planted_find, RunStatus};
 
     #[test]
-    fn planted_panic_degrades_to_failed_section_not_dead_pool() {
-        // Regression: the old pool unwrapped the slot mutex, so a
-        // panicking experiment on any worker poisoned the lock and
-        // killed the campaign. Now the panic is quarantined and the
-        // healthy neighbours' reports are untouched.
-        let specs: Vec<&'static registry::ExperimentSpec> = vec![
-            registry::find("table2").unwrap(),
-            planted_find("planted-panic").unwrap(),
-            registry::find("fig9").unwrap(),
-        ];
-        let outcomes = run_specs_with(&specs, Scale::Quick, 42, 2, SeedPolicy::Campaign);
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(outcomes[1].id, "planted-panic");
-        assert!(!outcomes[1].report.all_hold(), "quarantined run must fail");
-        assert!(outcomes[1].report.method.contains("panicked"));
-        for healthy in [&outcomes[0], &outcomes[2]] {
-            let direct = run_specs(
-                &[specs[if healthy.id == "table2" { 0 } else { 2 }]],
-                Scale::Quick,
-                42,
-                1,
-            );
-            assert_eq!(
-                healthy.report.render_text(),
-                direct[0].report.render_text(),
-                "healthy sections must be byte-identical next to a quarantined one"
-            );
-        }
-    }
-
-    #[test]
-    fn supervised_pool_fills_every_slot_for_any_jobs() {
-        let specs: Vec<&'static registry::ExperimentSpec> = vec![
-            registry::find("table2").unwrap(),
-            planted_find("planted-panic").unwrap(),
-        ];
+    fn every_slot_is_filled_in_order_for_any_jobs() {
+        let specs: Vec<&'static ExperimentSpec> = ["table2", "planted-panic"]
+            .iter()
+            .map(|id| registry::find(id).unwrap())
+            .collect();
         for jobs in [1, 2, 4] {
-            let runs = run_specs_supervised(
+            let runs = run_specs(
                 &specs,
                 Scale::Quick,
                 42,
                 jobs,
                 SeedPolicy::Campaign,
-                &SuperviseConfig::unlimited(),
+                &SuperviseConfig::batch(),
             );
             assert_eq!(runs.len(), 2);
-            assert!(matches!(runs[0].status, RunStatus::Completed));
-            assert!(runs[1].status.is_failure());
+            assert!(runs[0].result.is_ok());
+            assert!(matches!(
+                runs[1].result,
+                Err((RunFailure::Panicked { .. }, _))
+            ));
         }
     }
 
@@ -280,20 +193,28 @@ mod tests {
             .iter()
             .map(|id| registry::find(id).unwrap())
             .collect();
-        let outcomes = run_specs(&specs, Scale::Quick, 42, 2);
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].id, "fig9");
-        assert_eq!(outcomes[1].id, "table2");
-        for o in &outcomes {
-            assert_eq!(o.report.metrics, Some(o.metrics));
+        let runs = run_specs(
+            &specs,
+            Scale::Quick,
+            42,
+            2,
+            SeedPolicy::Campaign,
+            &SuperviseConfig::batch(),
+        );
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].id, "fig9");
+        assert_eq!(runs[1].id, "table2");
+        for run in &runs {
+            let report = run.result.as_ref().expect("completes");
+            assert_eq!(report.metrics, Some(run.metrics()));
         }
-        let fig9 = &outcomes[0].metrics;
+        let fig9 = runs[0].metrics();
         assert!(
             fig9.events_popped > 0 && fig9.frames_forwarded > 0,
             "fig9 is packet-level and should tick the simulator counters"
         );
         assert_eq!(
-            outcomes[1].metrics,
+            runs[1].metrics(),
             RunMetrics::default(),
             "table2 is analytic (no simulation): all counters stay zero"
         );
@@ -302,8 +223,15 @@ mod tests {
     #[test]
     fn metrics_json_is_one_object_per_run() {
         let specs = vec![registry::find("fig9").unwrap()];
-        let outcomes = run_specs(&specs, Scale::Quick, 42, 1);
-        let json = metrics_json(&outcomes);
+        let runs = run_specs(
+            &specs,
+            Scale::Quick,
+            42,
+            1,
+            SeedPolicy::Campaign,
+            &SuperviseConfig::batch(),
+        );
+        let json = metrics_json(&runs);
         assert!(json.starts_with("[\n"));
         assert!(json.contains("\"id\": \"fig9\""));
         assert!(json.contains("\"events_popped\""));
@@ -316,27 +244,35 @@ mod tests {
         assert!(json.contains("\"dup_bytes_dropped\": 0, \"claims_hold\": true}"));
         assert!(json.trim_end().ends_with(']'));
 
-        // The exact bytes of a two-run sidecar (wall time fixed by hand;
-        // the second run's single claim fails).
-        let outcome = |id, seed, wall_us, holds| {
-            let mut report = Report::new(id, "t", "m");
-            report.claim("c", "p", "m", holds);
-            let metrics = RunMetrics {
-                events_popped: seed,
-                dup_bytes_dropped: 3,
-                ..RunMetrics::default()
-            };
-            RunOutcome {
-                id,
-                seed,
-                report,
-                metrics,
-                wall: Duration::from_micros(wall_us),
-            }
+        // The exact bytes of a two-run sidecar (wall time fixed by hand):
+        // a completed run whose claim holds and a quarantined one, which
+        // carries its partial counters.
+        let metrics = |events_popped| RunMetrics {
+            events_popped,
+            dup_bytes_dropped: 3,
+            ..RunMetrics::default()
+        };
+        let record = |id, seed, wall_us, result| RunRecord {
+            id,
+            seed,
+            attempts: 1,
+            wall: Duration::from_micros(wall_us),
+            result,
+        };
+        let mut report = Report::new("fig9", "t", "m");
+        report.claim("c", "p", "m", true);
+        report.metrics = Some(metrics(42));
+        let panicked = RunFailure::Panicked {
+            message: "boom".into(),
         };
         let two = [
-            outcome("fig9", 42, 1_500, true),
-            outcome("table2", u64::MAX, 12_345_678, false),
+            record("fig9", 42, 1_500, Ok(report)),
+            record(
+                "table2",
+                u64::MAX,
+                12_345_678,
+                Err((panicked, metrics(u64::MAX))),
+            ),
         ];
         assert_eq!(
             metrics_json(&two),

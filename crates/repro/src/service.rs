@@ -5,14 +5,15 @@
 //! The serve crate owns transport, admission, retry scheduling, and
 //! worker replacement; this module owns everything simulation-shaped:
 //!
-//! - resolving experiment ids against the registry (plus the planted
-//!   failure specs, so the chaos harness can request them by name);
+//! - resolving experiment ids with [`registry::find`] (which knows the
+//!   planted failure specs too, so the chaos harness can request them
+//!   by name);
 //! - arming per-request watchdog budgets around each attempt via
-//!   [`supervise_call`]/[`supervise::supervise_one`] — a breached or panicking
-//!   request is classified into the [`RequestStatus`] taxonomy instead
-//!   of poisoning the long-lived worker;
+//!   [`supervise_call`] — a breached or panicking request is classified
+//!   into the [`RequestStatus`] taxonomy instead of poisoning the
+//!   long-lived worker;
 //! - deriving per-attempt seeds with the batch supervisor's own
-//!   [`supervise::attempt_seed`] chain, so a served retry replays
+//!   [`attempt_seed`] chain, so a served retry replays
 //!   bit-for-bit as `repro <id> --seed <derived>`;
 //! - streaming results: one `section` response carrying the report's
 //!   `render_text()` verbatim (byte-identical to the one-shot CLI), a
@@ -22,7 +23,8 @@
 use crate::experiments::crowd_campaign;
 use crate::registry;
 use crate::report::Scale;
-use crate::supervise::{self, attempt_seed, supervise_call, RunStatus, SuperviseConfig};
+use crate::runner::run_one;
+use crate::supervise::{attempt_seed, supervise_call, SuperviseConfig};
 use mpwifi_serve::proto::{RequestStatus, Response, RunKind, RunRequest};
 use mpwifi_serve::Executor;
 use mpwifi_simcore::WatchdogConfig;
@@ -43,13 +45,14 @@ impl ReproExecutor {
     /// Watchdog budgets for one request: per-request overrides win,
     /// server defaults fill the gaps.
     fn watchdog_for(&self, req: &RunRequest) -> WatchdogConfig {
+        let defaults = &self.defaults.watchdog;
         WatchdogConfig {
-            max_events: req.max_events.or(self.defaults.max_events),
-            wall_limit_ms: req.wall_ms.or(self.defaults.wall_limit_ms),
+            max_events: req.max_events.or(defaults.max_events),
+            wall_limit_ms: req.wall_ms.or(defaults.wall_limit_ms),
             stall_ttl_us: req
                 .stall_ttl_s
                 .map(|s| s.saturating_mul(1_000_000))
-                .or(self.defaults.stall_ttl_us),
+                .or(defaults.stall_ttl_us),
         }
     }
 }
@@ -58,10 +61,7 @@ impl Executor for ReproExecutor {
     fn validate(&self, req: &RunRequest) -> Result<(), String> {
         match &req.kind {
             RunKind::Experiment { id, .. } => {
-                if registry::find(id)
-                    .or_else(|| supervise::planted_find(id))
-                    .is_none()
-                {
+                if registry::find(id).is_none() {
                     return Err(format!("unknown experiment: {id}"));
                 }
                 Ok(())
@@ -118,7 +118,7 @@ impl ReproExecutor {
         attempt: u32,
         emit: &(dyn Fn(Response) + Sync),
     ) -> RequestStatus {
-        let Some(spec) = registry::find(id).or_else(|| supervise::planted_find(id)) else {
+        let Some(spec) = registry::find(id) else {
             // validate() rejects these pre-admission; defensive anyway.
             return RequestStatus::Malformed {
                 error: format!("unknown experiment: {id}"),
@@ -126,30 +126,22 @@ impl ReproExecutor {
         };
         let scale = if full { Scale::Full } else { Scale::Quick };
         let seed = attempt_seed(req.seed, id, attempt);
-        let wd = self.watchdog_for(req);
-        let cfg = SuperviseConfig {
-            max_events: wd.max_events,
-            wall_limit_ms: wd.wall_limit_ms,
-            stall_ttl_us: wd.stall_ttl_us,
-            retries: 0, // the serve pool owns retries
-        };
-        let run = supervise::supervise_one(spec, scale, seed, &cfg);
-        match run.status {
-            RunStatus::Completed => {
-                let outcome = run.outcome.expect("completed run has an outcome");
+        // One attempt: the serve pool owns retries.
+        match supervise_call(&self.watchdog_for(req), || run_one(spec, scale, seed)) {
+            Ok(report) => {
                 emit(Response::Section {
                     req: req.req.clone(),
-                    text: outcome.report.render_text(),
+                    text: report.render_text(),
                 });
                 emit(Response::Metrics {
                     req: req.req.clone(),
-                    metrics: outcome.metrics,
+                    metrics: report.metrics.unwrap_or_default(),
                 });
                 RequestStatus::Completed {
-                    claims_hold: outcome.report.all_hold(),
+                    claims_hold: report.all_hold(),
                 }
             }
-            RunStatus::Failed(failure) => RequestStatus::Failed(failure),
+            Err(failure) => RequestStatus::Failed(failure),
         }
     }
 
@@ -283,17 +275,13 @@ mod tests {
             RequestStatus::Completed { claims_hold: true }
         ));
         let responses = collect(&out);
-        let direct = supervise::supervise_one(
+        let direct = crate::supervise::supervise_one(
             registry::find("table2").unwrap(),
             Scale::Quick,
             42,
             &SuperviseConfig::default(),
         );
-        let direct_text = direct
-            .outcome
-            .expect("direct run completes")
-            .report
-            .render_text();
+        let direct_text = direct.result.expect("direct run completes").render_text();
         let Some(Response::Section { text, .. }) = responses
             .iter()
             .find(|r| matches!(r, Response::Section { .. }))

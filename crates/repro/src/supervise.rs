@@ -1,30 +1,31 @@
 //! Supervised campaign execution: panic isolation, run watchdogs, and
 //! quarantine-and-continue.
 //!
-//! Every experiment run is wrapped in `catch_unwind` and (optionally) a
-//! cooperative watchdog ([`mpwifi_simcore::supervise`]): a panicking,
-//! livelocked, or runaway experiment is converted into a structured
-//! [`RunStatus`] with forensics instead of killing the campaign. The
-//! campaign completes; healthy sections render byte-identically to an
-//! unsupervised run; failures land in a quarantine sidecar with a
-//! paste-ready repro command.
+//! Every experiment run is wrapped in `catch_unwind` and a cooperative
+//! watchdog ([`mpwifi_simcore::supervise`]): a panicking, livelocked,
+//! or runaway experiment comes back as a [`RunFailure`] with forensics
+//! instead of killing the campaign. The campaign completes; healthy
+//! sections render byte-identically to a direct call of the experiment;
+//! failures land in a quarantine sidecar with a paste-ready repro
+//! command.
 //!
 //! Determinism: supervision never perturbs a healthy run. The watchdog
 //! is a per-step thread-local check in the simulator that raises only
 //! on breach; `catch_unwind` is transparent on the success path; and
 //! the failure taxonomy (except the wall-clock deadline, a documented
 //! nondeterministic escape hatch set far above any healthy run) is a
-//! pure function of `(scenario, seed)`.
+//! pure function of `(scenario, seed)`. Batch runs
+//! ([`SuperviseConfig::batch`]) arm no wall-clock deadline, so which
+//! runs are quarantined is a pure function of `(id, scale, seed)` too.
 
 use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
-use crate::runner::{derive_seed, RunOutcome};
+use crate::runner::{derive_seed, run_one, RunRecord};
 use mpwifi_simcore::supervise as watchdog;
-use mpwifi_simcore::{BreachReport, RunFailure, RunMetrics, WatchdogConfig};
+use mpwifi_simcore::{BreachReport, RunFailure, WatchdogConfig};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
-use std::time::Duration;
 
 /// Default event-loop step budget. The heaviest registry experiment
 /// (`fig20` at Full scale) pops ~2.8 M events; 50 M flags only runs
@@ -45,107 +46,40 @@ pub const DEFAULT_STALL_TTL_US: u64 = 300_000_000;
 /// Supervision policy for a campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperviseConfig {
-    /// Simulator event budget per run (`None` = unlimited).
-    pub max_events: Option<u64>,
-    /// Wall-clock deadline per run in milliseconds (`None` = none).
-    pub wall_limit_ms: Option<u64>,
-    /// Sim-time stall TTL per run in microseconds (`None` = none).
-    pub stall_ttl_us: Option<u64>,
+    /// The budgets armed around every attempt.
+    pub watchdog: WatchdogConfig,
     /// Retries per failed run, each with a seed derived from the
     /// original (`derive_seed(seed, "{id}#retryN")`) — a *documented
-    /// determinism escape hatch*: a retried success is flagged
-    /// [`SupervisedRun::flaky`] and ran under a different seed than the
+    /// determinism escape hatch*: a retried success is
+    /// [`RunRecord::flaky`] and ran under a different seed than the
     /// campaign's policy assigned.
     pub retries: u32,
 }
 
 impl Default for SuperviseConfig {
+    /// All three default budgets, no retries: what `repro serve` arms.
     fn default() -> Self {
         SuperviseConfig {
-            max_events: Some(DEFAULT_MAX_EVENTS),
-            wall_limit_ms: Some(DEFAULT_WALL_LIMIT_MS),
-            stall_ttl_us: Some(DEFAULT_STALL_TTL_US),
+            watchdog: WatchdogConfig {
+                max_events: Some(DEFAULT_MAX_EVENTS),
+                wall_limit_ms: Some(DEFAULT_WALL_LIMIT_MS),
+                stall_ttl_us: Some(DEFAULT_STALL_TTL_US),
+            },
             retries: 0,
         }
     }
 }
 
 impl SuperviseConfig {
-    /// Panic isolation only: no budgets, no retries. This is what the
-    /// unsupervised runner path uses so a planted panic degrades into a
-    /// failed section instead of a dead campaign.
-    pub fn unlimited() -> SuperviseConfig {
-        SuperviseConfig {
-            max_events: None,
-            wall_limit_ms: None,
-            stall_ttl_us: None,
-            retries: 0,
-        }
+    /// The deterministic budgets only (events and stall TTL), no
+    /// retries: what a `repro` batch run arms, so a report — and
+    /// whether the run is quarantined at all — stays a pure function of
+    /// `(id, scale, seed)` on any machine and under any load.
+    pub fn batch() -> SuperviseConfig {
+        let mut cfg = SuperviseConfig::default();
+        cfg.watchdog.wall_limit_ms = None;
+        cfg
     }
-
-    fn watchdog(&self) -> WatchdogConfig {
-        WatchdogConfig {
-            max_events: self.max_events,
-            wall_limit_ms: self.wall_limit_ms,
-            stall_ttl_us: self.stall_ttl_us,
-        }
-    }
-}
-
-/// How one supervised run ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RunStatus {
-    /// The experiment returned a report (its claims may still fail —
-    /// that is the report's business, not the supervisor's).
-    Completed,
-    /// The experiment panicked or breached a watchdog budget.
-    Failed(RunFailure),
-}
-
-impl RunStatus {
-    /// Short stable label for reports and sidecars.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RunStatus::Completed => "completed",
-            RunStatus::Failed(failure) => failure.label(),
-        }
-    }
-
-    /// Anything but [`RunStatus::Completed`].
-    pub fn is_failure(&self) -> bool {
-        !matches!(self, RunStatus::Completed)
-    }
-
-    /// The forensic text attached to the failure, if any.
-    pub fn forensics(&self) -> Option<&str> {
-        match self {
-            RunStatus::Completed => None,
-            RunStatus::Failed(failure) => Some(failure.forensics()),
-        }
-    }
-}
-
-/// One experiment's supervised execution record.
-pub struct SupervisedRun {
-    /// Experiment id.
-    pub id: &'static str,
-    /// The seed the *final* attempt ran with.
-    pub seed: u64,
-    /// Attempts made (1 unless retries were configured and needed).
-    pub attempts: u32,
-    /// True when the run failed at least once and then completed on a
-    /// derived-seed retry: the result is real but did not come from the
-    /// seed the campaign policy assigned.
-    pub flaky: bool,
-    /// How the final attempt ended.
-    pub status: RunStatus,
-    /// The outcome, when the final attempt completed.
-    pub outcome: Option<RunOutcome>,
-    /// Wall-clock time across all attempts.
-    pub wall: Duration,
-    /// Simulator counters at the moment of failure (partial work the
-    /// failed run did before it died). `None` when the run completed.
-    pub partial_metrics: Option<RunMetrics>,
 }
 
 thread_local! {
@@ -223,21 +157,6 @@ pub fn supervise_call<T>(wd: &WatchdogConfig, f: impl FnOnce() -> T) -> Result<T
     result.map_err(classify_failure)
 }
 
-/// One supervised attempt: arm, run, disarm, classify.
-fn attempt(
-    spec: &ExperimentSpec,
-    scale: Scale,
-    seed: u64,
-    cfg: &SuperviseConfig,
-) -> (RunStatus, Option<RunOutcome>) {
-    match supervise_call(&cfg.watchdog(), || {
-        crate::runner::run_one(spec, scale, seed)
-    }) {
-        Ok(outcome) => (RunStatus::Completed, Some(outcome)),
-        Err(failure) => (RunStatus::Failed(failure), None),
-    }
-}
-
 /// Run one spec under supervision, retrying per `cfg.retries` with
 /// derived seeds. The first attempt uses `seed` exactly as the campaign
 /// policy assigned it.
@@ -246,24 +165,21 @@ pub fn supervise_one(
     scale: Scale,
     seed: u64,
     cfg: &SuperviseConfig,
-) -> SupervisedRun {
+) -> RunRecord {
     let start = std::time::Instant::now();
     let mut attempts = 0u32;
     loop {
         let run_seed = attempt_seed(seed, spec.id, attempts);
         attempts += 1;
-        let (status, outcome) = attempt(spec, scale, run_seed, cfg);
-        let failed = status.is_failure();
-        if !failed || attempts > cfg.retries {
-            return SupervisedRun {
+        let result = supervise_call(&cfg.watchdog, || run_one(spec, scale, run_seed))
+            .map_err(|failure| (failure, mpwifi_simcore::metrics::snapshot()));
+        if result.is_ok() || attempts > cfg.retries {
+            return RunRecord {
                 id: spec.id,
                 seed: run_seed,
                 attempts,
-                flaky: !failed && attempts > 1,
-                status,
-                outcome,
                 wall: start.elapsed(),
-                partial_metrics: failed.then(mpwifi_simcore::metrics::snapshot),
+                result,
             };
         }
     }
@@ -284,7 +200,7 @@ pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
 /// mirroring the campaign's flags so the failure replays in isolation.
 pub fn repro_command(id: &str, root_seed: u64, scale: Scale, derive_seeds: bool) -> String {
     format!(
-        "cargo run --release -p mpwifi-repro -- {id} --seed {root_seed}{}{} --supervise",
+        "cargo run --release -p mpwifi-repro -- {id} --seed {root_seed}{}{}",
         if scale == Scale::Full { " --full" } else { "" },
         if derive_seeds { " --derive-seeds" } else { "" },
     )
@@ -315,9 +231,9 @@ pub fn repro_test_snippet(id: &str, seed: u64, scale: Scale) -> String {
 
 // ---------------------------------------------------------------------
 // Planted failure specs — deliberately broken experiments used by the
-// supervision smoke tests and `scripts/check.sh --supervise`. They are
-// *not* in the registry: campaigns never run them unless named
-// explicitly.
+// supervision tests and the supervise smoke of `scripts/check.sh
+// --full`. They are *not* in the registry: `registry::find` resolves
+// them by name, but `all` and `extensions` never run them.
 // ---------------------------------------------------------------------
 
 fn run_planted_panic(_: Scale, _seed: u64) -> Report {
@@ -358,8 +274,9 @@ fn run_planted_flaky(_: Scale, seed: u64) -> Report {
 /// download whose primary silently black-holes and whose client is
 /// never notified — the backup never activates, the transfer freezes,
 /// and scheduled wakeups keep the event loop alive for hours of sim
-/// time. Under supervision the stall TTL kills it with forensics; run
-/// unsupervised it burns the full deadline and reports a failed claim.
+/// time. The supervisor's stall TTL kills it with forensics; called
+/// directly (`run_experiment`, as a quarantine test snippet does) it
+/// burns the full hour of simulated time and reports a failed claim.
 fn run_planted_stall(_: Scale, seed: u64) -> Report {
     use bytes::Bytes;
     use mpwifi_mptcp::{BackupActivation, Mode, MptcpConfig};
@@ -414,8 +331,8 @@ fn run_planted_stall(_: Scale, seed: u64) -> Report {
     r
 }
 
-/// The planted specs, resolvable by [`planted_find`] but absent from
-/// [`crate::REGISTRY`].
+/// The planted specs, resolvable by [`crate::registry::find`] but absent
+/// from [`crate::REGISTRY`].
 pub static PLANTED: [ExperimentSpec; 4] = [
     ExperimentSpec {
         id: "planted-panic",
@@ -447,54 +364,51 @@ pub static PLANTED: [ExperimentSpec; 4] = [
     },
 ];
 
-/// Look a planted spec up by id.
-pub fn planted_find(id: &str) -> Option<&'static ExperimentSpec> {
-    PLANTED.iter().find(|s| s.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use crate::registry::find;
+
+    /// The failure of a quarantined run; panics on a completed one.
+    fn failure(run: &RunRecord) -> &RunFailure {
+        match &run.result {
+            Err((failure, _)) => failure,
+            Ok(_) => panic!("{} completed; expected a quarantine", run.id),
+        }
+    }
 
     #[test]
-    fn completed_run_matches_unsupervised_output() {
-        let spec = registry::find("table2").unwrap();
+    fn completed_run_matches_a_direct_call() {
+        let spec = find("table2").unwrap();
         let supervised = supervise_one(spec, Scale::Quick, 42, &SuperviseConfig::default());
-        assert_eq!(supervised.status, RunStatus::Completed);
         assert_eq!(supervised.attempts, 1);
-        assert!(!supervised.flaky);
-        let direct = (spec.run)(Scale::Quick, 42);
-        let outcome = supervised.outcome.expect("completed run has an outcome");
-        assert_eq!(outcome.report.blocks, direct.blocks);
-        assert_eq!(outcome.report.render_text(), {
-            let mut d = direct;
-            d.metrics = outcome.report.metrics;
-            d.render_text()
-        });
+        assert!(!supervised.flaky());
+        let report = supervised.result.expect("table2 completes");
+        let mut direct = (spec.run)(Scale::Quick, 42);
+        assert_eq!(report.blocks, direct.blocks);
+        direct.metrics = report.metrics;
+        assert_eq!(report.render_text(), direct.render_text());
     }
 
     #[test]
     fn planted_panic_is_quarantined_with_message() {
-        let spec = planted_find("planted-panic").unwrap();
+        let spec = find("planted-panic").unwrap();
         let run = supervise_one(spec, Scale::Quick, 1, &SuperviseConfig::default());
-        let RunStatus::Failed(RunFailure::Panicked { message }) = &run.status else {
-            panic!("expected Panicked, got {:?}", run.status);
+        let RunFailure::Panicked { message } = failure(&run) else {
+            panic!("expected Panicked, got {:?}", run.result);
         };
         assert!(
             message.contains("planted panic") && message.contains("supervise.rs"),
             "message must carry text and location: {message}"
         );
-        assert!(run.outcome.is_none());
-        assert!(run.partial_metrics.is_some());
     }
 
     #[test]
     fn planted_stall_is_classified_stalled_with_subflow_forensics() {
-        let spec = planted_find("planted-stall").unwrap();
-        let run = supervise_one(spec, Scale::Quick, 7, &SuperviseConfig::default());
-        let RunStatus::Failed(RunFailure::Stalled { forensics }) = &run.status else {
-            panic!("expected Stalled, got label {}", run.status.label());
+        let spec = find("planted-stall").unwrap();
+        let run = supervise_one(spec, Scale::Quick, 7, &SuperviseConfig::batch());
+        let RunFailure::Stalled { forensics } = failure(&run) else {
+            panic!("expected Stalled, got label {}", failure(&run).label());
         };
         assert!(
             forensics.contains("iface lte") && forensics.contains("stale"),
@@ -504,45 +418,47 @@ mod tests {
             forensics.contains("subflow lte"),
             "health lines must list the frozen subflow:\n{forensics}"
         );
+        assert!(
+            run.metrics().events_popped > 0,
+            "partial work before the stall"
+        );
     }
 
     #[test]
     fn event_budget_exhaustion_is_classified() {
-        let spec = registry::find("fig9").unwrap();
+        let spec = find("fig9").unwrap();
         let cfg = SuperviseConfig {
-            max_events: Some(50),
-            wall_limit_ms: None,
-            stall_ttl_us: None,
+            watchdog: WatchdogConfig {
+                max_events: Some(50),
+                ..WatchdogConfig::default()
+            },
             retries: 0,
         };
         let run = supervise_one(spec, Scale::Quick, 42, &cfg);
         assert!(
-            matches!(
-                run.status,
-                RunStatus::Failed(RunFailure::BudgetExhausted { limit: 50, .. })
-            ),
+            matches!(failure(&run), RunFailure::BudgetExhausted { limit: 50, .. }),
             "expected BudgetExhausted, got {}",
-            run.status.label()
+            failure(&run).label()
         );
     }
 
     #[test]
     fn retry_with_derived_seed_marks_flaky() {
-        let spec = planted_find("planted-flaky").unwrap();
+        let spec = find("planted-flaky").unwrap();
         // Seed 42 dies; the retry derives a different seed and passes.
         let cfg = SuperviseConfig {
             retries: 1,
             ..SuperviseConfig::default()
         };
         let run = supervise_one(spec, Scale::Quick, 42, &cfg);
-        assert_eq!(run.status, RunStatus::Completed);
+        assert!(run.result.is_ok());
         assert_eq!(run.attempts, 2);
-        assert!(run.flaky, "a retried success must be flagged flaky");
+        assert!(run.flaky(), "a retried success must be flagged flaky");
         assert_eq!(run.seed, derive_seed(42, "planted-flaky#retry1"));
         // Without retries the same spec+seed is quarantined.
         let no_retry = supervise_one(spec, Scale::Quick, 42, &SuperviseConfig::default());
-        assert!(no_retry.status.is_failure());
-        assert!(!no_retry.flaky);
+        assert!(no_retry.result.is_err());
+        assert!(!no_retry.flaky());
     }
 
     /// The attempt-seed chain `supervise_one` walks for a spec, starting
@@ -570,7 +486,7 @@ mod tests {
 
     #[test]
     fn transient_failure_succeeds_on_predicted_retry() {
-        let spec = planted_find("planted-transient").unwrap();
+        let spec = find("planted-transient").unwrap();
         // Root and retry-1 seeds fail, retry-2 passes: three attempts.
         let root = root_with_success_at(2);
         let cfg = SuperviseConfig {
@@ -578,24 +494,22 @@ mod tests {
             ..SuperviseConfig::default()
         };
         let run = supervise_one(spec, Scale::Quick, root, &cfg);
-        assert_eq!(run.status, RunStatus::Completed);
+        assert!(run.result.is_ok());
         assert_eq!(
             run.attempts, 3,
             "must complete on exactly the third attempt"
         );
-        assert!(run.flaky, "a retried success must be flagged flaky");
+        assert!(run.flaky(), "a retried success must be flagged flaky");
         assert_eq!(
             run.seed,
             derive_seed(root, "planted-transient#retry2"),
             "final attempt must run under the documented derived seed"
         );
-        assert!(run.outcome.is_some());
-        assert!(run.partial_metrics.is_none());
     }
 
     #[test]
     fn transient_failure_quarantines_only_after_retries_exhausted() {
-        let spec = planted_find("planted-transient").unwrap();
+        let spec = find("planted-transient").unwrap();
         let root = root_with_success_at(2);
         // One retry is not enough: both attempts fail, the run is
         // quarantined, and the attempt count proves no retry was skipped.
@@ -605,16 +519,15 @@ mod tests {
         };
         let run = supervise_one(spec, Scale::Quick, root, &short);
         assert!(
-            matches!(run.status, RunStatus::Failed(RunFailure::Panicked { .. })),
+            matches!(failure(&run), RunFailure::Panicked { .. }),
             "expected quarantine, got {}",
-            run.status.label()
+            failure(&run).label()
         );
         assert_eq!(
             run.attempts, 2,
             "retries must be exhausted before quarantine"
         );
-        assert!(!run.flaky);
-        assert!(run.outcome.is_none());
+        assert!(!run.flaky());
         // Two retries reach the planted success: same spec, same root
         // seed, now completes — quarantine was purely a retry-budget call.
         let enough = SuperviseConfig {
@@ -622,7 +535,7 @@ mod tests {
             ..SuperviseConfig::default()
         };
         let recovered = supervise_one(spec, Scale::Quick, root, &enough);
-        assert_eq!(recovered.status, RunStatus::Completed);
+        assert!(recovered.result.is_ok());
         assert_eq!(recovered.attempts, 3);
     }
 
@@ -648,9 +561,9 @@ mod tests {
         let cmd = repro_command("planted-stall", 42, Scale::Quick, false);
         assert_eq!(
             cmd,
-            "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --supervise"
+            "cargo run --release -p mpwifi-repro -- planted-stall --seed 42"
         );
-        assert!(repro_command("fig9", 7, Scale::Full, true).contains("--full --derive-seeds"));
+        assert!(repro_command("fig9", 7, Scale::Full, true).ends_with("--full --derive-seeds"));
         let snip = repro_test_snippet("planted-stall", 42, Scale::Quick);
         assert!(snip.starts_with("#[test]\nfn supervised_repro_planted_stall_seed_42() {\n"));
         assert!(snip.contains("mpwifi_repro::run_experiment(\"planted-stall\""));

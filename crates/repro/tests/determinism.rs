@@ -2,23 +2,42 @@
 //! count, `repro all` produces byte-identical reports (blocks, claims,
 //! and instrumentation counters) to the serial run.
 
-use mpwifi_repro::{registry::REGISTRY, runner, Scale, SeedPolicy};
+use mpwifi_repro::{
+    registry::{ExperimentSpec, REGISTRY},
+    runner, RunRecord, Scale, SeedPolicy, SuperviseConfig,
+};
+
+/// Run `specs` at Quick scale on `jobs` workers under the batch budgets.
+fn run(
+    specs: &[&'static ExperimentSpec],
+    seed: u64,
+    jobs: usize,
+    policy: SeedPolicy,
+) -> Vec<RunRecord> {
+    runner::run_specs(
+        specs,
+        Scale::Quick,
+        seed,
+        jobs,
+        policy,
+        &SuperviseConfig::batch(),
+    )
+}
 
 /// Everything in a run's output that must not depend on sharding:
 /// id, seed, blocks, claim text/holds, and the metric counters.
-fn fingerprint(outcomes: &[runner::RunOutcome]) -> Vec<String> {
-    outcomes
-        .iter()
+fn fingerprint(runs: &[RunRecord]) -> Vec<String> {
+    runs.iter()
         .map(|o| {
-            let claims: Vec<String> = o
-                .report
+            let report = o.result.as_ref().expect("every registry run completes");
+            let claims: Vec<String> = report
                 .claims
                 .iter()
                 .map(|c| format!("{}|{}|{}|{}", c.what, c.paper, c.measured, c.holds))
                 .collect();
             format!(
                 "{} seed={} blocks={:?} claims={:?} metrics={:?}",
-                o.id, o.seed, o.report.blocks, claims, o.metrics
+                o.id, o.seed, report.blocks, claims, report.metrics
             )
         })
         .collect()
@@ -28,8 +47,8 @@ fn fingerprint(outcomes: &[runner::RunOutcome]) -> Vec<String> {
 fn parallel_run_is_byte_identical_to_serial() {
     let specs: Vec<_> = REGISTRY.iter().collect();
     for seed in [42u64, 7] {
-        let serial = runner::run_specs_with(&specs, Scale::Quick, seed, 1, SeedPolicy::Campaign);
-        let parallel = runner::run_specs_with(&specs, Scale::Quick, seed, 8, SeedPolicy::Campaign);
+        let serial = run(&specs, seed, 1, SeedPolicy::Campaign);
+        let parallel = run(&specs, seed, 8, SeedPolicy::Campaign);
         assert_eq!(
             fingerprint(&serial),
             fingerprint(&parallel),
@@ -52,9 +71,9 @@ fn fault_sweeps_are_deterministic_across_jobs_and_repeats() {
         .collect();
     assert_eq!(specs.len(), 3, "expected the three fault-* experiments");
     for seed in [42u64, 7] {
-        let serial = runner::run_specs_with(&specs, Scale::Quick, seed, 1, SeedPolicy::Campaign);
-        let parallel = runner::run_specs_with(&specs, Scale::Quick, seed, 8, SeedPolicy::Campaign);
-        let repeat = runner::run_specs_with(&specs, Scale::Quick, seed, 1, SeedPolicy::Campaign);
+        let serial = run(&specs, seed, 1, SeedPolicy::Campaign);
+        let parallel = run(&specs, seed, 8, SeedPolicy::Campaign);
+        let repeat = run(&specs, seed, 1, SeedPolicy::Campaign);
         assert_eq!(
             fingerprint(&serial),
             fingerprint(&parallel),
@@ -85,8 +104,8 @@ fn sched_zoo_family_is_deterministic_across_jobs() {
         "expected sched-matrix and sched-failover in the registry"
     );
     for seed in [42u64, 7] {
-        let serial = runner::run_specs_with(&specs, Scale::Quick, seed, 1, SeedPolicy::Campaign);
-        let parallel = runner::run_specs_with(&specs, Scale::Quick, seed, 8, SeedPolicy::Campaign);
+        let serial = run(&specs, seed, 1, SeedPolicy::Campaign);
+        let parallel = run(&specs, seed, 8, SeedPolicy::Campaign);
         assert_eq!(
             fingerprint(&serial),
             fingerprint(&parallel),
@@ -163,8 +182,8 @@ fn derived_seed_policy_is_also_sharding_independent() {
         .iter()
         .filter(|s| ["fig9", "fig10", "table2", "ext-handover"].contains(&s.id))
         .collect();
-    let serial = runner::run_specs_with(&specs, Scale::Quick, 42, 1, SeedPolicy::Derived);
-    let parallel = runner::run_specs_with(&specs, Scale::Quick, 42, 4, SeedPolicy::Derived);
+    let serial = run(&specs, 42, 1, SeedPolicy::Derived);
+    let parallel = run(&specs, 42, 4, SeedPolicy::Derived);
     assert_eq!(fingerprint(&serial), fingerprint(&parallel));
     for o in &serial {
         assert_eq!(o.seed, runner::derive_seed(42, o.id));

@@ -13,17 +13,19 @@
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `UPDATE_GOLDEN=1 cargo test -p mpwifi-repro --test golden_codec`.
 
-use mpwifi_repro::{registry, runner, Scale, SeedPolicy};
+use mpwifi_repro::{registry, runner, Scale, SeedPolicy, SuperviseConfig};
 
 const GOLDEN_PATH: &str = "tests/golden/pr2_codec_reports.txt";
 const IDS: [&str; 4] = ["fig9", "fig10", "table2", "fig15"];
 
 fn render_slice() -> String {
     let specs: Vec<_> = IDS.iter().map(|id| registry::find(id).unwrap()).collect();
-    let outcomes = runner::run_specs_with(&specs, Scale::Quick, 42, 1, SeedPolicy::Campaign);
+    let cfg = SuperviseConfig::batch();
+    let runs = runner::run_specs(&specs, Scale::Quick, 42, 1, SeedPolicy::Campaign, &cfg);
     let mut out = String::new();
-    for o in &outcomes {
-        out.push_str(&o.report.render_text());
+    for run in &runs {
+        let report = run.result.as_ref().expect("the golden slice completes");
+        out.push_str(&report.render_text());
         out.push('\n');
     }
     out

@@ -6,7 +6,7 @@
 //!
 //! - [`proto`]: the wire protocol (request and response types over
 //!   `simcore`'s flat-JSON line codec; [`proto::RequestStatus`] carries
-//!   `simcore`'s `RunFailure`, as `repro`'s `RunStatus` does);
+//!   `simcore`'s `RunFailure`, as `repro`'s `RunRecord` does);
 //! - [`queue`]: the bounded admission queue with typed shedding and drain;
 //! - [`exec`]: the [`exec::Executor`] engine interface and the deterministic
 //!   jittered backoff schedule;

@@ -89,7 +89,7 @@ pub struct BreachReport {
 }
 
 /// Why a supervised run did not complete — the one failure vocabulary
-/// the batch supervisor (`repro::RunStatus`) and the campaign server
+/// the batch supervisor (`repro::RunRecord`) and the campaign server
 /// (`serve::RequestStatus`) both carry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunFailure {

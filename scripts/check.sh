@@ -60,8 +60,8 @@
 #                crowd      a 10^4-user campaign (MPWIFI_CROWD_USERS
 #                           overrides) through `repro campaign` (merge
 #                           agreement is one of its claims) and the
-#                           crowd-campaign experiment under --supervise
-#                           with zero quarantines.
+#                           crowd-campaign experiment with zero
+#                           quarantines.
 #                serve      the chaos_load client against `repro serve`
 #                           in chaos mode: 100+ mixed valid / malformed /
 #                           planted-panic / planted-stall / worker-bomb
@@ -75,11 +75,14 @@
 #                           typed refusals (exit 4 / exit 2); a SIGTERM
 #                           graceful-drain probe. Population defaults to
 #                           10^6 users; MPWIFI_KILL_USERS overrides.
-#                supervise  a campaign with a planted panic and a planted
-#                           livelock quarantines both (exit 3, sidecar
-#                           naming them) while the healthy sections stay
-#                           byte-identical to an unsupervised run; a
-#                           healthy supervised campaign exits 0.
+#                supervise  every `repro` run is supervised: a campaign
+#                           with a planted panic and a planted livelock
+#                           quarantines both (exit 3, sidecar naming
+#                           them) while the healthy sections stay
+#                           byte-identical to a campaign without them;
+#                           that healthy campaign exits 0 with an empty
+#                           sidecar; and the retired `--supervise` flag
+#                           is a usage error (exit 2).
 #              The determinism, golden, resume and journal-property tests
 #              run as part of the workspace suite.
 set -euo pipefail
@@ -197,8 +200,8 @@ if [ "$FULL" -eq 1 ]; then
     USERS="${MPWIFI_CROWD_USERS:-10000}"
     echo "== crowd smoke: $USERS-user campaign via repro campaign (merge agreement is claim 5)"
     "$REPRO" campaign --users "$USERS" --seed 42 --jobs 4 >/dev/null
-    echo "== crowd smoke: crowd-campaign experiment under supervision, zero quarantines"
-    "$REPRO" crowd-campaign --seed 42 --supervise --quarantine "$TMP/crowd.json" >/dev/null
+    echo "== crowd smoke: crowd-campaign experiment, zero quarantines"
+    "$REPRO" crowd-campaign --seed 42 --quarantine "$TMP/crowd.json" >/dev/null
     if grep -q '"id"' "$TMP/crowd.json"; then
         echo "crowd campaign was quarantined:" >&2
         cat "$TMP/crowd.json" >&2
@@ -211,12 +214,18 @@ if [ "$FULL" -eq 1 ]; then
     echo "== resume smoke: kill_chaos harness (SIGKILL + torn tails + byte-identical resume)"
     ./target/release/kill_chaos
 
-    echo "== supervise smoke: healthy campaign, unsupervised baseline"
-    "$REPRO" fig9 table2 --seed 42 --markdown "$TMP/plain.md" >/dev/null
+    echo "== supervise smoke: healthy campaign exits 0 with an empty quarantine sidecar"
+    "$REPRO" fig9 table2 --seed 42 --quarantine "$TMP/healthy.json" \
+        --markdown "$TMP/plain.md" >/dev/null
+    if grep -q '"id"' "$TMP/healthy.json"; then
+        echo "healthy campaign wrote a non-empty quarantine sidecar:" >&2
+        cat "$TMP/healthy.json" >&2
+        exit 1
+    fi
     echo "== supervise smoke: planted panic + planted stall are quarantined"
     rc=0
     "$REPRO" fig9 table2 planted-panic planted-stall \
-        --seed 42 --supervise --quarantine "$TMP/quarantine.json" \
+        --seed 42 --quarantine "$TMP/quarantine.json" \
         --markdown "$TMP/supervised.md" >/dev/null 2>"$TMP/quarantine.err" || rc=$?
     if [ "$rc" -ne 3 ]; then
         echo "expected exit 3 from the planted campaign, got $rc" >&2
@@ -228,11 +237,11 @@ if [ "$FULL" -eq 1 ]; then
     grep -q 'subflow lte' "$TMP/quarantine.json"
     echo "== supervise smoke: healthy sections byte-identical, campaign continued"
     cmp "$TMP/plain.md" "$TMP/supervised.md"
-    echo "== supervise smoke: healthy supervised campaign exits 0"
-    "$REPRO" fig9 table2 --seed 42 --supervise --quarantine "$TMP/healthy.json" >/dev/null
-    if grep -q '"id"' "$TMP/healthy.json"; then
-        echo "healthy supervised campaign wrote a non-empty quarantine sidecar:" >&2
-        cat "$TMP/healthy.json" >&2
+    echo "== supervise smoke: the retired --supervise flag is a usage error"
+    rc=0
+    "$REPRO" --supervise table2 >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "expected exit 2 from 'repro --supervise table2', got $rc" >&2
         exit 1
     fi
 fi
