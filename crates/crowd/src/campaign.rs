@@ -4,17 +4,26 @@
 //! location clusters (weighted by each cluster's Table 1 run count),
 //! measures every user's `(WiFi, LTE)` pair, and accumulates the results
 //! into bounded-memory streaming summaries ([`ShardSummary`]) instead of
-//! holding per-run samples — a million users costs the same memory as
-//! ten.
+//! holding per-run samples.
+//!
+//! Memory: a campaign holds one shared count summary, one 144-byte
+//! float tail per shard (`FloatTail`: the mean accumulators and the
+//! sketches' extremes) and each worker's in-flight shard summary. A
+//! finished shard's integer counts merge into the shared summary at
+//! once and the shard's summary is dropped, so another shard costs a
+//! float tail, not a ~26 KB summary. A resume also holds
+//! the summaries it recovered from the journal, one per recovered shard,
+//! until they are merged.
 //!
 //! Determinism contract: each user's RNG is seeded from
 //! `mix(campaign_seed, user_index)` (an order-free splitmix-style hash),
 //! the user→shard partition is a pure function of the user count and
-//! `shard_users`, and shard summaries are folded in shard-index order.
-//! Together these make campaign output **byte-identical for any worker
-//! count** — the same guarantee the PR 1 sharded runner gives the
-//! figure suite. [`merge_agreement`] checks the sharded-vs-monolithic
-//! equivalence explicitly for supervision smokes.
+//! `shard_users`, integer counts merge in any order (addition commutes)
+//! and the float tails fold in shard-index order. Together these make
+//! campaign output **byte-identical for any worker count** — the same
+//! guarantee the PR 1 sharded runner gives the figure suite.
+//! [`merge_agreement`] checks the sharded-vs-monolithic equivalence
+//! explicitly for supervision smokes.
 
 use crate::journal::{Checkpoint, Recovery, ResumeError};
 use crate::measure::{measure_pair_in, RunMeasurement, RunMode};
@@ -107,9 +116,10 @@ pub struct ClusterTally {
 /// rounded to 1 bit/s, pings in whole microseconds), so every merge adds
 /// integers and the algebra is exactly associative and commutative
 /// (property-tested in `tests/prop_campaign.rs`). The [`MeanAcc`]s carry
-/// float sums whose grouping can matter in the last ulp; campaign
-/// byte-identity across worker counts comes from the fixed in-order
-/// fold, not from float associativity.
+/// float sums whose grouping can matter in the last ulp, and the
+/// sketches' extremes are `f64::min`/`max`; campaign byte-identity
+/// across worker counts comes from folding that float half in shard
+/// order, not from float associativity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardSummary {
     /// Users measured.
@@ -298,18 +308,20 @@ impl Default for ShardSummary {
     }
 }
 
-impl Mergeable for ShardSummary {
-    fn merge(&mut self, other: &ShardSummary) {
+impl ShardSummary {
+    /// The integer half of [`Mergeable::merge`]: user and win counts,
+    /// the four histograms' bins and blocks, and the cluster tallies.
+    /// Integer addition commutes, so these merge in whatever order
+    /// shards finish. The float half is left as it is: the summary is
+    /// whole again once [`Self::merge_floats`] has taken every shard's
+    /// [`FloatTail`].
+    pub(crate) fn merge_counts(&mut self, other: &ShardSummary) {
         self.users += other.users;
         self.lte_wins += other.lte_wins;
-        self.wifi_down.merge(&other.wifi_down);
-        self.lte_down.merge(&other.lte_down);
-        self.combined_diff.merge(&other.combined_diff);
+        self.wifi_down.merge_counts(&other.wifi_down);
+        self.lte_down.merge_counts(&other.lte_down);
+        self.combined_diff.merge_counts(&other.combined_diff);
         self.ping_diff_us.merge(&other.ping_diff_us);
-        self.wifi_down_acc.merge(&other.wifi_down_acc);
-        self.lte_down_acc.merge(&other.lte_down_acc);
-        self.diff_acc.merge(&other.diff_acc);
-        self.ping_diff_acc.merge(&other.ping_diff_acc);
         assert_eq!(
             self.clusters.len(),
             other.clusters.len(),
@@ -320,6 +332,56 @@ impl Mergeable for ShardSummary {
             a.lte_wins += b.lte_wins;
         }
     }
+
+    /// The fields [`Self::merge_floats`] takes from this summary.
+    pub(crate) fn float_tail(&self) -> FloatTail {
+        FloatTail {
+            accs: [
+                self.wifi_down_acc,
+                self.lte_down_acc,
+                self.diff_acc,
+                self.ping_diff_acc,
+            ],
+            extremes: [
+                self.wifi_down.extremes(),
+                self.lte_down.extremes(),
+                self.combined_diff.extremes(),
+            ],
+        }
+    }
+
+    /// The float half of [`Mergeable::merge`]: the mean accumulators'
+    /// sums and the sketches' extremes. Their result can depend on
+    /// grouping, so a campaign folds these in shard order.
+    pub(crate) fn merge_floats(&mut self, tail: &FloatTail) {
+        let [wifi_down, lte_down, diff, ping_diff] = &tail.accs;
+        self.wifi_down_acc.merge(wifi_down);
+        self.lte_down_acc.merge(lte_down);
+        self.diff_acc.merge(diff);
+        self.ping_diff_acc.merge(ping_diff);
+        let [wifi_down, lte_down, diff] = tail.extremes;
+        self.wifi_down.merge_extremes(wifi_down);
+        self.lte_down.merge_extremes(lte_down);
+        self.combined_diff.merge_extremes(diff);
+    }
+}
+
+impl Mergeable for ShardSummary {
+    fn merge(&mut self, other: &ShardSummary) {
+        self.merge_counts(other);
+        self.merge_floats(&other.float_tail());
+    }
+}
+
+/// The float half of a [`ShardSummary`], 144 bytes: the four
+/// [`MeanAcc`]s (float sums regroup in the last ulp) and the three
+/// sketches' exact extremes (`f64::min` need not say which of two equal
+/// zeros it keeps). Keeping the extremes on the in-order side makes the
+/// fold byte-identical by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FloatTail {
+    accs: [MeanAcc; 4],
+    extremes: [(f64, f64); 3],
 }
 
 /// A finished campaign: the folded summary plus its provenance.
@@ -434,9 +496,10 @@ pub(crate) fn run_shard(
 /// stealing keeps a straggler shard (one slow FullSim user) from idling
 /// the rest of the pool. Each worker owns one [`SimArena`] (FullSim runs
 /// re-arm it per transfer) and streams each shard into a
-/// [`ShardSummary`] keyed by its shard index. Summaries are folded in
-/// shard order, so the result is byte-identical for every worker count
-/// and every steal interleaving.
+/// [`ShardSummary`], whose integer counts merge into the campaign's as
+/// the shard finishes and whose float half folds in shard order, so the
+/// result is byte-identical for every worker count and every steal
+/// interleaving.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     run_campaign_with(cfg, |_, _, _| {})
 }
@@ -503,6 +566,12 @@ pub fn run_campaign_resumable_with(
 /// The one campaign engine behind all four entry points. An unjournaled
 /// campaign is a resume with nothing recovered and nowhere to append:
 /// the residual list is then every shard.
+///
+/// What it holds does not grow with the shard count but by one
+/// [`FloatTail`] per shard: the integer half of every shard merges into
+/// one shared summary as the shard finishes (recovered shards first),
+/// and only the float tails are kept, to fold in shard order at the
+/// end. A resume also holds its recovered slots until they are merged.
 fn run_engine(
     cfg: &CampaignConfig,
     journal: Option<(Checkpoint, Recovery)>,
@@ -512,19 +581,32 @@ fn run_engine(
     let num_shards = cfg.num_shards();
     let (checkpoint, recovery) = match journal {
         Some((checkpoint, recovery)) => (Some(Mutex::new(checkpoint)), recovery),
-        None => (None, Recovery::fresh(num_shards)),
+        // An empty slot list recovers nothing.
+        None => (None, Recovery::fresh(0)),
     };
     let world = CampaignWorld::build();
-    let mut slots = recovery.slots;
+    let mut counts = ShardSummary::new();
+    // Recovered float tails, in shard order.
+    let mut recovered: Vec<(u64, FloatTail)> = Vec::new();
+    for (shard, slot) in recovery.slots.into_iter().enumerate() {
+        if let Some(summary) = slot {
+            counts.merge_counts(&summary);
+            recovered.push((shard as u64, summary.float_tail()));
+        }
+    }
     let residual: Vec<u64> = (0..num_shards)
-        .filter(|&s| slots[s as usize].is_none())
+        .filter(|s| recovered.binary_search_by_key(s, |r| r.0).is_err())
         .collect();
+    let counts = Mutex::new(counts);
     // First journal-append failure; workers skip their remaining shards
     // once one is recorded (the journal is shared, so a failed append
     // poisons the run).
     let first_err: Mutex<Option<ResumeError>> = Mutex::new(None);
     let done_shards = AtomicU64::new(recovery.recovered_slots);
     let users_done = AtomicU64::new(recovery.recovered_users);
+    // A job returns its shard's float tail boxed: `fan_out` keeps a slot
+    // per shard and each worker a list of the shards it finished, and a
+    // pointer there costs 8 bytes where the tail would cost 144.
     let computed = fan_out(
         residual.len(),
         cfg.resolved_workers(),
@@ -549,22 +631,28 @@ fn run_engine(
                     return None;
                 }
             }
+            counts.lock().expect(POISONED).merge_counts(&summary);
             let done = done_shards.fetch_add(1, Ordering::SeqCst) + 1;
             let users = users_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
             on_shard(done, num_shards, users);
-            Some(summary)
+            Some(Box::new(summary.float_tail()))
         },
     );
     if let Some(e) = first_err.into_inner().expect(POISONED) {
         return Err(e);
     }
-    for (&shard, summary) in residual.iter().zip(computed) {
-        slots[shard as usize] = summary;
-    }
 
-    let mut stats = ShardSummary::new();
-    for slot in slots {
-        stats.merge(&slot.expect("every shard recovered or computed"));
+    // The float fold, in shard order: walk the recovered and the
+    // computed tails (each already sorted by shard) as one sequence.
+    let mut stats = counts.into_inner().expect(POISONED);
+    let mut recovered = recovered.into_iter().peekable();
+    let mut computed = computed.into_iter().flatten();
+    for shard in 0..num_shards {
+        let tail = match recovered.next_if(|r| r.0 == shard) {
+            Some((_, tail)) => tail,
+            None => *computed.next().expect("every shard recovered or computed"),
+        };
+        stats.merge_floats(&tail);
     }
     Ok(ResumedCampaign {
         summary: CampaignSummary {

@@ -120,9 +120,12 @@ fn io_err(e: std::io::Error) -> ResumeError {
     ResumeError::Io(e.to_string())
 }
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing-by-16 tables, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so sixteen lookups advance the CRC over sixteen input bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -135,17 +138,49 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `bytes` — the checksum in every frame.
+/// CRC32 (IEEE) of `bytes` — the checksum in every frame. Sixteen bytes
+/// per step (slicing-by-16), then byte at a time for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -198,23 +233,21 @@ impl JournalHeader {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        put_u8(&mut out, TAG_HEADER);
-        put_u32(&mut out, JOURNAL_MAGIC);
-        put_u32(&mut out, JOURNAL_FORMAT_VERSION);
-        put_u64(&mut out, self.seed);
-        put_u64(&mut out, self.users);
-        put_u64(&mut out, self.shard_users);
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_u8(out, TAG_HEADER);
+        put_u32(out, JOURNAL_MAGIC);
+        put_u32(out, JOURNAL_FORMAT_VERSION);
+        put_u64(out, self.seed);
+        put_u64(out, self.users);
+        put_u64(out, self.shard_users);
         put_u8(
-            &mut out,
+            out,
             match self.mode {
                 RunMode::Analytic => 0,
                 RunMode::FullSim => 1,
             },
         );
-        put_u64(&mut out, self.fingerprint);
-        out
+        put_u64(out, self.fingerprint);
     }
 
     /// Decode a header payload. Wrong magic or container version is
@@ -311,13 +344,17 @@ impl JournalHeader {
     }
 }
 
-/// Wrap a payload in a `[len][crc32][payload]` frame.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Clear `buf` and make it one `[len][crc32][payload]` frame, the
+/// payload written by `payload` after the reserved 8-byte head and
+/// checksummed where it lies.
+fn frame_into(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&[0; 8]);
+    payload(buf);
+    let len = (buf.len() - 8) as u32;
+    let crc = crc32(&buf[8..]);
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Read the frame at `pos`. `None` means the bytes from `pos` on are
@@ -452,10 +489,13 @@ pub fn scan_journal(bytes: &[u8], cfg: &CampaignConfig) -> Result<Recovery, Resu
 /// away, and its recovered slots returned. Every
 /// [`Checkpoint::append_slot`] is a single whole-frame write followed
 /// by `sync_data` — the shard-boundary fsync that makes a reported-done
-/// shard durable.
+/// shard durable. Every frame is encoded into one buffer the checkpoint
+/// keeps, so an append copies nothing and allocates nothing once the
+/// buffer has grown to a slot record's size.
 #[derive(Debug)]
 pub struct Checkpoint {
     file: File,
+    buf: Vec<u8>,
 }
 
 impl Checkpoint {
@@ -477,26 +517,33 @@ impl Checkpoint {
         // Drop the torn/damaged tail so appends extend the valid prefix.
         file.set_len(recovery.valid_bytes).map_err(io_err)?;
         file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        let mut ckpt = Checkpoint { file };
+        let mut ckpt = Checkpoint {
+            file,
+            buf: Vec::new(),
+        };
         if recovery.valid_bytes == 0 {
-            ckpt.append_frame(&JournalHeader::for_config(cfg).encode())?;
+            let header = JournalHeader::for_config(cfg);
+            ckpt.append_frame(|out| header.encode_into(out))?;
         }
         Ok((ckpt, recovery))
     }
 
-    fn append_frame(&mut self, payload: &[u8]) -> Result<(), ResumeError> {
-        self.file.write_all(&frame(payload)).map_err(io_err)?;
+    /// Frame the payload `payload` writes, then one `write_all` and
+    /// `sync_data`.
+    fn append_frame(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), ResumeError> {
+        frame_into(&mut self.buf, payload);
+        self.file.write_all(&self.buf).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)
     }
 
     /// Append one completed shard and fsync. Returns only once the
     /// record is durable.
     pub fn append_slot(&mut self, slot: u64, summary: &ShardSummary) -> Result<(), ResumeError> {
-        let mut payload = Vec::with_capacity(64);
-        put_u8(&mut payload, TAG_SLOT);
-        put_u64(&mut payload, slot);
-        summary.encode_into(&mut payload);
-        self.append_frame(&payload)
+        self.append_frame(|out| {
+            put_u8(out, TAG_SLOT);
+            put_u64(out, slot);
+            summary.encode_into(out);
+        })
     }
 }
 
@@ -549,9 +596,22 @@ mod tests {
         p
     }
 
+    /// `payload` as one whole frame.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(&mut out, |buf| buf.extend_from_slice(payload));
+        out
+    }
+
+    fn header_payload(header: &JournalHeader) -> Vec<u8> {
+        let mut out = Vec::new();
+        header.encode_into(&mut out);
+        out
+    }
+
     /// Journal bytes with a header and `slots` records, built in memory.
     fn journal_bytes(cfg: &CampaignConfig, slots: &[u64]) -> Vec<u8> {
-        let mut bytes = frame(&JournalHeader::for_config(cfg).encode());
+        let mut bytes = frame(&header_payload(&JournalHeader::for_config(cfg)));
         for &slot in slots {
             let (lo, hi) = cfg.shard_bounds(slot);
             let mut payload = Vec::new();
@@ -632,7 +692,7 @@ mod tests {
     fn bit_flip_in_middle_record_truncates_there() {
         let cfg = cfg();
         let bytes = journal_bytes(&cfg, &[0, 1, 2, 3]);
-        let header_len = frame(&JournalHeader::for_config(&cfg).encode()).len();
+        let header_len = frame(&header_payload(&JournalHeader::for_config(&cfg))).len();
         let record_len = (bytes.len() - header_len) / 4;
         // Flip a byte inside record 1's payload: records 2 and 3 are
         // after the damage and are dropped with it.
@@ -702,7 +762,7 @@ mod tests {
             Err(ResumeError::CorruptTail { valid_bytes: 0, .. })
         ));
         // A CRC-valid frame that is not our format: version mismatch.
-        let mut payload = JournalHeader::for_config(&cfg).encode();
+        let mut payload = header_payload(&JournalHeader::for_config(&cfg));
         payload[1] ^= 0xFF; // first magic byte (after the tag)
         let alien = frame(&payload);
         assert!(matches!(
@@ -716,7 +776,7 @@ mod tests {
         let cfg = cfg();
         let mut header = JournalHeader::for_config(&cfg);
         header.fingerprint ^= 1;
-        let bytes = frame(&header.encode());
+        let bytes = frame(&header_payload(&header));
         assert!(matches!(
             scan_journal(&bytes, &cfg),
             Err(ResumeError::VersionMismatch { .. })

@@ -11,7 +11,12 @@
 //! The journal under test is produced by the real writer (a completed
 //! `run_campaign_resumable`), not hand-built bytes, so the properties
 //! also pin the writer/reader agreement.
+//!
+//! The frame checksum itself is checked differentially too: the
+//! sixteen-bytes-a-step `crc32` against a bitwise, table-free reference,
+//! at every length and alignment a block boundary can fall on.
 
+use mpwifi_crowd::journal::crc32;
 use mpwifi_crowd::{
     run_campaign_resumable, scan_journal, CampaignConfig, ResumeError, RunMode, ShardSummary,
 };
@@ -244,5 +249,51 @@ proptest! {
             }
             prop_assert!(rec.valid_bytes as usize <= bytes.len());
         }
+    }
+}
+
+/// CRC32 (IEEE, reflected) one bit at a time, no table: the reference
+/// the sliced tables must agree with.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+#[test]
+fn crc32_equals_the_bitwise_reference_at_every_length_and_offset() {
+    // Every length up to 300 (18 whole 16-byte blocks and each tail
+    // length) at each of the 16 offsets a block can start from.
+    let buf: Vec<u8> = (0u32..316)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    for offset in 0..16 {
+        for len in 0..=300 {
+            let bytes = &buf[offset..offset + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "offset {offset} length {len}"
+            );
+        }
+    }
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
+proptest! {
+    #[test]
+    fn prop_crc32_equals_the_bitwise_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
     }
 }

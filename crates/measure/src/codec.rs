@@ -180,7 +180,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u32`-length-prefixed vector of `u64` counters, bounded by
-    /// [`MAX_BINS`].
+    /// [`MAX_BINS`]. The length is checked once; a short input is the
+    /// error a counter-by-counter read would stop at: the first counter
+    /// that does not fit, with the bytes left after the whole ones.
     pub fn counters(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
         let n = self.u32(what)?;
         if n == 0 || n > MAX_BINS {
@@ -189,10 +191,19 @@ impl<'a> Reader<'a> {
                 detail: "bin count out of range",
             });
         }
-        let mut v = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            v.push(self.u64(what)?);
+        let bytes = n as usize * 8;
+        if self.remaining() < bytes {
+            return Err(CodecError::Truncated {
+                what,
+                needed: 8,
+                have: self.remaining() % 8,
+            });
         }
+        let v = self
+            .take(bytes, what)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk")))
+            .collect();
         Ok(v)
     }
 

@@ -265,11 +265,31 @@ impl SampleBuilder for CdfSketch {
     }
 }
 
+impl CdfSketch {
+    /// The histogram half of [`Mergeable::merge`]: bins, out-of-range
+    /// blocks and count, integer additions whose order cannot show.
+    /// The extremes are left as they are until [`Self::merge_extremes`].
+    pub fn merge_counts(&mut self, other: &CdfSketch) {
+        self.hist.merge(&other.hist);
+    }
+
+    /// The exact `(min, max)`, `(+inf, -inf)` when empty: what the
+    /// extremes half of a merge takes from the other sketch.
+    pub fn extremes(&self) -> (f64, f64) {
+        (self.min, self.max)
+    }
+
+    /// The extremes half of [`Mergeable::merge`].
+    pub fn merge_extremes(&mut self, (min, max): (f64, f64)) {
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
+    }
+}
+
 impl Mergeable for CdfSketch {
     fn merge(&mut self, other: &Self) {
-        self.hist.merge(&other.hist);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.merge_counts(other);
+        self.merge_extremes(other.extremes());
     }
 }
 

@@ -8,10 +8,13 @@
 //! land in. The corruption properties pin the other half of the
 //! contract: a damaged encoding decodes to a typed `CodecError`, never
 //! a panic (frame CRCs catch damage upstream; these properties make the
-//! decoder safe even when called on raw bytes).
+//! decoder safe even when called on raw bytes). The cut properties pin
+//! it exactly: a `Histogram` or `CdfSketch` encoding cut at any byte
+//! fails with the same `CodecError` as a reference decode written here
+//! that reads the bins one counter at a time.
 
-use mpwifi_measure::codec::Reader;
-use mpwifi_measure::{CdfSketch, Histogram, MeanAcc, Mergeable, SampleBuilder};
+use mpwifi_measure::codec::{Reader, MAX_BINS};
+use mpwifi_measure::{CdfSketch, CodecError, Histogram, MeanAcc, Mergeable, SampleBuilder};
 use proptest::prelude::*;
 
 /// Dyadic samples (exact partial sums) with ±inf injected, so the
@@ -180,5 +183,72 @@ proptest! {
         let mpos = (pos_seed % mbuf.len() as u64) as usize;
         mbuf[mpos] ^= flip;
         let _ = MeanAcc::decode(&mut Reader::new(&mbuf));
+    }
+}
+
+/// Reference `Histogram::decode` up to its sum check: the same reads in
+/// the same order, the bins one `u64` at a time.
+fn reference_hist(r: &mut Reader<'_>) -> Result<(), CodecError> {
+    const WHAT: &str = "Histogram";
+    r.version(WHAT, Histogram::CODEC_VERSION)?;
+    let lo = r.f64(WHAT)?;
+    let hi = r.f64(WHAT)?;
+    if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+        return Err(CodecError::Invalid {
+            what: WHAT,
+            detail: "bad bin range",
+        });
+    }
+    let n = r.u32(WHAT)?;
+    if n == 0 || n > MAX_BINS {
+        return Err(CodecError::Invalid {
+            what: WHAT,
+            detail: "bin count out of range",
+        });
+    }
+    for _ in 0..n {
+        r.u64(WHAT)?;
+    }
+    for _ in 0..3 {
+        r.u64(WHAT)?;
+    }
+    Ok(())
+}
+
+/// Reference `CdfSketch::decode` on a valid encoding's prefix: its
+/// histogram, then the two extremes.
+fn reference_sketch(r: &mut Reader<'_>) -> Result<(), CodecError> {
+    reference_hist(r)?;
+    r.f64("CdfSketch")?;
+    r.f64("CdfSketch")?;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prop_cut_histogram_fails_like_a_counter_by_counter_read(
+        xs in samples_with_extremes(),
+    ) {
+        let mut buf = Vec::new();
+        hist(&xs).encode_into(&mut buf);
+        for cut in 0..=buf.len() {
+            let got = Histogram::decode(&mut Reader::new(&buf[..cut])).map(|_| ());
+            let want = reference_hist(&mut Reader::new(&buf[..cut]));
+            prop_assert_eq!(got, want, "cut at {} of {}", cut, buf.len());
+        }
+    }
+
+    #[test]
+    fn prop_cut_sketch_fails_like_a_counter_by_counter_read(
+        xs in samples_with_extremes(),
+    ) {
+        let buf = encode_sketch(&sketch(&xs));
+        for cut in 0..=buf.len() {
+            let got = CdfSketch::decode(&mut Reader::new(&buf[..cut])).map(|_| ());
+            let want = reference_sketch(&mut Reader::new(&buf[..cut]));
+            prop_assert_eq!(got, want, "cut at {} of {}", cut, buf.len());
+        }
     }
 }

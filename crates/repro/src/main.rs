@@ -186,6 +186,16 @@ fn main() {
         targets.extend(EXTENSION_EXPERIMENTS.iter().map(|s| s.to_string()));
     }
 
+    // Resolve every target before anything runs: an unknown id is a
+    // usage error (exit 2), like an unknown flag, so a typo in a long
+    // target list costs nothing. The planted failure specs resolve too
+    // (for supervision smoke tests and quarantine repro commands) but
+    // never ride along with `all`/`extensions`.
+    let specs: Vec<&'static registry::ExperimentSpec> = targets
+        .iter()
+        .map(|id| registry::find(id).unwrap_or_else(|| die(&format!("unknown experiment: {id}"))))
+        .collect();
+
     if let Some(path) = &csv {
         // Export the crowd dataset, like the paper's published data.
         let mode = match scale {
@@ -198,28 +208,12 @@ fn main() {
         println!("wrote {} runs to {path}", ds.len());
     }
 
-    // Resolve targets up front: an unknown id is reported and counted
-    // as a failure (exit 1), and the known ones still run. The planted
-    // failure specs resolve too (for supervision smoke tests and
-    // quarantine repro commands) but never ride along with
-    // `all`/`extensions`.
-    let mut failures = 0usize;
-    let mut specs: Vec<&'static registry::ExperimentSpec> = Vec::new();
-    for id in &targets {
-        match registry::find(id) {
-            Some(spec) => specs.push(spec),
-            None => {
-                eprintln!("unknown experiment: {id}");
-                failures += 1;
-            }
-        }
-    }
-
     let cfg = SuperviseConfig {
         retries,
         ..SuperviseConfig::batch()
     };
     let runs = runner::run_specs(&specs, scale, seed, jobs, policy, &cfg);
+    let mut failures = 0usize;
     let mut reports = Vec::new();
     for run in &runs {
         let Ok(report) = &run.result else { continue };

@@ -60,3 +60,17 @@ fn an_unknown_flag_is_a_usage_error() {
     assert!(stderr.contains("unknown flag: --supervise"), "{stderr}");
     assert!(out.stdout.is_empty(), "no experiment may run: {out:?}");
 }
+
+#[test]
+fn an_unknown_experiment_is_a_usage_error() {
+    // A typo among the targets must fail before the known ones run, not
+    // after `table2` has run in full and reported "1/1 experiments".
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table2", "fig99"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment: fig99"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run: {out:?}");
+}

@@ -3,7 +3,11 @@
 # Usage: scripts/check.sh [--full]
 #   (default)  cargo fmt --check, clippy and rustdoc over every
 #              workspace package (crates, vendored shims, the root) with
-#              warnings denied, and the tier-1 build + tests.
+#              warnings denied, the tier-1 build + tests, and the crowd
+#              and measure suites in a debug build (a few seconds warm):
+#              the journal's frame and CRC properties, the codec's
+#              truncation and round-trip properties and the campaign's
+#              merge and resume tests gate every change, not only --full.
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release: release builds are
 #              whole-program, fat LTO and one codegen unit from
@@ -83,8 +87,9 @@
 #                           that healthy campaign exits 0 with an empty
 #                           sidecar; and the retired `--supervise` flag
 #                           is a usage error (exit 2).
-#              The determinism, golden, resume and journal-property tests
-#              run as part of the workspace suite.
+#              The determinism, golden and resume tests run as part of
+#              the workspace suite; the journal properties also run in
+#              the default gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,6 +146,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+echo "== crowd and measure suites in a debug build (journal, codec, campaign properties)"
+cargo test -q -p mpwifi-crowd -p mpwifi-measure
 
 if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"
