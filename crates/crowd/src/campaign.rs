@@ -7,13 +7,13 @@
 //! holding per-run samples.
 //!
 //! Memory: a campaign holds one shared count summary, one 144-byte
-//! float tail per shard (`FloatTail`: the mean accumulators and the
+//! float tail per shard ([`FloatTail`]: the mean accumulators and the
 //! sketches' extremes) and each worker's in-flight shard summary. A
 //! finished shard's integer counts merge into the shared summary at
 //! once and the shard's summary is dropped, so another shard costs a
-//! float tail, not a ~26 KB summary. A resume also holds
-//! the summaries it recovered from the journal, one per recovered shard,
-//! until they are merged.
+//! float tail, not a ~26 KB summary. A resume reads its journal one
+//! frame at a time, decodes one record at a time and keeps the same
+//! two things: recovered counts merged, recovered tails in shard order.
 //!
 //! Determinism contract: each user's RNG is seeded from
 //! `mix(campaign_seed, user_index)` (an order-free splitmix-style hash),
@@ -300,6 +300,17 @@ impl ShardSummary {
             clusters,
         })
     }
+
+    /// True when every sketch and histogram of `other` has this
+    /// summary's range and bin count, so the two can merge. Every
+    /// summary this build makes has the shape [`Self::new`] gives it; a
+    /// decoded one may not.
+    pub(crate) fn same_shape(&self, other: &ShardSummary) -> bool {
+        self.wifi_down.same_shape(&other.wifi_down)
+            && self.lte_down.same_shape(&other.lte_down)
+            && self.combined_diff.same_shape(&other.combined_diff)
+            && self.ping_diff_us.same_shape(&other.ping_diff_us)
+    }
 }
 
 impl Default for ShardSummary {
@@ -353,7 +364,7 @@ impl ShardSummary {
     /// The float half of [`Mergeable::merge`]: the mean accumulators'
     /// sums and the sketches' extremes. Their result can depend on
     /// grouping, so a campaign folds these in shard order.
-    pub(crate) fn merge_floats(&mut self, tail: &FloatTail) {
+    pub fn merge_floats(&mut self, tail: &FloatTail) {
         let [wifi_down, lte_down, diff, ping_diff] = &tail.accs;
         self.wifi_down_acc.merge(wifi_down);
         self.lte_down_acc.merge(lte_down);
@@ -377,9 +388,10 @@ impl Mergeable for ShardSummary {
 /// [`MeanAcc`]s (float sums regroup in the last ulp) and the three
 /// sketches' exact extremes (`f64::min` need not say which of two equal
 /// zeros it keeps). Keeping the extremes on the in-order side makes the
-/// fold byte-identical by construction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FloatTail {
+/// fold byte-identical by construction. A journal scan hands one per
+/// recovered shard to the campaign ([`Recovery::tails`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FloatTail {
     accs: [MeanAcc; 4],
     extremes: [(f64, f64); 3],
 }
@@ -569,9 +581,12 @@ pub fn run_campaign_resumable_with(
 ///
 /// What it holds does not grow with the shard count but by one
 /// [`FloatTail`] per shard: the integer half of every shard merges into
-/// one shared summary as the shard finishes (recovered shards first),
-/// and only the float tails are kept, to fold in shard order at the
-/// end. A resume also holds its recovered slots until they are merged.
+/// one shared summary as the shard finishes, and only the float tails
+/// are kept, to fold in shard order at the end. A resume starts from
+/// what the journal scan left in its [`Recovery`]: the recovered
+/// shards' counts, already merged into that summary, and their tails.
+/// The scan decoded one record at a time, so a resume holds no more
+/// than a fresh run does.
 fn run_engine(
     cfg: &CampaignConfig,
     journal: Option<(Checkpoint, Recovery)>,
@@ -581,19 +596,17 @@ fn run_engine(
     let num_shards = cfg.num_shards();
     let (checkpoint, recovery) = match journal {
         Some((checkpoint, recovery)) => (Some(Mutex::new(checkpoint)), recovery),
-        // An empty slot list recovers nothing.
-        None => (None, Recovery::fresh(0)),
+        None => (None, Recovery::fresh()),
     };
+    let Recovery {
+        counts,
+        tails: recovered,
+        recovered_slots,
+        recovered_users,
+        dropped_bytes,
+        ..
+    } = recovery;
     let world = CampaignWorld::build();
-    let mut counts = ShardSummary::new();
-    // Recovered float tails, in shard order.
-    let mut recovered: Vec<(u64, FloatTail)> = Vec::new();
-    for (shard, slot) in recovery.slots.into_iter().enumerate() {
-        if let Some(summary) = slot {
-            counts.merge_counts(&summary);
-            recovered.push((shard as u64, summary.float_tail()));
-        }
-    }
     let residual: Vec<u64> = (0..num_shards)
         .filter(|s| recovered.binary_search_by_key(s, |r| r.0).is_err())
         .collect();
@@ -602,8 +615,8 @@ fn run_engine(
     // once one is recorded (the journal is shared, so a failed append
     // poisons the run).
     let first_err: Mutex<Option<ResumeError>> = Mutex::new(None);
-    let done_shards = AtomicU64::new(recovery.recovered_slots);
-    let users_done = AtomicU64::new(recovery.recovered_users);
+    let done_shards = AtomicU64::new(recovered_slots);
+    let users_done = AtomicU64::new(recovered_users);
     // A job returns its shard's float tail boxed: `fan_out` keeps a slot
     // per shard and each worker a list of the shards it finished, and a
     // pointer there costs 8 bytes where the tail would cost 144.
@@ -661,9 +674,9 @@ fn run_engine(
             shards: num_shards,
             stats,
         },
-        recovered_shards: recovery.recovered_slots,
+        recovered_shards: recovered_slots,
         total_shards: num_shards,
-        dropped_bytes: recovery.dropped_bytes,
+        dropped_bytes,
     })
 }
 

@@ -25,34 +25,38 @@
 //! valid prefix. A torn tail, a truncated frame, a bit-flipped record
 //! (CRC mismatch), or a CRC-valid record that fails semantic decode all
 //! stop the scan at the last good frame — recovery **never panics and
-//! never errors after a valid header**; the damaged suffix is simply
-//! recomputed. Errors are reserved for the header: a journal whose
+//! never errors after a valid header** on what it reads; the damaged
+//! suffix is simply recomputed. A length field longer than a slot
+//! record (every slot record of a build has the same length) or than
+//! the bytes left is a torn tail too, so no frame larger than a slot
+//! record is ever read. [`Checkpoint::open`] runs the same scan over the
+//! file, one frame at a time into one buffer, and folds each record
+//! into the [`Recovery`] as it is read, so a resume holds one frame and
+//! one decoded slot, not one journal. A read that fails is
+//! [`ResumeError::Io`], never a torn tail: the file is left as it was.
+//! Otherwise errors are reserved for the header: a journal whose
 //! header cannot be read is [`ResumeError::CorruptTail`], and a header
 //! from a *different* campaign is a typed refusal
 //! ([`ResumeError::SeedMismatch`] / [`ResumeError::PartitionMismatch`] /
 //! [`ResumeError::VersionMismatch`]) — resuming against the wrong
 //! journal must never silently produce garbage.
 
-use crate::campaign::{CampaignConfig, ShardSummary, CAMPAIGN_CLUSTERS};
+use crate::campaign::{CampaignConfig, FloatTail, ShardSummary, CAMPAIGN_CLUSTERS};
 use crate::measure::RunMode;
 use mpwifi_measure::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use mpwifi_measure::{CdfSketch, Histogram, MeanAcc};
 use mpwifi_simcore::Fnv1a;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// First bytes of every journal header payload (after the tag): "MPWJ".
 pub const JOURNAL_MAGIC: u32 = u32::from_le_bytes(*b"MPWJ");
 
 /// Journal container-format version (frame layout + record tags).
 pub const JOURNAL_FORMAT_VERSION: u32 = 1;
-
-/// Upper bound on one frame's payload. Slot records are ~26 KB; any
-/// larger length field is corruption, and refusing it keeps a flipped
-/// length byte from reading megabytes of garbage as one frame.
-const MAX_FRAME_BYTES: u32 = 1 << 26;
 
 const TAG_HEADER: u8 = 1;
 const TAG_SLOT: u8 = 2;
@@ -154,11 +158,34 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
-/// CRC32 (IEEE) of `bytes` — the checksum in every frame. Sixteen bytes
-/// per step (slicing-by-16), then byte at a time for the tail.
+/// CRC32 (IEEE) of `bytes` — the checksum in every frame. An input of
+/// 64 bytes or more takes a carry-less-multiply fold where the CPU has
+/// one (`pclmulqdq`, detected at run time); a shorter input (the header
+/// frame) and every other CPU take [`crc32_portable`]. Both compute the
+/// same CRC.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN_BYTES && clmul::available() {
+        return !clmul::update(!0, bytes);
+    }
+    crc32_portable(bytes)
+}
+
+/// The shortest input [`crc32`] folds with carry-less multiplies: four
+/// 16-byte lanes.
+const CLMUL_MIN_BYTES: usize = 64;
+
+/// CRC32 (IEEE) of `bytes` on any CPU: sixteen bytes per step
+/// (slicing-by-16), then byte at a time for the tail. [`crc32`] falls
+/// back to it; it is public so the two can be checked against each
+/// other on a CPU that takes the fold.
+pub fn crc32_portable(bytes: &[u8]) -> u32 {
+    !crc32_sliced(!0, bytes)
+}
+
+/// Advance the raw (uninverted) CRC register `c` over `bytes`.
+fn crc32_sliced(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
         let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -182,7 +209,111 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// The CRC32 fold by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009), with the reflected IEEE constants Linux's
+/// `crc32-pclmul` uses. Four 128-bit lanes fold 64 bytes per step, the
+/// lanes fold into one, whole 16-byte blocks fold into it, and a
+/// Barrett reduction takes the 128-bit remainder to the 32-bit CRC;
+/// the last 0–15 bytes go through the tables.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::{crc32_sliced, CLMUL_MIN_BYTES};
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Each constant is (high, low) qword of one register, bit-reflected
+    // as the register is; the names in brackets are Linux's.
+    /// x^(4·128−32) and x^(4·128+32) mod P [R2, R1]: the 64-byte stride.
+    const FOLD_64: (i64, i64) = (0x1_c6e4_1596, 0x1_5444_2bd4);
+    /// x^(128−32) and x^(128+32) mod P [R4, R3]: the 16-byte stride.
+    const FOLD_16: (i64, i64) = (0x0_ccaa_009e, 0x1_7519_97d0);
+    /// x^64 mod P [R5]: the 64-to-32-bit step.
+    const FOLD_32: i64 = 0x1_63cd_6124;
+    /// Barrett's μ = floor(x^64 / P) and P itself [RU, P'].
+    const BARRETT: (i64, i64) = (0x1_f701_1641, 0x1_db71_0641);
+
+    /// Whether this CPU has `pclmulqdq` (cached by the standard
+    /// library after the first call).
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+    }
+
+    /// Advance the raw CRC register `crc` over `bytes`, which must be
+    /// at least [`CLMUL_MIN_BYTES`] long, on a CPU where [`available`]
+    /// holds.
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> u32 {
+        assert!(bytes.len() >= CLMUL_MIN_BYTES && available());
+        // SAFETY: the assertion above proves the CPU has `pclmulqdq`,
+        // the one feature `fold` is compiled for beyond the x86_64
+        // baseline (SSE2).
+        unsafe { fold(crc, bytes) }
+    }
+
+    /// One 16-byte block at the start of `block`.
+    #[inline]
+    fn load(block: &[u8]) -> __m128i {
+        assert!(block.len() >= 16);
+        // SAFETY: the assertion proves 16 readable bytes at the
+        // pointer, and `_mm_loadu_si128` has no alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// `x` carried 128 (or, with the 64-byte constants, 512) bits
+    /// forward, then `next` added in.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// [`update`]'s work. Only a CPU with `pclmulqdq` may run it, which
+    /// is why calling it takes `unsafe`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(crc: u32, bytes: &[u8]) -> u32 {
+        let k64 = _mm_set_epi64x(FOLD_64.0, FOLD_64.1);
+        let k16 = _mm_set_epi64x(FOLD_16.0, FOLD_16.1);
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+
+        let mut lines = bytes.chunks_exact(64);
+        let first = lines.next().expect("at least 64 bytes");
+        let mut lanes = [0, 16, 32, 48].map(|at| load(&first[at..]));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        for line in &mut lines {
+            for (at, lane) in (0..64).step_by(16).zip(&mut lanes) {
+                *lane = fold_into(*lane, k64, load(&line[at..]));
+            }
+        }
+        let [mut x, b, c, d] = lanes;
+        for next in [b, c, d] {
+            x = fold_into(x, k16, next);
+        }
+        let mut blocks = lines.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold_into(x, k16, load(block));
+        }
+
+        // 128 bits to 64: the low qword times R4, added to the high.
+        let t = _mm_clmulepi64_si128::<0x01>(k16, x);
+        x = _mm_xor_si128(_mm_srli_si128::<8>(x), t);
+        // 64 bits to 32 (and 32 zero bits appended).
+        let high = _mm_srli_si128::<4>(x);
+        x = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, FOLD_32));
+        x = _mm_xor_si128(x, high);
+        // Barrett reduction, 64 bits to the 32-bit register.
+        let barrett = _mm_set_epi64x(BARRETT.0, BARRETT.1);
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), barrett);
+        let reg = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t))) as u32;
+        crc32_sliced(reg, blocks.remainder())
+    }
 }
 
 /// Fingerprint of the code generation that wrote a journal: an FNV-1a
@@ -357,28 +488,79 @@ fn frame_into(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     buf[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Read the frame at `pos`. `None` means the bytes from `pos` on are
-/// not a whole valid frame (torn tail, truncated length, oversized
-/// length, CRC mismatch) — the scan's stop condition.
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let head = bytes.get(pos..pos + 8)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-    if len > MAX_FRAME_BYTES {
-        return None;
+/// A journal read front to back, one frame at a time, into one reused
+/// buffer: the file for [`Checkpoint::open`], a slice for
+/// [`scan_journal`]. The buffer grows to the largest frame read, and no
+/// frame longer than a slot record is read.
+struct Stream<'a> {
+    reader: &'a mut dyn Read,
+    /// Bytes not yet read.
+    left: u64,
+    buf: &'a mut Vec<u8>,
+}
+
+impl Stream<'_> {
+    /// The next `n` bytes; `n` is never more than `left`.
+    fn take(&mut self, n: usize) -> std::io::Result<&[u8]> {
+        if self.buf.len() < n {
+            self.buf.resize(n, 0);
+        }
+        self.reader.read_exact(&mut self.buf[..n])?;
+        self.left -= n as u64;
+        Ok(&self.buf[..n])
     }
-    let want = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    let payload = bytes.get(pos + 8..pos + 8 + len as usize)?;
-    if crc32(payload) != want {
-        return None;
+
+    /// The payload of the next frame, or `None` when the bytes left do
+    /// not start with a whole valid frame (torn tail, truncated length,
+    /// a length past a slot record or past the end of the journal, CRC
+    /// mismatch) — the scan's stop condition. An error is the reader
+    /// failing, never damage in what it read.
+    fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        if self.left < 8 {
+            return Ok(None);
+        }
+        let head = self.take(8)?;
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let want = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+        if len > slot_record_len() || len as u64 > self.left {
+            return Ok(None);
+        }
+        let payload = self.take(len)?;
+        Ok((crc32(payload) == want).then_some(payload))
     }
-    Some((payload, pos + 8 + len as usize))
+}
+
+/// Write the payload of the slot record for `slot`.
+fn encode_slot(out: &mut Vec<u8>, slot: u64, summary: &ShardSummary) {
+    put_u8(out, TAG_SLOT);
+    put_u64(out, slot);
+    summary.encode_into(out);
+}
+
+/// Payload bytes of every slot record this build writes or reads: every
+/// codec field is fixed-width, and every summary has the shape
+/// [`ShardSummary::new`] gives it (a decoded one of another shape is
+/// refused), so one encode measures them all. It is the longest frame a
+/// scan reads; the header is shorter.
+fn slot_record_len() -> usize {
+    static LEN: OnceLock<usize> = OnceLock::new();
+    *LEN.get_or_init(|| {
+        let mut out = Vec::new();
+        encode_slot(&mut out, 0, &ShardSummary::new());
+        out.len()
+    })
 }
 
 /// Decode one slot-record payload, re-validating that the slot indexes
-/// the partition and that the summary covers exactly that shard's
-/// users. Any failure means a corrupt (CRC-colliding or stale) record;
-/// the scan truncates there.
-fn decode_slot(payload: &[u8], cfg: &CampaignConfig) -> Result<(u64, ShardSummary), CodecError> {
+/// the partition, that the summary covers exactly that shard's users
+/// and that it has the shape of `like` (so it can merge into it). Any
+/// failure means a corrupt (CRC-colliding or stale) record; the scan
+/// truncates there.
+fn decode_slot(
+    payload: &[u8],
+    cfg: &CampaignConfig,
+    like: &ShardSummary,
+) -> Result<(u64, ShardSummary), CodecError> {
     const WHAT: &str = "slot record";
     let mut r = Reader::new(payload);
     let tag = r.u8(WHAT)?;
@@ -404,14 +586,27 @@ fn decode_slot(payload: &[u8], cfg: &CampaignConfig) -> Result<(u64, ShardSummar
             detail: "summary user count disagrees with the shard bounds",
         });
     }
+    if !summary.same_shape(like) {
+        return Err(CodecError::Invalid {
+            what: WHAT,
+            detail: "summary bins differ from this build's",
+        });
+    }
     Ok((slot, summary))
 }
 
-/// What a journal scan recovered.
+/// What a journal scan recovered: every recovered slot already split
+/// into the two halves the campaign merges ([`ShardSummary::merge_floats`]
+/// has the split), so a resume holds one summary and one small tail per
+/// recovered shard, never the slots themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
-    /// Slot-indexed recovered summaries (`None` = shard still to run).
-    pub slots: Vec<Option<ShardSummary>>,
+    /// The integer half of every recovered slot, merged; its float
+    /// half is still that of [`ShardSummary::new`].
+    pub counts: ShardSummary,
+    /// The float half of every recovered slot, in shard order, for the
+    /// campaign's in-order fold.
+    pub tails: Vec<(u64, FloatTail)>,
     /// Distinct slots recovered.
     pub recovered_slots: u64,
     /// Users covered by the recovered slots.
@@ -420,16 +615,19 @@ pub struct Recovery {
     pub valid_bytes: u64,
     /// Damaged/torn suffix bytes past the valid prefix.
     pub dropped_bytes: u64,
-    /// Records that re-wrote an already-recovered slot (benign: slot
-    /// content is deterministic; the last record wins).
+    /// Records that re-wrote an already-recovered slot. The first
+    /// record of a slot wins; a later one is byte-identical anyway,
+    /// since the header pins the seed, the partition, the mode and the
+    /// code fingerprint, and a shard is a pure function of those.
     pub duplicate_records: u64,
 }
 
 impl Recovery {
     /// What an empty (or absent) journal recovers: nothing.
-    pub(crate) fn fresh(num_shards: u64) -> Recovery {
+    pub(crate) fn fresh() -> Recovery {
         Recovery {
-            slots: (0..num_shards).map(|_| None).collect(),
+            counts: ShardSummary::new(),
+            tails: Vec::new(),
             recovered_slots: 0,
             recovered_users: 0,
             valid_bytes: 0,
@@ -445,53 +643,94 @@ impl Recovery {
 /// unreadable or names a different campaign is a typed error; once a
 /// matching header is read, the scan never errors — damaged records
 /// truncate the prefix and the lost shards are recomputed.
+/// [`Checkpoint::open`] runs the same scan over the file, read frame by
+/// frame.
 pub fn scan_journal(bytes: &[u8], cfg: &CampaignConfig) -> Result<Recovery, ResumeError> {
-    let num_shards = cfg.num_shards();
-    if bytes.is_empty() {
-        return Ok(Recovery::fresh(num_shards));
+    scan_journal_with(bytes, cfg, |_, _| {})
+}
+
+/// [`scan_journal`], handing every slot record of the valid prefix to
+/// `visit(slot, summary)` in file order as it is read, duplicates
+/// included. The summary is dropped once `visit` returns.
+pub fn scan_journal_with(
+    bytes: &[u8],
+    cfg: &CampaignConfig,
+    visit: impl FnMut(u64, &ShardSummary),
+) -> Result<Recovery, ResumeError> {
+    let (mut reader, mut buf) = (bytes, Vec::new());
+    let stream = Stream {
+        reader: &mut reader,
+        left: bytes.len() as u64,
+        buf: &mut buf,
+    };
+    scan(stream, cfg, visit)
+}
+
+/// The one scan behind [`scan_journal_with`] and [`Checkpoint::open`].
+/// Each record is decoded and dropped once folded: the first record of
+/// a slot merges its counts into [`Recovery::counts`] and keeps its
+/// float tail, so what the scan holds grows by one tail per recovered
+/// shard, whatever the journal's length.
+fn scan(
+    mut src: Stream<'_>,
+    cfg: &CampaignConfig,
+    mut visit: impl FnMut(u64, &ShardSummary),
+) -> Result<Recovery, ResumeError> {
+    let total = src.left;
+    if total == 0 {
+        return Ok(Recovery::fresh());
     }
-    let (payload, header_end) = read_frame(bytes, 0).ok_or_else(|| ResumeError::CorruptTail {
-        valid_bytes: 0,
-        detail: "unreadable header frame".to_string(),
-    })?;
+    let payload = src
+        .next_frame()
+        .map_err(io_err)?
+        .ok_or_else(|| ResumeError::CorruptTail {
+            valid_bytes: 0,
+            detail: "unreadable header frame".to_string(),
+        })?;
     let header = JournalHeader::decode(payload)?;
     header.check(cfg)?;
 
-    let mut rec = Recovery::fresh(num_shards);
-    rec.valid_bytes = header_end as u64;
-    let mut pos = header_end;
-    while pos < bytes.len() {
-        let Some((payload, next)) = read_frame(bytes, pos) else {
+    let mut rec = Recovery::fresh();
+    rec.valid_bytes = total - src.left;
+    let num_shards = cfg.num_shards() as usize;
+    let mut seen = vec![false; num_shards];
+    rec.tails.reserve_exact(num_shards);
+    while src.left > 0 {
+        let Some(payload) = src.next_frame().map_err(io_err)? else {
             break;
         };
-        let Ok((slot, summary)) = decode_slot(payload, cfg) else {
+        let Ok((slot, summary)) = decode_slot(payload, cfg, &rec.counts) else {
             break;
         };
-        let (lo, hi) = cfg.shard_bounds(slot);
-        if rec.slots[slot as usize].is_some() {
+        let seen = &mut seen[slot as usize];
+        if *seen {
             rec.duplicate_records += 1;
         } else {
+            *seen = true;
+            let (lo, hi) = cfg.shard_bounds(slot);
             rec.recovered_slots += 1;
             rec.recovered_users += hi - lo;
+            rec.counts.merge_counts(&summary);
+            rec.tails.push((slot, summary.float_tail()));
         }
-        rec.slots[slot as usize] = Some(summary);
-        pos = next;
-        rec.valid_bytes = next as u64;
+        visit(slot, &summary);
+        rec.valid_bytes = total - src.left;
     }
-    rec.dropped_bytes = bytes.len() as u64 - rec.valid_bytes;
+    rec.tails.sort_unstable_by_key(|&(slot, _)| slot);
+    rec.dropped_bytes = total - rec.valid_bytes;
     Ok(rec)
 }
 
 /// An open, append-ready campaign journal.
 ///
 /// [`Checkpoint::open`] creates-or-recovers: a missing/empty file gets
-/// a fresh header; an existing file is scanned, its torn tail truncated
-/// away, and its recovered slots returned. Every
+/// a fresh header; an existing file is scanned frame by frame, its torn
+/// tail truncated away, and what its slots hold returned. Every
 /// [`Checkpoint::append_slot`] is a single whole-frame write followed
 /// by `sync_data` — the shard-boundary fsync that makes a reported-done
-/// shard durable. Every frame is encoded into one buffer the checkpoint
-/// keeps, so an append copies nothing and allocates nothing once the
-/// buffer has grown to a slot record's size.
+/// shard durable. Every frame read or written goes through one buffer
+/// the checkpoint keeps, so an append copies nothing and allocates
+/// nothing once the buffer has grown to a slot record's size.
 #[derive(Debug)]
 pub struct Checkpoint {
     file: File,
@@ -499,28 +738,19 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Open (or create) the journal at `path` for campaign `cfg`.
+    /// Open (or create) the journal at `path` for campaign `cfg`. The
+    /// file is opened once and read one frame at a time, so a resume
+    /// holds one frame and one decoded slot, not the journal.
     pub fn open(path: &Path, cfg: &CampaignConfig) -> Result<(Checkpoint, Recovery), ResumeError> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(e)),
-        };
-        let recovery = scan_journal(&bytes, cfg)?;
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .read(true)
             .write(true)
             .open(path)
             .map_err(io_err)?;
-        // Drop the torn/damaged tail so appends extend the valid prefix.
-        file.set_len(recovery.valid_bytes).map_err(io_err)?;
-        file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        let mut ckpt = Checkpoint {
-            file,
-            buf: Vec::new(),
-        };
+        let (buf, recovery) = recover(&file, &mut &file, cfg)?;
+        let mut ckpt = Checkpoint { file, buf };
         if recovery.valid_bytes == 0 {
             let header = JournalHeader::for_config(cfg);
             ckpt.append_frame(|out| header.encode_into(out))?;
@@ -539,18 +769,43 @@ impl Checkpoint {
     /// Append one completed shard and fsync. Returns only once the
     /// record is durable.
     pub fn append_slot(&mut self, slot: u64, summary: &ShardSummary) -> Result<(), ResumeError> {
-        self.append_frame(|out| {
-            put_u8(out, TAG_SLOT);
-            put_u64(out, slot);
-            summary.encode_into(out);
-        })
+        self.append_frame(|out| encode_slot(out, slot, summary))
     }
+}
+
+/// Scan the journal `file` through `reader` (the file itself, outside
+/// tests), then cut its torn tail and leave its position at the end of
+/// the valid prefix. Returns the frame buffer the scan read into and
+/// what it recovered. A failed read is [`ResumeError::Io`] and leaves
+/// the file as it was: a read that fails says nothing about the bytes
+/// past it, and cutting there would delete durable shards.
+fn recover(
+    file: &File,
+    reader: &mut dyn Read,
+    cfg: &CampaignConfig,
+) -> Result<(Vec<u8>, Recovery), ResumeError> {
+    let left = file.metadata().map_err(io_err)?.len();
+    let mut buf = Vec::new();
+    let stream = Stream {
+        reader,
+        left,
+        buf: &mut buf,
+    };
+    let recovery = scan(stream, cfg, |_, _| {})?;
+    if recovery.dropped_bytes > 0 {
+        // Drop the torn/damaged tail so appends extend the valid prefix.
+        file.set_len(recovery.valid_bytes).map_err(io_err)?;
+    }
+    let mut file = file;
+    file.seek(SeekFrom::Start(recovery.valid_bytes))
+        .map_err(io_err)?;
+    Ok((buf, recovery))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpwifi_measure::SampleBuilder;
+    use mpwifi_measure::{Mergeable, SampleBuilder};
     use std::path::PathBuf;
 
     /// A consistent synthetic shard summary (passes every decode
@@ -596,6 +851,29 @@ mod tests {
         p
     }
 
+    /// Slots a recovery holds, in shard order.
+    fn slots(rec: &Recovery) -> Vec<u64> {
+        rec.tails.iter().map(|&(slot, _)| slot).collect()
+    }
+
+    /// A recovery's counts with its tails folded in, in shard order.
+    fn folded(rec: &Recovery) -> ShardSummary {
+        let mut summary = rec.counts.clone();
+        for (_, tail) in &rec.tails {
+            summary.merge_floats(tail);
+        }
+        summary
+    }
+
+    /// `summaries` merged in order.
+    fn merged<'a>(summaries: impl IntoIterator<Item = &'a ShardSummary>) -> ShardSummary {
+        let mut out = ShardSummary::new();
+        for s in summaries {
+            out.merge(s);
+        }
+        out
+    }
+
     /// `payload` as one whole frame.
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -615,9 +893,7 @@ mod tests {
         for &slot in slots {
             let (lo, hi) = cfg.shard_bounds(slot);
             let mut payload = Vec::new();
-            put_u8(&mut payload, TAG_SLOT);
-            put_u64(&mut payload, slot);
-            test_summary(hi - lo, slot).encode_into(&mut payload);
+            encode_slot(&mut payload, slot, &test_summary(hi - lo, slot));
             bytes.extend_from_slice(&frame(&payload));
         }
         bytes
@@ -657,9 +933,8 @@ mod tests {
         let (_ckpt, rec) = Checkpoint::open(&path, &cfg).expect("reopen");
         assert_eq!(rec.recovered_slots, 2);
         assert_eq!(rec.recovered_users, 32);
-        assert_eq!(rec.slots[1].as_ref(), Some(&s1));
-        assert_eq!(rec.slots[3].as_ref(), Some(&s3));
-        assert!(rec.slots[0].is_none() && rec.slots[2].is_none());
+        assert_eq!(slots(&rec), [1, 3]);
+        assert_eq!(folded(&rec), merged([&s1, &s3]));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -700,7 +975,7 @@ mod tests {
         damaged[header_len + record_len + 50] ^= 0x40;
         let rec = scan_journal(&damaged, &cfg).expect("scan");
         assert_eq!(rec.recovered_slots, 1);
-        assert!(rec.slots[0].is_some());
+        assert_eq!(slots(&rec), [0]);
         assert_eq!(
             rec.dropped_bytes,
             (bytes.len() - header_len - record_len) as u64
@@ -708,13 +983,110 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_slots_are_idempotent_last_wins() {
+    fn duplicate_slots_are_idempotent_first_wins() {
         let cfg = cfg();
         let bytes = journal_bytes(&cfg, &[2, 0, 2, 2]);
-        let rec = scan_journal(&bytes, &cfg).expect("scan");
+        let mut visited = Vec::new();
+        let rec = scan_journal_with(&bytes, &cfg, |slot, summary| {
+            assert_eq!(summary, &test_summary(16, slot));
+            visited.push(slot);
+        })
+        .expect("scan");
+        assert_eq!(visited, [2, 0, 2, 2], "every record, in file order");
         assert_eq!(rec.recovered_slots, 2);
         assert_eq!(rec.duplicate_records, 2);
-        assert_eq!(rec.slots[2].as_ref(), Some(&test_summary(16, 2)));
+        assert_eq!(slots(&rec), [0, 2]);
+        assert_eq!(
+            folded(&rec),
+            merged([&test_summary(16, 0), &test_summary(16, 2)])
+        );
+    }
+
+    #[test]
+    fn the_file_scan_and_the_slice_scan_agree_at_every_frame_cut() {
+        let cfg = cfg();
+        let bytes = journal_bytes(&cfg, &[3, 1, 0, 1]);
+        let header_len = frame(&header_payload(&JournalHeader::for_config(&cfg))).len();
+        let record_len = (bytes.len() - header_len) / 4;
+        let path = tmp("agree");
+        for cut in (header_len..=bytes.len()).step_by(record_len / 3) {
+            let want = scan_journal(&bytes[..cut], &cfg).expect("slice scan");
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (_ckpt, got) = Checkpoint::open(&path, &cfg).expect("file scan");
+            assert_eq!(got, want, "cut at {cut}");
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, want.valid_bytes, "torn tail cut away at {cut}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_read_error_is_io_and_leaves_the_file_as_it_was() {
+        /// Reads through to the file until `budget` bytes are spent,
+        /// then fails as a transient I/O error would.
+        struct Flaky<'a> {
+            file: &'a File,
+            budget: usize,
+        }
+        impl Read for Flaky<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if self.budget == 0 {
+                    return Err(std::io::Error::other("injected read failure"));
+                }
+                let n = out.len().min(self.budget);
+                let n = self.file.read(&mut out[..n])?;
+                self.budget -= n;
+                Ok(n)
+            }
+        }
+
+        let path = tmp("flaky");
+        let cfg = cfg();
+        let bytes = journal_bytes(&cfg, &[0, 1, 2]);
+        std::fs::write(&path, &bytes).unwrap();
+        // Fail inside the second record, and inside the header.
+        for budget in [bytes.len() / 2, 10] {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let mut flaky = Flaky {
+                file: &file,
+                budget,
+            };
+            let err = recover(&file, &mut flaky, &cfg).expect_err("the read failed");
+            assert!(matches!(err, ResumeError::Io(_)), "{err}");
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(len, bytes.len() as u64, "a failed read cut the journal");
+        }
+        let (_ckpt, rec) = Checkpoint::open(&path, &cfg).expect("reopen");
+        assert_eq!(rec.recovered_slots, 3, "every durable shard is still there");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_of_another_shape_stops_the_scan_without_a_panic() {
+        let cfg = cfg();
+        let mut bytes = journal_bytes(&cfg, &[0]);
+        // CRC-valid and self-consistent, but its WiFi sketch has half
+        // the bins, so it cannot merge into this build's summaries.
+        let mut odd = test_summary(16, 1);
+        odd.wifi_down = CdfSketch::new(0.0, 100e6, 400);
+        for u in 0..16 {
+            odd.wifi_down.push(f64::from(u) * 1e6);
+        }
+        let mut payload = Vec::new();
+        encode_slot(&mut payload, 1, &odd);
+        let good = bytes.len() as u64;
+        bytes.extend_from_slice(&frame(&payload));
+        bytes.extend_from_slice(
+            &journal_bytes(&cfg, &[2])
+                [frame(&header_payload(&JournalHeader::for_config(&cfg))).len()..],
+        );
+        let rec = scan_journal(&bytes, &cfg).expect("scan");
+        assert_eq!(slots(&rec), [0]);
+        assert_eq!(rec.valid_bytes, good);
     }
 
     #[test]

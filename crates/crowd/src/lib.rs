@@ -33,10 +33,12 @@ pub mod world;
 pub use analysis::{CrowdAnalysis, Table1Row};
 pub use campaign::{
     merge_agreement, run_campaign, run_campaign_resumable, run_campaign_resumable_with,
-    run_campaign_with, CampaignConfig, CampaignSummary, ClusterTally, ResumedCampaign,
+    run_campaign_with, CampaignConfig, CampaignSummary, ClusterTally, FloatTail, ResumedCampaign,
     ShardSummary, CAMPAIGN_CLUSTERS,
 };
-pub use journal::{scan_journal, Checkpoint, JournalHeader, Recovery, ResumeError};
+pub use journal::{
+    scan_journal, scan_journal_with, Checkpoint, JournalHeader, Recovery, ResumeError,
+};
 pub use measure::{measure_pair, measure_pair_arena, RunMeasurement, RunMode};
 pub use mpwifi_simcore::fanout::StealQueue;
 pub use world::{dataset_to_csv, generate_dataset, paper_clusters, ClusterProfile, MeasurementRun};

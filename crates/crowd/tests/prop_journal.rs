@@ -6,20 +6,26 @@
 //! yield `Ok(prefix)` or a typed `ResumeError` — never a panic, and
 //! never a *wrong* summary. Each property checks the scan differentially
 //! against an in-memory model: an independent length-prefix walk of the
-//! known frame boundaries plus a last-wins fold of the record list.
+//! known frame boundaries plus a last-wins fold of the record list. The
+//! scan's side is the slot table its per-record visitor fills, and the
+//! recovery itself: its merged counts with its float tails folded in
+//! shard order must equal the in-order merge of the model's table.
 //!
 //! The journal under test is produced by the real writer (a completed
 //! `run_campaign_resumable`), not hand-built bytes, so the properties
 //! also pin the writer/reader agreement.
 //!
 //! The frame checksum itself is checked differentially too: the
-//! sixteen-bytes-a-step `crc32` against a bitwise, table-free reference,
-//! at every length and alignment a block boundary can fall on.
+//! carry-less-multiply `crc32` and the sixteen-bytes-a-step
+//! `crc32_portable` against a bitwise, table-free reference, at every
+//! length and alignment a fold or a block boundary can fall on.
 
-use mpwifi_crowd::journal::crc32;
+use mpwifi_crowd::journal::{crc32, crc32_portable};
 use mpwifi_crowd::{
-    run_campaign_resumable, scan_journal, CampaignConfig, ResumeError, RunMode, ShardSummary,
+    run_campaign_resumable, scan_journal_with, CampaignConfig, Recovery, ResumeError, RunMode,
+    ShardSummary,
 };
+use mpwifi_measure::Mergeable;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -90,9 +96,8 @@ fn fixture() -> &'static Fixture {
         let _ = std::fs::remove_file(&path);
         let frames = frame_ranges(&bytes);
         assert_eq!(frames.len(), 1 + SHARDS);
-        let full = scan_journal(&bytes, &cfg).expect("scan pristine journal");
-        let originals: Vec<ShardSummary> = full
-            .slots
+        let (_, table) = scan(&bytes, &cfg).expect("scan pristine journal");
+        let originals: Vec<ShardSummary> = table
             .into_iter()
             .map(|s| s.expect("complete journal"))
             .collect();
@@ -105,6 +110,19 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// Scan `bytes`, and build the slot table the scan's per-record
+/// visitor sees (last record wins).
+fn scan(
+    bytes: &[u8],
+    cfg: &CampaignConfig,
+) -> Result<(Recovery, Vec<Option<ShardSummary>>), ResumeError> {
+    let mut table = vec![None; SHARDS];
+    let rec = scan_journal_with(bytes, cfg, |slot, summary| {
+        table[slot as usize] = Some(summary.clone());
+    })?;
+    Ok((rec, table))
+}
+
 /// The in-memory model: fold `records` (slot ids, in order, last wins)
 /// into the slot table the scan should recover.
 fn model_slots<'a>(fix: &'a Fixture, records: &[usize]) -> Vec<Option<&'a ShardSummary>> {
@@ -115,16 +133,51 @@ fn model_slots<'a>(fix: &'a Fixture, records: &[usize]) -> Vec<Option<&'a ShardS
     slots
 }
 
+/// A recovery's merged counts with its float tails folded in, in shard
+/// order: what a resume starts its campaign from.
+fn folded(rec: &Recovery) -> ShardSummary {
+    let mut summary = rec.counts.clone();
+    for (_, tail) in &rec.tails {
+        summary.merge_floats(tail);
+    }
+    summary
+}
+
+/// The in-order merge of a slot table's recovered summaries.
+fn merged<'a>(table: impl IntoIterator<Item = Option<&'a ShardSummary>>) -> ShardSummary {
+    let mut out = ShardSummary::new();
+    for summary in table.into_iter().flatten() {
+        out.merge(summary);
+    }
+    out
+}
+
+/// The recovery holds what its own slot table holds: the same slots,
+/// in shard order, and the same summary once folded.
+fn assert_recovery_is_its_table(
+    rec: &Recovery,
+    table: &[Option<ShardSummary>],
+) -> Result<(), TestCaseError> {
+    let held: Vec<usize> = rec.tails.iter().map(|&(slot, _)| slot as usize).collect();
+    let want: Vec<usize> = (0..SHARDS).filter(|&s| table[s].is_some()).collect();
+    prop_assert_eq!(&held, &want, "recovered slots");
+    prop_assert_eq!(rec.recovered_slots as usize, want.len());
+    prop_assert_eq!(folded(rec), merged(table.iter().map(Option::as_ref)));
+    Ok(())
+}
+
 fn assert_matches_model(
     fix: &Fixture,
-    recovered: &[Option<ShardSummary>],
+    (rec, table): &(Recovery, Vec<Option<ShardSummary>>),
     records: &[usize],
 ) -> Result<(), TestCaseError> {
     let model = model_slots(fix, records);
-    prop_assert_eq!(recovered.len(), model.len());
-    for (slot, (got, want)) in recovered.iter().zip(&model).enumerate() {
+    prop_assert_eq!(table.len(), model.len());
+    for (slot, (got, want)) in table.iter().zip(&model).enumerate() {
         prop_assert_eq!(got.as_ref(), *want, "slot {} diverged from model", slot);
     }
+    assert_recovery_is_its_table(rec, table)?;
+    prop_assert_eq!(folded(rec), merged(model), "recovery diverged from model");
     Ok(())
 }
 
@@ -134,8 +187,8 @@ proptest! {
         let fix = fixture();
         let cut = (cut_seed % (fix.bytes.len() as u64 + 1)) as usize;
         let order = fix.record_order();
-        match scan_journal(&fix.bytes[..cut], &fix.cfg) {
-            Ok(rec) => {
+        match scan(&fix.bytes[..cut], &fix.cfg) {
+            Ok(scanned) => {
                 // Ok is legal only for an empty file (fresh) or a whole
                 // header; then the recovery is exactly the records whose
                 // frames fit inside the cut.
@@ -146,7 +199,8 @@ proptest! {
                     .filter(|(&(_, end), _)| end <= cut)
                     .map(|(_, &slot)| slot)
                     .collect();
-                assert_matches_model(fix, &rec.slots, &kept)?;
+                assert_matches_model(fix, &scanned, &kept)?;
+                let rec = &scanned.0;
                 prop_assert_eq!(rec.recovered_slots as usize, kept.len());
                 prop_assert_eq!(
                     rec.valid_bytes + rec.dropped_bytes,
@@ -174,16 +228,16 @@ proptest! {
         let mut damaged = fix.bytes.clone();
         damaged[pos] ^= flip;
         let order = fix.record_order();
-        match scan_journal(&damaged, &fix.cfg) {
-            Ok(rec) => {
+        match scan(&damaged, &fix.cfg) {
+            Ok(scanned) => {
                 // Damage past the header: the scan keeps exactly the
                 // frames before the damaged one (CRC32 catches every
                 // single-byte payload flip; length/CRC-field flips kill
                 // the frame structurally).
                 prop_assert!(pos >= fix.header_end(), "header flip must refuse");
                 let bad = fix.frames.iter().position(|&(s, e)| pos >= s && pos < e).unwrap();
-                assert_matches_model(fix, &rec.slots, &order[..bad - 1])?;
-                prop_assert!(rec.dropped_bytes > 0);
+                assert_matches_model(fix, &scanned, &order[..bad - 1])?;
+                prop_assert!(scanned.0.dropped_bytes > 0);
             }
             Err(e) => {
                 prop_assert!(pos < fix.header_end(), "unexpected {e} for flip at {pos}");
@@ -207,8 +261,9 @@ proptest! {
         for &slot in &order {
             bytes.extend_from_slice(fix.record(slot));
         }
-        let rec = scan_journal(&bytes, &fix.cfg).expect("reordered journal scans");
-        assert_matches_model(fix, &rec.slots, &order)?;
+        let scanned = scan(&bytes, &fix.cfg).expect("reordered journal scans");
+        assert_matches_model(fix, &scanned, &order)?;
+        let rec = &scanned.0;
         let distinct = {
             let mut seen = [false; SHARDS];
             order.iter().for_each(|&s| seen[s] = true);
@@ -241,12 +296,13 @@ proptest! {
             let cut = (cut_seed % (bytes.len() as u64 + 1)) as usize;
             bytes.truncate(cut);
         }
-        if let Ok(rec) = scan_journal(&bytes, &fix.cfg) {
-            for (slot, got) in rec.slots.iter().enumerate() {
+        if let Ok((rec, table)) = scan(&bytes, &fix.cfg) {
+            for (slot, got) in table.iter().enumerate() {
                 if let Some(summary) = got {
                     prop_assert_eq!(summary, &fix.originals[slot], "fabricated slot {}", slot);
                 }
             }
+            assert_recovery_is_its_table(&rec, &table)?;
             prop_assert!(rec.valid_bytes as usize <= bytes.len());
         }
     }
@@ -271,22 +327,38 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
 
 #[test]
 fn crc32_equals_the_bitwise_reference_at_every_length_and_offset() {
-    // Every length up to 300 (18 whole 16-byte blocks and each tail
-    // length) at each of the 16 offsets a block can start from.
-    let buf: Vec<u8> = (0u32..316)
+    // Every length up to 1 100 at each of the 16 offsets a block can
+    // start from: both sides of the 64-byte cutoff, the 64-byte and the
+    // 16-byte folds, and every 0-15 byte tail after them. Both paths are
+    // checked, so the portable one stays tested where the kernel runs.
+    let buf: Vec<u8> = (0u32..1116)
         .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
         .collect();
     for offset in 0..16 {
-        for len in 0..=300 {
+        for len in 0..=1100 {
             let bytes = &buf[offset..offset + len];
+            let want = crc32_bitwise(bytes);
             assert_eq!(
-                crc32(bytes),
-                crc32_bitwise(bytes),
-                "offset {offset} length {len}"
+                crc32_portable(bytes),
+                want,
+                "portable: offset {offset} length {len}"
             );
+            assert_eq!(crc32(bytes), want, "crc32: offset {offset} length {len}");
         }
     }
     assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
+#[test]
+fn crc32_of_a_whole_slot_frame_is_the_one_the_writer_stored() {
+    let fix = fixture();
+    let frame = fix.record(0);
+    assert_eq!(frame.len(), 26_318, "a slot frame's size moved");
+    let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+    let payload = &frame[8..];
+    assert_eq!(crc32_bitwise(payload), stored);
+    assert_eq!(crc32_portable(payload), stored);
+    assert_eq!(crc32(payload), stored);
 }
 
 proptest! {
@@ -294,6 +366,8 @@ proptest! {
     fn prop_crc32_equals_the_bitwise_reference(
         bytes in proptest::collection::vec(any::<u8>(), 0..4096),
     ) {
-        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        let want = crc32_bitwise(&bytes);
+        prop_assert_eq!(crc32_portable(&bytes), want);
+        prop_assert_eq!(crc32(&bytes), want);
     }
 }

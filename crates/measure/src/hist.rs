@@ -138,6 +138,12 @@ impl Histogram {
             total,
         })
     }
+
+    /// True when `other` has this histogram's range and bin count: the
+    /// precondition of [`Mergeable::merge`].
+    pub fn same_shape(&self, other: &Histogram) -> bool {
+        self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len()
+    }
 }
 
 impl SampleBuilder for Histogram {
@@ -158,7 +164,7 @@ impl Mergeable for Histogram {
     /// integer, so merging is exactly associative and commutative.
     fn merge(&mut self, other: &Self) {
         assert!(
-            self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len(),
+            self.same_shape(other),
             "merging histograms with different shapes"
         );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {

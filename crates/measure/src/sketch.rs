@@ -249,6 +249,12 @@ impl CdfSketch {
         }
         Ok(CdfSketch { hist, min, max })
     }
+
+    /// True when `other` has this sketch's range and bin count: the
+    /// precondition of [`Mergeable::merge`].
+    pub fn same_shape(&self, other: &CdfSketch) -> bool {
+        self.hist.same_shape(&other.hist)
+    }
 }
 
 impl SampleBuilder for CdfSketch {

@@ -12,6 +12,9 @@
 //!   jobs {1, 8}, ≥ 10 SIGKILLs across the grid;
 //! - the resumed runs actually recovered work (the `resume:` stderr
 //!   note reports recovered shards > 0);
+//! - a resume of a complete journal reads it in constant memory: no
+//!   child of the harness (`getrusage(RUSAGE_CHILDREN)`) peaks above
+//!   `MAX_CHILD_RSS_KB` of max RSS;
 //! - resuming against the wrong campaign is a typed refusal: a seed
 //!   mismatch and a corrupt header both exit 4 with a diagnostic, and
 //!   a non-empty checkpoint without `--resume` refuses with exit 2;
@@ -32,6 +35,41 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// The most max RSS any campaign child may reach: 32 MB. A 10⁶-user
+/// campaign peaks under 8 MB at 8 workers and near 4 MB at 2, and so
+/// does the resume of its complete 51 MB journal, which is read one
+/// frame at a time (holding the file and every recovered slot, it
+/// peaked near 103 MB).
+const MAX_CHILD_RSS_KB: i64 = 32 << 10;
+
+/// The largest max RSS, in KB, of any child this process has waited
+/// for (`getrusage(RUSAGE_CHILDREN)`: the kernel keeps the maximum).
+#[cfg(target_os = "linux")]
+fn children_max_rss_kb() -> i64 {
+    /// `struct rusage` on Linux: two `timeval`s, then fourteen `long`s,
+    /// `ru_maxrss` (in KB) first.
+    #[repr(C)]
+    struct Rusage {
+        times: [i64; 4],
+        maxrss: i64,
+        rest: [i64; 13],
+    }
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+    }
+    const RUSAGE_CHILDREN: i32 = -1;
+    let mut usage = Rusage {
+        times: [0; 4],
+        maxrss: 0,
+        rest: [0; 13],
+    };
+    // SAFETY: `usage` is a live, writable `struct rusage` of Linux's
+    // layout, and `getrusage` writes nothing else.
+    let rc = unsafe { getrusage(RUSAGE_CHILDREN, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_CHILDREN) failed");
+    usage.maxrss
+}
 
 /// The splitmix64 stream — the only PRNG this harness needs: output
 /// `n` is `splitmix64(seed + n·γ)`.
@@ -362,6 +400,58 @@ fn main() {
         total_kills >= 10,
         &format!("at least 10 SIGKILLs landed across the grid (got {total_kills})"),
     );
+
+    // ---- One resume of a complete journal: every shard is recovered,
+    // none recomputed, and the scan must not hold the file.
+    println!("kill_chaos: resume of a complete {users}-user journal");
+    let (seed, journal) = &completed_journals[0];
+    let (stdout, stderr, code) = run_cli(
+        &repro,
+        &[
+            "campaign",
+            "--users",
+            &users.to_string(),
+            "--seed",
+            &seed.to_string(),
+            "--jobs",
+            "2",
+            "--checkpoint",
+            &journal.to_string_lossy(),
+            "--resume",
+        ],
+    );
+    c.check(code == 0, "resume of a complete journal exits 0");
+    c.check(
+        cli_section(&stdout, &marker) == reference[seed],
+        "resume of a complete journal is byte-identical to one-shot",
+    );
+    let (shards, _) = stderr
+        .split_once("resume: ")
+        .and_then(|(_, note)| note.split_once(' '))
+        .map_or(("?", ""), |(counts, rest)| (counts, rest));
+    let all_recovered = shards
+        .split_once('/')
+        .is_some_and(|(got, of)| got == of && got != "0");
+    c.check(
+        all_recovered,
+        &format!("resume of a complete journal recovers every shard (got {shards})"),
+    );
+    #[cfg(target_os = "linux")]
+    {
+        let rss_kb = children_max_rss_kb();
+        println!(
+            "    largest child max RSS: {:.1} MB (limit {} MB)",
+            rss_kb as f64 / 1024.0,
+            MAX_CHILD_RSS_KB >> 10
+        );
+        c.check(
+            rss_kb <= MAX_CHILD_RSS_KB,
+            &format!(
+                "every campaign child stays within {} MB of max RSS (largest {rss_kb} KB)",
+                MAX_CHILD_RSS_KB >> 10
+            ),
+        );
+    }
 
     // ---- Typed refusals against a completed seed-42 journal.
     println!("kill_chaos: refusal probes");

@@ -76,6 +76,8 @@
 #                           checkpointed campaigns (half followed by a
 #                           mid-frame truncation), each resumed to a
 #                           report byte-identical to a one-shot run;
+#                           one resume of a complete journal, with no
+#                           campaign child above 32 MB of max RSS;
 #                           typed refusals (exit 4 / exit 2); a SIGTERM
 #                           graceful-drain probe. Population defaults to
 #                           10^6 users; MPWIFI_KILL_USERS overrides.
