@@ -1,21 +1,22 @@
 //! The paper's analysis pipeline over the crowd dataset.
 //!
 //! * Table 1 — geographic k-means (100 km radius) over run coordinates,
-//!   per-cluster run counts and LTE-win percentages;
+//!   per-cluster run counts and LTE-win percentages ([`table1`]);
 //! * Figure 3 — CDFs of `Tput(WiFi) − Tput(LTE)` per direction, with
-//!   the LTE-wins fractions;
-//! * Figure 4 — CDF of `RTT(WiFi) − RTT(LTE)`;
+//!   the LTE-wins fractions ([`differences`]);
+//! * Figure 4 — CDF of `RTT(WiFi) − RTT(LTE)` ([`differences`]);
 //! * Figure 6 — the same CDFs computed over the 20-location condition
 //!   set, with a KS distance against the crowd CDFs.
+//!
+//! The two are separate because they share nothing but the dataset:
+//! the clustering is most of Table 1's cost, and no figure reads it.
 
 use crate::world::{paper_clusters, MeasurementRun};
-use mpwifi_measure::{cluster_geo, Cdf, GeoPoint, TextTable};
+use mpwifi_measure::{cluster_geo, haversine_km, Cdf, GeoPoint, TextTable};
 
-/// Everything the Section 2 analysis produces.
+/// The per-run WiFi − LTE differences behind Figures 3 and 4.
 #[derive(Debug, Clone)]
-pub struct CrowdAnalysis {
-    /// Reconstructed Table 1 rows (largest cluster first).
-    pub table1: Vec<Table1Row>,
+pub struct Differences {
     /// CDF of WiFi−LTE uplink throughput difference, Mbit/s.
     pub fig3_uplink: Cdf,
     /// CDF of WiFi−LTE downlink throughput difference, Mbit/s.
@@ -45,14 +46,13 @@ pub struct Table1Row {
     pub lte_pct: f64,
 }
 
-/// Run the full analysis.
-pub fn analyze(dataset: &[MeasurementRun]) -> CrowdAnalysis {
+/// Reconstruct Table 1: cluster the runs by geography (100 km radius),
+/// largest cluster first, each labelled with the nearest paper cluster.
+pub fn table1(dataset: &[MeasurementRun]) -> Vec<Table1Row> {
     assert!(!dataset.is_empty(), "empty dataset");
-    // --- Table 1: cluster by geography, 100 km radius.
     let points: Vec<GeoPoint> = dataset.iter().map(|r| r.geo).collect();
-    let clusters = cluster_geo(&points, 100.0, 20);
     let profiles = paper_clusters();
-    let table1 = clusters
+    cluster_geo(&points, 100.0, 20)
         .iter()
         .map(|c| {
             let wins = c
@@ -60,16 +60,17 @@ pub fn analyze(dataset: &[MeasurementRun]) -> CrowdAnalysis {
                 .iter()
                 .filter(|&&i| dataset[i].m.lte_wins_combined())
                 .count();
-            // Label with the nearest paper cluster.
+            // Label with the nearest paper cluster, the first on a tie.
             let name = profiles
                 .iter()
-                .min_by(|a, b| {
-                    let da = mpwifi_measure::haversine_km(GeoPoint::new(a.lat, a.lon), c.centroid);
-                    let db = mpwifi_measure::haversine_km(GeoPoint::new(b.lat, b.lon), c.centroid);
-                    da.partial_cmp(&db).unwrap()
+                .map(|p| {
+                    (
+                        haversine_km(GeoPoint::new(p.lat, p.lon), c.centroid),
+                        p.name,
+                    )
                 })
-                .map(|p| p.name)
-                .unwrap_or("?");
+                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
+                .map_or("?", |(_, name)| name);
             Table1Row {
                 name,
                 centroid: c.centroid,
@@ -77,9 +78,26 @@ pub fn analyze(dataset: &[MeasurementRun]) -> CrowdAnalysis {
                 lte_pct: 100.0 * wins as f64 / c.members.len() as f64,
             }
         })
-        .collect();
+        .collect()
+}
 
-    // --- Figures 3 & 4: difference CDFs.
+/// Render Table 1.
+pub fn render_table1(rows: &[Table1Row]) -> String {
+    let mut t = TextTable::new(vec!["Location Name", "(Lat, Long)", "# of Runs", "LTE %"]);
+    for row in rows {
+        t.row(vec![
+            row.name.to_string(),
+            format!("({:.1}, {:.1})", row.centroid.lat, row.centroid.lon),
+            row.runs.to_string(),
+            format!("{:.0}%", row.lte_pct),
+        ]);
+    }
+    t.render()
+}
+
+/// The Figure 3 and 4 difference CDFs and the LTE-win fractions.
+pub fn differences(dataset: &[MeasurementRun]) -> Differences {
+    assert!(!dataset.is_empty(), "empty dataset");
     let up_diff: Vec<f64> = dataset
         .iter()
         .map(|r| (r.m.wifi_up_bps - r.m.lte_up_bps) / 1e6)
@@ -100,8 +118,7 @@ pub fn analyze(dataset: &[MeasurementRun]) -> CrowdAnalysis {
     let lte_rtt_lower =
         rtt_diff.iter().filter(|&&d| d > 0.0).count() as f64 / rtt_diff.len() as f64;
 
-    CrowdAnalysis {
-        table1,
+    Differences {
         fig3_uplink: Cdf::from_samples(up_diff),
         fig3_downlink: Cdf::from_samples(down_diff),
         fig4_rtt: Cdf::from_samples(rtt_diff),
@@ -116,50 +133,34 @@ fn frac_negative(v: &[f64]) -> f64 {
     v.iter().filter(|&&d| d < 0.0).count() as f64 / v.len() as f64
 }
 
-impl CrowdAnalysis {
-    /// Render Table 1.
-    pub fn render_table1(&self) -> String {
-        let mut t = TextTable::new(vec!["Location Name", "(Lat, Long)", "# of Runs", "LTE %"]);
-        for row in &self.table1 {
-            t.row(vec![
-                row.name.to_string(),
-                format!("({:.1}, {:.1})", row.centroid.lat, row.centroid.lon),
-                row.runs.to_string(),
-                format!("{:.0}%", row.lte_pct),
-            ]);
-        }
-        t.render()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::RunMode;
     use crate::world::generate_dataset;
 
-    fn analysis() -> CrowdAnalysis {
-        analyze(&generate_dataset(RunMode::Analytic, 1))
+    fn dataset() -> Vec<MeasurementRun> {
+        generate_dataset(RunMode::Analytic, 1)
     }
 
     #[test]
     fn clustering_recovers_paper_clusters() {
-        let a = analysis();
+        let rows = table1(&dataset());
         // 22 ground-truth clusters; the radius-bounded k-means should
         // find close to that (±3: some centers are < 200 km apart).
         assert!(
-            (19..=25).contains(&a.table1.len()),
+            (19..=25).contains(&rows.len()),
             "found {} clusters",
-            a.table1.len()
+            rows.len()
         );
         // The biggest cluster is Boston with ~884 runs.
-        assert_eq!(a.table1[0].name, "US (Boston, MA)");
-        assert!(a.table1[0].runs >= 800);
+        assert_eq!(rows[0].name, "US (Boston, MA)");
+        assert!(rows[0].runs >= 800);
     }
 
     #[test]
     fn headline_lte_win_fractions() {
-        let a = analysis();
+        let a = differences(&dataset());
         // Paper: 42% uplink, 35% downlink, 40% combined. The dataset is
         // calibrated per-cluster, so aggregates land near these.
         assert!(
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn rtt_lower_fraction_near_twenty_percent() {
-        let a = analysis();
+        let a = differences(&dataset());
         assert!(
             (0.10..=0.32).contains(&a.lte_rtt_lower),
             "LTE-RTT-lower {}",
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn diff_cdfs_span_papers_range() {
-        let a = analysis();
+        let a = differences(&dataset());
         let (lo, hi) = a.fig3_downlink.range().unwrap();
         // Figure 3's x-axis runs −15..+25 Mbit/s and the data fills a
         // good part of it.
@@ -201,9 +202,9 @@ mod tests {
 
     #[test]
     fn big_cluster_win_rates_match_table1() {
-        let a = analysis();
+        let rows = table1(&dataset());
         let profiles = paper_clusters();
-        for row in a.table1.iter().filter(|r| r.runs >= 100) {
+        for row in rows.iter().filter(|r| r.runs >= 100) {
             let target = profiles
                 .iter()
                 .find(|p| p.name == row.name)
@@ -220,9 +221,9 @@ mod tests {
 
     #[test]
     fn table_renders_with_all_rows() {
-        let a = analysis();
-        let s = a.render_table1();
+        let rows = table1(&dataset());
+        let s = render_table1(&rows);
         assert!(s.contains("US (Boston, MA)"));
-        assert!(s.lines().count() >= a.table1.len() + 2);
+        assert!(s.lines().count() >= rows.len() + 2);
     }
 }

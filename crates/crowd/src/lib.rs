@@ -30,7 +30,7 @@ pub mod journal;
 pub mod measure;
 pub mod world;
 
-pub use analysis::{CrowdAnalysis, Table1Row};
+pub use analysis::{Differences, Table1Row};
 pub use campaign::{
     merge_agreement, run_campaign, run_campaign_resumable, run_campaign_resumable_with,
     run_campaign_with, CampaignConfig, CampaignSummary, ClusterTally, FloatTail, ResumedCampaign,

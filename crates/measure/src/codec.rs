@@ -180,10 +180,15 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a `u32`-length-prefixed vector of `u64` counters, bounded by
-    /// [`MAX_BINS`]. The length is checked once; a short input is the
-    /// error a counter-by-counter read would stop at: the first counter
-    /// that does not fit, with the bytes left after the whole ones.
-    pub fn counters(&mut self, what: &'static str) -> Result<Vec<u64>, CodecError> {
+    /// [`MAX_BINS`], and their sum, `None` if it overflows `u64`
+    /// (corrupt inputs can hold `u64::MAX` bins that would wrap a naive
+    /// sum). The sum is built as the counters are parsed; the caller
+    /// decides when an overflow is an error, so a field that is missing
+    /// after the counters is still reported first. The length is checked
+    /// once; a short input is the error a counter-by-counter read would
+    /// stop at: the first counter that does not fit, with the bytes left
+    /// after the whole ones.
+    pub fn counters(&mut self, what: &'static str) -> Result<(Vec<u64>, Option<u64>), CodecError> {
         let n = self.u32(what)?;
         if n == 0 || n > MAX_BINS {
             return Err(CodecError::Invalid {
@@ -199,12 +204,17 @@ impl<'a> Reader<'a> {
                 have: self.remaining() % 8,
             });
         }
+        let mut sum = Some(0u64);
         let v = self
             .take(bytes, what)?
             .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk")))
+            .map(|b| {
+                let c = u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
+                sum = sum.and_then(|s| s.checked_add(c));
+                c
+            })
             .collect();
-        Ok(v)
+        Ok((v, sum))
     }
 
     /// Require every byte to be consumed (used by framed decoders where
@@ -218,19 +228,6 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
-}
-
-/// Sum counters with overflow detection (corrupt inputs can hold
-/// `u64::MAX` bins that would wrap a naive sum).
-pub fn checked_total(counts: &[u64], extra: &[u64], what: &'static str) -> Result<u64, CodecError> {
-    let mut total = 0u64;
-    for &c in counts.iter().chain(extra) {
-        total = total.checked_add(c).ok_or(CodecError::Invalid {
-            what,
-            detail: "counter sum overflows u64",
-        })?;
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -296,9 +293,18 @@ mod tests {
     }
 
     #[test]
-    fn checked_total_catches_wrap() {
-        assert!(checked_total(&[u64::MAX, 1], &[], "t").is_err());
-        assert_eq!(checked_total(&[1, 2], &[3], "t").unwrap(), 6);
+    fn counters_sum_is_checked() {
+        let read = |counts: &[u64]| {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, counts.len() as u32);
+            for &c in counts {
+                put_u64(&mut buf, c);
+            }
+            Reader::new(&buf).counters("bins").unwrap()
+        };
+        assert_eq!(read(&[u64::MAX, 1]).1, None);
+        assert_eq!(read(&[1, u64::MAX, 0]).1, None);
+        assert_eq!(read(&[1, 2, 3]), (vec![1, 2, 3], Some(6)));
     }
 
     #[test]

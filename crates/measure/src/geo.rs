@@ -26,11 +26,38 @@ impl GeoPoint {
 
 /// Great-circle distance via the haversine formula, kilometres.
 pub fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
-    let (lat1, lon1) = (a.lat.to_radians(), a.lon.to_radians());
-    let (lat2, lon2) = (b.lat.to_radians(), b.lon.to_radians());
-    let dlat = lat2 - lat1;
-    let dlon = lon2 - lon1;
-    let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+    haversine_radians(&Radians::of(a), &Radians::of(b))
+}
+
+/// A point's latitude and longitude in radians and the cosine of its
+/// latitude: what [`haversine_km`] derives from each point before the
+/// distance itself, so a caller that measures one point many times
+/// derives it once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Radians {
+    pub(crate) lat: f64,
+    pub(crate) lon: f64,
+    pub(crate) cos_lat: f64,
+}
+
+impl Radians {
+    pub(crate) fn of(p: GeoPoint) -> Radians {
+        let lat = p.lat.to_radians();
+        Radians {
+            lat,
+            lon: p.lon.to_radians(),
+            cos_lat: lat.cos(),
+        }
+    }
+}
+
+/// The haversine expression over two prepared points. The one copy of
+/// it: [`haversine_km`] and the k-means both call it, so a distance
+/// the clustering measures is the `f64` `haversine_km` returns.
+pub(crate) fn haversine_radians(a: &Radians, b: &Radians) -> f64 {
+    let dlat = b.lat - a.lat;
+    let dlon = b.lon - a.lon;
+    let h = (dlat / 2.0).sin().powi(2) + a.cos_lat * b.cos_lat * (dlon / 2.0).sin().powi(2);
     2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
 }
 

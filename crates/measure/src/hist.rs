@@ -1,6 +1,6 @@
 //! Histograms, fairness, and resampling confidence intervals.
 
-use crate::codec::{checked_total, put_f64, put_u32, put_u64, put_u8, CodecError, Reader};
+use crate::codec::{put_f64, put_u32, put_u64, put_u8, CodecError, Reader};
 use crate::stream::{Mergeable, SampleBuilder};
 use serde::{Deserialize, Serialize};
 
@@ -119,11 +119,18 @@ impl Histogram {
                 detail: "bad bin range",
             });
         }
-        let counts = r.counters(WHAT)?;
+        let (counts, binned) = r.counters(WHAT)?;
         let underflow = r.u64(WHAT)?;
         let overflow = r.u64(WHAT)?;
         let total = r.u64(WHAT)?;
-        if checked_total(&counts, &[underflow, overflow], WHAT)? != total {
+        let sum = binned
+            .and_then(|s| s.checked_add(underflow))
+            .and_then(|s| s.checked_add(overflow))
+            .ok_or(CodecError::Invalid {
+                what: WHAT,
+                detail: "counter sum overflows u64",
+            })?;
+        if sum != total {
             return Err(CodecError::Invalid {
                 what: WHAT,
                 detail: "bin totals disagree with sample count",

@@ -21,8 +21,7 @@ fn mode_note(scale: Scale) -> &'static str {
 
 /// Table 1: geographic clusters with run counts and LTE-win rates.
 pub fn table1(scale: Scale, seed: u64) -> Report {
-    let ds = generate_dataset(crowd_mode(scale), seed);
-    let a = analysis::analyze(&ds);
+    let rows = analysis::table1(&generate_dataset(crowd_mode(scale), seed));
     let mut r = Report::new(
         "table1",
         "Geographic coverage of the crowd-sourced dataset",
@@ -31,14 +30,14 @@ pub fn table1(scale: Scale, seed: u64) -> Report {
             mode_note(scale)
         ),
     );
-    r.block(a.render_table1());
+    r.block(analysis::render_table1(&rows));
     r.claim(
         "number of recovered geographic clusters",
         "22",
-        a.table1.len().to_string(),
-        (19..=25).contains(&a.table1.len()),
+        rows.len().to_string(),
+        (19..=25).contains(&rows.len()),
     );
-    let boston = a.table1.iter().find(|c| c.name == "US (Boston, MA)");
+    let boston = rows.iter().find(|c| c.name == "US (Boston, MA)");
     r.claim(
         "largest cluster (Boston) run count",
         "884",
@@ -57,8 +56,7 @@ pub fn table1(scale: Scale, seed: u64) -> Report {
 
 /// Figure 3: CDFs of WiFi−LTE throughput difference.
 pub fn fig3(scale: Scale, seed: u64) -> Report {
-    let ds = generate_dataset(crowd_mode(scale), seed);
-    let a = analysis::analyze(&ds);
+    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
     let mut r = Report::new(
         "fig3",
         "CDF of Tput(WiFi) − Tput(LTE), uplink and downlink",
@@ -105,8 +103,7 @@ pub fn fig3(scale: Scale, seed: u64) -> Report {
 
 /// Figure 4: CDF of WiFi−LTE ping RTT difference.
 pub fn fig4(scale: Scale, seed: u64) -> Report {
-    let ds = generate_dataset(crowd_mode(scale), seed);
-    let a = analysis::analyze(&ds);
+    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
     let mut r = Report::new(
         "fig4",
         "CDF of RTT(WiFi) − RTT(LTE), 10-ping averages",
@@ -127,8 +124,7 @@ pub fn fig4(scale: Scale, seed: u64) -> Report {
 
 /// Figure 6: the 20-location TCP measurements against the crowd CDF.
 pub fn fig6(scale: Scale, seed: u64) -> Report {
-    let ds = generate_dataset(crowd_mode(scale), seed);
-    let a = analysis::analyze(&ds);
+    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
     // Measure the 20 locations with single-path TCP transfers, using the
     // SAME measurement method as the crowd dataset (so the comparison
     // isolates the conditions, not the method). Like the paper, each

@@ -3,10 +3,15 @@
 # Usage: scripts/check.sh [--full]
 #   (default)  cargo fmt --check, clippy and rustdoc over every
 #              workspace package (crates, vendored shims, the root) with
-#              warnings denied, the tier-1 build + tests, and the crowd
-#              and measure suites in a debug build (a few seconds warm):
+#              warnings denied, the tier-1 build + tests (among them
+#              tests/section2_pins.rs: the rendered table1, fig3, fig4
+#              and fig6 hashed at seeds 1, 7 and 42), and the crowd and
+#              measure suites in a debug build (a few seconds warm):
 #              the journal's frame and CRC properties, the codec's
-#              truncation and round-trip properties and the campaign's
+#              truncation and round-trip properties, the k-means'
+#              differential property (the chord-pruned clustering
+#              against the unpruned one kept as its oracle: equal
+#              members, centroids equal to the bit) and the campaign's
 #              merge and resume tests gate every change, not only --full.
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release: release builds are
@@ -149,7 +154,7 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== crowd and measure suites in a debug build (journal, codec, campaign properties)"
+echo "== crowd and measure suites in a debug build (journal, codec, k-means, campaign properties)"
 cargo test -q -p mpwifi-crowd -p mpwifi-measure
 
 if [ "$FULL" -eq 1 ]; then

@@ -15,7 +15,7 @@ use mpwifi::simcore::Dur;
 #[test]
 fn finding1_lte_wins_a_large_minority_of_runs() {
     let ds = generate_dataset(RunMode::Analytic, 42);
-    let a = analysis::analyze(&ds);
+    let a = analysis::differences(&ds);
     assert!(
         (0.25..=0.50).contains(&a.lte_win_combined),
         "combined LTE-win rate {}",
