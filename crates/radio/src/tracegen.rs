@@ -17,26 +17,21 @@ use mpwifi_simcore::{DetRng, Dur};
 /// Bin width for rate modulation.
 const BIN: Dur = Dur::from_millis(20);
 
-/// Build a delivery trace from per-bin rates (bits/s).
+/// Build a delivery trace from per-bin rates (bits/s): each bin's whole
+/// packets, spread evenly over the bin.
 fn trace_from_bin_rates(rates: &[f64], bin: Dur) -> DeliveryTrace {
-    let period = bin * rates.len() as u64;
-    let mut offsets = Vec::new();
-    let bin_ns = bin.as_nanos();
     // Carry fractional packets across bins so the average rate is exact.
     let mut carry = 0.0f64;
-    for (i, &bps) in rates.iter().enumerate() {
-        let pkts_f = bps * bin.as_secs_f64() / (MTU as f64 * 8.0) + carry;
-        let pkts = pkts_f.floor() as u64;
-        carry = pkts_f - pkts as f64;
-        for k in 0..pkts {
-            offsets.push(i as u64 * bin_ns + k * bin_ns / pkts.max(1));
-        }
-    }
-    if offsets.is_empty() {
-        // Degenerate ultra-slow link: one opportunity per period.
-        offsets.push(0);
-    }
-    DeliveryTrace::new(offsets, period)
+    let counts: Vec<u64> = rates
+        .iter()
+        .map(|&bps| {
+            let pkts_f = bps * bin.as_secs_f64() / (MTU as f64 * 8.0) + carry;
+            let pkts = pkts_f.floor() as u64;
+            carry = pkts_f - pkts as f64;
+            pkts
+        })
+        .collect();
+    DeliveryTrace::from_bin_counts(&counts, bin)
 }
 
 /// Generate an LTE-like delivery trace with the given mean rate.

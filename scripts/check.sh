@@ -5,14 +5,19 @@
 #              workspace package (crates, vendored shims, the root) with
 #              warnings denied, the tier-1 build + tests (among them
 #              tests/section2_pins.rs: the rendered table1, fig3, fig4
-#              and fig6 hashed at seeds 1, 7 and 42), and the crowd and
-#              measure suites in a debug build (a few seconds warm):
-#              the journal's frame and CRC properties, the codec's
-#              truncation and round-trip properties, the k-means'
-#              differential property (the chord-pruned clustering
-#              against the unpruned one kept as its oracle: equal
-#              members, centroids equal to the bit) and the campaign's
-#              merge and resume tests gate every change, not only --full.
+#              and fig6 hashed at seeds 1, 7 and 42, and
+#              tests/world_pins.rs: every instant of every trace of the
+#              20-location world at the same seeds), and the crowd,
+#              measure, netem and radio suites in a debug build (a few
+#              seconds warm): the journal's frame and CRC properties,
+#              the codec's truncation and round-trip properties, the
+#              k-means' differential property (the chord-pruned
+#              clustering against the unpruned one kept as its oracle:
+#              equal members, centroids equal to the bit), the delivery
+#              traces' differential property (runs against the explicit
+#              offset list kept as their oracle: every instant equal),
+#              the trace generators' tests and the campaign's merge and
+#              resume tests gate every change, not only --full.
 #   --full     everything above, then every crate's suite in release
 #              (cargo test --workspace --release: release builds are
 #              whole-program, fat LTO and one codegen unit from
@@ -154,8 +159,8 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
-echo "== crowd and measure suites in a debug build (journal, codec, k-means, campaign properties)"
-cargo test -q -p mpwifi-crowd -p mpwifi-measure
+echo "== crowd, measure, netem and radio suites in a debug build (journal, codec, k-means, trace, campaign properties)"
+cargo test -q -p mpwifi-crowd -p mpwifi-measure -p mpwifi-netem -p mpwifi-radio
 
 if [ "$FULL" -eq 1 ]; then
     echo "== full: cargo test --workspace --release"

@@ -1,22 +1,37 @@
 #!/usr/bin/env bash
-# Self time by symbol, then by family (crate or libc / libm group), for
-# one stackbench workload: the sample behind DESIGN.md section 3's
-# tables, as one command. The full symbol table stays in
-# target/prof/<workload>.self.
+# Self time by symbol, then by family (crate or libc / libm group), then
+# by innermost inlined workspace function, for one stackbench workload:
+# the sample behind DESIGN.md section 3's tables, as one command. The
+# full tables stay in target/prof/<workload>.self and
+# target/prof/<workload>.inlined.
 # Usage: scripts/prof.sh <workload> [seconds=20]
 #
 # The box has no `perf`; it has `cc`, `nm` and /proc/self/maps. This
 # builds a small LD_PRELOAD shim into target/prof/ (ITIMER_PROF, a
 # SIGPROF handler that stores the interrupted instruction pointer, a
-# destructor that writes /proc/self/maps and the samples), runs the
-# release stackbench binary with `--workload W --seed 42 --trace 0`
-# under it, and attributes every sample to the nearest preceding symbol
-# of `nm -C --defined-only -n` (`::h<hash>` stripped).
+# destructor that writes /proc/self/maps and the samples), builds the
+# release stackbench binary with line tables
+# (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only, into
+# target/prof/build, so stackbench/target is not touched), runs it
+# with `--workload W --seed 42 --trace 0` under the shim, and
+# attributes every sample to the nearest preceding symbol of
+# `nm -C --defined-only -n` (`::h<hash>` stripped).
+#
+# The third table reads the line tables: `llvm-symbolizer --inlining`
+# gives each sampled address its chain of inlined frames, and a sample
+# counts for the innermost frame whose source lies in the checkout
+# (crates/, vendor/, stackbench/), named as the symbolizer names it with
+# generic arguments dropped and its file beside it; a sample with no
+# such frame keeps its symbol from the first table. Under fat LTO one
+# symbol can be a dozen inlined functions, so a symbol's share says
+# little about any one of them. The table is skipped, with a note, when
+# llvm-symbolizer is not installed.
 #
 # Reading the table:
 #   * self time only: a sample counts for the function the instruction
-#     pointer was in, never for its callers, and an inlined callee counts
-#     for the function it was inlined into;
+#     pointer was in, never for its callers; in the first two tables an
+#     inlined callee counts for the function it was inlined into, in the
+#     third for itself when its source is in the checkout;
 #   * the timer ticks at the kernel's 4 ms here whatever interval is
 #     asked for, so about 250 samples per CPU-second: run 20 s or more
 #     before reading a 1 % row;
@@ -46,7 +61,7 @@ cd "$(dirname "$0")/.."
 WORKLOAD="${1:?usage: scripts/prof.sh <workload> [seconds=20]}"
 SECS="${2:-20}"
 OUT=target/prof
-BIN=stackbench/target/release/stackbench
+BIN="$OUT/build/release/stackbench"
 mkdir -p "$OUT"
 
 cat >"$OUT/prof.c" <<'EOF'
@@ -102,7 +117,8 @@ __attribute__((destructor)) static void prof_stop(void) {
 EOF
 cc -O2 -shared -fPIC -o "$OUT/libprof.so" "$OUT/prof.c"
 
-cargo build --release --offline -q --manifest-path stackbench/Cargo.toml
+CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$OUT/build" \
+    cargo build --release --offline -q --manifest-path stackbench/Cargo.toml
 echo "== sampling $WORKLOAD for $SECS s" >&2
 PROF_OUT="$OUT/$WORKLOAD.samples" LD_PRELOAD="$PWD/$OUT/libprof.so" \
     "$BIN" --workload "$WORKLOAD" --seed 42 --seconds "$SECS" --trace 0 >/dev/null
@@ -117,7 +133,7 @@ for obj in $(awk '$1 == "map" && $7 ~ /^\// { print $7 }' "$OUT/$WORKLOAD.sample
     nm $flags "$obj" 2>/dev/null | sed -e 's/::h[0-9a-f]\{16\}$//' -e "s|^|sym $obj |" >>"$OUT/symbols" || true
 done
 
-awk -v bin="$BIN_PATH" '
+awk -v bin="$BIN_PATH" -v attrib="$OUT/$WORKLOAD.attrib" '
     function hex(s,    i, n, c) {
         n = 0
         s = tolower(s)
@@ -188,6 +204,10 @@ awk -v bin="$BIN_PATH" '
             }
         }
         self[where]++
+        # For the inlined table: each sample in the binary by address
+        # (decimal, relative to its base), every other sample by label.
+        if (m <= maps && object[m] == bin) printf "pc %.0f\n", pc - base[bin] > attrib
+        else print "label " where > attrib
     }
     END {
         if (total == 0) {
@@ -219,3 +239,80 @@ awk '
     }
     END { for (f in fam) printf "%6.2f%% %7d  %s\n", 100 * fam[f] / total, fam[f], f }
 ' "$OUT/$WORKLOAD.self" | sort -k2,2nr
+
+# The same samples by the innermost inlined function whose source is in
+# the checkout (see the header).
+echo
+echo "== by innermost inlined workspace function"
+if ! command -v llvm-symbolizer >/dev/null; then
+    echo "(skipped: llvm-symbolizer is not installed)"
+    exit 0
+fi
+sed -n 's/^pc //p' "$OUT/$WORKLOAD.attrib" | sort | uniq -c >"$OUT/$WORKLOAD.addrs"
+awk '{ print $2 }' "$OUT/$WORKLOAD.addrs" |
+    llvm-symbolizer --obj="$BIN_PATH" --inlining >"$OUT/$WORKLOAD.frames"
+awk -v root="$PWD/" -v addrs="$OUT/$WORKLOAD.addrs" '
+    # The outermost frame is a linkage name, which llvm-symbolizer
+    # leaves in Rust legacy escapes (`_$LT$A$u20$as$u20$B$GT$..f`).
+    function unescape(s) {
+        gsub(/\.\./, "::", s)
+        gsub(/\$LT\$/, "<", s)
+        gsub(/\$GT\$/, ">", s)
+        gsub(/\$u20\$/, " ", s)
+        gsub(/\$C\$/, ",", s)
+        gsub(/\$RF\$/, "\\&", s)
+        gsub(/\$LP\$/, "(", s)
+        gsub(/\$RP\$/, ")", s)
+        gsub(/\$BP\$/, "*", s)
+        gsub(/\$u7b\$/, "{", s)
+        gsub(/\$u7d\$/, "}", s)
+        sub(/^_</, "<", s)
+        sub(/::h[0-9a-f]+$/, "", s)
+        return s
+    }
+    # One block of frame pairs (function, file:line:column), innermost
+    # first, per address, in the order of the addresses file.
+    function flush(    label, i, f, n) {
+        if (frames == 0) return
+        if ((getline line < addrs) <= 0) {
+            print "frames without an address" > "/dev/stderr"
+            exit 1
+        }
+        split(line, part, " ")
+        n = part[1]
+        label = ""
+        for (i = 1; i <= frames && label == ""; i++) {
+            f = file[i]
+            sub(/:[0-9]+:[0-9]+$/, "", f)
+            if (index(f, root) == 1) {
+                label = unescape(fn[i])
+                # The generic arguments of the short name of an inlined
+                # frame (`front<T, A>`); a path keeps its own.
+                if (match(label, /^[A-Za-z0-9_]+</)) label = substr(label, 1, RLENGTH - 1)
+                sub(/::h[0-9a-f]+$/, "", label)
+                label = label "  (" substr(f, length(root) + 1) ")"
+            }
+        }
+        if (label == "") label = unescape(fn[frames])
+        self[label] += n
+        total += n
+        frames = 0
+    }
+    FILENAME ~ /\.frames$/ {
+        if ($0 == "") { flush(); next }
+        if (odd = !odd) fn[++frames] = $0
+        else file[frames] = $0
+        next
+    }
+    FILENAME ~ /\.attrib$/ && /^label / {
+        s = $0
+        sub(/^label /, "", s)
+        self[s]++
+        total++
+    }
+    END {
+        flush()
+        for (s in self) printf "%6.2f%% %7d  %s\n", 100 * self[s] / total, self[s], s
+    }
+' "$OUT/$WORKLOAD.frames" "$OUT/$WORKLOAD.attrib" | sort -k2,2nr >"$OUT/$WORKLOAD.inlined"
+head -n 30 "$OUT/$WORKLOAD.inlined"
