@@ -16,11 +16,11 @@
 //!
 //! * [`DeliveryTrace::from_bin_counts`]: bin `i` of `count` packets is
 //!   the run `(i·bin, bin, count)`, and an empty bin holds no run;
-//! * [`DeliveryTrace::from_mahimahi_ms`]: `count` repeats of
-//!   millisecond `m` are the run `(m·10⁶, 10⁶, count)`;
 //! * [`DeliveryTrace::constant_pps`]: the one run `(0, 10⁹, pps)`;
 //! * [`DeliveryTrace::new`]: one run `(offset, 1, 1)` per distinct
-//!   offset, the general form.
+//!   offset, the general form. [`DeliveryTrace::from_mahimahi_ms`]
+//!   spreads each millisecond's repeats to `m·10⁶ + k·10⁶ / count` and
+//!   builds through it.
 //!
 //! A run with `count > width` is stored with `count = width`: the
 //! expression then repeats offsets, and what is left after removing the
@@ -29,15 +29,16 @@
 //! list of them would hold, and the runs of one trace are disjoint and
 //! in order. A generated 4 s trace of 200 bins is at most 200 runs of
 //! 24 bytes instead of up to tens of thousands of stored offsets, and
-//! nothing is sorted.
+//! nothing is sorted. A trace built by `new` costs more than a list of
+//! offsets would: 24 bytes per distinct offset, not 8. It is the form of
+//! tests, hand-written schedules and Mahimahi input, none of which a
+//! world or a benchmark builds.
 //!
 //! **Lookup.** The first offset after `x` is found arithmetically: a
-//! bucket index maps `x >> shift` to the runs that start in that slice
-//! of the period (about one run per bucket), a binary search over those
-//! few finds the run holding `x`, and in it the first index past `x` is
-//! `k = ⌈(x − start + 1)·count / width⌉`, the least `k` with
-//! `⌊k·width / count⌋ > x − start`. The products are taken in `u64`
-//! whenever they fit.
+//! binary search over the run starts finds the run holding `x`, and in
+//! it the first index past `x` is `k = ⌈(x − start + 1)·count / width⌉`,
+//! the least `k` with `⌊k·width / count⌋ > x − start`. The products are
+//! taken in `u64` whenever they fit.
 //!
 //! **Walk.** A located `Opportunity` keeps its instant, its run, `k` and
 //! `k·width mod count`. The next one in the run is `width / count` later,
@@ -76,11 +77,6 @@ pub struct DeliveryTrace {
     /// one trace, and every rotation of it, reads the same runs, so
     /// building a world copies none.
     runs: Arc<[Run]>,
-    /// `starts_below[b]`: how many runs start before `b << shift`. The
-    /// runs starting in bucket `b` are `starts_below[b]..starts_below[b + 1]`.
-    starts_below: Arc<[u32]>,
-    /// Bucket width, as a power of two: at least `period / runs.len()`.
-    shift: u32,
     /// Period length in ns; all offsets are `< period`.
     period: u64,
     /// Opportunities per period: the sum of the runs' counts.
@@ -197,36 +193,29 @@ impl DeliveryTrace {
     /// Build from Mahimahi's native format: millisecond timestamps within
     /// the period (one per delivery opportunity; repeated timestamps mean
     /// multiple opportunities in that millisecond — we spread them within
-    /// the millisecond to keep offsets unique). Non-decreasing input is
-    /// one run per millisecond; any other goes through
-    /// [`DeliveryTrace::new`].
+    /// the millisecond to keep offsets unique).
     pub fn from_mahimahi_ms(timestamps_ms: &[u64], period: Dur) -> DeliveryTrace {
         assert!(!timestamps_ms.is_empty());
-        const MS: u64 = 1_000_000;
-        // (millisecond, repeats) for each run of equal timestamps.
-        let mut groups: Vec<(u64, u64)> = Vec::new();
-        for &ms in timestamps_ms {
-            match groups.last_mut() {
-                Some((last, repeats)) if *last == ms => *repeats += 1,
-                _ => groups.push((ms, 1)),
+        let mut offsets = Vec::with_capacity(timestamps_ms.len());
+        let mut run_start = 0usize;
+        let mut i = 0usize;
+        while i <= timestamps_ms.len() {
+            let run_ended =
+                i == timestamps_ms.len() || timestamps_ms[i] != timestamps_ms[run_start];
+            if run_ended {
+                let count = (i - run_start) as u64;
+                let base = timestamps_ms[run_start] * 1_000_000;
+                for k in 0..count {
+                    offsets.push(base + k * 1_000_000 / count);
+                }
+                run_start = i;
             }
+            i += 1;
         }
-        if timestamps_ms.windows(2).all(|w| w[0] <= w[1]) {
-            let runs = groups
-                .into_iter()
-                .map(|(ms, count)| Run::new(ms * MS, MS, count))
-                .collect();
-            return DeliveryTrace::from_runs(runs, period.as_nanos());
-        }
-        let offsets = groups
-            .into_iter()
-            .flat_map(|(ms, count)| (0..count).map(move |k| ms * MS + k * MS / count))
-            .collect();
         DeliveryTrace::new(offsets, period)
     }
 
-    /// The trace of `runs` (non-empty, disjoint, in order) with its
-    /// bucket index.
+    /// The trace of `runs` (non-empty, disjoint, in order).
     fn from_runs(runs: Vec<Run>, period: u64) -> DeliveryTrace {
         assert!(period > 0, "trace period must be positive");
         let last = runs.last().expect("a trace has at least one run");
@@ -239,24 +228,9 @@ impl DeliveryTrace {
                 .all(|w| w[0].start + w[0].width() <= w[1].start),
             "runs overlap or are out of order"
         );
-        let n = u32::try_from(runs.len()).expect("at most u32::MAX runs");
-        // The least power of two at or above period / runs: about one
-        // run per bucket.
-        let per_bucket = period.div_ceil(u64::from(n));
-        let shift = (u64::BITS - (per_bucket - 1).leading_zeros()).min(u64::BITS - 1);
-        let buckets = ((period - 1) >> shift) as usize + 1;
-        let mut starts_below = vec![0u32; buckets + 1];
-        for run in &runs {
-            starts_below[(run.start >> shift) as usize + 1] += 1;
-        }
-        for b in 1..=buckets {
-            starts_below[b] += starts_below[b - 1];
-        }
         DeliveryTrace {
             opportunities: runs.iter().map(|r| u64::from(r.count)).sum(),
             runs: runs.into(),
-            starts_below: starts_below.into(),
-            shift,
             period,
             lead: 0,
         }
@@ -323,19 +297,13 @@ impl DeliveryTrace {
     }
 
     /// The first opportunity of the unrotated schedule strictly after
-    /// `t`: a division for the cycle, a bucket, a binary search over the
-    /// bucket's few runs and [`Run::first_past`] in the run holding the
-    /// offset.
+    /// `t`: a division for the cycle, a binary search over the runs and
+    /// [`Run::first_past`] in the run holding the offset.
     fn locate_after(&self, t: u64) -> Opportunity {
         let cycle = t / self.period * self.period;
         let x = t - cycle;
-        let b = (x >> self.shift) as usize;
-        let (lo, hi) = (
-            self.starts_below[b] as usize,
-            self.starts_below[b + 1] as usize,
-        );
         // Runs before `j` start at or before `x`; only `j - 1` can hold it.
-        let j = lo + self.runs[lo..hi].partition_point(|r| r.start <= x);
+        let j = self.runs.partition_point(|r| r.start <= x);
         if let Some(run) = j.checked_sub(1).map(|i| &self.runs[i]) {
             let k = run.first_past(x - run.start);
             if k < u64::from(run.count) {
