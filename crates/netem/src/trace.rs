@@ -18,9 +18,7 @@
 //!   the run `(i·bin, bin, count)`, and an empty bin holds no run;
 //! * [`DeliveryTrace::constant_pps`]: the one run `(0, 10⁹, pps)`;
 //! * [`DeliveryTrace::new`]: one run `(offset, 1, 1)` per distinct
-//!   offset, the general form. [`DeliveryTrace::from_mahimahi_ms`]
-//!   spreads each millisecond's repeats to `m·10⁶ + k·10⁶ / count` and
-//!   builds through it.
+//!   offset, the general, hand-written form.
 //!
 //! A run with `count > width` is stored with `count = width`: the
 //! expression then repeats offsets, and what is left after removing the
@@ -31,8 +29,8 @@
 //! 24 bytes instead of up to tens of thousands of stored offsets, and
 //! nothing is sorted. A trace built by `new` costs more than a list of
 //! offsets would: 24 bytes per distinct offset, not 8. It is the form of
-//! tests, hand-written schedules and Mahimahi input, none of which a
-//! world or a benchmark builds.
+//! tests and hand-written schedules, neither of which a world or a
+//! benchmark builds.
 //!
 //! **Lookup.** The first offset after `x` is found arithmetically: a
 //! binary search over the run starts finds the run holding `x`, and in
@@ -188,31 +186,6 @@ impl DeliveryTrace {
             runs.push(Run::new(0, 1, 1));
         }
         DeliveryTrace::from_runs(runs, period.as_nanos())
-    }
-
-    /// Build from Mahimahi's native format: millisecond timestamps within
-    /// the period (one per delivery opportunity; repeated timestamps mean
-    /// multiple opportunities in that millisecond — we spread them within
-    /// the millisecond to keep offsets unique).
-    pub fn from_mahimahi_ms(timestamps_ms: &[u64], period: Dur) -> DeliveryTrace {
-        assert!(!timestamps_ms.is_empty());
-        let mut offsets = Vec::with_capacity(timestamps_ms.len());
-        let mut run_start = 0usize;
-        let mut i = 0usize;
-        while i <= timestamps_ms.len() {
-            let run_ended =
-                i == timestamps_ms.len() || timestamps_ms[i] != timestamps_ms[run_start];
-            if run_ended {
-                let count = (i - run_start) as u64;
-                let base = timestamps_ms[run_start] * 1_000_000;
-                for k in 0..count {
-                    offsets.push(base + k * 1_000_000 / count);
-                }
-                run_start = i;
-            }
-            i += 1;
-        }
-        DeliveryTrace::new(offsets, period)
     }
 
     /// The trace of `runs` (non-empty, disjoint, in order).
@@ -440,31 +413,6 @@ mod tests {
                 DeliveryTrace::new(offsets, Dur::from_secs(1))
             }
 
-            /// Build from Mahimahi's native format: millisecond timestamps within
-            /// the period (one per delivery opportunity; repeated timestamps mean
-            /// multiple opportunities in that millisecond — we spread them within
-            /// the millisecond to keep offsets unique).
-            pub fn from_mahimahi_ms(timestamps_ms: &[u64], period: Dur) -> DeliveryTrace {
-                assert!(!timestamps_ms.is_empty());
-                let mut offsets = Vec::with_capacity(timestamps_ms.len());
-                let mut run_start = 0usize;
-                let mut i = 0usize;
-                while i <= timestamps_ms.len() {
-                    let run_ended =
-                        i == timestamps_ms.len() || timestamps_ms[i] != timestamps_ms[run_start];
-                    if run_ended {
-                        let count = (i - run_start) as u64;
-                        let base = timestamps_ms[run_start] * 1_000_000;
-                        for k in 0..count {
-                            offsets.push(base + k * 1_000_000 / count);
-                        }
-                        run_start = i;
-                    }
-                    i += 1;
-                }
-                DeliveryTrace::new(offsets, period)
-            }
-
             /// Trace period.
             pub fn period(&self) -> Dur {
                 Dur::from_nanos(self.period)
@@ -598,11 +546,10 @@ mod tests {
     /// One trace built both ways from the same input, drawn by `rng`:
     /// bin counts (empty bins, count equal to and above the bin width,
     /// widths of 1–50 ns and up to 20 ms), an all-zero trace,
-    /// `constant_pps`, Mahimahi input with repeats, sorted or not, and
-    /// arbitrary offsets; then no rotation, one, two composed, or a
+    /// `constant_pps` and arbitrary offsets; then no rotation, one, two composed, or a
     /// whole number of periods.
     fn both_ways(rng: &mut DetRng) -> (DeliveryTrace, oracle::DeliveryTrace) {
-        let (mut t, mut o) = match rng.index(7) {
+        let (mut t, mut o) = match rng.index(5) {
             0 => {
                 let bin = rng.uniform_u64(1, 51);
                 let counts: Vec<u64> = (0..1 + rng.index(40))
@@ -642,20 +589,6 @@ mod tests {
                 (
                     DeliveryTrace::constant_pps(pps),
                     oracle::DeliveryTrace::constant_pps(pps),
-                )
-            }
-            kind @ (4 | 5) => {
-                let span = rng.uniform_u64(1, 100);
-                let mut ms: Vec<u64> = (0..1 + rng.index(60))
-                    .map(|_| rng.uniform_u64(0, span))
-                    .collect();
-                if kind == 4 {
-                    ms.sort_unstable();
-                }
-                let period = Dur::from_millis(span + rng.uniform_u64(0, 5));
-                (
-                    DeliveryTrace::from_mahimahi_ms(&ms, period),
-                    oracle::DeliveryTrace::from_mahimahi_ms(&ms, period),
                 )
             }
             _ => {
@@ -856,21 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn mahimahi_format_spreads_repeats() {
-        // Two opportunities at ms 3 -> offsets 3.0 ms and 3.5 ms.
-        let t = DeliveryTrace::from_mahimahi_ms(&[1, 3, 3], Dur::from_millis(10));
-        assert_eq!(t.opportunities_per_period(), 3);
-        assert_eq!(
-            t.next_opportunity_after(Time::from_millis(2)),
-            Time::from_nanos(3_000_000)
-        );
-        assert_eq!(
-            t.next_opportunity_after(Time::from_nanos(3_000_000)),
-            Time::from_nanos(3_500_000)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least one opportunity")]
     fn empty_trace_panics() {
         DeliveryTrace::new(vec![], Dur::from_secs(1));
@@ -880,12 +798,6 @@ mod tests {
     #[should_panic(expected = "< period")]
     fn out_of_period_offset_panics() {
         DeliveryTrace::new(vec![2_000_000_000], Dur::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "< period")]
-    fn out_of_period_mahimahi_run_panics() {
-        DeliveryTrace::from_mahimahi_ms(&[3, 10], Dur::from_millis(10));
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--seed N] [--jobs N] [--markdown FILE] [--metrics FILE] [--retries N] [--quarantine FILE] <experiment>... | all | --list
+//! repro [--full] [--seed N] [--jobs N] [--markdown FILE] [--metrics FILE] [--quarantine FILE] <experiment>... | all | --list
 //! repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]
 //! repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]
 //! repro serve [--jobs N] [--queue N] [--retries N] [--chaos]
@@ -18,9 +18,8 @@
 //! quarantined (forensics and a paste-ready repro on stderr, JSON
 //! sidecar via `--quarantine FILE`, exit code 3) while the rest of the
 //! campaign completes and the surviving sections render byte-identical
-//! to a campaign without it. `--retries N` re-runs a failed experiment
-//! up to N times on derived seeds; one that then completes is flagged
-//! flaky on stderr.
+//! to a campaign without it. A failed run is never re-run on another
+//! seed: every report answers for the seed its policy assigned.
 //!
 //! `repro campaign` runs a population-scale crowd campaign: `--users`
 //! synthetic users fanned over the Table 1 geography through the
@@ -43,7 +42,8 @@
 //! wall-clock deadline unless a request overrides them),
 //! retry-with-jittered-backoff,
 //! a poison-recovering worker pool, and graceful drain on EOF or a
-//! `shutdown` request.
+//! `shutdown` request. `--retries`, `--queue` and `--chaos` configure
+//! the server and are a usage error with any other target.
 //!
 //! `repro conformance` runs the protocol-conformance fuzz campaign
 //! instead of paper experiments: `--cases` seeded scenarios with the
@@ -98,9 +98,9 @@ fn main() {
     let mut targets: Vec<String> = Vec::new();
     let mut cases = 200usize;
     let mut users = 100_000u64;
-    let mut retries = 0u32;
+    let mut retries: Option<u32> = None;
     let mut quarantine_path: Option<String> = None;
-    let mut queue_cap = 16usize;
+    let mut queue_cap: Option<usize> = None;
     let mut chaos = false;
     let mut matrix = false;
     let mut checkpoint: Option<String> = None;
@@ -110,7 +110,7 @@ fn main() {
         match args[i].as_str() {
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
-            "--retries" => retries = value(&args, &mut i, "--retries needs an integer"),
+            "--retries" => retries = Some(value(&args, &mut i, "--retries needs an integer")),
             "--quarantine" => {
                 quarantine_path = Some(value(&args, &mut i, "--quarantine needs a path"));
             }
@@ -118,7 +118,9 @@ fn main() {
             "--jobs" | "-j" => jobs = positive(&args, &mut i, "--jobs needs a positive integer"),
             "--derive-seeds" => policy = SeedPolicy::Derived,
             "--cases" => cases = positive(&args, &mut i, "--cases needs a positive integer"),
-            "--queue" => queue_cap = positive(&args, &mut i, "--queue needs a positive integer"),
+            "--queue" => {
+                queue_cap = Some(positive(&args, &mut i, "--queue needs a positive integer"));
+            }
             "--chaos" => chaos = true,
             "--matrix" => matrix = true,
             "--checkpoint" => checkpoint = Some(value(&args, &mut i, "--checkpoint needs a path")),
@@ -141,7 +143,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--retries N] [--quarantine FILE] <experiment>... | all | extensions | --list\n       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]\n       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]\n       repro serve [--jobs N] [--queue N] [--retries N] [--chaos]"
+                    "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--quarantine FILE] <experiment>... | all | extensions | --list\n       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]\n       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]\n       repro serve [--jobs N] [--queue N] [--retries N] [--chaos]"
                 );
                 return;
             }
@@ -154,7 +156,10 @@ fn main() {
         if targets.len() > 1 {
             die("'serve' runs alone; drop the other targets");
         }
-        run_serve(jobs, queue_cap, retries, chaos);
+        run_serve(jobs, queue_cap.unwrap_or(16), retries.unwrap_or(0), chaos);
+    }
+    if retries.is_some() || queue_cap.is_some() || chaos {
+        die("--retries/--queue/--chaos apply to the 'serve' target only");
     }
     if targets.iter().any(|t| t == "conformance") {
         if targets.len() > 1 {
@@ -208,24 +213,12 @@ fn main() {
         println!("wrote {} runs to {path}", ds.len());
     }
 
-    let cfg = SuperviseConfig {
-        retries,
-        ..SuperviseConfig::batch()
-    };
-    let runs = runner::run_specs(&specs, scale, seed, jobs, policy, &cfg);
+    let runs = runner::run_specs(&specs, scale, seed, jobs, policy, &SuperviseConfig::batch());
     let mut failures = 0usize;
     let mut reports = Vec::new();
     for run in &runs {
         let Ok(report) = &run.result else { continue };
         reports.push(report);
-        if run.flaky() {
-            eprintln!(
-                "note: {} completed only on retry {} (derived seed {}); flagged flaky",
-                run.id,
-                run.attempts - 1,
-                run.seed
-            );
-        }
         println!("{}", report.render_text());
         println!(
             "({} finished in {:.1?}, seed {})\n",
@@ -335,10 +328,9 @@ fn quarantine_block(
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "!!!! {} — QUARANTINED ({}) after {} attempt(s), {:.1?}\n",
+        "!!!! {} — QUARANTINED ({}) after {:.1?}\n",
         run.id,
         failure.label(),
-        run.attempts,
         run.wall
     ));
     for line in failure.forensics().trim_end().lines() {
@@ -373,7 +365,6 @@ fn quarantine_json(
         o.str("id", run.id)
             .val("seed", run.seed)
             .str("status", failure.label())
-            .val("attempts", run.attempts)
             .val(
                 "wall_ms",
                 format_args!("{:.3}", run.wall.as_secs_f64() * 1e3),
@@ -594,10 +585,9 @@ mod tests {
 
     #[test]
     fn quarantine_json_is_one_object_per_quarantined_run() {
-        let run = |id, seed, attempts, wall_us, result| RunRecord {
+        let run = |id, seed, wall_us, result| RunRecord {
             id,
             seed,
-            attempts,
             wall: Duration::from_micros(wall_us),
             result,
         };
@@ -605,7 +595,6 @@ mod tests {
             run(
                 "planted-panic",
                 42,
-                1,
                 1_500,
                 Err((
                     RunFailure::Panicked {
@@ -617,14 +606,12 @@ mod tests {
             run(
                 "table2",
                 42,
-                1,
                 900,
                 Ok(mpwifi_repro::Report::new("table2", "t", "m")),
             ),
             run(
                 "planted-stall",
                 u64::MAX,
-                2,
                 12_345_678,
                 Err((
                     RunFailure::Stalled {
@@ -638,9 +625,9 @@ mod tests {
             quarantine_json(&quarantined(&runs), 42, Scale::Full, SeedPolicy::Derived),
             concat!(
                 "[\n",
-                r#"  {"id": "planted-panic", "seed": 42, "status": "panicked", "attempts": 1, "wall_ms": 1.500, "forensics": "planted \"panic\" (at src/supervise.rs:355)", "repro": "cargo run --release -p mpwifi-repro -- planted-panic --seed 42 --full --derive-seeds"},"#,
+                r#"  {"id": "planted-panic", "seed": 42, "status": "panicked", "wall_ms": 1.500, "forensics": "planted \"panic\" (at src/supervise.rs:355)", "repro": "cargo run --release -p mpwifi-repro -- planted-panic --seed 42 --full --derive-seeds"},"#,
                 "\n",
-                r#"  {"id": "planted-stall", "seed": 18446744073709551615, "status": "stalled", "attempts": 2, "wall_ms": 12345.678, "forensics": "iface lte stale\n  subflow lte: frozen\n", "repro": "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --full --derive-seeds"}"#,
+                r#"  {"id": "planted-stall", "seed": 18446744073709551615, "status": "stalled", "wall_ms": 12345.678, "forensics": "iface lte stale\n  subflow lte: frozen\n", "repro": "cargo run --release -p mpwifi-repro -- planted-stall --seed 42 --full --derive-seeds"}"#,
                 "\n]\n"
             )
         );

@@ -155,7 +155,7 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
     },
     ExperimentSpec {
         id: "fig19",
-        title: "App energy under different network conditions (launch)",
+        title: "Normalized app-response time by oracle scheme (launch)",
         section: "§7",
         extension: false,
         run: |scale, seed| ex::app_figs::fig19_21(scale, seed, false),
@@ -169,7 +169,7 @@ pub const REGISTRY: [ExperimentSpec; 31] = [
     },
     ExperimentSpec {
         id: "fig21",
-        title: "App energy under different network conditions (long flow)",
+        title: "Normalized app-response time by oracle scheme (long flow)",
         section: "§7",
         extension: false,
         run: |scale, seed| ex::app_figs::fig19_21(scale, seed, true),

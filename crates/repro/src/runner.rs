@@ -67,27 +67,18 @@ impl SeedPolicy {
 pub struct RunRecord {
     /// Experiment id (from the spec).
     pub id: &'static str,
-    /// The seed the *final* attempt ran with: the one [`SeedPolicy`]
-    /// assigned, unless a retry derived another.
+    /// The seed the run ran with: the one [`SeedPolicy`] assigned.
     pub seed: u64,
-    /// Attempts made (1 unless retries were configured and needed).
-    pub attempts: u32,
-    /// Wall-clock time across all attempts. Not deterministic; never
-    /// rendered into reports.
+    /// Wall-clock time of the run. Not deterministic; never rendered
+    /// into reports.
     pub wall: Duration,
     /// The report, its simulator counters in [`Report::metrics`]; or
-    /// how the final attempt failed and the counters of the work it did
-    /// before it died.
+    /// how the run failed and the counters of the work it did before it
+    /// died.
     pub result: Result<Report, (RunFailure, RunMetrics)>,
 }
 
 impl RunRecord {
-    /// Completed, but only on a derived-seed retry: the result is real
-    /// but did not come from the seed the campaign policy assigned.
-    pub fn flaky(&self) -> bool {
-        self.result.is_ok() && self.attempts > 1
-    }
-
     /// The run's simulator counters, complete or partial.
     pub fn metrics(&self) -> RunMetrics {
         match &self.result {
@@ -106,7 +97,7 @@ pub(crate) fn run_one(spec: &ExperimentSpec, scale: Scale, seed: u64) -> Report 
 }
 
 /// Shard `specs` across `jobs` workers (1 = serial), each run under
-/// the supervisor with `cfg`'s budgets and retries. Results come back
+/// the supervisor with `cfg`'s budgets. Results come back
 /// in input order; every completed report is byte-identical for any
 /// `jobs` value.
 pub fn run_specs(
@@ -255,7 +246,6 @@ mod tests {
         let record = |id, seed, wall_us, result| RunRecord {
             id,
             seed,
-            attempts: 1,
             wall: Duration::from_micros(wall_us),
             result,
         };

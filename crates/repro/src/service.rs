@@ -12,9 +12,8 @@
 //!   [`supervise_call`] — a breached or panicking request is classified
 //!   into the [`RequestStatus`] taxonomy instead of poisoning the
 //!   long-lived worker;
-//! - deriving per-attempt seeds with the batch supervisor's own
-//!   [`attempt_seed`] chain, so a served retry replays
-//!   bit-for-bit as `repro <id> --seed <derived>`;
+//! - deriving per-attempt seeds along the [`attempt_seed`] chain, so a
+//!   served retry replays bit-for-bit as `repro <id> --seed <derived>`;
 //! - streaming results: one `section` response carrying the report's
 //!   `render_text()` verbatim (byte-identical to the one-shot CLI), a
 //!   `metrics` sidecar for experiments, and `progress` lines as campaign
@@ -23,8 +22,8 @@
 use crate::experiments::crowd_campaign;
 use crate::registry;
 use crate::report::Scale;
-use crate::runner::run_one;
-use crate::supervise::{attempt_seed, supervise_call, SuperviseConfig};
+use crate::runner::{derive_seed, run_one};
+use crate::supervise::{supervise_call, SuperviseConfig};
 use mpwifi_serve::proto::{RequestStatus, Response, RunKind, RunRequest};
 use mpwifi_serve::Executor;
 use mpwifi_simcore::WatchdogConfig;
@@ -32,8 +31,7 @@ use mpwifi_simcore::WatchdogConfig;
 /// `mpwifi-serve` [`Executor`] backed by the repro registry.
 pub struct ReproExecutor {
     /// Server-default supervision budgets; per-request overrides replace
-    /// individual fields. `retries` here is ignored — the serve pool owns
-    /// the retry loop.
+    /// individual fields. The serve pool owns the retry loop.
     pub defaults: SuperviseConfig,
 }
 
@@ -54,6 +52,17 @@ impl ReproExecutor {
                 .map(|s| s.saturating_mul(1_000_000))
                 .or(defaults.stall_ttl_us),
         }
+    }
+}
+
+/// The seed for attempt `attempt` (0-based) of a request rooted at
+/// `seed`: the root itself first, then `derive_seed(seed, "{id}#retryN")`.
+/// The serve pool's retries walk this chain.
+pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
+    if attempt == 0 {
+        seed
+    } else {
+        derive_seed(seed, &format!("{id}#retry{attempt}"))
     }
 }
 
@@ -208,7 +217,6 @@ impl ReproExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::derive_seed;
     use std::sync::Mutex;
 
     fn request(kind: RunKind, seed: u64) -> RunRequest {

@@ -20,7 +20,7 @@
 
 use crate::registry::ExperimentSpec;
 use crate::report::{Report, Scale};
-use crate::runner::{derive_seed, run_one, RunRecord};
+use crate::runner::{run_one, RunRecord};
 use mpwifi_simcore::supervise as watchdog;
 use mpwifi_simcore::{BreachReport, RunFailure, WatchdogConfig};
 use std::cell::{Cell, RefCell};
@@ -46,18 +46,12 @@ pub const DEFAULT_STALL_TTL_US: u64 = 300_000_000;
 /// Supervision policy for a campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperviseConfig {
-    /// The budgets armed around every attempt.
+    /// The budgets armed around every run.
     pub watchdog: WatchdogConfig,
-    /// Retries per failed run, each with a seed derived from the
-    /// original (`derive_seed(seed, "{id}#retryN")`) — a *documented
-    /// determinism escape hatch*: a retried success is
-    /// [`RunRecord::flaky`] and ran under a different seed than the
-    /// campaign's policy assigned.
-    pub retries: u32,
 }
 
 impl Default for SuperviseConfig {
-    /// All three default budgets, no retries: what `repro serve` arms.
+    /// All three default budgets: what `repro serve` arms.
     fn default() -> Self {
         SuperviseConfig {
             watchdog: WatchdogConfig {
@@ -65,16 +59,15 @@ impl Default for SuperviseConfig {
                 wall_limit_ms: Some(DEFAULT_WALL_LIMIT_MS),
                 stall_ttl_us: Some(DEFAULT_STALL_TTL_US),
             },
-            retries: 0,
         }
     }
 }
 
 impl SuperviseConfig {
-    /// The deterministic budgets only (events and stall TTL), no
-    /// retries: what a `repro` batch run arms, so a report — and
-    /// whether the run is quarantined at all — stays a pure function of
-    /// `(id, scale, seed)` on any machine and under any load.
+    /// The deterministic budgets only (events and stall TTL): what a
+    /// `repro` batch run arms, so a report — and whether the run is
+    /// quarantined at all — stays a pure function of `(id, scale, seed)`
+    /// on any machine and under any load.
     pub fn batch() -> SuperviseConfig {
         let mut cfg = SuperviseConfig::default();
         cfg.watchdog.wall_limit_ms = None;
@@ -157,9 +150,9 @@ pub fn supervise_call<T>(wd: &WatchdogConfig, f: impl FnOnce() -> T) -> Result<T
     result.map_err(classify_failure)
 }
 
-/// Run one spec under supervision, retrying per `cfg.retries` with
-/// derived seeds. The first attempt uses `seed` exactly as the campaign
-/// policy assigned it.
+/// Run one spec under supervision, once, with `seed` exactly as the
+/// campaign policy assigned it. A failure is final: the record is
+/// quarantined, never re-run on another seed.
 pub fn supervise_one(
     spec: &'static ExperimentSpec,
     scale: Scale,
@@ -167,32 +160,13 @@ pub fn supervise_one(
     cfg: &SuperviseConfig,
 ) -> RunRecord {
     let start = std::time::Instant::now();
-    let mut attempts = 0u32;
-    loop {
-        let run_seed = attempt_seed(seed, spec.id, attempts);
-        attempts += 1;
-        let result = supervise_call(&cfg.watchdog, || run_one(spec, scale, run_seed))
-            .map_err(|failure| (failure, mpwifi_simcore::metrics::snapshot()));
-        if result.is_ok() || attempts > cfg.retries {
-            return RunRecord {
-                id: spec.id,
-                seed: run_seed,
-                attempts,
-                wall: start.elapsed(),
-                result,
-            };
-        }
-    }
-}
-
-/// The seed for attempt `attempt` (0-based) of a run rooted at `seed`:
-/// the root itself first, then `derive_seed(seed, "{id}#retryN")`. The
-/// batch supervisor and `repro serve` both retry along this chain.
-pub fn attempt_seed(seed: u64, id: &str, attempt: u32) -> u64 {
-    if attempt == 0 {
-        seed
-    } else {
-        derive_seed(seed, &format!("{id}#retry{attempt}"))
+    let result = supervise_call(&cfg.watchdog, || run_one(spec, scale, seed))
+        .map_err(|failure| (failure, mpwifi_simcore::metrics::snapshot()));
+    RunRecord {
+        id: spec.id,
+        seed,
+        wall: start.elapsed(),
+        result,
     }
 }
 
@@ -238,25 +212,6 @@ pub fn repro_test_snippet(id: &str, seed: u64, scale: Scale) -> String {
 
 fn run_planted_panic(_: Scale, _seed: u64) -> Report {
     panic!("planted panic: this experiment always dies (supervision smoke)");
-}
-
-/// A transient failure: panics unless `seed % 4 == 0`. Under retries the
-/// derived-seed chain re-rolls the dice each attempt, so whether (and on
-/// which attempt) it recovers is a pure function of the root seed — the
-/// retry-path tests search the chain to plant a success at a chosen
-/// attempt and assert the supervisor lands exactly there.
-fn run_planted_transient(_: Scale, seed: u64) -> Report {
-    assert!(
-        seed.is_multiple_of(4),
-        "planted transient failure: seed {seed} is not a multiple of 4"
-    );
-    let mut r = Report::new(
-        "planted-transient",
-        "PLANTED — fails unless seed % 4 == 0 (retry-path smoke)",
-        "supervision retry smoke",
-    );
-    r.claim("run completed", "completes", "completed", true);
-    r
 }
 
 fn run_planted_flaky(_: Scale, seed: u64) -> Report {
@@ -333,7 +288,7 @@ fn run_planted_stall(_: Scale, seed: u64) -> Report {
 
 /// The planted specs, resolvable by [`crate::registry::find`] but absent
 /// from [`crate::REGISTRY`].
-pub static PLANTED: [ExperimentSpec; 4] = [
+pub static PLANTED: [ExperimentSpec; 3] = [
     ExperimentSpec {
         id: "planted-panic",
         title: "PLANTED — always panics (supervision smoke)",
@@ -355,13 +310,6 @@ pub static PLANTED: [ExperimentSpec; 4] = [
         extension: true,
         run: run_planted_flaky,
     },
-    ExperimentSpec {
-        id: "planted-transient",
-        title: "PLANTED — fails unless seed % 4 == 0 (retry-path smoke)",
-        section: "ext",
-        extension: true,
-        run: run_planted_transient,
-    },
 ];
 
 #[cfg(test)]
@@ -381,8 +329,6 @@ mod tests {
     fn completed_run_matches_a_direct_call() {
         let spec = find("table2").unwrap();
         let supervised = supervise_one(spec, Scale::Quick, 42, &SuperviseConfig::default());
-        assert_eq!(supervised.attempts, 1);
-        assert!(!supervised.flaky());
         let report = supervised.result.expect("table2 completes");
         let mut direct = (spec.run)(Scale::Quick, 42);
         assert_eq!(report.blocks, direct.blocks);
@@ -432,7 +378,6 @@ mod tests {
                 max_events: Some(50),
                 ..WatchdogConfig::default()
             },
-            retries: 0,
         };
         let run = supervise_one(spec, Scale::Quick, 42, &cfg);
         assert!(
@@ -440,103 +385,6 @@ mod tests {
             "expected BudgetExhausted, got {}",
             failure(&run).label()
         );
-    }
-
-    #[test]
-    fn retry_with_derived_seed_marks_flaky() {
-        let spec = find("planted-flaky").unwrap();
-        // Seed 42 dies; the retry derives a different seed and passes.
-        let cfg = SuperviseConfig {
-            retries: 1,
-            ..SuperviseConfig::default()
-        };
-        let run = supervise_one(spec, Scale::Quick, 42, &cfg);
-        assert!(run.result.is_ok());
-        assert_eq!(run.attempts, 2);
-        assert!(run.flaky(), "a retried success must be flagged flaky");
-        assert_eq!(run.seed, derive_seed(42, "planted-flaky#retry1"));
-        // Without retries the same spec+seed is quarantined.
-        let no_retry = supervise_one(spec, Scale::Quick, 42, &SuperviseConfig::default());
-        assert!(no_retry.result.is_err());
-        assert!(!no_retry.flaky());
-    }
-
-    /// The attempt-seed chain `supervise_one` walks for a spec, starting
-    /// from the root seed: `[root, retry1, retry2, ...]`.
-    fn transient_chain(root: u64, len: usize) -> Vec<u64> {
-        let mut seeds = vec![root];
-        for n in 1..len {
-            seeds.push(derive_seed(root, &format!("planted-transient#retry{n}")));
-        }
-        seeds
-    }
-
-    /// First attempt index (0-based) at which `planted-transient` passes.
-    fn first_success(chain: &[u64]) -> Option<usize> {
-        chain.iter().position(|s| s % 4 == 0)
-    }
-
-    /// A root seed whose derived chain first succeeds exactly at attempt
-    /// index `n` (so `supervise_one` needs `n` retries to complete).
-    fn root_with_success_at(n: usize) -> u64 {
-        (0u64..100_000)
-            .find(|&root| first_success(&transient_chain(root, n + 2)) == Some(n))
-            .expect("no root seed with the wanted retry profile")
-    }
-
-    #[test]
-    fn transient_failure_succeeds_on_predicted_retry() {
-        let spec = find("planted-transient").unwrap();
-        // Root and retry-1 seeds fail, retry-2 passes: three attempts.
-        let root = root_with_success_at(2);
-        let cfg = SuperviseConfig {
-            retries: 4,
-            ..SuperviseConfig::default()
-        };
-        let run = supervise_one(spec, Scale::Quick, root, &cfg);
-        assert!(run.result.is_ok());
-        assert_eq!(
-            run.attempts, 3,
-            "must complete on exactly the third attempt"
-        );
-        assert!(run.flaky(), "a retried success must be flagged flaky");
-        assert_eq!(
-            run.seed,
-            derive_seed(root, "planted-transient#retry2"),
-            "final attempt must run under the documented derived seed"
-        );
-    }
-
-    #[test]
-    fn transient_failure_quarantines_only_after_retries_exhausted() {
-        let spec = find("planted-transient").unwrap();
-        let root = root_with_success_at(2);
-        // One retry is not enough: both attempts fail, the run is
-        // quarantined, and the attempt count proves no retry was skipped.
-        let short = SuperviseConfig {
-            retries: 1,
-            ..SuperviseConfig::default()
-        };
-        let run = supervise_one(spec, Scale::Quick, root, &short);
-        assert!(
-            matches!(failure(&run), RunFailure::Panicked { .. }),
-            "expected quarantine, got {}",
-            failure(&run).label()
-        );
-        assert_eq!(
-            run.attempts, 2,
-            "retries must be exhausted before quarantine"
-        );
-        assert!(!run.flaky());
-        // Two retries reach the planted success: same spec, same root
-        // seed, now completes — quarantine was purely a retry-budget call.
-        let enough = SuperviseConfig {
-            retries: 2,
-            ..SuperviseConfig::default()
-        };
-        let recovered = supervise_one(spec, Scale::Quick, root, &enough);
-        assert!(recovered.result.is_ok());
-        assert_eq!(recovered.attempts, 3);
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn registry_soaks_clean_under_default_budgets() {
     assert_eq!(wd.max_events, Some(DEFAULT_MAX_EVENTS));
     assert_eq!(wd.wall_limit_ms, Some(DEFAULT_WALL_LIMIT_MS));
     assert_eq!(wd.stall_ttl_us, Some(DEFAULT_STALL_TTL_US));
-    assert_eq!(SuperviseConfig::default().retries, 0);
 
     // Soak under the *deterministic* budgets only, which is what every
     // `repro` batch run arms. The wall-clock deadline is the documented
@@ -36,7 +35,6 @@ fn registry_soaks_clean_under_default_budgets() {
     assert_eq!(cfg.watchdog.max_events, Some(DEFAULT_MAX_EVENTS));
     assert_eq!(cfg.watchdog.wall_limit_ms, None);
     assert_eq!(cfg.watchdog.stall_ttl_us, Some(DEFAULT_STALL_TTL_US));
-    assert_eq!(cfg.retries, 0);
     let specs: Vec<&'static registry::ExperimentSpec> = REGISTRY.iter().collect();
     let runs = run_specs(&specs, Scale::Quick, 42, 8, SeedPolicy::Campaign, &cfg);
     assert_eq!(runs.len(), REGISTRY.len());
@@ -51,10 +49,6 @@ fn registry_soaks_clean_under_default_budgets() {
         quarantined.is_empty(),
         "registry experiments must fit the default budgets: {quarantined:?}"
     );
-    for run in &runs {
-        assert_eq!(run.attempts, 1, "{} needed retries", run.id);
-        assert!(!run.flaky(), "{} flagged flaky", run.id);
-    }
 }
 
 #[test]

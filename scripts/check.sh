@@ -98,7 +98,9 @@
 #                           byte-identical to a campaign without them;
 #                           that healthy campaign exits 0 with an empty
 #                           sidecar; and the retired `--supervise` flag
-#                           is a usage error (exit 2).
+#                           and the serve-only `--retries` and `--queue`
+#                           flags on a batch target are usage errors
+#                           (exit 2).
 #              The determinism, golden and resume tests run as part of
 #              the workspace suite; the journal properties also run in
 #              the default gate.
@@ -257,13 +259,16 @@ if [ "$FULL" -eq 1 ]; then
     grep -q 'subflow lte' "$TMP/quarantine.json"
     echo "== supervise smoke: healthy sections byte-identical, campaign continued"
     cmp "$TMP/plain.md" "$TMP/supervised.md"
-    echo "== supervise smoke: the retired --supervise flag is a usage error"
-    rc=0
-    "$REPRO" --supervise table2 >/dev/null 2>&1 || rc=$?
-    if [ "$rc" -ne 2 ]; then
-        echo "expected exit 2 from 'repro --supervise table2', got $rc" >&2
-        exit 1
-    fi
+    echo "== supervise smoke: --supervise, --retries and --queue on a batch target are usage errors"
+    for flags in "--supervise" "--retries 1" "--queue 4"; do
+        rc=0
+        # shellcheck disable=SC2086  # a flag and its value, split on purpose
+        "$REPRO" $flags table2 >/dev/null 2>&1 || rc=$?
+        if [ "$rc" -ne 2 ]; then
+            echo "expected exit 2 from 'repro $flags table2', got $rc" >&2
+            exit 1
+        fi
+    done
 fi
 
 echo "All checks passed."

@@ -2,11 +2,13 @@
 //! campaign runs under: a campaign with a planted panic and a planted
 //! livelock in it completes, classifies both failures with forensics
 //! and repro artifacts, and renders its healthy sections byte-identical
-//! to a campaign without them, at one worker and at two.
+//! to a campaign without them, at one worker and at two. Every record,
+//! quarantined or not, carries the seed its policy assigned: a failed
+//! run is never re-rolled on another one.
 
 use mpwifi_repro::{
-    registry, repro_command, repro_test_snippet, run_specs, RunRecord, Scale, SeedPolicy,
-    SuperviseConfig,
+    derive_seed, registry, repro_command, repro_test_snippet, run_specs, RunRecord, Scale,
+    SeedPolicy, SuperviseConfig,
 };
 use mpwifi_simcore::RunFailure;
 
@@ -34,6 +36,14 @@ fn planted_campaign_quarantines_and_continues() {
     for jobs in [1, 2] {
         let runs = campaign(&specs, jobs);
         assert_eq!(runs.len(), 4);
+        for run in &runs {
+            assert_eq!(
+                run.seed,
+                SeedPolicy::Campaign.seed_for(42, run.id),
+                "{}: the record must carry the campaign seed at jobs={jobs}",
+                run.id
+            );
+        }
 
         // The two healthy sections survive, byte-identical.
         for (run, h) in [&runs[0], &runs[2]].into_iter().zip(&healthy) {
@@ -85,5 +95,26 @@ fn planted_campaign_quarantines_and_continues() {
             assert!(snippet.starts_with("#[test]\n"));
             assert!(snippet.contains(&format!("run_experiment(\"{}\"", run.id)));
         }
+    }
+}
+
+#[test]
+fn derived_seeds_are_kept_by_completed_and_quarantined_runs() {
+    let specs: Vec<&'static registry::ExperimentSpec> = ["table2", "planted-panic"]
+        .iter()
+        .map(|id| registry::find(id).expect("known id"))
+        .collect();
+    let runs = run_specs(
+        &specs,
+        Scale::Quick,
+        42,
+        2,
+        SeedPolicy::Derived,
+        &SuperviseConfig::batch(),
+    );
+    assert!(runs[0].result.is_ok(), "table2 completes");
+    failure(&runs[1]);
+    for run in &runs {
+        assert_eq!(run.seed, derive_seed(42, run.id), "{}", run.id);
     }
 }
