@@ -16,7 +16,10 @@
 //! - post-`shutdown` runs get typed `rejected` responses and the drain
 //!   still finishes every in-flight request;
 //! - healthy `section` responses are byte-identical to the same run via
-//!   the one-shot CLI.
+//!   the one-shot CLI;
+//! - a second server drains gracefully on SIGTERM with stdin still open:
+//!   its in-flight run finishes, the final `stats` line arrives, and the
+//!   exit code is 0.
 //!
 //! Exit code 0 on success, 1 with a failure list otherwise.
 
@@ -151,6 +154,29 @@ impl Server {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+    }
+
+    /// SIGTERM the server with stdin still open, so the signal is the
+    /// only way out, then [`Server::finish`] once it has exited; a server
+    /// still up after 60 s is killed (exit code -1).
+    #[cfg(unix)]
+    fn terminate(mut self) -> (Log, i32) {
+        extern "C" {
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        const SIGTERM: i32 = 15;
+        // SAFETY: `kill` reads its two integers and nothing else.
+        unsafe { kill(self.child.id() as i32, SIGTERM) };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while self.child.try_wait().expect("try_wait on server").is_none() {
+            if Instant::now() > deadline {
+                println!("    server still up 60 s after SIGTERM; killing it");
+                self.child.kill().ok();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.finish()
     }
 
     /// Close stdin (EOF → drain), join the reader, reap the child.
@@ -548,6 +574,37 @@ fn main() {
         cli_t2_code == 0 && cli_camp_code == 0,
         "reference CLI runs were healthy",
     );
+
+    // ---- SIGTERM drain: a second server with one admitted run. The
+    // pong proves the serve loop, and so its SIGTERM handler, is up:
+    // signaling earlier races startup and hits the default disposition.
+    #[cfg(unix)]
+    {
+        println!("chaos_load: serve SIGTERM graceful-drain probe");
+        let mut srv = Server::spawn(&repro, 2, QUEUE);
+        srv.send(&Request::Ping);
+        srv.wait_for("pong", |log| {
+            log.all.iter().any(|r| matches!(r, Response::Pong))
+        });
+        srv.send(&run("drain-probe", experiment("table2"), 5));
+        srv.wait_for("drain-probe admission", |log| log.accepted == 1);
+        let (log, exit_code) = srv.terminate();
+        c.check(exit_code == 0, "serve exits 0 after SIGTERM");
+        c.check(
+            log.all.iter().any(|r| matches!(r, Response::Draining)),
+            "serve announced the drain",
+        );
+        c.check(
+            matches!(log.all.last(), Some(Response::Stats { .. })),
+            "final serve line is the stats summary",
+        );
+        c.check(
+            log.done
+                .get("drain-probe")
+                .is_some_and(|(label, _, _)| label == "completed"),
+            "in-flight run finished during the drain",
+        );
+    }
 
     if c.failures.is_empty() {
         println!(

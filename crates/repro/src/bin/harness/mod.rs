@@ -34,7 +34,7 @@ pub fn fail_usage(msg: &str) -> ! {
 }
 
 /// One-shot CLI run; returns (stdout, stderr, exit code).
-pub fn run_cli(repro: &str, args: &[&str]) -> (String, String, i32) {
+pub fn run_cli<S: AsRef<std::ffi::OsStr>>(repro: &str, args: &[S]) -> (String, String, i32) {
     let out = Command::new(repro)
         .args(args)
         .output()

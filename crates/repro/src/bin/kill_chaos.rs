@@ -17,9 +17,7 @@
 //!   `MAX_CHILD_RSS_KB` of max RSS;
 //! - resuming against the wrong campaign is a typed refusal: a seed
 //!   mismatch and a corrupt header both exit 4 with a diagnostic, and
-//!   a non-empty checkpoint without `--resume` refuses with exit 2;
-//! - `repro serve` drains gracefully on SIGTERM: in-flight work
-//!   finishes, the final `stats` line arrives, and the exit code is 0.
+//!   a non-empty checkpoint without `--resume` refuses with exit 2.
 //!
 //! Exit code 0 on success, 1 with a failure list otherwise. Population
 //! size defaults to 1,000,000 users (~2 s per one-shot run, ~50 MB
@@ -28,10 +26,9 @@
 mod harness;
 
 use harness::{cli_section, fail_usage, repro_path, run_cli, Checker};
-use mpwifi_serve::proto::{Request, Response, RunKind, RunRequest};
 use mpwifi_simcore::splitmix64;
+use std::ffi::OsString;
 use std::fs::OpenOptions;
-use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -98,6 +95,20 @@ fn header_end(journal: &Path) -> u64 {
     8 + u64::from(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
 }
 
+/// `campaign --users U --seed S --jobs J --checkpoint JOURNAL [--resume]`.
+fn campaign_args(users: u64, seed: u64, jobs: u32, journal: &Path, resume: bool) -> Vec<OsString> {
+    let mut args: Vec<OsString> =
+        format!("campaign --users {users} --seed {seed} --jobs {jobs} --checkpoint")
+            .split(' ')
+            .map(OsString::from)
+            .collect();
+    args.push(journal.into());
+    if resume {
+        args.push("--resume".into());
+    }
+    args
+}
+
 /// Spawn one checkpointed campaign child (`--resume` after the first
 /// attempt), wait until the journal has grown `delta` bytes past its
 /// size at spawn, and SIGKILL it. Returns false if the child finished
@@ -111,24 +122,10 @@ fn spawn_and_kill(
     delta: u64,
 ) -> bool {
     let size_at_spawn = std::fs::metadata(journal).map(|m| m.len()).unwrap_or(0);
-    let mut cmd = Command::new(repro);
-    cmd.args([
-        "campaign",
-        "--users",
-        &users.to_string(),
-        "--seed",
-        &seed.to_string(),
-        "--jobs",
-        &jobs.to_string(),
-        "--checkpoint",
-    ])
-    .arg(journal)
-    .stdout(Stdio::null())
-    .stderr(Stdio::null());
-    if size_at_spawn > 0 {
-        cmd.arg("--resume");
-    }
-    let mut child = cmd
+    let mut child = Command::new(repro)
+        .args(campaign_args(users, seed, jobs, journal, size_at_spawn > 0))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
         .spawn()
         .unwrap_or_else(|e| fail_usage(&format!("spawn campaign child: {e}")));
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -202,137 +199,8 @@ fn chaos_cell(
             truncate_mid_frame(journal, &mut rng);
         }
     }
-    let (stdout, stderr, code) = run_cli(
-        repro,
-        &[
-            "campaign",
-            "--users",
-            &users.to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--jobs",
-            &jobs.to_string(),
-            "--checkpoint",
-            &journal.to_string_lossy(),
-            "--resume",
-        ],
-    );
+    let (stdout, stderr, code) = run_cli(repro, &campaign_args(users, seed, jobs, journal, true));
     (landed, stdout, stderr, code)
-}
-
-/// SIGTERM a spawned `repro serve` after its in-flight run is done and
-/// assert the graceful drain: `draining` + final `stats` line, exit 0.
-#[cfg(unix)]
-fn serve_sigterm_drain(repro: &str, c: &mut Checker) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGTERM: i32 = 15;
-
-    println!("kill_chaos: serve SIGTERM graceful-drain probe");
-    let mut child = Command::new(repro)
-        .args(["serve", "--jobs", "2"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap_or_else(|e| fail_usage(&format!("spawn serve: {e}")));
-    let mut stdin = child.stdin.take().expect("serve stdin");
-    let stdout = child.stdout.take().expect("serve stdout");
-    let lines = std::sync::Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
-    let reader = {
-        let lines = std::sync::Arc::clone(&lines);
-        std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                if !line.trim().is_empty() {
-                    lines.lock().expect("lines poisoned").push(line);
-                }
-            }
-        })
-    };
-    let wait_for = |what: &str, pred: &dyn Fn(&[String]) -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            if pred(&lines.lock().expect("lines poisoned")) {
-                return;
-            }
-            if Instant::now() > deadline {
-                fail_usage(&format!("timed out waiting for serve {what}"));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    };
-
-    // Ping/pong first: the pong proves the serve loop is running,
-    // which means the SIGTERM handler is installed — signaling any
-    // earlier races child startup and hits the default disposition.
-    writeln!(stdin, "{}", Request::Ping.render()).expect("serve stdin closed early");
-    stdin.flush().expect("flush serve stdin");
-    wait_for("pong", &|ls| ls.iter().any(|l| l.contains("\"pong\"")));
-
-    // One healthy run so the drain has admitted work to finish.
-    let req = Request::Run(RunRequest {
-        req: "drain-probe".to_string(),
-        kind: RunKind::Experiment {
-            id: "table2".to_string(),
-            full: false,
-        },
-        seed: 5,
-        retries: 0,
-        max_events: None,
-        wall_ms: None,
-        stall_ttl_s: None,
-    });
-    writeln!(stdin, "{}", req.render()).expect("serve stdin closed early");
-    stdin.flush().expect("flush serve stdin");
-    wait_for("admission", &|ls| {
-        ls.iter().any(|l| l.contains("drain-probe"))
-    });
-    // SIGTERM with the run admitted (possibly still in flight) and
-    // stdin OPEN — the only way the server can exit is the signal
-    // path, and the drain contract requires the run to still finish.
-    unsafe { kill(child.id() as i32, SIGTERM) };
-
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let status = loop {
-        if let Some(s) = child.try_wait().expect("try_wait on serve") {
-            break s;
-        }
-        if Instant::now() > deadline {
-            child.kill().ok();
-            c.check(false, "serve exits after SIGTERM (timed out)");
-            child.wait().ok();
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    drop(stdin);
-    reader.join().expect("serve reader thread panicked");
-    let parsed: Vec<Response> = lines
-        .lock()
-        .expect("lines poisoned")
-        .iter()
-        .map(|l| Response::parse(l).unwrap_or_else(|e| panic!("unparseable serve line ({e}): {l}")))
-        .collect();
-    c.check(status.code() == Some(0), "serve exits 0 after SIGTERM");
-    c.check(
-        parsed.iter().any(|r| matches!(r, Response::Draining)),
-        "serve announced the drain",
-    );
-    c.check(
-        matches!(parsed.last(), Some(Response::Stats { .. })),
-        "final serve line is the stats summary",
-    );
-    let done = parsed.iter().any(
-        |r| matches!(r, Response::Done { req, status, .. } if req == "drain-probe" && status.label() == "completed"),
-    );
-    c.check(done, "in-flight run finished during the drain");
-}
-
-#[cfg(not(unix))]
-fn serve_sigterm_drain(_repro: &str, _c: &mut Checker) {
-    println!("kill_chaos: serve SIGTERM probe skipped (non-unix target)");
 }
 
 fn main() {
@@ -405,21 +273,7 @@ fn main() {
     // none recomputed, and the scan must not hold the file.
     println!("kill_chaos: resume of a complete {users}-user journal");
     let (seed, journal) = &completed_journals[0];
-    let (stdout, stderr, code) = run_cli(
-        &repro,
-        &[
-            "campaign",
-            "--users",
-            &users.to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--jobs",
-            "2",
-            "--checkpoint",
-            &journal.to_string_lossy(),
-            "--resume",
-        ],
-    );
+    let (stdout, stderr, code) = run_cli(&repro, &campaign_args(users, *seed, 2, journal, true));
     c.check(code == 0, "resume of a complete journal exits 0");
     c.check(
         cli_section(&stdout, &marker) == reference[seed],
@@ -465,44 +319,14 @@ fn main() {
         };
         (find(42), find(7))
     };
-    let ustr = users.to_string();
-    let jpath = seed42_journal.to_string_lossy().into_owned();
-
-    let (_, stderr, code) = run_cli(
-        &repro,
-        &[
-            "campaign",
-            "--users",
-            &ustr,
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--checkpoint",
-            &jpath,
-            "--resume",
-        ],
-    );
+    let (_, stderr, code) = run_cli(&repro, &campaign_args(users, 7, 1, &seed42_journal, true));
     c.check(code == 4, "seed mismatch refuses with exit 4");
     c.check(
         stderr.contains("seed"),
         "seed-mismatch diagnostic names the seed",
     );
 
-    let (_, stderr, code) = run_cli(
-        &repro,
-        &[
-            "campaign",
-            "--users",
-            &ustr,
-            "--seed",
-            "42",
-            "--jobs",
-            "1",
-            "--checkpoint",
-            &jpath,
-        ],
-    );
+    let (_, stderr, code) = run_cli(&repro, &campaign_args(users, 42, 1, &seed42_journal, false));
     c.check(
         code == 2,
         "non-empty checkpoint without --resume refuses with exit 2",
@@ -520,29 +344,12 @@ fn main() {
     let flip_at = (header_end(&seed7_journal) / 2) as usize;
     bytes[flip_at] ^= 0x40;
     std::fs::write(&corrupt, &bytes).expect("write corrupted journal");
-    let (_, stderr, code) = run_cli(
-        &repro,
-        &[
-            "campaign",
-            "--users",
-            &ustr,
-            "--seed",
-            "7",
-            "--jobs",
-            "1",
-            "--checkpoint",
-            &corrupt.to_string_lossy(),
-            "--resume",
-        ],
-    );
+    let (_, stderr, code) = run_cli(&repro, &campaign_args(users, 7, 1, &corrupt, true));
     c.check(code == 4, "corrupt header refuses with exit 4");
     c.check(
         stderr.contains("cannot resume"),
         "corrupt-header diagnostic says the journal cannot be resumed",
     );
-
-    // ---- Serve graceful drain on SIGTERM.
-    serve_sigterm_drain(&repro, &mut c);
 
     std::fs::remove_dir_all(&dir).ok();
     if c.failures.is_empty() {

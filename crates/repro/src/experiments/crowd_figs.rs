@@ -1,16 +1,9 @@
 //! Section 2 reproductions: Table 1 and Figures 3, 4, 6.
 
 use crate::report::{Report, Scale};
-use mpwifi_crowd::{analysis, generate_dataset, RunMode};
+use mpwifi_crowd::{analysis, generate_dataset};
 use mpwifi_measure::render::series_block;
 use mpwifi_measure::Cdf;
-
-fn crowd_mode(scale: Scale) -> RunMode {
-    match scale {
-        Scale::Quick => RunMode::Analytic,
-        Scale::Full => RunMode::FullSim,
-    }
-}
 
 fn mode_note(scale: Scale) -> &'static str {
     match scale {
@@ -21,7 +14,7 @@ fn mode_note(scale: Scale) -> &'static str {
 
 /// Table 1: geographic clusters with run counts and LTE-win rates.
 pub fn table1(scale: Scale, seed: u64) -> Report {
-    let rows = analysis::table1(&generate_dataset(crowd_mode(scale), seed));
+    let rows = analysis::table1(&generate_dataset(scale.run_mode(), seed));
     let mut r = Report::new(
         "table1",
         "Geographic coverage of the crowd-sourced dataset",
@@ -56,7 +49,7 @@ pub fn table1(scale: Scale, seed: u64) -> Report {
 
 /// Figure 3: CDFs of WiFi−LTE throughput difference.
 pub fn fig3(scale: Scale, seed: u64) -> Report {
-    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
+    let a = analysis::differences(&generate_dataset(scale.run_mode(), seed));
     let mut r = Report::new(
         "fig3",
         "CDF of Tput(WiFi) − Tput(LTE), uplink and downlink",
@@ -103,7 +96,7 @@ pub fn fig3(scale: Scale, seed: u64) -> Report {
 
 /// Figure 4: CDF of WiFi−LTE ping RTT difference.
 pub fn fig4(scale: Scale, seed: u64) -> Report {
-    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
+    let a = analysis::differences(&generate_dataset(scale.run_mode(), seed));
     let mut r = Report::new(
         "fig4",
         "CDF of RTT(WiFi) − RTT(LTE), 10-ping averages",
@@ -124,7 +117,7 @@ pub fn fig4(scale: Scale, seed: u64) -> Report {
 
 /// Figure 6: the 20-location TCP measurements against the crowd CDF.
 pub fn fig6(scale: Scale, seed: u64) -> Report {
-    let a = analysis::differences(&generate_dataset(crowd_mode(scale), seed));
+    let a = analysis::differences(&generate_dataset(scale.run_mode(), seed));
     // Measure the 20 locations with single-path TCP transfers, using the
     // SAME measurement method as the crowd dataset (so the comparison
     // isolates the conditions, not the method). Like the paper, each
@@ -140,7 +133,7 @@ pub fn fig6(scale: Scale, seed: u64) -> Report {
         for v in 0..visits {
             let draw = world.draw(&mut rng);
             let s = seed ^ ((i as u64) << 8) ^ (v << 32);
-            let m = mpwifi_crowd::measure_pair(&draw.wifi, &draw.lte, crowd_mode(scale), s);
+            let m = mpwifi_crowd::measure_pair(&draw.wifi, &draw.lte, scale.run_mode(), s);
             down_diff.push((m.wifi_down_bps - m.lte_down_bps) / 1e6);
             up_diff.push((m.wifi_up_bps - m.lte_up_bps) / 1e6);
         }

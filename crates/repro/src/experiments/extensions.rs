@@ -115,10 +115,7 @@ pub fn ext_handover(seed: u64) -> Report {
 pub fn ext_policy(scale: Scale, seed: u64) -> Report {
     let locs = super::locations(seed);
     let flow_bytes = 1_000_000u64;
-    let mode = match scale {
-        Scale::Quick => RunMode::Analytic,
-        Scale::Full => RunMode::FullSim,
-    };
+    let mode = scale.run_mode();
 
     // For each location: measure (like the app), let each policy choose,
     // then score the choice with a real transfer of that kind.

@@ -1,11 +1,15 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--seed N] [--jobs N] [--markdown FILE] [--metrics FILE] [--quarantine FILE] <experiment>... | all | --list
-//! repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]
-//! repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]
-//! repro serve [--jobs N] [--queue N] [--retries N] [--chaos]
+//! usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--quarantine FILE] <experiment>... | all | extensions | --list
+//!        repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]
+//!        repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]
+//!        repro serve [--jobs N] [--queue N] [--retries N] [--chaos]
 //! ```
+//!
+//! That block is the `--help` text. A flag its form does not read (one
+//! `matches!` in `reads` says which) is a usage error, exit 2, before
+//! anything runs.
 //!
 //! Experiments shard across `--jobs N` worker threads. Every
 //! experiment's seed is a pure function of `--seed` and its id
@@ -43,7 +47,7 @@
 //! retry-with-jittered-backoff,
 //! a poison-recovering worker pool, and graceful drain on EOF or a
 //! `shutdown` request. `--retries`, `--queue` and `--chaos` configure
-//! the server and are a usage error with any other target.
+//! the server.
 //!
 //! `repro conformance` runs the protocol-conformance fuzz campaign
 //! instead of paper experiments: `--cases` seeded scenarios with the
@@ -85,6 +89,34 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
     n
 }
 
+/// The `--help` text, one line per form (the module doc repeats it).
+const USAGE: &str = "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--quarantine FILE] <experiment>... | all | extensions | --list
+       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]
+       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]
+       repro serve [--jobs N] [--queue N] [--retries N] [--chaos]";
+
+/// The form of a command line whose targets are experiment ids; the
+/// other three forms are named by their one target.
+const EXPERIMENTS: &str = "<experiment>...";
+
+/// Does the form `repro <form>` read `flag`? The one statement of which
+/// flags each form takes: `--help` and `--list` act wherever they stand.
+fn reads(form: &str, flag: &str) -> bool {
+    matches!(
+        (form, flag),
+        (_, "--jobs" | "-j" | "--help" | "-h" | "--list")
+            | (EXPERIMENTS | "conformance" | "campaign", "--seed")
+            | (EXPERIMENTS | "campaign", "--full" | "--quick")
+            | (
+                EXPERIMENTS,
+                "--derive-seeds" | "--markdown" | "--metrics" | "--csv" | "--data" | "--quarantine"
+            )
+            | ("conformance", "--matrix" | "--cases")
+            | ("campaign", "--users" | "--checkpoint" | "--resume")
+            | ("serve", "--queue" | "--retries" | "--chaos")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
@@ -96,21 +128,23 @@ fn main() {
     let mut csv: Option<String> = None;
     let mut data_dir: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
+    let mut flags: Vec<&str> = Vec::new();
     let mut cases = 200usize;
     let mut users = 100_000u64;
-    let mut retries: Option<u32> = None;
+    let mut retries = 0u32;
     let mut quarantine_path: Option<String> = None;
-    let mut queue_cap: Option<usize> = None;
+    let mut queue_cap = 16usize;
     let mut chaos = false;
     let mut matrix = false;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        match arg {
             "--full" => scale = Scale::Full,
             "--quick" => scale = Scale::Quick,
-            "--retries" => retries = Some(value(&args, &mut i, "--retries needs an integer")),
+            "--retries" => retries = value(&args, &mut i, "--retries needs an integer"),
             "--quarantine" => {
                 quarantine_path = Some(value(&args, &mut i, "--quarantine needs a path"));
             }
@@ -118,9 +152,7 @@ fn main() {
             "--jobs" | "-j" => jobs = positive(&args, &mut i, "--jobs needs a positive integer"),
             "--derive-seeds" => policy = SeedPolicy::Derived,
             "--cases" => cases = positive(&args, &mut i, "--cases needs a positive integer"),
-            "--queue" => {
-                queue_cap = Some(positive(&args, &mut i, "--queue needs a positive integer"));
-            }
+            "--queue" => queue_cap = positive(&args, &mut i, "--queue needs a positive integer"),
             "--chaos" => chaos = true,
             "--matrix" => matrix = true,
             "--checkpoint" => checkpoint = Some(value(&args, &mut i, "--checkpoint needs a path")),
@@ -142,42 +174,34 @@ fn main() {
                 return;
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--full] [--seed N] [--jobs N] [--derive-seeds] [--markdown FILE] [--metrics FILE] [--csv FILE] [--data DIR] [--quarantine FILE] <experiment>... | all | extensions | --list\n       repro conformance [--matrix] [--cases N] [--seed N] [--jobs N]\n       repro campaign [--users N] [--seed N] [--jobs N] [--full] [--checkpoint PATH [--resume]]\n       repro serve [--jobs N] [--queue N] [--retries N] [--chaos]"
-                );
+                println!("{USAGE}");
                 return;
             }
             flag if flag.starts_with('-') => die(&format!("unknown flag: {flag}")),
             other => targets.push(other.to_string()),
         }
+        if arg.starts_with('-') {
+            flags.push(arg);
+        }
         i += 1;
     }
-    if targets.iter().any(|t| t == "serve") {
-        if targets.len() > 1 {
-            die("'serve' runs alone; drop the other targets");
-        }
-        run_serve(jobs, queue_cap.unwrap_or(16), retries.unwrap_or(0), chaos);
+    let form = match targets
+        .iter()
+        .find(|t| matches!(t.as_str(), "serve" | "conformance" | "campaign"))
+    {
+        Some(t) if targets.len() > 1 => die(&format!("'{t}' runs alone; drop the other targets")),
+        Some(t) => t.as_str(),
+        None => EXPERIMENTS,
+    };
+    if let Some(flag) = flags.iter().find(|f| !reads(form, f)) {
+        die(&format!("{flag} does not apply to 'repro {form}'"));
     }
-    if retries.is_some() || queue_cap.is_some() || chaos {
-        die("--retries/--queue/--chaos apply to the 'serve' target only");
-    }
-    if targets.iter().any(|t| t == "conformance") {
-        if targets.len() > 1 {
-            die("'conformance' runs alone; drop the other targets");
-        }
-        if matrix {
-            run_matrix_conformance(cases, seed, jobs);
-        }
-        run_conformance(cases, seed, jobs);
-    }
-    if targets.iter().any(|t| t == "campaign") {
-        if targets.len() > 1 {
-            die("'campaign' runs alone; drop the other targets");
-        }
-        run_crowd_campaign(users, seed, jobs, scale, checkpoint.as_deref(), resume);
-    }
-    if checkpoint.is_some() || resume {
-        die("--checkpoint/--resume apply to the 'campaign' target only");
+    match form {
+        "serve" => run_serve(jobs, queue_cap, retries, chaos),
+        "conformance" if matrix => run_matrix_conformance(cases, seed, jobs),
+        "conformance" => run_conformance(cases, seed, jobs),
+        "campaign" => run_crowd_campaign(users, seed, jobs, scale, checkpoint.as_deref(), resume),
+        _ => {}
     }
     if targets.is_empty() {
         die("no experiment given; try --list or 'all'");
@@ -203,11 +227,7 @@ fn main() {
 
     if let Some(path) = &csv {
         // Export the crowd dataset, like the paper's published data.
-        let mode = match scale {
-            Scale::Full => mpwifi_crowd::RunMode::FullSim,
-            Scale::Quick => mpwifi_crowd::RunMode::Analytic,
-        };
-        let ds = mpwifi_crowd::generate_dataset(mode, seed);
+        let ds = mpwifi_crowd::generate_dataset(scale.run_mode(), seed);
         std::fs::write(path, mpwifi_crowd::dataset_to_csv(&ds))
             .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         println!("wrote {} runs to {path}", ds.len());
@@ -582,6 +602,43 @@ fn die(msg: &str) -> ! {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn every_usage_line_names_exactly_the_flags_its_form_reads() {
+        let flags_of = |line: &str| -> Vec<String> {
+            line.split([' ', '[', ']', '|'])
+                .filter(|w| w.starts_with('-'))
+                .map(String::from)
+                .collect()
+        };
+        let all = flags_of(USAGE);
+        for line in USAGE.lines() {
+            let form = match line.split_whitespace().skip_while(|w| *w != "repro").nth(1) {
+                Some(w @ ("conformance" | "campaign" | "serve")) => w,
+                _ => EXPERIMENTS,
+            };
+            // The aliases follow their flag; `--help` and `--list` act
+            // wherever they stand, so no line but the first names them.
+            assert_eq!(reads(form, "-j"), reads(form, "--jobs"), "{form}");
+            assert_eq!(reads(form, "--quick"), reads(form, "--full"), "{form}");
+            assert!(["--help", "-h", "--list"].iter().all(|f| reads(form, f)));
+            let line_flags = flags_of(line);
+            for flag in all.iter().filter(|f| *f != "--list") {
+                let named = line_flags.contains(flag);
+                assert_eq!(reads(form, flag), named, "'repro {form}' {flag}");
+            }
+        }
+        // The module doc's usage block is the `--help` text.
+        let doc: String = include_str!("main.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .map(|l| l.strip_prefix("//! ").unwrap_or("").to_string() + "\n")
+            .collect();
+        assert!(
+            doc.contains(&format!("```text\n{USAGE}\n```")),
+            "module doc drifted from USAGE"
+        );
+    }
 
     #[test]
     fn quarantine_json_is_one_object_per_quarantined_run() {

@@ -13,6 +13,16 @@ pub enum Scale {
     Full,
 }
 
+impl Scale {
+    /// How the crowd dataset measures each transfer at this scale.
+    pub fn run_mode(self) -> mpwifi_crowd::RunMode {
+        match self {
+            Scale::Quick => mpwifi_crowd::RunMode::Analytic,
+            Scale::Full => mpwifi_crowd::RunMode::FullSim,
+        }
+    }
+}
+
 /// One paper-vs-measured comparison.
 #[derive(Debug, Clone)]
 pub struct Claim {

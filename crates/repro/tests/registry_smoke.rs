@@ -62,6 +62,56 @@ fn an_unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn a_flag_its_form_does_not_read_is_a_usage_error() {
+    // Each form reads its own flags; any other flag used to be dropped
+    // without a word, so the run was not the one asked for.
+    let dir = std::env::temp_dir();
+    let journal = dir.join(format!("repro_off_form_{}.journal", std::process::id()));
+    let markdown = dir.join(format!("repro_off_form_{}.md", std::process::id()));
+    let (journal_s, markdown_s) = (journal.to_str().unwrap(), markdown.to_str().unwrap());
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["table2", "--matrix", "--users", "5", "--cases", "3"],
+            "--matrix",
+        ),
+        (&["table2", "--queue", "4"], "--queue"),
+        (
+            &[
+                "conformance",
+                "--cases",
+                "1",
+                "--checkpoint",
+                journal_s,
+                "--resume",
+            ],
+            "--checkpoint",
+        ),
+        (&["conformance", "--users", "5"], "--users"),
+        (
+            &["campaign", "--users", "10", "--markdown", markdown_s],
+            "--markdown",
+        ),
+        (&["campaign", "--cases", "3"], "--cases"),
+        (&["serve", "--seed", "1"], "--seed"),
+    ];
+    for (args, flag) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run: {out:?}");
+    }
+    assert!(
+        !journal.exists() && !markdown.exists(),
+        "a refused run wrote a file"
+    );
+}
+
+#[test]
 fn an_unknown_experiment_is_a_usage_error() {
     // A typo among the targets must fail before the known ones run, not
     // after `table2` has run in full and reported "1/1 experiments".

@@ -189,7 +189,7 @@ thread_local! {
 
 /// Arm the watchdog for the current thread. Overwrites any previous
 /// arming; a no-op config leaves the watchdog disarmed.
-pub fn arm(cfg: &WatchdogConfig) {
+fn arm(cfg: &WatchdogConfig) {
     if !cfg.is_active() {
         disarm();
         return;
@@ -209,7 +209,7 @@ pub fn arm(cfg: &WatchdogConfig) {
 }
 
 /// Disarm the watchdog for the current thread.
-pub fn disarm() {
+fn disarm() {
     ARMED.set(false);
 }
 
@@ -226,10 +226,10 @@ impl Drop for Armed {
     }
 }
 
-/// Arm the watchdog for the current scope. Unlike bare [`arm`]/[`disarm`],
-/// the guard disarms even when the scope unwinds — the shape long-running
-/// hosts (the campaign server) need so a breached request can never leak an
-/// armed watchdog into the worker's next request.
+/// Arm the watchdog for the current scope. The guard disarms even when
+/// the scope unwinds — the shape long-running hosts (the campaign server)
+/// need so a breached request can never leak an armed watchdog into the
+/// worker's next request.
 #[must_use = "dropping the guard disarms the watchdog immediately"]
 pub fn arm_scoped(cfg: &WatchdogConfig) -> Armed {
     arm(cfg);

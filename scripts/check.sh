@@ -81,16 +81,18 @@
 #                           planted-panic / planted-stall / worker-bomb
 #                           requests, a queue-saturation shed phase and a
 #                           graceful drain; healthy sections must be
-#                           byte-identical to the one-shot CLI.
+#                           byte-identical to the one-shot CLI; then a
+#                           SIGTERM graceful-drain probe on a second
+#                           server.
 #                resume     the kill_chaos harness: 12 seeded SIGKILLs of
 #                           checkpointed campaigns (half followed by a
 #                           mid-frame truncation), each resumed to a
 #                           report byte-identical to a one-shot run;
 #                           one resume of a complete journal, with no
 #                           campaign child above 32 MB of max RSS;
-#                           typed refusals (exit 4 / exit 2); a SIGTERM
-#                           graceful-drain probe. Population defaults to
-#                           10^6 users; MPWIFI_KILL_USERS overrides.
+#                           typed refusals (exit 4 / exit 2). Population
+#                           defaults to 10^6 users; MPWIFI_KILL_USERS
+#                           overrides.
 #                supervise  every `repro` run is supervised: a campaign
 #                           with a planted panic and a planted livelock
 #                           quarantines both (exit 3, sidecar naming
@@ -98,9 +100,11 @@
 #                           byte-identical to a campaign without them;
 #                           that healthy campaign exits 0 with an empty
 #                           sidecar; and the retired `--supervise` flag
-#                           and the serve-only `--retries` and `--queue`
-#                           flags on a batch target are usage errors
-#                           (exit 2).
+#                           and a flag its form does not read (the
+#                           serve-only `--retries` and `--queue` on a
+#                           batch target, and one probe per form) are
+#                           usage errors: exit 2, nothing on stdout, no
+#                           output file created.
 #              The determinism, golden and resume tests run as part of
 #              the workspace suite; the journal properties also run in
 #              the default gate.
@@ -259,16 +263,22 @@ if [ "$FULL" -eq 1 ]; then
     grep -q 'subflow lte' "$TMP/quarantine.json"
     echo "== supervise smoke: healthy sections byte-identical, campaign continued"
     cmp "$TMP/plain.md" "$TMP/supervised.md"
-    echo "== supervise smoke: --supervise, --retries and --queue on a batch target are usage errors"
-    for flags in "--supervise" "--retries 1" "--queue 4"; do
+    echo "== supervise smoke: --supervise and a flag its form does not read are usage errors"
+    for cmd in "--supervise table2" "--retries 1 table2" "--queue 4 table2" "table2 --matrix" \
+        "conformance --cases 1 --checkpoint $TMP/x" "campaign --users 10 --markdown $TMP/f.md" \
+        "serve --seed 1"; do
         rc=0
-        # shellcheck disable=SC2086  # a flag and its value, split on purpose
-        "$REPRO" $flags table2 >/dev/null 2>&1 || rc=$?
-        if [ "$rc" -ne 2 ]; then
-            echo "expected exit 2 from 'repro $flags table2', got $rc" >&2
+        # shellcheck disable=SC2086  # a command line, split on purpose
+        "$REPRO" $cmd </dev/null >"$TMP/refused.out" 2>/dev/null || rc=$?
+        if [ "$rc" -ne 2 ] || [ -s "$TMP/refused.out" ]; then
+            echo "expected exit 2 and no stdout from 'repro $cmd', got $rc" >&2
             exit 1
         fi
     done
+    if [ -e "$TMP/x" ] || [ -e "$TMP/f.md" ]; then
+        echo "a refused command line created its output file" >&2
+        exit 1
+    fi
 fi
 
 echo "All checks passed."
