@@ -716,7 +716,7 @@ fn drive<C: SocketHost, S: Accept>(
         },
         Time::from_millis(spec.deadline_ms),
     );
-    (completed.held(), down_oracle, up_oracle)
+    (completed, down_oracle, up_oracle)
 }
 
 /// Close a case once the caller's witnesses had their last word: flag

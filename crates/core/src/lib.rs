@@ -15,18 +15,17 @@
 //! * [`policy`] — network-selection policies answering the paper's
 //!   motivating question ("which network should an application use?"),
 //!   including today's default (always WiFi) and measurement-driven
-//!   selectors;
-//! * [`cellvswifi`] — the Cell vs WiFi app's measurement-collection
-//!   state machine (Figure 2).
+//!   selectors.
+//!
+//! Figure 2's measurement run (1 MB up, 1 MB down and pings on each
+//! network) is `mpwifi-crowd`'s `measure::measure_pair`.
 
 pub mod appstudy;
-pub mod cellvswifi;
 pub mod flowstudy;
 pub mod oracle;
 pub mod policy;
 
 pub use appstudy::{run_app_study, AppStudyResult, ConditionResult};
-pub use cellvswifi::{AppState, CellVsWifiApp, Phone, StepOutcome};
 pub use flowstudy::{run_location_study, FlowDir, LocationStudy, StudyTransport};
 pub use oracle::{OracleKind, OracleReport};
 pub use policy::{AlwaysWifi, BestMeasured, NetworkChoice, NetworkSelector};

@@ -32,7 +32,7 @@ use mpwifi_measure::codec::{put_u32, put_u64, put_u8, CodecError, Reader};
 use mpwifi_measure::{CdfSketch, Histogram, MeanAcc, Mergeable, SampleBuilder};
 use mpwifi_radio::WirelessWorld;
 use mpwifi_sim::SimArena;
-use mpwifi_simcore::{fan_out, DetRng};
+use mpwifi_simcore::{fan_out, splitmix64, DetRng};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -409,15 +409,15 @@ pub struct CampaignSummary {
     pub stats: ShardSummary,
 }
 
-/// Order-free per-user seed: a splitmix64-style mix of the campaign
-/// seed and the user index. Deliberately NOT `root.derive(user)` —
-/// `DetRng::derive` mutates the parent, which would make user seeds
-/// depend on visit order and break worker-count invariance.
+/// Order-free per-user seed: the splitmix64 finalizer of
+/// `seed ^ user·γ`, γ being splitmix64's own increment (subtracted
+/// here because [`splitmix64`] adds it first). Deliberately NOT
+/// `root.derive(user)` — `DetRng::derive` mutates the parent, which
+/// would make user seeds depend on visit order and break worker-count
+/// invariance.
 fn mix(seed: u64, user: u64) -> u64 {
-    let mut z = seed ^ user.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    splitmix64((seed ^ user.wrapping_mul(GAMMA)).wrapping_sub(GAMMA))
 }
 
 /// Measure one synthetic user: pick a cluster (Table 1 run-count
@@ -942,6 +942,25 @@ mod tests {
         }));
         assert_eq!(calls.iter().map(|c| c.2).max(), Some(cfg.users));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn mix_equals_its_own_finalizer_bit_for_bit() {
+        // The body `mix` had before it called `splitmix64`: every
+        // campaign seed was pinned with it.
+        fn oracle(seed: u64, user: u64) -> u64 {
+            let mut z = seed ^ user.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        const G: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = DetRng::seed_from_u64(42);
+        let drawn = std::iter::repeat_with(|| (rng.next_u64(), rng.next_u64())).take(10_000);
+        let edges = [(0, 0), (0, u64::MAX), (u64::MAX, 1), (G, G)];
+        for (seed, user) in edges.into_iter().chain(drawn) {
+            assert_eq!(mix(seed, user), oracle(seed, user), "{seed:#x} {user:#x}");
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! The app measured, per run and per network: a 1 MB TCP upload, a 1 MB
 //! TCP download, and 10 pings (Figure 2's flow chart). [`measure_pair`]
-//! does the same against a pair of emulated links.
+//! does the same against a pair of emulated links. Only complete runs
+//! are made, the only runs the paper analyses, so the flow chart's
+//! abort paths and data cap reach no dataset.
 //!
 //! Two execution modes:
 //!

@@ -359,11 +359,6 @@ impl Segment {
         }
     }
 
-    /// Sequence space this segment occupies (payload + SYN/FIN).
-    pub fn seq_len(&self) -> u32 {
-        self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
-    }
-
     /// First timestamp option, if present.
     pub fn timestamp(&self) -> Option<(u32, u32)> {
         self.options.iter().find_map(|o| match o {
@@ -759,18 +754,6 @@ mod tests {
         for cut in 0..wire.len() {
             assert!(Segment::decode(&wire.slice(..cut)).is_none());
         }
-    }
-
-    #[test]
-    fn seq_len_counts_syn_fin_payload() {
-        let mut seg = Segment::control(1, 2, 0, 0, Flags::SYN);
-        assert_eq!(seg.seq_len(), 1);
-        seg.flags = Flags::FIN_ACK;
-        seg.payload = Bytes::from_static(b"xyz");
-        assert_eq!(seg.seq_len(), 4);
-        seg.flags = Flags::ACK;
-        seg.payload = Bytes::new();
-        assert_eq!(seg.seq_len(), 0);
     }
 
     #[test]

@@ -85,11 +85,6 @@ pub struct EnergyBreakdown {
 }
 
 impl EnergyBreakdown {
-    /// Total energy.
-    pub fn total_j(&self) -> f64 {
-        self.base_j + self.active_j + self.tail_j
-    }
-
     /// Radio energy (everything above base).
     pub fn radio_j(&self) -> f64 {
         self.active_j + self.tail_j
@@ -202,7 +197,6 @@ mod tests {
     fn idle_log_is_all_base_energy() {
         let m = PowerModel::default();
         let e = m.energy(RadioKind::Lte, &PacketLog::new(), Time::from_secs(10));
-        assert!((e.total_j() - 10.0).abs() < 1e-9, "1 W for 10 s");
         assert_eq!(e.radio_j(), 0.0);
     }
 

@@ -5,7 +5,6 @@ use mpwifi_core::flowstudy::{run_location_study, run_transfer, FlowDir, StudyTra
 use mpwifi_measure::render::series_block;
 use mpwifi_measure::Cdf;
 use mpwifi_radio::LocationCondition;
-use mpwifi_sim::LinkSpec;
 
 /// Flow sizes the paper highlights.
 const SIZES: [(u64, &str); 3] = [(10_000, "10 KB"), (100_000, "100 KB"), (1_000_000, "1 MB")];
@@ -649,13 +648,4 @@ pub fn fig14(scale: Scale, seed: u64) -> Report {
         net_medians[0] >= net_medians[2],
     );
     r
-}
-
-/// Shared helper for picking a usable LinkSpec pair in tests.
-#[allow(dead_code)]
-fn test_pair() -> (LinkSpec, LinkSpec) {
-    (
-        LinkSpec::symmetric(20_000_000, mpwifi_simcore::Dur::from_millis(20)),
-        LinkSpec::symmetric(6_000_000, mpwifi_simcore::Dur::from_millis(60)),
-    )
 }

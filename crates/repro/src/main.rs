@@ -164,11 +164,11 @@ fn main() {
             "--data" => data_dir = Some(value(&args, &mut i, "--data needs a directory")),
             "--list" => {
                 println!("paper experiments:");
-                for spec in REGISTRY.iter().filter(|s| !s.extension) {
+                for spec in REGISTRY.iter().filter(|s| !s.is_extension()) {
                     println!("  {:14} {:4} {}", spec.id, spec.section, spec.title);
                 }
                 println!("extension experiments:");
-                for spec in REGISTRY.iter().filter(|s| s.extension) {
+                for spec in REGISTRY.iter().filter(|s| s.is_extension()) {
                     println!("  {:14} {:4} {}", spec.id, spec.section, spec.title);
                 }
                 return;

@@ -293,21 +293,18 @@ pub static PLANTED: [ExperimentSpec; 3] = [
         id: "planted-panic",
         title: "PLANTED — always panics (supervision smoke)",
         section: "ext",
-        extension: true,
         run: run_planted_panic,
     },
     ExperimentSpec {
         id: "planted-stall",
         title: "PLANTED — always livelocks (supervision smoke)",
         section: "ext",
-        extension: true,
         run: run_planted_stall,
     },
     ExperimentSpec {
         id: "planted-flaky",
         title: "PLANTED — panics at seed 42 only (retry smoke)",
         section: "ext",
-        extension: true,
         run: run_planted_flaky,
     },
 ];

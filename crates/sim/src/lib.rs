@@ -48,10 +48,7 @@ pub use endpoint::{
 pub use link::{LinkSpec, PathPair, ServiceSpec};
 pub use log::{PacketDir, PacketEvent, PacketLog};
 pub use socket::{Accept, Socket, SocketHost};
-pub use world::{
-    Iface, IfaceSnapshot, RunUntil, ScriptEvent, Sim, SimBuilder, StallSnapshot,
-    STALL_CLASSIFY_WINDOW,
-};
+pub use world::{Iface, ScriptEvent, Sim, SimBuilder};
 
 use mpwifi_netem::Addr;
 use std::borrow::Cow;

@@ -46,67 +46,19 @@ pub enum ScriptEvent {
     FaultMark,
 }
 
-/// Outcome of [`Sim::run_until`]: did the predicate hold, and if not,
-/// was the run still making delivery progress when time ran out?
-///
-/// Replaces the old `bool` return (`true` iff the predicate held);
-/// [`RunUntil::held`] is the drop-in migration for callers that only
-/// care whether the predicate held.
-#[derive(Debug)]
-pub enum RunUntil {
-    /// The predicate held before the deadline.
-    Done,
-    /// The deadline passed (or every remaining event lies beyond it)
-    /// while the delivery watermark was still advancing within the
-    /// stall window. `progressing` is `false` only for runs that timed
-    /// out before delivering any payload at all — too young for a
-    /// stall verdict, but demonstrably not moving data.
-    Deadline {
-        /// Whether any payload was delivered during the run.
-        progressing: bool,
-    },
-    /// No delivery-watermark advance for at least the stall window (or
-    /// the simulation quiesced with the predicate false): the run is
-    /// stuck, not slow, and `snapshot` records the forensic state at
-    /// classification time.
-    Stalled {
-        /// Forensic capture; boxed to keep the happy-path variant small.
-        snapshot: Box<StallSnapshot>,
-    },
-}
+/// An interface whose last packet is at least this much simulated time
+/// before a snapshot is rendered "stale" in it.
+const STALE_AFTER: Dur = Dur::from_secs(5);
 
-impl RunUntil {
-    /// Did the predicate hold? Exactly the old `bool` return value.
-    pub fn held(&self) -> bool {
-        matches!(self, RunUntil::Done)
-    }
-
-    /// The forensic snapshot, when stalled.
-    pub fn snapshot(&self) -> Option<&StallSnapshot> {
-        match self {
-            RunUntil::Stalled { snapshot } => Some(snapshot),
-            _ => None,
-        }
-    }
-}
-
-/// The stall window: a run whose delivery watermark has not moved for
-/// this much *simulated* time at its deadline is classified
-/// [`RunUntil::Stalled`] rather than [`RunUntil::Deadline`]. Orders of
-/// magnitude above any healthy RTO backoff gap in the study's
-/// scenarios.
-pub const STALL_CLASSIFY_WINDOW: Dur = Dur::from_secs(5);
-
-/// Forensic state captured when a run is classified as stalled (by
-/// [`Sim::run_until`]) or killed by the supervision watchdog (see
-/// [`mpwifi_simcore::supervise`]). Everything here is a deterministic
-/// function of `(scenario, seed)`, so a snapshot is stable evidence,
-/// not a heisen-log.
+/// Forensic state captured when the supervision watchdog (see
+/// [`mpwifi_simcore::supervise`]) breaks a run off. Everything here is a
+/// deterministic function of `(scenario, seed)`, so a snapshot is stable
+/// evidence, not a heisen-log.
 #[derive(Debug, Clone)]
-pub struct StallSnapshot {
-    /// Why the snapshot was taken: `no-progress`, `quiesced`, or a
-    /// watchdog breach label (`event-budget`, `wall-clock`, `stall`).
-    pub reason: String,
+pub(crate) struct StallSnapshot {
+    /// Why the snapshot was taken: a watchdog breach label
+    /// (`event-budget`, `wall-clock`, `stall`).
+    pub reason: &'static str,
     /// Sim time at capture.
     pub now: Time,
     /// Sim time of the last delivery-watermark advance.
@@ -131,9 +83,9 @@ pub struct StallSnapshot {
     pub server_state: String,
 }
 
-/// One interface's part of a [`StallSnapshot`].
+/// One interface's part of a `StallSnapshot`.
 #[derive(Debug, Clone)]
-pub struct IfaceSnapshot {
+pub(crate) struct IfaceSnapshot {
     /// The row's name.
     pub name: &'static str,
     /// Frames inside the link, both directions (queued, in the delay or
@@ -151,8 +103,8 @@ impl StallSnapshot {
 
     fn render_iface(&self, out: &mut String, name: &str, last: Option<Time>) {
         let stale = match last {
-            Some(t) => self.now >= t + STALL_CLASSIFY_WINDOW,
-            None => self.now >= Time::ZERO + STALL_CLASSIFY_WINDOW,
+            Some(t) => self.now >= t + STALE_AFTER,
+            None => self.now >= Time::ZERO + STALE_AFTER,
         };
         let _ = writeln!(
             out,
@@ -295,7 +247,7 @@ pub struct Sim<C: Endpoint, S: Endpoint> {
     /// every measurement run; costs one branch per step when absent.
     observer: Option<Box<dyn SimObserver<C, S>>>,
     /// Cumulative payload bytes delivered to either endpoint — the
-    /// delivery watermark the stall detector and watchdog observe.
+    /// delivery watermark the watchdog observes.
     delivered_bytes: u64,
     /// Sim time of the last watermark advance.
     last_advance: Time,
@@ -778,60 +730,31 @@ impl<C: Endpoint, S: Endpoint> Sim<C, S> {
     }
 
     /// Run until `pred` holds, the simulation quiesces, or `deadline`
-    /// passes. The clock never advances past `deadline` (a step whose
-    /// next event lies beyond it is not taken), so callers can treat
-    /// `deadline` as exact.
-    ///
-    /// When the predicate does not hold the result distinguishes a run
-    /// that timed out *while still delivering payload* —
-    /// [`RunUntil::Deadline`] — from one whose delivery watermark had
-    /// been flat for [`STALL_CLASSIFY_WINDOW`] — [`RunUntil::Stalled`],
-    /// with a forensic [`StallSnapshot`]. Neither ends a run early: the
-    /// supervision watchdog's stall TTL ([`supervise::tick`]) does that.
-    pub fn run_until<F: FnMut(&mut Self) -> bool>(
-        &mut self,
-        mut pred: F,
-        deadline: Time,
-    ) -> RunUntil {
+    /// passes, and say whether `pred` held. The clock never advances
+    /// past `deadline` (a step whose next event lies beyond it is not
+    /// taken), so callers can treat `deadline` as exact. A run that
+    /// stops making progress is ended by the supervision watchdog's
+    /// stall TTL ([`supervise::tick`]), not here.
+    pub fn run_until<F: FnMut(&mut Self) -> bool>(&mut self, mut pred: F, deadline: Time) -> bool {
         loop {
             if pred(self) {
-                return RunUntil::Done;
+                return true;
             }
             if self.now >= deadline || self.next_event().is_none_or(|t| t > deadline) {
-                return self.classify_timeout();
+                return false;
             }
             if !self.step() {
-                return if pred(self) {
-                    RunUntil::Done
-                } else {
-                    RunUntil::Stalled {
-                        snapshot: Box::new(self.forensic_snapshot("quiesced")),
-                    }
-                };
+                return pred(self);
             }
         }
     }
 
-    /// Classification at the deadline: stalled if the watermark has
-    /// been flat for the stall window, otherwise a plain deadline miss.
-    fn classify_timeout(&mut self) -> RunUntil {
-        if self.delivered_bytes > 0 && self.now >= self.last_advance + STALL_CLASSIFY_WINDOW {
-            RunUntil::Stalled {
-                snapshot: Box::new(self.forensic_snapshot("no-progress")),
-            }
-        } else {
-            RunUntil::Deadline {
-                progressing: self.delivered_bytes > 0,
-            }
-        }
-    }
-
-    /// Capture the forensic state used by stall classification and the
-    /// supervision watchdog. Cheap relative to a breach (strings only),
-    /// and entirely deterministic in `(scenario, seed)`.
-    pub fn forensic_snapshot(&self, reason: &str) -> StallSnapshot {
+    /// Capture the forensic state a watchdog breach reports. Cheap
+    /// relative to a breach (strings only), and entirely deterministic
+    /// in `(scenario, seed)`.
+    pub(crate) fn forensic_snapshot(&self, reason: &'static str) -> StallSnapshot {
         StallSnapshot {
-            reason: reason.to_string(),
+            reason,
             now: self.now,
             last_advance: self.last_advance,
             delivered_bytes: self.delivered_bytes,
@@ -938,7 +861,7 @@ mod tests {
             },
             Time::from_secs(30),
         );
-        assert!(ok.held(), "download did not complete");
+        assert!(ok, "download did not complete");
         // All traffic used WiFi; LTE stayed silent.
         assert!(!sim.ifaces[0].log.is_empty());
         assert_eq!(sim.ifaces[1].log.len(), 0);
@@ -981,10 +904,7 @@ mod tests {
             },
             Time::from_secs(20),
         );
-        assert!(
-            !done.held(),
-            "single-path TCP cannot survive its only link dying"
-        );
+        assert!(!done, "single-path TCP cannot survive its only link dying");
     }
 
     #[test]
@@ -1023,7 +943,7 @@ mod tests {
             Time::from_secs(4),
         );
         // 200 kB at 200 kbit/s is ~8 s; it must NOT finish within 4 s.
-        assert!(!done.held(), "throttle had no effect");
+        assert!(!done, "throttle had no effect");
     }
 
     #[test]
@@ -1104,7 +1024,7 @@ mod tests {
             },
             Time::from_secs(60),
         );
-        assert!(ok.held(), "4 MB download did not complete");
+        assert!(ok, "4 MB download did not complete");
         let m = mpwifi_simcore::metrics::snapshot();
         assert!(
             m.segments_encoded > 2_800,
@@ -1219,7 +1139,7 @@ mod tests {
             Time::from_secs(60),
         );
         assert!(
-            ok.held(),
+            ok,
             "retransmissions must carry the transfer through corruption"
         );
         let got: Vec<u8> = sim
@@ -1321,10 +1241,10 @@ mod tests {
         // 200 kB at 1% of 20 Mbit/s (200 kbit/s) is ~8 s: the upload must
         // NOT finish while the crush window is open...
         let done_early = sim.run_until(|sim| server_total(sim) >= 200_000, Time::from_secs(4));
-        assert!(!done_early.held(), "crush had no effect");
+        assert!(!done_early, "crush had no effect");
         // ...but completes quickly once the original rate is restored.
         let done = sim.run_until(|sim| server_total(sim) >= 200_000, Time::from_secs(10));
-        assert!(done.held(), "rate must be restored after the crush window");
+        assert!(done, "rate must be restored after the crush window");
     }
 
     #[test]
@@ -1371,7 +1291,7 @@ mod tests {
             },
             Time::from_secs(120),
         );
-        assert!(ok.held(), "download must complete over the WiFi backup");
+        assert!(ok, "download must complete over the WiFi backup");
         let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
         assert_eq!(got, data, "stream must be intact across the failover");
         let m = metrics::snapshot();
@@ -1426,7 +1346,7 @@ mod tests {
             },
             Time::from_secs(120),
         );
-        assert!(ok.held(), "transfer survives the blackout window");
+        assert!(ok, "transfer survives the blackout window");
         let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
         assert_eq!(got, data, "stream intact across failover and rejoin");
         let stats = sim.client.conn(c).subflow_stats();
@@ -1485,10 +1405,7 @@ mod tests {
             },
             Time::from_secs(120),
         );
-        assert!(
-            ok.held(),
-            "the two LTE rows carry the transfer past the cut"
-        );
+        assert!(ok, "the two LTE rows carry the transfer past the cut");
         let got: Vec<u8> = sim.client.conn_mut(c).take_delivered().concat();
         assert_eq!(got, data, "stream intact across three subflows");
         assert_eq!(sim.client.conn(c).subflow_stats().len(), 3);
@@ -1640,38 +1557,54 @@ mod tests {
     }
 
     #[test]
-    fn silent_blackout_livelock_classifies_as_stalled_with_forensics() {
+    fn silent_blackout_livelock_is_ended_by_the_watchdog_with_forensics() {
+        use mpwifi_simcore::{BreachReport, WatchdogConfig};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let (mut sim, c) = stalled_backup_sim();
         let mut sent = false;
-        let result = sim.run_until(
-            |sim| {
-                if !sent {
-                    for sid in sim.server.take_accepted() {
-                        sim.server
-                            .conn_mut(sid)
-                            .send(Bytes::from(vec![9u8; 2_000_000]));
-                        sim.server.conn_mut(sid).close(Time::ZERO);
-                        sent = true;
+        let armed = supervise::arm_scoped(&WatchdogConfig {
+            stall_ttl_us: Some(Dur::from_secs(5).as_micros()),
+            ..WatchdogConfig::default()
+        });
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_until(
+                |sim| {
+                    if !sent {
+                        for sid in sim.server.take_accepted() {
+                            sim.server
+                                .conn_mut(sid)
+                                .send(Bytes::from(vec![9u8; 2_000_000]));
+                            sim.server.conn_mut(sid).close(Time::ZERO);
+                            sent = true;
+                        }
                     }
-                }
-                sim.client.conn(c).delivered_bytes() == 2_000_000
-            },
-            Time::from_secs(30),
-        );
-        let snap = result
-            .snapshot()
-            .expect("a frozen transfer must classify as Stalled, not Deadline");
+                    sim.client.conn(c).delivered_bytes() == 2_000_000
+                },
+                Time::from_secs(30),
+            )
+        }));
+        drop(armed);
+        let report = caught
+            .expect_err("a frozen transfer must breach the stall TTL")
+            .downcast::<BreachReport>()
+            .expect("the breach panics with a BreachReport");
+        assert_eq!(report.breach.label(), "stall");
         assert!(sim.delivered_bytes() > 0, "the transfer started");
         // The forensics name the interface that went dark.
-        let rendered = snap.render();
+        let rendered = &report.forensics;
         assert!(
-            rendered.contains("iface wifi") && rendered.contains("stale"),
+            rendered
+                .lines()
+                .any(|l| l.starts_with("iface wifi:") && l.contains("(stale for ")),
             "forensics must name the dead interface:\n{rendered}"
         );
         assert!(
             rendered.contains("subflow wifi"),
             "health lines must list the wifi subflow:\n{rendered}"
         );
-        assert_eq!(snap.script_fired, 2, "fault mark + cut event fired");
+        assert!(
+            rendered.contains("fault plan: 2 scripted events fired"),
+            "fault mark + cut event fired:\n{rendered}"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic randomness.
 //!
 //! [`DetRng`] wraps a seeded [`rand::rngs::StdRng`] and adds the sampling
-//! primitives this workspace needs — normal, lognormal, exponential, Pareto
-//! and truncated variants — implemented directly (Box–Muller, inverse CDF)
-//! so no extra distribution crates are required.
+//! primitives this workspace needs — normal, lognormal and truncated
+//! variants — implemented directly (Box–Muller, inverse CDF) so no extra
+//! distribution crates are required.
 //!
 //! All stochastic components in the simulator take a `DetRng` derived from
 //! a scenario seed; nothing ever reads OS entropy.
@@ -86,21 +86,6 @@ impl DetRng {
     /// of the underlying normal.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Exponential with the given mean (inverse-CDF method).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "mean must be positive");
-        let u = 1.0 - self.uniform();
-        -mean * u.ln()
-    }
-
-    /// Pareto with scale `x_min` and shape `alpha` (heavy-tailed flow
-    /// sizes; inverse-CDF method).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        assert!(x_min > 0.0 && alpha > 0.0, "invalid pareto parameters");
-        let u = 1.0 - self.uniform();
-        x_min / u.powf(1.0 / alpha)
     }
 
     /// Fisher–Yates shuffle.
@@ -322,22 +307,6 @@ mod tests {
         let median = xs[xs.len() / 2];
         assert!((median - 8.0).abs() < 0.3, "median {median}");
         assert!(xs.iter().all(|x| *x > 0.0));
-    }
-
-    #[test]
-    fn exponential_mean_roughly_correct() {
-        let mut r = DetRng::seed_from_u64(4);
-        let xs: Vec<f64> = (0..50_000).map(|_| r.exponential(5.0)).collect();
-        assert!((sample_mean(&xs) - 5.0).abs() < 0.2);
-        assert!(xs.iter().all(|x| *x >= 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = DetRng::seed_from_u64(5);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl RttEstimator {
     pub fn backoff(&mut self) {
         self.backoff_shift = (self.backoff_shift + 1).min(16);
     }
-
-    /// Consecutive backoffs since the last valid sample.
-    pub fn backoff_count(&self) -> u32 {
-        self.backoff_shift
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +142,7 @@ mod tests {
         e.sample(Dur::from_millis(100));
         e.backoff();
         e.backoff();
-        assert_eq!(e.backoff_count(), 2);
         e.sample(Dur::from_millis(100));
-        assert_eq!(e.backoff_count(), 0);
         assert!(e.rto() < Dur::from_millis(400));
     }
 

@@ -1,12 +1,12 @@
-//! The Cell vs WiFi app, end to end: run measurement-collection runs at
-//! a few Table 1 locations (through the app's Figure 2 state machine),
-//! and print the recommendation the app would show its user.
+//! The Cell vs WiFi app, end to end: one measurement-collection run
+//! (Figure 2's 1 MB up, 1 MB down and pings per network, through
+//! `crowd::measure::measure_pair`) at each of a few Table 1 locations,
+//! and the recommendation the app would show its user.
 //!
 //! ```text
 //! cargo run --release --example cell_vs_wifi
 //! ```
 
-use mpwifi::core::cellvswifi::{CellVsWifiApp, Phone};
 use mpwifi::core::policy::{AlwaysWifi, BestMeasured, NetworkSelector};
 use mpwifi::crowd::measure::{measure_pair, RunMode};
 use mpwifi::crowd::world::paper_clusters;
@@ -17,24 +17,14 @@ use mpwifi::simcore::DetRng;
 fn main() {
     let clusters = paper_clusters();
     let mut rng = DetRng::seed_from_u64(7);
-    let phone = Phone {
-        wifi_enabled: true,
-        wifi_associates: true,
-        cellular_enabled: true,
-        cellular_quota_bytes: 50_000_000,
-    };
 
     println!(
         "{:<24} {:>12} {:>12} {:>8} {:>8}  recommendation",
         "location", "WiFi down", "LTE down", "WiFi RTT", "LTE RTT"
     );
     for profile in clusters.iter().take(8) {
-        // One measurement-collection run (Figure 2's flow chart).
-        let mut app = CellVsWifiApp::new(phone);
-        let complete = app.run();
-        assert!(complete, "phone is fully capable; run must complete");
-
-        // The conditions this user saw, drawn from the location's world.
+        // The conditions this user saw, drawn from the location's world,
+        // and one measurement-collection run over them (Figure 2).
         let world = WirelessWorld::with_target(profile.wifi_median_bps, profile.lte_win_frac);
         let draw = world.draw(&mut rng);
         let m = measure_pair(&draw.wifi, &draw.lte, RunMode::FullSim, 11);

@@ -96,7 +96,10 @@
 #                supervise  every `repro` run is supervised: a campaign
 #                           with a planted panic and a planted livelock
 #                           quarantines both (exit 3, sidecar naming
-#                           them) while the healthy sections stay
+#                           them, the stall's forensics marking the
+#                           idle `lte` interface stale: the one check
+#                           of the 5 s threshold on the path that
+#                           ships) while the healthy sections stay
 #                           byte-identical to a campaign without them;
 #                           that healthy campaign exits 0 with an empty
 #                           sidecar; and the retired `--supervise` flag
@@ -261,6 +264,7 @@ if [ "$FULL" -eq 1 ]; then
     grep -q '"id": "planted-panic", .*"status": "panicked"' "$TMP/quarantine.json"
     grep -q '"id": "planted-stall", .*"status": "stalled"' "$TMP/quarantine.json"
     grep -q 'subflow lte' "$TMP/quarantine.json"
+    grep -q 'iface lte: last activity [^"]*stale for' "$TMP/quarantine.json"
     echo "== supervise smoke: healthy sections byte-identical, campaign continued"
     cmp "$TMP/plain.md" "$TMP/supervised.md"
     echo "== supervise smoke: --supervise and a flag its form does not read are usage errors"

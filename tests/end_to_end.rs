@@ -70,7 +70,7 @@ fn a_queue_overrun_is_repaired_without_resending_what_arrived() {
         },
         Time::from_secs(60),
     );
-    assert!(done.held(), "download did not complete");
+    assert!(done, "download did not complete");
     let stats = *sim.server.socket(accepted.unwrap()).stats();
     assert!(
         stats.bytes_sent <= 1_150_000,
@@ -351,7 +351,7 @@ fn mid_run_rate_change_shifts_mptcp_traffic() {
         },
         Time::from_secs(120),
     );
-    assert!(done.held(), "transfer survives the degradation");
+    assert!(done, "transfer survives the degradation");
     let stats = sim.client.conn(id).subflow_stats();
     let wifi_bytes = stats
         .iter()

@@ -48,7 +48,7 @@ fn drive(
         },
         deadline,
     );
-    (done.held(), sim.client.conn(id).delivered_bytes())
+    (done, sim.client.conn(id).delivered_bytes())
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn notification_failover_preserves_stream_integrity() {
         },
         Time::from_secs(120),
     );
-    assert!(done.held());
+    assert!(done);
     let got: Vec<u8> = sim.client.conn_mut(id).take_delivered().concat();
     assert_eq!(got, expected, "stream corrupted across failover");
 }

@@ -90,7 +90,7 @@ fn reno_goodput_bps(p: f64, rtt: Dur, seed: u64, predicted_secs: f64) -> f64 {
         },
         Time::from_secs(3600),
     );
-    assert!(done.held(), "p {p}, rtt {rtt}, seed {seed}: did not finish");
+    assert!(done, "p {p}, rtt {rtt}, seed {seed}: did not finish");
     total as f64 * 8.0 / sim.now.as_secs_f64()
 }
 

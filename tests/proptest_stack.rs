@@ -110,7 +110,7 @@ proptest! {
             },
             Time::from_secs(120),
         );
-        prop_assert!(done.held());
+        prop_assert!(done);
         let got: Vec<u8> = sim.client.conn_mut(id).take_delivered().concat();
         prop_assert_eq!(got, expected);
     }
